@@ -34,10 +34,10 @@ from .fields import (
     field_admissible,
     log_of_weight_field,
 )
-from .kernels import Log
+from .kernels import Log, scalar_fn
 from .problem import NodeSystem, Problem
 from .solver import solve_equioscillation
-from .translates import _golden_max
+from .translates import _F_rows, _maximize
 
 __all__ = [
     "GapProblem",
@@ -156,70 +156,21 @@ def gap_eval(nodes, r, weight: PiecewiseField, t: float) -> float:
     return prod
 
 
-def _log_objective_max(nodes, r, logw: PiecewiseField, lo: float, hi: float, xtol=1e-12):
-    """(t*, max) of log w(t) + Σ r_j log|t − x_j| over [lo, hi]."""
-    inner = sorted(
-        set(tau for tau in logw.interior_knots() if lo < tau < hi)
-        | set(x for x in nodes if lo < x < hi)
-    )
-    cuts = [lo, *inner, hi]
-    log = math.log
-    terms = tuple(zip(nodes, r))
-
-    def log_prod(t: float) -> float:
-        s = 0.0
-        for x, rj in terms:
-            d = abs(t - x)
-            if d == 0.0:
-                return _NEG_INF
-            s += rj * log(d)
-        return s
-
-    candidates = []
-    points = sorted(set(cuts) | {t for t in logw.override_points() if lo <= t <= hi})
-    for tau in points:
-        fv = logw._value_float(tau)
-        lp = log_prod(tau)
-        candidates.append((tau, _NEG_INF if _NEG_INF in (fv, lp) else fv + lp))
-    for c, d in zip(cuts, cuts[1:]):
-        if d - c <= 1e-13:
-            continue
-        piece = logw.piece_over(c, d)
-        if isinstance(piece.formula, NegInfinityPiece):
-            continue
-        fval = piece.formula._value
-
-        def g(t: float) -> float:
-            fv = fval(t)
-            if fv == _NEG_INF:
-                return _NEG_INF
-            lp = log_prod(t)
-            if lp == _NEG_INF:
-                return _NEG_INF
-            return fv + lp
-
-        candidates.append(_golden_max(g, c, d, xtol))
-    candidates.sort(key=lambda p: p[0])
-    best_t, best_v = None, _NEG_INF
-    for t, v in candidates:
-        if v > best_v:
-            best_t, best_v = t, v
-    return best_t, best_v
-
-
 def _intervals_of(weight_or_logw: PiecewiseField, E: IntervalUnion | None):
     if E is not None:
         return E.components
     return (weight_or_logw.domain,)
 
 
+def _log_max(logw: PiecewiseField, kf, terms, intervals) -> float:
+    """max of log w(t) + Σ r_j log|t − x_j| over non-degenerate intervals."""
+    return max(_maximize(logw, kf, terms, lo, hi, singular=True)[1] for lo, hi in intervals)
+
+
 def gap_norm(nodes, r, weight: PiecewiseField, E: IntervalUnion | None = None) -> float:
     """sup of w · ∏ |t − x_j|^{r_j} over E (default: the weight's whole domain)."""
     logw = log_of_weight_field(weight)
-    best = _NEG_INF
-    for lo, hi in _intervals_of(weight, E):
-        _, v = _log_objective_max(tuple(nodes), tuple(r), logw, lo, hi)
-        best = max(best, v)
+    best = _log_max(logw, scalar_fn(Log()), tuple(zip(r, nodes)), _intervals_of(weight, E))
     return 0.0 if best == _NEG_INF else math.exp(best)
 
 
@@ -227,13 +178,15 @@ def gap_interval_maxima(nodes, r, weight: PiecewiseField) -> tuple[float, ...]:
     """Max of w·∏|t−x_j|^{r_j} over each of the n+1 intervals cut by the nodes."""
     a, b = weight.domain
     logw = log_of_weight_field(weight)
+    kf = scalar_fn(Log())
+    terms = tuple(zip(r, nodes))
     ys = (a, *sorted(float(x) for x in nodes), b)
     out = []
     for lo, hi in zip(ys, ys[1:]):
         if hi <= lo:
             out.append(gap_eval(nodes, r, weight, lo))
             continue
-        _, v = _log_objective_max(tuple(nodes), tuple(r), logw, lo, hi)
+        _, v = _maximize(logw, kf, terms, lo, hi, singular=True)
         out.append(0.0 if v == _NEG_INF else math.exp(v))
     return tuple(out)
 
@@ -374,19 +327,6 @@ def _compositions(n: int, k: int):
         yield tuple(parts)
 
 
-def _approx_values(X: np.ndarray, r, T: np.ndarray, logw_T: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    chunk = max(1, int(2_000_000 // max(T.size, 1)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, X.shape[0], chunk):
-            block = X[start : start + chunk]
-            acc = np.broadcast_to(logw_T, (block.shape[0], T.size)).copy()
-            for j, rj in enumerate(r):
-                acc += rj * np.log(np.abs(T[None, :] - block[:, j : j + 1]))
-            out[start : start + chunk] = acc.max(axis=1)
-    return out
-
-
 def restricted_constant(
     E: IntervalUnion,
     r,
@@ -410,13 +350,11 @@ def restricted_constant(
         raise BudgetError("restricted search supports n ≤ 4")
     weight = weight if weight is not None else _default_weight(E)
     logw = log_of_weight_field(weight)
+    kernel = Log()
+    kf = scalar_fn(kernel)
 
     def exact_log(nodes: tuple[float, ...]) -> float:
-        best = _NEG_INF
-        for lo, hi in E.components:
-            _, v = _log_objective_max(nodes, r, logw, lo, hi)
-            best = max(best, v)
-        return best
+        return _log_max(logw, kf, tuple(zip(r, nodes)), E.components)
 
     if snap_seed is None:
         _, w_nodes = unrestricted_constant(E, r, weight, tol)
@@ -428,6 +366,7 @@ def restricted_constant(
     T_parts = [np.linspace(lo, hi, 129) for lo, hi in E.components]
     T = np.concatenate(T_parts)
     logw_T = logw.values(T)
+    chunk = max(1, int(2_000_000 // T.size))
 
     for counts in _compositions(n, E.k):
         boxes: list[tuple[float, float, int]] = []  # (lo, hi, component index)
@@ -448,7 +387,10 @@ def restricted_constant(
             if not grids:
                 break
             X = np.asarray(grids, dtype=float)
-            approx = _approx_values(X, r, T, logw_T)
+            approx = np.concatenate([
+                _F_rows(kernel, r, X[start : start + chunk], T, logw_T).max(axis=1)
+                for start in range(0, X.shape[0], chunk)
+            ])
             order = np.argsort(approx, kind="stable")[:8]
             for idx in order:
                 nodes = tuple(float(v) for v in X[idx])

@@ -34,7 +34,7 @@ from .extreal import is_neg_infinity
 from .fields import constant_field, field_from_json
 from .oracle import GridSpec, grid_maximin, grid_minimax
 from .perturbation import check_intertwining
-from .problem import NodeSystem, load_problem
+from .problem import NodeSystem, _read_json, load_problem
 from .solver import solve_difference, solve_equioscillation
 from .translates import eval_F_grid, interval_maxima
 
@@ -154,8 +154,7 @@ def _cmd_bojanov(args) -> int:
     a, b = _parse_floats(args.interval)
     exponents = _parse_floats(args.exponents)
     if args.weight:
-        with open(args.weight, "r", encoding="utf-8") as fh:
-            weight = field_from_json(json.load(fh), domain=(a, b))
+        weight = field_from_json(_read_json(args.weight), domain=(a, b))
     else:
         weight = constant_field(1.0, domain=(a, b))
     solution = solve_bojanov(GapProblem((a, b), exponents, weight), tol=args.tol)
@@ -288,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", choices=("minimax", "maximin"), default="minimax")
     p.add_argument("--grid", default="21,2", help="points_per_dim,refine_rounds")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1, help="deprecated and ignored (single-threaded oracle)"
+    )
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("intertwine", help="compare interval maxima of two node systems")

@@ -556,9 +556,11 @@ def field_from_json(doc: dict, domain=(0.0, 1.0)) -> PiecewiseField:
             for p in doc["pieces"]
         )
         raw_points: Iterable = doc.get("point_values", []) or []
-    except (TypeError, KeyError) as exc:
+        point_values = tuple(
+            (float(t), NEG_INFINITY if v is None else float(v)) for t, v in raw_points
+        )
+    except SchemaError:
+        raise
+    except (TypeError, KeyError, ValueError) as exc:
         raise SchemaError(f"malformed field document: {doc!r}") from exc
-    point_values = tuple(
-        (float(t), NEG_INFINITY if v is None else float(v)) for t, v in raw_points
-    )
     return PiecewiseField(pieces, point_values, domain=domain)

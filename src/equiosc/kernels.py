@@ -96,8 +96,11 @@ class Log(KernelSpec):
         return k
 
     def _values_unchecked(self, u):
+        # log in place: the grid callers pass blocks of ~2M entries, and one
+        # more live temporary costs both peak memory and time
+        au = np.abs(u)
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(u))
+            return np.log(au, out=au if isinstance(au, np.ndarray) else None)
 
 
 @dataclass(frozen=True)
@@ -294,18 +297,20 @@ def kernel_from_json(doc: dict) -> KernelSpec:
     try:
         variant = doc["variant"]
         params = doc.get("params", {})
-    except (TypeError, KeyError) as exc:
+        if variant == "Log":
+            return Log()
+        if variant == "CappedLog":
+            return CappedLog(a=float(params["a"]))
+        if variant == "SqrtShift":
+            return SqrtShift()
+        if variant == "TentLog":
+            return TentLog()
+        if variant == "CappedLogPlusQuadratic":
+            return CappedLogPlusQuadratic(a=float(params["a"]))
+        if variant == "Regularized":
+            return Regularized(base=kernel_from_json(params["base"]), eta=float(params["eta"]))
+    except SchemaError:
+        raise
+    except (TypeError, KeyError, ValueError) as exc:
         raise SchemaError(f"malformed kernel document: {doc!r}") from exc
-    if variant == "Log":
-        return Log()
-    if variant == "CappedLog":
-        return CappedLog(a=float(params["a"]))
-    if variant == "SqrtShift":
-        return SqrtShift()
-    if variant == "TentLog":
-        return TentLog()
-    if variant == "CappedLogPlusQuadratic":
-        return CappedLogPlusQuadratic(a=float(params["a"]))
-    if variant == "Regularized":
-        return Regularized(base=kernel_from_json(params["base"]), eta=float(params["eta"]))
     raise SchemaError(f"unknown kernel variant {variant!r}")

@@ -3,20 +3,20 @@
 The oracle evaluates m̄ (or m̲) on a lattice of nondecreasing node tuples and
 refines by shrinking a box around the incumbent tenfold per round. It is the
 independent ground-truth generator at small n, and the only tool that applies
-when a kernel violates the solver's hypotheses. Ties break to the
-lexicographically smallest node vector, so results are deterministic
-regardless of worker count.
+when a kernel violates the solver's hypotheses. It runs single-threaded: the
+``threads`` argument is deprecated, and a value other than 1 only warns. Ties
+break to the lexicographically smallest node vector.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, PreconditionError
 from .problem import NodeSystem, Problem
 from .translates import _maxima_floats
 
@@ -74,35 +74,36 @@ def _objective(problem: Problem, nodes: tuple[float, ...], mode: str, xtol: floa
     return min(vals)
 
 
-def _scan(problem, ranges, points, mode, xtol, threads):
+def _evaluate(problem, ranges, points, mode, xtol):
+    """The lattice cells over ``ranges`` and the objective at each of them."""
+    cells = list(_lattice(ranges, points))
+    return cells, [_objective(problem, c, mode, xtol) for c in cells]
+
+
+def _scan(problem, ranges, points, mode, xtol):
     better = (lambda v, b: v < b) if mode == "minimax" else (lambda v, b: v > b)
     best_nodes: tuple[float, ...] | None = None
     best_val = math.inf if mode == "minimax" else _NEG_INF
-
-    cells = list(_lattice(ranges, points))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda c: _objective(problem, c, mode, xtol), cells))
-    else:
-        values = [_objective(problem, c, mode, xtol) for c in cells]
-    for nodes, val in zip(cells, values):
+    for nodes, val in zip(*_evaluate(problem, ranges, points, mode, xtol)):
         if best_nodes is None or better(val, best_val):
             best_nodes, best_val = nodes, val
     return best_nodes, best_val
 
 
 def _search(problem: Problem, grid: GridSpec, mode: str, xtol: float, threads: int):
+    if threads != 1:
+        warnings.warn("threads is deprecated and ignored", DeprecationWarning, stacklevel=3)
     _check_budget(problem, grid)
     n = problem.n
     ranges = [(0.0, 1.0)] * n
     width = 1.0
-    best_nodes, best_val = _scan(problem, ranges, grid.points_per_dim, mode, xtol, threads)
+    best_nodes, best_val = _scan(problem, ranges, grid.points_per_dim, mode, xtol)
     for _ in range(grid.refine_rounds):
         width /= 10.0
         ranges = [
             (max(0.0, y - 0.5 * width), min(1.0, y + 0.5 * width)) for y in best_nodes
         ]
-        best_nodes, best_val = _scan(problem, ranges, grid.points_per_dim, mode, xtol, threads)
+        best_nodes, best_val = _scan(problem, ranges, grid.points_per_dim, mode, xtol)
     return NodeSystem(best_nodes), best_val
 
 
@@ -143,9 +144,8 @@ def grid_near_optimal(
     """
     _check_budget(problem, grid)
     if mode not in ("minimax", "maximin"):
-        raise ValueError("mode must be 'minimax' or 'maximin'")
-    cells = list(_lattice([(0.0, 1.0)] * problem.n, grid.points_per_dim))
-    values = [_objective(problem, c, mode, xtol) for c in cells]
+        raise PreconditionError("mode must be 'minimax' or 'maximin'")
+    cells, values = _evaluate(problem, [(0.0, 1.0)] * problem.n, grid.points_per_dim, mode, xtol)
     finite = [v for v in values if v != _NEG_INF and math.isfinite(v)]
     if not finite:
         return []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,6 +78,17 @@ def as_node_system(y) -> NodeSystem:
     return NodeSystem(tuple(float(v) for v in y))
 
 
+def _node_count(n) -> int:
+    """n as an int; booleans and non-integral numbers are refused, not truncated."""
+    if not isinstance(n, (bool, np.bool_)):
+        try:
+            return operator.index(n)
+        except TypeError:
+            if isinstance(n, float) and n.is_integer():
+                return int(n)
+    raise SchemaError(f"n must be an integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Problem:
     """n, multipliers r, kernel, and an admissible field on [0, 1]."""
@@ -87,9 +99,10 @@ class Problem:
     field: PiecewiseField
 
     def __post_init__(self):
-        if int(self.n) < 1:
+        n = _node_count(self.n)
+        if n < 1:
             raise SchemaError("n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         r = tuple(float(v) for v in self.r)
         if len(r) != self.n:
             raise SchemaError(f"expected {self.n} multipliers, got {len(r)}")
@@ -121,7 +134,7 @@ def problem_to_json(problem: Problem) -> dict:
 
 def problem_from_json(doc: dict) -> Problem:
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         r = tuple(float(v) for v in doc["r"])
         kernel = kernel_from_json(doc["kernel"])
         field = field_from_json(doc["field"])
@@ -132,13 +145,16 @@ def problem_from_json(doc: dict) -> Problem:
     return Problem(n=n, r=r, kernel=kernel, field=field)
 
 
-def load_problem(path) -> Problem:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
-    return problem_from_json(doc)
+
+
+def load_problem(path) -> Problem:
+    return problem_from_json(_read_json(path))
 
 
 def dump_problem(problem: Problem, path) -> None:

@@ -103,14 +103,19 @@ def _kernel_sum(kf, terms, t: float) -> float:
     return s
 
 
-def _usc_value(problem: Problem, kf, terms, t: float) -> float:
-    fv = problem.field._value_float(t)
-    if fv == _NEG_INF:
-        return _NEG_INF
-    ks = _kernel_sum(kf, terms, t)
-    if ks == _NEG_INF:
-        return _NEG_INF
-    return fv + ks
+def _with_translates(fval, kf, terms):
+    """t ↦ fval(t) + Σ r_j K(t − y_j), −∞ as soon as either part is −∞."""
+
+    def g(t: float) -> float:
+        fv = fval(t)
+        if fv == _NEG_INF:
+            return _NEG_INF
+        ks = _kernel_sum(kf, terms, t)
+        if ks == _NEG_INF:
+            return _NEG_INF
+        return fv + ks
+
+    return g
 
 
 def eval_f(problem: Problem, y, t: float) -> ExtReal:
@@ -126,17 +131,26 @@ def eval_F(problem: Problem, y, t: float) -> ExtReal:
     ns = problem.node_system(y)
     t = _check_t(t)
     ys = ns.with_sentinels()
-    return as_extreal(_usc_value(problem, scalar_fn(problem.kernel), _terms(problem, ys), t))
+    kf = scalar_fn(problem.kernel)
+    return as_extreal(_with_translates(problem.field._value_float, kf, _terms(problem, ys))(t))
 
 
 def eval_F_grid(problem: Problem, y, ts: np.ndarray) -> np.ndarray:
     """Vectorized F(y, ·) over a grid; −∞ appears as IEEE -inf."""
     ns = problem.node_system(y)
     ts = np.asarray(ts, dtype=float)
-    out = problem.field.values(ts)
-    for r, yj in zip(problem.r, ns.nodes):
-        out = out + r * problem.kernel._values_unchecked(ts - yj)
-    return out
+    T = ts.ravel()
+    rows = _F_rows(problem.kernel, problem.r, ns.as_array()[None, :], T, problem.field.values(T))
+    return rows[0].reshape(ts.shape)
+
+
+def _F_rows(kernel, r, X: np.ndarray, T: np.ndarray, field_T: np.ndarray) -> np.ndarray:
+    """field_T + Σ_j r_j K(T − X[i, j]) for each row i of a block of node rows X."""
+    acc = np.broadcast_to(field_T, (X.shape[0], T.size)).copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, rj in enumerate(r):
+            acc += rj * kernel._values_unchecked(T[None, :] - X[:, j : j + 1])
+    return acc
 
 
 def _check_t(t: float) -> float:
@@ -191,54 +205,36 @@ def _scan_golden(g, lo: float, hi: float, xtol: float, points: int = 64) -> tupl
 
 # -- per-interval maxima --------------------------------------------------------
 
-def _interval_max(problem: Problem, ys: tuple[float, ...], j: int, xtol: float = _XTOL):
-    """(argmax | None, float max) of F(y, ·) over [ys[j], ys[j+1]]."""
-    kf = scalar_fn(problem.kernel)
-    terms = _terms(problem, ys)
-    lo, hi = ys[j], ys[j + 1]
-    singular = problem.kernel.flags().singular
-    if hi <= lo:
-        if singular:
-            return None, _NEG_INF
-        v = _usc_value(problem, kf, terms, lo)
-        return (lo if v > _NEG_INF else None), v
+def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: float = _XTOL):
+    """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi.
 
-    field = problem.field
-    cuts = [lo]
-    cuts.extend(tau for tau in field.interior_knots() if lo < tau < hi)
-    cuts.append(hi)
+    The interval is cut at the field's interior knots and at every node y_j
+    strictly inside it; the cuts and field overrides are point candidates, and
+    each piece between cuts is searched by golden section (concave) or a scan
+    plus golden polish (not concave). With a singular kernel the search stays
+    _NODE_EPS away from a node at either end of a piece.
+    """
+    nodes = {yj for _, yj in terms}
+    inner = {tau for tau in (*field.interior_knots(), *nodes) if lo < tau < hi}
+    cuts = [lo, *sorted(inner), hi]
 
-    candidates: list[tuple[float, float]] = []
+    F = _with_translates(field._value_float, kf, terms)
     point_set = sorted(set(cuts) | {t for t in field.override_points() if lo <= t <= hi})
-    for tau in point_set:
-        candidates.append((tau, _usc_value(problem, kf, terms, tau)))
+    candidates = [(tau, F(tau)) for tau in point_set]
 
-    nodes = set(ys[1:-1])
     for c, d in zip(cuts, cuts[1:]):
         if d - c <= 4.0 * _NODE_EPS:
             continue
-        piece = field.piece_over(c, d)
-        formula = piece.formula
+        formula = field.piece_over(c, d).formula
         if isinstance(formula, NegInfinityPiece):
             continue
         a = c + _NODE_EPS if (singular and c in nodes) else c
         b = d - _NODE_EPS if (singular and d in nodes) else d
-        fval = formula._value
-
-        def g(t: float) -> float:
-            fv = fval(t)
-            if fv == _NEG_INF:
-                return _NEG_INF
-            ks = _kernel_sum(kf, terms, t)
-            if ks == _NEG_INF:
-                return _NEG_INF
-            return fv + ks
-
+        g = _with_translates(formula._value, kf, terms)
         if formula.concave:
-            t_star, v_star = _golden_max(g, a, b, xtol)
+            candidates.append(_golden_max(g, a, b, xtol))
         else:
-            t_star, v_star = _scan_golden(g, a, b, xtol)
-        candidates.append((t_star, v_star))
+            candidates.append(_scan_golden(g, a, b, xtol))
 
     candidates.sort(key=lambda p: p[0])
     best_t: float | None = None
@@ -246,9 +242,21 @@ def _interval_max(problem: Problem, ys: tuple[float, ...], j: int, xtol: float =
     for t, v in candidates:
         if v > best_v:
             best_t, best_v = t, v
-    if best_v == _NEG_INF:
-        return None, _NEG_INF
     return best_t, best_v
+
+
+def _interval_max(problem: Problem, ys: tuple[float, ...], j: int, xtol: float = _XTOL):
+    """(argmax | None, float max) of F(y, ·) over [ys[j], ys[j+1]]."""
+    kf = scalar_fn(problem.kernel)
+    terms = _terms(problem, ys)
+    lo, hi = ys[j], ys[j + 1]
+    singular = problem.kernel.flags().singular
+    if hi > lo:
+        return _maximize(problem.field, kf, terms, lo, hi, singular, xtol)
+    if singular:
+        return None, _NEG_INF
+    v = _with_translates(problem.field._value_float, kf, terms)(lo)
+    return (lo if v > _NEG_INF else None), v
 
 
 def _maxima_floats(problem: Problem, ys: tuple[float, ...], xtol: float = _XTOL):

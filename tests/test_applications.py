@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import equiosc as eq
+from equiosc.fields import Constant, Indicator, NegInfinityPiece, Piece, PiecewiseField
 
 SQRT3_HALF = 0.8660254037844386
 SEED_UNION = eq.IntervalUnion(((0.0, 0.4), (0.6, 1.0)))
@@ -29,6 +30,134 @@ def brute_union_constant(E, restricted: bool, points: int = 4001):
         if v < best_v:
             best_x, best_v = float(x), v
     return best_x, best_v
+
+
+# -- scalar reference for the extremal-product maxima ------------------------------
+# The maximizer the union and Bojanov paths used before they were routed through
+# translates, kept verbatim as a differential reference.
+
+_NEG_INF = float("-inf")
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(g, lo, hi, xtol):
+    a, b = lo, hi
+    if b - a <= xtol:
+        mid = 0.5 * (a + b)
+        return mid, g(mid)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = g(c)
+    fd = g(d)
+    for _ in range(200):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = g(d)
+        if b - a <= xtol:
+            break
+    if fc >= fd:
+        return c, fc
+    return d, fd
+
+
+def reference_log_objective_max(nodes, r, logw, lo, hi, xtol=1e-12):
+    """(t*, max) of log w(t) + Σ r_j log|t − x_j| over [lo, hi]."""
+    inner = sorted(
+        set(tau for tau in logw.interior_knots() if lo < tau < hi)
+        | set(x for x in nodes if lo < x < hi)
+    )
+    cuts = [lo, *inner, hi]
+    log = math.log
+    terms = tuple(zip(nodes, r))
+
+    def log_prod(t):
+        s = 0.0
+        for x, rj in terms:
+            d = abs(t - x)
+            if d == 0.0:
+                return _NEG_INF
+            s += rj * log(d)
+        return s
+
+    candidates = []
+    points = sorted(set(cuts) | {t for t in logw.override_points() if lo <= t <= hi})
+    for tau in points:
+        fv = logw._value_float(tau)
+        lp = log_prod(tau)
+        candidates.append((tau, _NEG_INF if _NEG_INF in (fv, lp) else fv + lp))
+    for c, d in zip(cuts, cuts[1:]):
+        if d - c <= 1e-13:
+            continue
+        piece = logw.piece_over(c, d)
+        if isinstance(piece.formula, NegInfinityPiece):
+            continue
+        fval = piece.formula._value
+
+        def g(t):
+            fv = fval(t)
+            if fv == _NEG_INF:
+                return _NEG_INF
+            lp = log_prod(t)
+            if lp == _NEG_INF:
+                return _NEG_INF
+            return fv + lp
+
+        candidates.append(_golden_max(g, c, d, xtol))
+    candidates.sort(key=lambda p: p[0])
+    best_t, best_v = None, _NEG_INF
+    for t, v in candidates:
+        if v > best_v:
+            best_t, best_v = t, v
+    return best_t, best_v
+
+
+REFERENCE_WEIGHTS = {
+    "constant": eq.constant_field(2.5),
+    "sqrt_affine": eq.sqrt_affine_field(2.0, 1.0, 0.0),
+    "indicator_with_zeros": PiecewiseField(
+        (
+            Piece(0.0, 0.3, Constant(1.0)),
+            Piece(0.3, 0.5, Constant(0.0)),
+            Piece(0.5, 1.0, Indicator(2.0)),
+        )
+    ),
+}
+
+
+def assert_log_close(value, log_reference):
+    if log_reference == _NEG_INF:
+        assert value == 0.0
+    else:
+        assert abs(math.log(value) - log_reference) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_WEIGHTS))
+def test_gap_maxima_match_reference_maximizer(name, rng):
+    weight = REFERENCE_WEIGHTS[name]
+    logw = eq.log_of_weight_field(weight)
+    E = eq.IntervalUnion(((0.0, 0.35), (0.55, 1.0)))
+    draws = [((0.32, 0.45), (1.0, 1.5))]  # [0.32, 0.45] sits in the zero stretch
+    for n in (1, 2, 3):
+        for _ in range(8):
+            x = tuple(float(v) for v in np.sort(rng.uniform(0.0, 1.0, size=n)))
+            draws.append((x, tuple(float(v) for v in rng.uniform(0.5, 2.0, size=n))))
+    minus_inf_gaps = 0
+    for x, r in draws:
+        ys = (0.0, *x, 1.0)
+        for (lo, hi), got in zip(zip(ys, ys[1:]), eq.gap_interval_maxima(x, r, weight)):
+            _, want = reference_log_objective_max(x, r, logw, lo, hi)
+            assert_log_close(got, want)
+            minus_inf_gaps += want == _NEG_INF
+        for union in (None, E):
+            intervals = union.components if union else (weight.domain,)
+            want = max(reference_log_objective_max(x, r, logw, lo, hi)[1] for lo, hi in intervals)
+            assert_log_close(eq.gap_norm(x, r, weight, union), want)
+    assert (minus_inf_gaps > 0) == (name == "indicator_with_zeros")
 
 
 def test_gap_eval_examples():

@@ -64,6 +64,22 @@ def test_bojanov_subcommand(capsys):
     assert "0.146446609" in out and "0.125" in out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"pieces": [{"lo": 0, "hi": 1, "formula": {"kind": "Constant", "c": "abc"}}]}',
+        '{"pieces": [{"lo": 0, "hi": 1, "formula": {"kind": "Constant"}}]}',
+        "{not valid json",
+    ],
+)
+def test_bojanov_bad_weight_is_a_validation_error(tmp_path, capsys, text):
+    weight = tmp_path / "bad.json"
+    weight.write_text(text)
+    code = main(["bojanov", "--exponents", "1", "--weight", str(weight)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_union_compare_subcommand(capsys):
     code = main(
         ["union-compare", "--components", "0,0.4,0.6,1", "--exponents", "1"]

@@ -184,3 +184,24 @@ def test_json_roundtrip():
         doc = eq.field_to_json(f)
         again = eq.field_from_json(doc)
         assert again == f
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": "abc"}}]},
+        {"pieces": [{"lo": "x", "hi": 1.0, "formula": {"kind": "Constant", "c": 0.0}}]},
+        {"pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant"}}]},
+        {
+            "pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0.0}}],
+            "point_values": [[0.5, "high"]],
+        },
+        {
+            "pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0.0}}],
+            "point_values": [[0.5]],
+        },
+    ],
+)
+def test_malformed_json_raises_schema_error(doc):
+    with pytest.raises(eq.SchemaError):
+        eq.field_from_json(doc)

@@ -122,6 +122,24 @@ def test_json_roundtrip():
         kernel_from_json({"variant": "Cubic", "params": {}})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"variant": "CappedLog", "params": {}},
+        {"variant": "CappedLog", "params": {"a": "abc"}},
+        {"variant": "CappedLogPlusQuadratic"},
+        {"variant": "Regularized", "params": {"base": {"variant": "Log"}}},
+        {"variant": "Regularized", "params": {"eta": 0.5}},
+        {"variant": "Regularized", "params": {"base": {"variant": "CappedLog"}, "eta": 0.5}},
+    ],
+)
+def test_malformed_json_raises_schema_error(doc):
+    from equiosc.kernels import kernel_from_json
+
+    with pytest.raises(eq.SchemaError):
+        kernel_from_json(doc)
+
+
 def test_invalid_params():
     with pytest.raises(eq.SchemaError):
         eq.CappedLog(1.5)

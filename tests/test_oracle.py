@@ -73,9 +73,16 @@ def test_threads_match_sequential():
     problem = eq.Problem(2, (1.0, 1.0), eq.Log(), eq.constant_field(0.0))
     grid = eq.GridSpec(points_per_dim=11, refine_rounds=1)
     seq = eq.grid_minimax(problem, grid, threads=1)
-    par = eq.grid_minimax(problem, grid, threads=2)
+    with pytest.warns(DeprecationWarning):
+        par = eq.grid_minimax(problem, grid, threads=2)
     assert seq[0].nodes == par[0].nodes
     assert seq[1] == par[1]
+
+
+def test_near_optimal_rejects_unknown_mode():
+    problem = eq.Problem(1, (1.0,), eq.Log(), eq.constant_field(0.0))
+    with pytest.raises(eq.PreconditionError):
+        eq.grid_near_optimal(problem, eq.GridSpec(points_per_dim=5), mode="x")
 
 
 def test_oracle_matches_solver_small():

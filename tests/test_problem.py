@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import equiosc as eq
@@ -67,3 +68,28 @@ def test_malformed_json():
                 "field": {"pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0}}]},
             }
         )
+
+
+def _problem_doc(n, r):
+    return {
+        "n": n,
+        "r": list(r),
+        "kernel": {"variant": "Log", "params": {}},
+        "field": eq.field_to_json(eq.constant_field(0.0)),
+    }
+
+
+# r has the length that truncating or coercing n would give
+@pytest.mark.parametrize("n, r", [(2.7, (1.0, 1.0)), (True, (1.0,)), ("2", (1.0, 1.0))])
+def test_n_is_not_truncated_or_coerced(n, r):
+    with pytest.raises(eq.SchemaError):
+        eq.problem_from_json(_problem_doc(n, r))
+    with pytest.raises(eq.SchemaError):
+        eq.Problem(n, r, eq.Log(), eq.constant_field(0.0))
+
+
+@pytest.mark.parametrize("n", [2, np.int64(2), np.int32(2), 2.0])
+def test_integer_n_is_accepted(n):
+    problem = eq.Problem(n, (1.0, 1.0), eq.Log(), eq.constant_field(0.0))
+    assert problem.n == 2 and type(problem.n) is int
+    assert eq.problem_from_json(_problem_doc(n, (1.0, 1.0))) == problem
