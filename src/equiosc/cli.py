@@ -65,7 +65,11 @@ def _parse_grid(text: str) -> GridSpec:
     parts = text.split(",")
     if len(parts) != 2:
         raise SchemaError("--grid expects 'points_per_dim,refine_rounds'")
-    return GridSpec(points_per_dim=int(parts[0]), refine_rounds=int(parts[1]))
+    try:
+        points, rounds = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise SchemaError(f"--grid expects two integers, got {text!r}") from exc
+    return GridSpec(points_per_dim=points, refine_rounds=rounds)
 
 
 def _report_dict(report) -> dict:
@@ -151,7 +155,10 @@ def _cmd_intertwine(args) -> int:
 
 
 def _cmd_bojanov(args) -> int:
-    a, b = _parse_floats(args.interval)
+    interval = _parse_floats(args.interval)
+    if len(interval) != 2:
+        raise SchemaError("--interval expects a,b")
+    a, b = interval
     exponents = _parse_floats(args.exponents)
     if args.weight:
         weight = field_from_json(_read_json(args.weight), domain=(a, b))

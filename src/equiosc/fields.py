@@ -245,18 +245,20 @@ class LogOfWeight(Formula):
 def formula_from_json(doc: dict) -> Formula:
     try:
         kind = doc["kind"]
-    except (TypeError, KeyError) as exc:
+        if kind == "Constant":
+            return Constant(c=float(doc["c"]))
+        if kind == "NegInfinity":
+            return NegInfinityPiece()
+        if kind == "Indicator":
+            return Indicator(value=float(doc["value"]))
+        if kind == "SqrtAffine":
+            return SqrtAffine(c=float(doc["c"]), s=float(doc["s"]), t0=float(doc["t0"]))
+        if kind == "LogOfWeight":
+            return LogOfWeight(weight=formula_from_json(doc["weight"]))
+    except SchemaError:
+        raise
+    except (TypeError, KeyError, ValueError) as exc:
         raise SchemaError(f"malformed formula document: {doc!r}") from exc
-    if kind == "Constant":
-        return Constant(c=float(doc["c"]))
-    if kind == "NegInfinity":
-        return NegInfinityPiece()
-    if kind == "Indicator":
-        return Indicator(value=float(doc["value"]))
-    if kind == "SqrtAffine":
-        return SqrtAffine(c=float(doc["c"]), s=float(doc["s"]), t0=float(doc["t0"]))
-    if kind == "LogOfWeight":
-        return LogOfWeight(weight=formula_from_json(doc["weight"]))
     raise SchemaError(f"unknown formula kind {kind!r}")
 
 

@@ -61,6 +61,8 @@ class KernelSpec:
     """Base class of the built-in kernel family. Instances are immutable."""
 
     variant: str = ""
+    # offsets κ > 0 where the kernel has a kink on (0, 1) (and at −κ on (−1, 0))
+    _kinks: tuple[float, ...] = ()
 
     def flags(self) -> KernelFlags:
         raise NotImplementedError
@@ -114,6 +116,10 @@ class CappedLog(KernelSpec):
         if not (0.0 < float(self.a) < 1.0):
             raise SchemaError("CappedLog cap must lie in (0, 1)")
 
+    @property
+    def _kinks(self):
+        return (float(self.a),)
+
     def flags(self) -> KernelFlags:
         return KernelFlags(True, True, False, False)
 
@@ -163,6 +169,7 @@ class TentLog(KernelSpec):
     """K(t) = min(log|10t|, log((10/9)(1−|t|))): singular, concave, not monotone."""
 
     variant = "TentLog"
+    _kinks = (0.1,)  # where log|10t| = log((10/9)(1 − |t|))
 
     def flags(self) -> KernelFlags:
         return KernelFlags(True, False, False, True)
@@ -194,6 +201,10 @@ class CappedLogPlusQuadratic(KernelSpec):
     def __post_init__(self):
         if not (0.0 < float(self.a) < 1.0):
             raise SchemaError("CappedLogPlusQuadratic cap must lie in (0, 1)")
+
+    @property
+    def _kinks(self):
+        return (float(self.a),)
 
     def flags(self) -> KernelFlags:
         return KernelFlags(True, False, False, True)
@@ -229,6 +240,10 @@ class Regularized(KernelSpec):
             raise SchemaError("Regularized base must be a kernel")
         if not (float(self.eta) > 0.0 and math.isfinite(float(self.eta))):
             raise SchemaError("Regularized eta must be a finite positive real")
+
+    @property
+    def _kinks(self):
+        return self.base._kinks
 
     def flags(self) -> KernelFlags:
         base = self.base.flags()

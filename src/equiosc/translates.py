@@ -6,10 +6,13 @@ For a problem with nodes y and sentinels y_0 = 0, y_{n+1} = 1, the function
 
 is maximized separately over each interval I_j(y) = [y_j, y_{j+1}]. Between
 two consecutive nodes every translate stays inside one concavity interval of
-the kernel, so on each field piece F is concave whenever the piece is, and
-golden-section search applies; jump pieces are handled by splitting at the
-field breakpoints and keeping the breakpoints themselves as candidates (usc
-maxima may sit exactly on a jump).
+the kernel, so on each field piece F is concave whenever the piece is. The
+interval is cut at the field breakpoints and at the kernel kinks y_j ± κ, and
+the cut points are candidates themselves (usc maxima may sit exactly on a
+jump, and a maximum on a kink is then evaluated exactly). On each concave
+piece an end where F does not rise inward is the maximum by concavity;
+otherwise Brent's method searches the piece. Values are accurate to rounding
+on smooth pieces, argmax locations to about √ε·|t|.
 
 Conventions: a degenerate interval has maximum −∞ for singular kernels and
 the single-point value otherwise; argmax ties go to the leftmost evaluated
@@ -44,7 +47,9 @@ __all__ = [
 _NEG_INF = float("-inf")
 _XTOL = 1e-12
 _NODE_EPS = 1e-13
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INF = float("inf")
+_SQRT_EPS = math.sqrt(math.ulp(1.0))
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction 1 − 1/φ
 
 
 @dataclass(frozen=True)
@@ -162,42 +167,101 @@ def _check_t(t: float) -> float:
     return t
 
 
-# -- golden-section maximization ----------------------------------------------
+# -- Brent maximization on concave pieces --------------------------------------
 
-def _golden_max(g, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """Maximize a concave (or at least unimodal) g on [lo, hi], interior samples only."""
+def _brent_max(g, lo: float, hi: float, xtol: float) -> tuple[float, float]:
+    """Maximize a concave (or at least unimodal) g on [lo, hi], interior samples only.
+
+    Brent's method (Brent 1973, ch. 5): parabolic steps through the three best
+    points, guarded by golden-section steps, until the bracket around the best
+    point x is at most 4·tol wide, tol = √ε·min(|x|, hi − lo) + xtol/3. The
+    width bound matters on narrow pieces between two singular nodes, where the
+    curvature grows like 1/width² and √ε·|x| alone would leave the value far
+    from rounding. Values are negated so the updates read as in the
+    minimization form; −∞ samples force golden steps.
+    """
     a, b = lo, hi
-    if b - a <= xtol:
+    width = b - a
+    if width <= xtol:
         mid = 0.5 * (a + b)
         return mid, g(mid)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = g(c)
-    fd = g(d)
+    x = w = v = a + _CGOLD * width
+    fx = fw = fv = -g(x)
+    d = e = 0.0
     for _ in range(200):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = g(d)
-        if b - a <= xtol:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * min(abs(x), width) + xtol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
             break
-    if fc >= fd:
-        return c, fc
-    return d, fd
+        golden = True
+        # fx <= fw <= fv, so a finite fv means all three points are finite
+        if abs(e) > tol1 and fv < _INF:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = tol1 if x < xm else -tol1
+                golden = False
+        if golden:
+            e = (b - x) if x < xm else (a - x)
+            d = _CGOLD * e
+        u = x + d if abs(d) >= tol1 else (x + tol1 if d > 0.0 else x - tol1)
+        fu = -g(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, -fx
 
 
-def _scan_golden(g, lo: float, hi: float, xtol: float, points: int = 64) -> tuple[float, float]:
-    """Fallback for non-concave pieces: coarse scan, then golden polish."""
+def _concave_max(g, a: float, b: float, xtol: float, check_a: bool, check_b: bool):
+    """Maximize a concave g on [a, b]: an end where g does not rise inward, else Brent.
+
+    If g(b − h) ≤ g(b) with g(b) finite, concavity puts the maximum at b, and
+    likewise at a; h = max(xtol, √ε·(b − a)). An end is only checked when
+    asked: at a node of a singular kernel g always rises inward.
+    """
+    h = max(xtol, _SQRT_EPS * (b - a))
+    if b - a > 2.0 * h:
+        if check_a:
+            ga = g(a)
+            if ga > _NEG_INF and g(a + h) <= ga:
+                return a, ga
+        if check_b:
+            gb = g(b)
+            if gb > _NEG_INF and g(b - h) <= gb:
+                return b, gb
+    return _brent_max(g, a, b, xtol)
+
+
+def _scan_max(g, lo: float, hi: float, xtol: float, points: int = 64) -> tuple[float, float]:
+    """Fallback for non-concave pieces: coarse scan, then a Brent polish."""
     ts = np.linspace(lo, hi, points)
     vals = [g(float(t)) for t in ts]
     i = max(range(points), key=lambda k: (vals[k], -k))
     a = ts[max(0, i - 1)]
     b = ts[min(points - 1, i + 1)]
-    t_star, v_star = _golden_max(g, float(a), float(b), xtol)
+    t_star, v_star = _brent_max(g, float(a), float(b), xtol)
     if vals[i] >= v_star:
         return float(ts[i]), vals[i]
     return t_star, v_star
@@ -205,17 +269,19 @@ def _scan_golden(g, lo: float, hi: float, xtol: float, points: int = 64) -> tupl
 
 # -- per-interval maxima --------------------------------------------------------
 
-def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: float = _XTOL):
+def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: float = _XTOL, kinks=()):
     """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi.
 
-    The interval is cut at the field's interior knots and at every node y_j
-    strictly inside it; the cuts and field overrides are point candidates, and
-    each piece between cuts is searched by golden section (concave) or a scan
-    plus golden polish (not concave). With a singular kernel the search stays
+    The interval is cut at the field's interior knots, at every node y_j
+    strictly inside it, and at the kernel kinks y_j ± κ (κ in ``kinks``) inside
+    it; the cuts and field overrides are point candidates, and each piece
+    between cuts is searched by :func:`_concave_max` (concave) or a scan plus
+    Brent polish (not concave). With a singular kernel the search stays
     _NODE_EPS away from a node at either end of a piece.
     """
     nodes = {yj for _, yj in terms}
-    inner = {tau for tau in (*field.interior_knots(), *nodes) if lo < tau < hi}
+    kink_cuts = [yj + s for yj in nodes for k in kinks for s in (k, -k)]
+    inner = {tau for tau in (*field.interior_knots(), *nodes, *kink_cuts) if lo < tau < hi}
     cuts = [lo, *sorted(inner), hi]
 
     F = _with_translates(field._value_float, kf, terms)
@@ -228,13 +294,15 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: floa
         formula = field.piece_over(c, d).formula
         if isinstance(formula, NegInfinityPiece):
             continue
-        a = c + _NODE_EPS if (singular and c in nodes) else c
-        b = d - _NODE_EPS if (singular and d in nodes) else d
+        at_node_c = singular and c in nodes
+        at_node_d = singular and d in nodes
+        a = c + _NODE_EPS if at_node_c else c
+        b = d - _NODE_EPS if at_node_d else d
         g = _with_translates(formula._value, kf, terms)
         if formula.concave:
-            candidates.append(_golden_max(g, a, b, xtol))
+            candidates.append(_concave_max(g, a, b, xtol, not at_node_c, not at_node_d))
         else:
-            candidates.append(_scan_golden(g, a, b, xtol))
+            candidates.append(_scan_max(g, a, b, xtol))
 
     candidates.sort(key=lambda p: p[0])
     best_t: float | None = None
@@ -247,12 +315,13 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: floa
 
 def _interval_max(problem: Problem, ys: tuple[float, ...], j: int, xtol: float = _XTOL):
     """(argmax | None, float max) of F(y, ·) over [ys[j], ys[j+1]]."""
-    kf = scalar_fn(problem.kernel)
+    kernel = problem.kernel
+    kf = scalar_fn(kernel)
     terms = _terms(problem, ys)
     lo, hi = ys[j], ys[j + 1]
-    singular = problem.kernel.flags().singular
+    singular = kernel.flags().singular
     if hi > lo:
-        return _maximize(problem.field, kf, terms, lo, hi, singular, xtol)
+        return _maximize(problem.field, kf, terms, lo, hi, singular, xtol, kernel._kinks)
     if singular:
         return None, _NEG_INF
     v = _with_translates(problem.field._value_float, kf, terms)(lo)

@@ -5,6 +5,7 @@ import pytest
 
 import equiosc as eq
 from equiosc.fields import Constant, Indicator, NegInfinityPiece, Piece, PiecewiseField
+from golden_reference import golden_max
 
 SQRT3_HALF = 0.8660254037844386
 SEED_UNION = eq.IntervalUnion(((0.0, 0.4), (0.6, 1.0)))
@@ -34,35 +35,10 @@ def brute_union_constant(E, restricted: bool, points: int = 4001):
 
 # -- scalar reference for the extremal-product maxima ------------------------------
 # The maximizer the union and Bojanov paths used before they were routed through
-# translates, kept verbatim as a differential reference.
+# translates, kept verbatim (with the shared golden-section search) as a
+# differential reference.
 
 _NEG_INF = float("-inf")
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(g, lo, hi, xtol):
-    a, b = lo, hi
-    if b - a <= xtol:
-        mid = 0.5 * (a + b)
-        return mid, g(mid)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = g(c)
-    fd = g(d)
-    for _ in range(200):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = g(d)
-        if b - a <= xtol:
-            break
-    if fc >= fd:
-        return c, fc
-    return d, fd
 
 
 def reference_log_objective_max(nodes, r, logw, lo, hi, xtol=1e-12):
@@ -107,7 +83,7 @@ def reference_log_objective_max(nodes, r, logw, lo, hi, xtol=1e-12):
                 return _NEG_INF
             return fv + lp
 
-        candidates.append(_golden_max(g, c, d, xtol))
+        candidates.append(golden_max(g, c, d, xtol))
     candidates.sort(key=lambda p: p[0])
     best_t, best_v = None, _NEG_INF
     for t, v in candidates:

@@ -80,6 +80,18 @@ def test_bojanov_bad_weight_is_a_validation_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_bojanov_interval_needs_two_values(capsys):
+    code = main(["bojanov", "--interval", "0,1,2", "--exponents", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --interval expects a,b")
+
+
+def test_oracle_non_integer_grid_is_a_validation_error(problem_file, capsys):
+    code = main(["oracle", problem_file, "--grid", "a,2"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --grid expects")
+
+
 def test_union_compare_subcommand(capsys):
     code = main(
         ["union-compare", "--components", "0,0.4,0.6,1", "--exponents", "1"]

@@ -11,6 +11,7 @@ from equiosc.fields import (
     NegInfinityPiece,
     Piece,
     PiecewiseField,
+    formula_from_json,
     log_of_weight_field,
 )
 
@@ -200,8 +201,12 @@ def test_json_roundtrip():
             "pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0.0}}],
             "point_values": [[0.5]],
         },
+        {"kind": "Constant"},
+        {"kind": "Constant", "c": "abc"},
     ],
 )
 def test_malformed_json_raises_schema_error(doc):
+    # field documents, then formula documents read directly
+    parse = formula_from_json if "kind" in doc else eq.field_from_json
     with pytest.raises(eq.SchemaError):
-        eq.field_from_json(doc)
+        parse(doc)

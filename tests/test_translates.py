@@ -7,6 +7,9 @@ import equiosc as eq
 from equiosc.catalog import build_problem
 from equiosc.extreal import is_neg_infinity
 from conftest import random_concave_field, random_strict_nodes
+from equiosc import translates
+from equiosc.fields import Constant, Indicator, Piece, PiecewiseField, SqrtAffine
+from golden_reference import reference_interval_maxima
 
 LOG_HALF = -0.6931471805599453
 LOG_QUARTER = -1.3862943611198906
@@ -211,3 +214,112 @@ def test_eval_F_grid_matches_scalar(rng, log1):
             assert v == -math.inf
         else:
             assert v == pytest.approx(float(want), abs=1e-12)
+
+
+# -- the Brent search against the golden-section reference ----------------------------
+
+def _reference_kernels(rng):
+    a = float(rng.uniform(0.1, 0.45))
+    return {
+        "Log": eq.Log(),
+        "CappedLog": eq.CappedLog(a),
+        "SqrtShift": eq.SqrtShift(),
+        "TentLog": eq.TentLog(),
+        "CappedLogPlusQuadratic": eq.CappedLogPlusQuadratic(a),
+        "Regularized": eq.Regularized(eq.CappedLog(a), float(rng.uniform(0.3, 1.5))),
+    }
+
+
+def _reference_fields(rng):
+    k1, k2 = (float(v) for v in np.sort(rng.uniform(0.15, 0.85, size=2)))
+    return {
+        "constant": eq.constant_field(float(rng.uniform(-2.0, 2.0))),
+        "sqrt_affine": eq.sqrt_affine_field(float(rng.uniform(0.5, 4.0)), 1.0, 0.0),
+        "three_piece": PiecewiseField(
+            (
+                Piece(0.0, k1, Constant(float(rng.uniform(-1.0, 1.0)))),
+                Piece(k1, k2, Indicator(float(rng.uniform(-1.0, 1.0)))),
+                Piece(k2, 1.0, SqrtAffine(float(rng.uniform(0.5, 3.0)), 1.0, 0.0)),
+            )
+        ),
+    }
+
+
+@pytest.mark.parametrize("kernel_name", list(_reference_kernels(np.random.default_rng(0))))
+def test_interval_maxima_match_golden_reference(kernel_name, rng):
+    """Values within 1e-12·max(1, |m|) of golden section; argmax within 1e-6 at strict maxima.
+
+    From n = 2 on, the first interval between nodes is at most 2e-4 wide, where
+    F is sharply curved, and from n = 3 on the last two nodes coincide, so
+    singular kernels give −∞ maxima. Golden section
+    has no kink cuts and stops up to slope·xtol below a maximum on a kernel
+    kink; there the new value may exceed the reference by more.
+    """
+    strict_maxima = 0
+    for field_name in ("constant", "sqrt_affine", "three_piece"):
+        for n in range(1, 7):
+            kernel = _reference_kernels(rng)[kernel_name]
+            r = tuple(float(v) for v in rng.uniform(0.5, 2.0, size=n))
+            y = [float(v) for v in np.sort(rng.uniform(0.0, 1.0, size=n))]
+            if n >= 2:
+                y[1] = min(y[1], y[0] + 2e-4)
+            if n >= 3:
+                y[-1] = y[-2]
+            problem = eq.Problem(n, r, kernel, _reference_fields(rng)[field_name])
+            got = eq.interval_maxima(problem, y)
+            want_m, want_t = reference_interval_maxima(problem, y)
+            kinks = {yk + s for yk in y for k in kernel._kinks for s in (k, -k)}
+            ys = (0.0, *y, 1.0)
+            for j, (m, t, rm, rt) in enumerate(zip(got.as_floats(), got.argmax, want_m, want_t)):
+                label = (field_name, n, j)
+                if rm == -math.inf:
+                    assert m == -math.inf and t is None, label
+                    continue
+                scale = max(1.0, abs(rm))
+                assert m >= rm - 1e-12 * scale, label
+                assert m <= rm + (1e-10 if t in kinks else 1e-12) * scale, label
+                sides = [s for s in (rt - 1e-6, rt + 1e-6) if ys[j] <= s <= ys[j + 1]]
+                if sides and max(float(eq.eval_F(problem, y, s)) for s in sides) < rm - 1e-11 * scale:
+                    strict_maxima += 1
+                    assert abs(t - rt) <= 1e-6, label
+    assert strict_maxima > 0
+
+
+def test_maximum_on_a_kernel_kink_is_exact():
+    # TentLog kinks at |u| = 0.1: F = K(t − 0.3) + K(t − 0.7)/2 peaks on t = 0.4
+    tent = eq.Problem(2, (1.0, 0.5), eq.TentLog(), eq.constant_field(0.0))
+    t, v = eq.maximize_on_interval(tent, (0.3, 0.7), 1)
+    assert t == pytest.approx(0.4, abs=1e-15)
+    assert abs(float(v) - 0.5 * math.log(7.0 / 9.0)) <= 1e-14
+    # CappedLogPlusQuadratic(0.2) peaks on its kinks |u| = 0.2 at 1 − 2·0.2²
+    quad = eq.Problem(1, (1.0,), eq.CappedLogPlusQuadratic(0.2), eq.constant_field(0.0))
+    m = eq.interval_maxima(quad, (0.5,))
+    assert m.argmax == pytest.approx((0.3, 0.7), abs=1e-15)
+    for value in m.m:
+        assert abs(float(value) - 0.92) <= 1e-14
+
+
+def test_chebyshev_n8_evaluation_ceiling(monkeypatch):
+    """Work gate: objective evaluations of the Chebyshev n = 8 solve.
+
+    The golden-section search made 184,790 kernel sums over the same 3,746
+    interval maximizations. The ceiling may only go down.
+    """
+    calls = {"kernel_sum": 0, "maximize": 0}
+    kernel_sum, maximize = translates._kernel_sum, translates._maximize
+
+    def counted_kernel_sum(*args):
+        calls["kernel_sum"] += 1
+        return kernel_sum(*args)
+
+    def counted_maximize(*args, **kwargs):
+        calls["maximize"] += 1
+        return maximize(*args, **kwargs)
+
+    monkeypatch.setattr(translates, "_kernel_sum", counted_kernel_sum)
+    monkeypatch.setattr(translates, "_maximize", counted_maximize)
+    problem = eq.Problem(8, (1.0,) * 8, eq.Log(), eq.constant_field(0.0))
+    report = eq.solve_equioscillation(problem)
+    assert abs(report.value - math.log(2.0 * 4.0**-8)) <= 1e-8
+    assert calls["maximize"] == 3746
+    assert calls["kernel_sum"] <= 50_000
