@@ -14,6 +14,7 @@ are sound. Arbitrary callables are not accepted.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
@@ -311,6 +312,8 @@ class PiecewiseField:
             if left.hi != right.lo:
                 raise SchemaError("pieces must be contiguous without gaps or overlaps")
         object.__setattr__(self, "pieces", pieces)
+        # piece i spans [_knots[i], _knots[i + 1]]; lookups bisect this tuple
+        object.__setattr__(self, "_knots", (pieces[0].lo, *(p.hi for p in pieces)))
         cleaned = []
         for t, v in self.point_values:
             t = float(t)
@@ -325,9 +328,7 @@ class PiecewiseField:
     # -- geometry ----------------------------------------------------------
     def knots(self) -> tuple[float, ...]:
         """All piece boundaries, domain endpoints included."""
-        ks = [self.pieces[0].lo]
-        ks.extend(p.hi for p in self.pieces)
-        return tuple(ks)
+        return self._knots
 
     def interior_knots(self) -> tuple[float, ...]:
         return tuple(p.hi for p in self.pieces[:-1])
@@ -336,12 +337,23 @@ class PiecewiseField:
         return tuple(t for t, _ in self.point_values)
 
     def pieces_at(self, t: float) -> tuple[Piece, ...]:
-        return tuple(p for p in self.pieces if p.lo <= t <= p.hi)
+        """The pieces whose closure contains t: two at an interior knot, else at most one."""
+        knots, pieces = self._knots, self.pieces
+        i = bisect_right(knots, t)  # knots[i - 1] <= t < knots[i]
+        if i == 0:
+            return ()
+        if i == len(knots):  # past the last knot, or NaN
+            return (pieces[-1],) if t == knots[-1] else ()
+        if i > 1 and t == knots[i - 1]:
+            return (pieces[i - 2], pieces[i - 1])
+        return (pieces[i - 1],)
 
     def piece_over(self, lo: float, hi: float) -> Piece:
         """The unique piece whose closure contains [lo, hi]."""
         mid = 0.5 * (lo + hi)
-        for p in self.pieces:
+        i = max(bisect_left(self._knots, mid) - 1, 0)
+        if i < len(self.pieces):
+            p = self.pieces[i]
             if p.lo <= mid <= p.hi:
                 return p
         raise DomainError(f"no piece covers [{lo}, {hi}]")

@@ -75,6 +75,10 @@ class KernelSpec:
         f = scalar_fn(self)
         return np.array([f(float(v)) for v in np.asarray(u, dtype=float).ravel()])
 
+    def _slope(self, u: np.ndarray) -> np.ndarray:
+        """K′(u) elementwise for u ≠ 0; on a kink either one-sided value."""
+        raise NotImplementedError
+
     def params(self) -> dict:
         return {}
 
@@ -103,6 +107,9 @@ class Log(KernelSpec):
         au = np.abs(u)
         with np.errstate(divide="ignore"):
             return np.log(au, out=au if isinstance(au, np.ndarray) else None)
+
+    def _slope(self, u):
+        return 1.0 / np.asarray(u, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,10 @@ class CappedLog(KernelSpec):
         with np.errstate(divide="ignore"):
             return np.minimum(0.0, np.log(np.abs(u) / float(self.a)))
 
+    def _slope(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.where(np.abs(u) < float(self.a), 1.0 / u, 0.0)
+
     def params(self):
         return {"a": float(self.a)}
 
@@ -162,6 +173,10 @@ class SqrtShift(KernelSpec):
 
     def _values_unchecked(self, u):
         return np.sqrt(np.abs(u) + 4.0)
+
+    def _slope(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.sign(u) / (2.0 * np.sqrt(np.abs(u) + 4.0))
 
 
 @dataclass(frozen=True)
@@ -189,6 +204,12 @@ class TentLog(KernelSpec):
         au = np.abs(u)
         with np.errstate(divide="ignore"):
             return np.minimum(np.log(10.0 * au), np.log((10.0 / 9.0) * (1.0 - au)))
+
+    def _slope(self, u):
+        u = np.asarray(u, dtype=float)
+        au = np.abs(u)
+        with np.errstate(divide="ignore"):
+            return np.where(au < 0.1, 1.0 / u, -np.sign(u) / (1.0 - au))
 
 
 @dataclass(frozen=True)
@@ -222,6 +243,9 @@ class CappedLogPlusQuadratic(KernelSpec):
 
     def _values_unchecked(self, u):
         return CappedLog(self.a)._values_unchecked(u) + 1.0 - 2.0 * np.square(u)
+
+    def _slope(self, u):
+        return CappedLog(self.a)._slope(u) - 4.0 * np.asarray(u, dtype=float)
 
     def params(self):
         return {"a": float(self.a)}
@@ -269,6 +293,10 @@ class Regularized(KernelSpec):
 
     def _values_unchecked(self, u):
         return self.base._values_unchecked(u) + float(self.eta) * np.sqrt(np.abs(u))
+
+    def _slope(self, u):
+        u = np.asarray(u, dtype=float)
+        return self.base._slope(u) + float(self.eta) * np.sign(u) / (2.0 * np.sqrt(np.abs(u)))
 
     def params(self):
         return {"base": kernel_to_json(self.base), "eta": float(self.eta)}

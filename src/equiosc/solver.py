@@ -2,10 +2,14 @@
 
 Under a singular, strictly monotone kernel the difference map Φ restricted to
 the regularity set is a homeomorphism onto R^n, so the target equation has a
-unique solution. The solve itself is a Gauss–Seidel sweep — node w_j moves by
-bisection to zero the local residual m_j − m_{j−1} − c_j, which is strictly
-decreasing in w_j — followed by damped Newton with a forward-difference
-Jacobian once the residual is small.
+unique solution. The solve is damped Newton with the exact Jacobian: by
+Danskin's envelope theorem ∂m_i/∂y_k = −r_k·K′(t_i* − y_k) at the interval
+argmaxima t_i*, so every maxima vector comes with its Jacobian. Rows whose
+argmax sits on a kernel kink y_k ± κ, where Φ is not differentiable, are taken
+by forward difference. Only when Newton stalls do Gauss–Seidel sweeps take
+over — node w_j moves by bisection to zero the local residual
+m_j − m_{j−1} − c_j, which is strictly decreasing in w_j — with Newton again
+once the residual is small.
 
 Kernels that are monotone but not strictly so are handled through a small
 regularization homotopy K + η√|t| (η = 1e−2, 1e−3, 1e−4): each regularized
@@ -17,6 +21,8 @@ without strict monotonicity the equioscillation point need not be unique.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -162,61 +168,84 @@ def _residual_norm(problem: Problem, ys: list[float], c, xtol: float):
     return max(abs(p - cj) for p, cj in zip(phi, c)), vals, args
 
 
-def _newton_polish(problem, ys: list[float], c, tol, xtol, budget: int):
-    """Damped Newton on Φ − c; returns (iterations_used, converged)."""
-    n = problem.n
-    used = 0
-    res, vals, _ = _residual_norm(problem, ys, c, xtol)
-    while used < budget:
-        if res <= tol:
-            return used, True
-        if not math.isfinite(res):
-            return used, False
-        # moving one node shifts its translate everywhere, so the Jacobian of
-        # Φ is dense: recompute the full maxima vector per perturbed node
-        jac = np.zeros((n, n))
-        phi_base = np.array(_phi_floats(vals))
-        from .translates import _maxima_floats
+def _fd_node(ys: list[float], k: int) -> tuple[tuple[float, ...], float]:
+    """ys with node k moved by _FD_STEP (backwards when there is no room), and the step."""
+    pert = list(ys)
+    pert[k] = min(ys[k] + _FD_STEP, ys[k + 1] - _BRACKET_EPS)
+    h = pert[k] - ys[k]
+    if h <= 0.0:
+        pert[k] = max(ys[k] - _FD_STEP, ys[k - 1] + _BRACKET_EPS)
+        h = pert[k] - ys[k]
+    return tuple(pert), h
 
-        for j in range(1, n + 1):
-            pert = list(ys)
-            pert[j] = min(ys[j] + _FD_STEP, ys[j + 1] - _BRACKET_EPS)
-            h = pert[j] - ys[j]
-            if h <= 0.0:
-                pert[j] = max(ys[j] - _FD_STEP, ys[j - 1] + _BRACKET_EPS)
-                h = pert[j] - ys[j]
-            vals_p, _ = _maxima_floats(problem, tuple(pert), xtol)
-            if any(v == _NEG_INF for v in vals_p):
-                return used, False
-            jac[:, j - 1] = (np.array(_phi_floats(vals_p)) - phi_base) / h
-        rvec = np.array(_phi_floats(vals)) - np.asarray(c, dtype=float)
+
+def _jacobian(problem: Problem, ys: list[float], vals, args, xtol: float):
+    """Jacobian of Φ at ys from the interval argmaxima; None if a perturbed maximum is −∞.
+
+    By Danskin's envelope theorem ∂m_i/∂y_k = −r_k·K′(t_i* − y_k) at the argmax
+    t_i* of interval i, so each maxima vector carries its own Jacobian. A row
+    whose argmax is missing or sits exactly on a kernel kink y_k ± κ, where m_i
+    need not be differentiable, is taken by forward difference instead.
+    """
+    n = problem.n
+    kernel = problem.kernel
+    nodes = ys[1:-1]
+    kink_points = {y + s for y in nodes for k in kernel._kinks for s in (k, -k)}
+    exact = [i for i, t in enumerate(args) if t is not None and t not in kink_points]
+    dm = np.empty((n + 1, n))
+    if exact:
+        ts = np.array([args[i] for i in exact])
+        dm[exact] = -np.asarray(problem.r) * kernel._slope(ts[:, None] - np.array(nodes))
+    for i in sorted(set(range(n + 1)).difference(exact)):
+        for k in range(1, n + 1):
+            pert, h = _fd_node(ys, k)
+            _, v = _interval_max(problem, pert, i, xtol)
+            if v == _NEG_INF:
+                return None
+            dm[i, k - 1] = (v - vals[i]) / h
+    return dm[1:] - dm[:-1]
+
+
+def _newton(problem, ys: list[float], c, tol, xtol, budget: int, state):
+    """Damped Newton on Φ − c from ys, which it updates in place.
+
+    ``state`` is (residual, maxima, argmaxima) at ys, as from :func:`_residual_norm`;
+    returns (steps used, state at the final ys). Stops at the first step that
+    no halving makes lower the residual. Once the residual is within tol, one
+    more full step is tried and kept only if it lowers the residual: that
+    takes the nodes from tol down to rounding.
+    """
+    target = np.asarray(c, dtype=float)
+    used = 0
+    res, vals, args = state
+    while used < budget and math.isfinite(res):
+        within_tol = res <= tol
+        jac = _jacobian(problem, ys, vals, args, xtol)
+        if jac is None:
+            break
         try:
-            step_vec = np.linalg.solve(jac, -rvec)
+            step = np.linalg.solve(jac, target - np.array(_phi_floats(vals)))
         except np.linalg.LinAlgError:
-            return used, False
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        step = step.tolist()  # keep nodes Python floats: the kernel sums are scalar code
+        used += 1
         lam = 1.0
         improved = False
-        for _ in range(30):
-            trial = list(ys)
-            ok = True
-            for j in range(1, n + 1):
-                trial[j] = ys[j] + lam * step_vec[j - 1]
-            for j in range(1, n + 2):
-                if trial[j] - trial[j - 1] < _BRACKET_EPS:
-                    ok = False
-                    break
-            if ok:
-                new_res, new_vals, _ = _residual_norm(problem, trial, c, xtol)
+        for _ in range(1 if within_tol else 30):
+            trial = [ys[0], *(y + lam * d for y, d in zip(ys[1:-1], step)), ys[-1]]
+            if all(b - a >= _BRACKET_EPS for a, b in zip(trial, trial[1:])):
+                new_res, new_vals, new_args = _residual_norm(problem, trial, c, xtol)
                 if new_res < res:
                     ys[:] = trial
-                    res, vals = new_res, new_vals
+                    res, vals, args = new_res, new_vals, new_args
                     improved = True
                     break
             lam *= 0.5
-        used += 1
-        if not improved:
-            return used, res <= tol
-    return used, res <= tol
+        if within_tol or not improved:
+            break
+    return used, (res, vals, args)
 
 
 def _solve_direct(problem: Problem, c, tol, xtol, max_iterations, initial):
@@ -229,30 +258,24 @@ def _solve_direct(problem: Problem, c, tol, xtol, max_iterations, initial):
     else:
         ys = [0.0, *_initial_nodes(problem), 1.0]
 
-    iterations = 0
-    converged = False
-    res = math.inf
+    # Newton with the exact Jacobian first; the sweeps are the fallback when it stalls
+    state = _residual_norm(problem, ys, c, xtol)
+    iterations, state = _newton(problem, ys, c, tol, xtol, max_iterations, state)
     width = 1e-2
-    while iterations < max_iterations:
+    while state[0] > tol and iterations < max_iterations:
         width = max(width * 0.25, 1e-13)
         sweep_xtol = max(min(width * 1e-2, 1e-10), 1e-13)
         for j in range(1, n + 1):
             _bisect_node(problem, ys, j, c[j - 1], width, sweep_xtol)
         iterations += 1
-        res, _, _ = _residual_norm(problem, ys, c, xtol)
-        if res <= tol:
-            converged = True
-            break
-        if res <= _SWEEP_SWITCH:
-            used, ok = _newton_polish(problem, ys, c, tol, xtol, budget=max_iterations - iterations)
+        state = _residual_norm(problem, ys, c, xtol)
+        if tol < state[0] <= _SWEEP_SWITCH:
+            used, state = _newton(problem, ys, c, tol, xtol, max_iterations - iterations, state)
             iterations += used
-            if ok:
-                converged = True
-                break
-            width = max(width, 1e-6)  # Newton stalled: keep sweeping tighter
-    res, vals, args = _residual_norm(problem, ys, c, xtol)
-    converged = res <= tol
-    return ys, res, vals, args, iterations, converged
+            if state[0] > tol:
+                width = max(width, 1e-6)  # Newton stalled: keep sweeping tighter
+    res, vals, args = state
+    return ys, res, vals, args, iterations, res <= tol
 
 
 def _as_report(problem, ys, res, vals, args, iterations, converged, c, risk=False, trend=()):
@@ -275,6 +298,20 @@ def _as_report(problem, ys, res, vals, args, iterations, converged, c, risk=Fals
     )
 
 
+def _check_settings(tol, xtol, max_iterations) -> None:
+    for name, v in (("tol", tol), ("xtol", xtol)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
+            math.isfinite(v) and v > 0.0
+        ):
+            raise PreconditionError(f"{name} must be a finite positive real, got {v!r}")
+    try:
+        count = None if isinstance(max_iterations, (bool, np.bool_)) else operator.index(max_iterations)
+    except TypeError:
+        count = None
+    if count is None or count < 1:
+        raise PreconditionError(f"max_iterations must be an integer ≥ 1, got {max_iterations!r}")
+
+
 def solve_difference(
     problem: Problem,
     c,
@@ -285,6 +322,7 @@ def solve_difference(
     xtol: float = 1e-12,
 ) -> SolveReport:
     """Find w in the regularity set with Φ(w) = c (componentwise within tol)."""
+    _check_settings(tol, xtol, max_iterations)
     c = tuple(float(v) for v in c)
     if len(c) != problem.n:
         raise PreconditionError(f"target must have length n={problem.n}")

@@ -234,23 +234,20 @@ def _brent_max(g, lo: float, hi: float, xtol: float) -> tuple[float, float]:
     return x, -fx
 
 
-def _concave_max(g, a: float, b: float, xtol: float, check_a: bool, check_b: bool):
+def _concave_max(g, a: float, b: float, xtol: float, ga: float | None, gb: float | None):
     """Maximize a concave g on [a, b]: an end where g does not rise inward, else Brent.
 
-    If g(b − h) ≤ g(b) with g(b) finite, concavity puts the maximum at b, and
-    likewise at a; h = max(xtol, √ε·(b − a)). An end is only checked when
-    asked: at a node of a singular kernel g always rises inward.
+    ``ga`` and ``gb`` are g(a) and g(b), or None for an end not to check: at a
+    node of a singular kernel g always rises inward. If g(b − h) ≤ g(b) with
+    g(b) finite, concavity puts the maximum at b, and likewise at a;
+    h = max(xtol, √ε·(b − a)).
     """
     h = max(xtol, _SQRT_EPS * (b - a))
     if b - a > 2.0 * h:
-        if check_a:
-            ga = g(a)
-            if ga > _NEG_INF and g(a + h) <= ga:
-                return a, ga
-        if check_b:
-            gb = g(b)
-            if gb > _NEG_INF and g(b - h) <= gb:
-                return b, gb
+        if ga is not None and ga > _NEG_INF and g(a + h) <= ga:
+            return a, ga
+        if gb is not None and gb > _NEG_INF and g(b - h) <= gb:
+            return b, gb
     return _brent_max(g, a, b, xtol)
 
 
@@ -284,9 +281,21 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: floa
     inner = {tau for tau in (*field.interior_knots(), *nodes, *kink_cuts) if lo < tau < hi}
     cuts = [lo, *sorted(inner), hi]
 
-    F = _with_translates(field._value_float, kf, terms)
+    # a cut is a candidate and the end of up to two pieces: its kernel sum is
+    # computed once for all three, only the field part differs
+    sums: dict[float, float] = {}
+
+    def at_cut(fval, tau: float) -> float:
+        fv = fval(tau)
+        if fv == _NEG_INF:
+            return _NEG_INF
+        ks = sums.get(tau)
+        if ks is None:
+            ks = sums[tau] = _kernel_sum(kf, terms, tau)
+        return _NEG_INF if ks == _NEG_INF else fv + ks
+
     point_set = sorted(set(cuts) | {t for t in field.override_points() if lo <= t <= hi})
-    candidates = [(tau, F(tau)) for tau in point_set]
+    candidates = [(tau, at_cut(field._value_float, tau)) for tau in point_set]
 
     for c, d in zip(cuts, cuts[1:]):
         if d - c <= 4.0 * _NODE_EPS:
@@ -300,7 +309,9 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: floa
         b = d - _NODE_EPS if at_node_d else d
         g = _with_translates(formula._value, kf, terms)
         if formula.concave:
-            candidates.append(_concave_max(g, a, b, xtol, not at_node_c, not at_node_d))
+            ga = None if at_node_c else at_cut(formula._value, c)
+            gb = None if at_node_d else at_cut(formula._value, d)
+            candidates.append(_concave_max(g, a, b, xtol, ga, gb))
         else:
             candidates.append(_scan_max(g, a, b, xtol))
 

@@ -162,6 +162,15 @@ def test_exit_code_convergence_error(problem_file):
     assert main(["solve", str(path), "--tol", "1e-13", "--max-iterations", "1"]) == 3
 
 
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "0"], ["--max-iterations", "0"]])
+def test_bad_solver_settings_exit_2_at_once(problem_file, monkeypatch, capsys, flags):
+    from equiosc import solver
+
+    monkeypatch.setattr(solver, "_solve_direct", lambda *args: pytest.fail("solver ran"))
+    assert main(["solve", problem_file, *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_exit_code_budget_error(tmp_path):
     wide = eq.Problem(2, (1.0, 1.0), eq.Log(), eq.constant_field(0.0))
     path = tmp_path / "wide.json"

@@ -210,3 +210,54 @@ def test_malformed_json_raises_schema_error(doc):
     parse = formula_from_json if "kind" in doc else eq.field_from_json
     with pytest.raises(eq.SchemaError):
         parse(doc)
+
+
+def _scan_pieces_at(field, t):
+    return tuple(p for p in field.pieces if p.lo <= t <= p.hi)
+
+
+def _scan_piece_over(field, lo, hi):
+    mid = 0.5 * (lo + hi)
+    for p in field.pieces:
+        if p.lo <= mid <= p.hi:
+            return p
+    return None
+
+
+def _scan_value(field, t):
+    best = float("-inf")
+    for p in _scan_pieces_at(field, t):
+        best = max(best, p.formula._value(t))
+    for tau, v in field.point_values:
+        if tau == t:
+            best = max(best, float("-inf") if is_neg_infinity(v) else float(v))
+    return best
+
+
+def test_piece_lookup_matches_linear_scan(rng):
+    for _ in range(40):
+        m = int(rng.integers(1, 40))
+        knots = [0.0, *np.sort(rng.uniform(0.0, 1.0, m - 1)).tolist(), 1.0]
+        formulas = [Constant(float(rng.uniform(-2.0, 2.0))), Indicator(1.5), NegInfinityPiece()]
+        pieces = tuple(
+            Piece(lo, hi, formulas[int(rng.integers(0, 3))]) for lo, hi in zip(knots, knots[1:])
+        )
+        overrides = tuple(
+            (float(t), NEG_INFINITY if rng.uniform() < 0.3 else float(rng.uniform(-1.0, 3.0)))
+            for t in rng.choice(knots, size=min(3, len(knots)), replace=False)
+        )
+        field = PiecewiseField(pieces, overrides)
+        between = [0.5 * (a + b) for a, b in zip(knots, knots[1:])]
+        outside = [-0.5, -1e-300, 1.0 + 1e-15, 2.0, float("nan")]
+        for t in knots + between + rng.uniform(0.0, 1.0, 20).tolist() + outside:
+            assert field.pieces_at(t) == _scan_pieces_at(field, t)
+            if 0.0 <= t <= 1.0:
+                assert field._value_float(t) == _scan_value(field, t)
+        spans = list(zip(knots, knots[1:])) + [(knots[i], knots[i]) for i in range(len(knots))]
+        spans += [tuple(sorted(rng.uniform(0.0, 1.0, 2).tolist())) for _ in range(10)]
+        for lo, hi in spans:
+            assert field.piece_over(lo, hi) is _scan_piece_over(field, lo, hi)
+        for lo, hi in [(-1.0, -0.5), (1.5, 2.0), (float("nan"), 0.5)]:
+            assert _scan_piece_over(field, lo, hi) is None
+            with pytest.raises(eq.DomainError):
+                field.piece_over(lo, hi)

@@ -145,3 +145,21 @@ def test_invalid_params():
         eq.CappedLog(1.5)
     with pytest.raises(eq.SchemaError):
         eq.Regularized(eq.Log(), -1.0)
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: repr(k))
+def test_slope_matches_central_difference(kernel):
+    rng = np.random.default_rng(7)
+    f = scalar_fn(kernel)
+    h = 1e-6
+    u = rng.uniform(-0.98, 0.98, size=400)
+    far = np.abs(u) > 10 * h
+    for kink in kernel._kinks:
+        far &= np.abs(np.abs(u) - kink) > 10 * h
+    u = u[far]
+    slopes = kernel._slope(u)
+    for v, slope in zip(u, slopes):
+        v = float(v)
+        central = (f(v + h) - f(v - h)) / (2.0 * h)
+        # the truncation error of the central quotient is h²·K‴/6, K‴ ~ 2/u³ near 0
+        assert abs(slope - central) <= 1e-6 * max(1.0, abs(central)) + h * h / abs(v) ** 3
