@@ -35,16 +35,7 @@ from .errors import (
     RegularityError,
     SchemaError,
 )
-from .extreal import (
-    NEG_INFINITY,
-    ExtReal,
-    as_extreal,
-    ext_add,
-    ext_max,
-    ext_min,
-    ext_sum,
-    is_neg_infinity,
-)
+from .extreal import NEG_INFINITY, ExtReal, as_extreal, is_neg_infinity
 from .fields import (
     Constant,
     Formula,

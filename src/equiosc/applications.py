@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError, PreconditionError, SchemaError
-from .extreal import is_neg_infinity
 from .fields import (
     NegInfinityPiece,
     Piece,
@@ -54,8 +53,6 @@ __all__ = [
     "unrestricted_constant",
     "verify_signed_equioscillation",
 ]
-
-_NEG_INF = float("-inf")
 
 
 # -- problem bundles -----------------------------------------------------------
@@ -133,12 +130,9 @@ class IntervalUnion:
 
 def _weight_value(weight: PiecewiseField, t: float) -> float:
     v = weight.value(t)
-    if is_neg_infinity(v):
-        raise SchemaError("weights cannot take the value −∞")
-    fv = float(v)
-    if fv < 0.0:
+    if v < 0.0:  # −∞ included
         raise SchemaError("weights must be non-negative")
-    return fv
+    return v
 
 
 def gap_eval(nodes, r, weight: PiecewiseField, t: float) -> float:
@@ -171,7 +165,7 @@ def gap_norm(nodes, r, weight: PiecewiseField, E: IntervalUnion | None = None) -
     """sup of w · ∏ |t − x_j|^{r_j} over E (default: the weight's whole domain)."""
     logw = log_of_weight_field(weight)
     best = _log_max(logw, scalar_fn(Log()), tuple(zip(r, nodes)), _intervals_of(weight, E))
-    return 0.0 if best == _NEG_INF else math.exp(best)
+    return math.exp(best)  # exp(−∞) = 0
 
 
 def gap_interval_maxima(nodes, r, weight: PiecewiseField) -> tuple[float, ...]:
@@ -187,7 +181,7 @@ def gap_interval_maxima(nodes, r, weight: PiecewiseField) -> tuple[float, ...]:
             out.append(gap_eval(nodes, r, weight, lo))
             continue
         _, v = _maximize(logw, kf, terms, lo, hi, singular=True)
-        out.append(0.0 if v == _NEG_INF else math.exp(v))
+        out.append(math.exp(v))
     return tuple(out)
 
 

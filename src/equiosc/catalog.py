@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
+from .extreal import NEG_INFINITY
 from .fields import (
     Constant,
     Indicator,
@@ -127,10 +128,10 @@ def closed_forms(key: str, **params) -> dict:
         a = float(params.get("a", STRICTNESS_A))
 
         def m0(x):
-            return min(0.0, math.log(x / a)) if x > 0.0 else float("-inf")
+            return min(0.0, math.log(x / a)) if x > 0.0 else NEG_INFINITY
 
         def m1(x):
-            return 1.0 + min(0.0, math.log((1.0 - x) / a)) if x < 1.0 else float("-inf")
+            return 1.0 + min(0.0, math.log((1.0 - x) / a)) if x < 1.0 else NEG_INFINITY
 
         return {
             "m0": m0,
@@ -142,7 +143,7 @@ def closed_forms(key: str, **params) -> dict:
     if key == "nonmonotone_5_4":
         def m_mid(delta):
             if delta <= 0.0:
-                return float("-inf")
+                return NEG_INFINITY
             if delta <= 0.1:
                 return 2.0 * math.log(10.0 * delta)
             return 2.0 * math.log(10.0 * (1.0 - delta) / 9.0)

@@ -54,6 +54,11 @@ def _fmt(x) -> str:
     return f"{float(x):.9g}"
 
 
+def _json_ext(x):
+    """An extended real for a JSON document: −∞ becomes null, as JSON has no infinities."""
+    return None if is_neg_infinity(x) else float(x)
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(",") if v.strip() != "")
@@ -75,7 +80,7 @@ def _parse_grid(text: str) -> GridSpec:
 def _report_dict(report) -> dict:
     return {
         "nodes": list(report.nodes.nodes),
-        "m": [None if is_neg_infinity(v) else float(v) for v in report.maxima.m],
+        "m": [_json_ext(v) for v in report.maxima.m],
         "argmax": list(report.maxima.argmax),
         "phi": list(report.phi()),
         "value": report.value,
@@ -128,7 +133,8 @@ def _cmd_oracle(args) -> int:
     nodes, value = fn(problem, grid, threads=args.threads)
     print(f"{args.mode} nodes: " + " ".join(_fmt(v) for v in nodes.nodes))
     print(f"{args.mode} value: {_fmt(value)}")
-    _emit({"mode": args.mode, "nodes": list(nodes.nodes), "value": value}, args.json_out)
+    doc = {"mode": args.mode, "nodes": list(nodes.nodes), "value": _json_ext(value)}
+    _emit(doc, args.json_out)
     return 0
 
 
@@ -254,7 +260,7 @@ def _cmd_export(args) -> int:
     maxima = interval_maxima(problem, nodes)
     sidecar = {
         "nodes": list(nodes.nodes),
-        "m": [None if is_neg_infinity(v) else float(v) for v in maxima.m],
+        "m": [_json_ext(v) for v in maxima.m],
         "argmax": list(maxima.argmax),
         "samples": int(args.samples),
         "csv": args.out,

@@ -1,162 +1,34 @@
-"""Extended reals R ∪ {−∞} with a tagged negative infinity.
+"""Extended reals R ∪ {−∞} as IEEE floats.
 
-``NEG_INFINITY`` is a dedicated singleton rather than the IEEE float ``-inf``:
-it orders below every float but deliberately has no arithmetic operators, so
-all sums go through the ``ext_*`` helpers and ``+inf`` can never appear by
-accident. Positive infinity and NaN are rejected everywhere.
+−∞ is the float ``-inf``: ``NEG_INFINITY`` is that value and ``ExtReal`` is an
+alias of ``float``. IEEE arithmetic already absorbs it (x + (−∞) = −∞ and
+c·(−∞) = −∞ for finite x and c > 0), so sums need no helpers. Positive
+infinity and NaN have no meaning here: :func:`as_extreal` rejects them where
+values cross the public boundary.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Union
 
-__all__ = [
-    "NEG_INFINITY",
-    "ExtReal",
-    "as_extreal",
-    "ext_add",
-    "ext_max",
-    "ext_min",
-    "ext_scale",
-    "ext_sum",
-    "is_neg_infinity",
-    "to_float",
-]
+from .errors import SchemaError
+
+__all__ = ["NEG_INFINITY", "ExtReal", "as_extreal", "is_neg_infinity"]
+
+NEG_INFINITY = float("-inf")
+
+ExtReal = float
 
 
-class _NegInfinityType:
-    """Singleton sentinel for −∞; ordered below every finite float."""
-
-    __slots__ = ()
-    _singleton = None
-
-    def __new__(cls):
-        if cls._singleton is None:
-            cls._singleton = super().__new__(cls)
-        return cls._singleton
-
-    def __reduce__(self):
-        return (_NegInfinityType, ())
-
-    def __repr__(self) -> str:
-        return "NEG_INFINITY"
-
-    def _is_minus_inf_float(self, other) -> bool:
-        return isinstance(other, float) and math.isinf(other) and other < 0.0
-
-    def __eq__(self, other):
-        return other is self or self._is_minus_inf_float(other)
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return NotImplemented if result is NotImplemented else not result
-
-    def __hash__(self):
-        return hash(float("-inf"))
-
-    def __lt__(self, other):
-        if other is self:
-            return False
-        if isinstance(other, (int, float)):
-            if isinstance(other, float) and math.isnan(other):
-                return False
-            return not self.__eq__(other)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other is self:
-            return True
-        lt = self.__lt__(other)
-        if lt is NotImplemented:
-            return NotImplemented
-        return lt or self.__eq__(other)
-
-    def __gt__(self, other):
-        if other is self or isinstance(other, (int, float)):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, (int, float)):
-            return self.__eq__(other)
-        return NotImplemented
-
-
-NEG_INFINITY = _NegInfinityType()
-
-ExtReal = Union[float, _NegInfinityType]
-
-
-def is_neg_infinity(x: ExtReal) -> bool:
-    return x is NEG_INFINITY or NEG_INFINITY == x
+def is_neg_infinity(x) -> bool:
+    return x == NEG_INFINITY
 
 
 def as_extreal(x) -> ExtReal:
-    """Normalize a number to an ExtReal; rejects +inf and NaN, maps -inf to the sentinel."""
-    if x is NEG_INFINITY:
-        return NEG_INFINITY
+    """x as a float in R ∪ {−∞}; +inf and NaN raise :class:`SchemaError`."""
     value = float(x)
     if math.isnan(value):
-        raise ValueError("NaN is not an extended real")
-    if math.isinf(value):
-        if value > 0:
-            raise ValueError("+inf has no representation in R ∪ {−∞}")
-        return NEG_INFINITY
+        raise SchemaError("NaN is not an extended real")
+    if value == math.inf:
+        raise SchemaError("+inf has no representation in R ∪ {−∞}")
     return value
-
-
-def to_float(x: ExtReal) -> float:
-    """IEEE view of an ExtReal (sentinel becomes float -inf); for numeric kernels."""
-    if is_neg_infinity(x):
-        return float("-inf")
-    return float(x)
-
-
-def ext_add(a: ExtReal, b: ExtReal) -> ExtReal:
-    if is_neg_infinity(a) or is_neg_infinity(b):
-        return NEG_INFINITY
-    return as_extreal(float(a) + float(b))
-
-
-def ext_sum(values: Iterable[ExtReal]) -> ExtReal:
-    total = 0.0
-    for v in values:
-        if is_neg_infinity(v):
-            return NEG_INFINITY
-        total += float(v)
-    return as_extreal(total)
-
-
-def ext_scale(c: float, x: ExtReal) -> ExtReal:
-    """c·x for a finite positive scale factor c."""
-    c = float(c)
-    if not math.isfinite(c) or c <= 0.0:
-        raise ValueError("scale factor must be finite and positive")
-    if is_neg_infinity(x):
-        return NEG_INFINITY
-    return as_extreal(c * float(x))
-
-
-def ext_max(values: Iterable[ExtReal]) -> ExtReal:
-    best: ExtReal = NEG_INFINITY
-    for v in values:
-        if is_neg_infinity(v):
-            continue
-        if is_neg_infinity(best) or float(v) > float(best):
-            best = v
-    return best
-
-
-def ext_min(values: Iterable[ExtReal]) -> ExtReal:
-    out: ExtReal | None = None
-    for v in values:
-        if is_neg_infinity(v):
-            return NEG_INFINITY
-        if out is None or float(v) < float(out):
-            out = v
-    if out is None:
-        raise ValueError("ext_min of empty iterable")
-    return out

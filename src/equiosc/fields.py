@@ -44,7 +44,6 @@ __all__ = [
     "sqrt_affine_field",
 ]
 
-_NEG_INF = float("-inf")
 _EPS_DOMAIN = 1e-12
 
 
@@ -103,10 +102,10 @@ class NegInfinityPiece(Formula):
     kind = "NegInfinity"
 
     def _value(self, t):
-        return _NEG_INF
+        return NEG_INFINITY
 
     def _values(self, t):
-        return np.full(np.shape(t), _NEG_INF)
+        return np.full(np.shape(t), NEG_INFINITY)
 
     @property
     def concave(self):
@@ -203,7 +202,7 @@ class LogOfWeight(Formula):
         if w <= 0.0:
             if w < -_EPS_DOMAIN:
                 raise DomainError("negative weight under LogOfWeight")
-            return _NEG_INF
+            return NEG_INFINITY
         return math.log(w)
 
     def _values(self, t):
@@ -360,16 +359,15 @@ class PiecewiseField:
 
     # -- evaluation ---------------------------------------------------------
     def _value_float(self, t: float) -> float:
-        best = _NEG_INF
+        best = NEG_INFINITY
         for p in self.pieces_at(t):
             v = p.formula._value(t)
             if v > best:
                 best = v
         for tau, ov in self.point_values:
             if tau == t:
-                fov = float(ov) if not is_neg_infinity(ov) else _NEG_INF
-                if fov > best:
-                    best = fov
+                if ov > best:
+                    best = ov
                 break
         return best
 
@@ -386,7 +384,7 @@ class PiecewiseField:
         lo, hi = self.domain
         if ts.size and (np.nanmin(ts) < lo or np.nanmax(ts) > hi):
             raise DomainError("field argument outside the domain")
-        out = np.full(ts.shape, _NEG_INF)
+        out = np.full(ts.shape, NEG_INFINITY)
         for p in self.pieces:
             mask = (ts >= p.lo) & (ts <= p.hi)
             if mask.any():
@@ -394,8 +392,7 @@ class PiecewiseField:
         for tau, ov in self.point_values:
             mask = ts == tau
             if mask.any():
-                fov = float(ov) if not is_neg_infinity(ov) else _NEG_INF
-                out[mask] = np.maximum(out[mask], fov)
+                out[mask] = np.maximum(out[mask], ov)
         return out
 
     # -- structure ----------------------------------------------------------
@@ -410,7 +407,7 @@ class PiecewiseField:
                 candidate_points.extend(pts)
 
         def minus_inf_at(t: float) -> bool:
-            return self._value_float(t) == _NEG_INF
+            return self._value_float(t) == NEG_INFINITY
 
         merged: list[list[float]] = []
         for lo, hi in sorted(cores):
@@ -440,7 +437,7 @@ class PiecewiseField:
         count = 0.0
         candidates = set(self.knots()) | set(self.override_points())
         for t in candidates:
-            if self._value_float(t) > _NEG_INF:
+            if self._value_float(t) > NEG_INFINITY:
                 count += 0.5 if (endpoints_half and t in (lo, hi)) else 1.0
         return count
 
@@ -498,23 +495,29 @@ def indicator_field(
 
 
 def log_of_weight_field(weight: PiecewiseField) -> PiecewiseField:
-    """log ∘ weight, piece by piece; zero-weight stretches become −∞ pieces."""
+    """log ∘ weight, piece by piece; zero-weight stretches become −∞ pieces.
+
+    Negative levels and point values are not weights: they raise SchemaError.
+    """
     pieces = []
     for p in weight.pieces:
-        mode, _ = p.formula._neg_inf_on(p.lo, p.hi)  # reused: zeros of log(w)
-        if isinstance(p.formula, NegInfinityPiece):
+        f = p.formula
+        if isinstance(f, NegInfinityPiece):
             raise SchemaError("weights take values in [0, ∞); −∞ pieces are not weights")
-        if isinstance(p.formula, Constant) and float(p.formula.c) <= 0.0:
-            pieces.append(Piece(p.lo, p.hi, NegInfinityPiece()))
-        elif isinstance(p.formula, Indicator) and float(p.formula.value) <= 0.0:
-            pieces.append(Piece(p.lo, p.hi, NegInfinityPiece()))
-        elif isinstance(p.formula, LogOfWeight):
+        if isinstance(f, LogOfWeight):
             raise SchemaError("weight already contains logs; expected plain weight pieces")
-        else:
-            pieces.append(Piece(p.lo, p.hi, LogOfWeight(p.formula)))
+        log_f = LogOfWeight(f)
+        if isinstance(f, (Constant, Indicator)):
+            level = float(f.c if isinstance(f, Constant) else f.value)
+            if level < 0.0:
+                raise SchemaError(f"weight level {level!r} is negative")
+            if level == 0.0:
+                log_f = NegInfinityPiece()
+        pieces.append(Piece(p.lo, p.hi, log_f))
+    if any(v < 0.0 for _, v in weight.point_values):
+        raise SchemaError("weight point values must be non-negative")
     point_values = tuple(
-        (t, NEG_INFINITY if is_neg_infinity(v) or float(v) <= 0.0 else math.log(float(v)))
-        for t, v in weight.point_values
+        (t, math.log(v) if v > 0.0 else NEG_INFINITY) for t, v in weight.point_values
     )
     return PiecewiseField(tuple(pieces), point_values, domain=weight.domain)
 
@@ -558,7 +561,7 @@ def field_to_json(field: PiecewiseField) -> dict:
             {"lo": p.lo, "hi": p.hi, "formula": p.formula.to_json()} for p in field.pieces
         ],
         "point_values": [
-            [t, None if is_neg_infinity(v) else float(v)] for t, v in field.point_values
+            [t, None if is_neg_infinity(v) else v] for t, v in field.point_values
         ],
     }
 

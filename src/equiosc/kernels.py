@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .extreal import ExtReal, as_extreal
+from .extreal import NEG_INFINITY, ExtReal, as_extreal
 
 __all__ = [
     "CappedLog",
@@ -45,8 +45,6 @@ __all__ = [
     "kernel_to_json",
     "kernel_values",
 ]
-
-_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ class Log(KernelSpec):
 
         def k(u: float) -> float:
             au = abs(u)
-            return log(au) if au > 0.0 else _NEG_INF
+            return log(au) if au > 0.0 else NEG_INFINITY
 
         return k
 
@@ -138,7 +136,7 @@ class CappedLog(KernelSpec):
             au = abs(u)
             if au >= a:
                 return 0.0
-            return log(au / a) if au > 0.0 else _NEG_INF
+            return log(au / a) if au > 0.0 else NEG_INFINITY
 
         return k
 
@@ -195,7 +193,7 @@ class TentLog(KernelSpec):
         def k(u: float) -> float:
             au = abs(u)
             if au == 0.0 or au >= 1.0:
-                return _NEG_INF
+                return NEG_INFINITY
             return min(log(10.0 * au), log((10.0 / 9.0) * (1.0 - au)))
 
         return k
@@ -235,8 +233,8 @@ class CappedLogPlusQuadratic(KernelSpec):
 
         def k(u: float) -> float:
             base = capped(u)
-            if base == _NEG_INF:
-                return _NEG_INF
+            if base == NEG_INFINITY:
+                return NEG_INFINITY
             return base + 1.0 - 2.0 * u * u
 
         return k
@@ -285,8 +283,8 @@ class Regularized(KernelSpec):
 
         def k(u: float) -> float:
             v = base_k(u)
-            if v == _NEG_INF:
-                return _NEG_INF
+            if v == NEG_INFINITY:
+                return NEG_INFINITY
             return v + eta * sqrt(abs(u))
 
         return k

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
+from .extreal import NEG_INFINITY
 from .problem import NodeSystem, Problem
 from .translates import _maxima_floats
 
 __all__ = ["GridSpec", "grid_maximin", "grid_minimax", "grid_near_optimal"]
-
-_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,7 @@ def _objective(problem: Problem, nodes: tuple[float, ...], mode: str, xtol: floa
     vals, _ = _maxima_floats(problem, (0.0, *nodes, 1.0), xtol)
     if mode == "minimax":
         return max(vals)
-    if any(v == _NEG_INF for v in vals):
-        return _NEG_INF
-    return min(vals)
+    return min(vals)  # −∞ as soon as one maximum is
 
 
 def _evaluate(problem, ranges, points, mode, xtol):
@@ -83,7 +80,7 @@ def _evaluate(problem, ranges, points, mode, xtol):
 def _scan(problem, ranges, points, mode, xtol):
     better = (lambda v, b: v < b) if mode == "minimax" else (lambda v, b: v > b)
     best_nodes: tuple[float, ...] | None = None
-    best_val = math.inf if mode == "minimax" else _NEG_INF
+    best_val = math.inf if mode == "minimax" else NEG_INFINITY
     for nodes, val in zip(*_evaluate(problem, ranges, points, mode, xtol)):
         if best_nodes is None or better(val, best_val):
             best_nodes, best_val = nodes, val
@@ -146,13 +143,13 @@ def grid_near_optimal(
     if mode not in ("minimax", "maximin"):
         raise PreconditionError("mode must be 'minimax' or 'maximin'")
     cells, values = _evaluate(problem, [(0.0, 1.0)] * problem.n, grid.points_per_dim, mode, xtol)
-    finite = [v for v in values if v != _NEG_INF and math.isfinite(v)]
+    finite = [v for v in values if math.isfinite(v)]
     if not finite:
         return []
     best = min(finite) if mode == "minimax" else max(finite)
     keep = []
     for nodes, val in zip(cells, values):
-        if val == _NEG_INF or not math.isfinite(val):
+        if not math.isfinite(val):
             continue
         if abs(val - best) <= tol:
             keep.append((nodes, val))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, RegularityError
+from .extreal import NEG_INFINITY
 from .kernels import KernelSpec, scalar_fn
 from .problem import NodeSystem, Problem
 from .translates import _maxima_floats, in_regularity_set
@@ -38,7 +39,6 @@ __all__ = [
     "sample_regular_nodes",
 ]
 
-_NEG_INF = float("-inf")
 _TIE_TOL = 1e-9
 _PASS_TOL = 1e-12
 
@@ -66,21 +66,21 @@ def _pair_values(kf, p, q, outer: tuple[float, float], inner: tuple[float, float
     lhs_2 = kf(t - beta)
     rhs_1 = kf(t - a)
     rhs_2 = kf(t - b)
-    lhs = _NEG_INF if _NEG_INF in (lhs_1, lhs_2) else p * lhs_1 + q * lhs_2
-    rhs = _NEG_INF if _NEG_INF in (rhs_1, rhs_2) else p * rhs_1 + q * rhs_2
+    lhs = NEG_INFINITY if NEG_INFINITY in (lhs_1, lhs_2) else p * lhs_1 + q * lhs_2
+    rhs = NEG_INFINITY if NEG_INFINITY in (rhs_1, rhs_2) else p * rhs_1 + q * rhs_2
     return lhs, rhs
 
 
 def _sample_le(kf, p, q, outer, inner, ts, strict: bool):
     """Check lhs ≤ rhs (strictly, if asked) on the sample; return (ok, worst, where)."""
-    worst = -math.inf
+    worst = NEG_INFINITY
     worst_t = None
     ok = True
     for t in ts:
         lhs, rhs = _pair_values(kf, p, q, outer, inner, float(t))
-        if lhs == _NEG_INF:
+        if lhs == NEG_INFINITY:
             continue  # −∞ ≤ anything, strictly below any finite value
-        if rhs == _NEG_INF:
+        if rhs == NEG_INFINITY:
             violation = math.inf
         else:
             violation = lhs - rhs
@@ -91,7 +91,7 @@ def _sample_le(kf, p, q, outer, inner, ts, strict: bool):
                 ok = False
         elif violation > _PASS_TOL:
             ok = False
-    if worst == -math.inf:
+    if worst == NEG_INFINITY:
         worst = 0.0  # lhs was −∞ throughout: inequality holds with slack everywhere
     return ok, worst, worst_t
 
@@ -232,7 +232,7 @@ def _regular_maxima(problem: Problem, ns: NodeSystem, xtol: float):
     if not in_regularity_set(problem, ns):
         raise RegularityError("node system outside the regularity set")
     vals, _ = _maxima_floats(problem, ns.with_sentinels(), xtol)
-    if any(v == _NEG_INF for v in vals):
+    if any(v == NEG_INFINITY for v in vals):
         raise RegularityError("interval maximum −∞ despite regularity check")
     return vals
 

@@ -28,14 +28,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, PreconditionError
-from .extreal import NEG_INFINITY, is_neg_infinity
+from .extreal import NEG_INFINITY
 from .kernels import Regularized
 from .problem import NodeSystem, Problem
 from .translates import MaximaVector, _interval_max, interval_maxima
 
 __all__ = ["SolveReport", "sandwich_check", "solve_difference", "solve_equioscillation"]
 
-_NEG_INF = float("-inf")
 _BRACKET_EPS = 1e-12
 _BIG = 1e18
 _FD_STEP = 1e-7
@@ -130,11 +129,11 @@ def _initial_nodes(problem: Problem) -> list[float]:
 def _local_residual(problem: Problem, ys: list[float], j: int, c_j: float, xtol: float) -> float:
     _, m_left = _interval_max(problem, tuple(ys), j - 1, xtol)
     _, m_right = _interval_max(problem, tuple(ys), j, xtol)
-    if m_left == _NEG_INF and m_right == _NEG_INF:
+    if m_left == NEG_INFINITY and m_right == NEG_INFINITY:
         return 0.0
-    if m_left == _NEG_INF:
+    if m_left == NEG_INFINITY:
         return _BIG
-    if m_right == _NEG_INF:
+    if m_right == NEG_INFINITY:
         return -_BIG
     return m_right - m_left - c_j
 
@@ -162,7 +161,7 @@ def _residual_norm(problem: Problem, ys: list[float], c, xtol: float):
     from .translates import _maxima_floats
 
     vals, args = _maxima_floats(problem, tuple(ys), xtol)
-    if any(v == _NEG_INF for v in vals):
+    if any(v == NEG_INFINITY for v in vals):
         return math.inf, vals, args
     phi = _phi_floats(vals)
     return max(abs(p - cj) for p, cj in zip(phi, c)), vals, args
@@ -200,7 +199,7 @@ def _jacobian(problem: Problem, ys: list[float], vals, args, xtol: float):
         for k in range(1, n + 1):
             pert, h = _fd_node(ys, k)
             _, v = _interval_max(problem, pert, i, xtol)
-            if v == _NEG_INF:
+            if v == NEG_INFINITY:
                 return None
             dm[i, k - 1] = (v - vals[i]) / h
     return dm[1:] - dm[:-1]
@@ -280,17 +279,13 @@ def _solve_direct(problem: Problem, c, tol, xtol, max_iterations, initial):
 
 def _as_report(problem, ys, res, vals, args, iterations, converged, c, risk=False, trend=()):
     nodes = NodeSystem(tuple(ys[1:-1]))
-    maxima = MaximaVector(
-        tuple(NEG_INFINITY if v == _NEG_INF else v for v in vals),
-        tuple(args),
-    )
-    value = maxima.m_bar
+    maxima = MaximaVector(tuple(vals), tuple(args))
     return SolveReport(
         nodes=nodes,
         maxima=maxima,
         target=tuple(float(v) for v in c),
         residual=res,
-        value=value,
+        value=maxima.m_bar,
         iterations=iterations,
         converged=converged,
         nonuniqueness_risk=risk,
@@ -364,7 +359,7 @@ def solve_difference(
                 f"regularized solve (eta={eta}) stalled at residual {res:.3e}"
             )
         nodes = tuple(ys[1:-1])
-        value = max(v for v in vals if v != _NEG_INF)
+        value = max(v for v in vals if v != NEG_INFINITY)
         trend.append((eta, nodes, value))
         warm = NodeSystem(nodes)
 
@@ -416,7 +411,6 @@ def sandwich_check(problem: Problem, x, M: float, slack: float = 1e-9) -> dict:
     if not ns.strict():
         raise PreconditionError("sandwich check expects a strict node system")
     maxima = interval_maxima(problem, ns)
-    m_under = maxima.m_under
-    lower_ok = True if is_neg_infinity(m_under) else float(m_under) <= M + slack
+    lower_ok = maxima.m_under <= M + slack
     upper_ok = M <= maxima.m_bar + slack
     return {"lower_ok": lower_ok, "upper_ok": upper_ok}

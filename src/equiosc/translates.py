@@ -44,7 +44,6 @@ __all__ = [
     "maximize_on_interval",
 ]
 
-_NEG_INF = float("-inf")
 _XTOL = 1e-12
 _NODE_EPS = 1e-13
 _INF = float("inf")
@@ -62,20 +61,18 @@ class MaximaVector:
     @property
     def m_bar(self) -> float:
         """max_j m_j; finite for every admissible problem."""
-        return max(float(v) for v in self.m if not _is_minf(v))
+        return max(v for v in self.m if v > NEG_INFINITY)
 
     @property
     def m_under(self) -> ExtReal:
-        if any(_is_minf(v) for v in self.m):
-            return NEG_INFINITY
-        return min(float(v) for v in self.m)
+        return min(self.m)
 
     @property
     def finite(self) -> bool:
-        return not any(_is_minf(v) for v in self.m)
+        return NEG_INFINITY not in self.m
 
     def as_floats(self) -> tuple[float, ...]:
-        return tuple(_NEG_INF if _is_minf(v) else float(v) for v in self.m)
+        return tuple(float(v) for v in self.m)
 
 
 @dataclass(frozen=True)
@@ -88,10 +85,6 @@ class DifferenceVector:
         return np.asarray(self.phi, dtype=float)
 
 
-def _is_minf(v) -> bool:
-    return v is NEG_INFINITY or v == _NEG_INF
-
-
 # -- scalar evaluation --------------------------------------------------------
 
 def _terms(problem: Problem, ys: tuple[float, ...]):
@@ -102,8 +95,8 @@ def _kernel_sum(kf, terms, t: float) -> float:
     s = 0.0
     for r, yj in terms:
         v = kf(t - yj)
-        if v == _NEG_INF:
-            return _NEG_INF
+        if v == NEG_INFINITY:
+            return NEG_INFINITY
         s += r * v
     return s
 
@@ -113,11 +106,11 @@ def _with_translates(fval, kf, terms):
 
     def g(t: float) -> float:
         fv = fval(t)
-        if fv == _NEG_INF:
-            return _NEG_INF
+        if fv == NEG_INFINITY:
+            return NEG_INFINITY
         ks = _kernel_sum(kf, terms, t)
-        if ks == _NEG_INF:
-            return _NEG_INF
+        if ks == NEG_INFINITY:
+            return NEG_INFINITY
         return fv + ks
 
     return g
@@ -244,9 +237,9 @@ def _concave_max(g, a: float, b: float, xtol: float, ga: float | None, gb: float
     """
     h = max(xtol, _SQRT_EPS * (b - a))
     if b - a > 2.0 * h:
-        if ga is not None and ga > _NEG_INF and g(a + h) <= ga:
+        if ga is not None and ga > NEG_INFINITY and g(a + h) <= ga:
             return a, ga
-        if gb is not None and gb > _NEG_INF and g(b - h) <= gb:
+        if gb is not None and gb > NEG_INFINITY and g(b - h) <= gb:
             return b, gb
     return _brent_max(g, a, b, xtol)
 
@@ -287,12 +280,12 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: floa
 
     def at_cut(fval, tau: float) -> float:
         fv = fval(tau)
-        if fv == _NEG_INF:
-            return _NEG_INF
+        if fv == NEG_INFINITY:
+            return NEG_INFINITY
         ks = sums.get(tau)
         if ks is None:
             ks = sums[tau] = _kernel_sum(kf, terms, tau)
-        return _NEG_INF if ks == _NEG_INF else fv + ks
+        return NEG_INFINITY if ks == NEG_INFINITY else fv + ks
 
     point_set = sorted(set(cuts) | {t for t in field.override_points() if lo <= t <= hi})
     candidates = [(tau, at_cut(field._value_float, tau)) for tau in point_set]
@@ -317,7 +310,7 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: floa
 
     candidates.sort(key=lambda p: p[0])
     best_t: float | None = None
-    best_v = _NEG_INF
+    best_v = NEG_INFINITY
     for t, v in candidates:
         if v > best_v:
             best_t, best_v = t, v
@@ -334,9 +327,9 @@ def _interval_max(problem: Problem, ys: tuple[float, ...], j: int, xtol: float =
     if hi > lo:
         return _maximize(problem.field, kf, terms, lo, hi, singular, xtol, kernel._kinks)
     if singular:
-        return None, _NEG_INF
+        return None, NEG_INFINITY
     v = _with_translates(problem.field._value_float, kf, terms)(lo)
-    return (lo if v > _NEG_INF else None), v
+    return (lo if v > NEG_INFINITY else None), v
 
 
 def _maxima_floats(problem: Problem, ys: tuple[float, ...], xtol: float = _XTOL):
@@ -353,10 +346,7 @@ def interval_maxima(problem: Problem, y, xtol: float = _XTOL) -> MaximaVector:
     """Maxima of F(y, ·) over all n+1 node intervals, with locations."""
     ns = problem.node_system(y)
     vals, args = _maxima_floats(problem, ns.with_sentinels(), xtol)
-    return MaximaVector(
-        tuple(NEG_INFINITY if v == _NEG_INF else v for v in vals),
-        tuple(args),
-    )
+    return MaximaVector(tuple(vals), tuple(args))
 
 
 def maximize_on_interval(problem: Problem, y, j: int, xtol: float = _XTOL):
@@ -415,6 +405,6 @@ def difference(problem: Problem, y, xtol: float = _XTOL) -> DifferenceVector:
     elif not ns.strict():
         raise RegularityError("node system must lie in the open simplex")
     vals, _ = _maxima_floats(problem, ns.with_sentinels(), xtol)
-    if any(v == _NEG_INF for v in vals):
+    if any(v == NEG_INFINITY for v in vals):
         raise RegularityError("some interval maximum is −∞; node system is singular")
     return DifferenceVector(tuple(vals[j] - vals[j - 1] for j in range(1, problem.n + 1)))

@@ -51,6 +51,23 @@ def test_oracle_subcommand(problem_file, capsys):
     assert "minimax value" in capsys.readouterr().out
 
 
+def test_oracle_json_out_writes_neg_infinity_as_null(tmp_path, capsys):
+    # every maximin cell of the 2-point grid has a degenerate interval, so the value is −∞
+    problem = tmp_path / "log2.json"
+    eq.dump_problem(eq.Problem(2, (1.0, 1.0), eq.Log(), eq.constant_field(0.0)), problem)
+    out = tmp_path / "oracle.json"
+    argv = ["oracle", str(problem), "--mode", "maximin", "--grid", "2,0", "--json-out", str(out)]
+    code = main(argv)
+    assert code == 0
+    assert "maximin value: -inf" in capsys.readouterr().out
+
+    def refuse(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(out.read_text(), parse_constant=refuse)
+    assert doc["value"] is None
+
+
 def test_intertwine_subcommand(problem_file, capsys):
     code = main(["intertwine", problem_file, "--x", "0.4", "--y", "0.6"])
     assert code == 0
@@ -70,6 +87,12 @@ def test_bojanov_subcommand(capsys):
         '{"pieces": [{"lo": 0, "hi": 1, "formula": {"kind": "Constant", "c": "abc"}}]}',
         '{"pieces": [{"lo": 0, "hi": 1, "formula": {"kind": "Constant"}}]}',
         "{not valid json",
+        '{"pieces": [{"lo": 0, "hi": 1, "formula": {"kind": "Constant", "c": 1}}], '
+        '"point_values": [[0.5, NaN]]}',
+        '{"pieces": [{"lo": 0, "hi": 1, "formula": {"kind": "Constant", "c": 1}}], '
+        '"point_values": [[0.5, Infinity]]}',
+        '{"pieces": [{"lo": 0, "hi": 0.5, "formula": {"kind": "Constant", "c": -1}}, '
+        '{"lo": 0.5, "hi": 1, "formula": {"kind": "Constant", "c": 1}}]}',
     ],
 )
 def test_bojanov_bad_weight_is_a_validation_error(tmp_path, capsys, text):

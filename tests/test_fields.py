@@ -160,6 +160,24 @@ def test_log_of_weight_matches_pointwise(rng):
             assert float(lv) == pytest.approx(math.log(w))
 
 
+def test_only_a_zero_weight_level_becomes_minus_infinity():
+    for level in (Constant, Indicator):
+        zero = PiecewiseField((Piece(0.0, 0.5, level(0.0)), Piece(0.5, 1.0, Constant(1.0))))
+        logw = log_of_weight_field(zero)
+        assert isinstance(logw.pieces[0].formula, NegInfinityPiece)
+        assert logw.value(0.25) == NEG_INFINITY and logw.value(0.75) == 0.0
+        negative = PiecewiseField((Piece(0.0, 0.5, level(-1.0)), Piece(0.5, 1.0, Constant(1.0))))
+        with pytest.raises(eq.SchemaError):
+            log_of_weight_field(negative)
+        with pytest.raises(eq.SchemaError):
+            eq.gap_norm((0.5,), (1.0,), negative)
+        with pytest.raises(eq.SchemaError):
+            eq.solve_bojanov(eq.GapProblem((0.0, 1.0), (1.0,), negative))
+    negative_point = PiecewiseField((Piece(0.0, 1.0, Constant(1.0)),), ((0.5, -2.0),))
+    with pytest.raises(eq.SchemaError):
+        log_of_weight_field(negative_point)
+
+
 def test_vectorized_values_respect_usc():
     f = chi_field()
     ts = np.array([0.0, 0.5, B, 0.99, 1.0])
@@ -178,6 +196,9 @@ def test_validation_errors():
         )  # gap
     with pytest.raises(eq.SchemaError):
         Constant(float("inf"))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(eq.SchemaError):
+            PiecewiseField((Piece(0.0, 1.0, Constant(0.0)),), ((0.5, bad),))
 
 
 def test_json_roundtrip():
@@ -203,6 +224,14 @@ def test_json_roundtrip():
         },
         {"kind": "Constant"},
         {"kind": "Constant", "c": "abc"},
+        {
+            "pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0.0}}],
+            "point_values": [[0.5, float("nan")]],
+        },
+        {
+            "pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0.0}}],
+            "point_values": [[0.5, float("inf")]],
+        },
     ],
 )
 def test_malformed_json_raises_schema_error(doc):
