@@ -4,7 +4,9 @@ On a single interval it makes no difference whether the nodes of the minimal
 monic product may leave the set; on a union E of k intervals it does. The
 unrestricted extremizer may park nodes inside the gaps; snapping each such
 node to the nearer component endpoint costs at most a factor 2 per gap node,
-which gives R <= 2^(k-1) C for unit exponents.
+which gives R <= 2^(k-1) C for unit exponents. R itself is computed
+exactly: each node of a restricted optimum sits at a component endpoint or
+is a free node of a smaller equioscillation problem.
 """
 
 import equiosc as eq

@@ -11,32 +11,34 @@ Two applications of the equioscillation machinery:
   of k intervals) with the unrestricted one C (nodes anywhere in the hull):
   C ≤ R ≤ 2^{max sum of k−1 exponents} · C, with the upper bound witnessed
   constructively by snapping gap-resident nodes of the unrestricted
-  extremizer to the nearest component endpoint.
+  extremizer to the nearest component endpoint. R is exact: nodes pinned at
+  component endpoints join the field as fixed translates (Fenton's sum of
+  translates with a fixed part), and the free nodes equioscillate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetError, DomainError, PreconditionError, SchemaError
+from .extreal import NEG_INFINITY
 from .fields import (
+    Formula,
     NegInfinityPiece,
     Piece,
     PiecewiseField,
     constant_field,
     affine_transport,
-    field_admissible,
     log_of_weight_field,
 )
 from .kernels import Log, scalar_fn
-from .problem import NodeSystem, Problem
+from .problem import Problem
 from .solver import solve_equioscillation
-from .translates import _F_rows, _maximize
+from .translates import _kernel_sum, _maximize
 
 __all__ = [
     "GapProblem",
@@ -53,6 +55,8 @@ __all__ = [
     "unrestricted_constant",
     "verify_signed_equioscillation",
 ]
+
+_LOG = scalar_fn(Log())
 
 
 # -- problem bundles -----------------------------------------------------------
@@ -150,12 +154,6 @@ def gap_eval(nodes, r, weight: PiecewiseField, t: float) -> float:
     return prod
 
 
-def _intervals_of(weight_or_logw: PiecewiseField, E: IntervalUnion | None):
-    if E is not None:
-        return E.components
-    return (weight_or_logw.domain,)
-
-
 def _log_max(logw: PiecewiseField, kf, terms, intervals) -> float:
     """max of log w(t) + Σ r_j log|t − x_j| over non-degenerate intervals."""
     return max(_maximize(logw, kf, terms, lo, hi, singular=True)[1] for lo, hi in intervals)
@@ -164,7 +162,8 @@ def _log_max(logw: PiecewiseField, kf, terms, intervals) -> float:
 def gap_norm(nodes, r, weight: PiecewiseField, E: IntervalUnion | None = None) -> float:
     """sup of w · ∏ |t − x_j|^{r_j} over E (default: the weight's whole domain)."""
     logw = log_of_weight_field(weight)
-    best = _log_max(logw, scalar_fn(Log()), tuple(zip(r, nodes)), _intervals_of(weight, E))
+    intervals = E.components if E is not None else (weight.domain,)
+    best = _log_max(logw, _LOG, tuple(zip(r, nodes)), intervals)
     return math.exp(best)  # exp(−∞) = 0
 
 
@@ -172,7 +171,6 @@ def gap_interval_maxima(nodes, r, weight: PiecewiseField) -> tuple[float, ...]:
     """Max of w·∏|t−x_j|^{r_j} over each of the n+1 intervals cut by the nodes."""
     a, b = weight.domain
     logw = log_of_weight_field(weight)
-    kf = scalar_fn(Log())
     terms = tuple(zip(r, nodes))
     ys = (a, *sorted(float(x) for x in nodes), b)
     out = []
@@ -180,7 +178,7 @@ def gap_interval_maxima(nodes, r, weight: PiecewiseField) -> tuple[float, ...]:
         if hi <= lo:
             out.append(gap_eval(nodes, r, weight, lo))
             continue
-        _, v = _maximize(logw, kf, terms, lo, hi, singular=True)
+        _, v = _maximize(logw, _LOG, terms, lo, hi, singular=True)
         out.append(math.exp(v))
     return tuple(out)
 
@@ -268,12 +266,51 @@ def _default_weight(E: IntervalUnion) -> PiecewiseField:
     return constant_field(1.0, domain=E.hull)
 
 
-def _union_problem(E: IntervalUnion, r, weight: PiecewiseField) -> tuple[Problem, float, float]:
+@dataclass(frozen=True)
+class _PinnedTranslates(Formula):
+    """base(t) + Σ r·log|t − e| over pinned nodes (r, e), each e a knot of the field.
+
+    No e lies inside a piece of this formula, so it is concave where ``base`` is.
+    """
+
+    base: Formula
+    terms: tuple[tuple[float, float], ...]
+
+    def _value(self, t):
+        v = self.base._value(t)
+        return NEG_INFINITY if v == NEG_INFINITY else v + _kernel_sum(_LOG, self.terms, t)
+
+    @property
+    def concave(self):
+        return self.base.concave
+
+    def _validate_on(self, lo, hi):
+        self.base._validate_on(lo, hi)
+        assert not any(lo < e < hi for _, e in self.terms), "pinned node inside a field piece"
+
+    def _neg_inf_on(self, lo, hi):
+        mode, points = self.base._neg_inf_on(lo, hi)
+        points = (*points, *(e for _, e in self.terms if lo <= e <= hi))
+        return (mode, points) if mode == "all" or not points else ("points", points)
+
+
+def _union_problem(E: IntervalUnion, r, weight: PiecewiseField, pins=()) -> tuple[Problem, float, float]:
+    """The hull-normalized log problem for nodes r, with pinned (r, e) translates in the field."""
     A, B = E.hull
     if weight.domain != (A, B):
         raise SchemaError("weight must live on the hull of the union")
     logw = _masked_log_field(log_of_weight_field(weight), E)
     field01 = affine_transport(logw, A, B - A, (0.0, 1.0))
+    if pins:  # e is moved as affine_transport moves knots, so it lands on one
+        terms = tuple((rj, (e - A) / (B - A)) for rj, e in pins)
+        field01 = PiecewiseField(
+            tuple(
+                p if isinstance(p.formula, NegInfinityPiece)
+                else Piece(p.lo, p.hi, _PinnedTranslates(p.formula, terms))
+                for p in field01.pieces
+            ),
+            tuple((t, v + _kernel_sum(_LOG, terms, t)) for t, v in field01.point_values),
+        )
     problem = Problem(n=len(r), r=tuple(r), kernel=Log(), field=field01)
     return problem, A, B - A
 
@@ -310,100 +347,61 @@ def snap_to_E(nodes, E: IntervalUnion) -> tuple[float, ...]:
     return tuple(sorted(out))
 
 
-def _compositions(n: int, k: int):
-    for cuts in itertools.combinations(range(n + k - 1), k - 1):
-        parts = []
-        prev = -1
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(n + k - 2 - prev)
-        yield tuple(parts)
-
-
 def restricted_constant(
     E: IntervalUnion,
     r,
     weight: PiecewiseField | None = None,
     tol: float = 1e-9,
     *,
-    refine_rounds: int = 2,
+    refine_rounds: int | None = None,
     snap_seed: tuple[float, ...] | None = None,
 ) -> tuple[float, tuple[float, ...]]:
-    """Minimal sup-norm over E with all nodes confined to E.
+    """Minimal sup-norm over E with all nodes confined to E, and the nodes.
 
-    Enumerates how many nodes sit in each component, grid-searches each
-    assignment with refinement (candidates ranked on a dense grid, the best
-    few re-evaluated exactly), and always includes the snapped unrestricted
-    extremizer, which carries the proven 2^{…}-factor guarantee. A snapped
-    node system may be passed in to skip the extra unrestricted solve.
+    Each node of an optimum is pinned at a component endpoint or free inside a
+    component, where the free nodes equioscillate with the pinned translates in
+    the field. Every choice of pinned sorted-node indices and non-decreasing
+    endpoints is solved once per distinct pinned field and free exponents, and
+    kept if its free nodes lie strictly inside components in index order. R is
+    the least exact sup-norm kept, ties to the smaller node tuple.
+    ``refine_rounds`` and ``snap_seed`` are deprecated and ignored.
     """
+    for name, value in (("refine_rounds", refine_rounds), ("snap_seed", snap_seed)):
+        if value is not None:
+            warnings.warn(f"{name} is deprecated and ignored", DeprecationWarning, stacklevel=2)
     r = tuple(float(v) for v in r)
     n = len(r)
     if n > 4:
         raise BudgetError("restricted search supports n ≤ 4")
     weight = weight if weight is not None else _default_weight(E)
     logw = log_of_weight_field(weight)
-    kernel = Log()
-    kf = scalar_fn(kernel)
 
-    def exact_log(nodes: tuple[float, ...]) -> float:
-        return _log_max(logw, kf, tuple(zip(r, nodes)), E.components)
+    @functools.lru_cache(maxsize=None)
+    def free_nodes(pins, free_r):
+        if not free_r:
+            return ()
+        problem, A, width = _union_problem(E, free_r, weight, pins)
+        xs = tuple(A + width * u for u in solve_equioscillation(problem, tol).nodes.nodes)
+        return xs if all(any(a < x < b for a, b in E.components) for x in xs) else None
 
-    if snap_seed is None:
-        _, w_nodes = unrestricted_constant(E, r, weight, tol)
-        snap_seed = snap_to_E(w_nodes, E)
-    candidates: list[tuple[float, tuple[float, ...]]] = []
-    candidates.append((exact_log(snap_seed), tuple(snap_seed)))
-
-    points_per_dim = max(6, min(200, int(round(8000 ** (1.0 / n)))))
-    T_parts = [np.linspace(lo, hi, 129) for lo, hi in E.components]
-    T = np.concatenate(T_parts)
-    logw_T = logw.values(T)
-    chunk = max(1, int(2_000_000 // T.size))
-
-    for counts in _compositions(n, E.k):
-        boxes: list[tuple[float, float, int]] = []  # (lo, hi, component index)
-        for comp_idx, c in enumerate(counts):
-            lo, hi = E.components[comp_idx]
-            boxes.extend((lo, hi, comp_idx) for _ in range(c))
-        incumbent: tuple[float, tuple[float, ...]] | None = None
-        for _ in range(refine_rounds + 1):
-            axes = [np.linspace(lo, hi, points_per_dim) for lo, hi, _ in boxes]
-            grids = []
-            for dim_axes in itertools.product(*axes):
-                ordered = all(
-                    boxes[i][2] != boxes[i - 1][2] or dim_axes[i] >= dim_axes[i - 1]
-                    for i in range(1, n)
-                )
-                if ordered:
-                    grids.append(dim_axes)
-            if not grids:
-                break
-            X = np.asarray(grids, dtype=float)
-            approx = np.concatenate([
-                _F_rows(kernel, r, X[start : start + chunk], T, logw_T).max(axis=1)
-                for start in range(0, X.shape[0], chunk)
-            ])
-            order = np.argsort(approx, kind="stable")[:8]
-            for idx in order:
-                nodes = tuple(float(v) for v in X[idx])
-                val = exact_log(nodes)
-                if incumbent is None or val < incumbent[0] or (
-                    val == incumbent[0] and nodes < incumbent[1]
-                ):
-                    incumbent = (val, nodes)
-            # shrink boxes around the incumbent inside each component
-            new_boxes = []
-            for (lo, hi, comp), x in zip(boxes, incumbent[1]):
-                pitch = (hi - lo) / (points_per_dim - 1)
-                clo, chi = E.components[comp]
-                new_boxes.append((max(clo, x - 3 * pitch), min(chi, x + 3 * pitch), comp))
-            boxes = new_boxes
-        if incumbent is not None:
-            candidates.append(incumbent)
-
-    best_val, best_nodes = min(candidates, key=lambda c: (c[0], c[1]))
+    endpoints = tuple(e for comp in E.components for e in comp)
+    candidates = []
+    for p in range(n + 1):
+        for pinned, ends in itertools.product(
+            itertools.combinations(range(n), p),
+            itertools.combinations_with_replacement(endpoints, p),
+        ):
+            free_r = tuple(r[j] for j in range(n) if j not in pinned)
+            free = free_nodes(tuple(sorted(zip((r[i] for i in pinned), ends))), free_r)
+            if free is None:
+                continue
+            nodes = list(free)
+            for i, e in zip(pinned, ends):  # ascending i: each lands at its index
+                nodes.insert(i, e)
+            if nodes == sorted(nodes):
+                val = _log_max(logw, _LOG, tuple(zip(r, nodes)), E.components)
+                candidates.append((val, tuple(nodes)))
+    best_val, best_nodes = min(candidates)
     return math.exp(best_val), best_nodes
 
 
@@ -421,7 +419,7 @@ def compare_constants(
     weight = weight if weight is not None else _default_weight(E)
     C, w_nodes = unrestricted_constant(E, r, weight, tol)
     snapped = snap_to_E(w_nodes, E)
-    R, r_nodes = restricted_constant(E, r, weight, tol, snap_seed=snapped)
+    R, r_nodes = restricted_constant(E, r, weight, tol)
     bound = union_bound_factor(E.k, r)
     snap_norm = gap_norm(snapped, r, weight, E)
     slack = 1e-9

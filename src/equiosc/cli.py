@@ -202,11 +202,7 @@ def _cmd_union_compare(args) -> int:
         f"C <= R: {report['lower_ok']}   R <= bound*C: {report['upper_ok']}   "
         f"snap <= bound*C: {report['snap_ok']}"
     )
-    doc = dict(report)
-    doc["nodes_unrestricted"] = list(report["nodes_unrestricted"])
-    doc["nodes_restricted"] = list(report["nodes_restricted"])
-    doc["nodes_snapped"] = list(report["nodes_snapped"])
-    _emit(doc, args.json_out)
+    _emit(report, args.json_out)  # node tuples become JSON arrays
     return 0
 
 
@@ -279,20 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, problem=True):
+    def common(p, problem=True, solver=False):
         if problem:
             p.add_argument("problem", help="path to a problem JSON file")
         p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json-out", dest="json_out", default=None)
-        p.add_argument("--max-iterations", dest="max_iterations", type=int, default=500)
+        if solver:
+            p.add_argument("--max-iterations", dest="max_iterations", type=int, default=500)
 
     p = sub.add_parser("solve", help="solve for the equioscillation point")
-    common(p)
+    common(p, solver=True)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("solve-diff", help="solve the difference map for a target vector")
-    common(p)
+    common(p, solver=True)
     p.add_argument("--target", required=True, help="comma-separated target c_1,...,c_n")
     p.set_defaults(fn=_cmd_solve_diff)
 
@@ -329,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", help="one of: " + ", ".join(EXAMPLE_IDS))
     p.add_argument("--n", type=int, default=None, help="degree for classical_chebyshev")
     p.add_argument("--fast", action="store_true", help="smaller grids, looser sampling")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_example)
 
     p = sub.add_parser("export", help="export a curve CSV plus a maxima sidecar JSON")

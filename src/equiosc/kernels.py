@@ -100,8 +100,7 @@ class Log(KernelSpec):
         return k
 
     def _values_unchecked(self, u):
-        # log in place: the grid callers pass blocks of ~2M entries, and one
-        # more live temporary costs both peak memory and time
+        # log in place: one live temporary of the argument's size, not two
         au = np.abs(u)
         with np.errstate(divide="ignore"):
             return np.log(au, out=au if isinstance(au, np.ndarray) else None)

@@ -293,12 +293,19 @@ def _as_report(problem, ys, res, vals, args, iterations, converged, c, risk=Fals
     )
 
 
+def _check_real(name: str, v, positive: bool = False) -> float:
+    """v as a float if it is a finite real, positive if asked; bools and non-numbers are refused."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v) or (
+        positive and v <= 0.0
+    ):
+        kind = "finite positive real" if positive else "finite real"
+        raise PreconditionError(f"{name} must be a {kind}, got {v!r}")
+    return float(v)
+
+
 def _check_settings(tol, xtol, max_iterations) -> None:
-    for name, v in (("tol", tol), ("xtol", xtol)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
-            math.isfinite(v) and v > 0.0
-        ):
-            raise PreconditionError(f"{name} must be a finite positive real, got {v!r}")
+    _check_real("tol", tol, positive=True)
+    _check_real("xtol", xtol, positive=True)
     try:
         count = None if isinstance(max_iterations, (bool, np.bool_)) else operator.index(max_iterations)
     except TypeError:
@@ -407,6 +414,8 @@ def solve_equioscillation(
 
 def sandwich_check(problem: Problem, x, M: float, slack: float = 1e-9) -> dict:
     """Verify m̲(x) ≤ M ≤ m̄(x) up to slack for a node system x in the open simplex."""
+    M = _check_real("M", M)
+    slack = _check_real("slack", slack)
     ns = problem.node_system(x)
     if not ns.strict():
         raise PreconditionError("sandwich check expects a strict node system")

@@ -137,17 +137,10 @@ def eval_F_grid(problem: Problem, y, ts: np.ndarray) -> np.ndarray:
     """Vectorized F(y, ·) over a grid; −∞ appears as IEEE -inf."""
     ns = problem.node_system(y)
     ts = np.asarray(ts, dtype=float)
-    T = ts.ravel()
-    rows = _F_rows(problem.kernel, problem.r, ns.as_array()[None, :], T, problem.field.values(T))
-    return rows[0].reshape(ts.shape)
-
-
-def _F_rows(kernel, r, X: np.ndarray, T: np.ndarray, field_T: np.ndarray) -> np.ndarray:
-    """field_T + Σ_j r_j K(T − X[i, j]) for each row i of a block of node rows X."""
-    acc = np.broadcast_to(field_T, (X.shape[0], T.size)).copy()
+    acc = problem.field.values(ts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j, rj in enumerate(r):
-            acc += rj * kernel._values_unchecked(T[None, :] - X[:, j : j + 1])
+        for rj, yj in zip(problem.r, ns.nodes):
+            acc += rj * problem.kernel._values_unchecked(ts - yj)
     return acc
 
 

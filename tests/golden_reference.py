@@ -1,20 +1,31 @@
-"""Golden-section reference for the interval maxima (differential tests only).
+"""Reference searches kept for differential tests only.
 
-The library searched each concave piece by plain golden section to an
-argument window of xtol before it moved to Brent's method; ``golden_max`` is
-that search, verbatim. ``reference_interval_maxima`` rebuilds the old
-per-interval maximization around it: cuts at field knots and at nodes inside
-the interval (no kernel-kink cuts), cuts and overrides as point candidates,
-golden section on concave pieces, a 64-point scan plus golden polish on the
-others, and ties to the leftmost candidate.
+Golden section for the interval maxima: the library searched each concave
+piece by plain golden section to an argument window of xtol before it moved
+to Brent's method; ``golden_max`` is that search, verbatim.
+``reference_interval_maxima`` rebuilds the old per-interval maximization
+around it: cuts at field knots and at nodes inside the interval (no
+kernel-kink cuts), cuts and overrides as point candidates, golden section on
+concave pieces, a 64-point scan plus golden polish on the others, and ties to
+the leftmost candidate.
+
+Candidate grid for the restricted Chebyshev constant: before R came from
+pinned-endpoint equioscillation solves, ``restricted_constant`` searched a
+lattice of node systems per assignment of nodes to components, re-evaluated
+the best few exactly and refined around the incumbent, always including the
+snapped unrestricted extremizer. ``reference_restricted_constant`` is that
+search, verbatim, with the kernel-matrix block it ranked candidates by; it
+gives an upper estimate of R.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from equiosc.fields import NegInfinityPiece
-from equiosc.kernels import scalar_fn
+from equiosc.applications import _default_weight, _log_max, snap_to_E, unrestricted_constant
+from equiosc.fields import NegInfinityPiece, log_of_weight_field
+from equiosc.kernels import Log, scalar_fn
 
 NEG_INF = float("-inf")
 NODE_EPS = 1e-13
@@ -113,3 +124,92 @@ def reference_interval_maxima(problem, y, xtol=1e-12):
     ys = (0.0, *(float(v) for v in y), 1.0)
     pairs = [reference_interval_max(problem, ys, j, xtol) for j in range(problem.n + 1)]
     return [v for _, v in pairs], [t for t, _ in pairs]
+
+
+def _F_rows(kernel, r, X, T, field_T):
+    """field_T + Σ_j r_j K(T − X[i, j]) for each row i of a block of node rows X."""
+    acc = np.broadcast_to(field_T, (X.shape[0], T.size)).copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, rj in enumerate(r):
+            acc += rj * kernel._values_unchecked(T[None, :] - X[:, j : j + 1])
+    return acc
+
+
+def _compositions(n, k):
+    for cuts in itertools.combinations(range(n + k - 1), k - 1):
+        parts = []
+        prev = -1
+        for c in cuts:
+            parts.append(c - prev - 1)
+            prev = c
+        parts.append(n + k - 2 - prev)
+        yield tuple(parts)
+
+
+def reference_restricted_constant(E, r, weight=None, tol=1e-9, *, refine_rounds=2, snap_seed=None):
+    """(R estimate, nodes) by the candidate-grid search; an upper bound on R."""
+    r = tuple(float(v) for v in r)
+    n = len(r)
+    weight = weight if weight is not None else _default_weight(E)
+    logw = log_of_weight_field(weight)
+    kernel = Log()
+    kf = scalar_fn(kernel)
+
+    def exact_log(nodes):
+        return _log_max(logw, kf, tuple(zip(r, nodes)), E.components)
+
+    if snap_seed is None:
+        _, w_nodes = unrestricted_constant(E, r, weight, tol)
+        snap_seed = snap_to_E(w_nodes, E)
+    candidates = []
+    candidates.append((exact_log(snap_seed), tuple(snap_seed)))
+
+    points_per_dim = max(6, min(200, int(round(8000 ** (1.0 / n)))))
+    T_parts = [np.linspace(lo, hi, 129) for lo, hi in E.components]
+    T = np.concatenate(T_parts)
+    logw_T = logw.values(T)
+    chunk = max(1, int(2_000_000 // T.size))
+
+    for counts in _compositions(n, E.k):
+        boxes = []  # (lo, hi, component index)
+        for comp_idx, c in enumerate(counts):
+            lo, hi = E.components[comp_idx]
+            boxes.extend((lo, hi, comp_idx) for _ in range(c))
+        incumbent = None
+        for _ in range(refine_rounds + 1):
+            axes = [np.linspace(lo, hi, points_per_dim) for lo, hi, _ in boxes]
+            grids = []
+            for dim_axes in itertools.product(*axes):
+                ordered = all(
+                    boxes[i][2] != boxes[i - 1][2] or dim_axes[i] >= dim_axes[i - 1]
+                    for i in range(1, n)
+                )
+                if ordered:
+                    grids.append(dim_axes)
+            if not grids:
+                break
+            X = np.asarray(grids, dtype=float)
+            approx = np.concatenate([
+                _F_rows(kernel, r, X[start : start + chunk], T, logw_T).max(axis=1)
+                for start in range(0, X.shape[0], chunk)
+            ])
+            order = np.argsort(approx, kind="stable")[:8]
+            for idx in order:
+                nodes = tuple(float(v) for v in X[idx])
+                val = exact_log(nodes)
+                if incumbent is None or val < incumbent[0] or (
+                    val == incumbent[0] and nodes < incumbent[1]
+                ):
+                    incumbent = (val, nodes)
+            # shrink boxes around the incumbent inside each component
+            new_boxes = []
+            for (lo, hi, comp), x in zip(boxes, incumbent[1]):
+                pitch = (hi - lo) / (points_per_dim - 1)
+                clo, chi = E.components[comp]
+                new_boxes.append((max(clo, x - 3 * pitch), min(chi, x + 3 * pitch), comp))
+            boxes = new_boxes
+        if incumbent is not None:
+            candidates.append(incumbent)
+
+    best_val, best_nodes = min(candidates, key=lambda c: (c[0], c[1]))
+    return math.exp(best_val), best_nodes

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import equiosc as eq
+from equiosc import applications
 from equiosc.fields import Constant, Indicator, NegInfinityPiece, Piece, PiecewiseField
-from golden_reference import golden_max
+from golden_reference import golden_max, reference_restricted_constant
 
 SQRT3_HALF = 0.8660254037844386
 SEED_UNION = eq.IntervalUnion(((0.0, 0.4), (0.6, 1.0)))
@@ -260,6 +261,96 @@ def test_restricted_seed_instance():
     assert nodes[0] in (pytest.approx(0.4, abs=1e-6), pytest.approx(0.6, abs=1e-6))
     assert R == pytest.approx(brute_v, abs=1e-3)
     assert SEED_UNION.contains(nodes[0])
+
+
+def _seeded_union(rng, k):
+    while True:
+        cuts = np.sort(rng.uniform(0.0, 1.0, size=2 * k))
+        if np.min(np.diff(cuts)) >= 0.06:
+            return eq.IntervalUnion(tuple(zip(cuts[0::2], cuts[1::2])))
+
+
+# a zero stretch [0.7, 0.8] inside the component [0.55, 1] and a point value 10 at 0.56,
+# which the restricted optimum must keep down with a node pinned at 0.35
+SPIKED_WEIGHT = PiecewiseField(
+    (
+        Piece(0.0, 0.7, Constant(1.0)),
+        Piece(0.7, 0.8, Constant(0.0)),
+        Piece(0.8, 1.0, Indicator(2.0)),
+    ),
+    ((0.56, 10.0),),
+)
+SPIKED_UNION = eq.IntervalUnion(((0.0, 0.35), (0.55, 1.0)))
+
+
+def test_restricted_never_above_the_candidate_grid(rng):
+    """Differential test against the candidate-grid search the solves replaced."""
+    cases = [
+        (_seeded_union(rng, k), r, None)
+        for k in (2, 3)
+        for r in ((1.0,), (2.0, 1.0), (1.5, 0.5, 1.0))
+    ]
+    cases.append((SPIKED_UNION, (2.0, 1.0), SPIKED_WEIGHT))
+    for E, r, weight in cases:
+        report = eq.compare_constants(E, r, weight)
+        R, nodes = report["R"], report["nodes_restricted"]
+        grid_R, _ = reference_restricted_constant(E, r, weight, snap_seed=report["nodes_snapped"])
+        assert R <= grid_R * (1.0 + 1e-12)
+        assert R <= report["snap_norm"] * (1.0 + 1e-12)
+        assert all(E.contains(x) for x in nodes)
+        w = weight if weight is not None else eq.constant_field(1.0, domain=E.hull)
+        assert eq.gap_norm(nodes, r, w, E) == pytest.approx(R, rel=1e-12)
+
+
+def test_restricted_below_the_grid_with_unequal_exponents():
+    E = eq.IntervalUnion(((0.0, 0.3), (0.45, 0.55), (0.7, 1.0)))
+    R, nodes = eq.restricted_constant(E, (1.5, 0.5, 1.0))
+    assert R == pytest.approx(0.0378209, abs=1e-7)  # the candidate grid gave 0.0379286
+    for got, want in zip(nodes, (0.14447, 0.55, 0.92875)):
+        assert got == pytest.approx(want, abs=1e-5)
+
+
+def test_pinned_field_adds_the_translates_to_pieces_and_point_values():
+    pins = ((2.0, 0.35), (0.5, 0.55))
+    problem, A, width = applications._union_problem(SPIKED_UNION, (1.0,), SPIKED_WEIGHT, pins)
+    for t in (0.1, 0.3, 0.35, 0.5, 0.55, 0.56, 0.6, 0.75, 0.9, 1.0):
+        w = SPIKED_WEIGHT.value(t) if SPIKED_UNION.contains(t) else 0.0
+        prod = w * math.prod(abs((t - e) / width) ** rj for rj, e in pins)
+        got = problem.field.value((t - A) / width)
+        if prod == 0.0:
+            assert got == -math.inf
+        else:
+            assert got == pytest.approx(math.log(prod), abs=1e-12)
+
+
+def test_restricted_solve_count(monkeypatch):
+    """Work gate: one solve per multiset of pinned endpoints, p = 0 … n − 1.
+
+    With k = 3 components and n = 2 equal exponents that is
+    C(5, 0) + C(6, 1) = 7 solves; the candidate grid ranked up to 8,000 node
+    systems per assignment and round.
+    """
+    calls = []
+    solve = applications.solve_equioscillation
+
+    def counted_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(applications, "solve_equioscillation", counted_solve)
+    E = eq.IntervalUnion(((0.0, 0.25), (0.4, 0.6), (0.8, 1.0)))
+    R, nodes = eq.restricted_constant(E, (1.0, 1.0))
+    assert len(calls) == 7
+    assert R == pytest.approx(0.125, abs=1e-9)
+    assert nodes[0] == pytest.approx(0.146447, abs=1e-6)
+    assert nodes[1] == pytest.approx(0.853553, abs=1e-6)
+
+
+@pytest.mark.parametrize("option", [{"refine_rounds": 2}, {"snap_seed": (0.4,)}])
+def test_restricted_deprecated_options_are_ignored(option):
+    with pytest.warns(DeprecationWarning, match="deprecated and ignored"):
+        got = eq.restricted_constant(SEED_UNION, (1.0,), **option)
+    assert got == eq.restricted_constant(SEED_UNION, (1.0,))
 
 
 def test_restricted_no_gap_equals_unrestricted():

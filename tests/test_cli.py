@@ -194,6 +194,27 @@ def test_bad_solver_settings_exit_2_at_once(problem_file, monkeypatch, capsys, f
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["union-compare", "--components", "0,0.4,0.6,1", "--exponents", "1", "--max-iterations", "0"],
+        ["bojanov", "--exponents", "1", "--max-iterations", "10"],
+        ["oracle", "{problem}", "--max-iterations", "10"],
+        ["export", "{problem}", "--nodes", "0.5", "--out", "x.csv", "--max-iterations", "10"],
+        ["solve", "{problem}", "--seed", "3"],
+        ["solve-diff", "{problem}", "--target", "0", "--seed", "3"],
+        ["intertwine", "{problem}", "--x", "0.3", "--y", "0.6", "--seed", "3"],
+        ["union-compare", "--components", "0,0.4,0.6,1", "--exponents", "1", "--seed", "3"],
+    ],
+)
+def test_unread_flags_are_usage_errors(problem_file, capsys, argv):
+    # --seed is read only by example, --max-iterations only by solve and solve-diff
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(problem=problem_file) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_exit_code_budget_error(tmp_path):
     wide = eq.Problem(2, (1.0, 1.0), eq.Log(), eq.constant_field(0.0))
     path = tmp_path / "wide.json"

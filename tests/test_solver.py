@@ -133,6 +133,34 @@ def test_sandwich_detects_violations():
     assert not eq.sandwich_check(problem, (0.5,), -5.0)["lower_ok"]
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"M": math.nan},
+        {"M": math.inf},
+        {"M": -math.inf},
+        {"M": "x"},
+        {"M": True},
+        {"M": None},
+        {"M": 0.0, "slack": math.nan},
+        {"M": 0.0, "slack": math.inf},
+        {"M": 0.0, "slack": False},
+        {"M": 0.0, "slack": "1e-9"},
+    ],
+)
+def test_sandwich_rejects_non_finite_levels(kwargs):
+    # a NaN level used to read as a violation of both halves, +inf as an upper violation
+    with pytest.raises(eq.PreconditionError):
+        eq.sandwich_check(log_problem(2), (0.3, 0.6), **kwargs)
+
+
+def test_sandwich_accepts_numpy_reals():
+    problem = log_problem(2)
+    report = eq.solve_equioscillation(problem)
+    checks = eq.sandwich_check(problem, report.nodes, np.float64(report.value), slack=np.float32(1e-9))
+    assert checks == {"lower_ok": True, "upper_ok": True}
+
+
 def test_argmax_interlaces_nodes_for_concave_fields(rng):
     for field in (eq.constant_field(0.0), eq.sqrt_affine_field(1.0, 1.0, 0.0)):
         problem = eq.Problem(2, (1.0, 1.3), eq.Log(), field)
