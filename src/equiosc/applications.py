@@ -369,6 +369,11 @@ def restricted_constant(
     for name, value in (("refine_rounds", refine_rounds), ("snap_seed", snap_seed)):
         if value is not None:
             warnings.warn(f"{name} is deprecated and ignored", DeprecationWarning, stacklevel=2)
+    return _restricted(E, r, weight, tol)
+
+
+def _restricted(E: IntervalUnion, r, weight, tol, unpinned=None):
+    """:func:`restricted_constant`; ``unpinned`` is the unrestricted solution's nodes when known."""
     r = tuple(float(v) for v in r)
     n = len(r)
     if n > 4:
@@ -380,8 +385,11 @@ def restricted_constant(
     def free_nodes(pins, free_r):
         if not free_r:
             return ()
-        problem, A, width = _union_problem(E, free_r, weight, pins)
-        xs = tuple(A + width * u for u in solve_equioscillation(problem, tol).nodes.nodes)
+        if pins or unpinned is None:
+            problem, A, width = _union_problem(E, free_r, weight, pins)
+            xs = tuple(A + width * u for u in solve_equioscillation(problem, tol).nodes.nodes)
+        else:
+            xs = unpinned
         return xs if all(any(a < x < b for a, b in E.components) for x in xs) else None
 
     endpoints = tuple(e for comp in E.components for e in comp)
@@ -419,7 +427,7 @@ def compare_constants(
     weight = weight if weight is not None else _default_weight(E)
     C, w_nodes = unrestricted_constant(E, r, weight, tol)
     snapped = snap_to_E(w_nodes, E)
-    R, r_nodes = restricted_constant(E, r, weight, tol)
+    R, r_nodes = _restricted(E, r, weight, tol, unpinned=w_nodes)
     bound = union_bound_factor(E.k, r)
     snap_norm = gap_norm(snapped, r, weight, E)
     slack = 1e-9

@@ -275,11 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, problem=True, solver=False):
+    def common(p, problem=True, tol=False, json_out=True, solver=False):
         if problem:
             p.add_argument("problem", help="path to a problem JSON file")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--json-out", dest="json_out", default=None)
+        if tol or solver:
+            p.add_argument("--tol", type=float, default=1e-9)
+        if json_out:
+            p.add_argument("--json-out", dest="json_out", default=None)
         if solver:
             p.add_argument("--max-iterations", dest="max_iterations", type=int, default=500)
 
@@ -308,14 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_intertwine)
 
     p = sub.add_parser("bojanov", help="weighted extremal node product on an interval")
-    common(p, problem=False)
+    common(p, problem=False, tol=True)
     p.add_argument("--interval", default="0,1", help="a,b")
     p.add_argument("--exponents", required=True, help="comma-separated r_1,...,r_n")
     p.add_argument("--weight", default=None, help="path to a field JSON for the weight")
     p.set_defaults(fn=_cmd_bojanov)
 
     p = sub.add_parser("union-compare", help="restricted vs unrestricted constants on a union")
-    common(p, problem=False)
+    common(p, problem=False, tol=True)
     p.add_argument("--components", required=True, help="a1,b1,a2,b2,...")
     p.add_argument("--exponents", required=True, help="comma-separated r_1,...,r_n")
     p.set_defaults(fn=_cmd_union_compare)
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_example)
 
     p = sub.add_parser("export", help="export a curve CSV plus a maxima sidecar JSON")
-    common(p)
+    common(p, json_out=False)
     p.add_argument("--nodes", required=True, help="comma-separated node system")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--out", required=True, help="CSV output path")

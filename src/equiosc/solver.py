@@ -11,11 +11,14 @@ over — node w_j moves by bisection to zero the local residual
 m_j − m_{j−1} − c_j, which is strictly decreasing in w_j — with Newton again
 once the residual is small.
 
-Kernels that are monotone but not strictly so are handled through a small
-regularization homotopy K + η√|t| (η = 1e−2, 1e−3, 1e−4): each regularized
-problem is strictly monotone, the trend is extrapolated to η → 0, and the
-result is polished on the original kernel. Such solves are flagged, since
-without strict monotonicity the equioscillation point need not be unique.
+Kernels that are monotone but not strictly so are warm-started on the strictly
+monotone K + η√|t|: one solve at η = 1e−2, one at η = 1e−4 from its nodes, and
+then the solve on the original kernel from those. The second level is there
+because where the target needs a node within the flat part of K near an end of
+[0, 1], the η = 1e−2 solution can sit where Φ of the original kernel is flat,
+and no local step reaches the target from it. Such solves are flagged, since
+without strict monotonicity the equioscillation point need not be unique; the
+point returned is the one reached from the regularized solutions.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +42,7 @@ _BRACKET_EPS = 1e-12
 _BIG = 1e18
 _FD_STEP = 1e-7
 _SWEEP_SWITCH = 1e-3
-_ETAS = (1e-2, 1e-3, 1e-4)
+_WARM_ETAS = (1e-2, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,6 @@ class SolveReport:
     iterations: int
     converged: bool
     nonuniqueness_risk: bool = False
-    eta_trend: tuple[tuple[float, tuple[float, ...], float], ...] = ()
 
     def phi(self) -> tuple[float, ...]:
         m = self.maxima.as_floats()
@@ -261,6 +263,7 @@ def _solve_direct(problem: Problem, c, tol, xtol, max_iterations, initial):
     state = _residual_norm(problem, ys, c, xtol)
     iterations, state = _newton(problem, ys, c, tol, xtol, max_iterations, state)
     width = 1e-2
+    floor = 1e-6
     while state[0] > tol and iterations < max_iterations:
         width = max(width * 0.25, 1e-13)
         sweep_xtol = max(min(width * 1e-2, 1e-10), 1e-13)
@@ -271,13 +274,14 @@ def _solve_direct(problem: Problem, c, tol, xtol, max_iterations, initial):
         if tol < state[0] <= _SWEEP_SWITCH:
             used, state = _newton(problem, ys, c, tol, xtol, max_iterations - iterations, state)
             iterations += used
-            if state[0] > tol:
-                width = max(width, 1e-6)  # Newton stalled: keep sweeping tighter
+            if state[0] > tol:  # Newton stalled: restart the sweeps a little tighter each time
+                width = max(width, floor)
+                floor *= 0.25
     res, vals, args = state
     return ys, res, vals, args, iterations, res <= tol
 
 
-def _as_report(problem, ys, res, vals, args, iterations, converged, c, risk=False, trend=()):
+def _as_report(problem, ys, res, vals, args, iterations, converged, c, risk=False):
     nodes = NodeSystem(tuple(ys[1:-1]))
     maxima = MaximaVector(tuple(vals), tuple(args))
     return SolveReport(
@@ -289,7 +293,6 @@ def _as_report(problem, ys, res, vals, args, iterations, converged, c, risk=Fals
         iterations=iterations,
         converged=converged,
         nonuniqueness_risk=risk,
-        eta_trend=trend,
     )
 
 
@@ -336,60 +339,30 @@ def solve_difference(
     if not flags.monotone_M:
         raise HypothesisError("solver requires a monotone kernel")
 
-    if flags.strictly_monotone_SM:
-        ys, res, vals, args, iterations, converged = _solve_direct(
-            problem, c, tol, xtol, max_iterations, initial
+    # A monotone kernel that is not strictly monotone is warm-started from regularized solves.
+    strict = flags.strictly_monotone_SM
+    warm, warm_iterations = initial, 0
+    for eta in () if strict else _WARM_ETAS:
+        regularized = replace(problem, kernel=Regularized(problem.kernel, eta))
+        ys, res, _, _, iterations, converged = _solve_direct(
+            regularized, c, max(tol, 1e-10), xtol, max_iterations, warm
         )
-        if not converged:
-            raise ConvergenceError(
-                f"no convergence after {iterations} iterations (residual {res:.3e})"
-            )
-        return _as_report(problem, ys, res, vals, args, iterations, converged, c)
-
-    # Monotone but not strictly monotone: regularization homotopy, then polish.
-    trend = []
-    warm = initial
-    iterations_total = 0
-    for eta in _ETAS:
-        reg_problem = Problem(
-            n=problem.n,
-            r=problem.r,
-            kernel=Regularized(problem.kernel, eta),
-            field=problem.field,
-        )
-        ys, res, vals, args, iterations, converged = _solve_direct(
-            reg_problem, c, max(tol, 1e-10), xtol, max_iterations, warm
-        )
-        iterations_total += iterations
+        warm_iterations += iterations
         if not converged:
             raise ConvergenceError(
                 f"regularized solve (eta={eta}) stalled at residual {res:.3e}"
             )
-        nodes = tuple(ys[1:-1])
-        value = max(v for v in vals if v != NEG_INFINITY)
-        trend.append((eta, nodes, value))
-        warm = NodeSystem(nodes)
-
-    # η → 0 extrapolation (linear in η from the two smallest levels)
-    last = np.asarray(trend[-1][1])
-    prev = np.asarray(trend[-2][1])
-    ratio = _ETAS[-2] / _ETAS[-1]
-    guess = (ratio * last - prev) / (ratio - 1.0)
-    guess = np.clip(guess, _BRACKET_EPS, 1.0 - _BRACKET_EPS)
-    for i in range(1, len(guess)):
-        if guess[i] <= guess[i - 1]:
-            guess[i] = guess[i - 1] + _BRACKET_EPS
+        warm = NodeSystem(tuple(ys[1:-1]))
     ys, res, vals, args, iterations, converged = _solve_direct(
-        problem, c, tol, xtol, max_iterations, NodeSystem(tuple(float(v) for v in guess))
+        problem, c, tol, xtol, max_iterations, warm
     )
-    iterations_total += iterations
     if not converged:
         raise ConvergenceError(
-            f"polish on the original kernel stalled at residual {res:.3e}"
+            f"no convergence after {iterations} iterations (residual {res:.3e})" if strict
+            else f"polish on the original kernel stalled at residual {res:.3e}"
         )
     return _as_report(
-        problem, ys, res, vals, args, iterations_total, converged, c,
-        risk=True, trend=tuple(trend),
+        problem, ys, res, vals, args, warm_iterations + iterations, converged, c, risk=not strict
     )
 
 

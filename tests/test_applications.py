@@ -375,12 +375,24 @@ def test_compare_constants_seed():
     assert report["snap_norm"] <= report["bound"] * report["C"] + 1e-9
 
 
-def test_compare_constants_three_components():
+def test_compare_constants_three_components(monkeypatch):
+    calls = []
+    solve = applications.solve_equioscillation
+
+    def counted_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(applications, "solve_equioscillation", counted_solve)
     E = eq.IntervalUnion(((0.0, 0.25), (0.4, 0.6), (0.8, 1.0)))
     report = eq.compare_constants(E, (1.0, 1.0))
+    # work gate: the restricted search reuses the unrestricted solve as its unpinned candidate
+    assert len(calls) == 7
     assert report["lower_ok"] and report["upper_ok"] and report["snap_ok"]
     assert report["bound"] == pytest.approx(4.0)
     assert all(E.contains(x) for x in report["nodes_restricted"])
+    assert (report["C"], report["nodes_unrestricted"]) == eq.unrestricted_constant(E, (1.0, 1.0))
+    assert (report["R"], report["nodes_restricted"]) == eq.restricted_constant(E, (1.0, 1.0))
 
 
 def test_union_validation():

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -5,7 +6,7 @@ import math
 import pytest
 
 import equiosc as eq
-from equiosc.cli import main
+from equiosc.cli import build_parser, main
 
 
 @pytest.fixture
@@ -205,14 +206,39 @@ def test_bad_solver_settings_exit_2_at_once(problem_file, monkeypatch, capsys, f
         ["solve-diff", "{problem}", "--target", "0", "--seed", "3"],
         ["intertwine", "{problem}", "--x", "0.3", "--y", "0.6", "--seed", "3"],
         ["union-compare", "--components", "0,0.4,0.6,1", "--exponents", "1", "--seed", "3"],
+        ["oracle", "{problem}", "--grid", "5,0", "--tol", "0"],
+        ["intertwine", "{problem}", "--x", "0.3", "--y", "0.6", "--tol", "nan"],
+        ["example", "classical_chebyshev", "--tol", "1e-9"],
+        ["export", "{problem}", "--nodes", "0.5", "--out", "x.csv", "--tol", "1e-9"],
+        ["export", "{problem}", "--nodes", "0.5", "--out", "x.csv", "--json-out", "x.json"],
     ],
 )
 def test_unread_flags_are_usage_errors(problem_file, capsys, argv):
-    # --seed is read only by example, --max-iterations only by solve and solve-diff
+    # --seed is read only by example, --max-iterations only by solve and solve-diff,
+    # --tol only by the solving subcommands, --json-out by all but export
     with pytest.raises(SystemExit) as exc:
         main([a.format(problem=problem_file) for a in argv])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_parser_shape():
+    """Each subcommand's option dests: a flag registered where nothing reads it fails here."""
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    shape = {
+        name: {a.dest for a in p._actions if a.dest != "help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert shape == {
+        "solve": {"problem", "tol", "json_out", "max_iterations"},
+        "solve-diff": {"problem", "tol", "json_out", "max_iterations", "target"},
+        "oracle": {"problem", "json_out", "mode", "grid", "threads"},
+        "intertwine": {"problem", "json_out", "x", "y"},
+        "bojanov": {"tol", "json_out", "interval", "exponents", "weight"},
+        "union-compare": {"tol", "json_out", "components", "exponents"},
+        "example": {"json_out", "id", "n", "fast", "seed"},
+        "export": {"problem", "nodes", "samples", "out"},
+    }
 
 
 def test_exit_code_budget_error(tmp_path):

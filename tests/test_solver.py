@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import equiosc as eq
 from equiosc import solver
 from equiosc.catalog import build_problem
 from equiosc.translates import _maxima_floats
-from conftest import random_sm_problem, random_strict_nodes
+from conftest import random_concave_field, random_sm_problem, random_strict_nodes
 
 LOG_HALF = -0.6931471805599453
 CHEB2_NODES = (0.14644660940672624, 0.8535533905932737)
@@ -48,9 +49,83 @@ def test_strictness_equioscillation_point():
     assert report.nodes.nodes[0] == pytest.approx(1.0 - 0.25 / math.e, abs=1e-8)
     assert report.value == pytest.approx(0.0, abs=1e-8)
     assert report.nonuniqueness_risk
-    assert len(report.eta_trend) == 3
-    etas = [eta for eta, _, _ in report.eta_trend]
-    assert etas == [1e-2, 1e-3, 1e-4]
+    assert "eta_trend" not in {f.name for f in dataclasses.fields(eq.SolveReport)}
+    # work gate: 7 + 4 iterations at eta = 1e-2, 1e-4 and 3 on the kernel itself
+    assert report.iterations <= 14
+
+
+def capped_log_problem(a, r, level):
+    return eq.Problem(len(r), r, eq.CappedLog(a), eq.constant_field(level))
+
+
+@pytest.mark.parametrize(
+    "a, r, level, initial",
+    [
+        # the polish stalled at residual 8.917e-07 when sweeps never got finer than 2.5e-7
+        (0.08036431725564219, (1.1343843693522557, 1.6577544669750726, 1.5643504050272727), 0.0, None),
+        (
+            0.03673349627496637,
+            (0.7555289652834258, 0.8683742907232999, 1.4529364092209693, 1.3702517703379395),
+            0.36215605039448917,
+            (0.29063602249471227, 0.3942934872449246, 0.732134091450303, 0.7525792797096746),
+        ),
+        (0.05, (1.0, 1.0, 1.0, 1.0), 0.0, None),
+    ],
+)
+def test_non_strict_polish_sweeps_keep_tightening(a, r, level, initial):
+    report = eq.solve_equioscillation(capped_log_problem(a, r, level), initial=initial)
+    assert report.converged and report.nonuniqueness_risk
+    assert report.value == pytest.approx(level, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, r, level, target, initial",
+    [
+        (
+            0.1418883569802129,
+            (0.6560252718508888, 1.6094683553619482, 0.8318624775171317),
+            -0.006670460012859092,
+            (-0.34297317742272604, -0.5277664518068248, 0.8703555978358926),
+            (0.5071947549102085, 0.6444513836261437, 0.6962076703239494),
+        ),
+        (
+            0.026738784908472098,
+            (0.8467770836686392, 1.4745943129066363, 1.3476840077981433,
+             1.4721927822374687, 1.730781271839216, 1.591816675355288),
+            -0.7616230553138208,
+            (-0.6520734370020393, 0.5090866904499121, -0.21580070544892083,
+             -0.4818679411546314, 0.3460994890722713, 0.5067031743967707),
+            (0.20359766671973564, 0.36885250917563805, 0.44901767740459253,
+             0.47271100775564384, 0.49799151171335077, 0.937727280896829),
+        ),
+    ],
+)
+def test_non_strict_target_needs_the_small_eta_level(a, r, level, target, initial):
+    """Σc = m_n − m_0 ≠ 0 on a constant field needs an end node within a of 0 or 1.
+
+    The eta = 1e-2 solution meets Σc through the regularization instead, with both end
+    nodes farther in, where m_0 and m_n of the original kernel do not move with the nodes,
+    and a polish from there alone stalls after 500 iterations.
+    """
+    problem = capped_log_problem(a, r, level)
+    report = eq.solve_difference(problem, target, initial=initial)
+    assert report.nodes.nodes[0] < a or report.nodes.nodes[-1] > 1.0 - a
+    phi = eq.difference(problem, report.nodes).phi
+    assert max(abs(p - t) for p, t in zip(phi, target)) <= 1e-9
+
+
+def test_non_strict_differential(rng):
+    """Random CappedLog problems, zero and nonzero targets, default and random starts."""
+    for i in range(60):
+        n = int(rng.integers(1, 7))
+        r = tuple(float(v) for v in rng.uniform(0.5, 2.0, size=n))
+        problem = eq.Problem(n, r, eq.CappedLog(float(rng.uniform(0.01, 0.6))), random_concave_field(rng))
+        target = (0.0,) * n if i % 3 == 0 else tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=n))
+        initial = random_strict_nodes(rng, n) if i % 2 == 0 else None
+        report = eq.solve_difference(problem, target, initial=initial)
+        assert report.converged and report.nonuniqueness_risk
+        phi = eq.difference(problem, report.nodes).phi
+        assert max(abs(p - t) for p, t in zip(phi, target)) <= 1e-9, (i, problem, target, initial)
 
 
 def test_solve_difference_target_roundtrip_strictness():
