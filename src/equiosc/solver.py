@@ -306,13 +306,20 @@ def _check_real(name: str, v, positive: bool = False) -> float:
     return float(v)
 
 
+def _as_int(v) -> int | None:
+    """v as an int if it is an integer other than a bool, else None."""
+    if isinstance(v, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(v)
+    except TypeError:
+        return None
+
+
 def _check_settings(tol, xtol, max_iterations) -> None:
     _check_real("tol", tol, positive=True)
     _check_real("xtol", xtol, positive=True)
-    try:
-        count = None if isinstance(max_iterations, (bool, np.bool_)) else operator.index(max_iterations)
-    except TypeError:
-        count = None
+    count = _as_int(max_iterations)
     if count is None or count < 1:
         raise PreconditionError(f"max_iterations must be an integer ≥ 1, got {max_iterations!r}")
 

@@ -14,6 +14,10 @@ piece an end where F does not rise inward is the maximum by concavity;
 otherwise Brent's method searches the piece. Values are accurate to rounding
 on smooth pieces, argmax locations to about √ε·|t|.
 
+The grid oracle needs only the values, for whole lattices of node systems:
+:func:`_maxima_batch` runs the same cuts and end checks for many node systems
+at once in numpy, with a lockstep golden-section search in place of Brent's.
+
 Conventions: a degenerate interval has maximum −∞ for singular kernels and
 the single-point value otherwise; argmax ties go to the leftmost evaluated
 candidate.
@@ -333,6 +337,151 @@ def _maxima_floats(problem: Problem, ys: tuple[float, ...], xtol: float = _XTOL)
         vals.append(v)
         args.append(t)
     return vals, args
+
+
+# -- batched interval maxima (grid oracle) --------------------------------------
+
+_INVPHI = 1.0 - _CGOLD  # 1/φ
+_SCAN_POINTS = 64  # samples per non-concave piece, as in _scan_max
+
+
+def _sums_batch(formula_values, r, kernel, T: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """formula_values(T) + Σ_k r_k K(T − y_k), each row of T with the node row beside it.
+
+    ``nodes`` is (rows, n) and T is (rows,) or (rows, m). The translates add
+    up in the scalar order; a −∞ part gives −∞ (no +∞ occurs on [0, 1]).
+    """
+    ks = np.zeros(T.shape)
+    for k, rk in enumerate(r):
+        yk = nodes[:, k] if T.ndim == 1 else nodes[:, k, None]
+        ks += rk * kernel._values_unchecked(T - yk)
+    return formula_values(T) + ks
+
+
+def _golden_batch(g, a: np.ndarray, b: np.ndarray, nodes: np.ndarray, xtol: float) -> np.ndarray:
+    """Lockstep golden-section maxima of g(·, node row) on each [a_i, b_i].
+
+    A lane stops where :func:`_brent_max` would: once its bracket is at most
+    4·tol wide, tol = √ε·min(|x|, b₀ − a₀) + xtol/3 at its best point x, or
+    after 200 steps. A lane no wider than xtol takes its midpoint value. The
+    better of the two interior points is the best sample, as in Brent's x.
+    """
+    out = np.empty(a.shape)
+    w0 = b - a
+    tiny = w0 <= xtol
+    if tiny.any():
+        out[tiny] = g(0.5 * (a[tiny] + b[tiny]), nodes[tiny])
+    idx = np.flatnonzero(~tiny)
+    if not idx.size:
+        return out
+    a, b, w0, nodes = a[idx], b[idx], w0[idx], nodes[idx]
+    c = b - _INVPHI * w0
+    d = a + _INVPHI * w0
+    fcd = g(np.concatenate([c, d]), np.concatenate([nodes, nodes]))
+    fc, fd = fcd[: idx.size], fcd[idx.size :]
+    for _ in range(200):
+        left = fc >= fd  # the maximum lies in [a, d]
+        x = np.where(left, c, d)
+        fx = np.where(left, fc, fd)
+        done = b - a <= 4.0 * (_SQRT_EPS * np.minimum(np.abs(x), w0) + xtol / 3.0)
+        if done.any():
+            out[idx[done]] = fx[done]
+            go = ~done
+            idx, a, b, c, d, fc, fd, w0, nodes, left, x, fx = (
+                v[go] for v in (idx, a, b, c, d, fc, fd, w0, nodes, left, x, fx)
+            )
+            if not idx.size:
+                return out
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        t = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        ft = g(t, nodes)
+        c, fc, d, fd = (
+            np.where(left, t, x), np.where(left, ft, fx), np.where(left, x, t), np.where(left, fx, ft)
+        )
+    out[idx] = np.maximum(fc, fd)
+    return out
+
+
+def _maxima_batch(problem: Problem, Y: np.ndarray, xtol: float = _XTOL) -> np.ndarray:
+    """(cells, n + 1) interval maxima of F(y, ·) for each row y of nondecreasing nodes Y.
+
+    The values of :func:`_maxima_floats` row by row, computed for all rows at
+    once: the same cuts, usc point candidates, concavity end checks and
+    _NODE_EPS offsets at the nodes of a singular kernel. Every piece that
+    passes no end check is searched by one lockstep golden-section search
+    (:func:`_golden_batch`) instead of Brent's method, every non-concave one
+    by the 64-point scan plus a lockstep polish, so values agree with the
+    scalar path to rounding. No argmax is computed.
+    """
+    field, kernel, n = problem.field, problem.kernel, problem.n
+    r = problem.r
+    singular = kernel.flags().singular
+    Y = np.asarray(Y, dtype=float)
+    cells = Y.shape[0]
+    ys = np.hstack([np.zeros((cells, 1)), Y, np.ones((cells, 1))])
+    lo, hi = ys[:, :-1].ravel(), ys[:, 1:].ravel()  # interval j of cell i is row i·(n+1) + j
+    j = np.tile(np.arange(n + 1), cells)
+    nodes = np.repeat(Y, n + 1, axis=0)
+    rows = lo.size
+
+    with np.errstate(divide="ignore"):
+        # cuts: the ends, the field's interior knots and the kernel kinks strictly
+        # inside; a cut outside is replaced by hi, where it makes an empty segment
+        kinks = [nodes + s * kappa for kappa in kernel._kinks for s in (1.0, -1.0)]
+        inner = np.hstack([np.broadcast_to(field.interior_knots(), (rows, len(field.pieces) - 1)), *kinks])
+        inner = np.where((inner > lo[:, None]) & (inner < hi[:, None]), inner, hi[:, None])
+        cuts = np.sort(np.hstack([lo[:, None], inner, hi[:, None]]), axis=1)
+
+        # point candidates: every cut and every override in [lo, hi], usc values
+        overrides = np.asarray(field.override_points(), dtype=float)[None, :]
+        overrides = np.where((overrides >= lo[:, None]) & (overrides <= hi[:, None]), overrides, lo[:, None])
+        best = _sums_batch(field.values, r, kernel, np.hstack([cuts, overrides]), nodes).max(axis=1)
+
+        c, d = cuts[:, :-1], cuts[:, 1:]
+        seg_row, seg_col = np.nonzero(d - c > 4.0 * _NODE_EPS)
+        c, d = c[seg_row, seg_col], d[seg_row, seg_col]
+        piece = np.maximum(np.searchsorted(field.knots(), 0.5 * (c + d)) - 1, 0)
+        for p in np.unique(piece):
+            formula = field.pieces[p].formula
+            if isinstance(formula, NegInfinityPiece):
+                continue
+            sel = piece == p
+            row, cs, ds = seg_row[sel], c[sel], d[sel]
+            seg_nodes = nodes[row]
+            # a segment end at lo (j ≥ 1) or at hi (j < n) is a node; no other cut is
+            at_c = singular & (cs == lo[row]) & (j[row] >= 1)
+            at_d = singular & (ds == hi[row]) & (j[row] < n)
+            a = np.where(at_c, cs + _NODE_EPS, cs)
+            b = np.where(at_d, ds - _NODE_EPS, ds)
+
+            def g(T, nd, fv=formula._values):
+                return _sums_batch(fv, r, kernel, T, nd)
+
+            if formula.concave:
+                h = np.maximum(xtol, _SQRT_EPS * (b - a))
+                ends = g(np.stack([cs, np.minimum(a + h, b), ds, np.maximum(b - h, a)], axis=1), seg_nodes)
+                wide = b - a > 2.0 * h
+                # an end where g does not rise inward is the piece maximum, and no
+                # more than the point candidate there: only the others are searched
+                settled = wide & ~at_c & (ends[:, 0] > NEG_INFINITY) & (ends[:, 1] <= ends[:, 0])
+                settled |= wide & ~at_d & (ends[:, 2] > NEG_INFINITY) & (ends[:, 3] <= ends[:, 2])
+                search = ~settled
+                vals = _golden_batch(g, a[search], b[search], seg_nodes[search], xtol)
+                row = row[search]
+            else:
+                ts = np.linspace(a, b, _SCAN_POINTS, axis=1)
+                samples = g(ts, seg_nodes)
+                i = np.argmax(samples, axis=1)  # first of equal maxima, as _scan_max
+                lanes = np.arange(i.size)
+                lo_t = ts[lanes, np.maximum(i - 1, 0)]
+                hi_t = ts[lanes, np.minimum(i + 1, _SCAN_POINTS - 1)]
+                vals = np.maximum(samples[lanes, i], _golden_batch(g, lo_t, hi_t, seg_nodes, xtol))
+            np.maximum.at(best, row, vals)
+
+    if singular:
+        best[lo == hi] = NEG_INFINITY
+    return best.reshape(cells, n + 1)
 
 
 def interval_maxima(problem: Problem, y, xtol: float = _XTOL) -> MaximaVector:

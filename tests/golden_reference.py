@@ -16,6 +16,15 @@ the best few exactly and refined around the incumbent, always including the
 snapped unrestricted extremizer. ``reference_restricted_constant`` is that
 search, verbatim, with the kernel-matrix block it ranked candidates by; it
 gives an upper estimate of R.
+
+Scalar grid oracle: before the oracle evaluated each lattice as one batch, it
+built the cells with a recursive generator and took every cell's objective
+from the scalar maxima ``_maxima_floats``; ``_grid_lattice``,
+``_grid_objective`` and ``_grid_evaluate`` are its ``_lattice``,
+``_objective`` and ``_evaluate``, verbatim but for the names.
+``reference_grid_search`` runs the oracle's refinement around them and also
+reports, per round, how far the second-best cell's objective lies from the
+best one's.
 """
 
 import itertools
@@ -26,6 +35,8 @@ import numpy as np
 from equiosc.applications import _default_weight, _log_max, snap_to_E, unrestricted_constant
 from equiosc.fields import NegInfinityPiece, log_of_weight_field
 from equiosc.kernels import Log, scalar_fn
+from equiosc.problem import Problem
+from equiosc.translates import _maxima_floats
 
 NEG_INF = float("-inf")
 NODE_EPS = 1e-13
@@ -213,3 +224,50 @@ def reference_restricted_constant(E, r, weight=None, tol=1e-9, *, refine_rounds=
 
     best_val, best_nodes = min(candidates, key=lambda c: (c[0], c[1]))
     return math.exp(best_val), best_nodes
+
+
+def _grid_lattice(ranges: list[tuple[float, float]], points: int):
+    axes = [np.linspace(lo, hi, points) for lo, hi in ranges]
+    n = len(axes)
+
+    def rec(i: int, prev: float, prefix: tuple[float, ...]):
+        if i == n:
+            yield prefix
+            return
+        for v in axes[i]:
+            fv = float(v)
+            if fv >= prev:
+                yield from rec(i + 1, fv, prefix + (fv,))
+
+    yield from rec(0, 0.0, ())
+
+
+def _grid_objective(problem: Problem, nodes: tuple[float, ...], mode: str, xtol: float) -> float:
+    vals, _ = _maxima_floats(problem, (0.0, *nodes, 1.0), xtol)
+    if mode == "minimax":
+        return max(vals)
+    return min(vals)  # −∞ as soon as one maximum is
+
+
+def _grid_evaluate(problem, ranges, points, mode, xtol):
+    """The lattice cells over ``ranges`` and the objective at each of them."""
+    cells = list(_grid_lattice(ranges, points))
+    return cells, [_grid_objective(problem, c, mode, xtol) for c in cells]
+
+
+def reference_grid_search(problem, grid, mode, xtol=1e-12):
+    """(nodes, value, per-round gaps between the best and second-best objectives)."""
+    sign = 1.0 if mode == "minimax" else -1.0
+    ranges = [(0.0, 1.0)] * problem.n
+    width = 1.0
+    gaps = []
+    for round_no in range(grid.refine_rounds + 1):
+        if round_no:
+            width /= 10.0
+            ranges = [(max(0.0, y - 0.5 * width), min(1.0, y + 0.5 * width)) for y in best_nodes]
+        cells, values = _grid_evaluate(problem, ranges, grid.points_per_dim, mode, xtol)
+        order = sorted(range(len(cells)), key=lambda i: (sign * values[i], i))
+        best_nodes, best_val = cells[order[0]], values[order[0]]
+        runner_up = values[order[1]] if len(order) > 1 else math.inf
+        gaps.append(0.0 if runner_up == best_val else abs(runner_up - best_val))
+    return best_nodes, best_val, gaps
