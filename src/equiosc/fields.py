@@ -291,7 +291,11 @@ class SingularSegment:
 
 @dataclass(frozen=True)
 class PiecewiseField:
-    """Upper semicontinuous field on a closed interval, as contiguous pieces."""
+    """Upper semicontinuous field on a closed interval, as contiguous pieces.
+
+    Adjacent pieces with one concave formula and no override on their shared
+    knot are stored merged, as one piece.
+    """
 
     pieces: tuple[Piece, ...]
     point_values: tuple[tuple[float, ExtReal], ...] = ()
@@ -310,9 +314,6 @@ class PiecewiseField:
         for left, right in zip(pieces, pieces[1:]):
             if left.hi != right.lo:
                 raise SchemaError("pieces must be contiguous without gaps or overlaps")
-        object.__setattr__(self, "pieces", pieces)
-        # piece i spans [_knots[i], _knots[i + 1]]; lookups bisect this tuple
-        object.__setattr__(self, "_knots", (pieces[0].lo, *(p.hi for p in pieces)))
         cleaned = []
         for t, v in self.point_values:
             t = float(t)
@@ -320,9 +321,23 @@ class PiecewiseField:
                 raise SchemaError("point override outside the domain")
             cleaned.append((t, as_extreal(v)))
         cleaned.sort(key=lambda p: p[0])
-        if len({t for t, _ in cleaned}) != len(cleaned):
+        overridden = {t for t, _ in cleaned}
+        if len(overridden) != len(cleaned):
             raise SchemaError("duplicate point overrides")
         object.__setattr__(self, "point_values", tuple(cleaned))
+        # the usc value at a knot between equal pieces is the formula's own, so
+        # merging them changes no value and spares each interval maximum a piece;
+        # non-concave pieces stay apart, since each is scanned at fixed resolution
+        merged = [pieces[0]]
+        for p in pieces[1:]:
+            last = merged[-1]
+            if p.formula == last.formula and p.formula.concave and p.lo not in overridden:
+                merged[-1] = Piece(last.lo, p.hi, p.formula)
+            else:
+                merged.append(p)
+        object.__setattr__(self, "pieces", tuple(merged))
+        # piece i spans [_knots[i], _knots[i + 1]]; lookups bisect this tuple
+        object.__setattr__(self, "_knots", (merged[0].lo, *(p.hi for p in merged)))
 
     # -- geometry ----------------------------------------------------------
     def knots(self) -> tuple[float, ...]:

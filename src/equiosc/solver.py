@@ -9,7 +9,8 @@ argmax sits on a kernel kink y_k ± κ, where Φ is not differentiable, are take
 by forward difference. Only when Newton stalls do Gauss–Seidel sweeps take
 over — node w_j moves by bisection to zero the local residual
 m_j − m_{j−1} − c_j, which is strictly decreasing in w_j — with Newton again
-once the residual is small.
+once the residual is small. Sweeps that stop lowering the residual end the
+solve unconverged.
 
 Kernels that are monotone but not strictly so are warm-started on the strictly
 monotone K + η√|t|: one solve at η = 1e−2, one at η = 1e−4 from its nodes, and
@@ -43,6 +44,8 @@ _BIG = 1e18
 _FD_STEP = 1e-7
 _SWEEP_SWITCH = 1e-3
 _WARM_ETAS = (1e-2, 1e-4)
+# the sweeps give up once the best residual has not fallen by 10% over this many rounds
+_STALL_ROUNDS = 10
 
 
 @dataclass(frozen=True)
@@ -264,6 +267,7 @@ def _solve_direct(problem: Problem, c, tol, xtol, max_iterations, initial):
     iterations, state = _newton(problem, ys, c, tol, xtol, max_iterations, state)
     width = 1e-2
     floor = 1e-6
+    best = []  # best residual after each round of sweeps
     while state[0] > tol and iterations < max_iterations:
         width = max(width * 0.25, 1e-13)
         sweep_xtol = max(min(width * 1e-2, 1e-10), 1e-13)
@@ -277,6 +281,9 @@ def _solve_direct(problem: Problem, c, tol, xtol, max_iterations, initial):
             if state[0] > tol:  # Newton stalled: restart the sweeps a little tighter each time
                 width = max(width, floor)
                 floor *= 0.25
+        best.append(min([state[0], *best[-1:]]))
+        if len(best) > _STALL_ROUNDS and best[-1] > 0.9 * best[-1 - _STALL_ROUNDS]:
+            break
     res, vals, args = state
     return ys, res, vals, args, iterations, res <= tol
 

@@ -224,19 +224,19 @@ def _brent_max(g, lo: float, hi: float, xtol: float) -> tuple[float, float]:
     return x, -fx
 
 
-def _concave_max(g, a: float, b: float, xtol: float, ga: float | None, gb: float | None):
+def _concave_max(g, a: float, b: float, xtol: float, ga: float, gb: float):
     """Maximize a concave g on [a, b]: an end where g does not rise inward, else Brent.
 
-    ``ga`` and ``gb`` are g(a) and g(b), or None for an end not to check: at a
-    node of a singular kernel g always rises inward. If g(b − h) ≤ g(b) with
-    g(b) finite, concavity puts the maximum at b, and likewise at a;
+    ``ga`` and ``gb`` are g(a) and g(b); an end where g is −∞ is not checked
+    (at a node of a singular kernel g always rises inward). If g(b − h) ≤ g(b)
+    with g(b) finite, concavity puts the maximum at b, and likewise at a;
     h = max(xtol, √ε·(b − a)).
     """
     h = max(xtol, _SQRT_EPS * (b - a))
     if b - a > 2.0 * h:
-        if ga is not None and ga > NEG_INFINITY and g(a + h) <= ga:
+        if ga > NEG_INFINITY and g(a + h) <= ga:
             return a, ga
-        if gb is not None and gb > NEG_INFINITY and g(b - h) <= gb:
+        if gb > NEG_INFINITY and g(b - h) <= gb:
             return b, gb
     return _brent_max(g, a, b, xtol)
 
@@ -276,6 +276,8 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: floa
     sums: dict[float, float] = {}
 
     def at_cut(fval, tau: float) -> float:
+        if singular and tau in nodes:  # K(0) = −∞ and every r_j > 0
+            return NEG_INFINITY
         fv = fval(tau)
         if fv == NEG_INFINITY:
             return NEG_INFINITY
@@ -299,8 +301,7 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: floa
         b = d - _NODE_EPS if at_node_d else d
         g = _with_translates(formula._value, kf, terms)
         if formula.concave:
-            ga = None if at_node_c else at_cut(formula._value, c)
-            gb = None if at_node_d else at_cut(formula._value, d)
+            ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
             candidates.append(_concave_max(g, a, b, xtol, ga, gb))
         else:
             candidates.append(_scan_max(g, a, b, xtol))

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import equiosc as eq
+
+# property tests draw the same examples on every run, with no per-example time limit
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_concave_field(rng: np.random.Generator) -> eq.PiecewiseField:

@@ -25,14 +25,22 @@ from the scalar maxima ``_maxima_floats``; ``_grid_lattice``,
 ``reference_grid_search`` runs the oracle's refinement around them and also
 reports, per round, how far the second-best cell's objective lies from the
 best one's.
+
+Unmerged field evaluation: before equal adjacent concave pieces were merged
+when a field is built, a field evaluated over its pieces exactly as given.
+``UnmergedField`` keeps them so; its ``pieces_at``, ``_value_float``,
+``value`` and ``values`` are those of ``PiecewiseField``, verbatim.
 """
 
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 
 from equiosc.applications import _default_weight, _log_max, snap_to_E, unrestricted_constant
+from equiosc.errors import DomainError
+from equiosc.extreal import NEG_INFINITY, as_extreal
 from equiosc.fields import NegInfinityPiece, log_of_weight_field
 from equiosc.kernels import Log, scalar_fn
 from equiosc.problem import Problem
@@ -271,3 +279,62 @@ def reference_grid_search(problem, grid, mode, xtol=1e-12):
         runner_up = values[order[1]] if len(order) > 1 else math.inf
         gaps.append(0.0 if runner_up == best_val else abs(runner_up - best_val))
     return best_nodes, best_val, gaps
+
+
+class UnmergedField:
+    """The pieces and point overrides of a field, evaluated without merging any."""
+
+    def __init__(self, pieces, point_values=(), domain=(0.0, 1.0)):
+        self.pieces = tuple(pieces)
+        self._knots = (self.pieces[0].lo, *(p.hi for p in self.pieces))
+        self.point_values = tuple(sorted((float(t), as_extreal(v)) for t, v in point_values))
+        self.domain = (float(domain[0]), float(domain[1]))
+
+    def pieces_at(self, t: float):
+        """The pieces whose closure contains t: two at an interior knot, else at most one."""
+        knots, pieces = self._knots, self.pieces
+        i = bisect_right(knots, t)  # knots[i - 1] <= t < knots[i]
+        if i == 0:
+            return ()
+        if i == len(knots):  # past the last knot, or NaN
+            return (pieces[-1],) if t == knots[-1] else ()
+        if i > 1 and t == knots[i - 1]:
+            return (pieces[i - 2], pieces[i - 1])
+        return (pieces[i - 1],)
+
+    def _value_float(self, t: float) -> float:
+        best = NEG_INFINITY
+        for p in self.pieces_at(t):
+            v = p.formula._value(t)
+            if v > best:
+                best = v
+        for tau, ov in self.point_values:
+            if tau == t:
+                if ov > best:
+                    best = ov
+                break
+        return best
+
+    def value(self, t: float):
+        t = float(t)
+        lo, hi = self.domain
+        if math.isnan(t) or t < lo or t > hi:
+            raise DomainError(f"field argument {t!r} outside [{lo}, {hi}]")
+        return as_extreal(self._value_float(t))
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """Vectorized usc evaluation; −∞ appears as IEEE -inf."""
+        ts = np.asarray(ts, dtype=float)
+        lo, hi = self.domain
+        if ts.size and (np.nanmin(ts) < lo or np.nanmax(ts) > hi):
+            raise DomainError("field argument outside the domain")
+        out = np.full(ts.shape, NEG_INFINITY)
+        for p in self.pieces:
+            mask = (ts >= p.lo) & (ts <= p.hi)
+            if mask.any():
+                out[mask] = np.maximum(out[mask], p.formula._values(ts[mask]))
+        for tau, ov in self.point_values:
+            mask = ts == tau
+            if mask.any():
+                out[mask] = np.maximum(out[mask], ov)
+        return out

@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import equiosc as eq
 from equiosc.extreal import NEG_INFINITY, is_neg_infinity
 from equiosc.fields import (
     Constant,
     Indicator,
+    LogOfWeight,
     NegInfinityPiece,
     Piece,
     PiecewiseField,
+    SqrtAffine,
     formula_from_json,
     log_of_weight_field,
 )
+from golden_reference import UnmergedField
 
 B = 0.955671
 
@@ -39,6 +43,14 @@ def points_only_field(points):
     return PiecewiseField(
         (Piece(0.0, 1.0, NegInfinityPiece()),),
         tuple((t, 0.0) for t in points),
+    )
+
+
+def split_field(formulas, point_values=()):
+    """Equal-width pieces on [0, 1] carrying the given formulas in order."""
+    m = len(formulas)
+    return PiecewiseField(
+        tuple(Piece(i / m, (i + 1) / m, f) for i, f in enumerate(formulas)), point_values
     )
 
 
@@ -202,8 +214,14 @@ def test_validation_errors():
 
 
 def test_json_roundtrip():
-    for f in (chi_field(), log_chi_union(), eq.sqrt_affine_field(8.0, -1.0, 1.0)):
+    merged = (
+        split_field([Constant(0.3)] * 5),
+        split_field([Constant(0.3)] * 4, ((0.5, 2.0),)),
+        split_field([NegInfinityPiece(), NegInfinityPiece(), Indicator(1.0), Indicator(1.0)]),
+    )
+    for f in (chi_field(), log_chi_union(), eq.sqrt_affine_field(8.0, -1.0, 1.0), *merged):
         doc = eq.field_to_json(f)
+        assert len(doc["pieces"]) == len(f.pieces)  # the merged pieces are written
         again = eq.field_from_json(doc)
         assert again == f
 
@@ -290,3 +308,109 @@ def test_piece_lookup_matches_linear_scan(rng):
             assert _scan_piece_over(field, lo, hi) is None
             with pytest.raises(eq.DomainError):
                 field.piece_over(lo, hi)
+
+
+# -- merging equal adjacent pieces ----------------------------------------------
+
+def test_equal_constant_pieces_merge_into_one():
+    field = split_field([Constant(0.3)] * 200)
+    assert field.pieces == (Piece(0.0, 1.0, Constant(0.3)),)
+    assert field.knots() == (0.0, 1.0) and field.interior_knots() == ()
+    assert field.value(0.5) == 0.3 and field.value(1.0) == 0.3
+
+
+def test_override_on_a_shared_knot_blocks_that_merge():
+    field = split_field([Constant(0.3)] * 4, ((0.5, 2.0), (0.6, NEG_INFINITY)))
+    assert [(p.lo, p.hi) for p in field.pieces] == [(0.0, 0.5), (0.5, 1.0)]
+    assert field.value(0.5) == 2.0 and field.value(0.25) == 0.3
+    assert field.value(0.6) == 0.3  # an override below the piece value changes nothing
+
+
+def test_unequal_or_non_concave_pieces_stay_apart():
+    convex = SqrtAffine(-0.5, 1.0, 0.0)  # −0.5·√t is convex: scanned, never merged
+    assert not convex.concave
+    assert len(split_field([convex] * 3).pieces) == 3
+    # equal levels in different formula kinds are different formulas
+    assert len(split_field([Constant(0.3), Indicator(0.3)] * 2).pieces) == 4
+    assert len(split_field([SqrtAffine(0.5, 1.0, 0.0)] * 3).pieces) == 1
+
+
+def test_minus_infinity_runs_merge_with_the_same_singular_set():
+    field = split_field(
+        [Constant(0.0), NegInfinityPiece(), NegInfinityPiece(), NegInfinityPiece(), Constant(1.0)]
+    )
+    assert [(p.lo, p.hi) for p in field.pieces] == [(0.0, 0.2), (0.2, 0.8), (0.8, 1.0)]
+    assert field.singular_segments() == (eq.SingularSegment(0.2, 0.8, False, False),)
+    assert field.finiteness_count() == math.inf
+    dotted = split_field([NegInfinityPiece()] * 4, ((0.5, 0.0), (1.0, 0.0)))
+    assert [(p.lo, p.hi) for p in dotted.pieces] == [(0.0, 0.5), (0.5, 1.0)]
+    assert dotted.singular_segments() == (
+        eq.SingularSegment(0.0, 0.5, True, False),
+        eq.SingularSegment(0.5, 1.0, False, False),
+    )
+    assert dotted.finiteness_count() == 1.5
+    assert split_field([NegInfinityPiece()] * 4).singular_segments() == (
+        eq.SingularSegment(0.0, 1.0, True, True),
+    )
+
+
+_FORMULAS = (
+    Constant(0.3),
+    Indicator(0.3),
+    Constant(-1.0),
+    NegInfinityPiece(),
+    SqrtAffine(1.5, 1.0, 0.0),
+    SqrtAffine(-0.5, 1.0, 0.0),
+    LogOfWeight(SqrtAffine(2.0, -1.0, 1.0)),
+)
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def repeated_formula_fields(draw, pool=_FORMULAS):
+    """(pieces, overrides, probe points): a few formulas drawn with repeats over random knots."""
+    inner = sorted(draw(st.lists(st.floats(0.01, 0.99), max_size=10, unique=True)))
+    knots = [0.0, *inner, 1.0]
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    formulas = draw(st.lists(st.sampled_from(chosen), min_size=len(knots) - 1, max_size=len(knots) - 1))
+    pieces = tuple(Piece(lo, hi, f) for lo, hi, f in zip(knots, knots[1:], formulas))
+    overrides = draw(
+        st.lists(
+            st.tuples(st.sampled_from(knots) | _unit, st.sampled_from([NEG_INFINITY, -2.0, 0.3, 5.0])),
+            max_size=3,
+            unique_by=lambda tv: tv[0],
+        )
+    )
+    probes = knots + draw(st.lists(_unit, max_size=10))
+    return pieces, tuple(overrides), probes
+
+
+@given(repeated_formula_fields())
+def test_merged_field_evaluates_as_the_unmerged_one(drawn):
+    pieces, overrides, probes = drawn
+    merged, reference = PiecewiseField(pieces, overrides), UnmergedField(pieces, overrides)
+    assert len(merged.pieces) <= len(pieces)
+    for t in probes:
+        assert merged.value(t) == reference.value(t), t
+    np.testing.assert_array_equal(merged.values(np.array(probes)), reference.values(np.array(probes)))
+
+
+@given(
+    repeated_formula_fields(pool=(Constant(0.3), Constant(-1.0), Constant(0.7))),
+    st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3, unique=True),
+)
+def test_merged_field_maxima_match_an_unmergeable_twin(drawn, nodes):
+    """Interval maxima agree with the same levels on alternating Constant / Indicator pieces."""
+    pieces, overrides, _ = drawn
+    twin = tuple(
+        Piece(p.lo, p.hi, Indicator(p.formula.c) if i % 2 else p.formula) for i, p in enumerate(pieces)
+    )
+    assert len(PiecewiseField(twin, overrides).pieces) == len(pieces)
+    nodes = sorted(nodes)
+    n = len(nodes)
+    got, want = (
+        eq.interval_maxima(eq.Problem(n, (1.0,) * n, eq.Log(), PiecewiseField(ps, overrides)), nodes)
+        for ps in (pieces, twin)
+    )
+    for m, w in zip(got.as_floats(), want.as_floats()):
+        assert m == w or abs(m - w) <= 1e-12 * max(1.0, abs(w)), (m, w)

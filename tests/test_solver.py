@@ -78,6 +78,19 @@ def test_non_strict_polish_sweeps_keep_tightening(a, r, level, initial):
     assert report.value == pytest.approx(level, abs=1e-12)
 
 
+# (a, r, level, target, initial) of an n = 6 non-strict problem with Σc ≠ 0
+N6_TARGET_CASE = (
+    0.026738784908472098,
+    (0.8467770836686392, 1.4745943129066363, 1.3476840077981433,
+     1.4721927822374687, 1.730781271839216, 1.591816675355288),
+    -0.7616230553138208,
+    (-0.6520734370020393, 0.5090866904499121, -0.21580070544892083,
+     -0.4818679411546314, 0.3460994890722713, 0.5067031743967707),
+    (0.20359766671973564, 0.36885250917563805, 0.44901767740459253,
+     0.47271100775564384, 0.49799151171335077, 0.937727280896829),
+)
+
+
 @pytest.mark.parametrize(
     "a, r, level, target, initial",
     [
@@ -88,16 +101,7 @@ def test_non_strict_polish_sweeps_keep_tightening(a, r, level, initial):
             (-0.34297317742272604, -0.5277664518068248, 0.8703555978358926),
             (0.5071947549102085, 0.6444513836261437, 0.6962076703239494),
         ),
-        (
-            0.026738784908472098,
-            (0.8467770836686392, 1.4745943129066363, 1.3476840077981433,
-             1.4721927822374687, 1.730781271839216, 1.591816675355288),
-            -0.7616230553138208,
-            (-0.6520734370020393, 0.5090866904499121, -0.21580070544892083,
-             -0.4818679411546314, 0.3460994890722713, 0.5067031743967707),
-            (0.20359766671973564, 0.36885250917563805, 0.44901767740459253,
-             0.47271100775564384, 0.49799151171335077, 0.937727280896829),
-        ),
+        N6_TARGET_CASE,
     ],
 )
 def test_non_strict_target_needs_the_small_eta_level(a, r, level, target, initial):
@@ -112,6 +116,22 @@ def test_non_strict_target_needs_the_small_eta_level(a, r, level, target, initia
     assert report.nodes.nodes[0] < a or report.nodes.nodes[-1] > 1.0 - a
     phi = eq.difference(problem, report.nodes).phi
     assert max(abs(p - t) for p, t in zip(phi, target)) <= 1e-9
+
+
+def test_stalled_solve_fails_fast(monkeypatch):
+    """The n = 6 case above with Σc = 1e-4 stalls at residual ≈ 2.4e-5 and must fail quickly.
+
+    Without a stall test the polish made ~280 more residual evaluations, all at
+    that residual, before max_iterations ended it (303 in all).
+    """
+    a, r, level, target, initial = N6_TARGET_CASE
+    target = [target[0] + 1e-4 - sum(target), *target[1:]]
+    calls = []
+    residual_norm = solver._residual_norm
+    monkeypatch.setattr(solver, "_residual_norm", lambda *args: calls.append(1) or residual_norm(*args))
+    with pytest.raises(eq.ConvergenceError, match="residual"):
+        eq.solve_difference(capped_log_problem(a, r, level), target, initial=initial)
+    assert len(calls) <= 60
 
 
 def test_non_strict_differential(rng):
