@@ -12,8 +12,12 @@ Two applications of the equioscillation machinery:
   C ≤ R ≤ 2^{max sum of k−1 exponents} · C, with the upper bound witnessed
   constructively by snapping gap-resident nodes of the unrestricted
   extremizer to the nearest component endpoint. R is exact: nodes pinned at
-  component endpoints join the field as fixed translates (Fenton's sum of
-  translates with a fixed part), and the free nodes equioscillate.
+  the inner component endpoints b_1, a_2, …, b_{k−1}, a_k join the field as
+  fixed translates (Fenton's sum of translates with a fixed part), and the
+  free nodes equioscillate. No optimum has a node at a hull end, so none is
+  pinned there: C(2k+n−3, n−1) solves for n equal exponents. Each public call
+  builds the masked, hull-normalized log field once and shares it among its
+  solves.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -74,10 +79,7 @@ class GapProblem:
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise SchemaError("interval must be non-degenerate")
         object.__setattr__(self, "interval", (a, b))
-        r = tuple(float(v) for v in self.exponents)
-        if not r or any(not math.isfinite(v) or v <= 0.0 for v in r):
-            raise SchemaError("exponents must be positive reals")
-        object.__setattr__(self, "exponents", r)
+        object.__setattr__(self, "exponents", _exponents(self.exponents))
         if self.weight.domain != (a, b):
             raise SchemaError("weight must live on the problem interval")
 
@@ -132,6 +134,33 @@ class IntervalUnion:
 
 # -- evaluation ------------------------------------------------------------------
 
+def _exponents(r) -> tuple[float, ...]:
+    """r as floats, if it is a non-empty sequence of finite positive reals (no bools, no strings)."""
+    try:
+        r = tuple(r)
+    except TypeError:
+        raise SchemaError(f"exponents must be a sequence, got {r!r}") from None
+    if not r or any(
+        isinstance(v, bool) or not isinstance(v, numbers.Real) or not (math.isfinite(v) and v > 0)
+        for v in r
+    ):
+        raise SchemaError(f"exponents must be a non-empty sequence of positive finite reals, got {r!r}")
+    return tuple(float(v) for v in r)
+
+
+def _gap_terms(nodes, r, weight: PiecewiseField) -> tuple[tuple[float, float], ...]:
+    """The (r_j, x_j) pairs, after checking one node per exponent, each in the weight's domain."""
+    r = _exponents(r)
+    nodes = tuple(float(x) for x in nodes)
+    if len(nodes) != len(r):
+        raise PreconditionError(f"expected {len(r)} nodes, one per exponent, got {len(nodes)}")
+    lo, hi = weight.domain
+    for x in nodes:
+        if not lo <= x <= hi:  # NaN included
+            raise PreconditionError(f"node {x!r} outside [{lo}, {hi}]")
+    return tuple(zip(r, nodes))
+
+
 def _weight_value(weight: PiecewiseField, t: float) -> float:
     v = weight.value(t)
     if v < 0.0:  # −∞ included
@@ -141,6 +170,7 @@ def _weight_value(weight: PiecewiseField, t: float) -> float:
 
 def gap_eval(nodes, r, weight: PiecewiseField, t: float) -> float:
     """w(t) · ∏ |t − x_j|^{r_j} at a point of the weight's domain."""
+    terms = _gap_terms(nodes, r, weight)
     lo, hi = weight.domain
     t = float(t)
     if not lo <= t <= hi:
@@ -149,7 +179,7 @@ def gap_eval(nodes, r, weight: PiecewiseField, t: float) -> float:
     if w == 0.0:
         return 0.0
     prod = w
-    for x, rj in zip(nodes, r):
+    for rj, x in terms:
         prod *= abs(t - x) ** rj
     return prod
 
@@ -161,18 +191,17 @@ def _log_max(logw: PiecewiseField, kf, terms, intervals) -> float:
 
 def gap_norm(nodes, r, weight: PiecewiseField, E: IntervalUnion | None = None) -> float:
     """sup of w · ∏ |t − x_j|^{r_j} over E (default: the weight's whole domain)."""
-    logw = log_of_weight_field(weight)
+    terms = _gap_terms(nodes, r, weight)
     intervals = E.components if E is not None else (weight.domain,)
-    best = _log_max(logw, _LOG, tuple(zip(r, nodes)), intervals)
-    return math.exp(best)  # exp(−∞) = 0
+    return math.exp(_log_max(log_of_weight_field(weight), _LOG, terms, intervals))  # exp(−∞) = 0
 
 
 def gap_interval_maxima(nodes, r, weight: PiecewiseField) -> tuple[float, ...]:
     """Max of w·∏|t−x_j|^{r_j} over each of the n+1 intervals cut by the nodes."""
+    terms = _gap_terms(nodes, r, weight)
     a, b = weight.domain
     logw = log_of_weight_field(weight)
-    terms = tuple(zip(r, nodes))
-    ys = (a, *sorted(float(x) for x in nodes), b)
+    ys = (a, *sorted(x for _, x in terms), b)
     out = []
     for lo, hi in zip(ys, ys[1:]):
         if hi <= lo:
@@ -294,15 +323,33 @@ class _PinnedTranslates(Formula):
         return (mode, points) if mode == "all" or not points else ("points", points)
 
 
-def _union_problem(E: IntervalUnion, r, weight: PiecewiseField, pins=()) -> tuple[Problem, float, float]:
+class _UnionField:
+    """A weight's log field on the hull [A, B] of E, and log(w·χ_E) pulled back to [0, 1].
+
+    Built once per public call: every solve on E, pinned or not, starts from
+    the same pull-back ``field01``.
+    """
+
+    def __init__(self, E: IntervalUnion, weight: PiecewiseField | None):
+        weight = weight if weight is not None else _default_weight(E)
+        A, B = E.hull
+        if weight.domain != (A, B):
+            raise SchemaError("weight must live on the hull of the union")
+        self.E, self.A, self.width = E, A, B - A
+        self.logw = log_of_weight_field(weight)
+        self.field01 = affine_transport(_masked_log_field(self.logw, E), A, B - A, (0.0, 1.0))
+
+    def solve(self, r, tol: float, pins=()):
+        """The solve report for nodes r on [0, 1] and those nodes moved back to the hull."""
+        report = solve_equioscillation(_union_problem(self, r, pins), tol)
+        return report, tuple(self.A + self.width * u for u in report.nodes.nodes)
+
+
+def _union_problem(union: _UnionField, r, pins=()) -> Problem:
     """The hull-normalized log problem for nodes r, with pinned (r, e) translates in the field."""
-    A, B = E.hull
-    if weight.domain != (A, B):
-        raise SchemaError("weight must live on the hull of the union")
-    logw = _masked_log_field(log_of_weight_field(weight), E)
-    field01 = affine_transport(logw, A, B - A, (0.0, 1.0))
+    field01 = union.field01
     if pins:  # e is moved as affine_transport moves knots, so it lands on one
-        terms = tuple((rj, (e - A) / (B - A)) for rj, e in pins)
+        terms = tuple((rj, (e - union.A) / union.width) for rj, e in pins)
         field01 = PiecewiseField(
             tuple(
                 p if isinstance(p.formula, NegInfinityPiece)
@@ -311,21 +358,24 @@ def _union_problem(E: IntervalUnion, r, weight: PiecewiseField, pins=()) -> tupl
             ),
             tuple((t, v + _kernel_sum(_LOG, terms, t)) for t, v in field01.point_values),
         )
-    problem = Problem(n=len(r), r=tuple(r), kernel=Log(), field=field01)
-    return problem, A, B - A
+    return Problem(n=len(r), r=tuple(r), kernel=Log(), field=field01)
 
 
 def unrestricted_constant(
     E: IntervalUnion, r, weight: PiecewiseField | None = None, tol: float = 1e-9
 ) -> tuple[float, tuple[float, ...]]:
     """Minimal sup-norm over E with nodes free in the hull, plus the nodes."""
-    weight = weight if weight is not None else _default_weight(E)
-    problem, A, width = _union_problem(E, r, weight)
-    report = solve_equioscillation(problem, tol)
-    nodes = tuple(A + width * u for u in report.nodes.nodes)
-    value = math.exp(report.value) * width ** sum(float(v) for v in r)
+    r = _exponents(r)
+    return _unrestricted(_UnionField(E, weight), r, tol)
+
+
+def _unrestricted(union: _UnionField, r, tol):
+    """:func:`unrestricted_constant` on a built union field; the warning names the public call's caller."""
+    report, nodes = union.solve(r, tol)
+    A, width = union.A, union.width
+    value = math.exp(report.value) * width ** sum(r)
     if any(abs(x - A) < 1e-9 or abs(x - (A + width)) < 1e-9 for x in nodes):
-        warnings.warn("unrestricted extremizer touches the hull boundary", stacklevel=2)
+        warnings.warn("unrestricted extremizer touches the hull boundary", stacklevel=3)
     return value, nodes
 
 
@@ -358,46 +408,61 @@ def restricted_constant(
 ) -> tuple[float, tuple[float, ...]]:
     """Minimal sup-norm over E with all nodes confined to E, and the nodes.
 
-    Each node of an optimum is pinned at a component endpoint or free inside a
-    component, where the free nodes equioscillate with the pinned translates in
-    the field. Every choice of pinned sorted-node indices and non-decreasing
-    endpoints is solved once per distinct pinned field and free exponents, and
-    kept if its free nodes lie strictly inside components in index order. R is
-    the least exact sup-norm kept, ties to the smaller node tuple.
-    ``refine_rounds`` and ``snap_seed`` are deprecated and ignored.
+    Each node of an optimum is pinned at an inner component endpoint
+    b_1, a_2, …, b_{k−1}, a_k or free inside a component, where the free
+    nodes equioscillate with the pinned translates in the field; no node sits
+    at a hull end (see :func:`_restricted`). Every choice of pinned
+    sorted-node indices and non-decreasing inner endpoints is solved once per
+    distinct pinned field and free exponents, and kept if its free nodes lie
+    strictly inside components in index order: C(2k+n−3, n−1) solves for n
+    equal exponents. R is the least exact sup-norm kept, ties to the smaller
+    node tuple. ``refine_rounds`` and ``snap_seed`` are deprecated and ignored.
     """
     for name, value in (("refine_rounds", refine_rounds), ("snap_seed", snap_seed)):
         if value is not None:
             warnings.warn(f"{name} is deprecated and ignored", DeprecationWarning, stacklevel=2)
-    return _restricted(E, r, weight, tol)
+    r = _restricted_exponents(r)
+    return _restricted(_UnionField(E, weight), r, tol)
 
 
-def _restricted(E: IntervalUnion, r, weight, tol, unpinned=None):
-    """:func:`restricted_constant`; ``unpinned`` is the unrestricted solution's nodes when known."""
-    r = tuple(float(v) for v in r)
-    n = len(r)
-    if n > 4:
+def _restricted_exponents(r) -> tuple[float, ...]:
+    """The checked exponents, if the restricted search can take that many nodes."""
+    r = _exponents(r)
+    if len(r) > 4:
         raise BudgetError("restricted search supports n ≤ 4")
-    weight = weight if weight is not None else _default_weight(E)
-    logw = log_of_weight_field(weight)
+    return r
+
+
+def _restricted(union: _UnionField, r, tol, unpinned=None):
+    """:func:`restricted_constant` on a built union field; ``unpinned`` is the unrestricted nodes when known.
+
+    No optimum has a node at the hull end A = a_1, so no node is pinned
+    there. Say a candidate has a node x_i = A with exponent r_i > 0 and norm
+    N = sup_E w·∏|t − x_j|^{r_j}, which is positive (R ≥ C > 0 once the
+    unpinned problem solves). Move that node to A + ε inside [a_1, b_1]. At
+    every t ≥ A + ε the product is multiplied by (1 − ε/(t − A))^{r_i} < 1,
+    so by upper semicontinuity its sup over E ∩ [A + ε, B] falls strictly
+    below N; on [A, A + ε] it is at most ε^{r_i}·M, M the sup of w times the
+    other factors, which is below N for small ε. So the sup over E falls
+    strictly and the candidate is not the minimum. B = b_k is the mirror
+    case. This leaves the 2k − 2 inner endpoints to pin.
+    """
+    n = len(r)
+    E = union.E
 
     @functools.lru_cache(maxsize=None)
     def free_nodes(pins, free_r):
         if not free_r:
             return ()
-        if pins or unpinned is None:
-            problem, A, width = _union_problem(E, free_r, weight, pins)
-            xs = tuple(A + width * u for u in solve_equioscillation(problem, tol).nodes.nodes)
-        else:
-            xs = unpinned
+        xs = union.solve(free_r, tol, pins)[1] if pins or unpinned is None else unpinned
         return xs if all(any(a < x < b for a, b in E.components) for x in xs) else None
 
-    endpoints = tuple(e for comp in E.components for e in comp)
+    inner_ends = tuple(e for comp in E.components for e in comp)[1:-1]
     candidates = []
     for p in range(n + 1):
         for pinned, ends in itertools.product(
             itertools.combinations(range(n), p),
-            itertools.combinations_with_replacement(endpoints, p),
+            itertools.combinations_with_replacement(inner_ends, p),
         ):
             free_r = tuple(r[j] for j in range(n) if j not in pinned)
             free = free_nodes(tuple(sorted(zip((r[i] for i in pinned), ends))), free_r)
@@ -407,7 +472,7 @@ def _restricted(E: IntervalUnion, r, weight, tol, unpinned=None):
             for i, e in zip(pinned, ends):  # ascending i: each lands at its index
                 nodes.insert(i, e)
             if nodes == sorted(nodes):
-                val = _log_max(logw, _LOG, tuple(zip(r, nodes)), E.components)
+                val = _log_max(union.logw, _LOG, tuple(zip(r, nodes)), E.components)
                 candidates.append((val, tuple(nodes)))
     best_val, best_nodes = min(candidates)
     return math.exp(best_val), best_nodes
@@ -415,7 +480,7 @@ def _restricted(E: IntervalUnion, r, weight, tol, unpinned=None):
 
 def union_bound_factor(k: int, r) -> float:
     """2 raised to the largest sum of min(k−1, n) exponents."""
-    r = sorted((float(v) for v in r), reverse=True)
+    r = sorted(_exponents(r), reverse=True)
     take = min(max(k - 1, 0), len(r))
     return 2.0 ** sum(r[:take])
 
@@ -424,12 +489,13 @@ def compare_constants(
     E: IntervalUnion, r, weight: PiecewiseField | None = None, tol: float = 1e-9
 ) -> dict:
     """C, R, the factor bound, and the constructive snapped witness in one report."""
-    weight = weight if weight is not None else _default_weight(E)
-    C, w_nodes = unrestricted_constant(E, r, weight, tol)
+    r = _restricted_exponents(r)
+    union = _UnionField(E, weight)
+    C, w_nodes = _unrestricted(union, r, tol)
     snapped = snap_to_E(w_nodes, E)
-    R, r_nodes = _restricted(E, r, weight, tol, unpinned=w_nodes)
+    R, r_nodes = _restricted(union, r, tol, unpinned=w_nodes)
     bound = union_bound_factor(E.k, r)
-    snap_norm = gap_norm(snapped, r, weight, E)
+    snap_norm = math.exp(_log_max(union.logw, _LOG, tuple(zip(r, snapped)), E.components))
     slack = 1e-9
     return {
         "C": C,

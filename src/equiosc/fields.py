@@ -430,9 +430,12 @@ class PiecewiseField:
                 merged[-1][1] = hi
             else:
                 merged.append([lo, hi])
-        segments = [
-            SingularSegment(lo, hi, minus_inf_at(lo), minus_inf_at(hi)) for lo, hi in merged
-        ]
+        # a finite override strictly inside a core splits it, open on both sides there
+        segments = []
+        for lo, hi in merged:
+            ends = [lo, *(t for t, v in self.point_values if lo < t < hi and v > NEG_INFINITY), hi]
+            for c, d in zip(ends, ends[1:]):
+                segments.append(SingularSegment(c, d, c == lo and minus_inf_at(c), d == hi and minus_inf_at(d)))
         for t in sorted(set(candidate_points)):
             if not minus_inf_at(t):
                 continue

@@ -17,6 +17,13 @@ snapped unrestricted extremizer. ``reference_restricted_constant`` is that
 search, verbatim, with the kernel-matrix block it ranked candidates by; it
 gives an upper estimate of R.
 
+All-endpoint pinned search for the restricted constant: before the hull ends
+were left out, ``restricted_constant`` pinned nodes at every component
+endpoint, a_1 and b_k included, and rebuilt the masked, hull-normalized log
+field for every pin set. ``reference_pinned_restricted`` is that search
+(``_restricted`` then), and ``_reference_union_problem`` the field builder it
+called (``_union_problem`` then), both verbatim but for the names.
+
 Scalar grid oracle: before the oracle evaluated each lattice as one batch, it
 built the cells with a recursive generator and took every cell's objective
 from the scalar maxima ``_maxima_floats``; ``_grid_lattice``,
@@ -32,19 +39,29 @@ when a field is built, a field evaluated over its pieces exactly as given.
 ``value`` and ``values`` are those of ``PiecewiseField``, verbatim.
 """
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
 
 import numpy as np
 
-from equiosc.applications import _default_weight, _log_max, snap_to_E, unrestricted_constant
-from equiosc.errors import DomainError
+from equiosc.applications import (
+    _LOG,
+    _PinnedTranslates,
+    _default_weight,
+    _log_max,
+    _masked_log_field,
+    snap_to_E,
+    unrestricted_constant,
+)
+from equiosc.errors import BudgetError, DomainError, SchemaError
 from equiosc.extreal import NEG_INFINITY, as_extreal
-from equiosc.fields import NegInfinityPiece, log_of_weight_field
+from equiosc.fields import NegInfinityPiece, Piece, PiecewiseField, affine_transport, log_of_weight_field
 from equiosc.kernels import Log, scalar_fn
 from equiosc.problem import Problem
-from equiosc.translates import _maxima_floats
+from equiosc.solver import solve_equioscillation
+from equiosc.translates import _kernel_sum, _maxima_floats
 
 NEG_INF = float("-inf")
 NODE_EPS = 1e-13
@@ -231,6 +248,68 @@ def reference_restricted_constant(E, r, weight=None, tol=1e-9, *, refine_rounds=
             candidates.append(incumbent)
 
     best_val, best_nodes = min(candidates, key=lambda c: (c[0], c[1]))
+    return math.exp(best_val), best_nodes
+
+
+def _reference_union_problem(E, r, weight, pins=()):
+    """The hull-normalized log problem for nodes r, with pinned (r, e) translates in the field."""
+    A, B = E.hull
+    if weight.domain != (A, B):
+        raise SchemaError("weight must live on the hull of the union")
+    logw = _masked_log_field(log_of_weight_field(weight), E)
+    field01 = affine_transport(logw, A, B - A, (0.0, 1.0))
+    if pins:  # e is moved as affine_transport moves knots, so it lands on one
+        terms = tuple((rj, (e - A) / (B - A)) for rj, e in pins)
+        field01 = PiecewiseField(
+            tuple(
+                p if isinstance(p.formula, NegInfinityPiece)
+                else Piece(p.lo, p.hi, _PinnedTranslates(p.formula, terms))
+                for p in field01.pieces
+            ),
+            tuple((t, v + _kernel_sum(_LOG, terms, t)) for t, v in field01.point_values),
+        )
+    problem = Problem(n=len(r), r=tuple(r), kernel=Log(), field=field01)
+    return problem, A, B - A
+
+
+def reference_pinned_restricted(E, r, weight, tol, unpinned=None):
+    """(R, nodes) with nodes pinned at every component endpoint; ``unpinned`` is the unrestricted solution's nodes when known."""
+    r = tuple(float(v) for v in r)
+    n = len(r)
+    if n > 4:
+        raise BudgetError("restricted search supports n ≤ 4")
+    weight = weight if weight is not None else _default_weight(E)
+    logw = log_of_weight_field(weight)
+
+    @functools.lru_cache(maxsize=None)
+    def free_nodes(pins, free_r):
+        if not free_r:
+            return ()
+        if pins or unpinned is None:
+            problem, A, width = _reference_union_problem(E, free_r, weight, pins)
+            xs = tuple(A + width * u for u in solve_equioscillation(problem, tol).nodes.nodes)
+        else:
+            xs = unpinned
+        return xs if all(any(a < x < b for a, b in E.components) for x in xs) else None
+
+    endpoints = tuple(e for comp in E.components for e in comp)
+    candidates = []
+    for p in range(n + 1):
+        for pinned, ends in itertools.product(
+            itertools.combinations(range(n), p),
+            itertools.combinations_with_replacement(endpoints, p),
+        ):
+            free_r = tuple(r[j] for j in range(n) if j not in pinned)
+            free = free_nodes(tuple(sorted(zip((r[i] for i in pinned), ends))), free_r)
+            if free is None:
+                continue
+            nodes = list(free)
+            for i, e in zip(pinned, ends):  # ascending i: each lands at its index
+                nodes.insert(i, e)
+            if nodes == sorted(nodes):
+                val = _log_max(logw, _LOG, tuple(zip(r, nodes)), E.components)
+                candidates.append((val, tuple(nodes)))
+    best_val, best_nodes = min(candidates)
     return math.exp(best_val), best_nodes
 
 

@@ -6,7 +6,7 @@ import pytest
 import equiosc as eq
 from equiosc import applications
 from equiosc.fields import Constant, Indicator, NegInfinityPiece, Piece, PiecewiseField
-from golden_reference import golden_max, reference_restricted_constant
+from golden_reference import golden_max, reference_pinned_restricted, reference_restricted_constant
 
 SQRT3_HALF = 0.8660254037844386
 SEED_UNION = eq.IntervalUnion(((0.0, 0.4), (0.6, 1.0)))
@@ -312,7 +312,8 @@ def test_restricted_below_the_grid_with_unequal_exponents():
 
 def test_pinned_field_adds_the_translates_to_pieces_and_point_values():
     pins = ((2.0, 0.35), (0.5, 0.55))
-    problem, A, width = applications._union_problem(SPIKED_UNION, (1.0,), SPIKED_WEIGHT, pins)
+    union = applications._UnionField(SPIKED_UNION, SPIKED_WEIGHT)
+    problem, A, width = applications._union_problem(union, (1.0,), pins), union.A, union.width
     for t in (0.1, 0.3, 0.35, 0.5, 0.55, 0.56, 0.6, 0.75, 0.9, 1.0):
         w = SPIKED_WEIGHT.value(t) if SPIKED_UNION.contains(t) else 0.0
         prod = w * math.prod(abs((t - e) / width) ** rj for rj, e in pins)
@@ -323,13 +324,7 @@ def test_pinned_field_adds_the_translates_to_pieces_and_point_values():
             assert got == pytest.approx(math.log(prod), abs=1e-12)
 
 
-def test_restricted_solve_count(monkeypatch):
-    """Work gate: one solve per multiset of pinned endpoints, p = 0 … n − 1.
-
-    With k = 3 components and n = 2 equal exponents that is
-    C(5, 0) + C(6, 1) = 7 solves; the candidate grid ranked up to 8,000 node
-    systems per assignment and round.
-    """
+def _counted_solves(monkeypatch):
     calls = []
     solve = applications.solve_equioscillation
 
@@ -338,12 +333,54 @@ def test_restricted_solve_count(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(applications, "solve_equioscillation", counted_solve)
+    return calls
+
+
+def test_restricted_solve_count(monkeypatch):
+    """Work gate: one solve per multiset of pinned inner endpoints, p = 0 … n − 1.
+
+    With k = 3 components there are 2k − 2 = 4 inner endpoints, so n = 2
+    equal exponents take C(3, 0) + C(4, 1) = C(5, 1) = 5 solves; the candidate
+    grid ranked up to 8,000 node systems per assignment and round.
+    """
+    calls = _counted_solves(monkeypatch)
     E = eq.IntervalUnion(((0.0, 0.25), (0.4, 0.6), (0.8, 1.0)))
     R, nodes = eq.restricted_constant(E, (1.0, 1.0))
-    assert len(calls) == 7
+    assert len(calls) == 5
     assert R == pytest.approx(0.125, abs=1e-9)
     assert nodes[0] == pytest.approx(0.146447, abs=1e-6)
     assert nodes[1] == pytest.approx(0.853553, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "components, solves",
+    [
+        (((0.0, 1.0),), 1),
+        (((0.0, 0.45), (0.6, 1.0)), 6),
+        (((0.0, 0.25), (0.4, 0.6), (0.8, 1.0)), 15),
+    ],
+)
+def test_restricted_solve_count_with_three_nodes(components, solves, monkeypatch):
+    """Work gate: n = 3 equal exponents take C(2k+n−3, n−1) solves: 1, 6 and 15 at k = 1, 2, 3."""
+    calls = _counted_solves(monkeypatch)
+    eq.restricted_constant(eq.IntervalUnion(components), (1.0, 1.0, 1.0))
+    assert len(calls) == solves
+
+
+def test_restricted_matches_the_all_endpoint_search(rng):
+    """Differential test: leaving the hull ends unpinned keeps (R, nodes) exactly."""
+    cases = [
+        (_seeded_union(rng, k), r, None)
+        for k in (1, 2, 3)
+        for r in ((1.0,), (1.0, 1.0), (2.0, 1.0), (1.0, 1.0, 1.0), (1.5, 0.5, 1.0))
+    ]
+    cases.append((SPIKED_UNION, (2.0, 1.0), SPIKED_WEIGHT))
+    cases.append((SPIKED_UNION, (1.0, 1.0, 1.0), SPIKED_WEIGHT))
+    for E, r, weight in cases:
+        assert eq.restricted_constant(E, r, weight) == reference_pinned_restricted(E, r, weight, 1e-9)
+        report = eq.compare_constants(E, r, weight)
+        want = reference_pinned_restricted(E, r, weight, 1e-9, unpinned=report["nodes_unrestricted"])
+        assert (report["R"], report["nodes_restricted"]) == want
 
 
 @pytest.mark.parametrize("option", [{"refine_rounds": 2}, {"snap_seed": (0.4,)}])
@@ -376,18 +413,11 @@ def test_compare_constants_seed():
 
 
 def test_compare_constants_three_components(monkeypatch):
-    calls = []
-    solve = applications.solve_equioscillation
-
-    def counted_solve(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(applications, "solve_equioscillation", counted_solve)
+    calls = _counted_solves(monkeypatch)
     E = eq.IntervalUnion(((0.0, 0.25), (0.4, 0.6), (0.8, 1.0)))
     report = eq.compare_constants(E, (1.0, 1.0))
     # work gate: the restricted search reuses the unrestricted solve as its unpinned candidate
-    assert len(calls) == 7
+    assert len(calls) == 5
     assert report["lower_ok"] and report["upper_ok"] and report["snap_ok"]
     assert report["bound"] == pytest.approx(4.0)
     assert all(E.contains(x) for x in report["nodes_restricted"])
@@ -404,8 +434,41 @@ def test_union_validation():
         eq.restricted_constant(SEED_UNION, (1.0,) * 5)
 
 
+def test_compare_constants_checks_the_budget_before_any_solve(monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    with pytest.raises(eq.BudgetError):
+        eq.compare_constants(SEED_UNION, (1.0,) * 5)
+    assert calls == []
+
+
 def test_gap_problem_validation():
     with pytest.raises(eq.SchemaError):
         eq.GapProblem((1.0, 0.0), (1.0,), ones_weight())
     with pytest.raises(eq.SchemaError):
         eq.GapProblem((0.0, 1.0), (-2.0,), ones_weight())
+
+
+@pytest.mark.parametrize("r", [(), ("1",), (True,), (math.nan,), (-1.0,), (0.0,), (math.inf,), 1.0, "1"])
+def test_union_functions_reject_bad_exponents_before_any_solve(r, monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    for call in (
+        lambda: eq.restricted_constant(SEED_UNION, r),
+        lambda: eq.unrestricted_constant(SEED_UNION, r),
+        lambda: eq.compare_constants(SEED_UNION, r),
+        lambda: eq.union_bound_factor(2, r),
+    ):
+        with pytest.raises(eq.SchemaError):
+            call()
+    assert calls == []
+
+
+@pytest.mark.parametrize("fn", [eq.gap_norm, eq.gap_interval_maxima, lambda x, r, w: eq.gap_eval(x, r, w, 0.25)])
+def test_gap_functions_validate_nodes_and_exponents(fn):
+    w = ones_weight()
+    assert fn((0.5,), (1,), w) == fn((0.5,), (1.0,), w)  # an int exponent is a real
+    for nodes, r in (((0.5, 0.6), (1.0,)), ((0.5,), (1.0, 1.0)), ((1.5,), (1.0,)), ((math.nan,), (1.0,))):
+        with pytest.raises(eq.PreconditionError):
+            fn(nodes, r, w)
+    for r in ((-1.0,), (math.nan,), ("1",), (True,)):
+        with pytest.raises(eq.SchemaError):
+            fn((0.5,), r, w)

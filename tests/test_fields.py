@@ -153,6 +153,23 @@ def test_singularity_set_merges_across_minus_inf_junction():
     assert (seg.lo, seg.hi) == (0.2, 0.8)
 
 
+def dotted_minus_infinity():
+    """−∞ on [0, 1] but for the value 0 at 0.2, 0.5 and 0.8."""
+    return PiecewiseField((Piece(0.0, 1.0, NegInfinityPiece()),), ((0.2, 0.0), (0.5, 0.0), (0.8, 0.0)))
+
+
+def test_finite_overrides_inside_a_minus_infinity_piece_split_its_segment():
+    assert eq.singularity_set(dotted_minus_infinity()) == (
+        eq.SingularSegment(0.0, 0.2, True, False),
+        eq.SingularSegment(0.2, 0.5, False, False),
+        eq.SingularSegment(0.5, 0.8, False, False),
+        eq.SingularSegment(0.8, 1.0, False, True),
+    )
+    # a −∞ override splits nothing
+    f = PiecewiseField((Piece(0.0, 1.0, NegInfinityPiece()),), ((0.5, NEG_INFINITY),))
+    assert eq.singularity_set(f) == (eq.SingularSegment(0.0, 1.0, True, True),)
+
+
 def test_singularity_isolated_point_from_log_weight():
     weight = eq.sqrt_affine_field(1.0, 1.0, 0.0)  # sqrt(t), zero at t = 0
     logw = log_of_weight_field(weight)

@@ -110,6 +110,23 @@ def test_in_regularity_set(log1):
         eq.in_regularity_set(build_problem("singularity_5_1"), (0.2, 0.8))
 
 
+def test_regularity_between_finite_points_of_a_minus_infinity_field():
+    from test_fields import dotted_minus_infinity
+
+    problem = eq.Problem(2, (1.0, 1.0), eq.Log(), dotted_minus_infinity())
+    # each interval holds one finite point: 0.2, 0.5 and 0.8
+    assert eq.in_regularity_set(problem, (0.3, 0.7))
+    m = eq.interval_maxima(problem, (0.3, 0.7)).m
+    assert m == pytest.approx((math.log(0.05), math.log(0.04), math.log(0.05)), abs=1e-12)
+    phi = eq.difference(problem, (0.3, 0.7)).phi
+    assert phi == pytest.approx((m[1] - m[0], m[2] - m[1]), abs=1e-12)
+    # the open interval (0.3, 0.5) misses 0.5, and (0.5, 0.7) misses it too
+    assert not eq.in_regularity_set(problem, (0.3, 0.5))
+    assert not eq.in_regularity_set(problem, (0.5, 0.7))
+    with pytest.raises(eq.RegularityError):
+        eq.difference(problem, (0.3, 0.5))
+
+
 def test_difference_examples(log1, strictness):
     d = eq.difference(log1, (0.25,))
     assert d.phi[0] == pytest.approx(LOG_THREE, abs=1e-12)
