@@ -25,12 +25,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, PreconditionError, SchemaError
-from .extreal import NEG_INFINITY
+from .extreal import NEG_INFINITY, _count, _positive_reals, _real
 from .fields import (
     Formula,
     NegInfinityPiece,
@@ -75,11 +74,11 @@ class GapProblem:
     weight: PiecewiseField
 
     def __post_init__(self):
-        a, b = (float(self.interval[0]), float(self.interval[1]))
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        a, b = _real(self.interval[0], "interval end"), _real(self.interval[1], "interval end")
+        if not a < b:
             raise SchemaError("interval must be non-degenerate")
         object.__setattr__(self, "interval", (a, b))
-        object.__setattr__(self, "exponents", _exponents(self.exponents))
+        object.__setattr__(self, "exponents", _positive_reals(self.exponents, "exponent"))
         if self.weight.domain != (a, b):
             raise SchemaError("weight must live on the problem interval")
 
@@ -103,11 +102,11 @@ class IntervalUnion:
     components: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        comps = tuple((float(a), float(b)) for a, b in self.components)
+        comps = tuple((_real(a, "component end"), _real(b, "component end")) for a, b in self.components)
         if not comps:
             raise SchemaError("interval union needs at least one component")
         for a, b in comps:
-            if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            if not a < b:
                 raise SchemaError("components must be non-degenerate intervals")
         for (_, b), (a2, _) in zip(comps, comps[1:]):
             if not b < a2:
@@ -134,29 +133,15 @@ class IntervalUnion:
 
 # -- evaluation ------------------------------------------------------------------
 
-def _exponents(r) -> tuple[float, ...]:
-    """r as floats, if it is a non-empty sequence of finite positive reals (no bools, no strings)."""
-    try:
-        r = tuple(r)
-    except TypeError:
-        raise SchemaError(f"exponents must be a sequence, got {r!r}") from None
-    if not r or any(
-        isinstance(v, bool) or not isinstance(v, numbers.Real) or not (math.isfinite(v) and v > 0)
-        for v in r
-    ):
-        raise SchemaError(f"exponents must be a non-empty sequence of positive finite reals, got {r!r}")
-    return tuple(float(v) for v in r)
-
-
 def _gap_terms(nodes, r, weight: PiecewiseField) -> tuple[tuple[float, float], ...]:
     """The (r_j, x_j) pairs, after checking one node per exponent, each in the weight's domain."""
-    r = _exponents(r)
-    nodes = tuple(float(x) for x in nodes)
+    r = _positive_reals(r, "exponent")
+    nodes = tuple(_real(x, "node", PreconditionError) for x in nodes)
     if len(nodes) != len(r):
         raise PreconditionError(f"expected {len(r)} nodes, one per exponent, got {len(nodes)}")
     lo, hi = weight.domain
     for x in nodes:
-        if not lo <= x <= hi:  # NaN included
+        if not lo <= x <= hi:
             raise PreconditionError(f"node {x!r} outside [{lo}, {hi}]")
     return tuple(zip(r, nodes))
 
@@ -172,7 +157,7 @@ def gap_eval(nodes, r, weight: PiecewiseField, t: float) -> float:
     """w(t) · ∏ |t − x_j|^{r_j} at a point of the weight's domain."""
     terms = _gap_terms(nodes, r, weight)
     lo, hi = weight.domain
-    t = float(t)
+    t = _real(t, "point", DomainError)
     if not lo <= t <= hi:
         raise DomainError(f"point {t!r} outside [{lo}, {hi}]")
     w = _weight_value(weight, t)
@@ -242,12 +227,11 @@ def verify_signed_equioscillation(nodes, nu, extremal_points, weight: PiecewiseF
     The sign at t_k is (−1) raised to the total multiplicity of the nodes to
     the right of t_k; even multiplicities preserve the sign across a node.
     """
-    nu = tuple(nu)
-    if any(int(v) != v or v <= 0 for v in nu):
+    nu = tuple(_count(v, "signed-check exponent", PreconditionError) for v in nu)
+    if any(v <= 0 for v in nu):
         raise PreconditionError("signed check requires positive integer exponents")
-    nu = tuple(int(v) for v in nu)
-    nodes = tuple(float(x) for x in nodes)
-    pts = tuple(float(t) for t in extremal_points)
+    nodes = tuple(_real(x, "node", PreconditionError) for x in nodes)
+    pts = tuple(_real(t, "extremal point", PreconditionError) for t in extremal_points)
     if len(pts) != len(nodes) + 1:
         raise PreconditionError("need one extremal point per node interval")
     seq = [pts[0]]
@@ -365,7 +349,7 @@ def unrestricted_constant(
     E: IntervalUnion, r, weight: PiecewiseField | None = None, tol: float = 1e-9
 ) -> tuple[float, tuple[float, ...]]:
     """Minimal sup-norm over E with nodes free in the hull, plus the nodes."""
-    r = _exponents(r)
+    r = _positive_reals(r, "exponent")
     return _unrestricted(_UnionField(E, weight), r, tol)
 
 
@@ -384,7 +368,7 @@ def snap_to_E(nodes, E: IntervalUnion) -> tuple[float, ...]:
     A, B = E.hull
     out = []
     for x in nodes:
-        x = float(x)
+        x = _real(x, "node", PreconditionError)
         if not A <= x <= B:
             raise PreconditionError(f"node {x!r} outside the hull [{A}, {B}]")
         if E.contains(x):
@@ -402,9 +386,6 @@ def restricted_constant(
     r,
     weight: PiecewiseField | None = None,
     tol: float = 1e-9,
-    *,
-    refine_rounds: int | None = None,
-    snap_seed: tuple[float, ...] | None = None,
 ) -> tuple[float, tuple[float, ...]]:
     """Minimal sup-norm over E with all nodes confined to E, and the nodes.
 
@@ -416,18 +397,15 @@ def restricted_constant(
     distinct pinned field and free exponents, and kept if its free nodes lie
     strictly inside components in index order: C(2k+n−3, n−1) solves for n
     equal exponents. R is the least exact sup-norm kept, ties to the smaller
-    node tuple. ``refine_rounds`` and ``snap_seed`` are deprecated and ignored.
+    node tuple.
     """
-    for name, value in (("refine_rounds", refine_rounds), ("snap_seed", snap_seed)):
-        if value is not None:
-            warnings.warn(f"{name} is deprecated and ignored", DeprecationWarning, stacklevel=2)
     r = _restricted_exponents(r)
     return _restricted(_UnionField(E, weight), r, tol)
 
 
 def _restricted_exponents(r) -> tuple[float, ...]:
     """The checked exponents, if the restricted search can take that many nodes."""
-    r = _exponents(r)
+    r = _positive_reals(r, "exponent")
     if len(r) > 4:
         raise BudgetError("restricted search supports n ≤ 4")
     return r
@@ -480,8 +458,8 @@ def _restricted(union: _UnionField, r, tol, unpinned=None):
 
 def union_bound_factor(k: int, r) -> float:
     """2 raised to the largest sum of min(k−1, n) exponents."""
-    r = sorted(_exponents(r), reverse=True)
-    take = min(max(k - 1, 0), len(r))
+    r = sorted(_positive_reals(r, "exponent"), reverse=True)
+    take = min(max(_count(k, "k") - 1, 0), len(r))
     return 2.0 ** sum(r[:take])
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .extreal import NEG_INFINITY
+from .extreal import NEG_INFINITY, _count, _real
 from .fields import (
     Constant,
     Indicator,
@@ -39,9 +39,10 @@ from .fields import (
 )
 from .kernels import CappedLog, CappedLogPlusQuadratic, Log, SqrtShift, TentLog
 from .oracle import GridSpec, grid_maximin, grid_minimax
+from .perturbation import check_intertwining
 from .problem import NodeSystem, Problem
 from .solver import solve_equioscillation
-from .translates import interval_maxima
+from .translates import eval_F_grid, interval_maxima
 
 __all__ = [
     "EXAMPLE_IDS",
@@ -87,8 +88,8 @@ def build_problem(key: str, **params) -> Problem:
     if key == "monotonicity_5_2":
         return Problem(1, (1.0,), CappedLogPlusQuadratic(0.1), sqrt_affine_field(1.0, 1.0, 0.0))
     if key == "strictness_5_3":
-        a = float(params.get("a", STRICTNESS_A))
-        b = float(params.get("b", STRICTNESS_B))
+        a = _real(params.get("a", STRICTNESS_A), "a")
+        b = _real(params.get("b", STRICTNESS_B), "b")
         if not 0.0 < a < math.e / (1.0 + math.e):
             raise SchemaError("cap level must lie in (0, e/(1+e))")
         if not 1.0 - a / math.e < b < 1.0:
@@ -100,7 +101,7 @@ def build_problem(key: str, **params) -> Problem:
     if key == "nonmonotone_5_4":
         return Problem(2, (1.0, 1.0), TentLog(), constant_field(0.0))
     if key == "classical_chebyshev":
-        n = int(params.get("n", 3))
+        n = _count(params.get("n", 3), "n")
         return Problem(n, (1.0,) * n, Log(), constant_field(0.0))
     if key == "figure1_quartics":
         return Problem(4, (1.0,) * 4, Log(), constant_field(0.0))
@@ -125,7 +126,7 @@ def closed_forms(key: str, **params) -> dict:
     if key == "monotonicity_5_2":
         return {"optimum": (0.0,), "value": 11.0 / 8.0}
     if key == "strictness_5_3":
-        a = float(params.get("a", STRICTNESS_A))
+        a = _real(params.get("a", STRICTNESS_A), "a")
 
         def m0(x):
             return min(0.0, math.log(x / a)) if x > 0.0 else NEG_INFINITY
@@ -160,7 +161,7 @@ def closed_forms(key: str, **params) -> dict:
         delta0 = (math.sqrt(82.0) - 1.0) / 90.0
         return {"m_mid": m_mid, "m_side": m_side, "delta0": delta0, "zero_deltas": (0.0, 0.1)}
     if key == "classical_chebyshev":
-        n = int(params.get("n", 3))
+        n = _count(params.get("n", 3), "n")
         nodes = tuple(
             sorted(0.5 * (1.0 + math.cos((2 * j - 1) * math.pi / (2 * n))) for j in range(1, n + 1))
         )
@@ -174,8 +175,6 @@ def closed_forms(key: str, **params) -> dict:
 
 def _dense_interval_maxima(problem: Problem, nodes, points: int = 20001):
     """Independent per-interval maxima from a dense grid (reference values)."""
-    from .translates import eval_F_grid
-
     ys = (0.0, *nodes, 1.0)
     out = []
     for lo, hi in zip(ys, ys[1:]):
@@ -221,8 +220,8 @@ def run_reference_check(key: str, *, fast: bool = False, seed: int = 0, **params
         rows.append(("minimax value", v_min, forms["value"]))
 
     elif key == "strictness_5_3":
-        a = float(params.get("a", STRICTNESS_A))
-        b = float(params.get("b", STRICTNESS_B))
+        a = _real(params.get("a", STRICTNESS_A), "a")
+        b = _real(params.get("b", STRICTNESS_B), "b")
         problem = build_problem(key, a=a, b=b)
         forms = closed_forms(key, a=a, b=b)
         report = solve_equioscillation(problem, tol=1e-10)
@@ -276,7 +275,7 @@ def run_reference_check(key: str, *, fast: bool = False, seed: int = 0, **params
         rows.append(("spurious zero-set points", float(len(spurious)), 0.0))
 
     elif key == "classical_chebyshev":
-        n = int(params.get("n", 3))
+        n = _count(params.get("n", 3), "n")
         problem = build_problem(key, n=n)
         forms = closed_forms(key, n=n)
         report = solve_equioscillation(problem, tol=1e-10)
@@ -287,8 +286,6 @@ def run_reference_check(key: str, *, fast: bool = False, seed: int = 0, **params
     elif key == "figure1_quartics":
         problem = build_problem(key)
         forms = closed_forms(key)
-        from .perturbation import check_intertwining
-
         worst = 0.0
         for nodes in (forms["grey"], forms["black"]):
             maxima = interval_maxima(problem, nodes)

@@ -1,15 +1,23 @@
-"""Extended reals R ∪ {−∞} as IEEE floats.
+"""Extended reals R ∪ {−∞} as IEEE floats, and the number checks at the public boundary.
 
 −∞ is the float ``-inf``: ``NEG_INFINITY`` is that value and ``ExtReal`` is an
 alias of ``float``. IEEE arithmetic already absorbs it (x + (−∞) = −∞ and
 c·(−∞) = −∞ for finite x and c > 0), so sums need no helpers. Positive
 infinity and NaN have no meaning here: :func:`as_extreal` rejects them where
 values cross the public boundary.
+
+Every number handed in by a caller or a JSON document passes one of three
+checkers, :func:`_real`, :func:`_count` or :func:`_positive_reals`, which
+refuse booleans, strings and non-finite values with the error class they are given.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
+
+import numpy as np
 
 from .errors import SchemaError
 
@@ -25,10 +33,68 @@ def is_neg_infinity(x) -> bool:
 
 
 def as_extreal(x) -> ExtReal:
-    """x as a float in R ∪ {−∞}; +inf and NaN raise :class:`SchemaError`."""
-    value = float(x)
-    if math.isnan(value):
-        raise SchemaError("NaN is not an extended real")
-    if value == math.inf:
-        raise SchemaError("+inf has no representation in R ∪ {−∞}")
+    """x as a float in R ∪ {−∞}; +inf, NaN, booleans and non-reals raise :class:`SchemaError`."""
+    if isinstance(x, numbers.Real) and x == NEG_INFINITY:
+        return NEG_INFINITY
+    return _real(x, "an extended real other than −∞")
+
+
+def _real(x, name: str, error=SchemaError, *, positive: bool = False) -> float:
+    """x as a float if it is a finite real, and positive if asked; else ``error``.
+
+    >>> _real(2, "c")
+    2.0
+    >>> _real("2", "c")
+    Traceback (most recent call last):
+    ...
+    equiosc.errors.SchemaError: c must be a finite real, got '2'
+    """
+    value = x
+    if type(x) is not float:
+        value = None
+        if not isinstance(x, bool) and isinstance(x, numbers.Real):
+            try:
+                value = float(x)
+            except OverflowError:
+                pass
+    if value is None or not math.isfinite(value) or (positive and value <= 0.0):
+        kind = "finite positive real" if positive else "finite real"
+        raise error(f"{name} must be a {kind}, got {x!r}")
     return value
+
+
+def _count(x, name: str, error=SchemaError) -> int:
+    """x as an int if it is an integer; booleans and integral floats are refused.
+
+    >>> _count(np.int64(3), "n")
+    3
+    >>> _count(3.0, "n")
+    Traceback (most recent call last):
+    ...
+    equiosc.errors.SchemaError: n must be an integer, got 3.0
+    """
+    if not isinstance(x, (bool, np.bool_)):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {x!r}")
+
+
+def _positive_reals(xs, name: str, error=SchemaError) -> tuple[float, ...]:
+    """xs as a tuple of floats if it is a non-empty sequence of finite positive reals.
+
+    >>> _positive_reals([1, 2.5], "r")
+    (1.0, 2.5)
+    >>> _positive_reals([True], "r")
+    Traceback (most recent call last):
+    ...
+    equiosc.errors.SchemaError: r must be a finite positive real, got True
+    """
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        raise error(f"{name} must be a sequence, got {xs!r}") from None
+    if not xs:
+        raise error(f"{name} must not be empty")
+    return tuple(_real(v, name, error, positive=True) for v in xs)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .extreal import NEG_INFINITY, ExtReal, as_extreal, is_neg_infinity
+from .extreal import NEG_INFINITY, ExtReal, _real, as_extreal, is_neg_infinity
 
 __all__ = [
     "Constant",
@@ -80,21 +80,20 @@ class Constant(Formula):
     kind = "Constant"
 
     def __post_init__(self):
-        if not math.isfinite(float(self.c)):
-            raise SchemaError("Constant level must be finite; use NegInfinityPiece for −∞")
+        object.__setattr__(self, "c", _real(self.c, "Constant level"))
 
     def _value(self, t):
-        return float(self.c)
+        return self.c
 
     def _values(self, t):
-        return np.full(np.shape(t), float(self.c))
+        return np.full(np.shape(t), self.c)
 
     @property
     def concave(self):
         return True
 
     def to_json(self):
-        return {"kind": "Constant", "c": float(self.c)}
+        return {"kind": "Constant", "c": self.c}
 
 
 @dataclass(frozen=True)
@@ -126,21 +125,20 @@ class Indicator(Formula):
     kind = "Indicator"
 
     def __post_init__(self):
-        if not math.isfinite(float(self.value)):
-            raise SchemaError("Indicator level must be finite")
+        object.__setattr__(self, "value", _real(self.value, "Indicator level"))
 
     def _value(self, t):
-        return float(self.value)
+        return self.value
 
     def _values(self, t):
-        return np.full(np.shape(t), float(self.value))
+        return np.full(np.shape(t), self.value)
 
     @property
     def concave(self):
         return True
 
     def to_json(self):
-        return {"kind": "Indicator", "value": float(self.value)}
+        return {"kind": "Indicator", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -154,13 +152,12 @@ class SqrtAffine(Formula):
 
     def __post_init__(self):
         for name in ("c", "s", "t0"):
-            if not math.isfinite(float(getattr(self, name))):
-                raise SchemaError(f"SqrtAffine parameter {name} must be finite")
-        if float(self.s) == 0.0:
+            object.__setattr__(self, name, _real(getattr(self, name), f"SqrtAffine parameter {name}"))
+        if self.s == 0.0:
             raise SchemaError("SqrtAffine slope s must be non-zero")
 
     def _arg(self, t: float) -> float:
-        return float(self.s) * (t - float(self.t0))
+        return self.s * (t - self.t0)
 
     def _value(self, t):
         arg = self._arg(t)
@@ -168,22 +165,22 @@ class SqrtAffine(Formula):
             if arg < -_EPS_DOMAIN:
                 raise DomainError("sqrt argument negative inside a SqrtAffine piece")
             arg = 0.0
-        return float(self.c) * math.sqrt(arg)
+        return self.c * math.sqrt(arg)
 
     def _values(self, t):
-        arg = float(self.s) * (np.asarray(t, dtype=float) - float(self.t0))
-        return float(self.c) * np.sqrt(np.maximum(arg, 0.0))
+        arg = self.s * (np.asarray(t, dtype=float) - self.t0)
+        return self.c * np.sqrt(np.maximum(arg, 0.0))
 
     @property
     def concave(self):
-        return float(self.c) >= 0.0
+        return self.c >= 0.0
 
     def _validate_on(self, lo, hi):
         if min(self._arg(lo), self._arg(hi)) < -_EPS_DOMAIN:
             raise SchemaError("SqrtAffine piece extends past the zero of its argument")
 
     def to_json(self):
-        return {"kind": "SqrtAffine", "c": float(self.c), "s": float(self.s), "t0": float(self.t0)}
+        return {"kind": "SqrtAffine", "c": self.c, "s": self.s, "t0": self.t0}
 
 
 @dataclass(frozen=True)
@@ -226,16 +223,15 @@ class LogOfWeight(Formula):
 
     def _neg_inf_on(self, lo, hi):
         w = self.weight
-        if isinstance(w, Constant) and float(w.c) <= 0.0:
+        if isinstance(w, Constant) and w.c <= 0.0:
             return ("all", ())
-        if isinstance(w, Indicator) and float(w.value) <= 0.0:
+        if isinstance(w, Indicator) and w.value <= 0.0:
             return ("all", ())
         if isinstance(w, SqrtAffine):
-            t0 = float(w.t0)
-            if float(w.c) == 0.0:
+            if w.c == 0.0:
                 return ("all", ())
-            if lo <= t0 <= hi:
-                return ("points", (t0,))
+            if lo <= w.t0 <= hi:
+                return ("points", (w.t0,))
         return ("none", ())
 
     def to_json(self):
@@ -246,13 +242,13 @@ def formula_from_json(doc: dict) -> Formula:
     try:
         kind = doc["kind"]
         if kind == "Constant":
-            return Constant(c=float(doc["c"]))
+            return Constant(c=doc["c"])
         if kind == "NegInfinity":
             return NegInfinityPiece()
         if kind == "Indicator":
-            return Indicator(value=float(doc["value"]))
+            return Indicator(value=doc["value"])
         if kind == "SqrtAffine":
-            return SqrtAffine(c=float(doc["c"]), s=float(doc["s"]), t0=float(doc["t0"]))
+            return SqrtAffine(c=doc["c"], s=doc["s"], t0=doc["t0"])
         if kind == "LogOfWeight":
             return LogOfWeight(weight=formula_from_json(doc["weight"]))
     except SchemaError:
@@ -269,9 +265,11 @@ class Piece:
     formula: Formula
 
     def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise SchemaError(f"piece needs lo < hi, got [{self.lo}, {self.hi}]")
+        lo, hi = _real(self.lo, "piece end lo"), _real(self.hi, "piece end hi")
+        if not lo < hi:
+            raise SchemaError(f"piece needs lo < hi, got [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         self.formula._validate_on(lo, hi)
 
 
@@ -302,7 +300,7 @@ class PiecewiseField:
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        lo, hi = (float(self.domain[0]), float(self.domain[1]))
+        lo, hi = (_real(self.domain[0], "domain end"), _real(self.domain[1], "domain end"))
         object.__setattr__(self, "domain", (lo, hi))
         if not lo < hi:
             raise SchemaError("field domain must be a non-degenerate interval")
@@ -316,7 +314,7 @@ class PiecewiseField:
                 raise SchemaError("pieces must be contiguous without gaps or overlaps")
         cleaned = []
         for t, v in self.point_values:
-            t = float(t)
+            t = _real(t, "point override location")
             if not (lo <= t <= hi):
                 raise SchemaError("point override outside the domain")
             cleaned.append((t, as_extreal(v)))
@@ -387,9 +385,9 @@ class PiecewiseField:
         return best
 
     def value(self, t: float) -> ExtReal:
-        t = float(t)
+        t = _real(t, "field argument", DomainError)
         lo, hi = self.domain
-        if math.isnan(t) or t < lo or t > hi:
+        if t < lo or t > hi:
             raise DomainError(f"field argument {t!r} outside [{lo}, {hi}]")
         return as_extreal(self._value_float(t))
 
@@ -500,7 +498,7 @@ def indicator_field(
     lo, hi = domain
     pieces: list[Piece] = []
     cursor = lo
-    for a, b in sorted((float(a), float(b)) for a, b in intervals):
+    for a, b in sorted((_real(a, "interval end"), _real(b, "interval end")) for a, b in intervals):
         if a < cursor - 1e-15:
             raise SchemaError("indicator intervals must be disjoint and sorted")
         if a > cursor:
@@ -526,7 +524,7 @@ def log_of_weight_field(weight: PiecewiseField) -> PiecewiseField:
             raise SchemaError("weight already contains logs; expected plain weight pieces")
         log_f = LogOfWeight(f)
         if isinstance(f, (Constant, Indicator)):
-            level = float(f.c if isinstance(f, Constant) else f.value)
+            level = f.c if isinstance(f, Constant) else f.value
             if level < 0.0:
                 raise SchemaError(f"weight level {level!r} is negative")
             if level == 0.0:
@@ -586,14 +584,9 @@ def field_to_json(field: PiecewiseField) -> dict:
 
 def field_from_json(doc: dict, domain=(0.0, 1.0)) -> PiecewiseField:
     try:
-        pieces = tuple(
-            Piece(float(p["lo"]), float(p["hi"]), formula_from_json(p["formula"]))
-            for p in doc["pieces"]
-        )
+        pieces = tuple(Piece(p["lo"], p["hi"], formula_from_json(p["formula"])) for p in doc["pieces"])
         raw_points: Iterable = doc.get("point_values", []) or []
-        point_values = tuple(
-            (float(t), NEG_INFINITY if v is None else float(v)) for t, v in raw_points
-        )
+        point_values = tuple((t, NEG_INFINITY if v is None else v) for t, v in raw_points)
     except SchemaError:
         raise
     except (TypeError, KeyError, ValueError) as exc:

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .extreal import NEG_INFINITY, ExtReal, as_extreal
+from .extreal import NEG_INFINITY, ExtReal, _real, as_extreal
 
 __all__ = [
     "CappedLog",
@@ -68,10 +68,6 @@ class KernelSpec:
     def _build_scalar(self) -> Callable[[float], float]:
         """Scalar evaluator over [−1, 1]; −∞ is returned as IEEE -inf."""
         raise NotImplementedError
-
-    def _values_unchecked(self, u: np.ndarray) -> np.ndarray:
-        f = scalar_fn(self)
-        return np.array([f(float(v)) for v in np.asarray(u, dtype=float).ravel()])
 
     def _slope(self, u: np.ndarray) -> np.ndarray:
         """K′(u) elementwise for u ≠ 0; on a kink either one-sided value."""
@@ -117,18 +113,20 @@ class CappedLog(KernelSpec):
     variant = "CappedLog"
 
     def __post_init__(self):
-        if not (0.0 < float(self.a) < 1.0):
-            raise SchemaError("CappedLog cap must lie in (0, 1)")
+        a = _real(self.a, f"{self.variant} cap")
+        if not 0.0 < a < 1.0:
+            raise SchemaError(f"{self.variant} cap must lie in (0, 1)")
+        object.__setattr__(self, "a", a)
 
     @property
     def _kinks(self):
-        return (float(self.a),)
+        return (self.a,)
 
     def flags(self) -> KernelFlags:
         return KernelFlags(True, True, False, False)
 
     def _build_scalar(self):
-        a = float(self.a)
+        a = self.a
         log = math.log
 
         def k(u: float) -> float:
@@ -141,14 +139,14 @@ class CappedLog(KernelSpec):
 
     def _values_unchecked(self, u):
         with np.errstate(divide="ignore"):
-            return np.minimum(0.0, np.log(np.abs(u) / float(self.a)))
+            return np.minimum(0.0, np.log(np.abs(u) / self.a))
 
     def _slope(self, u):
         u = np.asarray(u, dtype=float)
-        return np.where(np.abs(u) < float(self.a), 1.0 / u, 0.0)
+        return np.where(np.abs(u) < self.a, 1.0 / u, 0.0)
 
     def params(self):
-        return {"a": float(self.a)}
+        return {"a": self.a}
 
 
 @dataclass(frozen=True)
@@ -210,25 +208,16 @@ class TentLog(KernelSpec):
 
 
 @dataclass(frozen=True)
-class CappedLogPlusQuadratic(KernelSpec):
+class CappedLogPlusQuadratic(CappedLog):
     """K(t) = min(0, log|t/a|) + 1 − 2 t²: singular, strictly concave, not monotone."""
 
-    a: float
     variant = "CappedLogPlusQuadratic"
-
-    def __post_init__(self):
-        if not (0.0 < float(self.a) < 1.0):
-            raise SchemaError("CappedLogPlusQuadratic cap must lie in (0, 1)")
-
-    @property
-    def _kinks(self):
-        return (float(self.a),)
 
     def flags(self) -> KernelFlags:
         return KernelFlags(True, False, False, True)
 
     def _build_scalar(self):
-        capped = scalar_fn(CappedLog(self.a))
+        capped = super()._build_scalar()
 
         def k(u: float) -> float:
             base = capped(u)
@@ -239,13 +228,10 @@ class CappedLogPlusQuadratic(KernelSpec):
         return k
 
     def _values_unchecked(self, u):
-        return CappedLog(self.a)._values_unchecked(u) + 1.0 - 2.0 * np.square(u)
+        return super()._values_unchecked(u) + 1.0 - 2.0 * np.square(u)
 
     def _slope(self, u):
-        return CappedLog(self.a)._slope(u) - 4.0 * np.asarray(u, dtype=float)
-
-    def params(self):
-        return {"a": float(self.a)}
+        return super()._slope(u) - 4.0 * np.asarray(u, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -259,8 +245,7 @@ class Regularized(KernelSpec):
     def __post_init__(self):
         if not isinstance(self.base, KernelSpec):
             raise SchemaError("Regularized base must be a kernel")
-        if not (float(self.eta) > 0.0 and math.isfinite(float(self.eta))):
-            raise SchemaError("Regularized eta must be a finite positive real")
+        object.__setattr__(self, "eta", _real(self.eta, "Regularized eta", positive=True))
 
     @property
     def _kinks(self):
@@ -277,7 +262,7 @@ class Regularized(KernelSpec):
 
     def _build_scalar(self):
         base_k = scalar_fn(self.base)
-        eta = float(self.eta)
+        eta = self.eta
         sqrt = math.sqrt
 
         def k(u: float) -> float:
@@ -289,14 +274,14 @@ class Regularized(KernelSpec):
         return k
 
     def _values_unchecked(self, u):
-        return self.base._values_unchecked(u) + float(self.eta) * np.sqrt(np.abs(u))
+        return self.base._values_unchecked(u) + self.eta * np.sqrt(np.abs(u))
 
     def _slope(self, u):
         u = np.asarray(u, dtype=float)
-        return self.base._slope(u) + float(self.eta) * np.sign(u) / (2.0 * np.sqrt(np.abs(u)))
+        return self.base._slope(u) + self.eta * np.sign(u) / (2.0 * np.sqrt(np.abs(u)))
 
     def params(self):
-        return {"base": kernel_to_json(self.base), "eta": float(self.eta)}
+        return {"base": kernel_to_json(self.base), "eta": self.eta}
 
 
 @lru_cache(maxsize=None)
@@ -306,8 +291,8 @@ def scalar_fn(kernel: KernelSpec) -> Callable[[float], float]:
 
 
 def _check_domain(t: float) -> float:
-    t = float(t)
-    if math.isnan(t) or t < -1.0 or t > 1.0:
+    t = _real(t, "kernel argument", DomainError)
+    if t < -1.0 or t > 1.0:
         raise DomainError(f"kernel argument {t!r} outside [-1, 1]")
     return t
 
@@ -340,15 +325,15 @@ def kernel_from_json(doc: dict) -> KernelSpec:
         if variant == "Log":
             return Log()
         if variant == "CappedLog":
-            return CappedLog(a=float(params["a"]))
+            return CappedLog(a=params["a"])
         if variant == "SqrtShift":
             return SqrtShift()
         if variant == "TentLog":
             return TentLog()
         if variant == "CappedLogPlusQuadratic":
-            return CappedLogPlusQuadratic(a=float(params["a"]))
+            return CappedLogPlusQuadratic(a=params["a"])
         if variant == "Regularized":
-            return Regularized(base=kernel_from_json(params["base"]), eta=float(params["eta"]))
+            return Regularized(base=kernel_from_json(params["base"]), eta=params["eta"])
     except SchemaError:
         raise
     except (TypeError, KeyError, ValueError) as exc:

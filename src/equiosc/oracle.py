@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
+from .extreal import _count, _real
 from .problem import NodeSystem, Problem
-from .solver import _as_int, _check_real
 from .translates import _maxima_batch
 
 __all__ = ["GridSpec", "grid_maximin", "grid_minimax", "grid_near_optimal"]
@@ -43,15 +43,12 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("points_per_dim", "refine_rounds"):
-            count = _as_int(getattr(self, name))
-            if count is None:
-                raise PreconditionError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, count)
+            object.__setattr__(self, name, _count(getattr(self, name), name, PreconditionError))
         if self.points_per_dim < 2:
             raise BudgetError("points_per_dim must be at least 2")
         if self.refine_rounds < 0:
             raise BudgetError("refine_rounds must be non-negative")
-        object.__setattr__(self, "budget", _check_real("budget", self.budget, positive=True))
+        object.__setattr__(self, "budget", _real(self.budget, "budget", PreconditionError, positive=True))
 
 
 def _check_budget(problem: Problem, grid: GridSpec) -> None:
@@ -102,7 +99,7 @@ def _scan(problem, ranges, points, mode, xtol):
 def _search(problem: Problem, grid: GridSpec, mode: str, xtol: float, threads: int):
     if threads != 1:
         warnings.warn("threads is deprecated and ignored", DeprecationWarning, stacklevel=3)
-    xtol = _check_real("xtol", xtol, positive=True)
+    xtol = _real(xtol, "xtol", PreconditionError, positive=True)
     _check_budget(problem, grid)
     n = problem.n
     ranges = [(0.0, 1.0)] * n
@@ -154,9 +151,9 @@ def grid_near_optimal(
     """
     if mode not in ("minimax", "maximin"):
         raise PreconditionError("mode must be 'minimax' or 'maximin'")
-    if _check_real("tol", tol) < 0.0:
+    if _real(tol, "tol", PreconditionError) < 0.0:
         raise PreconditionError(f"tol must be non-negative, got {tol!r}")
-    xtol = _check_real("xtol", xtol, positive=True)
+    xtol = _real(xtol, "xtol", PreconditionError, positive=True)
     _check_budget(problem, grid)
     cells, values = _evaluate(problem, [(0.0, 1.0)] * problem.n, grid.points_per_dim, mode, xtol)
     finite = np.isfinite(values)

@@ -16,13 +16,12 @@ Three groups of tools live here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, RegularityError
-from .extreal import NEG_INFINITY
+from .extreal import NEG_INFINITY, _count, _real
 from .kernels import KernelSpec, scalar_fn
 from .problem import NodeSystem, Problem
 from .translates import _maxima_floats, in_regularity_set
@@ -98,10 +97,12 @@ def check_interval_perturbation(
     needed; (d) strictness under strict concavity; (e) the reversed inequality
     between a and b under monotonicity, strict under strict monotonicity.
     """
+    alpha, a, b, beta = (_real(v, "node", PreconditionError) for v in (alpha, a, b, beta))
     if not (0.0 < alpha < a < b < beta < 1.0):
         raise PreconditionError("need 0 < α < a < b < β < 1")
-    if p <= 0.0 or q <= 0.0:
-        raise PreconditionError("weights p, q must be positive")
+    p, q = (_real(v, "weight p, q", PreconditionError, positive=True) for v in (p, q))
+    if _count(grid_points, "grid_points", PreconditionError) < 2:
+        raise PreconditionError(f"grid_points must be at least 2, got {grid_points!r}")
     flags = kernel.flags()
     kf = scalar_fn(kernel)
     mu = (p * (a - alpha)) / (q * (beta - b))
@@ -183,8 +184,7 @@ def perturb_partition(problem: Problem, w, partition: PartitionSpec, h: float) -
         raise PreconditionError(f"partition must label {problem.n + 1} intervals")
     if not ns.strict():
         raise PreconditionError("node system must be strictly inside the simplex")
-    if not (h > 0.0 and math.isfinite(h)):
-        raise PreconditionError("step h must be a positive real")
+    h = _real(h, "step h", PreconditionError, positive=True)
     labels = partition.class_of
     moved = list(ns.nodes)
     for ell in range(1, problem.n + 1):
@@ -222,10 +222,19 @@ def _regular_maxima(problem: Problem, ns: NodeSystem, xtol: float):
     return vals
 
 
+def _check_tolerances(tau, xtol) -> tuple[float, float]:
+    """The tie tolerance τ ≥ 0 and the positive argmax tolerance, as floats."""
+    tau = _real(tau, "tau", PreconditionError)
+    if tau < 0.0:
+        raise PreconditionError(f"tau must be non-negative, got {tau!r}")
+    return tau, _real(xtol, "xtol", PreconditionError, positive=True)
+
+
 def check_intertwining(
     problem: Problem, x, y, tau: float = _TIE_TOL, xtol: float = 1e-12
 ) -> IntertwiningVerdict:
     """Compare the interval-maxima vectors of two regular node systems."""
+    tau, xtol = _check_tolerances(tau, xtol)
     nx = problem.node_system(x)
     ny = problem.node_system(y)
     if max(abs(a - b) for a, b in zip(nx.nodes, ny.nodes)) <= 1e-12:
@@ -249,12 +258,13 @@ def sample_regular_nodes(
     problem: Problem, rng: np.random.Generator, min_gap: float = 1e-3, max_tries: int = 1000
 ) -> NodeSystem:
     """A random node system in the regularity set with a minimum node gap."""
+    min_gap = _real(min_gap, "min_gap", PreconditionError, positive=True)
     n = problem.n
-    for _ in range(max_tries):
+    for _ in range(_count(max_tries, "max_tries", PreconditionError)):
         draw = np.sort(rng.uniform(min_gap, 1.0 - min_gap, size=n))
         if n > 1 and np.min(np.diff(draw)) < min_gap:
             continue
-        ns = NodeSystem(tuple(float(v) for v in draw))
+        ns = NodeSystem(tuple(draw.tolist()))
         if in_regularity_set(problem, ns):
             return ns
     raise RegularityError("could not sample a regular node system")
@@ -286,13 +296,14 @@ def check_strict_majorization_excluded(
     supplied explicitly, e.g. to validate the checker on kernels outside the
     hypotheses, where strict domination genuinely happens.
     """
+    tau, xtol = _check_tolerances(tau, xtol)
     flags = problem.kernel.flags()
     hypotheses = flags.singular and flags.monotone_M
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", PreconditionError))
     if pairs is None:
         pairs = [
             (sample_regular_nodes(problem, rng), sample_regular_nodes(problem, rng))
-            for _ in range(samples)
+            for _ in range(_count(samples, "samples", PreconditionError))
         ]
     strict = 0
     weak = 0

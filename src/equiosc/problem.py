@@ -8,14 +8,14 @@ sentinels y_0 = 0 and y_{n+1} = 1.
 from __future__ import annotations
 
 import json
-import math
-import operator
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import AdmissibilityError, PreconditionError, SchemaError
+from .extreal import _count, _positive_reals, _real
 from .fields import PiecewiseField, field_admissible, field_from_json, field_to_json
 from .kernels import KernelSpec, kernel_from_json, kernel_to_json
 
@@ -36,12 +36,12 @@ class NodeSystem:
     nodes: tuple[float, ...]
 
     def __post_init__(self):
-        nodes = tuple(float(v) for v in self.nodes)
+        nodes = tuple(_real(v, "node", PreconditionError) for v in self.nodes)
         if not nodes:
             raise PreconditionError("a node system needs at least one node")
         prev = 0.0
         for v in nodes:
-            if math.isnan(v) or v < 0.0 or v > 1.0:
+            if v < 0.0 or v > 1.0:
                 raise PreconditionError(f"node {v!r} outside [0, 1]")
             if v < prev:
                 raise PreconditionError("nodes must be sorted ascending")
@@ -73,20 +73,7 @@ class NodeSystem:
 def as_node_system(y) -> NodeSystem:
     if isinstance(y, NodeSystem):
         return y
-    if isinstance(y, (int, float)):
-        return NodeSystem((float(y),))
-    return NodeSystem(tuple(float(v) for v in y))
-
-
-def _node_count(n) -> int:
-    """n as an int; booleans and non-integral numbers are refused, not truncated."""
-    if not isinstance(n, (bool, np.bool_)):
-        try:
-            return operator.index(n)
-        except TypeError:
-            if isinstance(n, float) and n.is_integer():
-                return int(n)
-    raise SchemaError(f"n must be an integer, got {n!r}")
+    return NodeSystem((y,) if isinstance(y, numbers.Real) else tuple(y))
 
 
 @dataclass(frozen=True)
@@ -99,15 +86,13 @@ class Problem:
     field: PiecewiseField
 
     def __post_init__(self):
-        n = _node_count(self.n)
+        n = _count(self.n, "n")
         if n < 1:
             raise SchemaError("n must be a positive integer")
         object.__setattr__(self, "n", n)
-        r = tuple(float(v) for v in self.r)
-        if len(r) != self.n:
-            raise SchemaError(f"expected {self.n} multipliers, got {len(r)}")
-        if any(not math.isfinite(v) or v <= 0.0 for v in r):
-            raise SchemaError("all multipliers r_j must be finite and positive")
+        r = _positive_reals(self.r, "multiplier r_j")
+        if len(r) != n:
+            raise SchemaError(f"expected {n} multipliers, got {len(r)}")
         object.__setattr__(self, "r", r)
         if self.field.domain != (0.0, 1.0):
             raise SchemaError("problem fields live on [0, 1]")
@@ -134,8 +119,7 @@ def problem_to_json(problem: Problem) -> dict:
 
 def problem_from_json(doc: dict) -> Problem:
     try:
-        n = doc["n"]
-        r = tuple(float(v) for v in doc["r"])
+        n, r = doc["n"], doc["r"]
         kernel = kernel_from_json(doc["kernel"])
         field = field_from_json(doc["field"])
     except (TypeError, KeyError, ValueError) as exc:

@@ -25,17 +25,15 @@ point returned is the one reached from the regularized solutions.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, PreconditionError
-from .extreal import NEG_INFINITY
+from .extreal import NEG_INFINITY, _count, _real
 from .kernels import Regularized
 from .problem import NodeSystem, Problem
-from .translates import MaximaVector, _interval_max, interval_maxima
+from .translates import MaximaVector, _interval_max, _maxima_floats, _rint_inside_segment, interval_maxima
 
 __all__ = ["SolveReport", "sandwich_check", "solve_difference", "solve_equioscillation"]
 
@@ -92,8 +90,6 @@ def _initial_nodes(problem: Problem) -> list[float]:
 
     def offending(ws_now: list[float]) -> int | None:
         ys = (0.0, *ws_now, 1.0)
-        from .translates import _rint_inside_segment
-
         for j in range(n + 1):
             lo, hi = ys[j], ys[j + 1]
             if any(_rint_inside_segment(lo, hi, j, n, seg) for seg in segments):
@@ -163,8 +159,6 @@ def _phi_floats(vals: list[float]) -> list[float]:
 
 
 def _residual_norm(problem: Problem, ys: list[float], c, xtol: float):
-    from .translates import _maxima_floats
-
     vals, args = _maxima_floats(problem, tuple(ys), xtol)
     if any(v == NEG_INFINITY for v in vals):
         return math.inf, vals, args
@@ -294,7 +288,7 @@ def _as_report(problem, ys, res, vals, args, iterations, converged, c, risk=Fals
     return SolveReport(
         nodes=nodes,
         maxima=maxima,
-        target=tuple(float(v) for v in c),
+        target=c,
         residual=res,
         value=maxima.m_bar,
         iterations=iterations,
@@ -303,32 +297,11 @@ def _as_report(problem, ys, res, vals, args, iterations, converged, c, risk=Fals
     )
 
 
-def _check_real(name: str, v, positive: bool = False) -> float:
-    """v as a float if it is a finite real, positive if asked; bools and non-numbers are refused."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v) or (
-        positive and v <= 0.0
-    ):
-        kind = "finite positive real" if positive else "finite real"
-        raise PreconditionError(f"{name} must be a {kind}, got {v!r}")
-    return float(v)
-
-
-def _as_int(v) -> int | None:
-    """v as an int if it is an integer other than a bool, else None."""
-    if isinstance(v, (bool, np.bool_)):
-        return None
-    try:
-        return operator.index(v)
-    except TypeError:
-        return None
-
-
 def _check_settings(tol, xtol, max_iterations) -> None:
-    _check_real("tol", tol, positive=True)
-    _check_real("xtol", xtol, positive=True)
-    count = _as_int(max_iterations)
-    if count is None or count < 1:
-        raise PreconditionError(f"max_iterations must be an integer ≥ 1, got {max_iterations!r}")
+    _real(tol, "tol", PreconditionError, positive=True)
+    _real(xtol, "xtol", PreconditionError, positive=True)
+    if _count(max_iterations, "max_iterations", PreconditionError) < 1:
+        raise PreconditionError(f"max_iterations must be at least 1, got {max_iterations!r}")
 
 
 def solve_difference(
@@ -342,11 +315,9 @@ def solve_difference(
 ) -> SolveReport:
     """Find w in the regularity set with Φ(w) = c (componentwise within tol)."""
     _check_settings(tol, xtol, max_iterations)
-    c = tuple(float(v) for v in c)
+    c = tuple(_real(v, "target component", PreconditionError) for v in c)
     if len(c) != problem.n:
         raise PreconditionError(f"target must have length n={problem.n}")
-    if any(not math.isfinite(v) for v in c):
-        raise PreconditionError("target components must be finite")
     flags = problem.kernel.flags()
     if not flags.singular:
         raise HypothesisError("solver requires a singular kernel (K(0) = −∞)")
@@ -401,8 +372,8 @@ def solve_equioscillation(
 
 def sandwich_check(problem: Problem, x, M: float, slack: float = 1e-9) -> dict:
     """Verify m̲(x) ≤ M ≤ m̄(x) up to slack for a node system x in the open simplex."""
-    M = _check_real("M", M)
-    slack = _check_real("slack", slack)
+    M = _real(M, "M", PreconditionError)
+    slack = _real(slack, "slack", PreconditionError)
     ns = problem.node_system(x)
     if not ns.strict():
         raise PreconditionError("sandwich check expects a strict node system")

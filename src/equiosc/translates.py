@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, RegularityError
-from .extreal import NEG_INFINITY, ExtReal, as_extreal
+from .errors import DomainError, PreconditionError, RegularityError
+from .extreal import NEG_INFINITY, ExtReal, _count, _real, as_extreal
 from .fields import NegInfinityPiece, SingularSegment
 from .kernels import scalar_fn
 from .problem import NodeSystem, Problem
@@ -149,10 +149,8 @@ def eval_F_grid(problem: Problem, y, ts: np.ndarray) -> np.ndarray:
 
 
 def _check_t(t: float) -> float:
-    from .errors import DomainError
-
-    t = float(t)
-    if math.isnan(t) or t < 0.0 or t > 1.0:
+    t = _real(t, "evaluation point", DomainError)
+    if t < 0.0 or t > 1.0:
         raise DomainError(f"evaluation point {t!r} outside [0, 1]")
     return t
 
@@ -495,6 +493,7 @@ def interval_maxima(problem: Problem, y, xtol: float = _XTOL) -> MaximaVector:
 def maximize_on_interval(problem: Problem, y, j: int, xtol: float = _XTOL):
     """(t*, max) of F(y, ·) on the j-th node interval, 0 ≤ j ≤ n."""
     ns = problem.node_system(y)
+    j = _count(j, "interval index", PreconditionError)
     if not 0 <= j <= problem.n:
         raise PreconditionError(f"interval index {j} outside 0..{problem.n}")
     t, v = _interval_max(problem, ns.with_sentinels(), j, xtol)

@@ -383,13 +383,6 @@ def test_restricted_matches_the_all_endpoint_search(rng):
         assert (report["R"], report["nodes_restricted"]) == want
 
 
-@pytest.mark.parametrize("option", [{"refine_rounds": 2}, {"snap_seed": (0.4,)}])
-def test_restricted_deprecated_options_are_ignored(option):
-    with pytest.warns(DeprecationWarning, match="deprecated and ignored"):
-        got = eq.restricted_constant(SEED_UNION, (1.0,), **option)
-    assert got == eq.restricted_constant(SEED_UNION, (1.0,))
-
-
 def test_restricted_no_gap_equals_unrestricted():
     E = eq.IntervalUnion(((0.0, 1.0),))
     C, _ = eq.unrestricted_constant(E, (1.0, 1.0))
@@ -430,6 +423,8 @@ def test_union_validation():
         eq.IntervalUnion(((0.0, 0.5), (0.5, 1.0)))  # touching components
     with pytest.raises(eq.SchemaError):
         eq.IntervalUnion(((0.5, 0.4),))
+    with pytest.raises(eq.SchemaError):
+        eq.IntervalUnion(((False, "0.4"),))
     with pytest.raises(eq.BudgetError):
         eq.restricted_constant(SEED_UNION, (1.0,) * 5)
 

@@ -53,3 +53,5 @@ def test_strictness_parameter_validation():
         build_problem("strictness_5_3", a=0.9)
     with pytest.raises(eq.SchemaError):
         build_problem("strictness_5_3", b=0.5)
+    with pytest.raises(eq.SchemaError):
+        build_problem("strictness_5_3", a="0.25")

@@ -225,6 +225,11 @@ def test_validation_errors():
         )  # gap
     with pytest.raises(eq.SchemaError):
         Constant(float("inf"))
+    with pytest.raises(eq.SchemaError):
+        Constant("3")
+    # constructors store floats, so no evaluation converts them again
+    assert type(eq.Constant(3).c) is float
+    assert type(eq.Piece(0, 1, eq.Constant(0.0)).lo) is float
     for bad in (float("nan"), float("inf")):
         with pytest.raises(eq.SchemaError):
             PiecewiseField((Piece(0.0, 1.0, Constant(0.0)),), ((0.5, bad),))
@@ -267,6 +272,8 @@ def test_json_roundtrip():
             "pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0.0}}],
             "point_values": [[0.5, float("inf")]],
         },
+        {"kind": "Constant", "c": "3"},
+        {"pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": "3"}}]},
     ],
 )
 def test_malformed_json_raises_schema_error(doc):

@@ -131,6 +131,7 @@ def test_json_roundtrip():
         {"variant": "Regularized", "params": {"base": {"variant": "Log"}}},
         {"variant": "Regularized", "params": {"eta": 0.5}},
         {"variant": "Regularized", "params": {"base": {"variant": "CappedLog"}, "eta": 0.5}},
+        {"variant": "CappedLog", "params": {"a": "0.2"}},
     ],
 )
 def test_malformed_json_raises_schema_error(doc):
@@ -145,6 +146,11 @@ def test_invalid_params():
         eq.CappedLog(1.5)
     with pytest.raises(eq.SchemaError):
         eq.Regularized(eq.Log(), -1.0)
+    with pytest.raises(eq.SchemaError):
+        eq.CappedLog("0.2")
+    with pytest.raises(eq.SchemaError):
+        eq.Regularized(eq.Log(), True)
+    assert type(eq.CappedLog(np.float32(0.25)).a) is float
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: repr(k))

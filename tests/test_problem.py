@@ -17,6 +17,9 @@ def test_node_system_validation():
         eq.NodeSystem((0.8, 0.2))
     with pytest.raises(eq.PreconditionError):
         eq.NodeSystem((-0.1,))
+    for nodes in (("0.3",), (True,)):
+        with pytest.raises(eq.PreconditionError):
+            eq.NodeSystem(nodes)
 
 
 def test_problem_validation():
@@ -80,7 +83,10 @@ def _problem_doc(n, r):
 
 
 # r has the length that truncating or coercing n would give
-@pytest.mark.parametrize("n, r", [(2.7, (1.0, 1.0)), (True, (1.0,)), ("2", (1.0, 1.0))])
+@pytest.mark.parametrize(
+    "n, r",
+    [(2.7, (1.0, 1.0)), (True, (1.0,)), ("2", (1.0, 1.0)), (2.0, (1.0, 1.0)), (1, (True,)), (1, ("1.5",))],
+)
 def test_n_is_not_truncated_or_coerced(n, r):
     with pytest.raises(eq.SchemaError):
         eq.problem_from_json(_problem_doc(n, r))
@@ -88,7 +94,7 @@ def test_n_is_not_truncated_or_coerced(n, r):
         eq.Problem(n, r, eq.Log(), eq.constant_field(0.0))
 
 
-@pytest.mark.parametrize("n", [2, np.int64(2), np.int32(2), 2.0])
+@pytest.mark.parametrize("n", [2, np.int64(2), np.int32(2)])
 def test_integer_n_is_accepted(n):
     problem = eq.Problem(n, (1.0, 1.0), eq.Log(), eq.constant_field(0.0))
     assert problem.n == 2 and type(problem.n) is int

@@ -205,6 +205,8 @@ def test_invalid_target():
         eq.solve_difference(log_problem(2), (0.0,))
     with pytest.raises(eq.PreconditionError):
         eq.solve_difference(log_problem(1), (float("inf"),))
+    with pytest.raises(eq.PreconditionError):
+        eq.solve_difference(log_problem(2), ["0.5", "0"])
 
 
 def test_sandwich_examples():
