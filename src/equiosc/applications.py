@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, PreconditionError, SchemaError
-from .extreal import NEG_INFINITY, _count, _positive_reals, _real
+from .extreal import NEG_INFINITY, _count, _real, _reals
 from .fields import (
     Formula,
     NegInfinityPiece,
@@ -74,12 +74,12 @@ class GapProblem:
     weight: PiecewiseField
 
     def __post_init__(self):
-        a, b = _real(self.interval[0], "interval end"), _real(self.interval[1], "interval end")
-        if not a < b:
-            raise SchemaError("interval must be non-degenerate")
-        object.__setattr__(self, "interval", (a, b))
-        object.__setattr__(self, "exponents", _positive_reals(self.exponents, "exponent"))
-        if self.weight.domain != (a, b):
+        ends = _reals(self.interval, "interval end")
+        if len(ends) != 2 or not ends[0] < ends[1]:
+            raise SchemaError(f"interval must be a non-degenerate pair (a, b), got {self.interval!r}")
+        object.__setattr__(self, "interval", ends)
+        object.__setattr__(self, "exponents", _reals(self.exponents, "exponent", positive=True))
+        if self.weight.domain != ends:
             raise SchemaError("weight must live on the problem interval")
 
     @property
@@ -102,12 +102,15 @@ class IntervalUnion:
     components: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        comps = tuple((_real(a, "component end"), _real(b, "component end")) for a, b in self.components)
+        try:
+            comps = tuple(_reals(c, "component end") for c in self.components)
+        except TypeError:
+            raise SchemaError(f"components must be a sequence, got {self.components!r}") from None
         if not comps:
             raise SchemaError("interval union needs at least one component")
-        for a, b in comps:
-            if not a < b:
-                raise SchemaError("components must be non-degenerate intervals")
+        for c in comps:
+            if len(c) != 2 or not c[0] < c[1]:
+                raise SchemaError(f"components must be non-degenerate pairs (a, b), got {c!r}")
         for (_, b), (a2, _) in zip(comps, comps[1:]):
             if not b < a2:
                 raise SchemaError("components must be strictly ordered and disjoint")
@@ -135,8 +138,8 @@ class IntervalUnion:
 
 def _gap_terms(nodes, r, weight: PiecewiseField) -> tuple[tuple[float, float], ...]:
     """The (r_j, x_j) pairs, after checking one node per exponent, each in the weight's domain."""
-    r = _positive_reals(r, "exponent")
-    nodes = tuple(_real(x, "node", PreconditionError) for x in nodes)
+    r = _reals(r, "exponent", positive=True)
+    nodes = _reals(nodes, "node", PreconditionError)
     if len(nodes) != len(r):
         raise PreconditionError(f"expected {len(r)} nodes, one per exponent, got {len(nodes)}")
     lo, hi = weight.domain
@@ -349,7 +352,7 @@ def unrestricted_constant(
     E: IntervalUnion, r, weight: PiecewiseField | None = None, tol: float = 1e-9
 ) -> tuple[float, tuple[float, ...]]:
     """Minimal sup-norm over E with nodes free in the hull, plus the nodes."""
-    r = _positive_reals(r, "exponent")
+    r = _reals(r, "exponent", positive=True)
     return _unrestricted(_UnionField(E, weight), r, tol)
 
 
@@ -405,7 +408,7 @@ def restricted_constant(
 
 def _restricted_exponents(r) -> tuple[float, ...]:
     """The checked exponents, if the restricted search can take that many nodes."""
-    r = _positive_reals(r, "exponent")
+    r = _reals(r, "exponent", positive=True)
     if len(r) > 4:
         raise BudgetError("restricted search supports n ≤ 4")
     return r
@@ -458,7 +461,7 @@ def _restricted(union: _UnionField, r, tol, unpinned=None):
 
 def union_bound_factor(k: int, r) -> float:
     """2 raised to the largest sum of min(k−1, n) exponents."""
-    r = sorted(_positive_reals(r, "exponent"), reverse=True)
+    r = sorted(_reals(r, "exponent", positive=True), reverse=True)
     take = min(max(_count(k, "k") - 1, 0), len(r))
     return 2.0 ** sum(r[:take])
 

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -211,7 +212,10 @@ def _cmd_example(args) -> int:
     params = {}
     if key.startswith("classical_chebyshev"):
         if "(" in key:
-            params["n"] = int(key[key.index("(") + 1 : key.rindex(")")])
+            match = re.fullmatch(r"classical_chebyshev\((\d+)\)", key)
+            if match is None:
+                raise SchemaError(f"expected classical_chebyshev(<n>), got {key!r}")
+            params["n"] = int(match[1])
             key = "classical_chebyshev"
         elif args.n is not None:
             params["n"] = args.n

@@ -7,8 +7,9 @@ infinity and NaN have no meaning here: :func:`as_extreal` rejects them where
 values cross the public boundary.
 
 Every number handed in by a caller or a JSON document passes one of three
-checkers, :func:`_real`, :func:`_count` or :func:`_positive_reals`, which
-refuse booleans, strings and non-finite values with the error class they are given.
+checkers, :func:`_real`, :func:`_count` or :func:`_reals`, which refuse
+booleans, strings, non-finite values and non-sequences with the error class
+they are given.
 """
 
 from __future__ import annotations
@@ -81,15 +82,15 @@ def _count(x, name: str, error=SchemaError) -> int:
     raise error(f"{name} must be an integer, got {x!r}")
 
 
-def _positive_reals(xs, name: str, error=SchemaError) -> tuple[float, ...]:
-    """xs as a tuple of floats if it is a non-empty sequence of finite positive reals.
+def _reals(xs, name: str, error=SchemaError, *, positive: bool = False) -> tuple[float, ...]:
+    """xs as a tuple of floats if it is a non-empty sequence of finite (positive, if asked) reals.
 
-    >>> _positive_reals([1, 2.5], "r")
+    >>> _reals([1, 2.5], "r", positive=True)
     (1.0, 2.5)
-    >>> _positive_reals([True], "r")
+    >>> _reals(None, "r")
     Traceback (most recent call last):
     ...
-    equiosc.errors.SchemaError: r must be a finite positive real, got True
+    equiosc.errors.SchemaError: r must be a sequence, got None
     """
     try:
         xs = tuple(xs)
@@ -97,4 +98,4 @@ def _positive_reals(xs, name: str, error=SchemaError) -> tuple[float, ...]:
         raise error(f"{name} must be a sequence, got {xs!r}") from None
     if not xs:
         raise error(f"{name} must not be empty")
-    return tuple(_real(v, name, error, positive=True) for v in xs)
+    return tuple(_real(v, name, error, positive=positive) for v in xs)

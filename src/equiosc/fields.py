@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .extreal import NEG_INFINITY, ExtReal, _real, as_extreal, is_neg_infinity
+from .extreal import NEG_INFINITY, ExtReal, _count, _real, _reals, as_extreal, is_neg_infinity
 
 __all__ = [
     "Constant",
@@ -300,10 +300,11 @@ class PiecewiseField:
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        lo, hi = (_real(self.domain[0], "domain end"), _real(self.domain[1], "domain end"))
-        object.__setattr__(self, "domain", (lo, hi))
-        if not lo < hi:
-            raise SchemaError("field domain must be a non-degenerate interval")
+        ends = _reals(self.domain, "domain end")
+        if len(ends) != 2 or not ends[0] < ends[1]:
+            raise SchemaError(f"field domain must be a non-degenerate pair (lo, hi), got {self.domain!r}")
+        object.__setattr__(self, "domain", ends)
+        lo, hi = ends
         pieces = tuple(self.pieces)
         if not pieces:
             raise SchemaError("field needs at least one piece")
@@ -395,7 +396,7 @@ class PiecewiseField:
         """Vectorized usc evaluation; −∞ appears as IEEE -inf."""
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.domain
-        if ts.size and (np.nanmin(ts) < lo or np.nanmax(ts) > hi):
+        if ts.size and not (lo <= ts.min() and ts.max() <= hi):  # False for NaN too
             raise DomainError("field argument outside the domain")
         out = np.full(ts.shape, NEG_INFINITY)
         for p in self.pieces:
@@ -443,7 +444,7 @@ class PiecewiseField:
         segments.sort(key=lambda s: (s.lo, s.hi))
         return tuple(segments)
 
-    def finiteness_count(self, endpoints_half: bool = True) -> float:
+    def finiteness_count(self) -> float:
         """Weighted count of finiteness points (endpoints weigh 1/2); may be inf."""
         for p in self.pieces:
             mode, _ = p.formula._neg_inf_on(p.lo, p.hi)
@@ -454,7 +455,7 @@ class PiecewiseField:
         candidates = set(self.knots()) | set(self.override_points())
         for t in candidates:
             if self._value_float(t) > NEG_INFINITY:
-                count += 0.5 if (endpoints_half and t in (lo, hi)) else 1.0
+                count += 0.5 if t in (lo, hi) else 1.0
         return count
 
 
@@ -466,7 +467,7 @@ def field_eval(field: PiecewiseField, t: float) -> ExtReal:
 
 def field_admissible(field: PiecewiseField, n: int) -> bool:
     """True iff the weighted count of finiteness points exceeds n."""
-    if n < 1:
+    if _count(n, "n") < 1:
         raise SchemaError("n must be a positive integer")
     return field.finiteness_count() > n
 
@@ -498,7 +499,14 @@ def indicator_field(
     lo, hi = domain
     pieces: list[Piece] = []
     cursor = lo
-    for a, b in sorted((_real(a, "interval end"), _real(b, "interval end")) for a, b in intervals):
+    try:
+        spans = sorted(_reals(ab, "interval end") for ab in intervals)
+    except TypeError:
+        raise SchemaError(f"intervals must be a sequence, got {intervals!r}") from None
+    for span in spans:
+        if len(span) != 2:
+            raise SchemaError(f"each interval must be a pair (a, b), got {span!r}")
+        a, b = span
         if a < cursor - 1e-15:
             raise SchemaError("indicator intervals must be disjoint and sorted")
         if a > cursor:

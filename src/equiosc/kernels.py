@@ -305,7 +305,7 @@ def kernel_eval(kernel: KernelSpec, t: float) -> ExtReal:
 def kernel_values(kernel: KernelSpec, u: np.ndarray) -> np.ndarray:
     """Vectorized kernel evaluation; −∞ appears as IEEE -inf in the result."""
     u = np.asarray(u, dtype=float)
-    if u.size and (np.nanmin(u) < -1.0 or np.nanmax(u) > 1.0):
+    if u.size and not (-1.0 <= u.min() and u.max() <= 1.0):  # False for NaN too
         raise DomainError("kernel argument outside [-1, 1]")
     return kernel._values_unchecked(u)
 

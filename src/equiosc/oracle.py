@@ -12,8 +12,8 @@ agrees with it to 1e-12 relative; the cells go through in fixed-size chunks,
 so memory does not grow with the lattice. Ties break to the lexicographically
 smallest node vector, the first in lattice order. It runs single-threaded:
 the ``threads`` argument is deprecated, and a value other than 1 only warns.
-Grid counts must be integers, the budget and ``xtol`` finite and positive and
-``tol`` finite and non-negative, else ``PreconditionError``.
+Grid counts must be integers, the budget finite and positive and ``tol``
+finite and non-negative, else ``PreconditionError``.
 """
 
 from __future__ import annotations
@@ -78,39 +78,38 @@ def _lattice(ranges: list[tuple[float, float]], points: int) -> np.ndarray:
     return cells
 
 
-def _evaluate(problem, ranges, points, mode, xtol):
+def _evaluate(problem, ranges, points, mode):
     """The lattice cells over ``ranges`` and the objective at each of them."""
     cells = _lattice(ranges, points)
     reduce = np.max if mode == "minimax" else np.min  # min is −∞ as soon as one maximum is
     step = max(1, _BATCH_INTERVALS // (problem.n + 1))
     values = np.concatenate([
-        reduce(_maxima_batch(problem, cells[start : start + step], xtol), axis=1)
+        reduce(_maxima_batch(problem, cells[start : start + step]), axis=1)
         for start in range(0, len(cells), step)
     ])
     return cells, values
 
 
-def _scan(problem, ranges, points, mode, xtol):
-    cells, values = _evaluate(problem, ranges, points, mode, xtol)
+def _scan(problem, ranges, points, mode):
+    cells, values = _evaluate(problem, ranges, points, mode)
     best = int(np.argmin(values) if mode == "minimax" else np.argmax(values))  # first of ties
     return tuple(float(v) for v in cells[best]), float(values[best])
 
 
-def _search(problem: Problem, grid: GridSpec, mode: str, xtol: float, threads: int):
+def _search(problem: Problem, grid: GridSpec, mode: str, threads: int):
     if threads != 1:
         warnings.warn("threads is deprecated and ignored", DeprecationWarning, stacklevel=3)
-    xtol = _real(xtol, "xtol", PreconditionError, positive=True)
     _check_budget(problem, grid)
     n = problem.n
     ranges = [(0.0, 1.0)] * n
     width = 1.0
-    best_nodes, best_val = _scan(problem, ranges, grid.points_per_dim, mode, xtol)
+    best_nodes, best_val = _scan(problem, ranges, grid.points_per_dim, mode)
     for _ in range(grid.refine_rounds):
         width /= 10.0
         ranges = [
             (max(0.0, y - 0.5 * width), min(1.0, y + 0.5 * width)) for y in best_nodes
         ]
-        best_nodes, best_val = _scan(problem, ranges, grid.points_per_dim, mode, xtol)
+        best_nodes, best_val = _scan(problem, ranges, grid.points_per_dim, mode)
     return NodeSystem(best_nodes), best_val
 
 
@@ -118,22 +117,20 @@ def grid_minimax(
     problem: Problem,
     grid: GridSpec = GridSpec(),
     *,
-    xtol: float = 1e-12,
     threads: int = 1,
 ) -> tuple[NodeSystem, float]:
     """Grid point minimizing m̄ over the closed simplex, with refinement."""
-    return _search(problem, grid, "minimax", xtol, threads)
+    return _search(problem, grid, "minimax", threads)
 
 
 def grid_maximin(
     problem: Problem,
     grid: GridSpec = GridSpec(),
     *,
-    xtol: float = 1e-12,
     threads: int = 1,
 ) -> tuple[NodeSystem, float]:
     """Grid point maximizing m̲ over the closed simplex, with refinement."""
-    return _search(problem, grid, "maximin", xtol, threads)
+    return _search(problem, grid, "maximin", threads)
 
 
 def grid_near_optimal(
@@ -142,7 +139,6 @@ def grid_near_optimal(
     *,
     mode: str = "maximin",
     tol: float = 1e-6,
-    xtol: float = 1e-12,
 ) -> list[tuple[tuple[float, ...], float]]:
     """All first-round grid cells whose objective is within tol of the best.
 
@@ -153,9 +149,8 @@ def grid_near_optimal(
         raise PreconditionError("mode must be 'minimax' or 'maximin'")
     if _real(tol, "tol", PreconditionError) < 0.0:
         raise PreconditionError(f"tol must be non-negative, got {tol!r}")
-    xtol = _real(xtol, "xtol", PreconditionError, positive=True)
     _check_budget(problem, grid)
-    cells, values = _evaluate(problem, [(0.0, 1.0)] * problem.n, grid.points_per_dim, mode, xtol)
+    cells, values = _evaluate(problem, [(0.0, 1.0)] * problem.n, grid.points_per_dim, mode)
     finite = np.isfinite(values)
     if not finite.any():
         return []

@@ -40,6 +40,9 @@ __all__ = [
 
 _TIE_TOL = 1e-9
 _PASS_TOL = 1e-12
+# sample_regular_nodes: the smallest node gap, and the draws before giving up
+_MIN_GAP = 1e-3
+_MAX_TRIES = 1000
 
 
 # -- interval perturbation inequality -----------------------------------------
@@ -204,8 +207,8 @@ def perturb_partition(problem: Problem, w, partition: PartitionSpec, h: float) -
 @dataclass(frozen=True)
 class IntertwiningVerdict:
     kind: str  # "equal" | "witness" | "majorization_violation"
-    below: int | None = None  # index where m(x) < m(y) − τ
-    above: int | None = None  # index where m(x) > m(y) + τ
+    below: int | None = None  # index where m(x) < m(y) − _TIE_TOL
+    above: int | None = None  # index where m(x) > m(y) + _TIE_TOL
     direction: str | None = None  # for violations: which vector dominates
 
     @property
@@ -213,37 +216,26 @@ class IntertwiningVerdict:
         return self.kind == "witness"
 
 
-def _regular_maxima(problem: Problem, ns: NodeSystem, xtol: float):
+def _regular_maxima(problem: Problem, ns: NodeSystem):
     if not in_regularity_set(problem, ns):
         raise RegularityError("node system outside the regularity set")
-    vals, _ = _maxima_floats(problem, ns.with_sentinels(), xtol)
+    vals, _ = _maxima_floats(problem, ns.with_sentinels())
     if any(v == NEG_INFINITY for v in vals):
         raise RegularityError("interval maximum −∞ despite regularity check")
     return vals
 
 
-def _check_tolerances(tau, xtol) -> tuple[float, float]:
-    """The tie tolerance τ ≥ 0 and the positive argmax tolerance, as floats."""
-    tau = _real(tau, "tau", PreconditionError)
-    if tau < 0.0:
-        raise PreconditionError(f"tau must be non-negative, got {tau!r}")
-    return tau, _real(xtol, "xtol", PreconditionError, positive=True)
-
-
-def check_intertwining(
-    problem: Problem, x, y, tau: float = _TIE_TOL, xtol: float = 1e-12
-) -> IntertwiningVerdict:
-    """Compare the interval-maxima vectors of two regular node systems."""
-    tau, xtol = _check_tolerances(tau, xtol)
+def check_intertwining(problem: Problem, x, y) -> IntertwiningVerdict:
+    """Compare the interval-maxima vectors of two regular node systems; maxima within 1e-9 tie."""
     nx = problem.node_system(x)
     ny = problem.node_system(y)
     if max(abs(a - b) for a, b in zip(nx.nodes, ny.nodes)) <= 1e-12:
         return IntertwiningVerdict("equal")
-    mx = _regular_maxima(problem, nx, xtol)
-    my = _regular_maxima(problem, ny, xtol)
+    mx = _regular_maxima(problem, nx)
+    my = _regular_maxima(problem, ny)
     diffs = [a - b for a, b in zip(mx, my)]
-    below = next((i for i, d in enumerate(diffs) if d < -tau), None)
-    above = next((i for i, d in enumerate(diffs) if d > tau), None)
+    below = next((i for i, d in enumerate(diffs) if d < -_TIE_TOL), None)
+    above = next((i for i, d in enumerate(diffs) if d > _TIE_TOL), None)
     if below is not None and above is not None:
         return IntertwiningVerdict("witness", below=below, above=above)
     if below is None and above is None:
@@ -254,15 +246,12 @@ def check_intertwining(
     )
 
 
-def sample_regular_nodes(
-    problem: Problem, rng: np.random.Generator, min_gap: float = 1e-3, max_tries: int = 1000
-) -> NodeSystem:
-    """A random node system in the regularity set with a minimum node gap."""
-    min_gap = _real(min_gap, "min_gap", PreconditionError, positive=True)
+def sample_regular_nodes(problem: Problem, rng: np.random.Generator) -> NodeSystem:
+    """A random node system in the regularity set whose node gaps are at least 1e-3."""
     n = problem.n
-    for _ in range(_count(max_tries, "max_tries", PreconditionError)):
-        draw = np.sort(rng.uniform(min_gap, 1.0 - min_gap, size=n))
-        if n > 1 and np.min(np.diff(draw)) < min_gap:
+    for _ in range(_MAX_TRIES):
+        draw = np.sort(rng.uniform(_MIN_GAP, 1.0 - _MIN_GAP, size=n))
+        if n > 1 and np.min(np.diff(draw)) < _MIN_GAP:
             continue
         ns = NodeSystem(tuple(draw.tolist()))
         if in_regularity_set(problem, ns):
@@ -284,9 +273,7 @@ def check_strict_majorization_excluded(
     samples: int = 500,
     *,
     seed: int = 0,
-    tau: float = _TIE_TOL,
     pairs=None,
-    xtol: float = 1e-12,
 ) -> MajorizationScanReport:
     """Scan node-system pairs for strict coordinatewise domination of the maxima.
 
@@ -296,7 +283,6 @@ def check_strict_majorization_excluded(
     supplied explicitly, e.g. to validate the checker on kernels outside the
     hypotheses, where strict domination genuinely happens.
     """
-    tau, xtol = _check_tolerances(tau, xtol)
     flags = problem.kernel.flags()
     hypotheses = flags.singular and flags.monotone_M
     rng = np.random.default_rng(_count(seed, "seed", PreconditionError))
@@ -313,19 +299,19 @@ def check_strict_majorization_excluded(
         nx = problem.node_system(x)
         ny = problem.node_system(y)
         try:
-            mx = _regular_maxima(problem, nx, xtol)
-            my = _regular_maxima(problem, ny, xtol)
+            mx = _regular_maxima(problem, nx)
+            my = _regular_maxima(problem, ny)
         except RegularityError:
             continue
         checked += 1
         diffs = [a - b for a, b in zip(mx, my)]
         for d in (diffs, [-v for v in diffs]):
-            if all(v > tau for v in d):
+            if all(v > _TIE_TOL for v in d):
                 strict += 1
                 if len(examples) < 8:
                     examples.append((nx.nodes, ny.nodes))
                 break
-            if all(v >= -tau for v in d) and any(v > tau for v in d):
+            if all(v >= -_TIE_TOL for v in d) and any(v > _TIE_TOL for v in d):
                 weak += 1
                 break
     return MajorizationScanReport(

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AdmissibilityError, PreconditionError, SchemaError
-from .extreal import _count, _positive_reals, _real
+from .extreal import _count, _reals
 from .fields import PiecewiseField, field_admissible, field_from_json, field_to_json
 from .kernels import KernelSpec, kernel_from_json, kernel_to_json
 
@@ -36,9 +36,7 @@ class NodeSystem:
     nodes: tuple[float, ...]
 
     def __post_init__(self):
-        nodes = tuple(_real(v, "node", PreconditionError) for v in self.nodes)
-        if not nodes:
-            raise PreconditionError("a node system needs at least one node")
+        nodes = _reals(self.nodes, "node", PreconditionError)
         prev = 0.0
         for v in nodes:
             if v < 0.0 or v > 1.0:
@@ -73,7 +71,7 @@ class NodeSystem:
 def as_node_system(y) -> NodeSystem:
     if isinstance(y, NodeSystem):
         return y
-    return NodeSystem((y,) if isinstance(y, numbers.Real) else tuple(y))
+    return NodeSystem((y,) if isinstance(y, numbers.Real) else y)
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class Problem:
         if n < 1:
             raise SchemaError("n must be a positive integer")
         object.__setattr__(self, "n", n)
-        r = _positive_reals(self.r, "multiplier r_j")
+        r = _reals(self.r, "multiplier r_j", positive=True)
         if len(r) != n:
             raise SchemaError(f"expected {n} multipliers, got {len(r)}")
         object.__setattr__(self, "r", r)

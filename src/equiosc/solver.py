@@ -30,10 +30,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, PreconditionError
-from .extreal import NEG_INFINITY, _count, _real
+from .extreal import NEG_INFINITY, _count, _real, _reals
 from .kernels import Regularized
 from .problem import NodeSystem, Problem
-from .translates import MaximaVector, _interval_max, _maxima_floats, _rint_inside_segment, interval_maxima
+from .translates import MaximaVector, _interval_max, _maxima_floats, _singular_interval, interval_maxima
 
 __all__ = ["SolveReport", "sandwich_check", "solve_difference", "solve_equioscillation"]
 
@@ -42,6 +42,7 @@ _BIG = 1e18
 _FD_STEP = 1e-7
 _SWEEP_SWITCH = 1e-3
 _WARM_ETAS = (1e-2, 1e-4)
+_SANDWICH_SLACK = 1e-9
 # the sweeps give up once the best residual has not fallen by 10% over this many rounds
 _STALL_ROUNDS = 10
 
@@ -87,17 +88,8 @@ def _initial_nodes(problem: Problem) -> list[float]:
     if not segments:
         return ws
     finite = _finite_field_pieces(problem)
-
-    def offending(ws_now: list[float]) -> int | None:
-        ys = (0.0, *ws_now, 1.0)
-        for j in range(n + 1):
-            lo, hi = ys[j], ys[j + 1]
-            if any(_rint_inside_segment(lo, hi, j, n, seg) for seg in segments):
-                return j
-        return None
-
     for _ in range(4 * n + 4):
-        j = offending(ws)
+        j = _singular_interval((0.0, *ws, 1.0), segments)
         if j is None:
             return ws
         move = j if 1 <= j <= n else 1
@@ -158,8 +150,8 @@ def _phi_floats(vals: list[float]) -> list[float]:
     return [vals[j] - vals[j - 1] for j in range(1, len(vals))]
 
 
-def _residual_norm(problem: Problem, ys: list[float], c, xtol: float):
-    vals, args = _maxima_floats(problem, tuple(ys), xtol)
+def _residual_norm(problem: Problem, ys: list[float], c):
+    vals, args = _maxima_floats(problem, tuple(ys))
     if any(v == NEG_INFINITY for v in vals):
         return math.inf, vals, args
     phi = _phi_floats(vals)
@@ -177,7 +169,7 @@ def _fd_node(ys: list[float], k: int) -> tuple[tuple[float, ...], float]:
     return tuple(pert), h
 
 
-def _jacobian(problem: Problem, ys: list[float], vals, args, xtol: float):
+def _jacobian(problem: Problem, ys: list[float], vals, args):
     """Jacobian of Φ at ys from the interval argmaxima; None if a perturbed maximum is −∞.
 
     By Danskin's envelope theorem ∂m_i/∂y_k = −r_k·K′(t_i* − y_k) at the argmax
@@ -197,14 +189,14 @@ def _jacobian(problem: Problem, ys: list[float], vals, args, xtol: float):
     for i in sorted(set(range(n + 1)).difference(exact)):
         for k in range(1, n + 1):
             pert, h = _fd_node(ys, k)
-            _, v = _interval_max(problem, pert, i, xtol)
+            _, v = _interval_max(problem, pert, i)
             if v == NEG_INFINITY:
                 return None
             dm[i, k - 1] = (v - vals[i]) / h
     return dm[1:] - dm[:-1]
 
 
-def _newton(problem, ys: list[float], c, tol, xtol, budget: int, state):
+def _newton(problem, ys: list[float], c, tol, budget: int, state):
     """Damped Newton on Φ − c from ys, which it updates in place.
 
     ``state`` is (residual, maxima, argmaxima) at ys, as from :func:`_residual_norm`;
@@ -218,7 +210,7 @@ def _newton(problem, ys: list[float], c, tol, xtol, budget: int, state):
     res, vals, args = state
     while used < budget and math.isfinite(res):
         within_tol = res <= tol
-        jac = _jacobian(problem, ys, vals, args, xtol)
+        jac = _jacobian(problem, ys, vals, args)
         if jac is None:
             break
         try:
@@ -234,7 +226,7 @@ def _newton(problem, ys: list[float], c, tol, xtol, budget: int, state):
         for _ in range(1 if within_tol else 30):
             trial = [ys[0], *(y + lam * d for y, d in zip(ys[1:-1], step)), ys[-1]]
             if all(b - a >= _BRACKET_EPS for a, b in zip(trial, trial[1:])):
-                new_res, new_vals, new_args = _residual_norm(problem, trial, c, xtol)
+                new_res, new_vals, new_args = _residual_norm(problem, trial, c)
                 if new_res < res:
                     ys[:] = trial
                     res, vals, args = new_res, new_vals, new_args
@@ -246,7 +238,7 @@ def _newton(problem, ys: list[float], c, tol, xtol, budget: int, state):
     return used, (res, vals, args)
 
 
-def _solve_direct(problem: Problem, c, tol, xtol, max_iterations, initial):
+def _solve_direct(problem: Problem, c, tol, max_iterations, initial):
     n = problem.n
     if initial is not None:
         init = problem.node_system(initial)
@@ -257,8 +249,8 @@ def _solve_direct(problem: Problem, c, tol, xtol, max_iterations, initial):
         ys = [0.0, *_initial_nodes(problem), 1.0]
 
     # Newton with the exact Jacobian first; the sweeps are the fallback when it stalls
-    state = _residual_norm(problem, ys, c, xtol)
-    iterations, state = _newton(problem, ys, c, tol, xtol, max_iterations, state)
+    state = _residual_norm(problem, ys, c)
+    iterations, state = _newton(problem, ys, c, tol, max_iterations, state)
     width = 1e-2
     floor = 1e-6
     best = []  # best residual after each round of sweeps
@@ -268,9 +260,9 @@ def _solve_direct(problem: Problem, c, tol, xtol, max_iterations, initial):
         for j in range(1, n + 1):
             _bisect_node(problem, ys, j, c[j - 1], width, sweep_xtol)
         iterations += 1
-        state = _residual_norm(problem, ys, c, xtol)
+        state = _residual_norm(problem, ys, c)
         if tol < state[0] <= _SWEEP_SWITCH:
-            used, state = _newton(problem, ys, c, tol, xtol, max_iterations - iterations, state)
+            used, state = _newton(problem, ys, c, tol, max_iterations - iterations, state)
             iterations += used
             if state[0] > tol:  # Newton stalled: restart the sweeps a little tighter each time
                 width = max(width, floor)
@@ -297,9 +289,8 @@ def _as_report(problem, ys, res, vals, args, iterations, converged, c, risk=Fals
     )
 
 
-def _check_settings(tol, xtol, max_iterations) -> None:
+def _check_settings(tol, max_iterations) -> None:
     _real(tol, "tol", PreconditionError, positive=True)
-    _real(xtol, "xtol", PreconditionError, positive=True)
     if _count(max_iterations, "max_iterations", PreconditionError) < 1:
         raise PreconditionError(f"max_iterations must be at least 1, got {max_iterations!r}")
 
@@ -311,11 +302,10 @@ def solve_difference(
     *,
     max_iterations: int = 500,
     initial=None,
-    xtol: float = 1e-12,
 ) -> SolveReport:
     """Find w in the regularity set with Φ(w) = c (componentwise within tol)."""
-    _check_settings(tol, xtol, max_iterations)
-    c = tuple(_real(v, "target component", PreconditionError) for v in c)
+    _check_settings(tol, max_iterations)
+    c = _reals(c, "target component", PreconditionError)
     if len(c) != problem.n:
         raise PreconditionError(f"target must have length n={problem.n}")
     flags = problem.kernel.flags()
@@ -330,7 +320,7 @@ def solve_difference(
     for eta in () if strict else _WARM_ETAS:
         regularized = replace(problem, kernel=Regularized(problem.kernel, eta))
         ys, res, _, _, iterations, converged = _solve_direct(
-            regularized, c, max(tol, 1e-10), xtol, max_iterations, warm
+            regularized, c, max(tol, 1e-10), max_iterations, warm
         )
         warm_iterations += iterations
         if not converged:
@@ -338,9 +328,7 @@ def solve_difference(
                 f"regularized solve (eta={eta}) stalled at residual {res:.3e}"
             )
         warm = NodeSystem(tuple(ys[1:-1]))
-    ys, res, vals, args, iterations, converged = _solve_direct(
-        problem, c, tol, xtol, max_iterations, warm
-    )
+    ys, res, vals, args, iterations, converged = _solve_direct(problem, c, tol, max_iterations, warm)
     if not converged:
         raise ConvergenceError(
             f"no convergence after {iterations} iterations (residual {res:.3e})" if strict
@@ -357,27 +345,19 @@ def solve_equioscillation(
     *,
     max_iterations: int = 500,
     initial=None,
-    xtol: float = 1e-12,
 ) -> SolveReport:
     """The unique node system with m_0 = … = m_n; also the minimax/maximin point."""
-    return solve_difference(
-        problem,
-        (0.0,) * problem.n,
-        tol,
-        max_iterations=max_iterations,
-        initial=initial,
-        xtol=xtol,
-    )
+    zero = (0.0,) * problem.n
+    return solve_difference(problem, zero, tol, max_iterations=max_iterations, initial=initial)
 
 
-def sandwich_check(problem: Problem, x, M: float, slack: float = 1e-9) -> dict:
-    """Verify m̲(x) ≤ M ≤ m̄(x) up to slack for a node system x in the open simplex."""
+def sandwich_check(problem: Problem, x, M: float) -> dict:
+    """Verify m̲(x) ≤ M ≤ m̄(x) up to a slack of 1e-9 for a node system x in the open simplex."""
     M = _real(M, "M", PreconditionError)
-    slack = _real(slack, "slack", PreconditionError)
     ns = problem.node_system(x)
     if not ns.strict():
         raise PreconditionError("sandwich check expects a strict node system")
     maxima = interval_maxima(problem, ns)
-    lower_ok = maxima.m_under <= M + slack
-    upper_ok = M <= maxima.m_bar + slack
+    lower_ok = maxima.m_under <= M + _SANDWICH_SLACK
+    upper_ok = M <= maxima.m_bar + _SANDWICH_SLACK
     return {"lower_ok": lower_ok, "upper_ok": upper_ok}

@@ -53,6 +53,7 @@ _NODE_EPS = 1e-13
 _INF = float("inf")
 _SQRT_EPS = math.sqrt(math.ulp(1.0))
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction 1 − 1/φ
+_SCAN_POINTS = 64  # samples per non-concave piece, scalar and batched
 
 
 @dataclass(frozen=True)
@@ -239,13 +240,13 @@ def _concave_max(g, a: float, b: float, xtol: float, ga: float, gb: float):
     return _brent_max(g, a, b, xtol)
 
 
-def _scan_max(g, lo: float, hi: float, xtol: float, points: int = 64) -> tuple[float, float]:
+def _scan_max(g, lo: float, hi: float, xtol: float) -> tuple[float, float]:
     """Fallback for non-concave pieces: coarse scan, then a Brent polish."""
-    ts = np.linspace(lo, hi, points)
+    ts = np.linspace(lo, hi, _SCAN_POINTS)
     vals = [g(float(t)) for t in ts]
-    i = max(range(points), key=lambda k: (vals[k], -k))
+    i = max(range(_SCAN_POINTS), key=lambda k: (vals[k], -k))
     a = ts[max(0, i - 1)]
-    b = ts[min(points - 1, i + 1)]
+    b = ts[min(_SCAN_POINTS - 1, i + 1)]
     t_star, v_star = _brent_max(g, float(a), float(b), xtol)
     if vals[i] >= v_star:
         return float(ts[i]), vals[i]
@@ -328,11 +329,11 @@ def _interval_max(problem: Problem, ys: tuple[float, ...], j: int, xtol: float =
     return (lo if v > NEG_INFINITY else None), v
 
 
-def _maxima_floats(problem: Problem, ys: tuple[float, ...], xtol: float = _XTOL):
+def _maxima_floats(problem: Problem, ys: tuple[float, ...]):
     vals = []
     args = []
     for j in range(problem.n + 1):
-        t, v = _interval_max(problem, ys, j, xtol)
+        t, v = _interval_max(problem, ys, j)
         vals.append(v)
         args.append(t)
     return vals, args
@@ -341,7 +342,6 @@ def _maxima_floats(problem: Problem, ys: tuple[float, ...], xtol: float = _XTOL)
 # -- batched interval maxima (grid oracle) --------------------------------------
 
 _INVPHI = 1.0 - _CGOLD  # 1/φ
-_SCAN_POINTS = 64  # samples per non-concave piece, as in _scan_max
 
 
 def _sums_batch(formula_values, r, kernel, T: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -357,17 +357,17 @@ def _sums_batch(formula_values, r, kernel, T: np.ndarray, nodes: np.ndarray) -> 
     return formula_values(T) + ks
 
 
-def _golden_batch(g, a: np.ndarray, b: np.ndarray, nodes: np.ndarray, xtol: float) -> np.ndarray:
+def _golden_batch(g, a: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Lockstep golden-section maxima of g(·, node row) on each [a_i, b_i].
 
     A lane stops where :func:`_brent_max` would: once its bracket is at most
-    4·tol wide, tol = √ε·min(|x|, b₀ − a₀) + xtol/3 at its best point x, or
-    after 200 steps. A lane no wider than xtol takes its midpoint value. The
+    4·tol wide, tol = √ε·min(|x|, b₀ − a₀) + _XTOL/3 at its best point x, or
+    after 200 steps. A lane no wider than _XTOL takes its midpoint value. The
     better of the two interior points is the best sample, as in Brent's x.
     """
     out = np.empty(a.shape)
     w0 = b - a
-    tiny = w0 <= xtol
+    tiny = w0 <= _XTOL
     if tiny.any():
         out[tiny] = g(0.5 * (a[tiny] + b[tiny]), nodes[tiny])
     idx = np.flatnonzero(~tiny)
@@ -382,7 +382,7 @@ def _golden_batch(g, a: np.ndarray, b: np.ndarray, nodes: np.ndarray, xtol: floa
         left = fc >= fd  # the maximum lies in [a, d]
         x = np.where(left, c, d)
         fx = np.where(left, fc, fd)
-        done = b - a <= 4.0 * (_SQRT_EPS * np.minimum(np.abs(x), w0) + xtol / 3.0)
+        done = b - a <= 4.0 * (_SQRT_EPS * np.minimum(np.abs(x), w0) + _XTOL / 3.0)
         if done.any():
             out[idx[done]] = fx[done]
             go = ~done
@@ -402,7 +402,7 @@ def _golden_batch(g, a: np.ndarray, b: np.ndarray, nodes: np.ndarray, xtol: floa
     return out
 
 
-def _maxima_batch(problem: Problem, Y: np.ndarray, xtol: float = _XTOL) -> np.ndarray:
+def _maxima_batch(problem: Problem, Y: np.ndarray) -> np.ndarray:
     """(cells, n + 1) interval maxima of F(y, ·) for each row y of nondecreasing nodes Y.
 
     The values of :func:`_maxima_floats` row by row, computed for all rows at
@@ -458,7 +458,7 @@ def _maxima_batch(problem: Problem, Y: np.ndarray, xtol: float = _XTOL) -> np.nd
                 return _sums_batch(fv, r, kernel, T, nd)
 
             if formula.concave:
-                h = np.maximum(xtol, _SQRT_EPS * (b - a))
+                h = np.maximum(_XTOL, _SQRT_EPS * (b - a))
                 ends = g(np.stack([cs, np.minimum(a + h, b), ds, np.maximum(b - h, a)], axis=1), seg_nodes)
                 wide = b - a > 2.0 * h
                 # an end where g does not rise inward is the piece maximum, and no
@@ -466,7 +466,7 @@ def _maxima_batch(problem: Problem, Y: np.ndarray, xtol: float = _XTOL) -> np.nd
                 settled = wide & ~at_c & (ends[:, 0] > NEG_INFINITY) & (ends[:, 1] <= ends[:, 0])
                 settled |= wide & ~at_d & (ends[:, 2] > NEG_INFINITY) & (ends[:, 3] <= ends[:, 2])
                 search = ~settled
-                vals = _golden_batch(g, a[search], b[search], seg_nodes[search], xtol)
+                vals = _golden_batch(g, a[search], b[search], seg_nodes[search])
                 row = row[search]
             else:
                 ts = np.linspace(a, b, _SCAN_POINTS, axis=1)
@@ -475,7 +475,7 @@ def _maxima_batch(problem: Problem, Y: np.ndarray, xtol: float = _XTOL) -> np.nd
                 lanes = np.arange(i.size)
                 lo_t = ts[lanes, np.maximum(i - 1, 0)]
                 hi_t = ts[lanes, np.minimum(i + 1, _SCAN_POINTS - 1)]
-                vals = np.maximum(samples[lanes, i], _golden_batch(g, lo_t, hi_t, seg_nodes, xtol))
+                vals = np.maximum(samples[lanes, i], _golden_batch(g, lo_t, hi_t, seg_nodes))
             np.maximum.at(best, row, vals)
 
     if singular:
@@ -483,38 +483,43 @@ def _maxima_batch(problem: Problem, Y: np.ndarray, xtol: float = _XTOL) -> np.nd
     return best.reshape(cells, n + 1)
 
 
-def interval_maxima(problem: Problem, y, xtol: float = _XTOL) -> MaximaVector:
+def interval_maxima(problem: Problem, y) -> MaximaVector:
     """Maxima of F(y, ·) over all n+1 node intervals, with locations."""
     ns = problem.node_system(y)
-    vals, args = _maxima_floats(problem, ns.with_sentinels(), xtol)
+    vals, args = _maxima_floats(problem, ns.with_sentinels())
     return MaximaVector(tuple(vals), tuple(args))
 
 
-def maximize_on_interval(problem: Problem, y, j: int, xtol: float = _XTOL):
+def maximize_on_interval(problem: Problem, y, j: int):
     """(t*, max) of F(y, ·) on the j-th node interval, 0 ≤ j ≤ n."""
     ns = problem.node_system(y)
     j = _count(j, "interval index", PreconditionError)
     if not 0 <= j <= problem.n:
         raise PreconditionError(f"interval index {j} outside 0..{problem.n}")
-    t, v = _interval_max(problem, ns.with_sentinels(), j, xtol)
+    t, v = _interval_max(problem, ns.with_sentinels(), j)
     return t, as_extreal(v)
 
 
 # -- regularity and the difference map ----------------------------------------
 
-def _rint_inside_segment(lo: float, hi: float, j: int, n: int, seg: SingularSegment) -> bool:
-    """Is the relative interior of [lo, hi] (w.r.t. [0, 1]) inside the segment?
+def _singular_interval(ys: tuple[float, ...], segments: tuple[SingularSegment, ...]) -> int | None:
+    """The first j whose interval [ys[j], ys[j+1]] has its relative interior in a −∞ segment.
 
-    rint I_0 = [0, y_1) and rint I_n = (y_n, 1] keep the outer endpoints, so
-    those cases additionally require the endpoint to belong to the segment.
+    Relative to [0, 1], rint I_0 = [0, y_1) and rint I_n = (y_n, 1] keep the
+    outer endpoints, so those cases also require the segment to hold that
+    endpoint. None if every interval escapes the segments.
     """
-    if not (seg.lo <= lo and hi <= seg.hi):
-        return False
-    if j == 0 and not (seg.lo == 0.0 and seg.lo_closed):
-        return False
-    if j == n and not (seg.hi == 1.0 and seg.hi_closed):
-        return False
-    return True
+    last = len(ys) - 2
+    for j, (lo, hi) in enumerate(zip(ys, ys[1:])):
+        for seg in segments:
+            if (
+                seg.lo <= lo
+                and hi <= seg.hi
+                and (j > 0 or (seg.lo == 0.0 and seg.lo_closed))
+                and (j < last or (seg.hi == 1.0 and seg.hi_closed))
+            ):
+                return j
+    return None
 
 
 def in_regularity_set(problem: Problem, y) -> bool:
@@ -526,19 +531,10 @@ def in_regularity_set(problem: Problem, y) -> bool:
     ns = problem.node_system(y)
     if not ns.strict():
         return False
-    segments = problem.field.singular_segments()
-    if not segments:
-        return True
-    ys = ns.with_sentinels()
-    n = problem.n
-    for j in range(n + 1):
-        lo, hi = ys[j], ys[j + 1]
-        if any(_rint_inside_segment(lo, hi, j, n, seg) for seg in segments):
-            return False
-    return True
+    return _singular_interval(ns.with_sentinels(), problem.field.singular_segments()) is None
 
 
-def difference(problem: Problem, y, xtol: float = _XTOL) -> DifferenceVector:
+def difference(problem: Problem, y) -> DifferenceVector:
     """Φ(y) = (m_1 − m_0, …, m_n − m_{n−1}); requires all maxima finite."""
     ns = problem.node_system(y)
     if problem.kernel.flags().singular:
@@ -546,7 +542,7 @@ def difference(problem: Problem, y, xtol: float = _XTOL) -> DifferenceVector:
             raise RegularityError("node system outside the regularity set")
     elif not ns.strict():
         raise RegularityError("node system must lie in the open simplex")
-    vals, _ = _maxima_floats(problem, ns.with_sentinels(), xtol)
+    vals, _ = _maxima_floats(problem, ns.with_sentinels())
     if any(v == NEG_INFINITY for v in vals):
         raise RegularityError("some interval maximum is −∞; node system is singular")
     return DifferenceVector(tuple(vals[j] - vals[j - 1] for j in range(1, problem.n + 1)))

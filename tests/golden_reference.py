@@ -329,20 +329,20 @@ def _grid_lattice(ranges: list[tuple[float, float]], points: int):
     yield from rec(0, 0.0, ())
 
 
-def _grid_objective(problem: Problem, nodes: tuple[float, ...], mode: str, xtol: float) -> float:
-    vals, _ = _maxima_floats(problem, (0.0, *nodes, 1.0), xtol)
+def _grid_objective(problem: Problem, nodes: tuple[float, ...], mode: str) -> float:
+    vals, _ = _maxima_floats(problem, (0.0, *nodes, 1.0))
     if mode == "minimax":
         return max(vals)
     return min(vals)  # −∞ as soon as one maximum is
 
 
-def _grid_evaluate(problem, ranges, points, mode, xtol):
+def _grid_evaluate(problem, ranges, points, mode):
     """The lattice cells over ``ranges`` and the objective at each of them."""
     cells = list(_grid_lattice(ranges, points))
-    return cells, [_grid_objective(problem, c, mode, xtol) for c in cells]
+    return cells, [_grid_objective(problem, c, mode) for c in cells]
 
 
-def reference_grid_search(problem, grid, mode, xtol=1e-12):
+def reference_grid_search(problem, grid, mode):
     """(nodes, value, per-round gaps between the best and second-best objectives)."""
     sign = 1.0 if mode == "minimax" else -1.0
     ranges = [(0.0, 1.0)] * problem.n
@@ -352,7 +352,7 @@ def reference_grid_search(problem, grid, mode, xtol=1e-12):
         if round_no:
             width /= 10.0
             ranges = [(max(0.0, y - 0.5 * width), min(1.0, y + 0.5 * width)) for y in best_nodes]
-        cells, values = _grid_evaluate(problem, ranges, grid.points_per_dim, mode, xtol)
+        cells, values = _grid_evaluate(problem, ranges, grid.points_per_dim, mode)
         order = sorted(range(len(cells)), key=lambda i: (sign * values[i], i))
         best_nodes, best_val = cells[order[0]], values[order[0]]
         runner_up = values[order[1]] if len(order) > 1 else math.inf

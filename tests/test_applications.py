@@ -425,6 +425,9 @@ def test_union_validation():
         eq.IntervalUnion(((0.5, 0.4),))
     with pytest.raises(eq.SchemaError):
         eq.IntervalUnion(((False, "0.4"),))
+    for components in (None, ((0.0, 1.0, 2.0),), ((0.0,),), (0.0, 1.0)):
+        with pytest.raises(eq.SchemaError):
+            eq.IntervalUnion(components)
     with pytest.raises(eq.BudgetError):
         eq.restricted_constant(SEED_UNION, (1.0,) * 5)
 
@@ -441,6 +444,8 @@ def test_gap_problem_validation():
         eq.GapProblem((1.0, 0.0), (1.0,), ones_weight())
     with pytest.raises(eq.SchemaError):
         eq.GapProblem((0.0, 1.0), (-2.0,), ones_weight())
+    with pytest.raises(eq.SchemaError):
+        eq.GapProblem((0.0, 1.0, 2.0), (1.0,), ones_weight())
 
 
 @pytest.mark.parametrize("r", [(), ("1",), (True,), (math.nan,), (-1.0,), (0.0,), (math.inf,), 1.0, "1"])
@@ -461,7 +466,7 @@ def test_union_functions_reject_bad_exponents_before_any_solve(r, monkeypatch):
 def test_gap_functions_validate_nodes_and_exponents(fn):
     w = ones_weight()
     assert fn((0.5,), (1,), w) == fn((0.5,), (1.0,), w)  # an int exponent is a real
-    for nodes, r in (((0.5, 0.6), (1.0,)), ((0.5,), (1.0, 1.0)), ((1.5,), (1.0,)), ((math.nan,), (1.0,))):
+    for nodes, r in (((0.5, 0.6), (1.0,)), ((0.5,), (1.0, 1.0)), ((1.5,), (1.0,)), ((math.nan,), (1.0,)), (None, (1.0,))):
         with pytest.raises(eq.PreconditionError):
             fn(nodes, r, w)
     for r in ((-1.0,), (math.nan,), ("1",), (True,)):

@@ -175,6 +175,9 @@ def test_exit_code_validation_error(tmp_path, capsys):
     eq.dump_problem(tent, path)
     assert main(["solve", str(path)]) == 2
     assert main(["example", "not_an_example"]) == 2
+    # exit 1 means a reference-check deviation; a malformed id is not one
+    assert main(["example", "classical_chebyshev(x)"]) == 2
+    assert main(["example", "classical_chebyshev(3"]) == 2
 
 
 def test_exit_code_convergence_error(problem_file):

@@ -106,6 +106,9 @@ def test_usc_exact_one_sided_limits():
 def test_domain_error():
     with pytest.raises(eq.DomainError):
         eq.field_eval(eq.constant_field(0.0), 1.5)
+    for ts in ([math.nan], [0.5, math.nan], [-0.5, math.nan]):
+        with pytest.raises(eq.DomainError):
+            eq.constant_field(0.0).values(np.array(ts))
 
 
 def test_admissible_examples():
@@ -233,6 +236,14 @@ def test_validation_errors():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(eq.SchemaError):
             PiecewiseField((Piece(0.0, 1.0, Constant(0.0)),), ((0.5, bad),))
+    for intervals in (None, [(0.2, 0.4, 0.6)], [0.2]):
+        with pytest.raises(eq.SchemaError):
+            eq.indicator_field(intervals)
+    with pytest.raises(eq.SchemaError):
+        eq.constant_field(0.0, domain=(0.0, 1.0, 2.0))
+    for n in ("2", True, 2.5, 0):
+        with pytest.raises(eq.SchemaError):
+            eq.field_admissible(eq.constant_field(0.0), n)
 
 
 def test_json_roundtrip():

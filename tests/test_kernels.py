@@ -37,6 +37,8 @@ def test_domain_error():
         eq.kernel_eval(eq.Log(), 1.0000001)
     with pytest.raises(eq.DomainError):
         eq.kernel_values(eq.Log(), np.array([0.5, -1.5]))
+    with pytest.raises(eq.DomainError):
+        eq.kernel_values(eq.Log(), np.array([0.5, math.nan]))
 
 
 @pytest.mark.parametrize(

@@ -36,8 +36,8 @@ def test_precondition_rejected():
         eq.check_interval_perturbation(eq.Log(), 0.2, 0.3, 0.7, 0.6, 1.0, 1.0)
     with pytest.raises(eq.PreconditionError):  # every case used to read "not applicable"
         eq.check_interval_perturbation(eq.Log(), 0.1, 0.2, 0.3, 0.4, math.nan, 1.0)
-    with pytest.raises(eq.PreconditionError):  # used to read "equal"
-        eq.check_intertwining(build_problem("figure1_quartics"), FIGURE1_GREY, FIGURE1_BLACK, tau=math.nan)
+    with pytest.raises(eq.PreconditionError):
+        eq.check_intertwining(build_problem("figure1_quartics"), None, FIGURE1_BLACK)
 
 
 def test_sqrtshift_inside_case():

@@ -17,7 +17,7 @@ def test_node_system_validation():
         eq.NodeSystem((0.8, 0.2))
     with pytest.raises(eq.PreconditionError):
         eq.NodeSystem((-0.1,))
-    for nodes in (("0.3",), (True,)):
+    for nodes in (("0.3",), (True,), None, ()):
         with pytest.raises(eq.PreconditionError):
             eq.NodeSystem(nodes)
 

@@ -207,6 +207,8 @@ def test_invalid_target():
         eq.solve_difference(log_problem(1), (float("inf"),))
     with pytest.raises(eq.PreconditionError):
         eq.solve_difference(log_problem(2), ["0.5", "0"])
+    with pytest.raises(eq.PreconditionError):
+        eq.solve_difference(log_problem(2), None)
 
 
 def test_sandwich_examples():
@@ -239,10 +241,6 @@ def test_sandwich_detects_violations():
         {"M": "x"},
         {"M": True},
         {"M": None},
-        {"M": 0.0, "slack": math.nan},
-        {"M": 0.0, "slack": math.inf},
-        {"M": 0.0, "slack": False},
-        {"M": 0.0, "slack": "1e-9"},
     ],
 )
 def test_sandwich_rejects_non_finite_levels(kwargs):
@@ -254,7 +252,7 @@ def test_sandwich_rejects_non_finite_levels(kwargs):
 def test_sandwich_accepts_numpy_reals():
     problem = log_problem(2)
     report = eq.solve_equioscillation(problem)
-    checks = eq.sandwich_check(problem, report.nodes, np.float64(report.value), slack=np.float32(1e-9))
+    checks = eq.sandwich_check(problem, report.nodes, np.float64(report.value))
     assert checks == {"lower_ok": True, "upper_ok": True}
 
 
@@ -289,7 +287,7 @@ def test_danskin_jacobian_matches_central_differences(rng):
         vals, args = _maxima_floats(problem, tuple(ys))
         if any(_on_kink(problem, ys, t) for t in args):
             continue  # Φ need not be differentiable there; those rows use differences
-        jac = solver._jacobian(problem, ys, vals, args, 1e-12)
+        jac = solver._jacobian(problem, ys, vals, args)
         central = np.empty((n, n))
         for k in range(1, n + 1):
             up, down = list(ys), list(ys)
@@ -372,8 +370,6 @@ def test_sweeps_take_over_when_newton_stalls(monkeypatch):
         {"tol": float("inf")},
         {"tol": True},
         {"tol": "1e-9"},
-        {"xtol": float("nan")},
-        {"xtol": 0.0},
         {"max_iterations": 2.5},
         {"max_iterations": 3.0},
         {"max_iterations": 0},

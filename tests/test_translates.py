@@ -95,6 +95,8 @@ def test_maximize_on_interval_examples(log1, strictness, tent):
     assert float(v) == pytest.approx(0.8946394843421737, abs=1e-12)
     with pytest.raises(eq.PreconditionError):
         eq.maximize_on_interval(log1, (0.5,), 2)
+    with pytest.raises(eq.PreconditionError):
+        eq.interval_maxima(log1, None)
 
 
 def test_in_regularity_set(log1):
@@ -231,6 +233,8 @@ def test_eval_F_grid_matches_scalar(rng, log1):
             assert v == -math.inf
         else:
             assert v == pytest.approx(float(want), abs=1e-12)
+    with pytest.raises(eq.DomainError):
+        eq.eval_F_grid(log1, (0.5,), [0.5, math.nan])
 
 
 # -- the Brent search against the golden-section reference ----------------------------
@@ -394,3 +398,32 @@ def test_equal_pieces_cost_what_one_piece_costs(monkeypatch):
     at_nodes, solve = _count_piece_work(monkeypatch, field)
     assert at_nodes == {"kernel_sum": 34, "pieces": 5}
     assert solve == {"kernel_sum": 265, "pieces": 40}
+
+
+# -- tolerances are constants, not parameters -------------------------------------------
+
+# the argmax tolerance (translates._XTOL), the tie tolerance (perturbation._TIE_TOL),
+# the sandwich slack and the sampler's gap and tries are fixed: an entry point that
+# took one as a parameter refuses it now. The oracle's xtol is covered in test_oracle.
+_X, _Y = (0.3,), (0.6,)
+REMOVED_PARAMETERS = {
+    "interval_maxima-xtol": lambda p: eq.interval_maxima(p, _X, xtol=1e-12),
+    "maximize_on_interval-xtol": lambda p: eq.maximize_on_interval(p, _X, 0, xtol=1e-12),
+    "difference-xtol": lambda p: eq.difference(p, _X, xtol=1e-12),
+    "solve_difference-xtol": lambda p: eq.solve_difference(p, (0.0,), xtol=1e-12),
+    "solve_equioscillation-xtol": lambda p: eq.solve_equioscillation(p, xtol=1e-12),
+    "check_intertwining-xtol": lambda p: eq.check_intertwining(p, _X, _Y, xtol=1e-12),
+    "check_intertwining-tau": lambda p: eq.check_intertwining(p, _X, _Y, tau=1e-9),
+    "check_strict_majorization_excluded-xtol": lambda p: eq.check_strict_majorization_excluded(p, 2, xtol=1e-12),
+    "check_strict_majorization_excluded-tau": lambda p: eq.check_strict_majorization_excluded(p, 2, tau=1e-9),
+    "sandwich_check-slack": lambda p: eq.sandwich_check(p, _X, 0.0, slack=1e-9),
+    "sample_regular_nodes-min_gap": lambda p: eq.sample_regular_nodes(p, np.random.default_rng(0), min_gap=1e-3),
+    "sample_regular_nodes-max_tries": lambda p: eq.sample_regular_nodes(p, np.random.default_rng(0), max_tries=1000),
+    "finiteness_count-endpoints_half": lambda p: p.field.finiteness_count(endpoints_half=True),
+}
+
+
+@pytest.mark.parametrize("call", REMOVED_PARAMETERS.values(), ids=REMOVED_PARAMETERS.keys())
+def test_removed_tolerance_parameters_are_refused(call, log1):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call(log1)
