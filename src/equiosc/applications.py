@@ -15,21 +15,22 @@ Two applications of the equioscillation machinery:
   the inner component endpoints b_1, a_2, …, b_{k−1}, a_k join the field as
   fixed translates (Fenton's sum of translates with a fixed part), and the
   free nodes equioscillate. No optimum has a node at a hull end, so none is
-  pinned there: C(2k+n−3, n−1) solves for n equal exponents. Each public call
-  builds the masked, hull-normalized log field once and shares it among its
-  solves.
+  pinned there: at most C(2k+n−3, n−1) solves for n equal exponents. A pin
+  set is skipped unsolved when un-pinning one of its nodes gives a problem
+  whose minimax value already reaches the best candidate kept, or one that
+  was itself skipped. Each public call builds the masked, hull-normalized log
+  field once and shares it among its solves.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, PreconditionError, SchemaError
-from .extreal import NEG_INFINITY, _count, _real, _reals
+from .extreal import NEG_INFINITY, _count, _real, _reals, _sequence
 from .fields import (
     Formula,
     NegInfinityPiece,
@@ -102,10 +103,7 @@ class IntervalUnion:
     components: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        try:
-            comps = tuple(_reals(c, "component end") for c in self.components)
-        except TypeError:
-            raise SchemaError(f"components must be a sequence, got {self.components!r}") from None
+        comps = tuple(_reals(c, "component end") for c in _sequence(self.components, "components"))
         if not comps:
             raise SchemaError("interval union needs at least one component")
         for c in comps:
@@ -230,11 +228,14 @@ def verify_signed_equioscillation(nodes, nu, extremal_points, weight: PiecewiseF
     The sign at t_k is (−1) raised to the total multiplicity of the nodes to
     the right of t_k; even multiplicities preserve the sign across a node.
     """
-    nu = tuple(_count(v, "signed-check exponent", PreconditionError) for v in nu)
+    nu = tuple(
+        _count(v, "signed-check exponent", PreconditionError)
+        for v in _sequence(nu, "signed-check exponents", PreconditionError)
+    )
     if any(v <= 0 for v in nu):
         raise PreconditionError("signed check requires positive integer exponents")
-    nodes = tuple(_real(x, "node", PreconditionError) for x in nodes)
-    pts = tuple(_real(t, "extremal point", PreconditionError) for t in extremal_points)
+    nodes = _reals(nodes, "node", PreconditionError)
+    pts = _reals(extremal_points, "extremal point", PreconditionError)
     if len(pts) != len(nodes) + 1:
         raise PreconditionError("need one extremal point per node interval")
     seq = [pts[0]]
@@ -327,9 +328,9 @@ class _UnionField:
         self.field01 = affine_transport(_masked_log_field(self.logw, E), A, B - A, (0.0, 1.0))
 
     def solve(self, r, tol: float, pins=()):
-        """The solve report for nodes r on [0, 1] and those nodes moved back to the hull."""
+        """The minimax value for nodes r on [0, 1] and the solved nodes moved back to the hull."""
         report = solve_equioscillation(_union_problem(self, r, pins), tol)
-        return report, tuple(self.A + self.width * u for u in report.nodes.nodes)
+        return report.value, tuple(self.A + self.width * u for u in report.nodes.nodes)
 
 
 def _union_problem(union: _UnionField, r, pins=()) -> Problem:
@@ -353,24 +354,24 @@ def unrestricted_constant(
 ) -> tuple[float, tuple[float, ...]]:
     """Minimal sup-norm over E with nodes free in the hull, plus the nodes."""
     r = _reals(r, "exponent", positive=True)
-    return _unrestricted(_UnionField(E, weight), r, tol)
+    return _unrestricted(_UnionField(E, weight), r, tol)[:2]
 
 
 def _unrestricted(union: _UnionField, r, tol):
-    """:func:`unrestricted_constant` on a built union field; the warning names the public call's caller."""
-    report, nodes = union.solve(r, tol)
+    """C, the nodes and the solve's hull-normalized log value on a built union field; the warning names the public call's caller."""
+    log_value, nodes = union.solve(r, tol)
     A, width = union.A, union.width
-    value = math.exp(report.value) * width ** sum(r)
+    value = math.exp(log_value) * width ** sum(r)
     if any(abs(x - A) < 1e-9 or abs(x - (A + width)) < 1e-9 for x in nodes):
         warnings.warn("unrestricted extremizer touches the hull boundary", stacklevel=3)
-    return value, nodes
+    return value, nodes, log_value
 
 
 def snap_to_E(nodes, E: IntervalUnion) -> tuple[float, ...]:
     """Move gap-resident nodes to the nearer component endpoint (ties leftward)."""
     A, B = E.hull
     out = []
-    for x in nodes:
+    for x in _sequence(nodes, "nodes", PreconditionError):
         x = _real(x, "node", PreconditionError)
         if not A <= x <= B:
             raise PreconditionError(f"node {x!r} outside the hull [{A}, {B}]")
@@ -398,9 +399,14 @@ def restricted_constant(
     at a hull end (see :func:`_restricted`). Every choice of pinned
     sorted-node indices and non-decreasing inner endpoints is solved once per
     distinct pinned field and free exponents, and kept if its free nodes lie
-    strictly inside components in index order: C(2k+n−3, n−1) solves for n
-    equal exponents. R is the least exact sup-norm kept, ties to the smaller
-    node tuple.
+    strictly inside components in index order: at most C(2k+n−3, n−1) solves
+    for n equal exponents. A choice is skipped unsolved when un-pinning one of
+    its nodes gives a problem whose minimax value already reaches the best
+    candidate kept, or one that was itself skipped. R is the least exact
+    sup-norm kept, ties to the smaller node tuple.
+
+    >>> restricted_constant(IntervalUnion(((0.0, 0.4), (0.6, 1.0))), (1,))
+    (0.6, (0.4,))
     """
     r = _restricted_exponents(r)
     return _restricted(_UnionField(E, weight), r, tol)
@@ -415,7 +421,7 @@ def _restricted_exponents(r) -> tuple[float, ...]:
 
 
 def _restricted(union: _UnionField, r, tol, unpinned=None):
-    """:func:`restricted_constant` on a built union field; ``unpinned`` is the unrestricted nodes when known.
+    """:func:`restricted_constant` on a built union field; ``unpinned`` is ``union.solve(r, tol)`` when known.
 
     No optimum has a node at the hull end A = a_1, so no node is pinned
     there. Say a candidate has a node x_i = A with exponent r_i > 0 and norm
@@ -427,26 +433,68 @@ def _restricted(union: _UnionField, r, tol, unpinned=None):
     other factors, which is below N for small ε. So the sup over E falls
     strictly and the candidate is not the minimum. B = b_k is the mirror
     case. This leaves the 2k − 2 inner endpoints to pin.
+
+    The search is a branch and bound over pin sets. A key is one distinct
+    (pins, free exponents) problem: minimize sup_E of w times the pinned
+    translates times ∏|t − y_j|^{s_j} over free nodes y_1 ≤ … ≤ y_f in the
+    hull, the free exponents s in index order. Its solve gives the
+    equioscillating free nodes and lb, the problem's minimax value on the
+    scale of :func:`_log_max`. Levels p = 0 … n are visited in order, and
+    ``best`` is the least value among the candidates kept so far. A
+    candidate at level p is skipped unsolved if one of its sub-keys (one
+    pinned index i un-pinned, r_i back among the free exponents at i's
+    position) has lb ≥ ``best`` or was skipped, that is, never solved for
+    any candidate. This loses no candidate below ``best``:
+
+    * Pinning one more node restricts the minimization, so the minimax
+      value cannot fall: a valid candidate's nodes are sorted, so they are a
+      feasible placement for the ordered problem of each of its sub-keys,
+      and of every key that un-pins more of its pinned indices. Its exact
+      value is at least each of their lbs.
+    * A sub-key was never solved only if the candidate's own sub-candidate
+      (pin i dropped) was skipped; by induction down the candidate's own
+      chain of un-pinnings, some key on it had lb ≥ an earlier ``best``,
+      which is no less than today's. A key solved for another candidate
+      keeps its lb: pin sets that share a key through other indices need
+      not share this candidate's chain.
+
+    So no skipped candidate's exact value is below ``best``. A tie, which
+    could move the answer to a smaller node tuple, is possible only within
+    the solve's residual, about 1e-15 after Newton's final step.
     """
     n = len(r)
     E = union.E
+    shift = sum(r) * math.log(union.width)
+    solved = {}  # key → (lb, free nodes, or None unless all lie strictly inside components)
 
-    @functools.lru_cache(maxsize=None)
-    def free_nodes(pins, free_r):
-        if not free_r:
-            return ()
-        xs = union.solve(free_r, tol, pins)[1] if pins or unpinned is None else unpinned
-        return xs if all(any(a < x < b for a, b in E.components) for x in xs) else None
+    def record(k, value, xs):
+        inside = all(any(a < x < b for a, b in E.components) for x in xs)
+        solved[k] = (value + shift, xs if inside else None)
 
+    def key(pinned, ends):
+        return (
+            tuple(sorted(zip((r[i] for i in pinned), ends))),
+            tuple(r[j] for j in range(n) if j not in pinned),
+        )
+
+    def lb(k):
+        return solved[k][0] if k in solved else math.inf  # never solved: every candidate under k was skipped
+
+    if unpinned is not None:
+        record(key((), ()), *unpinned)
     inner_ends = tuple(e for comp in E.components for e in comp)[1:-1]
-    candidates = []
+    best, candidates = math.inf, []
     for p in range(n + 1):
         for pinned, ends in itertools.product(
             itertools.combinations(range(n), p),
             itertools.combinations_with_replacement(inner_ends, p),
         ):
-            free_r = tuple(r[j] for j in range(n) if j not in pinned)
-            free = free_nodes(tuple(sorted(zip((r[i] for i in pinned), ends))), free_r)
+            if any(lb(key(pinned[:q] + pinned[q + 1:], ends[:q] + ends[q + 1:])) >= best for q in range(p)):
+                continue
+            pins, free_r = k = key(pinned, ends)
+            if free_r and k not in solved:
+                record(k, *union.solve(free_r, tol, pins))
+            free = solved[k][1] if free_r else ()
             if free is None:
                 continue
             nodes = list(free)
@@ -455,6 +503,7 @@ def _restricted(union: _UnionField, r, tol, unpinned=None):
             if nodes == sorted(nodes):
                 val = _log_max(union.logw, _LOG, tuple(zip(r, nodes)), E.components)
                 candidates.append((val, tuple(nodes)))
+                best = min(best, val)
     best_val, best_nodes = min(candidates)
     return math.exp(best_val), best_nodes
 
@@ -472,9 +521,9 @@ def compare_constants(
     """C, R, the factor bound, and the constructive snapped witness in one report."""
     r = _restricted_exponents(r)
     union = _UnionField(E, weight)
-    C, w_nodes = _unrestricted(union, r, tol)
+    C, w_nodes, w_value = _unrestricted(union, r, tol)
     snapped = snap_to_E(w_nodes, E)
-    R, r_nodes = _restricted(union, r, tol, unpinned=w_nodes)
+    R, r_nodes = _restricted(union, r, tol, unpinned=(w_value, w_nodes))
     bound = union_bound_factor(E.k, r)
     snap_norm = math.exp(_log_max(union.logw, _LOG, tuple(zip(r, snapped)), E.components))
     slack = 1e-9

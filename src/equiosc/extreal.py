@@ -9,7 +9,7 @@ values cross the public boundary.
 Every number handed in by a caller or a JSON document passes one of three
 checkers, :func:`_real`, :func:`_count` or :func:`_reals`, which refuse
 booleans, strings, non-finite values and non-sequences with the error class
-they are given.
+they are given; any other container passes :func:`_sequence` first.
 """
 
 from __future__ import annotations
@@ -82,6 +82,22 @@ def _count(x, name: str, error=SchemaError) -> int:
     raise error(f"{name} must be an integer, got {x!r}")
 
 
+def _sequence(xs, name: str, error=SchemaError) -> tuple:
+    """xs as a tuple if it is iterable, else ``error``.
+
+    >>> _sequence("IJ", "labels")
+    ('I', 'J')
+    >>> _sequence(None, "labels")
+    Traceback (most recent call last):
+    ...
+    equiosc.errors.SchemaError: labels must be a sequence, got None
+    """
+    try:
+        return tuple(xs)
+    except TypeError:
+        raise error(f"{name} must be a sequence, got {xs!r}") from None
+
+
 def _reals(xs, name: str, error=SchemaError, *, positive: bool = False) -> tuple[float, ...]:
     """xs as a tuple of floats if it is a non-empty sequence of finite (positive, if asked) reals.
 
@@ -92,10 +108,7 @@ def _reals(xs, name: str, error=SchemaError, *, positive: bool = False) -> tuple
     ...
     equiosc.errors.SchemaError: r must be a sequence, got None
     """
-    try:
-        xs = tuple(xs)
-    except TypeError:
-        raise error(f"{name} must be a sequence, got {xs!r}") from None
+    xs = _sequence(xs, name, error)
     if not xs:
         raise error(f"{name} must not be empty")
     return tuple(_real(v, name, error, positive=positive) for v in xs)

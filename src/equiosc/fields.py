@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .extreal import NEG_INFINITY, ExtReal, _count, _real, _reals, as_extreal, is_neg_infinity
+from .extreal import NEG_INFINITY, ExtReal, _count, _real, _reals, _sequence, as_extreal, is_neg_infinity
 
 __all__ = [
     "Constant",
@@ -300,12 +300,9 @@ class PiecewiseField:
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        ends = _reals(self.domain, "domain end")
-        if len(ends) != 2 or not ends[0] < ends[1]:
-            raise SchemaError(f"field domain must be a non-degenerate pair (lo, hi), got {self.domain!r}")
+        lo, hi = ends = _domain(self.domain)
         object.__setattr__(self, "domain", ends)
-        lo, hi = ends
-        pieces = tuple(self.pieces)
+        pieces = _sequence(self.pieces, "pieces")
         if not pieces:
             raise SchemaError("field needs at least one piece")
         if pieces[0].lo != lo or pieces[-1].hi != hi:
@@ -314,7 +311,11 @@ class PiecewiseField:
             if left.hi != right.lo:
                 raise SchemaError("pieces must be contiguous without gaps or overlaps")
         cleaned = []
-        for t, v in self.point_values:
+        for pair in _sequence(self.point_values, "point overrides"):
+            pair = _sequence(pair, "point override")
+            if len(pair) != 2:
+                raise SchemaError(f"point overrides must be pairs (t, value), got {pair!r}")
+            t, v = pair
             t = _real(t, "point override location")
             if not (lo <= t <= hi):
                 raise SchemaError("point override outside the domain")
@@ -478,12 +479,22 @@ def singularity_set(field: PiecewiseField) -> tuple[SingularSegment, ...]:
 
 # -- constructors -------------------------------------------------------------
 
+def _domain(domain) -> tuple[float, float]:
+    """domain as floats if it is a non-degenerate pair (lo, hi) of finite reals, else SchemaError."""
+    ends = _reals(domain, "domain end")
+    if len(ends) != 2 or not ends[0] < ends[1]:
+        raise SchemaError(f"field domain must be a non-degenerate pair (lo, hi), got {domain!r}")
+    return ends
+
+
 def constant_field(c: float, domain=(0.0, 1.0)) -> PiecewiseField:
-    return PiecewiseField((Piece(domain[0], domain[1], Constant(c)),), domain=domain)
+    lo, hi = domain = _domain(domain)
+    return PiecewiseField((Piece(lo, hi, Constant(c)),), domain=domain)
 
 
 def sqrt_affine_field(c: float, s: float, t0: float, domain=(0.0, 1.0)) -> PiecewiseField:
-    return PiecewiseField((Piece(domain[0], domain[1], SqrtAffine(c, s, t0)),), domain=domain)
+    lo, hi = domain = _domain(domain)
+    return PiecewiseField((Piece(lo, hi, SqrtAffine(c, s, t0)),), domain=domain)
 
 
 def indicator_field(
@@ -496,13 +507,10 @@ def indicator_field(
 
     With outside = −∞ (pass ``None``) use :func:`log_of_weight_field` instead.
     """
-    lo, hi = domain
+    lo, hi = domain = _domain(domain)
     pieces: list[Piece] = []
     cursor = lo
-    try:
-        spans = sorted(_reals(ab, "interval end") for ab in intervals)
-    except TypeError:
-        raise SchemaError(f"intervals must be a sequence, got {intervals!r}") from None
+    spans = sorted(_reals(ab, "interval end") for ab in _sequence(intervals, "intervals"))
     for span in spans:
         if len(span) != 2:
             raise SchemaError(f"each interval must be a pair (a, b), got {span!r}")

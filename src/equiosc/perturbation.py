@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, RegularityError
-from .extreal import NEG_INFINITY, _count, _real
+from .extreal import NEG_INFINITY, _count, _real, _sequence
 from .kernels import KernelSpec, scalar_fn
 from .problem import NodeSystem, Problem
 from .translates import _maxima_floats, in_regularity_set
@@ -158,7 +158,7 @@ class PartitionSpec:
     class_of: tuple[str, ...]
 
     def __post_init__(self):
-        labels = tuple(str(v) for v in self.class_of)
+        labels = tuple(str(v) for v in _sequence(self.class_of, "partition labels", PreconditionError))
         if any(v not in ("I", "J") for v in labels):
             raise PreconditionError("labels must be 'I' or 'J'")
         if "I" not in labels or "J" not in labels:

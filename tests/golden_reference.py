@@ -14,8 +14,9 @@ pinned-endpoint equioscillation solves, ``restricted_constant`` searched a
 lattice of node systems per assignment of nodes to components, re-evaluated
 the best few exactly and refined around the incumbent, always including the
 snapped unrestricted extremizer. ``reference_restricted_constant`` is that
-search, verbatim, with the kernel-matrix block it ranked candidates by; it
-gives an upper estimate of R.
+search, with the kernel-matrix block it ranked candidates by; it gives an
+upper estimate of R. It is verbatim but for the lattice, which numpy builds
+in the loop's row order with the same values.
 
 All-endpoint pinned search for the restricted constant: before the hull ends
 were left out, ``restricted_constant`` pinned nodes at every component
@@ -23,6 +24,12 @@ endpoint, a_1 and b_k included, and rebuilt the masked, hull-normalized log
 field for every pin set. ``reference_pinned_restricted`` is that search
 (``_restricted`` then), and ``_reference_union_problem`` the field builder it
 called (``_union_problem`` then), both verbatim but for the names.
+
+Inner-endpoint pinned search without pruning: before the search skipped pin
+sets that a solved smaller pin set rules out, ``_restricted`` solved every
+distinct (pins, free exponents) problem over the inner component endpoints.
+``reference_inner_restricted`` is that search, verbatim but for the name; it
+takes the library's built union field.
 
 Scalar grid oracle: before the oracle evaluated each lattice as one batch, it
 built the cells with a recursive generator and took every cell's objective
@@ -214,17 +221,13 @@ def reference_restricted_constant(E, r, weight=None, tol=1e-9, *, refine_rounds=
         incumbent = None
         for _ in range(refine_rounds + 1):
             axes = [np.linspace(lo, hi, points_per_dim) for lo, hi, _ in boxes]
-            grids = []
-            for dim_axes in itertools.product(*axes):
-                ordered = all(
-                    boxes[i][2] != boxes[i - 1][2] or dim_axes[i] >= dim_axes[i - 1]
-                    for i in range(1, n)
-                )
-                if ordered:
-                    grids.append(dim_axes)
-            if not grids:
+            # the rows of itertools.product(*axes), in its order, ordered within each component
+            X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+            for i in range(1, n):
+                if boxes[i][2] == boxes[i - 1][2]:
+                    X = X[X[:, i] >= X[:, i - 1]]
+            if not X.shape[0]:
                 break
-            X = np.asarray(grids, dtype=float)
             approx = np.concatenate([
                 _F_rows(kernel, r, X[start : start + chunk], T, logw_T).max(axis=1)
                 for start in range(0, X.shape[0], chunk)
@@ -308,6 +311,39 @@ def reference_pinned_restricted(E, r, weight, tol, unpinned=None):
                 nodes.insert(i, e)
             if nodes == sorted(nodes):
                 val = _log_max(logw, _LOG, tuple(zip(r, nodes)), E.components)
+                candidates.append((val, tuple(nodes)))
+    best_val, best_nodes = min(candidates)
+    return math.exp(best_val), best_nodes
+
+
+def reference_inner_restricted(union, r, tol, unpinned=None):
+    """(R, nodes) from every inner-endpoint pin set; ``unpinned`` is the unrestricted nodes when known."""
+    n = len(r)
+    E = union.E
+
+    @functools.lru_cache(maxsize=None)
+    def free_nodes(pins, free_r):
+        if not free_r:
+            return ()
+        xs = union.solve(free_r, tol, pins)[1] if pins or unpinned is None else unpinned
+        return xs if all(any(a < x < b for a, b in E.components) for x in xs) else None
+
+    inner_ends = tuple(e for comp in E.components for e in comp)[1:-1]
+    candidates = []
+    for p in range(n + 1):
+        for pinned, ends in itertools.product(
+            itertools.combinations(range(n), p),
+            itertools.combinations_with_replacement(inner_ends, p),
+        ):
+            free_r = tuple(r[j] for j in range(n) if j not in pinned)
+            free = free_nodes(tuple(sorted(zip((r[i] for i in pinned), ends))), free_r)
+            if free is None:
+                continue
+            nodes = list(free)
+            for i, e in zip(pinned, ends):  # ascending i: each lands at its index
+                nodes.insert(i, e)
+            if nodes == sorted(nodes):
+                val = _log_max(union.logw, _LOG, tuple(zip(r, nodes)), E.components)
                 candidates.append((val, tuple(nodes)))
     best_val, best_nodes = min(candidates)
     return math.exp(best_val), best_nodes

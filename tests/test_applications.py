@@ -6,7 +6,12 @@ import pytest
 import equiosc as eq
 from equiosc import applications
 from equiosc.fields import Constant, Indicator, NegInfinityPiece, Piece, PiecewiseField
-from golden_reference import golden_max, reference_pinned_restricted, reference_restricted_constant
+from golden_reference import (
+    golden_max,
+    reference_inner_restricted,
+    reference_pinned_restricted,
+    reference_restricted_constant,
+)
 
 SQRT3_HALF = 0.8660254037844386
 SEED_UNION = eq.IntervalUnion(((0.0, 0.4), (0.6, 1.0)))
@@ -225,6 +230,9 @@ def test_verify_signed_preconditions():
         eq.verify_signed_equioscillation((0.5,), (1.5,), (0.0, 1.0), w)
     with pytest.raises(eq.PreconditionError):
         eq.verify_signed_equioscillation((0.5,), (1,), (0.6, 1.0), w)
+    for nodes, nu, points in ((None, (1,), (0.1, 0.9)), ((0.5,), None, (0.1, 0.9)), ((0.5,), (1,), None)):
+        with pytest.raises(eq.PreconditionError):
+            eq.verify_signed_equioscillation(nodes, nu, points, w)
 
 
 def test_unrestricted_seed_instance():
@@ -252,6 +260,8 @@ def test_snap_examples():
     assert eq.snap_to_E((0.3,), SEED_UNION) == (0.3,)
     with pytest.raises(eq.PreconditionError):
         eq.snap_to_E((1.5,), SEED_UNION)
+    with pytest.raises(eq.PreconditionError):
+        eq.snap_to_E(None, SEED_UNION)
 
 
 def test_restricted_seed_instance():
@@ -336,17 +346,24 @@ def _counted_solves(monkeypatch):
     return calls
 
 
+def _unpruned_solves(E, r):
+    """C(2k+n−3, n−1): the distinct pinned solves of n equal exponents without pruning."""
+    return math.comb(2 * E.k + len(r) - 3, len(r) - 1)
+
+
 def test_restricted_solve_count(monkeypatch):
-    """Work gate: one solve per multiset of pinned inner endpoints, p = 0 … n − 1.
+    """Work gate: one solve, where the search without pruning takes C(2k+n−3, n−1).
 
     With k = 3 components there are 2k − 2 = 4 inner endpoints, so n = 2
-    equal exponents take C(3, 0) + C(4, 1) = C(5, 1) = 5 solves; the candidate
-    grid ranked up to 8,000 node systems per assignment and round.
+    equal exponents would take C(3, 0) + C(4, 1) = C(5, 1) = 5 solves. The
+    unpinned nodes lie in E, so the unpinned candidate's value is its own lb
+    and every candidate with one pinned node is skipped; the candidate grid
+    ranked up to 8,000 node systems per assignment and round.
     """
     calls = _counted_solves(monkeypatch)
     E = eq.IntervalUnion(((0.0, 0.25), (0.4, 0.6), (0.8, 1.0)))
     R, nodes = eq.restricted_constant(E, (1.0, 1.0))
-    assert len(calls) == 5
+    assert len(calls) == 1 <= _unpruned_solves(E, (1.0, 1.0))
     assert R == pytest.approx(0.125, abs=1e-9)
     assert nodes[0] == pytest.approx(0.146447, abs=1e-6)
     assert nodes[1] == pytest.approx(0.853553, abs=1e-6)
@@ -356,15 +373,34 @@ def test_restricted_solve_count(monkeypatch):
     "components, solves",
     [
         (((0.0, 1.0),), 1),
-        (((0.0, 0.45), (0.6, 1.0)), 6),
-        (((0.0, 0.25), (0.4, 0.6), (0.8, 1.0)), 15),
+        (((0.0, 0.45), (0.6, 1.0)), 4),
+        (((0.0, 0.25), (0.4, 0.6), (0.8, 1.0)), 1),
     ],
 )
 def test_restricted_solve_count_with_three_nodes(components, solves, monkeypatch):
-    """Work gate: n = 3 equal exponents take C(2k+n−3, n−1) solves: 1, 6 and 15 at k = 1, 2, 3."""
+    """Work gate: n = 3 equal exponents take 1, 4 and 1 of the C(2k+n−3, n−1) = 1, 6 and 15 solves at k = 1, 2, 3."""
     calls = _counted_solves(monkeypatch)
-    eq.restricted_constant(eq.IntervalUnion(components), (1.0, 1.0, 1.0))
-    assert len(calls) == solves
+    E = eq.IntervalUnion(components)
+    eq.restricted_constant(E, (1.0, 1.0, 1.0))
+    assert len(calls) == solves <= _unpruned_solves(E, (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "search, components, r, solves",
+    [
+        (eq.compare_constants, SEED_UNION.components, (1.0, 1.0, 1.0), 3),
+        (eq.restricted_constant, ((0.0, 0.3), (0.45, 0.55), (0.7, 1.0)), (1.5, 0.5, 1.0), 14),
+    ],
+)
+def test_partly_pruned_solve_count(search, components, r, solves, monkeypatch):
+    """Work gate where the unpinned nodes leave E, so pruning skips only some pin sets.
+
+    Without pruning these take 6 and 43 solves; unequal exponents can exceed C(2k+n−3, n−1).
+    """
+    calls = _counted_solves(monkeypatch)
+    E = eq.IntervalUnion(components)
+    search(E, r)
+    assert len(calls) == solves <= _unpruned_solves(E, r)
 
 
 def test_restricted_matches_the_all_endpoint_search(rng):
@@ -380,6 +416,22 @@ def test_restricted_matches_the_all_endpoint_search(rng):
         assert eq.restricted_constant(E, r, weight) == reference_pinned_restricted(E, r, weight, 1e-9)
         report = eq.compare_constants(E, r, weight)
         want = reference_pinned_restricted(E, r, weight, 1e-9, unpinned=report["nodes_unrestricted"])
+        assert (report["R"], report["nodes_restricted"]) == want
+
+
+def test_pruned_search_matches_the_unpruned_one(rng):
+    """Differential test: skipping ruled-out pin sets keeps (R, nodes) exactly, with and without the unpinned nodes."""
+    cases = [
+        (_seeded_union(rng, k), r, None)
+        for k in (2, 3)
+        for r in ((1.0, 2.0, 1.0), (2.0, 1.0, 1.0), (0.5, 1.5, 0.5))
+    ]
+    cases.append((SPIKED_UNION, (1.0, 1.0, 2.0), SPIKED_WEIGHT))  # the optimum pins a node at 0.55
+    for E, r, weight in cases:
+        union = applications._UnionField(E, weight)
+        assert eq.restricted_constant(E, r, weight) == reference_inner_restricted(union, r, 1e-9)
+        report = eq.compare_constants(E, r, weight)
+        want = reference_inner_restricted(union, r, 1e-9, unpinned=report["nodes_unrestricted"])
         assert (report["R"], report["nodes_restricted"]) == want
 
 
@@ -409,8 +461,9 @@ def test_compare_constants_three_components(monkeypatch):
     calls = _counted_solves(monkeypatch)
     E = eq.IntervalUnion(((0.0, 0.25), (0.4, 0.6), (0.8, 1.0)))
     report = eq.compare_constants(E, (1.0, 1.0))
-    # work gate: the restricted search reuses the unrestricted solve as its unpinned candidate
-    assert len(calls) == 5
+    # work gate: the restricted search reuses the unrestricted solve as its unpinned candidate,
+    # whose nodes lie in E, so it skips every pinned candidate
+    assert len(calls) == 1 <= _unpruned_solves(E, (1.0, 1.0))
     assert report["lower_ok"] and report["upper_ok"] and report["snap_ok"]
     assert report["bound"] == pytest.approx(4.0)
     assert all(E.contains(x) for x in report["nodes_restricted"])

@@ -236,11 +236,23 @@ def test_validation_errors():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(eq.SchemaError):
             PiecewiseField((Piece(0.0, 1.0, Constant(0.0)),), ((0.5, bad),))
+    for point_values in (None, (0.5,), ((0.5, 1.0, 2.0),)):
+        with pytest.raises(eq.SchemaError):
+            PiecewiseField((Piece(0.0, 1.0, Constant(0.0)),), point_values)
+    with pytest.raises(eq.SchemaError):
+        PiecewiseField(None)
     for intervals in (None, [(0.2, 0.4, 0.6)], [0.2]):
         with pytest.raises(eq.SchemaError):
             eq.indicator_field(intervals)
     with pytest.raises(eq.SchemaError):
         eq.constant_field(0.0, domain=(0.0, 1.0, 2.0))
+    for make in (
+        lambda d: eq.constant_field(0.0, domain=d),
+        lambda d: eq.sqrt_affine_field(2.0, 1.0, 0.0, domain=d),
+        lambda d: eq.indicator_field([(0.2, 0.4)], domain=d),
+    ):
+        with pytest.raises(eq.SchemaError):
+            make(None)
     for n in ("2", True, 2.5, 0):
         with pytest.raises(eq.SchemaError):
             eq.field_admissible(eq.constant_field(0.0), n)

@@ -106,6 +106,8 @@ def test_perturb_preconditions():
     p2 = log_problem(2)
     with pytest.raises(eq.PreconditionError):
         eq.perturb_partition(p2, (0.3, 0.31), eq.PartitionSpec(("J", "I", "J")), 0.5)
+    with pytest.raises(eq.PreconditionError):
+        eq.PartitionSpec(None)
 
 
 def _random_partition(rng, n):
