@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, PreconditionError, SchemaError
-from .extreal import NEG_INFINITY, _count, _real, _reals, _sequence
+from .extreal import NEG_INFINITY, _count, _instance, _real, _reals, _sequence
 from .fields import (
     Formula,
     NegInfinityPiece,
@@ -43,7 +43,7 @@ from .fields import (
 from .kernels import Log, scalar_fn
 from .problem import Problem
 from .solver import solve_equioscillation
-from .translates import _kernel_sum, _maximize
+from .translates import _kernel_sum, _maximize, _setup
 
 __all__ = [
     "GapProblem",
@@ -80,7 +80,7 @@ class GapProblem:
             raise SchemaError(f"interval must be a non-degenerate pair (a, b), got {self.interval!r}")
         object.__setattr__(self, "interval", ends)
         object.__setattr__(self, "exponents", _reals(self.exponents, "exponent", positive=True))
-        if self.weight.domain != ends:
+        if _instance(self.weight, PiecewiseField, "weight").domain != ends:
             raise SchemaError("weight must live on the problem interval")
 
     @property
@@ -140,7 +140,7 @@ def _gap_terms(nodes, r, weight: PiecewiseField) -> tuple[tuple[float, float], .
     nodes = _reals(nodes, "node", PreconditionError)
     if len(nodes) != len(r):
         raise PreconditionError(f"expected {len(r)} nodes, one per exponent, got {len(nodes)}")
-    lo, hi = weight.domain
+    lo, hi = _instance(weight, PiecewiseField, "weight").domain
     for x in nodes:
         if not lo <= x <= hi:
             raise PreconditionError(f"node {x!r} outside [{lo}, {hi}]")
@@ -172,13 +172,14 @@ def gap_eval(nodes, r, weight: PiecewiseField, t: float) -> float:
 
 def _log_max(logw: PiecewiseField, kf, terms, intervals) -> float:
     """max of log w(t) + Σ r_j log|t − x_j| over non-degenerate intervals."""
-    return max(_maximize(logw, kf, terms, lo, hi, singular=True)[1] for lo, hi in intervals)
+    setup = _setup(logw, terms, ())
+    return max(_maximize(logw, kf, terms, lo, hi, True, setup)[1] for lo, hi in intervals)
 
 
 def gap_norm(nodes, r, weight: PiecewiseField, E: IntervalUnion | None = None) -> float:
     """sup of w · ∏ |t − x_j|^{r_j} over E (default: the weight's whole domain)."""
     terms = _gap_terms(nodes, r, weight)
-    intervals = E.components if E is not None else (weight.domain,)
+    intervals = _instance(E, IntervalUnion, "E").components if E is not None else (weight.domain,)
     return math.exp(_log_max(log_of_weight_field(weight), _LOG, terms, intervals))  # exp(−∞) = 0
 
 
@@ -188,12 +189,13 @@ def gap_interval_maxima(nodes, r, weight: PiecewiseField) -> tuple[float, ...]:
     a, b = weight.domain
     logw = log_of_weight_field(weight)
     ys = (a, *sorted(x for _, x in terms), b)
+    setup = _setup(logw, terms, ())
     out = []
     for lo, hi in zip(ys, ys[1:]):
         if hi <= lo:
             out.append(gap_eval(nodes, r, weight, lo))
             continue
-        _, v = _maximize(logw, _LOG, terms, lo, hi, singular=True)
+        _, v = _maximize(logw, _LOG, terms, lo, hi, True, setup)
         out.append(math.exp(v))
     return tuple(out)
 
@@ -202,7 +204,7 @@ def gap_interval_maxima(nodes, r, weight: PiecewiseField) -> tuple[float, ...]:
 
 def solve_bojanov(gap: GapProblem, tol: float = 1e-9) -> GapSolution:
     """Unique weighted extremal node product on [a, b], via log transport to [0, 1]."""
-    a, b = gap.interval
+    a, b = _instance(gap, GapProblem, "gap").interval
     width = b - a
     logw = log_of_weight_field(gap.weight)
     field01 = affine_transport(logw, a, width, (0.0, 1.0))
@@ -319,7 +321,8 @@ class _UnionField:
     """
 
     def __init__(self, E: IntervalUnion, weight: PiecewiseField | None):
-        weight = weight if weight is not None else _default_weight(E)
+        _instance(E, IntervalUnion, "E")
+        weight = _instance(weight, PiecewiseField, "weight") if weight is not None else _default_weight(E)
         A, B = E.hull
         if weight.domain != (A, B):
             raise SchemaError("weight must live on the hull of the union")
@@ -369,7 +372,7 @@ def _unrestricted(union: _UnionField, r, tol):
 
 def snap_to_E(nodes, E: IntervalUnion) -> tuple[float, ...]:
     """Move gap-resident nodes to the nearer component endpoint (ties leftward)."""
-    A, B = E.hull
+    A, B = _instance(E, IntervalUnion, "E").hull
     out = []
     for x in _sequence(nodes, "nodes", PreconditionError):
         x = _real(x, "node", PreconditionError)

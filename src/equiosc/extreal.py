@@ -9,7 +9,9 @@ values cross the public boundary.
 Every number handed in by a caller or a JSON document passes one of three
 checkers, :func:`_real`, :func:`_count` or :func:`_reals`, which refuse
 booleans, strings, non-finite values and non-sequences with the error class
-they are given; any other container passes :func:`_sequence` first.
+they are given; any other container passes :func:`_sequence` first, and an
+argument that must be a library object (a kernel, a field, a union, a grid)
+passes :func:`_instance`.
 """
 
 from __future__ import annotations
@@ -96,6 +98,19 @@ def _sequence(xs, name: str, error=SchemaError) -> tuple:
         return tuple(xs)
     except TypeError:
         raise error(f"{name} must be a sequence, got {xs!r}") from None
+
+
+def _instance(x, cls: type, name: str, error=SchemaError):
+    """x if it is a ``cls``, else ``error``.
+
+    >>> _instance(None, float, "level")
+    Traceback (most recent call last):
+    ...
+    equiosc.errors.SchemaError: level must be of type float, got None
+    """
+    if not isinstance(x, cls):
+        raise error(f"{name} must be of type {cls.__name__}, got {x!r}")
+    return x
 
 
 def _reals(xs, name: str, error=SchemaError, *, positive: bool = False) -> tuple[float, ...]:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .extreal import NEG_INFINITY, ExtReal, _count, _real, _reals, _sequence, as_extreal, is_neg_infinity
+from .extreal import NEG_INFINITY, ExtReal, _count, _instance, _real, _reals, _sequence, as_extreal, is_neg_infinity
 
 __all__ = [
     "Constant",
@@ -532,7 +532,7 @@ def log_of_weight_field(weight: PiecewiseField) -> PiecewiseField:
     Negative levels and point values are not weights: they raise SchemaError.
     """
     pieces = []
-    for p in weight.pieces:
+    for p in _instance(weight, PiecewiseField, "weight").pieces:
         f = p.formula
         if isinstance(f, NegInfinityPiece):
             raise SchemaError("weights take values in [0, ∞); −∞ pieces are not weights")

@@ -12,8 +12,9 @@ agrees with it to 1e-12 relative; the cells go through in fixed-size chunks,
 so memory does not grow with the lattice. Ties break to the lexicographically
 smallest node vector, the first in lattice order. It runs single-threaded:
 the ``threads`` argument is deprecated, and a value other than 1 only warns.
-Grid counts must be integers, the budget finite and positive and ``tol``
-finite and non-negative, else ``PreconditionError``.
+The problem must be a ``Problem`` and the grid a ``GridSpec``, grid counts
+integers, the budget finite and positive and ``tol`` finite and non-negative,
+else ``PreconditionError``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .extreal import _count, _real
+from .extreal import _count, _instance, _real
 from .problem import NodeSystem, Problem
 from .translates import _maxima_batch
 
@@ -52,6 +53,8 @@ class GridSpec:
 
 
 def _check_budget(problem: Problem, grid: GridSpec) -> None:
+    _instance(problem, Problem, "problem", PreconditionError)
+    _instance(grid, GridSpec, "grid", PreconditionError)
     if problem.n > 4:
         raise BudgetError("grid oracle supports n ≤ 4")
     cost = float(grid.points_per_dim) ** problem.n * (grid.refine_rounds + 1)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AdmissibilityError, PreconditionError, SchemaError
-from .extreal import _count, _reals
+from .extreal import _count, _instance, _reals
 from .fields import PiecewiseField, field_admissible, field_from_json, field_to_json
 from .kernels import KernelSpec, kernel_from_json, kernel_to_json
 
@@ -92,7 +92,8 @@ class Problem:
         if len(r) != n:
             raise SchemaError(f"expected {n} multipliers, got {len(r)}")
         object.__setattr__(self, "r", r)
-        if self.field.domain != (0.0, 1.0):
+        _instance(self.kernel, KernelSpec, "kernel")
+        if _instance(self.field, PiecewiseField, "field").domain != (0.0, 1.0):
             raise SchemaError("problem fields live on [0, 1]")
         if not field_admissible(self.field, self.n):
             raise AdmissibilityError(

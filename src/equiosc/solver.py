@@ -4,13 +4,13 @@ Under a singular, strictly monotone kernel the difference map Φ restricted to
 the regularity set is a homeomorphism onto R^n, so the target equation has a
 unique solution. The solve is damped Newton with the exact Jacobian: by
 Danskin's envelope theorem ∂m_i/∂y_k = −r_k·K′(t_i* − y_k) at the interval
-argmaxima t_i*, so every maxima vector comes with its Jacobian. Rows whose
-argmax sits on a kernel kink y_k ± κ, where Φ is not differentiable, are taken
-by forward difference. Only when Newton stalls do Gauss–Seidel sweeps take
-over — node w_j moves by bisection to zero the local residual
-m_j − m_{j−1} − c_j, which is strictly decreasing in w_j — with Newton again
-once the residual is small. Sweeps that stop lowering the residual end the
-solve unconverged.
+argmaxima t_i*, so every maxima vector comes with its Jacobian. Where an
+argmax sits on a kernel kink y_k ± κ, Φ need not be differentiable in y_k, and
+only that column k of the row is taken by forward difference. Only when
+Newton stalls do Gauss–Seidel sweeps take over — node w_j moves by bisection
+to zero the local residual m_j − m_{j−1} − c_j, which is strictly decreasing
+in w_j — with Newton again once the residual is small. Sweeps that stop
+lowering the residual end the solve unconverged.
 
 Kernels that are monotone but not strictly so are warm-started on the strictly
 monotone K + η√|t|: one solve at η = 1e−2, one at η = 1e−4 from its nodes, and
@@ -172,27 +172,32 @@ def _fd_node(ys: list[float], k: int) -> tuple[tuple[float, ...], float]:
 def _jacobian(problem: Problem, ys: list[float], vals, args):
     """Jacobian of Φ at ys from the interval argmaxima; None if a perturbed maximum is −∞.
 
-    By Danskin's envelope theorem ∂m_i/∂y_k = −r_k·K′(t_i* − y_k) at the argmax
-    t_i* of interval i, so each maxima vector carries its own Jacobian. A row
-    whose argmax is missing or sits exactly on a kernel kink y_k ± κ, where m_i
-    need not be differentiable, is taken by forward difference instead.
+    By Danskin's envelope theorem ∂m_i/∂y_l = −r_l·K′(t_i* − y_l) at the argmax
+    t_i* of interval i, so each maxima vector carries its own Jacobian. Where
+    t_i* sits exactly on a kink y_k ± κ of translate k, m_i need not be
+    differentiable in y_k, and that entry alone is taken by forward
+    difference. Every other column l of the row stays exact: t_i* − y_l is
+    neither a kink nor 0 (F(y, t_i*) is finite), so F depends smoothly on y_l
+    for t near t_i*, where the maximum stays, and Danskin's derivative holds
+    there. A row without an argmax (m_i = −∞) is differenced in every column.
     """
     n = problem.n
     kernel = problem.kernel
     nodes = ys[1:-1]
-    kink_points = {y + s for y in nodes for k in kernel._kinks for s in (k, -k)}
-    exact = [i for i, t in enumerate(args) if t is not None and t not in kink_points]
+    shifts = [s for k in kernel._kinks for s in (k, -k)]
     dm = np.empty((n + 1, n))
-    if exact:
-        ts = np.array([args[i] for i in exact])
-        dm[exact] = -np.asarray(problem.r) * kernel._slope(ts[:, None] - np.array(nodes))
-    for i in sorted(set(range(n + 1)).difference(exact)):
+    rows = [i for i, t in enumerate(args) if t is not None]
+    if rows:
+        ts = np.array([args[i] for i in rows])
+        dm[rows] = -np.asarray(problem.r) * kernel._slope(ts[:, None] - np.array(nodes))
+    for i, t in enumerate(args):
         for k in range(1, n + 1):
-            pert, h = _fd_node(ys, k)
-            _, v = _interval_max(problem, pert, i)
-            if v == NEG_INFINITY:
-                return None
-            dm[i, k - 1] = (v - vals[i]) / h
+            if t is None or any(t == ys[k] + s for s in shifts):
+                pert, h = _fd_node(ys, k)
+                _, v = _interval_max(problem, pert, i)
+                if v == NEG_INFINITY:
+                    return None
+                dm[i, k - 1] = (v - vals[i]) / h
     return dm[1:] - dm[:-1]
 
 

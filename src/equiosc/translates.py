@@ -14,6 +14,13 @@ piece an end where F does not rise inward is the maximum by concavity;
 otherwise Brent's method searches the piece. Values are accurate to rounding
 on smooth pieces, argmax locations to about √ε·|t|.
 
+A maxima vector pays its set-up once: :func:`_setup` builds the node set,
+one sorted list of the cut points of all its intervals and the sorted
+override points, and each of the n + 1 intervals takes the cuts strictly
+inside it by bisection before :func:`_maximize` searches it. A single
+interval maximum (the solver's sweeps and difference quotients) builds the
+same set-up for its one interval.
+
 The grid oracle needs only the values, for whole lattices of node systems:
 :func:`_maxima_batch` runs the same cuts and end checks for many node systems
 at once in numpy, with a lockstep golden-section search in place of Brent's.
@@ -26,6 +33,7 @@ candidate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,20 +263,33 @@ def _scan_max(g, lo: float, hi: float, xtol: float) -> tuple[float, float]:
 
 # -- per-interval maxima --------------------------------------------------------
 
-def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: float = _XTOL, kinks=()):
-    """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi.
+def _setup(field, terms, kinks):
+    """What every interval maximum of one node vector shares, built once per vector.
 
-    The interval is cut at the field's interior knots, at every node y_j
-    strictly inside it, and at the kernel kinks y_j ± κ (κ in ``kinks``) inside
-    it; the cuts and field overrides are point candidates, and each piece
-    between cuts is searched by :func:`_concave_max` (concave) or a scan plus
-    Brent polish (not concave). With a singular kernel the search stays
-    _NODE_EPS away from a node at either end of a piece.
+    Returns (node set, sorted distinct interior cut points, sorted override
+    points): the cut points are the field's interior knots, the nodes and the
+    kernel kinks y_j ± κ (κ in ``kinks``) of all intervals at once, and
+    :func:`_maximize` takes those strictly inside its interval by bisection.
     """
     nodes = {yj for _, yj in terms}
     kink_cuts = [yj + s for yj in nodes for k in kinks for s in (k, -k)]
-    inner = {tau for tau in (*field.interior_knots(), *nodes, *kink_cuts) if lo < tau < hi}
-    cuts = [lo, *sorted(inner), hi]
+    points = sorted({*field.interior_knots(), *nodes, *kink_cuts})
+    return nodes, points, sorted(field.override_points())
+
+
+def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, setup, xtol: float = _XTOL):
+    """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi.
+
+    ``setup`` is :func:`_setup` of the same field, terms and kernel kinks. The
+    interval is cut at the field's interior knots, at every node y_j strictly
+    inside it, and at the kernel kinks y_j ± κ inside it; the cuts and field
+    overrides are point candidates, and each piece between cuts is searched by
+    :func:`_concave_max` (concave) or a scan plus Brent polish (not concave).
+    With a singular kernel the search stays _NODE_EPS away from a node at
+    either end of a piece.
+    """
+    nodes, points, overrides = setup
+    cuts = [lo, *points[bisect_right(points, lo):bisect_left(points, hi)], hi]
 
     # a cut is a candidate and the end of up to two pieces: its kernel sum is
     # computed once for all three, only the field part differs
@@ -285,7 +306,10 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: floa
             ks = sums[tau] = _kernel_sum(kf, terms, tau)
         return NEG_INFINITY if ks == NEG_INFINITY else fv + ks
 
-    point_set = sorted(set(cuts) | {t for t in field.override_points() if lo <= t <= hi})
+    point_set = cuts
+    inside = overrides[bisect_left(overrides, lo):bisect_right(overrides, hi)]
+    if inside:
+        point_set = sorted({*cuts, *inside})
     candidates = [(tau, at_cut(field._value_float, tau)) for tau in point_set]
 
     for c, d in zip(cuts, cuts[1:]):
@@ -314,29 +338,33 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: floa
     return best_t, best_v
 
 
-def _interval_max(problem: Problem, ys: tuple[float, ...], j: int, xtol: float = _XTOL):
-    """(argmax | None, float max) of F(y, ·) over [ys[j], ys[j+1]]."""
-    kernel = problem.kernel
-    kf = scalar_fn(kernel)
-    terms = _terms(problem, ys)
-    lo, hi = ys[j], ys[j + 1]
-    singular = kernel.flags().singular
+def _on_interval(problem: Problem, terms, singular: bool, setup, lo: float, hi: float, xtol: float):
+    """(argmax | None, float max) of F(y, ·) over [lo, hi] from the vector's set-up."""
+    kf = scalar_fn(problem.kernel)  # one lookup per interval maximization
     if hi > lo:
-        return _maximize(problem.field, kf, terms, lo, hi, singular, xtol, kernel._kinks)
+        return _maximize(problem.field, kf, terms, lo, hi, singular, setup, xtol)
     if singular:
         return None, NEG_INFINITY
     v = _with_translates(problem.field._value_float, kf, terms)(lo)
     return (lo if v > NEG_INFINITY else None), v
 
 
+def _interval_max(problem: Problem, ys: tuple[float, ...], j: int, xtol: float = _XTOL):
+    """(argmax | None, float max) of F(y, ·) over [ys[j], ys[j+1]]."""
+    kernel = problem.kernel
+    terms = _terms(problem, ys)
+    setup = _setup(problem.field, terms, kernel._kinks)
+    return _on_interval(problem, terms, kernel.flags().singular, setup, ys[j], ys[j + 1], xtol)
+
+
 def _maxima_floats(problem: Problem, ys: tuple[float, ...]):
-    vals = []
-    args = []
-    for j in range(problem.n + 1):
-        t, v = _interval_max(problem, ys, j)
-        vals.append(v)
-        args.append(t)
-    return vals, args
+    """([m_0, …, m_n], [argmax_0, …]) of F(y, ·), with one set-up for the whole vector."""
+    kernel = problem.kernel
+    terms = _terms(problem, ys)
+    singular = kernel.flags().singular
+    setup = _setup(problem.field, terms, kernel._kinks)
+    pairs = [_on_interval(problem, terms, singular, setup, lo, hi, _XTOL) for lo, hi in zip(ys, ys[1:])]
+    return [v for _, v in pairs], [t for t, _ in pairs]
 
 
 # -- batched interval maxima (grid oracle) --------------------------------------

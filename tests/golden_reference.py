@@ -9,6 +9,17 @@ kernel-kink cuts), cuts and overrides as point candidates, golden section on
 concave pieces, a 64-point scan plus golden polish on the others, and ties to
 the leftmost candidate.
 
+Per-interval set-up: before a maxima vector built its cut points once,
+``_maximize`` built the node set, the kink cuts, the sorted cuts inside its
+interval and the override candidates for every interval it searched.
+``reference_maximize`` is that ``_maximize`` and ``reference_scalar_interval_max``
+its ``_interval_max``, verbatim but for the names.
+
+Kink rows by forward difference: before only the kinked column of a
+Jacobian row was differenced, ``solver._jacobian`` took every column of a row
+whose argmax sits on a kernel kink by forward difference.
+``reference_row_fd_jacobian`` is that ``_jacobian``, verbatim but for the name.
+
 Candidate grid for the restricted Chebyshev constant: before R came from
 pinned-endpoint equioscillation solves, ``restricted_constant`` searched a
 lattice of node systems per assignment of nodes to components, re-evaluated
@@ -28,8 +39,11 @@ called (``_union_problem`` then), both verbatim but for the names.
 Inner-endpoint pinned search without pruning: before the search skipped pin
 sets that a solved smaller pin set rules out, ``_restricted`` solved every
 distinct (pins, free exponents) problem over the inner component endpoints.
-``reference_inner_restricted`` is that search, verbatim but for the name; it
-takes the library's built union field.
+``reference_inner_candidates`` is that search, verbatim but for the name,
+up to its list of candidates, which it yields with their pin sets;
+``reference_inner_restricted`` takes the least of them as the search did.
+Both take the library's built union field, and ``pin_key`` is the search's
+key of a pin set.
 
 Scalar grid oracle: before the oracle evaluated each lattice as one batch, it
 built the cells with a recursive generator and took every cell's objective
@@ -67,8 +81,17 @@ from equiosc.extreal import NEG_INFINITY, as_extreal
 from equiosc.fields import NegInfinityPiece, Piece, PiecewiseField, affine_transport, log_of_weight_field
 from equiosc.kernels import Log, scalar_fn
 from equiosc.problem import Problem
-from equiosc.solver import solve_equioscillation
-from equiosc.translates import _kernel_sum, _maxima_floats
+from equiosc.solver import _fd_node, solve_equioscillation
+from equiosc.translates import (
+    _NODE_EPS,
+    _XTOL,
+    _concave_max,
+    _interval_max,
+    _kernel_sum,
+    _maxima_floats,
+    _scan_max,
+    _with_translates,
+)
 
 NEG_INF = float("-inf")
 NODE_EPS = 1e-13
@@ -160,6 +183,91 @@ def reference_interval_max(problem, ys, j, xtol=1e-12):
         if v > best_v:
             best_t, best_v = t, v
     return best_t, best_v
+
+
+def reference_maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: float = _XTOL, kinks=()):
+    """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi, set up for this interval alone."""
+    nodes = {yj for _, yj in terms}
+    kink_cuts = [yj + s for yj in nodes for k in kinks for s in (k, -k)]
+    inner = {tau for tau in (*field.interior_knots(), *nodes, *kink_cuts) if lo < tau < hi}
+    cuts = [lo, *sorted(inner), hi]
+
+    sums: dict[float, float] = {}
+
+    def at_cut(fval, tau: float) -> float:
+        if singular and tau in nodes:
+            return NEG_INFINITY
+        fv = fval(tau)
+        if fv == NEG_INFINITY:
+            return NEG_INFINITY
+        ks = sums.get(tau)
+        if ks is None:
+            ks = sums[tau] = _kernel_sum(kf, terms, tau)
+        return NEG_INFINITY if ks == NEG_INFINITY else fv + ks
+
+    point_set = sorted(set(cuts) | {t for t in field.override_points() if lo <= t <= hi})
+    candidates = [(tau, at_cut(field._value_float, tau)) for tau in point_set]
+
+    for c, d in zip(cuts, cuts[1:]):
+        if d - c <= 4.0 * _NODE_EPS:
+            continue
+        formula = field.piece_over(c, d).formula
+        if isinstance(formula, NegInfinityPiece):
+            continue
+        at_node_c = singular and c in nodes
+        at_node_d = singular and d in nodes
+        a = c + _NODE_EPS if at_node_c else c
+        b = d - _NODE_EPS if at_node_d else d
+        g = _with_translates(formula._value, kf, terms)
+        if formula.concave:
+            ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
+            candidates.append(_concave_max(g, a, b, xtol, ga, gb))
+        else:
+            candidates.append(_scan_max(g, a, b, xtol))
+
+    candidates.sort(key=lambda p: p[0])
+    best_t: float | None = None
+    best_v = NEG_INFINITY
+    for t, v in candidates:
+        if v > best_v:
+            best_t, best_v = t, v
+    return best_t, best_v
+
+
+def reference_scalar_interval_max(problem: Problem, ys: tuple[float, ...], j: int, xtol: float = _XTOL):
+    """(argmax | None, float max) of F(y, ·) over [ys[j], ys[j+1]], by :func:`reference_maximize`."""
+    kernel = problem.kernel
+    kf = scalar_fn(kernel)
+    terms = tuple(zip(problem.r, ys[1:-1]))
+    lo, hi = ys[j], ys[j + 1]
+    singular = kernel.flags().singular
+    if hi > lo:
+        return reference_maximize(problem.field, kf, terms, lo, hi, singular, xtol, kernel._kinks)
+    if singular:
+        return None, NEG_INFINITY
+    v = _with_translates(problem.field._value_float, kf, terms)(lo)
+    return (lo if v > NEG_INFINITY else None), v
+
+
+def reference_row_fd_jacobian(problem: Problem, ys: list[float], vals, args):
+    """Jacobian of Φ at ys, every column of a kink row (or of a row without argmax) by forward difference."""
+    n = problem.n
+    kernel = problem.kernel
+    nodes = ys[1:-1]
+    kink_points = {y + s for y in nodes for k in kernel._kinks for s in (k, -k)}
+    exact = [i for i, t in enumerate(args) if t is not None and t not in kink_points]
+    dm = np.empty((n + 1, n))
+    if exact:
+        ts = np.array([args[i] for i in exact])
+        dm[exact] = -np.asarray(problem.r) * kernel._slope(ts[:, None] - np.array(nodes))
+    for i in sorted(set(range(n + 1)).difference(exact)):
+        for k in range(1, n + 1):
+            pert, h = _fd_node(ys, k)
+            _, v = _interval_max(problem, pert, i)
+            if v == NEG_INFINITY:
+                return None
+            dm[i, k - 1] = (v - vals[i]) / h
+    return dm[1:] - dm[:-1]
 
 
 def reference_interval_maxima(problem, y, xtol=1e-12):
@@ -316,8 +424,22 @@ def reference_pinned_restricted(E, r, weight, tol, unpinned=None):
     return math.exp(best_val), best_nodes
 
 
+def pin_key(r, pinned, ends):
+    """The (pins, free exponents) problem of pinning the indices ``pinned`` at ``ends``."""
+    return (
+        tuple(sorted(zip((r[i] for i in pinned), ends))),
+        tuple(r[j] for j in range(len(r)) if j not in pinned),
+    )
+
+
 def reference_inner_restricted(union, r, tol, unpinned=None):
     """(R, nodes) from every inner-endpoint pin set; ``unpinned`` is the unrestricted nodes when known."""
+    best_val, best_nodes = min((val, nodes) for _, _, val, nodes in reference_inner_candidates(union, r, tol, unpinned))
+    return math.exp(best_val), best_nodes
+
+
+def reference_inner_candidates(union, r, tol, unpinned=None):
+    """Every candidate of the unpruned inner-endpoint search as (pinned, ends, log value, nodes), in search order."""
     n = len(r)
     E = union.E
 
@@ -329,7 +451,6 @@ def reference_inner_restricted(union, r, tol, unpinned=None):
         return xs if all(any(a < x < b for a, b in E.components) for x in xs) else None
 
     inner_ends = tuple(e for comp in E.components for e in comp)[1:-1]
-    candidates = []
     for p in range(n + 1):
         for pinned, ends in itertools.product(
             itertools.combinations(range(n), p),
@@ -344,9 +465,7 @@ def reference_inner_restricted(union, r, tol, unpinned=None):
                 nodes.insert(i, e)
             if nodes == sorted(nodes):
                 val = _log_max(union.logw, _LOG, tuple(zip(r, nodes)), E.components)
-                candidates.append((val, tuple(nodes)))
-    best_val, best_nodes = min(candidates)
-    return math.exp(best_val), best_nodes
+                yield pinned, ends, val, tuple(nodes)
 
 
 def _grid_lattice(ranges: list[tuple[float, float]], points: int):

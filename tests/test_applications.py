@@ -8,7 +8,10 @@ from equiosc import applications
 from equiosc.fields import Constant, Indicator, NegInfinityPiece, Piece, PiecewiseField
 from golden_reference import (
     golden_max,
+    pin_key,
+    reference_inner_candidates,
     reference_inner_restricted,
+    reference_maximize,
     reference_pinned_restricted,
     reference_restricted_constant,
 )
@@ -435,6 +438,84 @@ def test_pruned_search_matches_the_unpruned_one(rng):
         assert (report["R"], report["nodes_restricted"]) == want
 
 
+def test_pruned_search_skips_only_candidates_a_solved_bound_rules_out(rng, monkeypatch):
+    """Soundness of the branch and bound, candidate by candidate.
+
+    The solves and the exact evaluations the search makes are recorded. Every
+    candidate of the unpruned search that never reached ``_log_max`` was
+    skipped; its exact value must be at least the returned R, and a sub-key
+    (one pinned index un-pinned) must justify the skip: it was never solved,
+    or its lb (the solve's value on the ``_log_max`` scale) reaches log R.
+    """
+    solved, evaluated = {}, set()
+    solve, log_max = applications._UnionField.solve, applications._log_max
+
+    def recorded_solve(self, r, tol, pins=()):
+        value, nodes = solve(self, r, tol, pins)
+        solved[(pins, tuple(r))] = value
+        return value, nodes
+
+    def recorded_log_max(logw, kf, terms, intervals):
+        evaluated.add(tuple(x for _, x in terms))
+        return log_max(logw, kf, terms, intervals)
+
+    monkeypatch.setattr(applications._UnionField, "solve", recorded_solve)
+    monkeypatch.setattr(applications, "_log_max", recorded_log_max)
+    cases = [
+        (_seeded_union(rng, k), r, None)
+        for k in (2, 3)
+        for r in ((1.0, 2.0, 1.0), (2.0, 1.0, 1.0), (0.5, 1.5, 0.5))
+    ]
+    cases.append((SPIKED_UNION, (1.0, 1.0, 2.0), SPIKED_WEIGHT))
+    skipped = 0
+    for E, r, weight in cases:
+        union = applications._UnionField(E, weight)
+        shift = sum(r) * math.log(union.width)
+        for with_unpinned in (False, True):
+            solved.clear()
+            evaluated.clear()
+            if with_unpinned:
+                report = eq.compare_constants(E, r, weight)
+                R, unpinned = report["R"], report["nodes_unrestricted"]
+            else:
+                (R, _), unpinned = eq.restricted_constant(E, r, weight), None
+            lbs, visited = {k: v + shift for k, v in solved.items()}, set(evaluated)
+            candidates = list(reference_inner_candidates(union, r, 1e-9, unpinned))
+            log_R = min(val for _, _, val, _ in candidates)
+            assert math.exp(log_R) == R
+            for pinned, ends, val, nodes in candidates:
+                if nodes in visited:
+                    continue
+                skipped += 1
+                assert val >= log_R, (E, r, pinned, ends)
+                subkeys = [
+                    pin_key(r, pinned[:q] + pinned[q + 1:], ends[:q] + ends[q + 1:]) for q in range(len(pinned))
+                ]
+                assert any(k not in lbs or lbs[k] >= log_R for k in subkeys), (E, r, pinned, ends)
+    assert skipped > 0
+
+
+def test_union_maxima_are_bit_identical_to_per_interval_set_up(rng):
+    """``_log_max`` and ``gap_interval_maxima`` set up once per node vector give what one set-up per interval gave."""
+    cases = [(_seeded_union(rng, 2 + i % 2), None) for i in range(12)]
+    cases.append((SPIKED_UNION, SPIKED_WEIGHT))
+    for E, weight in cases:
+        weight = weight if weight is not None else eq.constant_field(1.0, domain=E.hull)
+        logw = eq.log_of_weight_field(weight)
+        a, b = E.hull
+        for n in (1, 2, 3):
+            r = tuple(float(v) for v in rng.uniform(0.5, 2.0, size=n))
+            x = [float(v) for v in rng.uniform(a, b, size=n)]
+            x[0] = E.components[0][1]  # a node on an inner endpoint, as the restricted search pins them
+            terms = tuple(zip(r, x))
+            want = max(reference_maximize(logw, applications._LOG, terms, lo, hi, True)[1] for lo, hi in E.components)
+            assert applications._log_max(logw, applications._LOG, terms, E.components).hex() == want.hex()
+            ys = (a, *sorted(x), b)
+            for lo, hi, got in zip(ys, ys[1:], eq.gap_interval_maxima(x, r, weight)):
+                _, v = reference_maximize(logw, applications._LOG, terms, lo, hi, True)
+                assert got.hex() == math.exp(v).hex()
+
+
 def test_restricted_no_gap_equals_unrestricted():
     E = eq.IntervalUnion(((0.0, 1.0),))
     C, _ = eq.unrestricted_constant(E, (1.0, 1.0))
@@ -483,6 +564,18 @@ def test_union_validation():
             eq.IntervalUnion(components)
     with pytest.raises(eq.BudgetError):
         eq.restricted_constant(SEED_UNION, (1.0,) * 5)
+    # unions and weights must be library objects
+    for call in (
+        lambda: eq.restricted_constant(None, (1,)),
+        lambda: eq.unrestricted_constant(None, (1,)),
+        lambda: eq.compare_constants(SEED_UNION, (1,), "x"),
+        lambda: eq.snap_to_E((0.5,), None),
+        lambda: eq.gap_norm((0.5,), (1,), ones_weight(), "x"),
+        lambda: eq.solve_bojanov(None),
+        lambda: eq.GapProblem((0.0, 1.0), (1.0,), None),
+    ):
+        with pytest.raises(eq.SchemaError):
+            call()
 
 
 def test_compare_constants_checks_the_budget_before_any_solve(monkeypatch):
@@ -525,3 +618,5 @@ def test_gap_functions_validate_nodes_and_exponents(fn):
     for r in ((-1.0,), (math.nan,), ("1",), (True,)):
         with pytest.raises(eq.SchemaError):
             fn((0.5,), r, w)
+    with pytest.raises(eq.SchemaError):
+        fn((0.5,), (1,), None)  # the weight must be a field

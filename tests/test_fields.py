@@ -256,6 +256,8 @@ def test_validation_errors():
     for n in ("2", True, 2.5, 0):
         with pytest.raises(eq.SchemaError):
             eq.field_admissible(eq.constant_field(0.0), n)
+    with pytest.raises(eq.SchemaError):
+        log_of_weight_field(None)
 
 
 def test_json_roundtrip():

@@ -8,7 +8,7 @@ from equiosc import translates
 from equiosc.catalog import build_problem
 from equiosc.fields import Constant, Indicator, LogOfWeight, NegInfinityPiece, Piece, PiecewiseField, SqrtAffine
 from equiosc.translates import _maxima_batch, _maxima_floats
-from golden_reference import reference_grid_search
+from golden_reference import reference_grid_search, reference_scalar_interval_max
 
 LOG_HALF = -0.6931471805599453
 
@@ -119,6 +119,15 @@ def test_grid_spec_rejects_non_integral_counts_and_bad_budgets(settings):
         eq.GridSpec(**settings)
 
 
+@pytest.mark.parametrize("search", [eq.grid_minimax, eq.grid_maximin, eq.grid_near_optimal])
+def test_searches_reject_arguments_that_are_not_library_objects(search):
+    problem = eq.Problem(1, (1.0,), eq.Log(), eq.constant_field(0.0))
+    with pytest.raises(eq.PreconditionError):
+        search(problem, None)
+    with pytest.raises(eq.PreconditionError):
+        search(None, eq.GridSpec(points_per_dim=5))
+
+
 @pytest.mark.parametrize("settings", [{"points_per_dim": 1}, {"refine_rounds": -1}])
 def test_grid_spec_ranges_are_budget_errors(settings):
     with pytest.raises(eq.BudgetError):
@@ -218,6 +227,29 @@ def test_maxima_batch_matches_scalar_maxima(kernel):
             finite = np.isfinite(scalar)
             dev = np.abs(batch[finite] - scalar[finite])
             assert np.all(dev <= 1e-12 * np.maximum(1.0, np.abs(scalar[finite])))
+
+
+def _bits(pair):
+    return tuple(None if x is None else float(x).hex() for x in pair)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
+def test_maxima_vector_is_bit_identical_to_per_interval_set_up(kernel):
+    """One set-up per maxima vector gives the argmaxima and values of one set-up per interval, to the bit."""
+    rng = np.random.default_rng(20240817)
+    degenerate = 0
+    for field in FIELDS.values():
+        for n in (1, 2, 3):
+            problem = eq.Problem(n, tuple(rng.uniform(0.5, 2.0, size=n)), kernel, field)
+            for y in _cells(rng, n):
+                ys = (0.0, *(float(v) for v in y), 1.0)
+                vals, args = _maxima_floats(problem, ys)
+                for j in range(n + 1):
+                    want = _bits(reference_scalar_interval_max(problem, ys, j))
+                    assert _bits((args[j], vals[j])) == want, (field, ys, j)
+                    assert _bits(translates._interval_max(problem, ys, j)) == want, (field, ys, j)
+                    degenerate += ys[j] == ys[j + 1]
+    assert degenerate > 0
 
 
 ORACLE_CASES = [

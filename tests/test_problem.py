@@ -27,6 +27,11 @@ def test_problem_validation():
         eq.Problem(2, (1.0,), eq.Log(), eq.constant_field(0.0))
     with pytest.raises(eq.SchemaError):
         eq.Problem(1, (-1.0,), eq.Log(), eq.constant_field(0.0))
+    # a kernel or field that is not a library object fails at construction, not in a solve
+    with pytest.raises(eq.SchemaError):
+        eq.Problem(1, (1.0,), None, eq.constant_field(0.0))
+    with pytest.raises(eq.SchemaError):
+        eq.Problem(1, (1.0,), eq.Log(), None)
 
 
 def test_problem_rejects_inadmissible_field():

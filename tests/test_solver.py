@@ -9,6 +9,7 @@ from equiosc import solver
 from equiosc.catalog import build_problem
 from equiosc.translates import _maxima_floats
 from conftest import random_concave_field, random_sm_problem, random_strict_nodes
+from golden_reference import reference_row_fd_jacobian
 
 LOG_HALF = -0.6931471805599453
 CHEB2_NODES = (0.14644660940672624, 0.8535533905932737)
@@ -273,32 +274,48 @@ def test_report_phi_matches_difference():
         assert a == pytest.approx(b, abs=1e-12)
 
 
-def _on_kink(problem, ys, t):
-    return any(t == y + s for y in ys[1:-1] for k in problem.kernel._kinks for s in (k, -k))
+def _kinked_nodes(problem, ys, t):
+    """The nodes k whose translate has a kink at t = y_k ± κ."""
+    return {k for k in range(1, len(ys) - 1) for a in problem.kernel._kinks for s in (a, -a) if t == ys[k] + s}
 
 
 def test_danskin_jacobian_matches_central_differences(rng):
+    """Columns without an argmax on their translate's kink are exact; a kinked column is differenced.
+
+    Φ need not be differentiable in y_k where an argmax sits on y_k ± κ, so
+    that column matches the difference quotients of the row-by-row Jacobian
+    exactly wherever that one differenced a row kinked at k, or a row without
+    kinks; every other column matches central differences.
+    """
     h = 1e-6
-    compared = 0
+    kink_states = kinked_columns = 0
     for _ in range(120):
         n = int(rng.integers(1, 5))
         problem = random_sm_problem(rng, n)
         ys = [0.0, *random_strict_nodes(rng, n), 1.0]
         vals, args = _maxima_floats(problem, tuple(ys))
-        if any(_on_kink(problem, ys, t) for t in args):
-            continue  # Φ need not be differentiable there; those rows use differences
+        kinked = [_kinked_nodes(problem, ys, t) for t in args]
+        columns = set().union(*kinked)
         jac = solver._jacobian(problem, ys, vals, args)
-        central = np.empty((n, n))
-        for k in range(1, n + 1):
+        smooth = [k - 1 for k in range(1, n + 1) if k not in columns]
+        central = np.empty((n, len(smooth)))
+        for c, col in enumerate(smooth):
             up, down = list(ys), list(ys)
-            up[k] += h
-            down[k] -= h
+            up[col + 1] += h
+            down[col + 1] -= h
             vals_up, _ = _maxima_floats(problem, tuple(up))
             vals_down, _ = _maxima_floats(problem, tuple(down))
-            central[:, k - 1] = (np.diff(vals_up) - np.diff(vals_down)) / (2.0 * h)
-        assert np.max(np.abs(jac - central)) <= 1e-6 * np.max(np.abs(central))
-        compared += 1
-    assert compared >= 90
+            central[:, c] = (np.diff(vals_up) - np.diff(vals_down)) / (2.0 * h)
+        if smooth:
+            assert np.max(np.abs(jac[:, smooth] - central)) <= 1e-6 * np.max(np.abs(central))
+        if columns:
+            kink_states += 1
+            rows = reference_row_fd_jacobian(problem, ys, vals, args)
+            for k in columns:
+                if all(k in K for K in kinked if K):
+                    assert np.array_equal(jac[:, k - 1], rows[:, k - 1])
+                    kinked_columns += 1
+    assert kink_states >= 10 and kinked_columns >= 10
 
 
 def test_argmax_on_a_kernel_kink_solves(monkeypatch):
@@ -319,7 +336,13 @@ def test_argmax_on_a_kernel_kink_solves(monkeypatch):
         assert got == pytest.approx(want, abs=1e-8)
     w2 = report.nodes.nodes[1]
     assert report.maxima.argmax[1:] == (w2 - a, w2 + a)
-    assert differenced
+    # one difference per argmax on a kink: 7 Jacobians with two each (28 row by row)
+    assert len(differenced) == 14
+    # at the solution only node 2, whose translate's kink holds both argmaxima, is differenced
+    differenced.clear()
+    ys = [0.0, *report.nodes.nodes, 1.0]
+    solver._jacobian(problem, ys, report.maxima.as_floats(), report.maxima.argmax)
+    assert differenced == [2, 2]
 
 
 @pytest.mark.parametrize("n", [32, 64])
