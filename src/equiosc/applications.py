@@ -43,7 +43,7 @@ from .fields import (
 from .kernels import Log, scalar_fn
 from .problem import Problem
 from .solver import solve_equioscillation
-from .translates import _kernel_sum, _maximize, _setup
+from .translates import _kernel_sum, _maxima
 
 __all__ = [
     "GapProblem",
@@ -170,57 +170,44 @@ def gap_eval(nodes, r, weight: PiecewiseField, t: float) -> float:
     return prod
 
 
-def _log_max(logw: PiecewiseField, kf, terms, intervals) -> float:
+def _log_max(logw: PiecewiseField, terms, intervals) -> float:
     """max of log w(t) + Σ r_j log|t − x_j| over non-degenerate intervals."""
-    setup = _setup(logw, terms, ())
-    return max(_maximize(logw, kf, terms, lo, hi, True, setup)[1] for lo, hi in intervals)
+    return max(v for _, v in _maxima(logw, Log(), terms, intervals))
 
 
 def gap_norm(nodes, r, weight: PiecewiseField, E: IntervalUnion | None = None) -> float:
     """sup of w · ∏ |t − x_j|^{r_j} over E (default: the weight's whole domain)."""
     terms = _gap_terms(nodes, r, weight)
     intervals = _instance(E, IntervalUnion, "E").components if E is not None else (weight.domain,)
-    return math.exp(_log_max(log_of_weight_field(weight), _LOG, terms, intervals))  # exp(−∞) = 0
+    return math.exp(_log_max(log_of_weight_field(weight), terms, intervals))  # exp(−∞) = 0
 
 
 def gap_interval_maxima(nodes, r, weight: PiecewiseField) -> tuple[float, ...]:
     """Max of w·∏|t−x_j|^{r_j} over each of the n+1 intervals cut by the nodes."""
     terms = _gap_terms(nodes, r, weight)
     a, b = weight.domain
-    logw = log_of_weight_field(weight)
     ys = (a, *sorted(x for _, x in terms), b)
-    setup = _setup(logw, terms, ())
-    out = []
-    for lo, hi in zip(ys, ys[1:]):
-        if hi <= lo:
-            out.append(gap_eval(nodes, r, weight, lo))
-            continue
-        _, v = _maximize(logw, _LOG, terms, lo, hi, True, setup)
-        out.append(math.exp(v))
-    return tuple(out)
+    # a degenerate interval is a node: −∞ in the logs, and exp(−∞) = 0 is gap_eval's value there
+    return tuple(math.exp(v) for _, v in _maxima(log_of_weight_field(weight), Log(), terms, zip(ys, ys[1:])))
 
 
 # -- extremal products on one interval -------------------------------------------
 
+def _interlaced(nodes, points) -> bool:
+    """t_{i−1} < x_i < t_i for every node x_i, with points t_0, …, t_n."""
+    return all(t0 < x < t1 for x, t0, t1 in zip(nodes, points, points[1:]))
+
+
 def solve_bojanov(gap: GapProblem, tol: float = 1e-9) -> GapSolution:
-    """Unique weighted extremal node product on [a, b], via log transport to [0, 1]."""
-    a, b = _instance(gap, GapProblem, "gap").interval
-    width = b - a
-    logw = log_of_weight_field(gap.weight)
-    field01 = affine_transport(logw, a, width, (0.0, 1.0))
-    problem = Problem(n=gap.n, r=gap.exponents, kernel=Log(), field=field01)
-    report = solve_equioscillation(problem, tol)
+    """Unique weighted extremal node product on [a, b]: the union solve on the one-component union [a, b]."""
+    _instance(gap, GapProblem, "gap")
+    union = _UnionField(IntervalUnion((gap.interval,)), gap.weight)
+    report = solve_equioscillation(_union_problem(union, gap.exponents), tol)
+    a, width = union.A, union.width
     nodes = tuple(a + width * u for u in report.nodes.nodes)
-    extremal = tuple(
-        a + width * t for t in report.maxima.argmax if t is not None
-    )
+    extremal = tuple(a + width * t for t in report.maxima.argmax if t is not None)
     norm = math.exp(report.value) * width ** sum(gap.exponents)
-    interlaces = False
-    if len(extremal) == gap.n + 1:
-        seq = [extremal[0]]
-        for x, t in zip(nodes, extremal[1:]):
-            seq.extend([x, t])
-        interlaces = all(s < t for s, t in zip(seq, seq[1:]))
+    interlaces = len(extremal) == gap.n + 1 and _interlaced(nodes, extremal)
     return GapSolution(nodes=nodes, extremal_points=extremal, norm=norm, interlaces=interlaces)
 
 
@@ -240,10 +227,7 @@ def verify_signed_equioscillation(nodes, nu, extremal_points, weight: PiecewiseF
     pts = _reals(extremal_points, "extremal point", PreconditionError)
     if len(pts) != len(nodes) + 1:
         raise PreconditionError("need one extremal point per node interval")
-    seq = [pts[0]]
-    for x, t in zip(nodes, pts[1:]):
-        seq.extend([x, t])
-    if any(s >= t for s, t in zip(seq, seq[1:])):
+    if not _interlaced(nodes, pts):
         raise PreconditionError("extremal points must interlace the nodes")
     norm = gap_norm(nodes, nu, weight)
     if norm <= 0.0:
@@ -504,7 +488,7 @@ def _restricted(union: _UnionField, r, tol, unpinned=None):
             for i, e in zip(pinned, ends):  # ascending i: each lands at its index
                 nodes.insert(i, e)
             if nodes == sorted(nodes):
-                val = _log_max(union.logw, _LOG, tuple(zip(r, nodes)), E.components)
+                val = _log_max(union.logw, tuple(zip(r, nodes)), E.components)
                 candidates.append((val, tuple(nodes)))
                 best = min(best, val)
     best_val, best_nodes = min(candidates)
@@ -528,7 +512,7 @@ def compare_constants(
     snapped = snap_to_E(w_nodes, E)
     R, r_nodes = _restricted(union, r, tol, unpinned=(w_value, w_nodes))
     bound = union_bound_factor(E.k, r)
-    snap_norm = math.exp(_log_max(union.logw, _LOG, tuple(zip(r, snapped)), E.components))
+    snap_norm = math.exp(_log_max(union.logw, tuple(zip(r, snapped)), E.components))
     slack = 1e-9
     return {
         "C": C,

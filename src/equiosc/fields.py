@@ -463,18 +463,18 @@ class PiecewiseField:
 # -- module-level operations -------------------------------------------------
 
 def field_eval(field: PiecewiseField, t: float) -> ExtReal:
-    return field.value(t)
+    return _instance(field, PiecewiseField, "field").value(t)
 
 
 def field_admissible(field: PiecewiseField, n: int) -> bool:
     """True iff the weighted count of finiteness points exceeds n."""
     if _count(n, "n") < 1:
         raise SchemaError("n must be a positive integer")
-    return field.finiteness_count() > n
+    return _instance(field, PiecewiseField, "field").finiteness_count() > n
 
 
 def singularity_set(field: PiecewiseField) -> tuple[SingularSegment, ...]:
-    return field.singular_segments()
+    return _instance(field, PiecewiseField, "field").singular_segments()
 
 
 # -- constructors -------------------------------------------------------------
@@ -556,6 +556,7 @@ def log_of_weight_field(weight: PiecewiseField) -> PiecewiseField:
 
 def affine_transport(field: PiecewiseField, a: float, width: float, domain=(0.0, 1.0)) -> PiecewiseField:
     """Pull a field on [a, a+width] back to `domain` via t = a + width·u."""
+    _instance(field, PiecewiseField, "field")
     if width <= 0.0:
         raise SchemaError("affine transport needs positive width")
 
@@ -588,6 +589,7 @@ def affine_transport(field: PiecewiseField, a: float, width: float, domain=(0.0,
 # -- JSON ---------------------------------------------------------------------
 
 def field_to_json(field: PiecewiseField) -> dict:
+    _instance(field, PiecewiseField, "field")
     return {
         "pieces": [
             {"lo": p.lo, "hi": p.hi, "formula": p.formula.to_json()} for p in field.pieces

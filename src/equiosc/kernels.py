@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .extreal import NEG_INFINITY, ExtReal, _real, as_extreal
+from .extreal import NEG_INFINITY, ExtReal, _instance, _real, as_extreal
 
 __all__ = [
     "CappedLog",
@@ -299,11 +299,12 @@ def _check_domain(t: float) -> float:
 
 def kernel_eval(kernel: KernelSpec, t: float) -> ExtReal:
     """Value of the kernel at t in [−1, 1]; limits are used at −1, 0, 1."""
-    return as_extreal(scalar_fn(kernel)(_check_domain(t)))
+    return as_extreal(scalar_fn(_instance(kernel, KernelSpec, "kernel"))(_check_domain(t)))
 
 
 def kernel_values(kernel: KernelSpec, u: np.ndarray) -> np.ndarray:
     """Vectorized kernel evaluation; −∞ appears as IEEE -inf in the result."""
+    _instance(kernel, KernelSpec, "kernel")
     u = np.asarray(u, dtype=float)
     if u.size and not (-1.0 <= u.min() and u.max() <= 1.0):  # False for NaN too
         raise DomainError("kernel argument outside [-1, 1]")
@@ -311,7 +312,7 @@ def kernel_values(kernel: KernelSpec, u: np.ndarray) -> np.ndarray:
 
 
 def kernel_classify(kernel: KernelSpec) -> KernelFlags:
-    return kernel.flags()
+    return _instance(kernel, KernelSpec, "kernel").flags()
 
 
 def kernel_to_json(kernel: KernelSpec) -> dict:

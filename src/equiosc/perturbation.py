@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, RegularityError
-from .extreal import NEG_INFINITY, _count, _real, _sequence
+from .extreal import NEG_INFINITY, _count, _instance, _real, _sequence
 from .kernels import KernelSpec, scalar_fn
-from .problem import NodeSystem, Problem
+from .problem import NodeSystem, Problem, _checked
 from .translates import _maxima_floats, in_regularity_set
 
 __all__ = [
@@ -106,7 +106,7 @@ def check_interval_perturbation(
     p, q = (_real(v, "weight p, q", PreconditionError, positive=True) for v in (p, q))
     if _count(grid_points, "grid_points", PreconditionError) < 2:
         raise PreconditionError(f"grid_points must be at least 2, got {grid_points!r}")
-    flags = kernel.flags()
+    flags = _instance(kernel, KernelSpec, "kernel", PreconditionError).flags()
     kf = scalar_fn(kernel)
     mu = (p * (a - alpha)) / (q * (beta - b))
     outer = (alpha, beta)
@@ -182,7 +182,7 @@ def perturb_partition(problem: Problem, w, partition: PartitionSpec, h: float) -
     stays put when both neighbours share a label. The produced inclusions
     I_i(w') ⊆ I_i(w) for the shrink class and ⊇ for the grow class are exact.
     """
-    ns = problem.node_system(w)
+    ns = _checked(problem).node_system(w)
     if len(partition.class_of) != problem.n + 1:
         raise PreconditionError(f"partition must label {problem.n + 1} intervals")
     if not ns.strict():
@@ -227,7 +227,7 @@ def _regular_maxima(problem: Problem, ns: NodeSystem):
 
 def check_intertwining(problem: Problem, x, y) -> IntertwiningVerdict:
     """Compare the interval-maxima vectors of two regular node systems; maxima within 1e-9 tie."""
-    nx = problem.node_system(x)
+    nx = _checked(problem).node_system(x)
     ny = problem.node_system(y)
     if max(abs(a - b) for a, b in zip(nx.nodes, ny.nodes)) <= 1e-12:
         return IntertwiningVerdict("equal")
@@ -248,7 +248,7 @@ def check_intertwining(problem: Problem, x, y) -> IntertwiningVerdict:
 
 def sample_regular_nodes(problem: Problem, rng: np.random.Generator) -> NodeSystem:
     """A random node system in the regularity set whose node gaps are at least 1e-3."""
-    n = problem.n
+    n = _checked(problem).n
     for _ in range(_MAX_TRIES):
         draw = np.sort(rng.uniform(_MIN_GAP, 1.0 - _MIN_GAP, size=n))
         if n > 1 and np.min(np.diff(draw)) < _MIN_GAP:
@@ -283,7 +283,7 @@ def check_strict_majorization_excluded(
     supplied explicitly, e.g. to validate the checker on kernels outside the
     hypotheses, where strict domination genuinely happens.
     """
-    flags = problem.kernel.flags()
+    flags = _checked(problem).kernel.flags()
     hypotheses = flags.singular and flags.monotone_M
     rng = np.random.default_rng(_count(seed, "seed", PreconditionError))
     if pairs is None:

@@ -107,7 +107,13 @@ class Problem:
         return ns
 
 
+def _checked(problem) -> Problem:
+    """problem if it is a :class:`Problem`, else PreconditionError: every entry point that takes one checks it so."""
+    return _instance(problem, Problem, "problem", PreconditionError)
+
+
 def problem_to_json(problem: Problem) -> dict:
+    _instance(problem, Problem, "problem")
     return {
         "n": problem.n,
         "r": list(problem.r),
@@ -141,6 +147,7 @@ def load_problem(path) -> Problem:
 
 
 def dump_problem(problem: Problem, path) -> None:
+    doc = problem_to_json(problem)  # checked before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_json(problem), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")

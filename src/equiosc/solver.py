@@ -32,8 +32,8 @@ import numpy as np
 from .errors import ConvergenceError, HypothesisError, PreconditionError
 from .extreal import NEG_INFINITY, _count, _real, _reals
 from .kernels import Regularized
-from .problem import NodeSystem, Problem
-from .translates import MaximaVector, _interval_max, _maxima_floats, _singular_interval, interval_maxima
+from .problem import NodeSystem, Problem, _checked
+from .translates import MaximaVector, _interval_max, _maxima_floats, _phi, _singular_interval, interval_maxima
 
 __all__ = ["SolveReport", "sandwich_check", "solve_difference", "solve_equioscillation"]
 
@@ -59,8 +59,7 @@ class SolveReport:
     nonuniqueness_risk: bool = False
 
     def phi(self) -> tuple[float, ...]:
-        m = self.maxima.as_floats()
-        return tuple(m[j] - m[j - 1] for j in range(1, len(m)))
+        return _phi(self.maxima.as_floats())
 
 
 # -- initialization -------------------------------------------------------------
@@ -81,7 +80,21 @@ def _finite_field_pieces(problem: Problem) -> list[tuple[float, float]]:
     return out
 
 
+def _regular_start(ws: list[float], segments) -> bool:
+    """0 < w_1 < … < w_n < 1 with every interval's relative interior off the −∞ segments."""
+    ys = (0.0, *ws, 1.0)
+    return all(a < b for a, b in zip(ys, ys[1:])) and _singular_interval(ys, segments) is None
+
+
 def _initial_nodes(problem: Problem) -> list[float]:
+    """A strict start in the regularity set: (j + 1)/(n + 1), repaired where the field is −∞.
+
+    A node bounding a −∞ interval moves to the midpoint of the nearest finite
+    piece; if that gives no strict regular start, the nodes spread over the
+    finite pieces by length quantiles, and failing that each node sits
+    halfway between two consecutive of n + 1 finite points p_0 < … < p_n, so
+    that interval j holds p_j.
+    """
     n = problem.n
     ws = [(j + 1.0) / (n + 1.0) for j in range(n)]
     segments = problem.field.singular_segments()
@@ -91,12 +104,14 @@ def _initial_nodes(problem: Problem) -> list[float]:
     for _ in range(4 * n + 4):
         j = _singular_interval((0.0, *ws, 1.0), segments)
         if j is None:
-            return ws
+            break
         move = j if 1 <= j <= n else 1
         node = ws[move - 1]
         lo, hi = min(finite, key=lambda seg: min(abs(node - seg[0]), abs(node - seg[1])))
         ws[move - 1] = 0.5 * (lo + hi)
         ws.sort()
+    if j is None and _regular_start(ws, segments):
+        return ws
     # fall back to spreading nodes over the finite pieces by length quantiles
     total = sum(hi - lo for lo, hi in finite)
     targets = [(j + 1.0) / (n + 1.0) * total for j in range(n)]
@@ -114,14 +129,23 @@ def _initial_nodes(problem: Problem) -> list[float]:
     for i in range(1, n):
         if ws[i] <= ws[i - 1]:
             ws[i] = min(ws[i - 1] + 1e-6, 1.0 - 1e-6)
-    return ws
+    if _regular_start(ws, segments):
+        return ws
+    # n + 1 finite points exist, since the field is admissible: the finite knots
+    # and overrides, and n + 1 points inside each finite piece
+    field = problem.field
+    inner = [lo + (hi - lo) * (i + 1.0) / (n + 2.0) for lo, hi in finite for i in range(n + 1)]
+    points = {*field.knots(), *field.override_points(), *inner}
+    points = sorted(t for t in points if field._value_float(t) > NEG_INFINITY)
+    picked = [points[round(i * (len(points) - 1) / n)] for i in range(n + 1)]
+    return [0.5 * (a + b) for a, b in zip(picked, picked[1:])]
 
 
 # -- residual machinery ----------------------------------------------------------
 
-def _local_residual(problem: Problem, ys: list[float], j: int, c_j: float, xtol: float) -> float:
-    _, m_left = _interval_max(problem, tuple(ys), j - 1, xtol)
-    _, m_right = _interval_max(problem, tuple(ys), j, xtol)
+def _local_residual(problem: Problem, ys: list[float], j: int, c_j: float) -> float:
+    _, m_left = _interval_max(problem, tuple(ys), j - 1)
+    _, m_right = _interval_max(problem, tuple(ys), j)
     if m_left == NEG_INFINITY and m_right == NEG_INFINITY:
         return 0.0
     if m_left == NEG_INFINITY:
@@ -131,7 +155,7 @@ def _local_residual(problem: Problem, ys: list[float], j: int, c_j: float, xtol:
     return m_right - m_left - c_j
 
 
-def _bisect_node(problem, ys: list[float], j: int, c_j: float, width_tol: float, xtol: float):
+def _bisect_node(problem, ys: list[float], j: int, c_j: float, width_tol: float):
     lo = ys[j - 1] + _BRACKET_EPS
     hi = ys[j + 1] - _BRACKET_EPS
     if hi <= lo:
@@ -139,23 +163,18 @@ def _bisect_node(problem, ys: list[float], j: int, c_j: float, width_tol: float,
     while hi - lo > width_tol:
         mid = 0.5 * (lo + hi)
         ys[j] = mid
-        if _local_residual(problem, ys, j, c_j, xtol) > 0.0:
+        if _local_residual(problem, ys, j, c_j) > 0.0:
             lo = mid
         else:
             hi = mid
     ys[j] = 0.5 * (lo + hi)
 
 
-def _phi_floats(vals: list[float]) -> list[float]:
-    return [vals[j] - vals[j - 1] for j in range(1, len(vals))]
-
-
 def _residual_norm(problem: Problem, ys: list[float], c):
     vals, args = _maxima_floats(problem, tuple(ys))
     if any(v == NEG_INFINITY for v in vals):
         return math.inf, vals, args
-    phi = _phi_floats(vals)
-    return max(abs(p - cj) for p, cj in zip(phi, c)), vals, args
+    return max(abs(p - cj) for p, cj in zip(_phi(vals), c)), vals, args
 
 
 def _fd_node(ys: list[float], k: int) -> tuple[tuple[float, ...], float]:
@@ -219,7 +238,7 @@ def _newton(problem, ys: list[float], c, tol, budget: int, state):
         if jac is None:
             break
         try:
-            step = np.linalg.solve(jac, target - np.array(_phi_floats(vals)))
+            step = np.linalg.solve(jac, target - np.array(_phi(vals)))
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(step)):
@@ -261,9 +280,8 @@ def _solve_direct(problem: Problem, c, tol, max_iterations, initial):
     best = []  # best residual after each round of sweeps
     while state[0] > tol and iterations < max_iterations:
         width = max(width * 0.25, 1e-13)
-        sweep_xtol = max(min(width * 1e-2, 1e-10), 1e-13)
         for j in range(1, n + 1):
-            _bisect_node(problem, ys, j, c[j - 1], width, sweep_xtol)
+            _bisect_node(problem, ys, j, c[j - 1], width)
         iterations += 1
         state = _residual_norm(problem, ys, c)
         if tol < state[0] <= _SWEEP_SWITCH:
@@ -309,6 +327,7 @@ def solve_difference(
     initial=None,
 ) -> SolveReport:
     """Find w in the regularity set with Φ(w) = c (componentwise within tol)."""
+    _checked(problem)
     _check_settings(tol, max_iterations)
     c = _reals(c, "target component", PreconditionError)
     if len(c) != problem.n:
@@ -352,14 +371,14 @@ def solve_equioscillation(
     initial=None,
 ) -> SolveReport:
     """The unique node system with m_0 = … = m_n; also the minimax/maximin point."""
-    zero = (0.0,) * problem.n
+    zero = (0.0,) * _checked(problem).n
     return solve_difference(problem, zero, tol, max_iterations=max_iterations, initial=initial)
 
 
 def sandwich_check(problem: Problem, x, M: float) -> dict:
     """Verify m̲(x) ≤ M ≤ m̄(x) up to a slack of 1e-9 for a node system x in the open simplex."""
     M = _real(M, "M", PreconditionError)
-    ns = problem.node_system(x)
+    ns = _checked(problem).node_system(x)
     if not ns.strict():
         raise PreconditionError("sandwich check expects a strict node system")
     maxima = interval_maxima(problem, ns)

@@ -14,12 +14,13 @@ piece an end where F does not rise inward is the maximum by concavity;
 otherwise Brent's method searches the piece. Values are accurate to rounding
 on smooth pieces, argmax locations to about √ε·|t|.
 
-A maxima vector pays its set-up once: :func:`_setup` builds the node set,
+Every scalar caller takes its interval maxima from :func:`_maxima`, at one
+argmax tolerance ``_XTOL``: a maxima vector, a single interval maximum (the
+solver's sweeps and difference quotients) and the union and extremal-product
+norms of ``applications``. It builds the set-up once per call (the node set,
 one sorted list of the cut points of all its intervals and the sorted
-override points, and each of the n + 1 intervals takes the cuts strictly
-inside it by bisection before :func:`_maximize` searches it. A single
-interval maximum (the solver's sweeps and difference quotients) builds the
-same set-up for its one interval.
+override points), and each interval takes the cuts strictly inside it by
+bisection before :func:`_maximize` searches it.
 
 The grid oracle needs only the values, for whole lattices of node systems:
 :func:`_maxima_batch` runs the same cuts and end checks for many node systems
@@ -42,7 +43,7 @@ from .errors import DomainError, PreconditionError, RegularityError
 from .extreal import NEG_INFINITY, ExtReal, _count, _real, as_extreal
 from .fields import NegInfinityPiece, SingularSegment
 from .kernels import scalar_fn
-from .problem import NodeSystem, Problem
+from .problem import NodeSystem, Problem, _checked
 
 __all__ = [
     "DifferenceVector",
@@ -131,7 +132,7 @@ def _with_translates(fval, kf, terms):
 
 def eval_f(problem: Problem, y, t: float) -> ExtReal:
     """Pure sum of translates Σ r_j K(t − y_j) at t in [0, 1]."""
-    ns = problem.node_system(y)
+    ns = _checked(problem).node_system(y)
     t = _check_t(t)
     ys = ns.with_sentinels()
     return as_extreal(_kernel_sum(scalar_fn(problem.kernel), _terms(problem, ys), t))
@@ -139,7 +140,7 @@ def eval_f(problem: Problem, y, t: float) -> ExtReal:
 
 def eval_F(problem: Problem, y, t: float) -> ExtReal:
     """Full field-plus-translates value J(t) + Σ r_j K(t − y_j)."""
-    ns = problem.node_system(y)
+    ns = _checked(problem).node_system(y)
     t = _check_t(t)
     ys = ns.with_sentinels()
     kf = scalar_fn(problem.kernel)
@@ -148,7 +149,7 @@ def eval_F(problem: Problem, y, t: float) -> ExtReal:
 
 def eval_F_grid(problem: Problem, y, ts: np.ndarray) -> np.ndarray:
     """Vectorized F(y, ·) over a grid; −∞ appears as IEEE -inf."""
-    ns = problem.node_system(y)
+    ns = _checked(problem).node_system(y)
     ts = np.asarray(ts, dtype=float)
     acc = problem.field.values(ts)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -166,12 +167,12 @@ def _check_t(t: float) -> float:
 
 # -- Brent maximization on concave pieces --------------------------------------
 
-def _brent_max(g, lo: float, hi: float, xtol: float) -> tuple[float, float]:
+def _brent_max(g, lo: float, hi: float) -> tuple[float, float]:
     """Maximize a concave (or at least unimodal) g on [lo, hi], interior samples only.
 
     Brent's method (Brent 1973, ch. 5): parabolic steps through the three best
     points, guarded by golden-section steps, until the bracket around the best
-    point x is at most 4·tol wide, tol = √ε·min(|x|, hi − lo) + xtol/3. The
+    point x is at most 4·tol wide, tol = √ε·min(|x|, hi − lo) + _XTOL/3. The
     width bound matters on narrow pieces between two singular nodes, where the
     curvature grows like 1/width² and √ε·|x| alone would leave the value far
     from rounding. Values are negated so the updates read as in the
@@ -179,7 +180,7 @@ def _brent_max(g, lo: float, hi: float, xtol: float) -> tuple[float, float]:
     """
     a, b = lo, hi
     width = b - a
-    if width <= xtol:
+    if width <= _XTOL:
         mid = 0.5 * (a + b)
         return mid, g(mid)
     x = w = v = a + _CGOLD * width
@@ -187,7 +188,7 @@ def _brent_max(g, lo: float, hi: float, xtol: float) -> tuple[float, float]:
     d = e = 0.0
     for _ in range(200):
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * min(abs(x), width) + xtol / 3.0
+        tol1 = _SQRT_EPS * min(abs(x), width) + _XTOL / 3.0
         tol2 = 2.0 * tol1
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
             break
@@ -231,31 +232,31 @@ def _brent_max(g, lo: float, hi: float, xtol: float) -> tuple[float, float]:
     return x, -fx
 
 
-def _concave_max(g, a: float, b: float, xtol: float, ga: float, gb: float):
+def _concave_max(g, a: float, b: float, ga: float, gb: float):
     """Maximize a concave g on [a, b]: an end where g does not rise inward, else Brent.
 
     ``ga`` and ``gb`` are g(a) and g(b); an end where g is −∞ is not checked
     (at a node of a singular kernel g always rises inward). If g(b − h) ≤ g(b)
     with g(b) finite, concavity puts the maximum at b, and likewise at a;
-    h = max(xtol, √ε·(b − a)).
+    h = max(_XTOL, √ε·(b − a)).
     """
-    h = max(xtol, _SQRT_EPS * (b - a))
+    h = max(_XTOL, _SQRT_EPS * (b - a))
     if b - a > 2.0 * h:
         if ga > NEG_INFINITY and g(a + h) <= ga:
             return a, ga
         if gb > NEG_INFINITY and g(b - h) <= gb:
             return b, gb
-    return _brent_max(g, a, b, xtol)
+    return _brent_max(g, a, b)
 
 
-def _scan_max(g, lo: float, hi: float, xtol: float) -> tuple[float, float]:
+def _scan_max(g, lo: float, hi: float) -> tuple[float, float]:
     """Fallback for non-concave pieces: coarse scan, then a Brent polish."""
     ts = np.linspace(lo, hi, _SCAN_POINTS)
     vals = [g(float(t)) for t in ts]
     i = max(range(_SCAN_POINTS), key=lambda k: (vals[k], -k))
     a = ts[max(0, i - 1)]
     b = ts[min(_SCAN_POINTS - 1, i + 1)]
-    t_star, v_star = _brent_max(g, float(a), float(b), xtol)
+    t_star, v_star = _brent_max(g, float(a), float(b))
     if vals[i] >= v_star:
         return float(ts[i]), vals[i]
     return t_star, v_star
@@ -263,30 +264,16 @@ def _scan_max(g, lo: float, hi: float, xtol: float) -> tuple[float, float]:
 
 # -- per-interval maxima --------------------------------------------------------
 
-def _setup(field, terms, kinks):
-    """What every interval maximum of one node vector shares, built once per vector.
-
-    Returns (node set, sorted distinct interior cut points, sorted override
-    points): the cut points are the field's interior knots, the nodes and the
-    kernel kinks y_j ± κ (κ in ``kinks``) of all intervals at once, and
-    :func:`_maximize` takes those strictly inside its interval by bisection.
-    """
-    nodes = {yj for _, yj in terms}
-    kink_cuts = [yj + s for yj in nodes for k in kinks for s in (k, -k)]
-    points = sorted({*field.interior_knots(), *nodes, *kink_cuts})
-    return nodes, points, sorted(field.override_points())
-
-
-def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, setup, xtol: float = _XTOL):
+def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, setup):
     """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi.
 
-    ``setup`` is :func:`_setup` of the same field, terms and kernel kinks. The
-    interval is cut at the field's interior knots, at every node y_j strictly
-    inside it, and at the kernel kinks y_j ± κ inside it; the cuts and field
-    overrides are point candidates, and each piece between cuts is searched by
-    :func:`_concave_max` (concave) or a scan plus Brent polish (not concave).
-    With a singular kernel the search stays _NODE_EPS away from a node at
-    either end of a piece.
+    ``setup`` is the (node set, sorted cut points, sorted overrides) that
+    :func:`_maxima` builds once. The interval is cut at the field's interior
+    knots, at every node y_j strictly inside it, and at the kernel kinks
+    y_j ± κ inside it; the cuts and field overrides are point candidates, and
+    each piece between cuts is searched by :func:`_concave_max` (concave) or a
+    scan plus Brent polish (not concave). With a singular kernel the search
+    stays _NODE_EPS away from a node at either end of a piece.
     """
     nodes, points, overrides = setup
     cuts = [lo, *points[bisect_right(points, lo):bisect_left(points, hi)], hi]
@@ -325,9 +312,9 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, setup, xto
         g = _with_translates(formula._value, kf, terms)
         if formula.concave:
             ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
-            candidates.append(_concave_max(g, a, b, xtol, ga, gb))
+            candidates.append(_concave_max(g, a, b, ga, gb))
         else:
-            candidates.append(_scan_max(g, a, b, xtol))
+            candidates.append(_scan_max(g, a, b))
 
     candidates.sort(key=lambda p: p[0])
     best_t: float | None = None
@@ -338,33 +325,52 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, setup, xto
     return best_t, best_v
 
 
-def _on_interval(problem: Problem, terms, singular: bool, setup, lo: float, hi: float, xtol: float):
-    """(argmax | None, float max) of F(y, ·) over [lo, hi] from the vector's set-up."""
-    kf = scalar_fn(problem.kernel)  # one lookup per interval maximization
-    if hi > lo:
-        return _maximize(problem.field, kf, terms, lo, hi, singular, setup, xtol)
-    if singular:
-        return None, NEG_INFINITY
-    v = _with_translates(problem.field._value_float, kf, terms)(lo)
-    return (lo if v > NEG_INFINITY else None), v
+def _maxima(field, kernel, terms, intervals) -> list[tuple[float | None, float]]:
+    """[(argmax | None, float max)] of field + Σ r_j K(· − y_j) over each [lo, hi] in ``intervals``.
+
+    The one scalar interval-maxima routine. Its set-up is built once for all
+    the intervals: the node set, one sorted list of their cut points (the
+    field's interior knots, the nodes y_j and the kernel kinks y_j ± κ) and
+    the sorted override points. A degenerate interval lo = hi has maximum −∞
+    under a singular kernel and the value at the point under any other:
+
+    >>> from equiosc import Log, SqrtShift, constant_field
+    >>> _maxima(constant_field(0.0), Log(), ((1.0, 0.5),), [(0.5, 0.5), (0.0, 0.5)])
+    [(None, -inf), (0.0, -0.6931471805599453)]
+    >>> _maxima(constant_field(0.0), SqrtShift(), ((1.0, 0.5),), [(0.5, 0.5)])
+    [(0.5, 2.0)]
+    """
+    singular = kernel.flags().singular
+    nodes = {yj for _, yj in terms}
+    kink_cuts = [yj + s for yj in nodes for k in kernel._kinks for s in (k, -k)]
+    setup = nodes, sorted({*field.interior_knots(), *nodes, *kink_cuts}), sorted(field.override_points())
+    out = []
+    for lo, hi in intervals:
+        kf = scalar_fn(kernel)  # looked up per interval: perfbench counts interval maxima by this call
+        if hi > lo:
+            out.append(_maximize(field, kf, terms, lo, hi, singular, setup))
+        elif singular:
+            out.append((None, NEG_INFINITY))
+        else:
+            v = _with_translates(field._value_float, kf, terms)(lo)
+            out.append((lo if v > NEG_INFINITY else None, v))
+    return out
 
 
-def _interval_max(problem: Problem, ys: tuple[float, ...], j: int, xtol: float = _XTOL):
+def _interval_max(problem: Problem, ys: tuple[float, ...], j: int):
     """(argmax | None, float max) of F(y, ·) over [ys[j], ys[j+1]]."""
-    kernel = problem.kernel
-    terms = _terms(problem, ys)
-    setup = _setup(problem.field, terms, kernel._kinks)
-    return _on_interval(problem, terms, kernel.flags().singular, setup, ys[j], ys[j + 1], xtol)
+    return _maxima(problem.field, problem.kernel, _terms(problem, ys), ((ys[j], ys[j + 1]),))[0]
 
 
 def _maxima_floats(problem: Problem, ys: tuple[float, ...]):
-    """([m_0, …, m_n], [argmax_0, …]) of F(y, ·), with one set-up for the whole vector."""
-    kernel = problem.kernel
-    terms = _terms(problem, ys)
-    singular = kernel.flags().singular
-    setup = _setup(problem.field, terms, kernel._kinks)
-    pairs = [_on_interval(problem, terms, singular, setup, lo, hi, _XTOL) for lo, hi in zip(ys, ys[1:])]
+    """([m_0, …, m_n], [argmax_0, …]) of F(y, ·)."""
+    pairs = _maxima(problem.field, problem.kernel, _terms(problem, ys), zip(ys, ys[1:]))
     return [v for _, v in pairs], [t for t, _ in pairs]
+
+
+def _phi(vals) -> tuple[float, ...]:
+    """Φ = (m_1 − m_0, …, m_n − m_{n−1}) of the maxima m_0, …, m_n."""
+    return tuple(b - a for a, b in zip(vals, vals[1:]))
 
 
 # -- batched interval maxima (grid oracle) --------------------------------------
@@ -513,14 +519,14 @@ def _maxima_batch(problem: Problem, Y: np.ndarray) -> np.ndarray:
 
 def interval_maxima(problem: Problem, y) -> MaximaVector:
     """Maxima of F(y, ·) over all n+1 node intervals, with locations."""
-    ns = problem.node_system(y)
+    ns = _checked(problem).node_system(y)
     vals, args = _maxima_floats(problem, ns.with_sentinels())
     return MaximaVector(tuple(vals), tuple(args))
 
 
 def maximize_on_interval(problem: Problem, y, j: int):
     """(t*, max) of F(y, ·) on the j-th node interval, 0 ≤ j ≤ n."""
-    ns = problem.node_system(y)
+    ns = _checked(problem).node_system(y)
     j = _count(j, "interval index", PreconditionError)
     if not 0 <= j <= problem.n:
         raise PreconditionError(f"interval index {j} outside 0..{problem.n}")
@@ -552,7 +558,7 @@ def _singular_interval(ys: tuple[float, ...], segments: tuple[SingularSegment, .
 
 def in_regularity_set(problem: Problem, y) -> bool:
     """Strict node system whose interval interiors all escape the field's −∞ set."""
-    if not problem.kernel.flags().singular:
+    if not _checked(problem).kernel.flags().singular:
         raise PreconditionError(
             "the regularity-set characterization applies to singular kernels only"
         )
@@ -564,7 +570,7 @@ def in_regularity_set(problem: Problem, y) -> bool:
 
 def difference(problem: Problem, y) -> DifferenceVector:
     """Φ(y) = (m_1 − m_0, …, m_n − m_{n−1}); requires all maxima finite."""
-    ns = problem.node_system(y)
+    ns = _checked(problem).node_system(y)
     if problem.kernel.flags().singular:
         if not in_regularity_set(problem, ns):
             raise RegularityError("node system outside the regularity set")
@@ -573,4 +579,4 @@ def difference(problem: Problem, y) -> DifferenceVector:
     vals, _ = _maxima_floats(problem, ns.with_sentinels())
     if any(v == NEG_INFINITY for v in vals):
         raise RegularityError("some interval maximum is −∞; node system is singular")
-    return DifferenceVector(tuple(vals[j] - vals[j - 1] for j in range(1, problem.n + 1)))
+    return DifferenceVector(_phi(vals))

@@ -84,7 +84,6 @@ from equiosc.problem import Problem
 from equiosc.solver import _fd_node, solve_equioscillation
 from equiosc.translates import (
     _NODE_EPS,
-    _XTOL,
     _concave_max,
     _interval_max,
     _kernel_sum,
@@ -185,7 +184,7 @@ def reference_interval_max(problem, ys, j, xtol=1e-12):
     return best_t, best_v
 
 
-def reference_maximize(field, kf, terms, lo: float, hi: float, singular: bool, xtol: float = _XTOL, kinks=()):
+def reference_maximize(field, kf, terms, lo: float, hi: float, singular: bool, kinks=()):
     """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi, set up for this interval alone."""
     nodes = {yj for _, yj in terms}
     kink_cuts = [yj + s for yj in nodes for k in kinks for s in (k, -k)]
@@ -221,9 +220,9 @@ def reference_maximize(field, kf, terms, lo: float, hi: float, singular: bool, x
         g = _with_translates(formula._value, kf, terms)
         if formula.concave:
             ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
-            candidates.append(_concave_max(g, a, b, xtol, ga, gb))
+            candidates.append(_concave_max(g, a, b, ga, gb))
         else:
-            candidates.append(_scan_max(g, a, b, xtol))
+            candidates.append(_scan_max(g, a, b))
 
     candidates.sort(key=lambda p: p[0])
     best_t: float | None = None
@@ -234,7 +233,7 @@ def reference_maximize(field, kf, terms, lo: float, hi: float, singular: bool, x
     return best_t, best_v
 
 
-def reference_scalar_interval_max(problem: Problem, ys: tuple[float, ...], j: int, xtol: float = _XTOL):
+def reference_scalar_interval_max(problem: Problem, ys: tuple[float, ...], j: int):
     """(argmax | None, float max) of F(y, ·) over [ys[j], ys[j+1]], by :func:`reference_maximize`."""
     kernel = problem.kernel
     kf = scalar_fn(kernel)
@@ -242,7 +241,7 @@ def reference_scalar_interval_max(problem: Problem, ys: tuple[float, ...], j: in
     lo, hi = ys[j], ys[j + 1]
     singular = kernel.flags().singular
     if hi > lo:
-        return reference_maximize(problem.field, kf, terms, lo, hi, singular, xtol, kernel._kinks)
+        return reference_maximize(problem.field, kf, terms, lo, hi, singular, kernel._kinks)
     if singular:
         return None, NEG_INFINITY
     v = _with_translates(problem.field._value_float, kf, terms)(lo)
@@ -304,10 +303,9 @@ def reference_restricted_constant(E, r, weight=None, tol=1e-9, *, refine_rounds=
     weight = weight if weight is not None else _default_weight(E)
     logw = log_of_weight_field(weight)
     kernel = Log()
-    kf = scalar_fn(kernel)
 
     def exact_log(nodes):
-        return _log_max(logw, kf, tuple(zip(r, nodes)), E.components)
+        return _log_max(logw, tuple(zip(r, nodes)), E.components)
 
     if snap_seed is None:
         _, w_nodes = unrestricted_constant(E, r, weight, tol)
@@ -418,7 +416,7 @@ def reference_pinned_restricted(E, r, weight, tol, unpinned=None):
             for i, e in zip(pinned, ends):  # ascending i: each lands at its index
                 nodes.insert(i, e)
             if nodes == sorted(nodes):
-                val = _log_max(logw, _LOG, tuple(zip(r, nodes)), E.components)
+                val = _log_max(logw, tuple(zip(r, nodes)), E.components)
                 candidates.append((val, tuple(nodes)))
     best_val, best_nodes = min(candidates)
     return math.exp(best_val), best_nodes
@@ -464,7 +462,7 @@ def reference_inner_candidates(union, r, tol, unpinned=None):
             for i, e in zip(pinned, ends):  # ascending i: each lands at its index
                 nodes.insert(i, e)
             if nodes == sorted(nodes):
-                val = _log_max(union.logw, _LOG, tuple(zip(r, nodes)), E.components)
+                val = _log_max(union.logw, tuple(zip(r, nodes)), E.components)
                 yield pinned, ends, val, tuple(nodes)
 
 

@@ -156,6 +156,19 @@ def test_gap_eval_examples():
         eq.gap_eval((0.5,), (1.0,), w, 1.5)
 
 
+def test_gap_maxima_of_degenerate_intervals_are_zero():
+    """A node at a, a node at b and a repeated node cut three one-point intervals, each a node: 0.0 there."""
+    weight = eq.sqrt_affine_field(1.0, 1.0, -1.0, domain=(-1.0, 2.0))
+    x, r = (2.0, 0.25, -1.0, 0.25), (1.0, 2.0, 0.5, 1.5)
+    maxima = eq.gap_interval_maxima(x, r, weight)
+    ys = (-1.0, *sorted(x), 2.0)
+    degenerate = [j for j, (lo, hi) in enumerate(zip(ys, ys[1:])) if lo == hi]
+    assert degenerate == [0, 2, 4]
+    for j in degenerate:
+        assert maxima[j].hex() == (0.0).hex() == eq.gap_eval(x, r, weight, ys[j]).hex()
+    assert all(maxima[j] > 0.0 for j in (1, 3))
+
+
 def test_solve_bojanov_unit_interval():
     gap = eq.GapProblem((0.0, 1.0), (1.0, 1.0), ones_weight())
     sol = eq.solve_bojanov(gap, tol=1e-10)
@@ -455,9 +468,9 @@ def test_pruned_search_skips_only_candidates_a_solved_bound_rules_out(rng, monke
         solved[(pins, tuple(r))] = value
         return value, nodes
 
-    def recorded_log_max(logw, kf, terms, intervals):
+    def recorded_log_max(logw, terms, intervals):
         evaluated.add(tuple(x for _, x in terms))
-        return log_max(logw, kf, terms, intervals)
+        return log_max(logw, terms, intervals)
 
     monkeypatch.setattr(applications._UnionField, "solve", recorded_solve)
     monkeypatch.setattr(applications, "_log_max", recorded_log_max)
@@ -509,7 +522,7 @@ def test_union_maxima_are_bit_identical_to_per_interval_set_up(rng):
             x[0] = E.components[0][1]  # a node on an inner endpoint, as the restricted search pins them
             terms = tuple(zip(r, x))
             want = max(reference_maximize(logw, applications._LOG, terms, lo, hi, True)[1] for lo, hi in E.components)
-            assert applications._log_max(logw, applications._LOG, terms, E.components).hex() == want.hex()
+            assert applications._log_max(logw, terms, E.components).hex() == want.hex()
             ys = (a, *sorted(x), b)
             for lo, hi, got in zip(ys, ys[1:], eq.gap_interval_maxima(x, r, weight)):
                 _, v = reference_maximize(logw, applications._LOG, terms, lo, hi, True)

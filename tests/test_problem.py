@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 import equiosc as eq
-from equiosc.fields import NegInfinityPiece, Piece, PiecewiseField
+from equiosc.fields import NegInfinityPiece, Piece, PiecewiseField, affine_transport
 
 
 def test_node_system_validation():
@@ -104,3 +105,56 @@ def test_integer_n_is_accepted(n):
     problem = eq.Problem(n, (1.0, 1.0), eq.Log(), eq.constant_field(0.0))
     assert problem.n == 2 and type(problem.n) is int
     assert eq.problem_from_json(_problem_doc(n, (1.0, 1.0))) == problem
+
+
+# each row passes None where a library object belongs: an argument named `problem`
+# or the perturbation sampler's kernel is a precondition, any other a schema mismatch
+_X, _Y = (0.3,), (0.6,)
+_NOT_LIBRARY_OBJECTS = {
+    "interval_maxima": (lambda: eq.interval_maxima(None, _X), eq.PreconditionError),
+    "difference": (lambda: eq.difference(None, _X), eq.PreconditionError),
+    "eval_f": (lambda: eq.eval_f(None, _X, 0.5), eq.PreconditionError),
+    "eval_F": (lambda: eq.eval_F(None, _X, 0.5), eq.PreconditionError),
+    "eval_F_grid": (lambda: eq.eval_F_grid(None, _X, np.linspace(0.0, 1.0, 3)), eq.PreconditionError),
+    "maximize_on_interval": (lambda: eq.maximize_on_interval(None, _X, 0), eq.PreconditionError),
+    "in_regularity_set": (lambda: eq.in_regularity_set(None, _X), eq.PreconditionError),
+    "solve_difference": (lambda: eq.solve_difference(None, (0.0,)), eq.PreconditionError),
+    "solve_equioscillation": (lambda: eq.solve_equioscillation(None), eq.PreconditionError),
+    "sandwich_check": (lambda: eq.sandwich_check(None, _X, 0.0), eq.PreconditionError),
+    "check_intertwining": (lambda: eq.check_intertwining(None, _X, _Y), eq.PreconditionError),
+    "perturb_partition": (
+        lambda: eq.perturb_partition(None, _X, eq.PartitionSpec(("I", "J")), 0.01), eq.PreconditionError
+    ),
+    "sample_regular_nodes": (lambda: eq.sample_regular_nodes(None, np.random.default_rng(0)), eq.PreconditionError),
+    "check_strict_majorization_excluded": (
+        lambda: eq.check_strict_majorization_excluded(None, 2), eq.PreconditionError
+    ),
+    "check_interval_perturbation": (
+        lambda: eq.check_interval_perturbation(None, 0.1, 0.3, 0.6, 0.9, 1.0, 1.0), eq.PreconditionError
+    ),
+    "kernel_eval": (lambda: eq.kernel_eval(None, 0.5), eq.SchemaError),
+    "kernel_values": (lambda: eq.kernel_values(None, np.array([0.5])), eq.SchemaError),
+    "kernel_classify": (lambda: eq.kernel_classify(None), eq.SchemaError),
+    "field_admissible": (lambda: eq.field_admissible(None, 1), eq.SchemaError),
+    "singularity_set": (lambda: eq.singularity_set(None), eq.SchemaError),
+    "field_eval": (lambda: eq.field_eval(None, 0.5), eq.SchemaError),
+    "field_to_json": (lambda: eq.field_to_json(None), eq.SchemaError),
+    "affine_transport": (lambda: affine_transport(None, 0.0, 1.0), eq.SchemaError),
+    "problem_to_json": (lambda: eq.problem_to_json(None), eq.SchemaError),
+    "dump_problem": (lambda: eq.dump_problem(None, os.devnull), eq.SchemaError),
+}
+
+
+@pytest.mark.parametrize("name", list(_NOT_LIBRARY_OBJECTS))
+def test_arguments_that_are_not_library_objects_raise_typed_errors(name):
+    call, error = _NOT_LIBRARY_OBJECTS[name]
+    with pytest.raises(error):
+        call()
+
+
+def test_dump_problem_checks_the_problem_before_writing(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text("kept\n")
+    with pytest.raises(eq.SchemaError):
+        eq.dump_problem(None, path)
+    assert path.read_text() == "kept\n"

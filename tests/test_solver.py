@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import equiosc as eq
 from equiosc import solver
@@ -185,6 +186,53 @@ def test_solver_keeps_nodes_out_of_field_gaps():
     report = eq.solve_equioscillation(problem)
     assert report.converged
     assert eq.in_regularity_set(problem, report.nodes)
+
+
+@st.composite
+def admissible_problems(draw):
+    """Log problems on random piecewise fields: pieces −∞ with probability 3/5, finite overrides on some.
+
+    Every fifth field is −∞ on every piece, so it is finite only at its
+    overrides; a drawn field that is not admissible for n is rejected.
+    """
+    n = draw(st.integers(1, 6))
+    cuts = draw(st.lists(st.integers(1, 999), min_size=1, max_size=28, unique=True))
+    knots = [0.0, *sorted(c / 1000.0 for c in cuts), 1.0]
+    override_only = draw(st.integers(0, 4)) == 0
+    pieces = []
+    for lo, hi in zip(knots, knots[1:]):
+        level = None if override_only else draw(st.sampled_from([None, None, None, -1.0, 0.5]))
+        pieces.append(eq.Piece(lo, hi, eq.NegInfinityPiece() if level is None else eq.Constant(level)))
+    overrides = ()
+    if override_only or draw(st.integers(0, 9)) < 3:
+        at = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=10, unique=True))
+        overrides = tuple((t / 1000.0, draw(st.sampled_from([-2.0, 0.0, 1.0]))) for t in sorted(at))
+    field = eq.PiecewiseField(tuple(pieces), overrides)
+    assume(eq.field_admissible(field, n))
+    return eq.Problem(n, (1.0,) * n, eq.Log(), field)
+
+
+@given(admissible_problems())
+def test_initial_nodes_are_strict_and_regular(problem):
+    """The solver's start lies in the regularity set for every admissible field, override-only ones included."""
+    ws = solver._initial_nodes(problem)
+    assert eq.in_regularity_set(problem, tuple(ws)), ws
+    if not problem.field.singular_segments():
+        assert ws == [(j + 1.0) / (problem.n + 1.0) for j in range(problem.n)]
+
+
+def test_start_between_finite_pieces_needs_no_sweeps(monkeypatch):
+    """A start with nodes on one point had −∞ interval maxima, so Newton was skipped for 28 bisections."""
+    field = eq.PiecewiseField((
+        eq.Piece(0.0, 0.75, eq.NegInfinityPiece()),
+        eq.Piece(0.75, 0.95, eq.Constant(0.0)),
+        eq.Piece(0.95, 1.0, eq.NegInfinityPiece()),
+    ))
+    problem = eq.Problem(4, (1.0,) * 4, eq.Log(), field)
+    assert eq.in_regularity_set(problem, tuple(solver._initial_nodes(problem)))
+    monkeypatch.setattr(solver, "_bisect_node", lambda *args: pytest.fail("the sweeps ran"))
+    report = eq.solve_equioscillation(problem)
+    assert report.converged and eq.in_regularity_set(problem, report.nodes)
 
 
 def test_hypothesis_errors():
