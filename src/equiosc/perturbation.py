@@ -249,6 +249,7 @@ def check_intertwining(problem: Problem, x, y) -> IntertwiningVerdict:
 def sample_regular_nodes(problem: Problem, rng: np.random.Generator) -> NodeSystem:
     """A random node system in the regularity set whose node gaps are at least 1e-3."""
     n = _checked(problem).n
+    _instance(rng, np.random.Generator, "rng", PreconditionError)
     for _ in range(_MAX_TRIES):
         draw = np.sort(rng.uniform(_MIN_GAP, 1.0 - _MIN_GAP, size=n))
         if n > 1 and np.min(np.diff(draw)) < _MIN_GAP:
@@ -286,11 +287,16 @@ def check_strict_majorization_excluded(
     flags = _checked(problem).kernel.flags()
     hypotheses = flags.singular and flags.monotone_M
     rng = np.random.default_rng(_count(seed, "seed", PreconditionError))
+    if _count(samples, "samples", PreconditionError) < 0:
+        raise PreconditionError(f"samples must be at least 0, got {samples!r}")
     if pairs is None:
         pairs = [
             (sample_regular_nodes(problem, rng), sample_regular_nodes(problem, rng))
-            for _ in range(_count(samples, "samples", PreconditionError))
+            for _ in range(samples)
         ]
+    pairs = [_sequence(pair, "pair", PreconditionError) for pair in _sequence(pairs, "pairs", PreconditionError)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise PreconditionError("each pair must hold two node systems")
     strict = 0
     weak = 0
     examples = []

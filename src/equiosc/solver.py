@@ -6,20 +6,27 @@ unique solution. The solve is damped Newton with the exact Jacobian: by
 Danskin's envelope theorem ∂m_i/∂y_k = −r_k·K′(t_i* − y_k) at the interval
 argmaxima t_i*, so every maxima vector comes with its Jacobian. Where an
 argmax sits on a kernel kink y_k ± κ, Φ need not be differentiable in y_k, and
-only that column k of the row is taken by forward difference. Only when
-Newton stalls do Gauss–Seidel sweeps take over — node w_j moves by bisection
-to zero the local residual m_j − m_{j−1} − c_j, which is strictly decreasing
-in w_j — with Newton again once the residual is small. Sweeps that stop
-lowering the residual end the solve unconverged.
+only that column k of the row is taken by forward difference. A singular
+Jacobian, a flat direction of a kernel that is not strictly monotone, gets the
+least-norm step.
 
-Kernels that are monotone but not strictly so are warm-started on the strictly
-monotone K + η√|t|: one solve at η = 1e−2, one at η = 1e−4 from its nodes, and
-then the solve on the original kernel from those. The second level is there
-because where the target needs a node within the flat part of K near an end of
-[0, 1], the η = 1e−2 solution can sit where Φ of the original kernel is flat,
-and no local step reaches the target from it. Such solves are flagged, since
-without strict monotonicity the equioscillation point need not be unique; the
-point returned is the one reached from the regularized solutions.
+The one fallback is continuation in η (Allgower–Georg, *Numerical
+Continuation Methods*, 1990): K + η√|t| is singular and strictly monotone for
+every η > 0, so each level η has exactly one solution, and the solve walks
+levels down to η = 0, the kernel itself, each from the nodes of the last
+solved level. A level that stalls gets a new level before it, between it and
+the last solved level p (p = 1 before the first): √(p·η) if η > 0, p/100 if
+η = 0. The solve fails once a stalled level is within a factor 1.5 of p, the
+new level would be below 1e−14, or the one iteration budget is spent.
+
+A strictly monotone kernel starts at η = 0, so plain Newton is the first try.
+A kernel that is monotone but not strictly so starts at η = 1e−2, then 1e−4,
+then the kernel. The second level is there because where the target needs a
+node within the flat part of K near an end of [0, 1], the η = 1e−2 solution
+can sit where Φ of the original kernel is flat, and no local step reaches the
+target from it. Such solves are flagged, since without strict monotonicity the
+equioscillation point need not be unique; the point returned is the one
+reached from the regularized solutions.
 """
 
 from __future__ import annotations
@@ -38,13 +45,8 @@ from .translates import MaximaVector, _interval_max, _maxima_floats, _phi, _sing
 __all__ = ["SolveReport", "sandwich_check", "solve_difference", "solve_equioscillation"]
 
 _BRACKET_EPS = 1e-12
-_BIG = 1e18
 _FD_STEP = 1e-7
-_SWEEP_SWITCH = 1e-3
-_WARM_ETAS = (1e-2, 1e-4)
 _SANDWICH_SLACK = 1e-9
-# the sweeps give up once the best residual has not fallen by 10% over this many rounds
-_STALL_ROUNDS = 10
 
 
 @dataclass(frozen=True)
@@ -143,33 +145,6 @@ def _initial_nodes(problem: Problem) -> list[float]:
 
 # -- residual machinery ----------------------------------------------------------
 
-def _local_residual(problem: Problem, ys: list[float], j: int, c_j: float) -> float:
-    _, m_left = _interval_max(problem, tuple(ys), j - 1)
-    _, m_right = _interval_max(problem, tuple(ys), j)
-    if m_left == NEG_INFINITY and m_right == NEG_INFINITY:
-        return 0.0
-    if m_left == NEG_INFINITY:
-        return _BIG
-    if m_right == NEG_INFINITY:
-        return -_BIG
-    return m_right - m_left - c_j
-
-
-def _bisect_node(problem, ys: list[float], j: int, c_j: float, width_tol: float):
-    lo = ys[j - 1] + _BRACKET_EPS
-    hi = ys[j + 1] - _BRACKET_EPS
-    if hi <= lo:
-        return
-    while hi - lo > width_tol:
-        mid = 0.5 * (lo + hi)
-        ys[j] = mid
-        if _local_residual(problem, ys, j, c_j) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    ys[j] = 0.5 * (lo + hi)
-
-
 def _residual_norm(problem: Problem, ys: list[float], c):
     vals, args = _maxima_floats(problem, tuple(ys))
     if any(v == NEG_INFINITY for v in vals):
@@ -227,7 +202,8 @@ def _newton(problem, ys: list[float], c, tol, budget: int, state):
     returns (steps used, state at the final ys). Stops at the first step that
     no halving makes lower the residual. Once the residual is within tol, one
     more full step is tried and kept only if it lowers the residual: that
-    takes the nodes from tol down to rounding.
+    takes the nodes from tol down to rounding. A singular Jacobian above tol
+    gets the least-norm step, a flat direction of a non-strict kernel.
     """
     target = np.asarray(c, dtype=float)
     used = 0
@@ -237,10 +213,13 @@ def _newton(problem, ys: list[float], c, tol, budget: int, state):
         jac = _jacobian(problem, ys, vals, args)
         if jac is None:
             break
+        rhs = target - np.array(_phi(vals))
         try:
-            step = np.linalg.solve(jac, target - np.array(_phi(vals)))
+            step = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError:
-            break
+            if within_tol:
+                break
+            step = np.linalg.lstsq(jac, rhs, rcond=None)[0]
         if not np.all(np.isfinite(step)):
             break
         step = step.tolist()  # keep nodes Python floats: the kernel sums are scalar code
@@ -260,56 +239,6 @@ def _newton(problem, ys: list[float], c, tol, budget: int, state):
         if within_tol or not improved:
             break
     return used, (res, vals, args)
-
-
-def _solve_direct(problem: Problem, c, tol, max_iterations, initial):
-    n = problem.n
-    if initial is not None:
-        init = problem.node_system(initial)
-        if not init.strict():
-            raise PreconditionError("initial node system must be strict")
-        ys = [0.0, *init.nodes, 1.0]
-    else:
-        ys = [0.0, *_initial_nodes(problem), 1.0]
-
-    # Newton with the exact Jacobian first; the sweeps are the fallback when it stalls
-    state = _residual_norm(problem, ys, c)
-    iterations, state = _newton(problem, ys, c, tol, max_iterations, state)
-    width = 1e-2
-    floor = 1e-6
-    best = []  # best residual after each round of sweeps
-    while state[0] > tol and iterations < max_iterations:
-        width = max(width * 0.25, 1e-13)
-        for j in range(1, n + 1):
-            _bisect_node(problem, ys, j, c[j - 1], width)
-        iterations += 1
-        state = _residual_norm(problem, ys, c)
-        if tol < state[0] <= _SWEEP_SWITCH:
-            used, state = _newton(problem, ys, c, tol, max_iterations - iterations, state)
-            iterations += used
-            if state[0] > tol:  # Newton stalled: restart the sweeps a little tighter each time
-                width = max(width, floor)
-                floor *= 0.25
-        best.append(min([state[0], *best[-1:]]))
-        if len(best) > _STALL_ROUNDS and best[-1] > 0.9 * best[-1 - _STALL_ROUNDS]:
-            break
-    res, vals, args = state
-    return ys, res, vals, args, iterations, res <= tol
-
-
-def _as_report(problem, ys, res, vals, args, iterations, converged, c, risk=False):
-    nodes = NodeSystem(tuple(ys[1:-1]))
-    maxima = MaximaVector(tuple(vals), tuple(args))
-    return SolveReport(
-        nodes=nodes,
-        maxima=maxima,
-        target=c,
-        residual=res,
-        value=maxima.m_bar,
-        iterations=iterations,
-        converged=converged,
-        nonuniqueness_risk=risk,
-    )
 
 
 def _check_settings(tol, max_iterations) -> None:
@@ -338,28 +267,47 @@ def solve_difference(
     if not flags.monotone_M:
         raise HypothesisError("solver requires a monotone kernel")
 
-    # A monotone kernel that is not strictly monotone is warm-started from regularized solves.
+    if initial is None:
+        start = _initial_nodes(problem)
+    else:
+        start = list(problem.node_system(initial).nodes)
+        if not _regular_start(start, problem.field.singular_segments()):
+            raise PreconditionError("initial node system must be strict and in the regularity set")
+
     strict = flags.strictly_monotone_SM
-    warm, warm_iterations = initial, 0
-    for eta in () if strict else _WARM_ETAS:
-        regularized = replace(problem, kernel=Regularized(problem.kernel, eta))
-        ys, res, _, _, iterations, converged = _solve_direct(
-            regularized, c, max(tol, 1e-10), max_iterations, warm
+    levels = [0.0] if strict else [0.0, 1e-4, 1e-2]  # a stack: the next level is last
+    solved, p = [0.0, *start, 1.0], 1.0  # nodes and η of the last solved level
+    iterations = 0
+    while levels:
+        eta = levels[-1]
+        level = replace(problem, kernel=Regularized(problem.kernel, eta)) if eta else problem
+        level_tol = max(tol, 1e-10) if eta else tol
+        ys = list(solved)
+        used, state = _newton(
+            level, ys, c, level_tol, max_iterations - iterations, _residual_norm(level, ys, c)
         )
-        warm_iterations += iterations
-        if not converged:
+        iterations += used
+        if state[0] <= level_tol:
+            solved, p = ys, levels.pop()
+            continue
+        inserted = math.sqrt(p * eta) if eta else p / 100.0
+        if iterations >= max_iterations or p < 1.5 * eta or inserted < 1e-14:
             raise ConvergenceError(
-                f"regularized solve (eta={eta}) stalled at residual {res:.3e}"
+                f"no convergence at eta={eta:g} after {iterations} iterations "
+                f"(residual {state[0]:.3e})"
             )
-        warm = NodeSystem(tuple(ys[1:-1]))
-    ys, res, vals, args, iterations, converged = _solve_direct(problem, c, tol, max_iterations, warm)
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence after {iterations} iterations (residual {res:.3e})" if strict
-            else f"polish on the original kernel stalled at residual {res:.3e}"
-        )
-    return _as_report(
-        problem, ys, res, vals, args, warm_iterations + iterations, converged, c, risk=not strict
+        levels.append(inserted)
+    res, vals, args = state
+    maxima = MaximaVector(tuple(vals), tuple(args))
+    return SolveReport(
+        nodes=NodeSystem(tuple(solved[1:-1])),
+        maxima=maxima,
+        target=c,
+        residual=res,
+        value=maxima.m_bar,
+        iterations=iterations,
+        converged=True,
+        nonuniqueness_risk=not strict,
     )
 
 

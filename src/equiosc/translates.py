@@ -16,7 +16,7 @@ on smooth pieces, argmax locations to about √ε·|t|.
 
 Every scalar caller takes its interval maxima from :func:`_maxima`, at one
 argmax tolerance ``_XTOL``: a maxima vector, a single interval maximum (the
-solver's sweeps and difference quotients) and the union and extremal-product
+solver's difference quotients) and the union and extremal-product
 norms of ``applications``. It builds the set-up once per call (the node set,
 one sorted list of the cut points of all its intervals and the sorted
 override points), and each interval takes the cuts strictly inside it by
@@ -150,7 +150,10 @@ def eval_F(problem: Problem, y, t: float) -> ExtReal:
 def eval_F_grid(problem: Problem, y, ts: np.ndarray) -> np.ndarray:
     """Vectorized F(y, ·) over a grid; −∞ appears as IEEE -inf."""
     ns = _checked(problem).node_system(y)
-    ts = np.asarray(ts, dtype=float)
+    try:
+        ts = np.asarray(ts, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"evaluation points must be reals, got {ts!r}") from None
     acc = problem.field.values(ts)
     with np.errstate(divide="ignore", invalid="ignore"):
         for rj, yj in zip(problem.r, ns.nodes):

@@ -542,6 +542,13 @@ def test_bound_factor_values():
     assert eq.union_bound_factor(2, (2.0, 1.0)) == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_bound_factor_needs_a_component(k):
+    # a union has k >= 1 components; k <= 0 used to give the factor 1.0
+    with pytest.raises(eq.SchemaError):
+        eq.union_bound_factor(k, (1.0, 1.0))
+
+
 def test_compare_constants_seed():
     report = eq.compare_constants(SEED_UNION, (1.0,))
     assert report["C"] == pytest.approx(0.5, abs=1e-6)

@@ -193,7 +193,7 @@ def test_exit_code_convergence_error(problem_file):
 def test_bad_solver_settings_exit_2_at_once(problem_file, monkeypatch, capsys, flags):
     from equiosc import solver
 
-    monkeypatch.setattr(solver, "_solve_direct", lambda *args: pytest.fail("solver ran"))
+    monkeypatch.setattr(solver, "_newton", lambda *args: pytest.fail("solver ran"))
     assert main(["solve", problem_file, *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

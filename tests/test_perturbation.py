@@ -209,6 +209,24 @@ def test_weak_domination_reported_for_capped_log():
     assert report.weak_dominations > 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: eq.check_strict_majorization_excluded(p, pairs=5),
+        lambda p: eq.check_strict_majorization_excluded(p, pairs=[(0.3,)]),
+        lambda p: eq.check_strict_majorization_excluded(p, pairs=[((0.3,), (0.6,), (0.9,))]),
+        lambda p: eq.check_strict_majorization_excluded(p, samples=-1),
+        lambda p: eq.sample_regular_nodes(p, None),
+        lambda p: eq.sample_regular_nodes(p, 7),
+    ],
+    ids=["pairs-int", "pair-of-one", "pair-of-three", "negative-samples", "rng-none", "rng-int"],
+)
+def test_scan_arguments_raise_typed_errors(call):
+    # these raised a bare TypeError, ValueError or AttributeError, or returned checked = 0
+    with pytest.raises(eq.PreconditionError):
+        call(log_problem(1))
+
+
 def test_equioscillation_value_crossing():
     # a maximin point and the minimax point share an interval maximum at the
     # common value; capped-log instance has a whole segment of maximin points

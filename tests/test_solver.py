@@ -63,7 +63,7 @@ def capped_log_problem(a, r, level):
 @pytest.mark.parametrize(
     "a, r, level, initial",
     [
-        # the polish stalled at residual 8.917e-07 when sweeps never got finer than 2.5e-7
+        # the polish once stalled at residual 8.917e-07, when bisection sweeps were the fallback
         (0.08036431725564219, (1.1343843693522557, 1.6577544669750726, 1.5643504050272727), 0.0, None),
         (
             0.03673349627496637,
@@ -120,20 +120,54 @@ def test_non_strict_target_needs_the_small_eta_level(a, r, level, target, initia
     assert max(abs(p - t) for p, t in zip(phi, target)) <= 1e-9
 
 
-def test_stalled_solve_fails_fast(monkeypatch):
-    """The n = 6 case above with Σc = 1e-4 stalls at residual ≈ 2.4e-5 and must fail quickly.
+@pytest.mark.parametrize("total", [1e-4, 1e-5, -1e-5])
+def test_small_target_sum_solves(total):
+    """The n = 6 case above with Σc shifted to ±1e-5 or 1e-4 solves.
 
-    Without a stall test the polish made ~280 more residual evaluations, all at
-    that residual, before max_iterations ended it (303 in all).
+    With bisection sweeps as the fallback the polish stalled at a residual of
+    about 0.24·|Σc|; continuation in η reaches the target from there.
     """
     a, r, level, target, initial = N6_TARGET_CASE
-    target = [target[0] + 1e-4 - sum(target), *target[1:]]
+    target = [target[0] + total - sum(target), *target[1:]]
+    problem = capped_log_problem(a, r, level)
+    report = eq.solve_difference(problem, target, initial=initial)
+    phi = eq.difference(problem, report.nodes).phi
+    assert max(abs(p - t) for p, t in zip(phi, target)) <= 1e-9
+
+
+def test_unreachable_target_fails_fast(monkeypatch):
+    """m_1 − m_0 = 40 needs node 1 within e^−40 of 0, inside the 1e-12 node gap: the solve must fail quickly."""
     calls = []
     residual_norm = solver._residual_norm
     monkeypatch.setattr(solver, "_residual_norm", lambda *args: calls.append(1) or residual_norm(*args))
-    with pytest.raises(eq.ConvergenceError, match="residual"):
-        eq.solve_difference(capped_log_problem(a, r, level), target, initial=initial)
-    assert len(calls) <= 60
+    with pytest.raises(eq.ConvergenceError, match="eta=.*residual"):
+        eq.solve_difference(log_problem(2), (40.0, 0.0))
+    assert len(calls) <= 300
+
+
+def test_regularized_stall_of_a_probe_draw_solves():
+    """Draw seed 5 #223 of tools/capped_log_probe.py stalled at eta = 1e-2, residual 0.17, under the sweeps."""
+    problem = capped_log_problem(
+        0.07020731433412038,
+        (0.6282392461226176, 1.5036581400508133, 0.8185626306166613, 1.2129017953963923),
+        0.5911581358750908,
+    )
+    target = (0.7602275413573185, 0.1170711228130128, -0.7093310562866142, 0.8972114391982766)
+    report = eq.solve_difference(problem, target)
+    phi = eq.difference(problem, report.nodes).phi
+    assert max(abs(p - t) for p, t in zip(phi, target)) <= 1e-9
+
+
+def test_initial_outside_the_regularity_set_is_refused():
+    """Newton cannot start where an interval maximum is −∞: its residual is infinite there."""
+    field = eq.PiecewiseField((
+        eq.Piece(0.0, 0.5, eq.Constant(0.0)),
+        eq.Piece(0.5, 1.0, eq.NegInfinityPiece()),
+    ))
+    problem = eq.Problem(1, (1.0,), eq.Log(), field)
+    with pytest.raises(eq.PreconditionError, match="regularity set"):
+        eq.solve_equioscillation(problem, initial=(0.9,))
+    assert eq.solve_equioscillation(problem).converged
 
 
 def test_non_strict_differential(rng):
@@ -221,7 +255,7 @@ def test_initial_nodes_are_strict_and_regular(problem):
         assert ws == [(j + 1.0) / (problem.n + 1.0) for j in range(problem.n)]
 
 
-def test_start_between_finite_pieces_needs_no_sweeps(monkeypatch):
+def test_start_between_finite_pieces_needs_no_fallback(monkeypatch):
     """A start with nodes on one point had −∞ interval maxima, so Newton was skipped for 28 bisections."""
     field = eq.PiecewiseField((
         eq.Piece(0.0, 0.75, eq.NegInfinityPiece()),
@@ -230,7 +264,7 @@ def test_start_between_finite_pieces_needs_no_sweeps(monkeypatch):
     ))
     problem = eq.Problem(4, (1.0,) * 4, eq.Log(), field)
     assert eq.in_regularity_set(problem, tuple(solver._initial_nodes(problem)))
-    monkeypatch.setattr(solver, "_bisect_node", lambda *args: pytest.fail("the sweeps ran"))
+    monkeypatch.setattr(solver, "Regularized", lambda *args: pytest.fail("the continuation ran"))
     report = eq.solve_equioscillation(problem)
     assert report.converged and eq.in_regularity_set(problem, report.nodes)
 
@@ -401,18 +435,18 @@ def test_large_chebyshev(n):
 
 
 def test_newton_alone_solves_smooth_problems(monkeypatch):
-    """Log kernel, no kinks: no sweep and no difference quotient is needed."""
+    """Log kernel, no kinks: no continuation level and no difference quotient is needed."""
 
     def forbidden(*args):
         raise AssertionError("fallback used")
 
-    monkeypatch.setattr(solver, "_bisect_node", forbidden)
+    monkeypatch.setattr(solver, "Regularized", forbidden)
     monkeypatch.setattr(solver, "_fd_node", forbidden)
     report = eq.solve_equioscillation(log_problem(8))
     assert abs(report.value - math.log(2.0 * 4.0**-8)) <= 1e-12
 
 
-def test_sweeps_take_over_when_newton_stalls(monkeypatch):
+def test_continuation_takes_over_when_newton_stalls(monkeypatch):
     problem = eq.Problem(
         4,
         (0.6675858474821905, 1.405747705328699, 1.1937348572933257, 1.0543904696585356),
@@ -421,13 +455,13 @@ def test_sweeps_take_over_when_newton_stalls(monkeypatch):
     )
     target = (1.1782014364682603, 2.573466896132424, 2.1622825109334247, 1.3596775974144233)
     initial = (0.178792384332672, 0.30396827700152607, 0.6764676951847486, 0.8749381822136748)
-    sweeps = []
-    bisect_node = solver._bisect_node
+    levels = []
+    regularized = solver.Regularized
     monkeypatch.setattr(
-        solver, "_bisect_node", lambda *args: sweeps.append(args[2]) or bisect_node(*args)
+        solver, "Regularized", lambda base, eta: levels.append(eta) or regularized(base, eta)
     )
     report = eq.solve_difference(problem, target, initial=initial)
-    assert sweeps
+    assert levels
     phi = eq.difference(problem, report.nodes)
     assert max(abs(a - b) for a, b in zip(phi.phi, target)) <= 1e-9
 
@@ -450,7 +484,7 @@ def test_sweeps_take_over_when_newton_stalls(monkeypatch):
     ids=repr,
 )
 def test_bad_settings_fail_up_front(settings, monkeypatch):
-    monkeypatch.setattr(solver, "_solve_direct", lambda *args: pytest.fail("solver ran"))
+    monkeypatch.setattr(solver, "_newton", lambda *args: pytest.fail("solver ran"))
     with pytest.raises(eq.PreconditionError):
         eq.solve_difference(log_problem(2), (0.0, 0.0), **settings)
     with pytest.raises(eq.PreconditionError):

@@ -235,6 +235,8 @@ def test_eval_F_grid_matches_scalar(rng, log1):
             assert v == pytest.approx(float(want), abs=1e-12)
     with pytest.raises(eq.DomainError):
         eq.eval_F_grid(log1, (0.5,), [0.5, math.nan])
+    with pytest.raises(eq.DomainError):
+        eq.eval_F_grid(log1, (0.5,), "ab")
 
 
 # -- the Brent search against the golden-section reference ----------------------------

@@ -1,10 +1,10 @@
 """Random CappedLog probe of the solver: 3,000 seeded `solve_difference` calls.
 
 CappedLog kernels are monotone but not strictly so, which sends every solve
-through the regularized warm starts, and their kinks at ±a put argmaxima on
-translate kinks, where Newton most often stalls and the bisection sweeps run.
-A change to the solver's sweeps should leave this probe's output unchanged,
-or explain each line that moves.
+through the regularized levels η = 1e−2 and 1e−4, and their kinks at ±a put
+argmaxima on translate kinks, where Newton most often stalls and the
+continuation in η inserts levels. A change to the solver's fallback should
+leave this probe's output unchanged, or explain each line that moves.
 
 Draws: seeds 1, 3, 5, …, 29 (ten seeds), 300 draws each from
 ``numpy.random.default_rng(seed)``. Draw i takes, in this order,
@@ -16,9 +16,10 @@ the solver's own start.
 
 Output: the solve count, each failure as (seed, index) with its error, the
 total iterations of the converged solves and a SHA-256 over their nodes'
-``float.hex``, so two checkouts compare by one line.
+``float.hex``, so two checkouts compare by one line. Every draw converges,
+so the exit status is 1 if any draw fails, else 0.
 
-Run from the repository root (takes a few minutes):
+Run from the repository root (about 30 s):
 
     PYTHONPATH=src python tools/capped_log_probe.py
 """
@@ -72,7 +73,7 @@ def main() -> int:
         print(f"failed seed {seed} #{i}: {why}")
     print(f"converged {solves - len(failures)}, iterations {iterations}")
     print(f"nodes sha256 {digest.hexdigest()}")
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
