@@ -40,10 +40,10 @@ from .fields import (
     affine_transport,
     log_of_weight_field,
 )
-from .kernels import Log, scalar_fn
+from .kernels import Log
 from .problem import Problem
 from .solver import solve_equioscillation
-from .translates import _kernel_sum, _maxima
+from .translates import _maxima
 
 __all__ = [
     "GapProblem",
@@ -61,7 +61,7 @@ __all__ = [
     "verify_signed_equioscillation",
 ]
 
-_LOG = scalar_fn(Log())
+_LOG = Log()
 
 
 # -- problem bundles -----------------------------------------------------------
@@ -279,9 +279,12 @@ class _PinnedTranslates(Formula):
     base: Formula
     terms: tuple[tuple[float, float], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_log_sum", _LOG._build_sum(self.terms))
+
     def _value(self, t):
         v = self.base._value(t)
-        return NEG_INFINITY if v == NEG_INFINITY else v + _kernel_sum(_LOG, self.terms, t)
+        return NEG_INFINITY if v == NEG_INFINITY else v + self._log_sum(t)
 
     @property
     def concave(self):
@@ -325,13 +328,14 @@ def _union_problem(union: _UnionField, r, pins=()) -> Problem:
     field01 = union.field01
     if pins:  # e is moved as affine_transport moves knots, so it lands on one
         terms = tuple((rj, (e - union.A) / union.width) for rj, e in pins)
+        log_sum = _LOG._build_sum(terms)
         field01 = PiecewiseField(
             tuple(
                 p if isinstance(p.formula, NegInfinityPiece)
                 else Piece(p.lo, p.hi, _PinnedTranslates(p.formula, terms))
                 for p in field01.pieces
             ),
-            tuple((t, v + _kernel_sum(_LOG, terms, t)) for t, v in field01.point_values),
+            tuple((t, v + log_sum(t)) for t, v in field01.point_values),
         )
     return Problem(n=len(r), r=tuple(r), kernel=Log(), field=field01)
 

@@ -16,6 +16,13 @@ analytically known classification flags:
 The variants cover the logarithmic kernel, its capped and regularized
 relatives, a shifted square root, and a tent-shaped log used as a
 non-monotone stress case.
+
+Each kernel also compiles a sum of translates t ↦ Σ_j r_j K(t − y_j) into one
+scalar closure (``_build_sum``), the scalar hot path of every interval
+maximum. The default loops over the kernel's scalar evaluator; ``Log``
+inlines log|t − y_j| and ``Regularized`` makes one base call per term. All of
+them add the same terms in the same order with the same operations, so the
+sum is bit for bit that of one kernel call per translate.
 """
 
 from __future__ import annotations
@@ -73,6 +80,28 @@ class KernelSpec:
         """K′(u) elementwise for u ≠ 0; on a kink either one-sided value."""
         raise NotImplementedError
 
+    def _build_sum(self, terms) -> Callable[[float], float]:
+        """t ↦ Σ_j r_j K(t − y_j) over ``terms`` ((r_j, y_j), …); no domain check.
+
+        The terms are added in the given order, as ``s += r * v`` from 0.0,
+        and the sum is −∞ as soon as one term is. A variant may compile the
+        loop with its kernel inlined, bit for bit the same sum. The scalar
+        evaluator is built here, not looked up through :func:`scalar_fn`,
+        whose calls count the interval maxima (one lookup each).
+        """
+        k = self._build_scalar()
+
+        def ksum(t: float) -> float:
+            s = 0.0
+            for r, yj in terms:
+                v = k(t - yj)
+                if v == NEG_INFINITY:
+                    return NEG_INFINITY
+                s += r * v
+            return s
+
+        return ksum
+
     def params(self) -> dict:
         return {}
 
@@ -94,6 +123,20 @@ class Log(KernelSpec):
             return log(au) if au > 0.0 else NEG_INFINITY
 
         return k
+
+    def _build_sum(self, terms):
+        log = math.log
+
+        def ksum(t: float) -> float:
+            s = 0.0
+            for r, yj in terms:
+                au = abs(t - yj)
+                if not au > 0.0:
+                    return NEG_INFINITY
+                s += r * log(au)
+            return s
+
+        return ksum
 
     def _values_unchecked(self, u):
         # log in place: one live temporary of the argument's size, not two
@@ -273,6 +316,23 @@ class Regularized(KernelSpec):
 
         return k
 
+    def _build_sum(self, terms):
+        base_k = self.base._build_scalar()
+        eta = self.eta
+        sqrt = math.sqrt
+
+        def ksum(t: float) -> float:
+            s = 0.0
+            for r, yj in terms:
+                u = t - yj
+                v = base_k(u)
+                if v == NEG_INFINITY:
+                    return NEG_INFINITY
+                s += r * (v + eta * sqrt(abs(u)))
+            return s
+
+        return ksum
+
     def _values_unchecked(self, u):
         return self.base._values_unchecked(u) + self.eta * np.sqrt(np.abs(u))
 
@@ -305,7 +365,10 @@ def kernel_eval(kernel: KernelSpec, t: float) -> ExtReal:
 def kernel_values(kernel: KernelSpec, u: np.ndarray) -> np.ndarray:
     """Vectorized kernel evaluation; −∞ appears as IEEE -inf in the result."""
     _instance(kernel, KernelSpec, "kernel")
-    u = np.asarray(u, dtype=float)
+    try:
+        u = np.asarray(u, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"kernel arguments must be reals, got {u!r}") from None
     if u.size and not (-1.0 <= u.min() and u.max() <= 1.0):  # False for NaN too
         raise DomainError("kernel argument outside [-1, 1]")
     return kernel._values_unchecked(u)

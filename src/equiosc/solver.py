@@ -170,7 +170,8 @@ def _jacobian(problem: Problem, ys: list[float], vals, args):
     t_i* of interval i, so each maxima vector carries its own Jacobian. Where
     t_i* sits exactly on a kink y_k ± κ of translate k, m_i need not be
     differentiable in y_k, and that entry alone is taken by forward
-    difference. Every other column l of the row stays exact: t_i* − y_l is
+    difference; a table from each kink point to its columns finds them, one
+    lookup per row. Every other column l of the row stays exact: t_i* − y_l is
     neither a kink nor 0 (F(y, t_i*) is finite), so F depends smoothly on y_l
     for t near t_i*, where the maximum stays, and Danskin's derivative holds
     there. A row without an argmax (m_i = −∞) is differenced in every column.
@@ -184,14 +185,17 @@ def _jacobian(problem: Problem, ys: list[float], vals, args):
     if rows:
         ts = np.array([args[i] for i in rows])
         dm[rows] = -np.asarray(problem.r) * kernel._slope(ts[:, None] - np.array(nodes))
+    kinked: dict[float, list[int]] = {}  # kink point y_k ± κ -> its nodes k, ascending
+    for k in range(1, n + 1):
+        for s in shifts:
+            kinked.setdefault(ys[k] + s, []).append(k)
     for i, t in enumerate(args):
-        for k in range(1, n + 1):
-            if t is None or any(t == ys[k] + s for s in shifts):
-                pert, h = _fd_node(ys, k)
-                _, v = _interval_max(problem, pert, i)
-                if v == NEG_INFINITY:
-                    return None
-                dm[i, k - 1] = (v - vals[i]) / h
+        for k in range(1, n + 1) if t is None else kinked.get(t, ()):
+            pert, h = _fd_node(ys, k)
+            _, v = _interval_max(problem, pert, i)
+            if v == NEG_INFINITY:
+                return None
+            dm[i, k - 1] = (v - vals[i]) / h
     return dm[1:] - dm[:-1]
 
 

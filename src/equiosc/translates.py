@@ -17,10 +17,12 @@ on smooth pieces, argmax locations to about √ε·|t|.
 Every scalar caller takes its interval maxima from :func:`_maxima`, at one
 argmax tolerance ``_XTOL``: a maxima vector, a single interval maximum (the
 solver's difference quotients) and the union and extremal-product
-norms of ``applications``. It builds the set-up once per call (the node set,
-one sorted list of the cut points of all its intervals and the sorted
-override points), and each interval takes the cuts strictly inside it by
-bisection before :func:`_maximize` searches it.
+norms of ``applications``. It builds the set-up once per call: the kernel
+sum t ↦ Σ r_j K(t − y_j), compiled by ``KernelSpec._build_sum`` into one
+closure (the one scalar kernel-sum routine), the node set, one sorted list of
+the cut points of all its intervals and the sorted override points. Each
+interval takes the cuts strictly inside it by bisection before
+:func:`_maximize` searches it.
 
 The grid oracle needs only the values, for whole lattices of node systems:
 :func:`_maxima_batch` runs the same cuts and end checks for many node systems
@@ -105,24 +107,14 @@ def _terms(problem: Problem, ys: tuple[float, ...]):
     return tuple(zip(problem.r, ys[1:-1]))
 
 
-def _kernel_sum(kf, terms, t: float) -> float:
-    s = 0.0
-    for r, yj in terms:
-        v = kf(t - yj)
-        if v == NEG_INFINITY:
-            return NEG_INFINITY
-        s += r * v
-    return s
-
-
-def _with_translates(fval, kf, terms):
-    """t ↦ fval(t) + Σ r_j K(t − y_j), −∞ as soon as either part is −∞."""
+def _with_translates(fval, ksum):
+    """t ↦ fval(t) + ksum(t), −∞ as soon as either part is −∞; ksum from ``KernelSpec._build_sum``."""
 
     def g(t: float) -> float:
         fv = fval(t)
         if fv == NEG_INFINITY:
             return NEG_INFINITY
-        ks = _kernel_sum(kf, terms, t)
+        ks = ksum(t)
         if ks == NEG_INFINITY:
             return NEG_INFINITY
         return fv + ks
@@ -135,7 +127,7 @@ def eval_f(problem: Problem, y, t: float) -> ExtReal:
     ns = _checked(problem).node_system(y)
     t = _check_t(t)
     ys = ns.with_sentinels()
-    return as_extreal(_kernel_sum(scalar_fn(problem.kernel), _terms(problem, ys), t))
+    return as_extreal(problem.kernel._build_sum(_terms(problem, ys))(t))
 
 
 def eval_F(problem: Problem, y, t: float) -> ExtReal:
@@ -143,8 +135,8 @@ def eval_F(problem: Problem, y, t: float) -> ExtReal:
     ns = _checked(problem).node_system(y)
     t = _check_t(t)
     ys = ns.with_sentinels()
-    kf = scalar_fn(problem.kernel)
-    return as_extreal(_with_translates(problem.field._value_float, kf, _terms(problem, ys))(t))
+    ksum = problem.kernel._build_sum(_terms(problem, ys))
+    return as_extreal(_with_translates(problem.field._value_float, ksum)(t))
 
 
 def eval_F_grid(problem: Problem, y, ts: np.ndarray) -> np.ndarray:
@@ -189,9 +181,11 @@ def _brent_max(g, lo: float, hi: float) -> tuple[float, float]:
     x = w = v = a + _CGOLD * width
     fx = fw = fv = -g(x)
     d = e = 0.0
+    xtol3 = _XTOL / 3.0
     for _ in range(200):
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * min(abs(x), width) + _XTOL / 3.0
+        ax = abs(x)
+        tol1 = _SQRT_EPS * (ax if ax < width else width) + xtol3  # min() without a builtin call
         tol2 = 2.0 * tol1
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
             break
@@ -267,11 +261,12 @@ def _scan_max(g, lo: float, hi: float) -> tuple[float, float]:
 
 # -- per-interval maxima --------------------------------------------------------
 
-def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, setup):
+def _maximize(field, ksum, lo: float, hi: float, singular: bool, setup):
     """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi.
 
-    ``setup`` is the (node set, sorted cut points, sorted overrides) that
-    :func:`_maxima` builds once. The interval is cut at the field's interior
+    ``ksum`` is the compiled sum t ↦ Σ r_j K(t − y_j) and ``setup`` the (node
+    set, sorted cut points, sorted overrides); :func:`_maxima` builds both
+    once. The interval is cut at the field's interior
     knots, at every node y_j strictly inside it, and at the kernel kinks
     y_j ± κ inside it; the cuts and field overrides are point candidates, and
     each piece between cuts is searched by :func:`_concave_max` (concave) or a
@@ -293,7 +288,7 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, setup):
             return NEG_INFINITY
         ks = sums.get(tau)
         if ks is None:
-            ks = sums[tau] = _kernel_sum(kf, terms, tau)
+            ks = sums[tau] = ksum(tau)
         return NEG_INFINITY if ks == NEG_INFINITY else fv + ks
 
     point_set = cuts
@@ -312,7 +307,7 @@ def _maximize(field, kf, terms, lo: float, hi: float, singular: bool, setup):
         at_node_d = singular and d in nodes
         a = c + _NODE_EPS if at_node_c else c
         b = d - _NODE_EPS if at_node_d else d
-        g = _with_translates(formula._value, kf, terms)
+        g = _with_translates(formula._value, ksum)
         if formula.concave:
             ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
             candidates.append(_concave_max(g, a, b, ga, gb))
@@ -344,18 +339,19 @@ def _maxima(field, kernel, terms, intervals) -> list[tuple[float | None, float]]
     [(0.5, 2.0)]
     """
     singular = kernel.flags().singular
+    ksum = kernel._build_sum(terms)
     nodes = {yj for _, yj in terms}
     kink_cuts = [yj + s for yj in nodes for k in kernel._kinks for s in (k, -k)]
     setup = nodes, sorted({*field.interior_knots(), *nodes, *kink_cuts}), sorted(field.override_points())
     out = []
     for lo, hi in intervals:
-        kf = scalar_fn(kernel)  # looked up per interval: perfbench counts interval maxima by this call
+        scalar_fn(kernel)  # one lookup per interval maximum: perfbench counts interval maxima by it
         if hi > lo:
-            out.append(_maximize(field, kf, terms, lo, hi, singular, setup))
+            out.append(_maximize(field, ksum, lo, hi, singular, setup))
         elif singular:
             out.append((None, NEG_INFINITY))
         else:
-            v = _with_translates(field._value_float, kf, terms)(lo)
+            v = _with_translates(field._value_float, ksum)(lo)
             out.append((lo if v > NEG_INFINITY else None, v))
     return out
 

@@ -20,6 +20,11 @@ Jacobian row was differenced, ``solver._jacobian`` took every column of a row
 whose argmax sits on a kernel kink by forward difference.
 ``reference_row_fd_jacobian`` is that ``_jacobian``, verbatim but for the name.
 
+Per-entry kink test: before a table from each kink point to its columns
+found the kinked Jacobian entries, ``solver._jacobian`` tested every entry
+(i, k) against every kink offset in Python. ``reference_entry_fd_jacobian``
+is that ``_jacobian``, verbatim but for the name.
+
 Candidate grid for the restricted Chebyshev constant: before R came from
 pinned-endpoint equioscillation solves, ``restricted_constant`` searched a
 lattice of node systems per assignment of nodes to components, re-evaluated
@@ -54,6 +59,14 @@ from the scalar maxima ``_maxima_floats``; ``_grid_lattice``,
 reports, per round, how far the second-best cell's objective lies from the
 best one's.
 
+Per-term kernel sums: before each kernel compiled its sum of translates
+into one closure (``KernelSpec._build_sum``), ``translates`` added the
+translates one scalar kernel call at a time. ``kernel_sum`` and
+``with_translates`` are its ``_kernel_sum`` and ``_with_translates``,
+verbatim but for the names, and every reference here that sums translates
+goes through them, not through the compiled sums; ``LOG_SCALAR`` is the
+scalar ``Log`` kernel they take.
+
 Unmerged field evaluation: before equal adjacent concave pieces were merged
 when a field is built, a field evaluated over its pieces exactly as given.
 ``UnmergedField`` keeps them so; its ``pieces_at``, ``_value_float``,
@@ -68,7 +81,6 @@ from bisect import bisect_right
 import numpy as np
 
 from equiosc.applications import (
-    _LOG,
     _PinnedTranslates,
     _default_weight,
     _log_max,
@@ -86,15 +98,39 @@ from equiosc.translates import (
     _NODE_EPS,
     _concave_max,
     _interval_max,
-    _kernel_sum,
     _maxima_floats,
     _scan_max,
-    _with_translates,
 )
 
 NEG_INF = float("-inf")
 NODE_EPS = 1e-13
+LOG_SCALAR = scalar_fn(Log())
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def kernel_sum(kf, terms, t: float) -> float:
+    s = 0.0
+    for r, yj in terms:
+        v = kf(t - yj)
+        if v == NEG_INFINITY:
+            return NEG_INFINITY
+        s += r * v
+    return s
+
+
+def with_translates(fval, kf, terms):
+    """t ↦ fval(t) + Σ r_j K(t − y_j), −∞ as soon as either part is −∞."""
+
+    def g(t: float) -> float:
+        fv = fval(t)
+        if fv == NEG_INFINITY:
+            return NEG_INFINITY
+        ks = kernel_sum(kf, terms, t)
+        if ks == NEG_INFINITY:
+            return NEG_INFINITY
+        return fv + ks
+
+    return g
 
 
 def golden_max(g, lo, hi, xtol):
@@ -201,7 +237,7 @@ def reference_maximize(field, kf, terms, lo: float, hi: float, singular: bool, k
             return NEG_INFINITY
         ks = sums.get(tau)
         if ks is None:
-            ks = sums[tau] = _kernel_sum(kf, terms, tau)
+            ks = sums[tau] = kernel_sum(kf, terms, tau)
         return NEG_INFINITY if ks == NEG_INFINITY else fv + ks
 
     point_set = sorted(set(cuts) | {t for t in field.override_points() if lo <= t <= hi})
@@ -217,7 +253,7 @@ def reference_maximize(field, kf, terms, lo: float, hi: float, singular: bool, k
         at_node_d = singular and d in nodes
         a = c + _NODE_EPS if at_node_c else c
         b = d - _NODE_EPS if at_node_d else d
-        g = _with_translates(formula._value, kf, terms)
+        g = with_translates(formula._value, kf, terms)
         if formula.concave:
             ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
             candidates.append(_concave_max(g, a, b, ga, gb))
@@ -244,8 +280,30 @@ def reference_scalar_interval_max(problem: Problem, ys: tuple[float, ...], j: in
         return reference_maximize(problem.field, kf, terms, lo, hi, singular, kernel._kinks)
     if singular:
         return None, NEG_INFINITY
-    v = _with_translates(problem.field._value_float, kf, terms)(lo)
+    v = with_translates(problem.field._value_float, kf, terms)(lo)
     return (lo if v > NEG_INFINITY else None), v
+
+
+def reference_entry_fd_jacobian(problem: Problem, ys: list[float], vals, args):
+    """Jacobian of Φ at ys, an entry by forward difference where its row's argmax is on that column's kink."""
+    n = problem.n
+    kernel = problem.kernel
+    nodes = ys[1:-1]
+    shifts = [s for k in kernel._kinks for s in (k, -k)]
+    dm = np.empty((n + 1, n))
+    rows = [i for i, t in enumerate(args) if t is not None]
+    if rows:
+        ts = np.array([args[i] for i in rows])
+        dm[rows] = -np.asarray(problem.r) * kernel._slope(ts[:, None] - np.array(nodes))
+    for i, t in enumerate(args):
+        for k in range(1, n + 1):
+            if t is None or any(t == ys[k] + s for s in shifts):
+                pert, h = _fd_node(ys, k)
+                _, v = _interval_max(problem, pert, i)
+                if v == NEG_INFINITY:
+                    return None
+                dm[i, k - 1] = (v - vals[i]) / h
+    return dm[1:] - dm[:-1]
 
 
 def reference_row_fd_jacobian(problem: Problem, ys: list[float], vals, args):
@@ -375,7 +433,7 @@ def _reference_union_problem(E, r, weight, pins=()):
                 else Piece(p.lo, p.hi, _PinnedTranslates(p.formula, terms))
                 for p in field01.pieces
             ),
-            tuple((t, v + _kernel_sum(_LOG, terms, t)) for t, v in field01.point_values),
+            tuple((t, v + kernel_sum(LOG_SCALAR, terms, t)) for t, v in field01.point_values),
         )
     problem = Problem(n=len(r), r=tuple(r), kernel=Log(), field=field01)
     return problem, A, B - A

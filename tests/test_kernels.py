@@ -6,6 +6,7 @@ import pytest
 import equiosc as eq
 from equiosc.extreal import NEG_INFINITY, is_neg_infinity
 from equiosc.kernels import scalar_fn
+from golden_reference import kernel_sum
 
 ALL_KERNELS = [
     eq.Log(),
@@ -39,6 +40,9 @@ def test_domain_error():
         eq.kernel_values(eq.Log(), np.array([0.5, -1.5]))
     with pytest.raises(eq.DomainError):
         eq.kernel_values(eq.Log(), np.array([0.5, math.nan]))
+    for not_reals in ("abc", [0.5, "x"]):
+        with pytest.raises(eq.DomainError):
+            eq.kernel_values(eq.Log(), not_reals)
 
 
 @pytest.mark.parametrize(
@@ -113,6 +117,21 @@ def test_vectorized_matches_scalar(rng):
             assert v == pytest.approx(k(float(t)), abs=1e-14) or (
                 v == -math.inf and k(float(t)) == -math.inf
             )
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: repr(k))
+def test_compiled_sum_is_bit_identical_to_the_per_term_loop(kernel):
+    rng = np.random.default_rng(11)
+    for n in range(1, 17):
+        ys = [float(v) for v in rng.uniform(0.0, 1.0, size=n)]
+        terms = tuple(zip((float(v) for v in rng.uniform(0.5, 2.0, size=n)), ys))
+        kinks = [y + s for y in ys for k in kernel._kinks for s in (k, -k)]
+        ts = [0.0, 1.0, *ys, *(t for t in kinks if 0.0 <= t <= 1.0), *map(float, rng.uniform(0.0, 1.0, size=8))]
+        ksum = kernel._build_sum(terms)
+        for t in ts:
+            assert ksum(t).hex() == kernel_sum(scalar_fn(kernel), terms, t).hex(), (n, t)
+        if kernel.flags().singular:
+            assert all(ksum(y) == NEG_INFINITY for y in ys)
 
 
 def test_json_roundtrip():

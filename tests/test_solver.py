@@ -10,7 +10,8 @@ from equiosc import solver
 from equiosc.catalog import build_problem
 from equiosc.translates import _maxima_floats
 from conftest import random_concave_field, random_sm_problem, random_strict_nodes
-from golden_reference import reference_row_fd_jacobian
+import golden_reference
+from golden_reference import reference_entry_fd_jacobian, reference_row_fd_jacobian
 
 LOG_HALF = -0.6931471805599453
 CHEB2_NODES = (0.14644660940672624, 0.8535533905932737)
@@ -398,6 +399,32 @@ def test_danskin_jacobian_matches_central_differences(rng):
                     assert np.array_equal(jac[:, k - 1], rows[:, k - 1])
                     kinked_columns += 1
     assert kink_states >= 10 and kinked_columns >= 10
+
+
+def test_kink_table_differences_the_entries_of_the_per_entry_test(rng, monkeypatch):
+    """The Jacobian's kink-point table forward-differences the same entries, in the same order, as a test of every entry."""
+    calls = {"table": [], "entry": []}
+    fd_node = solver._fd_node
+    monkeypatch.setattr(solver, "_fd_node", lambda ys, k: calls["table"].append(k) or fd_node(ys, k))
+    monkeypatch.setattr(golden_reference, "_fd_node", lambda ys, k: calls["entry"].append(k) or fd_node(ys, k))
+    states = []
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        problem = random_sm_problem(rng, n)
+        ys = [0.0, *random_strict_nodes(rng, n), 1.0]
+        vals, args = _maxima_floats(problem, tuple(ys))
+        states.append((problem, ys, vals, list(args)))
+    first, ys, vals, args = states[0]
+    states.append((first, ys, vals, [None, *args[1:]]))  # a row without argmax: every column
+    kinked = 0
+    for problem, ys, vals, args in states:
+        calls["table"].clear()
+        calls["entry"].clear()
+        jac = solver._jacobian(problem, ys, vals, args)
+        assert np.array_equal(jac, reference_entry_fd_jacobian(problem, ys, vals, args))
+        assert calls["table"] == calls["entry"]
+        kinked += bool(calls["table"])
+    assert kinked >= 5 and calls["table"][: first.n] == list(range(1, first.n + 1))
 
 
 def test_argmax_on_a_kernel_kink_solves(monkeypatch):
