@@ -227,7 +227,7 @@ def run_reference_check(key: str, *, fast: bool = False, seed: int = 0, **params
         report = solve_equioscillation(problem, tol=1e-10)
         rows.append(("equioscillation point", report.nodes.nodes[0], forms["equioscillation"]))
         rows.append(("equioscillation value", report.value, forms["value"]))
-        notes.append("solve used a warm start from regularized solves (kernel not strictly monotone)")
+        notes.append("kernel not strictly monotone (nonuniqueness_risk), yet the point 1 - a/e is unique")
         lo, hi = forms["maximin_segment"]
         worst = 0.0
         for x in np.linspace(lo, hi, 12 if fast else 40):

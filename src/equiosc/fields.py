@@ -191,7 +191,8 @@ class LogOfWeight(Formula):
     kind = "LogOfWeight"
 
     def __post_init__(self):
-        if isinstance(self.weight, (NegInfinityPiece, LogOfWeight)):
+        weight = _instance(self.weight, Formula, "LogOfWeight weight")
+        if isinstance(weight, (NegInfinityPiece, LogOfWeight)):
             raise SchemaError("LogOfWeight expects a plain non-negative weight formula")
 
     def _value(self, t):
@@ -270,7 +271,7 @@ class Piece:
             raise SchemaError(f"piece needs lo < hi, got [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        self.formula._validate_on(lo, hi)
+        _instance(self.formula, Formula, "piece formula")._validate_on(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -302,7 +303,7 @@ class PiecewiseField:
     def __post_init__(self):
         lo, hi = ends = _domain(self.domain)
         object.__setattr__(self, "domain", ends)
-        pieces = _sequence(self.pieces, "pieces")
+        pieces = [_instance(p, Piece, "piece") for p in _sequence(self.pieces, "pieces")]
         if not pieces:
             raise SchemaError("field needs at least one piece")
         if pieces[0].lo != lo or pieces[-1].hi != hi:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -86,8 +85,8 @@ class KernelSpec:
         The terms are added in the given order, as ``s += r * v`` from 0.0,
         and the sum is −∞ as soon as one term is. A variant may compile the
         loop with its kernel inlined, bit for bit the same sum. The scalar
-        evaluator is built here, not looked up through :func:`scalar_fn`,
-        whose calls count the interval maxima (one lookup each).
+        evaluator is built here, not through :func:`scalar_fn`, whose calls
+        count the interval maxima (one call each).
         """
         k = self._build_scalar()
 
@@ -304,7 +303,7 @@ class Regularized(KernelSpec):
         )
 
     def _build_scalar(self):
-        base_k = scalar_fn(self.base)
+        base_k = self.base._build_scalar()
         eta = self.eta
         sqrt = math.sqrt
 
@@ -344,9 +343,8 @@ class Regularized(KernelSpec):
         return {"base": kernel_to_json(self.base), "eta": self.eta}
 
 
-@lru_cache(maxsize=None)
 def scalar_fn(kernel: KernelSpec) -> Callable[[float], float]:
-    """Cached scalar evaluator for a kernel (no domain check; hot path)."""
+    """Scalar evaluator for a kernel (no domain check), built afresh: no cache keeps a kernel alive."""
     return kernel._build_scalar()
 
 

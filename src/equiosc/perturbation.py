@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import PreconditionError, RegularityError
 from .extreal import NEG_INFINITY, _count, _instance, _real, _sequence
-from .kernels import KernelSpec, scalar_fn
+from .kernels import KernelSpec
 from .problem import NodeSystem, Problem, _checked
 from .translates import _maxima_floats, in_regularity_set
 
@@ -61,16 +61,14 @@ class PerturbationReport:
     cases: dict
 
 
-def _sample_le(kf, p, q, outer, inner, ts, strict: bool):
+def _sample_le(kernel, p, q, outer, inner, ts, strict: bool):
     """Check lhs ≤ rhs (strictly, if asked) on the sample; return (ok, worst, where)."""
     ts = np.asarray(ts, dtype=float)
 
-    def translate(x: float) -> np.ndarray:
-        # the scalar kernel, not numpy's log: Log values must match kernel_eval to the bit
-        return np.array([kf(u) for u in (ts - x).tolist()])
-
     def pair(x: float, y: float) -> np.ndarray:
-        return p * translate(x) + q * translate(y)  # −∞ if either translate is −∞
+        # the scalar kernel sum, not numpy's log: Log values must match kernel_eval to the bit
+        ksum = kernel._build_sum(((p, x), (q, y)))
+        return np.array([ksum(t) for t in ts.tolist()])  # −∞ if either translate is −∞
 
     lhs, rhs = pair(*outer), pair(*inner)
     finite = lhs > NEG_INFINITY  # −∞ ≤ anything, strictly below any finite value
@@ -107,7 +105,6 @@ def check_interval_perturbation(
     if _count(grid_points, "grid_points", PreconditionError) < 2:
         raise PreconditionError(f"grid_points must be at least 2, got {grid_points!r}")
     flags = _instance(kernel, KernelSpec, "kernel", PreconditionError).flags()
-    kf = scalar_fn(kernel)
     mu = (p * (a - alpha)) / (q * (beta - b))
     outer = (alpha, beta)
     inner = (a, b)
@@ -123,9 +120,9 @@ def check_interval_perturbation(
             cases[key] = CaseReport(False, None, 0.0, None)
             return
         if reverse:
-            ok, worst, where = _sample_le(kf, p, q, inner, outer, ts, strict)
+            ok, worst, where = _sample_le(kernel, p, q, inner, outer, ts, strict)
         else:
-            ok, worst, where = _sample_le(kf, p, q, outer, inner, ts, strict)
+            ok, worst, where = _sample_le(kernel, p, q, outer, inner, ts, strict)
         cases[key] = CaseReport(True, ok, worst, where)
 
     report("a", flags.monotone_M and mu >= 1.0 - 1e-12, left)

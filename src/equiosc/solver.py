@@ -19,14 +19,11 @@ the last solved level p (p = 1 before the first): √(p·η) if η > 0, p/100 if
 η = 0. The solve fails once a stalled level is within a factor 1.5 of p, the
 new level would be below 1e−14, or the one iteration budget is spent.
 
-A strictly monotone kernel starts at η = 0, so plain Newton is the first try.
-A kernel that is monotone but not strictly so starts at η = 1e−2, then 1e−4,
-then the kernel. The second level is there because where the target needs a
-node within the flat part of K near an end of [0, 1], the η = 1e−2 solution
-can sit where Φ of the original kernel is flat, and no local step reaches the
-target from it. Such solves are flagged, since without strict monotonicity the
-equioscillation point need not be unique; the point returned is the one
-reached from the regularized solutions.
+Every solve starts at η = 0, so plain Newton on the kernel itself is the
+first try, whether or not the kernel is strictly monotone. A kernel that is
+monotone but not strictly so may have more than one solution, and any of them
+is a correct answer; such solves are flagged, and the point returned is the
+one Newton and the continuation reach from the start.
 """
 
 from __future__ import annotations
@@ -66,9 +63,8 @@ class SolveReport:
 
 # -- initialization -------------------------------------------------------------
 
-def _finite_field_pieces(problem: Problem) -> list[tuple[float, float]]:
-    """Complement components of the field's −∞ set (positive length only)."""
-    segments = problem.field.singular_segments()
+def _finite_field_pieces(segments) -> list[tuple[float, float]]:
+    """Complement components in [0, 1] of the field's −∞ segments (positive length only)."""
     out = []
     cursor = 0.0
     for seg in segments:
@@ -89,53 +85,20 @@ def _regular_start(ws: list[float], segments) -> bool:
 
 
 def _initial_nodes(problem: Problem) -> list[float]:
-    """A strict start in the regularity set: (j + 1)/(n + 1), repaired where the field is −∞.
+    """A strict start in the regularity set: (j + 1)/(n + 1) when that is one.
 
-    A node bounding a −∞ interval moves to the midpoint of the nearest finite
-    piece; if that gives no strict regular start, the nodes spread over the
-    finite pieces by length quantiles, and failing that each node sits
-    halfway between two consecutive of n + 1 finite points p_0 < … < p_n, so
-    that interval j holds p_j.
+    Otherwise each node sits halfway between two consecutive of n + 1 finite
+    points p_0 < … < p_n of the field, so that interval j holds p_j.
     """
     n = problem.n
     ws = [(j + 1.0) / (n + 1.0) for j in range(n)]
     segments = problem.field.singular_segments()
-    if not segments:
-        return ws
-    finite = _finite_field_pieces(problem)
-    for _ in range(4 * n + 4):
-        j = _singular_interval((0.0, *ws, 1.0), segments)
-        if j is None:
-            break
-        move = j if 1 <= j <= n else 1
-        node = ws[move - 1]
-        lo, hi = min(finite, key=lambda seg: min(abs(node - seg[0]), abs(node - seg[1])))
-        ws[move - 1] = 0.5 * (lo + hi)
-        ws.sort()
-    if j is None and _regular_start(ws, segments):
-        return ws
-    # fall back to spreading nodes over the finite pieces by length quantiles
-    total = sum(hi - lo for lo, hi in finite)
-    targets = [(j + 1.0) / (n + 1.0) * total for j in range(n)]
-    ws = []
-    for target in targets:
-        acc = 0.0
-        for lo, hi in finite:
-            if acc + (hi - lo) >= target:
-                ws.append(lo + (target - acc))
-                break
-            acc += hi - lo
-        else:
-            ws.append(finite[-1][1])
-    ws = sorted(min(max(w, 1e-6), 1.0 - 1e-6) for w in ws)
-    for i in range(1, n):
-        if ws[i] <= ws[i - 1]:
-            ws[i] = min(ws[i - 1] + 1e-6, 1.0 - 1e-6)
     if _regular_start(ws, segments):
         return ws
     # n + 1 finite points exist, since the field is admissible: the finite knots
     # and overrides, and n + 1 points inside each finite piece
     field = problem.field
+    finite = _finite_field_pieces(segments)
     inner = [lo + (hi - lo) * (i + 1.0) / (n + 2.0) for lo, hi in finite for i in range(n + 1)]
     points = {*field.knots(), *field.override_points(), *inner}
     points = sorted(t for t in points if field._value_float(t) > NEG_INFINITY)
@@ -278,8 +241,7 @@ def solve_difference(
         if not _regular_start(start, problem.field.singular_segments()):
             raise PreconditionError("initial node system must be strict and in the regularity set")
 
-    strict = flags.strictly_monotone_SM
-    levels = [0.0] if strict else [0.0, 1e-4, 1e-2]  # a stack: the next level is last
+    levels = [0.0]  # a stack: the next level is last
     solved, p = [0.0, *start, 1.0], 1.0  # nodes and η of the last solved level
     iterations = 0
     while levels:
@@ -311,7 +273,7 @@ def solve_difference(
         value=maxima.m_bar,
         iterations=iterations,
         converged=True,
-        nonuniqueness_risk=not strict,
+        nonuniqueness_risk=not flags.strictly_monotone_SM,
     )
 
 

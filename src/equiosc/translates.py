@@ -345,7 +345,7 @@ def _maxima(field, kernel, terms, intervals) -> list[tuple[float | None, float]]
     setup = nodes, sorted({*field.interior_knots(), *nodes, *kink_cuts}), sorted(field.override_points())
     out = []
     for lo, hi in intervals:
-        scalar_fn(kernel)  # one lookup per interval maximum: perfbench counts interval maxima by it
+        scalar_fn(kernel)  # one call per interval maximum: perfbench counts interval maxima by it
         if hi > lo:
             out.append(_maximize(field, ksum, lo, hi, singular, setup))
         elif singular:

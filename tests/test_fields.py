@@ -241,6 +241,12 @@ def test_validation_errors():
             PiecewiseField((Piece(0.0, 1.0, Constant(0.0)),), point_values)
     with pytest.raises(eq.SchemaError):
         PiecewiseField(None)
+    with pytest.raises(eq.SchemaError):
+        Piece(0, 1, "x")  # not a formula
+    with pytest.raises(eq.SchemaError):
+        PiecewiseField(((0.0, 1.0, Constant(0.0)),))  # a tuple, not a Piece
+    with pytest.raises(eq.SchemaError):
+        LogOfWeight("x")  # not a weight formula
     for intervals in (None, [(0.2, 0.4, 0.6)], [0.2]):
         with pytest.raises(eq.SchemaError):
             eq.indicator_field(intervals)

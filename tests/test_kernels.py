@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -132,6 +134,18 @@ def test_compiled_sum_is_bit_identical_to_the_per_term_loop(kernel):
             assert ksum(t).hex() == kernel_sum(scalar_fn(kernel), terms, t).hex(), (n, t)
         if kernel.flags().singular:
             assert all(ksum(y) == NEG_INFINITY for y in ys)
+
+
+def test_a_solved_kernel_is_not_kept_alive():
+    """No cache of scalar evaluators holds on to a kernel after its last solve."""
+    # an a no other test uses: a cache would hold the first equal kernel, not this one
+    kernel = eq.CappedLog(0.0432)
+    ref = weakref.ref(kernel)
+    eq.solve_equioscillation(eq.Problem(2, (1.0, 1.0), kernel, eq.constant_field(0.0)))
+    eq.kernel_eval(kernel, 0.5)
+    del kernel
+    gc.collect()
+    assert ref() is None
 
 
 def test_json_roundtrip():

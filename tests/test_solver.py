@@ -53,8 +53,9 @@ def test_strictness_equioscillation_point():
     assert report.value == pytest.approx(0.0, abs=1e-8)
     assert report.nonuniqueness_risk
     assert "eta_trend" not in {f.name for f in dataclasses.fields(eq.SolveReport)}
-    # work gate: 7 + 4 iterations at eta = 1e-2, 1e-4 and 3 on the kernel itself
-    assert report.iterations <= 14
+    # work gate: Newton stalls after 1 iteration on the kernel itself, which inserts
+    # eta = 1e-2; 7 iterations solve that level and 4 more the kernel from there
+    assert report.iterations <= 12
 
 
 def capped_log_problem(a, r, level):
@@ -79,6 +80,14 @@ def test_non_strict_polish_sweeps_keep_tightening(a, r, level, initial):
     report = eq.solve_equioscillation(capped_log_problem(a, r, level), initial=initial)
     assert report.converged and report.nonuniqueness_risk
     assert report.value == pytest.approx(level, abs=1e-12)
+
+
+def test_non_strict_solve_at_its_solution_takes_no_step(monkeypatch):
+    """Equispaced nodes already equioscillate here, and a non-strict kernel starts at eta = 0 too."""
+    monkeypatch.setattr(solver, "Regularized", lambda *args: pytest.fail("the continuation ran"))
+    report = eq.solve_equioscillation(capped_log_problem(0.05, (1.0,) * 4, 0.0))
+    assert report.iterations == 0 and report.nonuniqueness_risk
+    assert report.value == pytest.approx(0.0, abs=1e-12)
 
 
 # (a, r, level, target, initial) of an n = 6 non-strict problem with Σc ≠ 0
@@ -107,15 +116,22 @@ N6_TARGET_CASE = (
         N6_TARGET_CASE,
     ],
 )
-def test_non_strict_target_needs_the_small_eta_level(a, r, level, target, initial):
+def test_non_strict_target_needs_the_small_eta_level(a, r, level, target, initial, monkeypatch):
     """Σc = m_n − m_0 ≠ 0 on a constant field needs an end node within a of 0 or 1.
 
     The eta = 1e-2 solution meets Σc through the regularization instead, with both end
     nodes farther in, where m_0 and m_n of the original kernel do not move with the nodes,
-    and a polish from there alone stalls after 500 iterations.
+    and a polish from there alone stalls after 500 iterations. The stall rule inserts
+    eta = 1e-4 between the two.
     """
+    levels = []
+    regularized = solver.Regularized
+    monkeypatch.setattr(
+        solver, "Regularized", lambda base, eta: levels.append(eta) or regularized(base, eta)
+    )
     problem = capped_log_problem(a, r, level)
     report = eq.solve_difference(problem, target, initial=initial)
+    assert 1e-4 in levels
     assert report.nodes.nodes[0] < a or report.nodes.nodes[-1] > 1.0 - a
     phi = eq.difference(problem, report.nodes).phi
     assert max(abs(p - t) for p, t in zip(phi, target)) <= 1e-9
