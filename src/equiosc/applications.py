@@ -179,6 +179,8 @@ def gap_norm(nodes, r, weight: PiecewiseField, E: IntervalUnion | None = None) -
     """sup of w · ∏ |t − x_j|^{r_j} over E (default: the weight's whole domain)."""
     terms = _gap_terms(nodes, r, weight)
     intervals = _instance(E, IntervalUnion, "E").components if E is not None else (weight.domain,)
+    if not weight.domain[0] <= intervals[0][0] < intervals[-1][1] <= weight.domain[1]:
+        raise DomainError(f"E reaches past the weight's domain {list(weight.domain)}")
     return math.exp(_log_max(log_of_weight_field(weight), terms, intervals))  # exp(−∞) = 0
 
 

@@ -20,33 +20,14 @@ import numpy as np
 
 from .applications import GapProblem, IntervalUnion, compare_constants, solve_bojanov
 from .catalog import EXAMPLE_IDS, run_reference_check
-from .errors import (
-    AdmissibilityError,
-    BudgetError,
-    ConvergenceError,
-    DomainError,
-    EquioscError,
-    HypothesisError,
-    PreconditionError,
-    RegularityError,
-    SchemaError,
-)
+from .errors import BudgetError, ConvergenceError, EquioscError, PreconditionError, SchemaError
 from .extreal import is_neg_infinity
 from .fields import constant_field, field_from_json
 from .oracle import GridSpec, grid_maximin, grid_minimax
 from .perturbation import check_intertwining
-from .problem import NodeSystem, _read_json, load_problem
+from .problem import _read_json, load_problem
 from .solver import solve_difference, solve_equioscillation
 from .translates import eval_F_grid, interval_maxima
-
-_VALIDATION_ERRORS = (
-    SchemaError,
-    DomainError,
-    PreconditionError,
-    AdmissibilityError,
-    HypothesisError,
-    RegularityError,
-)
 
 
 def _fmt(x) -> str:
@@ -131,7 +112,7 @@ def _cmd_oracle(args) -> int:
     problem = load_problem(args.problem)
     grid = _parse_grid(args.grid)
     fn = grid_minimax if args.mode == "minimax" else grid_maximin
-    nodes, value = fn(problem, grid, threads=args.threads)
+    nodes, value = fn(problem, grid)
     print(f"{args.mode} nodes: " + " ".join(_fmt(v) for v in nodes.nodes))
     print(f"{args.mode} value: {_fmt(value)}")
     doc = {"mode": args.mode, "nodes": list(nodes.nodes), "value": _json_ext(value)}
@@ -302,9 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", choices=("minimax", "maximin"), default="minimax")
     p.add_argument("--grid", default="21,2", help="points_per_dim,refine_rounds")
-    p.add_argument(
-        "--threads", type=int, default=1, help="deprecated and ignored (single-threaded oracle)"
-    )
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("intertwine", help="compare interval maxima of two node systems")
@@ -349,9 +327,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 3

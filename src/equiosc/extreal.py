@@ -11,7 +11,8 @@ checkers, :func:`_real`, :func:`_count` or :func:`_reals`, which refuse
 booleans, strings, non-finite values and non-sequences with the error class
 they are given; any other container passes :func:`_sequence` first, and an
 argument that must be a library object (a kernel, a field, a union, a grid)
-passes :func:`_instance`.
+passes :func:`_instance`. A JSON document holds its constructor's arguments
+(:func:`_from_document`, :func:`_to_document`, :func:`_arguments`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from dataclasses import MISSING, fields
+from functools import cache
 
 import numpy as np
 
@@ -127,3 +130,49 @@ def _reals(xs, name: str, error=SchemaError, *, positive: bool = False) -> tuple
     if not xs:
         raise error(f"{name} must not be empty")
     return tuple(_real(v, name, error, positive=positive) for v in xs)
+
+
+def _arguments(doc, cls: type, given=()) -> dict:
+    """doc if it is a JSON object whose keys are the dataclass ``cls``'s constructor arguments, else SchemaError.
+
+    Every argument without a default must be present, except those in ``given``,
+    which the caller supplies and the document may not hold.
+    """
+    names, required = _keys(cls, given)
+    if isinstance(doc, dict) and names >= doc.keys() >= required:
+        return doc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"a {cls.__name__} document must be a JSON object, got {doc!r}")
+    unknown = [k for k in doc if k not in names]
+    if unknown:
+        raise SchemaError(f"unknown key(s) {unknown} for {cls.__name__}, which takes {list(names)}")
+    raise SchemaError(f"missing key(s) {[k for k in names if k in required - doc.keys()]} for {cls.__name__}")
+
+
+@cache
+def _keys(cls: type, given: tuple):
+    """(the names of ``cls``'s constructor arguments but ``given``, in field order; those without a default)."""
+    names = dict.fromkeys(f.name for f in fields(cls) if f.name not in given).keys()
+    return names, frozenset(k for k in names if cls.__dataclass_fields__[k].default is MISSING)
+
+
+def _from_document(cls: type, doc, read, tag=None):
+    """``cls`` built from a document of its arguments (beside ``tag``), each nested object read by ``read``."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"a {cls.__name__} document must be a JSON object, got {doc!r}")
+    args = {k: read(v) if isinstance(v, dict) else v for k, v in doc.items() if k != tag}
+    return cls(**_arguments(args, cls))
+
+
+def _to_document(obj, base: type, write) -> dict:
+    """The dataclass ``obj``'s constructor arguments by name, each ``base`` instance written by ``write``."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {k: write(v) if isinstance(v, base) else v for k, v in values.items()}
+
+
+def _tagged(table: dict, doc, tag: str, name: str) -> type:
+    """The class that the document's ``tag`` names in ``table``, else SchemaError."""
+    key = doc.get(tag) if isinstance(doc, dict) else None
+    if not isinstance(key, str) or key not in table:
+        raise SchemaError(f"a {name} document needs a {tag} from {list(table)}, got {doc!r}")
+    return table[key]

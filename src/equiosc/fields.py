@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .extreal import NEG_INFINITY, ExtReal, _count, _instance, _real, _reals, _sequence, as_extreal, is_neg_infinity
+from .extreal import NEG_INFINITY, ExtReal, _arguments, _count, _from_document, _instance, _real, _reals
+from .extreal import _sequence, _tagged, _to_document, as_extreal, is_neg_infinity
 
 __all__ = [
     "Constant",
@@ -71,7 +72,8 @@ class Formula:
         return ("none", ())
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """``kind`` and the constructor's arguments by name; a nested formula is written as its own document."""
+        return {"kind": self.kind, **_to_document(self, Formula, Formula.to_json)}
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,6 @@ class Constant(Formula):
     def concave(self):
         return True
 
-    def to_json(self):
-        return {"kind": "Constant", "c": self.c}
-
 
 @dataclass(frozen=True)
 class NegInfinityPiece(Formula):
@@ -112,9 +111,6 @@ class NegInfinityPiece(Formula):
 
     def _neg_inf_on(self, lo, hi):
         return ("all", ())
-
-    def to_json(self):
-        return {"kind": "NegInfinity"}
 
 
 @dataclass(frozen=True)
@@ -136,9 +132,6 @@ class Indicator(Formula):
     @property
     def concave(self):
         return True
-
-    def to_json(self):
-        return {"kind": "Indicator", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -178,9 +171,6 @@ class SqrtAffine(Formula):
     def _validate_on(self, lo, hi):
         if min(self._arg(lo), self._arg(hi)) < -_EPS_DOMAIN:
             raise SchemaError("SqrtAffine piece extends past the zero of its argument")
-
-    def to_json(self):
-        return {"kind": "SqrtAffine", "c": self.c, "s": self.s, "t0": self.t0}
 
 
 @dataclass(frozen=True)
@@ -235,28 +225,15 @@ class LogOfWeight(Formula):
                 return ("points", (w.t0,))
         return ("none", ())
 
-    def to_json(self):
-        return {"kind": "LogOfWeight", "weight": self.weight.to_json()}
+
+# every concrete kind, by name: a formula the library writes is one it can read
+_FORMULAS = {f.kind: f for f in (Constant, NegInfinityPiece, Indicator, SqrtAffine, LogOfWeight)}
 
 
 def formula_from_json(doc: dict) -> Formula:
-    try:
-        kind = doc["kind"]
-        if kind == "Constant":
-            return Constant(c=doc["c"])
-        if kind == "NegInfinity":
-            return NegInfinityPiece()
-        if kind == "Indicator":
-            return Indicator(value=doc["value"])
-        if kind == "SqrtAffine":
-            return SqrtAffine(c=doc["c"], s=doc["s"], t0=doc["t0"])
-        if kind == "LogOfWeight":
-            return LogOfWeight(weight=formula_from_json(doc["weight"]))
-    except SchemaError:
-        raise
-    except (TypeError, KeyError, ValueError) as exc:
-        raise SchemaError(f"malformed formula document: {doc!r}") from exc
-    raise SchemaError(f"unknown formula kind {kind!r}")
+    """The formula ``{"kind": …, …}`` names; its other keys are the constructor's arguments."""
+    cls = _tagged(_FORMULAS, doc, "kind", "formula")
+    return _from_document(cls, doc, formula_from_json, tag="kind")
 
 
 @dataclass(frozen=True)
@@ -592,9 +569,7 @@ def affine_transport(field: PiecewiseField, a: float, width: float, domain=(0.0,
 def field_to_json(field: PiecewiseField) -> dict:
     _instance(field, PiecewiseField, "field")
     return {
-        "pieces": [
-            {"lo": p.lo, "hi": p.hi, "formula": p.formula.to_json()} for p in field.pieces
-        ],
+        "pieces": [_to_document(p, Formula, Formula.to_json) for p in field.pieces],
         "point_values": [
             [t, None if is_neg_infinity(v) else v] for t, v in field.point_values
         ],
@@ -602,12 +577,11 @@ def field_to_json(field: PiecewiseField) -> dict:
 
 
 def field_from_json(doc: dict, domain=(0.0, 1.0)) -> PiecewiseField:
-    try:
-        pieces = tuple(Piece(p["lo"], p["hi"], formula_from_json(p["formula"])) for p in doc["pieces"])
-        raw_points: Iterable = doc.get("point_values", []) or []
-        point_values = tuple((t, NEG_INFINITY if v is None else v) for t, v in raw_points)
-    except SchemaError:
-        raise
-    except (TypeError, KeyError, ValueError) as exc:
-        raise SchemaError(f"malformed field document: {doc!r}") from exc
+    """The field on ``domain`` whose pieces and point values a document holds; ``null`` is −∞."""
+    doc = _arguments(doc, PiecewiseField, given=("domain",))
+    pieces = [_from_document(Piece, p, formula_from_json) for p in _sequence(doc["pieces"], "pieces")]
+    point_values = [  # a null value is −∞; a null location stays None, for _real to refuse
+        [NEG_INFINITY if i and v is None else v for i, v in enumerate(_sequence(pair, "point override"))]
+        for pair in _sequence(doc.get("point_values", ()), "point overrides")
+    ]
     return PiecewiseField(pieces, point_values, domain=domain)

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .extreal import NEG_INFINITY, ExtReal, _instance, _real, as_extreal
+from .extreal import NEG_INFINITY, ExtReal, _from_document, _instance, _real, _tagged, _to_document, as_extreal
 
 __all__ = [
     "CappedLog",
@@ -102,7 +102,8 @@ class KernelSpec:
         return ksum
 
     def params(self) -> dict:
-        return {}
+        """The constructor's arguments by name; a nested kernel is written as its own document."""
+        return _to_document(self, KernelSpec, kernel_to_json)
 
 
 @dataclass(frozen=True)
@@ -186,9 +187,6 @@ class CappedLog(KernelSpec):
     def _slope(self, u):
         u = np.asarray(u, dtype=float)
         return np.where(np.abs(u) < self.a, 1.0 / u, 0.0)
-
-    def params(self):
-        return {"a": self.a}
 
 
 @dataclass(frozen=True)
@@ -339,9 +337,6 @@ class Regularized(KernelSpec):
         u = np.asarray(u, dtype=float)
         return self.base._slope(u) + self.eta * np.sign(u) / (2.0 * np.sqrt(np.abs(u)))
 
-    def params(self):
-        return {"base": kernel_to_json(self.base), "eta": self.eta}
-
 
 def scalar_fn(kernel: KernelSpec) -> Callable[[float], float]:
     """Scalar evaluator for a kernel (no domain check), built afresh: no cache keeps a kernel alive."""
@@ -380,24 +375,13 @@ def kernel_to_json(kernel: KernelSpec) -> dict:
     return {"variant": kernel.variant, "params": kernel.params()}
 
 
+# every concrete variant, by name: a kernel the library writes is one it can read
+_KERNELS = {k.variant: k for k in (Log, CappedLog, SqrtShift, TentLog, CappedLogPlusQuadratic, Regularized)}
+
+
 def kernel_from_json(doc: dict) -> KernelSpec:
-    try:
-        variant = doc["variant"]
-        params = doc.get("params", {})
-        if variant == "Log":
-            return Log()
-        if variant == "CappedLog":
-            return CappedLog(a=params["a"])
-        if variant == "SqrtShift":
-            return SqrtShift()
-        if variant == "TentLog":
-            return TentLog()
-        if variant == "CappedLogPlusQuadratic":
-            return CappedLogPlusQuadratic(a=params["a"])
-        if variant == "Regularized":
-            return Regularized(base=kernel_from_json(params["base"]), eta=params["eta"])
-    except SchemaError:
-        raise
-    except (TypeError, KeyError, ValueError) as exc:
-        raise SchemaError(f"malformed kernel document: {doc!r}") from exc
-    raise SchemaError(f"unknown kernel variant {variant!r}")
+    """The kernel ``{"variant": …, "params": {…}}`` names; params are its arguments, {} if absent."""
+    cls = _tagged(_KERNELS, doc, "variant", "kernel")
+    if not doc.keys() <= {"variant", "params"}:
+        raise SchemaError(f"unknown key(s) {[k for k in doc if k not in ('variant', 'params')]} for a kernel")
+    return _from_document(cls, doc.get("params", {}), kernel_from_json)

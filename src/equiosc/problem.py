@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import AdmissibilityError, PreconditionError, SchemaError
-from .extreal import _count, _instance, _reals
+from .extreal import _arguments, _count, _instance, _reals
 from .fields import PiecewiseField, field_admissible, field_from_json, field_to_json
 from .kernels import KernelSpec, kernel_from_json, kernel_to_json
 
@@ -123,22 +122,16 @@ def problem_to_json(problem: Problem) -> dict:
 
 
 def problem_from_json(doc: dict) -> Problem:
-    try:
-        n, r = doc["n"], doc["r"]
-        kernel = kernel_from_json(doc["kernel"])
-        field = field_from_json(doc["field"])
-    except (TypeError, KeyError, ValueError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"malformed problem document: {exc}") from exc
-    return Problem(n=n, r=r, kernel=kernel, field=field)
+    """The problem whose constructor's arguments a document holds, kernel and field as their own documents."""
+    doc = _arguments(doc, Problem)
+    return Problem(doc["n"], doc["r"], kernel_from_json(doc["kernel"]), field_from_json(doc["field"]))
 
 
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -45,7 +45,7 @@ from .errors import DomainError, PreconditionError, RegularityError
 from .extreal import NEG_INFINITY, ExtReal, _count, _real, as_extreal
 from .fields import NegInfinityPiece, SingularSegment
 from .kernels import scalar_fn
-from .problem import NodeSystem, Problem, _checked
+from .problem import Problem, _checked
 
 __all__ = [
     "DifferenceVector",

@@ -157,6 +157,16 @@ def test_gap_eval_examples():
         eq.gap_eval((0.5,), (1.0,), w, 1.5)
 
 
+def test_gap_norm_refuses_a_union_past_the_weight_domain():
+    # the last piece's formula was evaluated past the domain: 2.4 at t = 1.5
+    steps = PiecewiseField((Piece(0.0, 0.5, Constant(1.0)), Piece(0.5, 1.0, Constant(2.0))))
+    for components in (((0.2, 1.5),), ((-0.5, 0.1), (0.2, 0.9)), ((0.5, 2.0),)):
+        for weight in (steps, ones_weight()):
+            with pytest.raises(eq.DomainError):
+                eq.gap_norm((0.3,), (1.0,), weight, eq.IntervalUnion(components))
+    assert eq.gap_norm((0.3,), (1.0,), steps, eq.IntervalUnion(((0.0, 1.0),))) == pytest.approx(1.4)
+
+
 def test_gap_maxima_of_degenerate_intervals_are_zero():
     """A node at a, a node at b and a repeated node cut three one-point intervals, each a node: 0.0 there."""
     weight = eq.sqrt_affine_field(1.0, 1.0, -1.0, domain=(-1.0, 2.0))

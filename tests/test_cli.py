@@ -180,6 +180,14 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert main(["example", "classical_chebyshev(3"]) == 2
 
 
+def test_a_file_that_is_not_utf8_is_a_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["solve", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid JSON in ")
+    assert main(["bojanov", "--exponents", "1", "--weight", str(bad)]) == 2
+
+
 def test_exit_code_convergence_error(problem_file):
     hard = eq.Problem(3, (1.0, 1.0, 1.0), eq.Log(), eq.constant_field(0.0))
     import pathlib
@@ -235,7 +243,7 @@ def test_parser_shape():
     assert shape == {
         "solve": {"problem", "tol", "json_out", "max_iterations"},
         "solve-diff": {"problem", "tol", "json_out", "max_iterations", "target"},
-        "oracle": {"problem", "json_out", "mode", "grid", "threads"},
+        "oracle": {"problem", "json_out", "mode", "grid"},
         "intertwine": {"problem", "json_out", "x", "y"},
         "bojanov": {"tol", "json_out", "interval", "exponents", "weight"},
         "union-compare": {"tol", "json_out", "components", "exponents"},

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -266,6 +267,36 @@ def test_validation_errors():
         log_of_weight_field(None)
 
 
+ALL_FORMULAS = [
+    Constant(-0.5),
+    NegInfinityPiece(),
+    Indicator(2.0),
+    SqrtAffine(8.0, -1.0, 1.0),
+    LogOfWeight(Constant(2.0)),
+    LogOfWeight(SqrtAffine(1.0, 1.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("formula", ALL_FORMULAS, ids=repr)
+def test_formula_json_roundtrip(formula):
+    doc = formula.to_json()
+    assert doc["kind"] == formula.kind
+    assert formula_from_json(json.loads(json.dumps(doc))) == formula
+
+
+def test_nested_formula_is_its_own_document():
+    doc = LogOfWeight(SqrtAffine(1.0, 1.0, 0.0)).to_json()
+    assert doc == {"kind": "LogOfWeight", "weight": {"kind": "SqrtAffine", "c": 1.0, "s": 1.0, "t0": 0.0}}
+
+
+def test_every_exported_formula_kind_is_readable():
+    from equiosc.fields import _FORMULAS
+
+    exported = {c for c in vars(eq).values() if isinstance(c, type) and issubclass(c, eq.Formula) and c.kind}
+    assert exported == set(_FORMULAS.values()) == {type(f) for f in ALL_FORMULAS}
+    assert all(_FORMULAS[c.kind] is c for c in exported)
+
+
 def test_json_roundtrip():
     merged = (
         split_field([Constant(0.3)] * 5),
@@ -305,6 +336,15 @@ def test_json_roundtrip():
         },
         {"kind": "Constant", "c": "3"},
         {"pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": "3"}}]},
+        {"kind": "Indicator", "value": 1.0, "c": 1.0},
+        {"kind": "LogOfWeight", "weight": {"kind": "Constant", "c": 1.0, "s": 1.0}},
+        {"kind": "LogOfWeight", "weight": "Constant"},
+        {"kind": "Sine"},
+        {"pieces": [{"lo": 0.0, "hi": 1.0}]},
+        {"pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0.0}}], "point_values": None},
+        {"pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0.0}}], "point_values": [[None, 0.0]]},
+        {"pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0.0}}], "point_values": [0.5]},
+        {"point_values": []},
     ],
 )
 def test_malformed_json_raises_schema_error(doc):

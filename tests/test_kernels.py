@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -151,10 +152,25 @@ def test_a_solved_kernel_is_not_kept_alive():
 def test_json_roundtrip():
     from equiosc.kernels import kernel_from_json, kernel_to_json
 
-    for kernel in ALL_KERNELS:
-        assert kernel_from_json(kernel_to_json(kernel)) == kernel
+    nested = eq.Regularized(eq.Regularized(eq.CappedLog(0.2), 0.3), 1.0)
+    for kernel in (*ALL_KERNELS, nested):
+        assert kernel_from_json(json.loads(json.dumps(kernel_to_json(kernel)))) == kernel
+    capped = {"variant": "CappedLog", "params": {"a": 0.2}}
+    inner = {"variant": "Regularized", "params": {"base": capped, "eta": 0.3}}
+    assert kernel_to_json(nested) == {"variant": "Regularized", "params": {"base": inner, "eta": 1.0}}
+    assert kernel_from_json({"variant": "Log"}) == eq.Log()  # params default to {}
     with pytest.raises(eq.SchemaError):
         kernel_from_json({"variant": "Cubic", "params": {}})
+
+
+def test_every_exported_kernel_variant_is_readable():
+    from equiosc.kernels import _KERNELS
+
+    exported = {
+        c for c in vars(eq).values() if isinstance(c, type) and issubclass(c, eq.KernelSpec) and c.variant
+    }
+    assert exported == set(_KERNELS.values())
+    assert all(_KERNELS[c.variant] is c for c in exported)
 
 
 @pytest.mark.parametrize(
@@ -167,6 +183,12 @@ def test_json_roundtrip():
         {"variant": "Regularized", "params": {"eta": 0.5}},
         {"variant": "Regularized", "params": {"base": {"variant": "CappedLog"}, "eta": 0.5}},
         {"variant": "CappedLog", "params": {"a": "0.2"}},
+        {"variant": "Log", "params": {}, "eta": 0.5},
+        {"variant": "Regularized", "params": {"base": {"variant": "Log", "params": {"a": 0.3}}, "eta": 0.5}},
+        {"variant": "Regularized", "params": {"base": "Log", "eta": 0.5}},
+        {"variant": ["Log"]},
+        {"params": {}},
+        "Log",
     ],
 )
 def test_malformed_json_raises_schema_error(doc):

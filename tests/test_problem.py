@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import equiosc as eq
-from equiosc.fields import NegInfinityPiece, Piece, PiecewiseField, affine_transport
+from equiosc.fields import NegInfinityPiece, Piece, PiecewiseField, affine_transport, formula_from_json
+from equiosc.kernels import kernel_from_json
 
 
 def test_node_system_validation():
@@ -77,6 +78,51 @@ def test_malformed_json():
                 "field": {"pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0}}]},
             }
         )
+
+
+_CONSTANT_PIECE = {"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0.0}}
+
+
+# a document's keys are its constructor's arguments: each row holds one key the constructor does not take
+@pytest.mark.parametrize(
+    "read, doc",
+    [
+        (kernel_from_json, {"variant": "Log", "params": {"a": 0.3}}),
+        (kernel_from_json, {"variant": "CappedLog", "params": {"a": 0.3, "eta": 2}}),
+        (formula_from_json, {"kind": "Constant", "c": 1.0, "value": 5}),
+        (eq.field_from_json, {"pieces": [_CONSTANT_PIECE], "point_values": [], "domain": [0, 2]}),
+        (eq.field_from_json, {"pieces": [{**_CONSTANT_PIECE, "closed": True}]}),
+        (
+            eq.problem_from_json,
+            {
+                "n": 1,
+                "r": [1.0],
+                "kernel": {"variant": "Log", "params": {}},
+                "field": {"pieces": [_CONSTANT_PIECE]},
+                "tol": 1e-9,
+            },
+        ),
+    ],
+    ids=["Log-a", "CappedLog-eta", "Constant-value", "field-domain", "piece-closed", "problem-tol"],
+)
+def test_a_key_the_constructor_does_not_take_is_a_schema_error(read, doc):
+    with pytest.raises(eq.SchemaError, match="unknown key"):
+        read(doc)
+
+
+def test_loaders_pass_constructor_errors_through():
+    doc = _problem_doc(2, (1.0, 1.0))
+    minus_inf = {"lo": 0.0, "hi": 1.0, "formula": {"kind": "NegInfinity"}}
+    doc["field"] = {"pieces": [minus_inf], "point_values": [[0.5, 0.0]]}  # finite at one point, and n = 2
+    with pytest.raises(eq.AdmissibilityError):
+        eq.problem_from_json(doc)
+
+
+def test_a_file_that_is_not_utf8_is_a_schema_error(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(eq.SchemaError, match="invalid JSON"):
+        eq.load_problem(path)
 
 
 def _problem_doc(n, r):
