@@ -157,11 +157,20 @@ def _keys(cls: type, given: tuple):
 
 
 def _from_document(cls: type, doc, read, tag=None):
-    """``cls`` built from a document of its arguments (beside ``tag``), each nested object read by ``read``."""
+    """``cls`` built from a document of its arguments (beside ``tag``), each nested object read by ``read``.
+
+    The keys are checked only when the constructor call raises ``TypeError``:
+    a key it does not take, or a missing one, is then a SchemaError, and any
+    other ``TypeError`` passes through.
+    """
     if not isinstance(doc, dict):
         raise SchemaError(f"a {cls.__name__} document must be a JSON object, got {doc!r}")
     args = {k: read(v) if isinstance(v, dict) else v for k, v in doc.items() if k != tag}
-    return cls(**_arguments(args, cls))
+    try:
+        return cls(**args)
+    except TypeError:
+        _arguments(args, cls)
+        raise
 
 
 def _to_document(obj, base: type, write) -> dict:

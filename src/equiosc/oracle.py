@@ -6,9 +6,11 @@ independent ground-truth generator at small n, and the only tool that applies
 when a kernel violates the solver's hypotheses.
 
 Each scan builds its lattice as one array and evaluates the n + 1 interval
-maxima of every cell at once with :func:`translates._maxima_batch`, a numpy
-lockstep search that follows the scalar maximizer's cuts and end checks and
-agrees with it to 1e-12 relative; the cells go through in fixed-size chunks,
+maxima of every cell at once with :func:`translates._maxima_batch`, which
+follows the scalar maximizer's cuts and end checks, searches the remaining
+pieces by a numpy lockstep bracket search (seven samples per piece and step,
+the bracket shrinking fourfold) and agrees with the scalar maximizer to
+1e-12 relative; the cells go through in fixed-size chunks,
 so memory does not grow with the lattice. Ties break to the lexicographically
 smallest node vector, the first in lattice order. It runs single-threaded:
 the ``threads`` argument is deprecated, and a value other than 1 only warns.

@@ -137,23 +137,20 @@ def _jacobian(problem: Problem, ys: list[float], vals, args):
     lookup per row. Every other column l of the row stays exact: t_i* − y_l is
     neither a kink nor 0 (F(y, t_i*) is finite), so F depends smoothly on y_l
     for t near t_i*, where the maximum stays, and Danskin's derivative holds
-    there. A row without an argmax (m_i = −∞) is differenced in every column.
+    there. Every argmax is set: the solver asks for a Jacobian only at a
+    finite residual, where every m_i is finite.
     """
     n = problem.n
     kernel = problem.kernel
     nodes = ys[1:-1]
     shifts = [s for k in kernel._kinks for s in (k, -k)]
-    dm = np.empty((n + 1, n))
-    rows = [i for i, t in enumerate(args) if t is not None]
-    if rows:
-        ts = np.array([args[i] for i in rows])
-        dm[rows] = -np.asarray(problem.r) * kernel._slope(ts[:, None] - np.array(nodes))
+    dm = -np.asarray(problem.r) * kernel._slope(np.array(args)[:, None] - np.array(nodes))
     kinked: dict[float, list[int]] = {}  # kink point y_k ± κ -> its nodes k, ascending
     for k in range(1, n + 1):
         for s in shifts:
             kinked.setdefault(ys[k] + s, []).append(k)
     for i, t in enumerate(args):
-        for k in range(1, n + 1) if t is None else kinked.get(t, ()):
+        for k in kinked.get(t, ()):
             pert, h = _fd_node(ys, k)
             _, v = _interval_max(problem, pert, i)
             if v == NEG_INFINITY:

@@ -212,13 +212,21 @@ def _cells(rng, n, count=24):
     return np.vstack([Y, np.zeros((1, n)), np.ones((1, n))])
 
 
+def _box_cells(rng, n, width, count=8):
+    """Random nondecreasing cells in a refine-round box of the given width around a random incumbent."""
+    incumbent = np.sort(rng.uniform(0.0, 1.0, size=n))
+    lo = np.maximum(0.0, incumbent - 0.5 * width)
+    hi = np.minimum(1.0, incumbent + 0.5 * width)
+    return np.sort(rng.uniform(lo, hi, size=(count, n)), axis=1)
+
+
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
 def test_maxima_batch_matches_scalar_maxima(kernel):
     rng = np.random.default_rng(20240817)
     for field in FIELDS.values():
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             problem = eq.Problem(n, tuple(rng.uniform(0.5, 2.0, size=n)), kernel, field)
-            Y = _cells(rng, n)
+            Y = np.vstack([_cells(rng, n), _box_cells(rng, n, 1e-2), _box_cells(rng, n, 1e-3)])
             batch = _maxima_batch(problem, Y)
             scalar = np.array([_maxima_floats(problem, (0.0, *y, 1.0))[0] for y in Y])
             assert batch.shape == (len(Y), n + 1)
@@ -292,3 +300,18 @@ def test_oracle_makes_no_scalar_maximizations(monkeypatch):
     assert calls["maximize"] == 0
     eq.interval_maxima(problem, nodes)
     assert calls["maximize"] == problem.n + 1
+
+
+def test_oracle_bracket_search_work_ceiling(monkeypatch):
+    """Work gate: batched evaluations of one n = 3 minimax search. The ceiling may only go down."""
+    calls = {"sums": 0}
+    sums_batch = translates._sums_batch
+
+    def counted_sums_batch(*args, **kwargs):
+        calls["sums"] += 1
+        return sums_batch(*args, **kwargs)
+
+    monkeypatch.setattr(translates, "_sums_batch", counted_sums_batch)
+    problem = eq.Problem(3, (1.0, 1.0, 1.0), eq.Log(), eq.constant_field(0.0))
+    eq.grid_minimax(problem, eq.GridSpec(points_per_dim=11, refine_rounds=2))
+    assert calls["sums"] <= 105

@@ -429,9 +429,8 @@ def test_kink_table_differences_the_entries_of_the_per_entry_test(rng, monkeypat
         problem = random_sm_problem(rng, n)
         ys = [0.0, *random_strict_nodes(rng, n), 1.0]
         vals, args = _maxima_floats(problem, tuple(ys))
+        assert None not in args  # every maximum finite, as wherever the solver asks for a Jacobian
         states.append((problem, ys, vals, list(args)))
-    first, ys, vals, args = states[0]
-    states.append((first, ys, vals, [None, *args[1:]]))  # a row without argmax: every column
     kinked = 0
     for problem, ys, vals, args in states:
         calls["table"].clear()
@@ -440,7 +439,7 @@ def test_kink_table_differences_the_entries_of_the_per_entry_test(rng, monkeypat
         assert np.array_equal(jac, reference_entry_fd_jacobian(problem, ys, vals, args))
         assert calls["table"] == calls["entry"]
         kinked += bool(calls["table"])
-    assert kinked >= 5 and calls["table"][: first.n] == list(range(1, first.n + 1))
+    assert kinked >= 5
 
 
 def test_argmax_on_a_kernel_kink_solves(monkeypatch):

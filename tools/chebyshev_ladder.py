@@ -1,11 +1,14 @@
 """Chebyshev ladder of the solver: `solve_equioscillation` on log|t − y| at n = 4 … 256.
 
 With unit exponents, the log kernel and a zero field on [0, 1], the
-equioscillation nodes are the Chebyshev nodes and the minimax value is
-log(2·4⁻ⁿ). Each rung solves that problem from the solver's own start and
-prints n, the wall time of the solve, its Newton iterations and the value
-error |value − log(2·4⁻ⁿ)|. The exit status is 1 if any error exceeds
-2e-12, else 0. No test solves n > 64, so this is the check at large n.
+equioscillation nodes are the Chebyshev nodes (1 + cos((2k − 1)π/(2n)))/2,
+k = n, …, 1, and the minimax value is log(2·4⁻ⁿ), computed as
+log 2 − n·log 4 so that it does not underflow at large n. Each rung solves
+that problem from the solver's own start and prints n, the wall time of the
+solve, its Newton iterations, the value error |value − log(2·4⁻ⁿ)| and the
+node error, the largest distance of a node from its Chebyshev node. The exit
+status is 1 if any value error exceeds 2e-12 or any node error exceeds 1e-14,
+else 0. No test solves n > 64, so this is the check at large n.
 
 Run from the repository root (about 5-10 s):
 
@@ -21,21 +24,30 @@ import equiosc as eq
 
 LADDER = (4, 8, 16, 32, 64, 128, 256)
 MAX_ERROR = 2e-12
+MAX_NODE_ERROR = 1e-14
+
+
+def chebyshev_nodes(n: int) -> list[float]:
+    """The zeros of Tₙ mapped to [0, 1], ascending."""
+    return [0.5 * (1.0 + math.cos((2 * k - 1) * math.pi / (2 * n))) for k in range(n, 0, -1)]
 
 
 def main() -> int:
-    worst = 0.0
-    print(f"{'n':>4} {'wall s':>8} {'iterations':>10} {'value error':>12}")
+    worst = worst_node = 0.0
+    print(f"{'n':>4} {'wall s':>8} {'iterations':>10} {'value error':>12} {'node error':>11}")
     for n in LADDER:
         problem = eq.Problem(n, (1.0,) * n, eq.Log(), eq.constant_field(0.0))
         t0 = perf_counter()
         report = eq.solve_equioscillation(problem)
         seconds = perf_counter() - t0
-        error = abs(report.value - math.log(2.0 * 4.0**-n))
+        error = abs(report.value - (math.log(2.0) - n * math.log(4.0)))
+        node_error = max(abs(y - z) for y, z in zip(report.nodes.nodes, chebyshev_nodes(n)))
         worst = max(worst, error)
-        print(f"{n:>4} {seconds:>8.3f} {report.iterations:>10} {error:>12.2e}")
+        worst_node = max(worst_node, node_error)
+        print(f"{n:>4} {seconds:>8.3f} {report.iterations:>10} {error:>12.2e} {node_error:>11.2e}")
     print(f"worst value error {worst:.2e} (bound {MAX_ERROR:.0e})")
-    return 1 if worst > MAX_ERROR else 0
+    print(f"worst node error {worst_node:.2e} (bound {MAX_NODE_ERROR:.0e})")
+    return 1 if worst > MAX_ERROR or worst_node > MAX_NODE_ERROR else 0
 
 
 if __name__ == "__main__":
