@@ -450,10 +450,19 @@ def _restricted(union: _UnionField, r, tol, unpinned=None):
       which is no less than today's. A key solved for another candidate
       keeps its lb: pin sets that share a key through other indices need
       not share this candidate's chain.
+    * Once a key's solve gives a kept candidate, the key's lb is that
+      candidate's exact value. The solved free nodes equioscillate, so this
+      is the key's minimax value, as the solve's value is, to within the
+      solve's residual, and the first point holds for it. It is also at
+      least ``best`` from then on, so every candidate one pin above the
+      key is skipped. Otherwise, when the key's candidate is the best one,
+      lb and ``best`` would be one value computed two ways, and rounding
+      would decide whether those candidates are solved.
 
-    So no skipped candidate's exact value is below ``best``. A tie, which
-    could move the answer to a smaller node tuple, is possible only within
-    the solve's residual, about 1e-15 after Newton's final step.
+    So no skipped candidate's exact value is below ``best``, beyond the
+    solve's residual. A tie, which could move the answer to a smaller node
+    tuple, is possible only within that residual, about 1e-15 after
+    Newton's final step.
     """
     n = len(r)
     E = union.E
@@ -495,6 +504,7 @@ def _restricted(union: _UnionField, r, tol, unpinned=None):
                 nodes.insert(i, e)
             if nodes == sorted(nodes):
                 val = _log_max(union.logw, tuple(zip(r, nodes)), E.components)
+                solved[k] = (val, free)  # the key's lb from now on: its own candidate's value
                 candidates.append((val, tuple(nodes)))
                 best = min(best, val)
     best_val, best_nodes = min(candidates)

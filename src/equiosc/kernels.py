@@ -19,10 +19,12 @@ non-monotone stress case.
 
 Each kernel also compiles a sum of translates t ↦ Σ_j r_j K(t − y_j) into one
 scalar closure (``_build_sum``), the scalar hot path of every interval
-maximum. The default loops over the kernel's scalar evaluator; ``Log``
-inlines log|t − y_j| and ``Regularized`` makes one base call per term. All of
-them add the same terms in the same order with the same operations, so the
-sum is bit for bit that of one kernel call per translate.
+maximum. The default loops over the kernel's scalar evaluator, and
+``Regularized`` makes one base call per term: both add the same terms in the
+same order with the same operations, bit for bit one kernel call per
+translate. ``Log`` takes one log per run of equal exponents, r·log|∏(t − y_j)|,
+which is bit for bit the per-term loop only where every run is one term
+(distinct neighbouring exponents) and otherwise differs from it by rounding.
 """
 
 from __future__ import annotations
@@ -75,6 +77,10 @@ class KernelSpec:
         """Scalar evaluator over [−1, 1]; −∞ is returned as IEEE -inf."""
         raise NotImplementedError
 
+    def _values_unchecked(self, u: np.ndarray) -> np.ndarray:
+        """K(u) elementwise, no domain check; the caller opens np.errstate(divide="ignore") for log(0)."""
+        raise NotImplementedError
+
     def _slope(self, u: np.ndarray) -> np.ndarray:
         """K′(u) elementwise for u ≠ 0; on a kink either one-sided value."""
         raise NotImplementedError
@@ -84,7 +90,8 @@ class KernelSpec:
 
         The terms are added in the given order, as ``s += r * v`` from 0.0,
         and the sum is −∞ as soon as one term is. A variant may compile the
-        loop with its kernel inlined, bit for bit the same sum. The scalar
+        loop with its kernel inlined (bit for bit the same sum) or group the
+        terms (``Log``: the same sum to rounding). The scalar
         evaluator is built here, not through :func:`scalar_fn`, whose calls
         count the interval maxima (one call each).
         """
@@ -106,6 +113,12 @@ class KernelSpec:
         return _to_document(self, KernelSpec, kernel_to_json)
 
 
+# Log._build_sum: the most factors multiplied before one log, and the least
+# |product| taken without falling back to one log per term
+_RUN = 32
+_FLOOR = 2.0**-600
+
+
 @dataclass(frozen=True)
 class Log(KernelSpec):
     """K(t) = log|t|."""
@@ -125,15 +138,48 @@ class Log(KernelSpec):
         return k
 
     def _build_sum(self, terms):
-        log = math.log
+        """t ↦ Σ_j r_j log|t − y_j|, one log per run of equal exponents.
+
+        A run is a stretch of at most _RUN consecutive terms with one exponent
+        r; its terms add up to r·log|∏(t − y_j)|, so the loop multiplies the
+        factors t − y_j of a run into p and adds r·log|p| at the run's end.
+        The plan, (y_j, r) for a term that closes a run and (y_j, None) for
+        any other, is built once here. Distinct exponents make runs of one
+        term, whose sums are bit for bit those of the per-term loop; n equal
+        ones stay within n·ε·(r + |sum|) of it (``test_kernels``).
+
+        Each partial product is rounded once, to within ε/2 relative, while
+        none leaves the normal range. With every factor at most 2^13 in
+        modulus, 31 factors lift a product by less than 2^403, so a final
+        |p| ≥ _FLOOR = 2^-600 means no partial product fell below 2^-1003.
+        Factors are at most 1 on [0, 1] and at most the width of a union hull
+        or weight domain in ``applications``. A run that ends below _FLOOR
+        (p = 0 at a node among them) sends the whole evaluation to the
+        per-term loop, built only then, which is −∞ at a node.
+        """
+        terms = tuple(terms)
+        plan, run = [], 0
+        for (r, yj), (r_next, _) in zip(terms, (*terms[1:], (None, None))):
+            run += 1
+            if run == _RUN or r_next != r:
+                plan.append((yj, r))
+                run = 0
+            else:
+                plan.append((yj, None))
+        log, floor = math.log, _FLOOR
 
         def ksum(t: float) -> float:
             s = 0.0
-            for r, yj in terms:
-                au = abs(t - yj)
-                if not au > 0.0:
-                    return NEG_INFINITY
-                s += r * log(au)
+            p = 1.0
+            for yj, r in plan:
+                p *= t - yj
+                if r is not None:
+                    if p < 0.0:
+                        p = -p
+                    if not p >= floor:  # NaN too, as the per-term loop's −∞
+                        return KernelSpec._build_sum(self, terms)(t)
+                    s += r * log(p)
+                    p = 1.0
             return s
 
         return ksum
@@ -141,8 +187,7 @@ class Log(KernelSpec):
     def _values_unchecked(self, u):
         # log in place: one live temporary of the argument's size, not two
         au = np.abs(u)
-        with np.errstate(divide="ignore"):
-            return np.log(au, out=au if isinstance(au, np.ndarray) else None)
+        return np.log(au, out=au if isinstance(au, np.ndarray) else None)
 
     def _slope(self, u):
         return 1.0 / np.asarray(u, dtype=float)
@@ -181,8 +226,7 @@ class CappedLog(KernelSpec):
         return k
 
     def _values_unchecked(self, u):
-        with np.errstate(divide="ignore"):
-            return np.minimum(0.0, np.log(np.abs(u) / self.a))
+        return np.minimum(0.0, np.log(np.abs(u) / self.a))
 
     def _slope(self, u):
         u = np.asarray(u, dtype=float)
@@ -237,8 +281,7 @@ class TentLog(KernelSpec):
 
     def _values_unchecked(self, u):
         au = np.abs(u)
-        with np.errstate(divide="ignore"):
-            return np.minimum(np.log(10.0 * au), np.log((10.0 / 9.0) * (1.0 - au)))
+        return np.minimum(np.log(10.0 * au), np.log((10.0 / 9.0) * (1.0 - au)))
 
     def _slope(self, u):
         u = np.asarray(u, dtype=float)
@@ -364,7 +407,8 @@ def kernel_values(kernel: KernelSpec, u: np.ndarray) -> np.ndarray:
         raise DomainError(f"kernel arguments must be reals, got {u!r}") from None
     if u.size and not (-1.0 <= u.min() and u.max() <= 1.0):  # False for NaN too
         raise DomainError("kernel argument outside [-1, 1]")
-    return kernel._values_unchecked(u)
+    with np.errstate(divide="ignore"):  # log(0) is −∞
+        return kernel._values_unchecked(u)
 
 
 def kernel_classify(kernel: KernelSpec) -> KernelFlags:

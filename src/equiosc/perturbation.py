@@ -66,7 +66,8 @@ def _sample_le(kernel, p, q, outer, inner, ts, strict: bool):
     ts = np.asarray(ts, dtype=float)
 
     def pair(x: float, y: float) -> np.ndarray:
-        # the scalar kernel sum, not numpy's log: Log values must match kernel_eval to the bit
+        # the scalar kernel sum, not numpy's log: the values every scalar caller sees (for Log,
+        # kernel_eval's to the bit when p ≠ q, one log of the product when p = q)
         ksum = kernel._build_sum(((p, x), (q, y)))
         return np.array([ksum(t) for t in ts.tolist()])  # −∞ if either translate is −∞
 

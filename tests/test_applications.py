@@ -400,12 +400,12 @@ def test_restricted_solve_count(monkeypatch):
     "components, solves",
     [
         (((0.0, 1.0),), 1),
-        (((0.0, 0.45), (0.6, 1.0)), 4),
+        (((0.0, 0.45), (0.6, 1.0)), 3),
         (((0.0, 0.25), (0.4, 0.6), (0.8, 1.0)), 1),
     ],
 )
 def test_restricted_solve_count_with_three_nodes(components, solves, monkeypatch):
-    """Work gate: n = 3 equal exponents take 1, 4 and 1 of the C(2k+n−3, n−1) = 1, 6 and 15 solves at k = 1, 2, 3."""
+    """Work gate: n = 3 equal exponents take 1, 3 and 1 of the C(2k+n−3, n−1) = 1, 6 and 15 solves at k = 1, 2, 3."""
     calls = _counted_solves(monkeypatch)
     E = eq.IntervalUnion(components)
     eq.restricted_constant(E, (1.0, 1.0, 1.0))
@@ -416,7 +416,7 @@ def test_restricted_solve_count_with_three_nodes(components, solves, monkeypatch
     "search, components, r, solves",
     [
         (eq.compare_constants, SEED_UNION.components, (1.0, 1.0, 1.0), 3),
-        (eq.restricted_constant, ((0.0, 0.3), (0.45, 0.55), (0.7, 1.0)), (1.5, 0.5, 1.0), 14),
+        (eq.restricted_constant, ((0.0, 0.3), (0.45, 0.55), (0.7, 1.0)), (1.5, 0.5, 1.0), 13),
     ],
 )
 def test_partly_pruned_solve_count(search, components, r, solves, monkeypatch):
@@ -469,7 +469,9 @@ def test_pruned_search_skips_only_candidates_a_solved_bound_rules_out(rng, monke
     candidate of the unpruned search that never reached ``_log_max`` was
     skipped; its exact value must be at least the returned R, and a sub-key
     (one pinned index un-pinned) must justify the skip: it was never solved,
-    or its lb (the solve's value on the ``_log_max`` scale) reaches log R.
+    its own candidate was kept (its value is then the key's lb, at least the
+    best value kept before), or its lb (the solve's value on the
+    ``_log_max`` scale) reaches log R.
     """
     solved, evaluated = {}, set()
     solve, log_max = applications._UnionField.solve, applications._log_max
@@ -507,6 +509,7 @@ def test_pruned_search_skips_only_candidates_a_solved_bound_rules_out(rng, monke
             candidates = list(reference_inner_candidates(union, r, 1e-9, unpinned))
             log_R = min(val for _, _, val, _ in candidates)
             assert math.exp(log_R) == R
+            kept = {pin_key(r, pinned, ends) for pinned, ends, _, nodes in candidates if nodes in visited}
             for pinned, ends, val, nodes in candidates:
                 if nodes in visited:
                     continue
@@ -515,7 +518,7 @@ def test_pruned_search_skips_only_candidates_a_solved_bound_rules_out(rng, monke
                 subkeys = [
                     pin_key(r, pinned[:q] + pinned[q + 1:], ends[:q] + ends[q + 1:]) for q in range(len(pinned))
                 ]
-                assert any(k not in lbs or lbs[k] >= log_R for k in subkeys), (E, r, pinned, ends)
+                assert any(k not in lbs or k in kept or lbs[k] >= log_R for k in subkeys), (E, r, pinned, ends)
     assert skipped > 0
 
 

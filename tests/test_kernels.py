@@ -137,6 +137,54 @@ def test_compiled_sum_is_bit_identical_to_the_per_term_loop(kernel):
             assert all(ksum(y) == NEG_INFINITY for y in ys)
 
 
+def _log_sum_cases(rng, n):
+    """Random and Chebyshev nodes on [0, 1] for n translates, with three equal exponents."""
+    chebyshev = [0.5 * (1.0 + math.cos((2 * j - 1) * math.pi / (2 * n))) for j in range(n, 0, -1)]
+    for ys in (sorted(map(float, rng.uniform(0.0, 1.0, size=n))), chebyshev):
+        for r in (1.0, 0.7, 3.0):
+            yield r, ys
+
+
+def test_equal_exponent_log_sum_is_within_n_ulps_of_the_per_term_loop():
+    """One log per run of equal exponents moves the sum by rounding only.
+
+    A run of m factors, each at most 1 in modulus, rounds its product to
+    within (m − 1)·ε/2 relative, so r·log|p| moves by at most r·(m − 1)·ε/2;
+    every term is ≤ 0, so each sum's own rounding is about n·ε/2·|S|. Both
+    fit in n·ε·(r + |S|), ε = 2⁻⁵², at points clear of the nodes and within
+    1e-13 and 1e-9 of them, for n = 1 … 64 (two runs past 32).
+    """
+    rng = np.random.default_rng(5)
+    k, eps = scalar_fn(eq.Log()), math.ulp(1.0)
+    for n in range(1, 65):
+        for r, ys in _log_sum_cases(rng, n):
+            terms = tuple((r, y) for y in ys)
+            ksum = eq.Log()._build_sum(terms)
+            near = [y + d for y in ys for d in (-1e-13, 1e-9) if 0.0 <= y + d <= 1.0]
+            for t in [0.0, 1.0, *map(float, rng.uniform(0.0, 1.0, size=8)), *near]:
+                want = kernel_sum(k, terms, t)
+                assert abs(ksum(t) - want) <= n * eps * (r + abs(want)), (n, r, t)
+
+
+def test_equal_exponent_log_sum_is_minus_infinity_at_every_node():
+    rng = np.random.default_rng(6)
+    for n in range(1, 65):
+        for r, ys in _log_sum_cases(rng, n):
+            ksum = eq.Log()._build_sum(tuple((r, y) for y in ys))
+            assert all(ksum(y) == NEG_INFINITY for y in ys), (n, r)
+
+
+def test_a_log_run_whose_product_underflows_takes_the_per_term_loop():
+    """32 nodes within 1e-11 of t: their product underflows, so the sum is the per-term loop's, bit for bit."""
+    t = 0.5
+    ys = [t + s * k * 3e-13 for k in range(1, 17) for s in (1.0, -1.0)]
+    assert max(abs(t - y) for y in ys) <= 1e-11 and math.prod(t - y for y in ys) == 0.0
+    terms = tuple((1.0, y) for y in ys)
+    got, want = eq.Log()._build_sum(terms)(t), kernel_sum(scalar_fn(eq.Log()), terms, t)
+    assert want > NEG_INFINITY
+    assert got.hex() == want.hex()
+
+
 def test_a_solved_kernel_is_not_kept_alive():
     """No cache of scalar evaluators holds on to a kernel after its last solve."""
     # an a no other test uses: a cache would hold the first equal kernel, not this one
