@@ -67,6 +67,9 @@ FIGURE1_BLACK = (0.035, 0.25, 0.4, 0.965)
 STRICTNESS_A = 0.25
 STRICTNESS_B = 0.955671
 
+# the parameters each example takes; any other is a SchemaError
+_PARAMS = {key: () for key in EXAMPLE_IDS} | {"strictness_5_3": ("a", "b"), "classical_chebyshev": ("n",)}
+
 
 @dataclass(frozen=True)
 class ReferenceReport:
@@ -80,9 +83,20 @@ class ReferenceReport:
         return self.max_deviation <= tol
 
 
+def _check_params(key: str, params: dict) -> None:
+    """SchemaError for an unknown example id or a parameter the example does not take."""
+    if key not in _PARAMS:
+        raise SchemaError(f"unknown example id {key!r}; choose from {', '.join(EXAMPLE_IDS)}")
+    extra = [name for name in params if name not in _PARAMS[key]]
+    if extra:
+        takes = ", ".join(_PARAMS[key]) or "no parameters"
+        raise SchemaError(f"example {key!r} takes {takes}, not {', '.join(extra)}")
+
+
 # -- problems -------------------------------------------------------------------
 
 def build_problem(key: str, **params) -> Problem:
+    _check_params(key, params)
     if key == "singularity_5_1":
         return Problem(2, (1.0, 1.0), SqrtShift(), sqrt_affine_field(8.0, -1.0, 1.0))
     if key == "monotonicity_5_2":
@@ -103,15 +117,14 @@ def build_problem(key: str, **params) -> Problem:
     if key == "classical_chebyshev":
         n = _count(params.get("n", 3), "n")
         return Problem(n, (1.0,) * n, Log(), constant_field(0.0))
-    if key == "figure1_quartics":
-        return Problem(4, (1.0,) * 4, Log(), constant_field(0.0))
-    raise SchemaError(f"unknown example id {key!r}")
+    return Problem(4, (1.0,) * 4, Log(), constant_field(0.0))  # figure1_quartics
 
 
 # -- closed forms ----------------------------------------------------------------
 
 def closed_forms(key: str, **params) -> dict:
     """Analytically known quantities for a reference instance."""
+    _check_params(key, params)
     if key == "singularity_5_1":
         def m0(y1, y2):
             return 8.0 + math.sqrt(4.0 + y1) + math.sqrt(4.0 + y2)
@@ -165,10 +178,9 @@ def closed_forms(key: str, **params) -> dict:
         nodes = tuple(
             sorted(0.5 * (1.0 + math.cos((2 * j - 1) * math.pi / (2 * n))) for j in range(1, n + 1))
         )
-        return {"nodes": nodes, "value": math.log(2.0 * 4.0 ** (-n))}
-    if key == "figure1_quartics":
-        return {"grey": FIGURE1_GREY, "black": FIGURE1_BLACK}
-    raise SchemaError(f"unknown example id {key!r}")
+        # log(2·4⁻ⁿ) as (1 − 2n)·log 2: 4⁻ⁿ underflows to 0 from n = 538 on
+        return {"nodes": nodes, "value": (1 - 2 * n) * math.log(2.0)}
+    return {"grey": FIGURE1_GREY, "black": FIGURE1_BLACK}  # figure1_quartics
 
 
 # -- checks -----------------------------------------------------------------------
@@ -189,10 +201,9 @@ def run_reference_check(key: str, *, fast: bool = False, seed: int = 0, **params
     start = time.perf_counter()
     rows: list[tuple[str, float, float]] = []
     notes: list[str] = []
+    problem, forms = build_problem(key, **params), closed_forms(key, **params)
 
     if key == "singularity_5_1":
-        problem = build_problem(key)
-        forms = closed_forms(key)
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(20 if fast else 100):
@@ -212,18 +223,12 @@ def run_reference_check(key: str, *, fast: bool = False, seed: int = 0, **params
         rows.append(("maximin value", v_max, forms["value"]))
 
     elif key == "monotonicity_5_2":
-        problem = build_problem(key)
-        forms = closed_forms(key)
         grid = GridSpec(points_per_dim=51 if fast else 101, refine_rounds=2)
         y_min, v_min = grid_minimax(problem, grid)
         rows.append(("minimax node", y_min.nodes[0], forms["optimum"][0]))
         rows.append(("minimax value", v_min, forms["value"]))
 
     elif key == "strictness_5_3":
-        a = _real(params.get("a", STRICTNESS_A), "a")
-        b = _real(params.get("b", STRICTNESS_B), "b")
-        problem = build_problem(key, a=a, b=b)
-        forms = closed_forms(key, a=a, b=b)
         report = solve_equioscillation(problem, tol=1e-10)
         rows.append(("equioscillation point", report.nodes.nodes[0], forms["equioscillation"]))
         rows.append(("equioscillation value", report.value, forms["value"]))
@@ -242,8 +247,6 @@ def run_reference_check(key: str, *, fast: bool = False, seed: int = 0, **params
         rows.append(("interval maxima vs formulas (max dev)", worst_m, 0.0))
 
     elif key == "nonmonotone_5_4":
-        problem = build_problem(key)
-        forms = closed_forms(key)
         d0 = forms["delta0"]
         rows.append(
             ("branch equality at delta0", forms["m_mid"](d0), forms["m_side"](d0, 0.55))
@@ -275,17 +278,12 @@ def run_reference_check(key: str, *, fast: bool = False, seed: int = 0, **params
         rows.append(("spurious zero-set points", float(len(spurious)), 0.0))
 
     elif key == "classical_chebyshev":
-        n = _count(params.get("n", 3), "n")
-        problem = build_problem(key, n=n)
-        forms = closed_forms(key, n=n)
         report = solve_equioscillation(problem, tol=1e-10)
         for j, (got, want) in enumerate(zip(report.nodes.nodes, forms["nodes"]), start=1):
             rows.append((f"node {j}", got, want))
         rows.append(("value", report.value, forms["value"]))
 
-    elif key == "figure1_quartics":
-        problem = build_problem(key)
-        forms = closed_forms(key)
+    else:  # figure1_quartics
         worst = 0.0
         for nodes in (forms["grey"], forms["black"]):
             maxima = interval_maxima(problem, nodes)
@@ -299,8 +297,6 @@ def run_reference_check(key: str, *, fast: bool = False, seed: int = 0, **params
             notes.append(
                 f"witness indices: below={verdict.below}, above={verdict.above}"
             )
-    else:
-        raise SchemaError(f"unknown example id {key!r}")
 
     deviation = max((abs(c - r) for _, c, r in rows), default=0.0)
     return ReferenceReport(

@@ -189,19 +189,16 @@ def _cmd_union_compare(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    key = args.id
-    params = {}
-    if key.startswith("classical_chebyshev"):
-        if "(" in key:
-            match = re.fullmatch(r"classical_chebyshev\((\d+)\)", key)
-            if match is None:
-                raise SchemaError(f"expected classical_chebyshev(<n>), got {key!r}")
-            params["n"] = int(match[1])
-            key = "classical_chebyshev"
-        elif args.n is not None:
-            params["n"] = args.n
-    if key not in EXAMPLE_IDS:
-        raise SchemaError(f"unknown example id {key!r}; choose from {', '.join(EXAMPLE_IDS)}")
+    key, params = args.id, {}
+    if key.startswith("classical_chebyshev("):
+        match = re.fullmatch(r"classical_chebyshev\((\d+)\)", key)
+        if match is None:
+            raise SchemaError(f"expected classical_chebyshev(<n>), got {key!r}")
+        key, params["n"] = "classical_chebyshev", int(match[1])
+    if args.n is not None:
+        if params:
+            raise SchemaError(f"the degree is given twice: {args.id} and --n {args.n}")
+        params["n"] = args.n  # the catalog refuses it for every other example
     report = run_reference_check(key, fast=args.fast, seed=args.seed, **params)
     width = max(len(label) for label, _, _ in report.rows)
     print(f"example {report.example} ({report.elapsed:.2f}s)")

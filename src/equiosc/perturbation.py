@@ -12,6 +12,11 @@ Three groups of tools live here:
   node systems under a singular strictly monotone kernel neither vector can
   weakly dominate the other, so any genuine difference must produce witnesses
   in both directions ("intertwining").
+
+The comparisons take the node systems that the difference map Φ takes, by
+the one rule of ``translates``: the regularity set under a singular kernel,
+any strict node system under another, and every interval maximum finite;
+other node systems raise ``RegularityError``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import PreconditionError, RegularityError
 from .extreal import NEG_INFINITY, _count, _instance, _real, _sequence
 from .kernels import KernelSpec
 from .problem import NodeSystem, Problem, _checked
-from .translates import _maxima_floats, in_regularity_set
+from .translates import _regular_maxima, in_regularity_set
 
 __all__ = [
     "CaseReport",
@@ -214,23 +219,14 @@ class IntertwiningVerdict:
         return self.kind == "witness"
 
 
-def _regular_maxima(problem: Problem, ns: NodeSystem):
-    if not in_regularity_set(problem, ns):
-        raise RegularityError("node system outside the regularity set")
-    vals, _ = _maxima_floats(problem, ns.with_sentinels())
-    if any(v == NEG_INFINITY for v in vals):
-        raise RegularityError("interval maximum −∞ despite regularity check")
-    return vals
-
-
 def check_intertwining(problem: Problem, x, y) -> IntertwiningVerdict:
     """Compare the interval-maxima vectors of two regular node systems; maxima within 1e-9 tie."""
     nx = _checked(problem).node_system(x)
     ny = problem.node_system(y)
-    if max(abs(a - b) for a, b in zip(nx.nodes, ny.nodes)) <= 1e-12:
-        return IntertwiningVerdict("equal")
     mx = _regular_maxima(problem, nx)
     my = _regular_maxima(problem, ny)
+    if max(abs(a - b) for a, b in zip(nx.nodes, ny.nodes)) <= 1e-12:
+        return IntertwiningVerdict("equal")
     diffs = [a - b for a, b in zip(mx, my)]
     below = next((i for i, d in enumerate(diffs) if d < -_TIE_TOL), None)
     above = next((i for i, d in enumerate(diffs) if d > _TIE_TOL), None)

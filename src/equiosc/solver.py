@@ -19,6 +19,12 @@ the last solved level p (p = 1 before the first): √(p·η) if η > 0, p/100 if
 η = 0. The solve fails once a stalled level is within a factor 1.5 of p, the
 new level would be below 1e−14, or the one iteration budget is spent.
 
+The start lies in the regularity set, whose one test is
+:func:`~equiosc.translates.in_regularity_set`: a given ``initial`` outside it
+is refused, and the default start is (j + 1)/(n + 1) when that is in it,
+else the midpoints between n + 1 points where the field is finite, picked
+from its knots, its overrides and n + 1 inner points of each piece.
+
 Every solve starts at η = 0, so plain Newton on the kernel itself is the
 first try, whether or not the kernel is strictly monotone. A kernel that is
 monotone but not strictly so may have more than one solution, and any of them
@@ -37,7 +43,7 @@ from .errors import ConvergenceError, HypothesisError, PreconditionError
 from .extreal import NEG_INFINITY, _count, _real, _reals
 from .kernels import Regularized
 from .problem import NodeSystem, Problem, _checked
-from .translates import MaximaVector, _interval_max, _maxima_floats, _phi, _singular_interval, interval_maxima
+from .translates import MaximaVector, _interval_max, _maxima_floats, _phi, in_regularity_set, interval_maxima
 
 __all__ = ["SolveReport", "sandwich_check", "solve_difference", "solve_equioscillation"]
 
@@ -63,27 +69,6 @@ class SolveReport:
 
 # -- initialization -------------------------------------------------------------
 
-def _finite_field_pieces(segments) -> list[tuple[float, float]]:
-    """Complement components in [0, 1] of the field's −∞ segments (positive length only)."""
-    out = []
-    cursor = 0.0
-    for seg in segments:
-        if seg.lo > cursor:
-            out.append((cursor, seg.lo))
-        cursor = max(cursor, seg.hi)
-    if cursor < 1.0:
-        out.append((cursor, 1.0))
-    if not out:
-        out.append((0.0, 1.0))
-    return out
-
-
-def _regular_start(ws: list[float], segments) -> bool:
-    """0 < w_1 < … < w_n < 1 with every interval's relative interior off the −∞ segments."""
-    ys = (0.0, *ws, 1.0)
-    return all(a < b for a, b in zip(ys, ys[1:])) and _singular_interval(ys, segments) is None
-
-
 def _initial_nodes(problem: Problem) -> list[float]:
     """A strict start in the regularity set: (j + 1)/(n + 1) when that is one.
 
@@ -92,14 +77,12 @@ def _initial_nodes(problem: Problem) -> list[float]:
     """
     n = problem.n
     ws = [(j + 1.0) / (n + 1.0) for j in range(n)]
-    segments = problem.field.singular_segments()
-    if _regular_start(ws, segments):
+    if in_regularity_set(problem, ws):
         return ws
     # n + 1 finite points exist, since the field is admissible: the finite knots
-    # and overrides, and n + 1 points inside each finite piece
+    # and overrides, and n + 1 points inside each piece that is not −∞ there
     field = problem.field
-    finite = _finite_field_pieces(segments)
-    inner = [lo + (hi - lo) * (i + 1.0) / (n + 2.0) for lo, hi in finite for i in range(n + 1)]
+    inner = [p.lo + (p.hi - p.lo) * (i + 1.0) / (n + 2.0) for p in field.pieces for i in range(n + 1)]
     points = {*field.knots(), *field.override_points(), *inner}
     points = sorted(t for t in points if field._value_float(t) > NEG_INFINITY)
     picked = [points[round(i * (len(points) - 1) / n)] for i in range(n + 1)]
@@ -235,7 +218,7 @@ def solve_difference(
         start = _initial_nodes(problem)
     else:
         start = list(problem.node_system(initial).nodes)
-        if not _regular_start(start, problem.field.singular_segments()):
+        if not in_regularity_set(problem, start):
             raise PreconditionError("initial node system must be strict and in the regularity set")
 
     levels = [0.0]  # a stack: the next level is last

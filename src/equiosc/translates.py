@@ -142,17 +142,15 @@ def eval_F(problem: Problem, y, t: float) -> ExtReal:
 
 
 def eval_F_grid(problem: Problem, y, ts: np.ndarray) -> np.ndarray:
-    """Vectorized F(y, ·) over a grid; −∞ appears as IEEE -inf."""
-    ns = _checked(problem).node_system(y)
+    """Vectorized F(y, ·) over a grid, by :func:`_sums_batch`; −∞ appears as IEEE -inf."""
+    nodes = _checked(problem).node_system(y).as_array()[None]
     try:
         ts = np.asarray(ts, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"evaluation points must be reals, got {ts!r}") from None
-    acc = problem.field.values(ts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for rj, yj in zip(problem.r, ns.nodes):
-            acc += rj * problem.kernel._values_unchecked(ts - yj)
-    return acc
+        vals = _sums_batch(problem.field.values, problem.r, problem.kernel, ts.reshape(1, -1), nodes)
+    return vals.reshape(ts.shape)
 
 
 def _check_t(t: float) -> float:
@@ -570,9 +568,14 @@ def in_regularity_set(problem: Problem, y) -> bool:
     return _singular_interval(ns.with_sentinels(), problem.field.singular_segments()) is None
 
 
-def difference(problem: Problem, y) -> DifferenceVector:
-    """Φ(y) = (m_1 − m_0, …, m_n − m_{n−1}); requires all maxima finite."""
-    ns = _checked(problem).node_system(y)
+def _regular_maxima(problem: Problem, ns) -> list[float]:
+    """The maxima m_0, …, m_n at a node system in Φ's domain, else RegularityError.
+
+    The domain is the regularity set under a singular kernel and the open
+    simplex under any other, and every maximum must be finite. This and
+    :func:`in_regularity_set` are the one regularity rule: the solver and the
+    intertwining checks call them.
+    """
     if problem.kernel.flags().singular:
         if not in_regularity_set(problem, ns):
             raise RegularityError("node system outside the regularity set")
@@ -581,4 +584,9 @@ def difference(problem: Problem, y) -> DifferenceVector:
     vals, _ = _maxima_floats(problem, ns.with_sentinels())
     if any(v == NEG_INFINITY for v in vals):
         raise RegularityError("some interval maximum is −∞; node system is singular")
-    return DifferenceVector(_phi(vals))
+    return vals
+
+
+def difference(problem: Problem, y) -> DifferenceVector:
+    """Φ(y) = (m_1 − m_0, …, m_n − m_{n−1}); requires all maxima finite."""
+    return DifferenceVector(_phi(_regular_maxima(problem, _checked(problem).node_system(y))))

@@ -41,6 +41,31 @@ def test_closed_forms_chebyshev():
     assert forms["value"] == pytest.approx(math.log(0.125))
 
 
+@pytest.mark.parametrize("n", [600, 1024])
+def test_closed_forms_chebyshev_at_large_n(n):
+    # log(2·4⁻ⁿ) raised a bare ValueError once 4⁻ⁿ underflowed to 0 (n ≥ 538)
+    forms = closed_forms("classical_chebyshev", n=n)
+    assert forms["value"] == pytest.approx((1 - 2 * n) * math.log(2.0), rel=1e-15)
+    assert len(forms["nodes"]) == n and build_problem("classical_chebyshev", n=n).n == n
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_problem("singularity_5_1", n=7, bogus=1),
+        lambda: build_problem("strictness_5_3", n=2),
+        lambda: closed_forms("classical_chebyshev", n=2, a=0.3),
+        lambda: closed_forms("figure1_quartics", n=4),
+        lambda: run_reference_check("singularity_5_1", fast=True, n=3),
+    ],
+    ids=["build-unknown", "build-strictness-n", "forms-chebyshev-a", "forms-quartics-n", "check-n"],
+)
+def test_parameters_an_example_does_not_take_are_refused(call):
+    # each was dropped silently
+    with pytest.raises(eq.SchemaError, match="takes"):
+        call()
+
+
 def test_unknown_key():
     with pytest.raises(eq.SchemaError):
         build_problem("nope")

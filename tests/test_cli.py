@@ -137,6 +137,14 @@ def test_example_parenthesized_id(capsys):
     assert code == 0
 
 
+def test_example_parameters_it_does_not_take_are_validation_errors(capsys):
+    # --n was ignored for every other example, and after a parenthesized degree
+    assert main(["example", "singularity_5_1", "--n", "3", "--fast"]) == 2
+    assert "takes no parameters, not n" in capsys.readouterr().err
+    assert main(["example", "classical_chebyshev(3)", "--n", "5", "--fast"]) == 2
+    assert "given twice" in capsys.readouterr().err
+
+
 def test_export_subcommand(problem_file, gap_problem_file, tmp_path):
     out = tmp_path / "curve.csv"
     code = main(

@@ -174,6 +174,24 @@ def test_intertwine_regularity_error():
     problem = eq.Problem(2, (1.0, 1.0), eq.Log(), log_chi_union())
     with pytest.raises(eq.RegularityError):
         eq.check_intertwining(problem, (0.45, 0.55), (0.2, 0.8))
+    with pytest.raises(eq.RegularityError):  # equal node systems were "equal" unchecked
+        eq.check_intertwining(problem, (0.45, 0.55), (0.45, 0.55))
+
+
+def test_non_singular_kernel_takes_any_strict_node_system():
+    """Off the singular kernels the checks follow ``difference``: strict node systems, finite maxima."""
+    problem = build_problem("singularity_5_1")
+    x, y = (0.2, 0.8), (0.3, 0.6)
+    diffs = [a - b for a, b in zip(eq.interval_maxima(problem, x).m, eq.interval_maxima(problem, y).m)]
+    verdict = eq.check_intertwining(problem, x, y)
+    assert verdict.kind == "witness"
+    assert diffs[verdict.below] < -1e-9 and diffs[verdict.above] > 1e-9
+    with pytest.raises(eq.RegularityError):
+        eq.check_intertwining(problem, x, (0.5, 0.5))
+    report = eq.check_strict_majorization_excluded(problem, pairs=[(x, y), (y, x), (x, (0.5, 0.5))])
+    assert report.checked == 2 and not report.hypotheses_met
+    with pytest.raises(eq.PreconditionError):  # sampling stays singular-only
+        eq.check_strict_majorization_excluded(problem, samples=2)
 
 
 def test_no_strict_majorization_for_log(rng):

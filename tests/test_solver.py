@@ -1,9 +1,10 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import equiosc as eq
 from equiosc import solver
@@ -187,6 +188,32 @@ def test_initial_outside_the_regularity_set_is_refused():
     assert eq.solve_equioscillation(problem).converged
 
 
+def test_initial_is_refused_exactly_outside_the_regularity_set():
+    """A given start passes the solver's check exactly when ``in_regularity_set`` holds for it.
+
+    The field's −∞ stretch (0.3, 0.7) holds a finite override at 0.5, so
+    (0.4, 0.6) is regular while (0.4, 0.5) and (0.5, 0.6) are not.
+    """
+    field = eq.PiecewiseField((
+        eq.Piece(0.0, 0.3, eq.Constant(0.0)),
+        eq.Piece(0.3, 0.7, eq.NegInfinityPiece()),
+        eq.Piece(0.7, 1.0, eq.Constant(0.0)),
+    ), ((0.5, 0.0),))
+    problem = eq.Problem(2, (1.0, 1.0), eq.Log(), field)
+    accepted, refused = [], []
+    for y in itertools.combinations_with_replacement([i / 10 for i in range(1, 10)], 2):
+        try:
+            report = eq.solve_equioscillation(problem, initial=y)
+        except eq.PreconditionError:
+            refused.append(y)
+        else:
+            assert report.converged, y
+            accepted.append(y)
+    assert accepted == [y for y in accepted + refused if eq.in_regularity_set(problem, y)]
+    assert all(not eq.in_regularity_set(problem, y) for y in refused)
+    assert (0.4, 0.6) in accepted and (0.4, 0.5) in refused and (0.2, 0.2) in refused
+
+
 def test_non_strict_differential(rng):
     """Random CappedLog problems, zero and nonzero targets, default and random starts."""
     for i in range(60):
@@ -263,6 +290,13 @@ def admissible_problems(draw):
     return eq.Problem(n, (1.0,) * n, eq.Log(), field)
 
 
+# two adjacent finite pieces between −∞ stretches: the default start is not regular
+@example(eq.Problem(3, (1.0,) * 3, eq.Log(), eq.PiecewiseField((
+    eq.Piece(0.0, 0.4, eq.NegInfinityPiece()),
+    eq.Piece(0.4, 0.5, eq.Constant(0.0)),
+    eq.Piece(0.5, 0.6, eq.Constant(-1.0)),
+    eq.Piece(0.6, 1.0, eq.NegInfinityPiece()),
+))))
 @given(admissible_problems())
 def test_initial_nodes_are_strict_and_regular(problem):
     """The solver's start lies in the regularity set for every admissible field, override-only ones included."""

@@ -1,12 +1,12 @@
 """Chebyshev ladder of the solver: `solve_equioscillation` on log|t − y| at n = 4 … 512.
 
-With unit exponents, the log kernel and a zero field on [0, 1], the
-equioscillation nodes are the Chebyshev nodes (1 + cos((2k − 1)π/(2n)))/2,
-k = n, …, 1, and the minimax value is log(2·4⁻ⁿ), computed as
-log 2 − n·log 4 so that it does not underflow at large n. Each rung solves
-that problem from the solver's own start and prints n, the wall time of the
-solve, its Newton iterations, the value error |value − log(2·4⁻ⁿ)| and the
-node error, the largest distance of a node from its Chebyshev node. The exit
+The problem is the catalog's ``classical_chebyshev`` example: unit
+exponents, the log kernel and a zero field on [0, 1]. Its closed forms give
+the equioscillation nodes, the Chebyshev nodes (1 + cos((2k − 1)π/(2n)))/2,
+and the minimax value log(2·4⁻ⁿ). Each rung solves that problem from the
+solver's own start and prints n, the wall time of the solve, its Newton
+iterations, the value error |value − log(2·4⁻ⁿ)| and the node error, the
+largest distance of a node from its Chebyshev node. The exit
 status is 1 if any node error exceeds 1e-14, or any value error exceeds 2e-12
 up to n = 256 or 1e-13·|log(2·4⁻ⁿ)| above it (the value grows like n, and
 its rounding with it), else 0. No test solves n > 64, so this is the check at
@@ -19,7 +19,6 @@ Run from the repository root (about 10 s):
 
 from __future__ import annotations
 
-import math
 from time import perf_counter
 
 import equiosc as eq
@@ -31,22 +30,18 @@ MAX_RELATIVE_ERROR = 1e-13
 MAX_NODE_ERROR = 1e-14
 
 
-def chebyshev_nodes(n: int) -> list[float]:
-    """The zeros of Tₙ mapped to [0, 1], ascending."""
-    return [0.5 * (1.0 + math.cos((2 * k - 1) * math.pi / (2 * n))) for k in range(n, 0, -1)]
-
-
 def main() -> int:
     worst = worst_relative = worst_node = 0.0
     print(f"{'n':>4} {'wall s':>8} {'iterations':>10} {'value error':>12} {'relative':>9} {'node error':>11}")
     for n in LADDER:
-        problem = eq.Problem(n, (1.0,) * n, eq.Log(), eq.constant_field(0.0))
+        problem = eq.build_problem("classical_chebyshev", n=n)
+        forms = eq.closed_forms("classical_chebyshev", n=n)
         t0 = perf_counter()
         report = eq.solve_equioscillation(problem)
         seconds = perf_counter() - t0
-        value = math.log(2.0) - n * math.log(4.0)
+        value = forms["value"]
         error = abs(report.value - value)
-        node_error = max(abs(y - z) for y, z in zip(report.nodes.nodes, chebyshev_nodes(n)))
+        node_error = max(abs(y - z) for y, z in zip(report.nodes.nodes, forms["nodes"]))
         if n <= ABSOLUTE_UP_TO:
             worst = max(worst, error)
         else:
