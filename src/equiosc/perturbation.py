@@ -14,14 +14,16 @@ Three groups of tools live here:
   in both directions ("intertwining").
 
 The comparisons take the node systems that the difference map Φ takes, by
-the one rule of ``translates``: the regularity set under a singular kernel,
-any strict node system under another, and every interval maximum finite;
-other node systems raise ``RegularityError``.
+the one rule of ``translates``: strict, with every interval maximum finite
+(under a singular kernel, exactly the regularity set); other node systems
+raise ``RegularityError``. The widening sampler evaluates each of its two
+pair sums once per sampled region, with the scalar kernel sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -66,17 +68,8 @@ class PerturbationReport:
     cases: dict
 
 
-def _sample_le(kernel, p, q, outer, inner, ts, strict: bool):
-    """Check lhs ≤ rhs (strictly, if asked) on the sample; return (ok, worst, where)."""
-    ts = np.asarray(ts, dtype=float)
-
-    def pair(x: float, y: float) -> np.ndarray:
-        # the scalar kernel sum, not numpy's log: the values every scalar caller sees (for Log,
-        # kernel_eval's to the bit when p ≠ q, one log of the product when p = q)
-        ksum = kernel._build_sum(((p, x), (q, y)))
-        return np.array([ksum(t) for t in ts.tolist()])  # −∞ if either translate is −∞
-
-    lhs, rhs = pair(*outer), pair(*inner)
+def _sample_le(lhs: np.ndarray, rhs: np.ndarray, ts: np.ndarray, strict: bool):
+    """Check lhs ≤ rhs (strictly, if asked) on the samples ts; return (ok, worst, where)."""
     finite = lhs > NEG_INFINITY  # −∞ ≤ anything, strictly below any finite value
     violation = (lhs - rhs)[finite]  # +∞ where only rhs is −∞
     if not violation.size:
@@ -112,43 +105,39 @@ def check_interval_perturbation(
         raise PreconditionError(f"grid_points must be at least 2, got {grid_points!r}")
     flags = _instance(kernel, KernelSpec, "kernel", PreconditionError).flags()
     mu = (p * (a - alpha)) / (q * (beta - b))
-    outer = (alpha, beta)
-    inner = (a, b)
-    left = np.linspace(0.0, alpha, grid_points)
-    right = np.linspace(beta, 1.0, grid_points)
-    inside = np.linspace(a, b, grid_points)
-    mu_is_one = abs(mu - 1.0) <= 1e-9
+    # the scalar kernel sums, not numpy's log: the values every scalar caller sees (for Log,
+    # kernel_eval's to the bit when p ≠ q, one log of the product when p = q)
+    pair_sums = (kernel._build_sum(((p, alpha), (q, beta))), kernel._build_sum(((p, a), (q, b))))
+    regions = {"left": (0.0, alpha), "right": (beta, 1.0), "inside": (a, b)}
+
+    @cache
+    def sample(region: str) -> tuple:
+        """(ts, outer sums, inner sums) on the region, each computed once; −∞ if either translate is."""
+        ts = np.linspace(*regions[region], grid_points)
+        return (ts, *(np.fromiter(map(f, ts.tolist()), float, grid_points) for f in pair_sums))
 
     cases: dict[str, CaseReport] = {}
 
-    def report(key, applicable, ts, strict=False, reverse=False):
+    def report(key, applicable, names, strict=False, reverse=False):
         if not applicable:
             cases[key] = CaseReport(False, None, 0.0, None)
             return
-        if reverse:
-            ok, worst, where = _sample_le(kernel, p, q, inner, outer, ts, strict)
-        else:
-            ok, worst, where = _sample_le(kernel, p, q, outer, inner, ts, strict)
-        cases[key] = CaseReport(True, ok, worst, where)
+        ts, outer, inner = (np.concatenate(parts) for parts in zip(*map(sample, names)))
+        lhs, rhs = (inner, outer) if reverse else (outer, inner)
+        cases[key] = CaseReport(True, *_sample_le(lhs, rhs, ts, strict))
 
-    report("a", flags.monotone_M and mu >= 1.0 - 1e-12, left)
-    report("b", flags.monotone_M and mu <= 1.0 + 1e-12, right)
-    report("c", mu_is_one, np.concatenate([left, right]))
-    strict_ranges = []
-    if flags.monotone_M and mu >= 1.0 - 1e-12:
-        strict_ranges.append(left)
-    if flags.monotone_M and mu <= 1.0 + 1e-12:
-        strict_ranges.append(right)
-    if mu_is_one and not strict_ranges:
-        strict_ranges = [left, right]
-    report(
-        "d",
-        flags.strictly_concave and bool(strict_ranges),
-        np.concatenate(strict_ranges) if strict_ranges else [],
-        strict=True,
-    )
+    left_case = flags.monotone_M and mu >= 1.0 - 1e-12
+    right_case = flags.monotone_M and mu <= 1.0 + 1e-12
+    mu_is_one = abs(mu - 1.0) <= 1e-9
+    report("a", left_case, ["left"])
+    report("b", right_case, ["right"])
+    report("c", mu_is_one, ["left", "right"])
+    strict_regions = [name for name, on in (("left", left_case), ("right", right_case)) if on]
+    if mu_is_one and not strict_regions:
+        strict_regions = ["left", "right"]
+    report("d", flags.strictly_concave and bool(strict_regions), strict_regions, strict=True)
     # case e: reversed inequality on [a, b]; swap lhs/rhs roles
-    report("e", flags.monotone_M, inside, strict=flags.strictly_monotone_SM, reverse=True)
+    report("e", flags.monotone_M, ["inside"], strict=flags.strictly_monotone_SM, reverse=True)
     return PerturbationReport(mu=mu, cases=cases)
 
 

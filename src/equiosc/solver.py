@@ -19,11 +19,12 @@ the last solved level p (p = 1 before the first): √(p·η) if η > 0, p/100 if
 η = 0. The solve fails once a stalled level is within a factor 1.5 of p, the
 new level would be below 1e−14, or the one iteration budget is spent.
 
-The start lies in the regularity set, whose one test is
-:func:`~equiosc.translates.in_regularity_set`: a given ``initial`` outside it
-is refused, and the default start is (j + 1)/(n + 1) when that is in it,
-else the midpoints between n + 1 points where the field is finite, picked
-from its knots, its overrides and n + 1 inner points of each piece.
+The start lies in the regularity set, where every interval maximum is
+finite, and the solver tests that by the residual Newton starts from: a
+given ``initial`` whose residual is infinite is refused, and the default
+start is (j + 1)/(n + 1) when its residual is finite, else the midpoints
+between n + 1 points where the field is finite, picked from its knots, its
+overrides and n + 1 inner points of each piece.
 
 Every solve starts at η = 0, so plain Newton on the kernel itself is the
 first try, whether or not the kernel is strictly monotone. A kernel that is
@@ -43,7 +44,7 @@ from .errors import ConvergenceError, HypothesisError, PreconditionError
 from .extreal import NEG_INFINITY, _count, _real, _reals
 from .kernels import Regularized
 from .problem import NodeSystem, Problem, _checked
-from .translates import MaximaVector, _interval_max, _maxima_floats, _phi, in_regularity_set, interval_maxima
+from .translates import MaximaVector, _interval_max, _maxima_floats, _phi, interval_maxima
 
 __all__ = ["SolveReport", "sandwich_check", "solve_difference", "solve_equioscillation"]
 
@@ -69,16 +70,26 @@ class SolveReport:
 
 # -- initialization -------------------------------------------------------------
 
-def _initial_nodes(problem: Problem) -> list[float]:
-    """A strict start in the regularity set: (j + 1)/(n + 1) when that is one.
+def _start(problem: Problem, c, initial):
+    """The first nodes, with sentinels, and the state there, as from :func:`_residual_norm`.
 
-    Otherwise each node sits halfway between two consecutive of n + 1 finite
-    points p_0 < … < p_n of the field, so that interval j holds p_j.
+    The residual is finite exactly when every interval maximum is: in the
+    regularity set, since a singular kernel makes a degenerate interval −∞.
+    A given ``initial`` outside it is a PreconditionError. The default start
+    is (j + 1)/(n + 1) when it is inside; otherwise each node sits halfway
+    between two consecutive of n + 1 finite points p_0 < … < p_n of the
+    field, so that interval j holds p_j.
     """
     n = problem.n
-    ws = [(j + 1.0) / (n + 1.0) for j in range(n)]
-    if in_regularity_set(problem, ws):
-        return ws
+    if initial is None:
+        ys = [0.0, *((j + 1.0) / (n + 1.0) for j in range(n)), 1.0]
+    else:
+        ys = [0.0, *problem.node_system(initial).nodes, 1.0]
+    state = _residual_norm(problem, ys, c)
+    if state[0] < math.inf:
+        return ys, state
+    if initial is not None:
+        raise PreconditionError("initial node system must be strict and in the regularity set")
     # n + 1 finite points exist, since the field is admissible: the finite knots
     # and overrides, and n + 1 points inside each piece that is not −∞ there
     field = problem.field
@@ -86,7 +97,8 @@ def _initial_nodes(problem: Problem) -> list[float]:
     points = {*field.knots(), *field.override_points(), *inner}
     points = sorted(t for t in points if field._value_float(t) > NEG_INFINITY)
     picked = [points[round(i * (len(points) - 1) / n)] for i in range(n + 1)]
-    return [0.5 * (a + b) for a, b in zip(picked, picked[1:])]
+    ys = [0.0, *(0.5 * (a + b) for a, b in zip(picked, picked[1:])), 1.0]
+    return ys, _residual_norm(problem, ys, c)
 
 
 # -- residual machinery ----------------------------------------------------------
@@ -214,24 +226,18 @@ def solve_difference(
     if not flags.monotone_M:
         raise HypothesisError("solver requires a monotone kernel")
 
-    if initial is None:
-        start = _initial_nodes(problem)
-    else:
-        start = list(problem.node_system(initial).nodes)
-        if not in_regularity_set(problem, start):
-            raise PreconditionError("initial node system must be strict and in the regularity set")
-
+    solved, first = _start(problem, c, initial)
     levels = [0.0]  # a stack: the next level is last
-    solved, p = [0.0, *start, 1.0], 1.0  # nodes and η of the last solved level
+    p = 1.0  # η of the last solved level, whose nodes are ``solved``
     iterations = 0
     while levels:
         eta = levels[-1]
         level = replace(problem, kernel=Regularized(problem.kernel, eta)) if eta else problem
         level_tol = max(tol, 1e-10) if eta else tol
         ys = list(solved)
-        used, state = _newton(
-            level, ys, c, level_tol, max_iterations - iterations, _residual_norm(level, ys, c)
-        )
+        state = first or _residual_norm(level, ys, c)  # the start's state serves the first level
+        first = None
+        used, state = _newton(level, ys, c, level_tol, max_iterations - iterations, state)
         iterations += used
         if state[0] <= level_tol:
             solved, p = ys, levels.pop()

@@ -32,7 +32,8 @@ and keeps the quarter of its bracket around the best sample.
 
 Conventions: a degenerate interval has maximum −∞ for singular kernels and
 the single-point value otherwise; argmax ties go to the leftmost evaluated
-candidate.
+candidate. Regularity has one rule (:func:`_regular_maxima`): strict, and
+every interval maximum finite.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, RegularityError
 from .extreal import NEG_INFINITY, ExtReal, _count, _real, as_extreal
-from .fields import NegInfinityPiece, SingularSegment
+from .fields import NegInfinityPiece
 from .kernels import scalar_fn
 from .problem import Problem, _checked
 
@@ -271,7 +272,9 @@ def _maximize(field, ksum, lo: float, hi: float, singular: bool, setup):
     y_j ± κ inside it; the cuts and field overrides are point candidates, and
     each piece between cuts is searched by :func:`_concave_max` (concave) or a
     scan plus Brent polish (not concave). With a singular kernel the search
-    stays _NODE_EPS away from a node at either end of a piece.
+    stays _NODE_EPS away from a node at either end of a piece; a piece at a
+    node too narrow for that offset (at most 4·_NODE_EPS) is sampled at its
+    midpoint, so a narrow interval between two nodes keeps a finite maximum.
     """
     nodes, points, overrides = setup
     cuts = [lo, *points[bisect_right(points, lo):bisect_left(points, hi)], hi]
@@ -298,13 +301,17 @@ def _maximize(field, ksum, lo: float, hi: float, singular: bool, setup):
     candidates = [(tau, at_cut(field._value_float, tau)) for tau in point_set]
 
     for c, d in zip(cuts, cuts[1:]):
+        at_node_c = singular and c in nodes
+        at_node_d = singular and d in nodes
         if d - c <= 4.0 * _NODE_EPS:
+            # no room for the offsets from a node: its midpoint is the piece's one sample
+            if at_node_c or at_node_d:
+                mid = 0.5 * (c + d)
+                candidates.append((mid, at_cut(field._value_float, mid)))
             continue
         formula = field.piece_over(c, d).formula
         if isinstance(formula, NegInfinityPiece):
             continue
-        at_node_c = singular and c in nodes
-        at_node_d = singular and d in nodes
         a = c + _NODE_EPS if at_node_c else c
         b = d - _NODE_EPS if at_node_d else d
         g = _with_translates(formula._value, ksum)
@@ -440,8 +447,9 @@ def _maxima_batch(problem: Problem, Y: np.ndarray) -> np.ndarray:
     """(cells, n + 1) interval maxima of F(y, ·) for each row y of nondecreasing nodes Y.
 
     The values of :func:`_maxima_floats` row by row, computed for all rows at
-    once: the same cuts, usc point candidates, concavity end checks and
-    _NODE_EPS offsets at the nodes of a singular kernel. Every piece that
+    once: the same cuts, usc point candidates, concavity end checks,
+    _NODE_EPS offsets at the nodes of a singular kernel and midpoints of
+    pieces too narrow for them. Every piece that
     passes no end check is searched by one lockstep bracket search
     (:func:`_bracket_batch`) instead of Brent's method, every non-concave one
     by the 64-point scan plus the same search as a polish, so values agree
@@ -472,21 +480,27 @@ def _maxima_batch(problem: Problem, Y: np.ndarray) -> np.ndarray:
         best = _sums_batch(field.values, r, kernel, np.hstack([cuts, overrides]), nodes).max(axis=1)
 
         c, d = cuts[:, :-1], cuts[:, 1:]
-        seg_row, seg_col = np.nonzero(d - c > 4.0 * _NODE_EPS)
-        c, d = c[seg_row, seg_col], d[seg_row, seg_col]
+        width = d - c
+        # a segment end at lo (j ≥ 1) or at hi (j < n) is a node; no other cut is
+        at_c = singular & (c == lo[:, None]) & (j[:, None] >= 1)
+        at_d = singular & (d == hi[:, None]) & (j[:, None] < n)
+        # a segment at a node too narrow for the offsets: its midpoint is its one sample
+        mid_row, mid_col = np.nonzero((width > 0.0) & (width <= 4.0 * _NODE_EPS) & (at_c | at_d))
+        if mid_row.size:
+            mids = 0.5 * (c[mid_row, mid_col] + d[mid_row, mid_col])
+            np.maximum.at(best, mid_row, _sums_batch(field.values, r, kernel, mids, nodes[mid_row]))
+        seg_row, seg_col = np.nonzero(width > 4.0 * _NODE_EPS)
+        c, d, at_c, at_d = (v[seg_row, seg_col] for v in (c, d, at_c, at_d))
         piece = np.maximum(np.searchsorted(field.knots(), 0.5 * (c + d)) - 1, 0)
         for p in np.unique(piece):
             formula = field.pieces[p].formula
             if isinstance(formula, NegInfinityPiece):
                 continue
             sel = piece == p
-            row, cs, ds = seg_row[sel], c[sel], d[sel]
+            row, cs, ds, node_c, node_d = seg_row[sel], c[sel], d[sel], at_c[sel], at_d[sel]
             seg_nodes = nodes[row]
-            # a segment end at lo (j ≥ 1) or at hi (j < n) is a node; no other cut is
-            at_c = singular & (cs == lo[row]) & (j[row] >= 1)
-            at_d = singular & (ds == hi[row]) & (j[row] < n)
-            a = np.where(at_c, cs + _NODE_EPS, cs)
-            b = np.where(at_d, ds - _NODE_EPS, ds)
+            a = np.where(node_c, cs + _NODE_EPS, cs)
+            b = np.where(node_d, ds - _NODE_EPS, ds)
 
             def g(T, nd, fv=formula._values):
                 return _sums_batch(fv, r, kernel, T, nd)
@@ -497,8 +511,8 @@ def _maxima_batch(problem: Problem, Y: np.ndarray) -> np.ndarray:
                 wide = b - a > 2.0 * h
                 # an end where g does not rise inward is the piece maximum, and no
                 # more than the point candidate there: only the others are searched
-                settled = wide & ~at_c & (ends[:, 0] > NEG_INFINITY) & (ends[:, 1] <= ends[:, 0])
-                settled |= wide & ~at_d & (ends[:, 2] > NEG_INFINITY) & (ends[:, 3] <= ends[:, 2])
+                settled = wide & ~node_c & (ends[:, 0] > NEG_INFINITY) & (ends[:, 1] <= ends[:, 0])
+                settled |= wide & ~node_d & (ends[:, 2] > NEG_INFINITY) & (ends[:, 3] <= ends[:, 2])
                 search = ~settled
                 vals = _bracket_batch(g, a[search], b[search], seg_nodes[search])
                 row = row[search]
@@ -536,55 +550,33 @@ def maximize_on_interval(problem: Problem, y, j: int):
 
 # -- regularity and the difference map ----------------------------------------
 
-def _singular_interval(ys: tuple[float, ...], segments: tuple[SingularSegment, ...]) -> int | None:
-    """The first j whose interval [ys[j], ys[j+1]] has its relative interior in a −∞ segment.
+def _regular_maxima(problem: Problem, ns) -> list[float]:
+    """The maxima m_0, …, m_n at a node system in Φ's domain, else RegularityError.
 
-    Relative to [0, 1], rint I_0 = [0, y_1) and rint I_n = (y_n, 1] keep the
-    outer endpoints, so those cases also require the segment to hold that
-    endpoint. None if every interval escapes the segments.
+    The one regularity rule: strict, and every interval maximum finite. Under
+    a singular kernel F(y, ·) is −∞ exactly at the nodes and on the field's
+    −∞ set, so this is the regularity set: every interval interior meets the
+    set where the field is finite.
     """
-    last = len(ys) - 2
-    for j, (lo, hi) in enumerate(zip(ys, ys[1:])):
-        for seg in segments:
-            if (
-                seg.lo <= lo
-                and hi <= seg.hi
-                and (j > 0 or (seg.lo == 0.0 and seg.lo_closed))
-                and (j < last or (seg.hi == 1.0 and seg.hi_closed))
-            ):
-                return j
-    return None
+    if not ns.strict():
+        raise RegularityError("node system must lie in the open simplex")
+    vals, _ = _maxima_floats(problem, ns.with_sentinels())
+    if NEG_INFINITY in vals:
+        raise RegularityError("some interval maximum is −∞: node system outside the regularity set")
+    return vals
 
 
 def in_regularity_set(problem: Problem, y) -> bool:
-    """Strict node system whose interval interiors all escape the field's −∞ set."""
+    """Strict node system whose interval maxima are all finite (one maxima vector); singular kernels only."""
     if not _checked(problem).kernel.flags().singular:
         raise PreconditionError(
             "the regularity-set characterization applies to singular kernels only"
         )
-    ns = problem.node_system(y)
-    if not ns.strict():
+    try:
+        _regular_maxima(problem, problem.node_system(y))
+    except RegularityError:
         return False
-    return _singular_interval(ns.with_sentinels(), problem.field.singular_segments()) is None
-
-
-def _regular_maxima(problem: Problem, ns) -> list[float]:
-    """The maxima m_0, …, m_n at a node system in Φ's domain, else RegularityError.
-
-    The domain is the regularity set under a singular kernel and the open
-    simplex under any other, and every maximum must be finite. This and
-    :func:`in_regularity_set` are the one regularity rule: the solver and the
-    intertwining checks call them.
-    """
-    if problem.kernel.flags().singular:
-        if not in_regularity_set(problem, ns):
-            raise RegularityError("node system outside the regularity set")
-    elif not ns.strict():
-        raise RegularityError("node system must lie in the open simplex")
-    vals, _ = _maxima_floats(problem, ns.with_sentinels())
-    if any(v == NEG_INFINITY for v in vals):
-        raise RegularityError("some interval maximum is −∞; node system is singular")
-    return vals
+    return True
 
 
 def difference(problem: Problem, y) -> DifferenceVector:

@@ -220,13 +220,24 @@ def _box_cells(rng, n, width, count=8):
     return np.sort(rng.uniform(lo, hi, size=(count, n)), axis=1)
 
 
+def _narrow_cells(n):
+    """Cells with an interval at most 4·_NODE_EPS wide at a node: beside 0, beside 1 or between two nodes."""
+    base = np.arange(1, n + 1) / (n + 1)
+    rows = []
+    for w in (1e-15, 1e-13, 3e-13, 4e-13):
+        rows += [np.r_[w, base[1:]], np.r_[base[:-1], 1.0 - w]]
+        if n > 1:
+            rows.append(np.r_[base[:-1], base[-2] + w])
+    return np.array(rows)
+
+
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
 def test_maxima_batch_matches_scalar_maxima(kernel):
     rng = np.random.default_rng(20240817)
     for field in FIELDS.values():
         for n in (1, 2, 3, 4):
             problem = eq.Problem(n, tuple(rng.uniform(0.5, 2.0, size=n)), kernel, field)
-            Y = np.vstack([_cells(rng, n), _box_cells(rng, n, 1e-2), _box_cells(rng, n, 1e-3)])
+            Y = np.vstack([_cells(rng, n), _box_cells(rng, n, 1e-2), _box_cells(rng, n, 1e-3), _narrow_cells(n)])
             batch = _maxima_batch(problem, Y)
             scalar = np.array([_maxima_floats(problem, (0.0, *y, 1.0))[0] for y in Y])
             assert batch.shape == (len(Y), n + 1)

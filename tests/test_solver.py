@@ -300,10 +300,35 @@ def admissible_problems(draw):
 @given(admissible_problems())
 def test_initial_nodes_are_strict_and_regular(problem):
     """The solver's start lies in the regularity set for every admissible field, override-only ones included."""
-    ws = solver._initial_nodes(problem)
+    ys, _ = solver._start(problem, (0.0,) * problem.n, None)
+    ws = ys[1:-1]
     assert eq.in_regularity_set(problem, tuple(ws)), ws
     if not problem.field.singular_segments():
         assert ws == [(j + 1.0) / (problem.n + 1.0) for j in range(problem.n)]
+
+
+@st.composite
+def problems_with_nodes(draw):
+    """An admissible problem and sorted nodes on its 1e-3 grid of knots and overrides, some moved by ±1e-13."""
+    problem = draw(admissible_problems())
+    ticks = draw(st.lists(st.integers(0, 1000), min_size=problem.n, max_size=problem.n))
+    shifts = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-13, -1e-13, 3e-4]), min_size=problem.n, max_size=problem.n))
+    return problem, tuple(sorted(min(1.0, max(0.0, t / 1000.0 + s)) for t, s in zip(ticks, shifts)))
+
+
+# two nodes 1e-13 apart: the interval between them is regular and its maximum finite
+@example((log_problem(2), (0.5, 0.5 + 1e-13)))
+@given(problems_with_nodes())
+def test_regularity_set_is_the_domain_of_difference(case):
+    """``in_regularity_set`` holds exactly where ``difference`` returns."""
+    problem, y = case
+    try:
+        eq.difference(problem, y)
+    except eq.RegularityError:
+        returned = False
+    else:
+        returned = True
+    assert eq.in_regularity_set(problem, y) == returned
 
 
 def test_start_between_finite_pieces_needs_no_fallback(monkeypatch):
@@ -314,7 +339,8 @@ def test_start_between_finite_pieces_needs_no_fallback(monkeypatch):
         eq.Piece(0.95, 1.0, eq.NegInfinityPiece()),
     ))
     problem = eq.Problem(4, (1.0,) * 4, eq.Log(), field)
-    assert eq.in_regularity_set(problem, tuple(solver._initial_nodes(problem)))
+    ys, _ = solver._start(problem, (0.0,) * problem.n, None)
+    assert eq.in_regularity_set(problem, tuple(ys[1:-1]))
     monkeypatch.setattr(solver, "Regularized", lambda *args: pytest.fail("the continuation ran"))
     report = eq.solve_equioscillation(problem)
     assert report.converged and eq.in_regularity_set(problem, report.nodes)
@@ -508,6 +534,27 @@ def test_large_chebyshev(n):
     report = eq.solve_equioscillation(log_problem(n))
     assert report.residual <= 1e-9
     assert abs(report.value - math.log(2.0 * 4.0**-n)) <= 1e-9
+
+
+def _check_weighted_chebyshev(weight, angle, n):
+    """log ∘ weight with unit exponents: value −n·log 4 and nodes (1 + cos(angle(k)))/2, at the ladder tool's gates."""
+    problem = eq.Problem(n, (1.0,) * n, eq.Log(), eq.log_of_weight_field(weight))
+    report = eq.solve_equioscillation(problem)
+    nodes = sorted(0.5 * (1.0 + math.cos(angle(k))) for k in range(1, n + 1))
+    assert abs(report.value + n * math.log(4.0)) <= 2e-12
+    assert max(abs(y - z) for y, z in zip(report.nodes.nodes, nodes)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_third_kind_chebyshev(n):
+    """Field log √t, −∞ at 0: √((1 + x)/2)·Vₙ(x) = cos((n + ½)θ)."""
+    _check_weighted_chebyshev(eq.sqrt_affine_field(1.0, 1.0, 0.0), lambda k: (k - 0.5) * math.pi / (n + 0.5), n)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_fourth_kind_chebyshev(n):
+    """Field log √(1 − t), −∞ at 1: √((1 − x)/2)·Wₙ(x) = sin((n + ½)θ)."""
+    _check_weighted_chebyshev(eq.sqrt_affine_field(1.0, -1.0, 1.0), lambda k: k * math.pi / (n + 0.5), n)
 
 
 def test_newton_alone_solves_smooth_problems(monkeypatch):

@@ -112,6 +112,22 @@ def test_in_regularity_set(log1):
         eq.in_regularity_set(build_problem("singularity_5_1"), (0.2, 0.8))
 
 
+def test_narrow_interval_between_nodes_has_a_finite_maximum():
+    """Two nodes 1e-13 apart: the interval between them left no room for the node offsets and read −∞."""
+    problem = build_problem("classical_chebyshev", n=2)
+    y = (0.5, 0.5 + 1e-13)
+    scalar = eq.interval_maxima(problem, y).m
+    batch = translates._maxima_batch(problem, np.array([y]))[0]
+    assert all(math.isfinite(v) for v in scalar)
+    assert np.allclose(batch, scalar, rtol=1e-12, atol=0.0)
+    # the maximum sits at the midpoint, where both translates are log of the half-width
+    assert scalar[1] == pytest.approx(2.0 * math.log(0.5 * (y[1] - y[0])), rel=1e-4)
+    assert eq.in_regularity_set(problem, y)
+    assert len(eq.difference(problem, y).phi) == 2
+    # a degenerate interval stays −∞
+    assert eq.interval_maxima(problem, (0.5, 0.5)).m[1] == -math.inf
+
+
 def test_regularity_between_finite_points_of_a_minus_infinity_field():
     from test_fields import dotted_minus_infinity
 
