@@ -10,13 +10,19 @@ maxima of every cell at once with :func:`translates._maxima_batch`, which
 follows the scalar maximizer's cuts and end checks, searches the remaining
 pieces by a numpy lockstep bracket search (seven samples per piece and step,
 the bracket shrinking fourfold) and agrees with the scalar maximizer to
-1e-12 relative; the cells go through in fixed-size chunks,
-so memory does not grow with the lattice. Ties break to the lexicographically
-smallest node vector, the first in lattice order. It runs single-threaded:
-the ``threads`` argument is deprecated, and a value other than 1 only warns.
-The problem must be a ``Problem`` and the grid a ``GridSpec``, grid counts
-integers, the budget finite and positive and ``tol`` finite and non-negative,
-else ``PreconditionError``.
+1e-12 relative; the cells go through in fixed-size chunks, so memory does
+not grow with the lattice. The search is pruned: concavity bounds each
+searched piece's maximum at every step, and a cell whose objective is
+certainly worse than the best cell's (by more than ``tol`` in
+:func:`grid_near_optimal`) stops being searched, each chunk starting from
+the best objective of the chunks before it. A pruned cell's value is only
+a bound; the cells that can win, and so every returned node system and
+value, are exactly those of a search without pruning. Ties break to the
+lexicographically smallest node vector, the first in lattice order. It runs
+single-threaded: the ``threads`` argument is deprecated, and a value other
+than 1 only warns. The problem must be a ``Problem`` and the grid a
+``GridSpec``, grid counts integers, the budget finite and positive and
+``tol`` finite and non-negative, else ``PreconditionError``.
 """
 
 from __future__ import annotations
@@ -83,15 +89,29 @@ def _lattice(ranges: list[tuple[float, float]], points: int) -> np.ndarray:
     return cells
 
 
-def _evaluate(problem, ranges, points, mode):
-    """The lattice cells over ``ranges`` and the objective at each of them."""
+def _best(values, mode):
+    """The best finite objective among ``values``, or None."""
+    finite = values[np.isfinite(values)]
+    if not finite.size:
+        return None
+    return float(finite.min() if mode == "minimax" else finite.max())
+
+
+def _evaluate(problem, ranges, points, mode, tol=0.0):
+    """The lattice cells over ``ranges`` and the objective at each of them.
+
+    The objective is exact at every cell that can come within ``tol`` of the
+    best; elsewhere it is a bound, worse than the best by more than ``tol``
+    (see :func:`translates._maxima_batch`). Each chunk starts from the best
+    objective of the chunks before it.
+    """
     cells = _lattice(ranges, points)
     reduce = np.max if mode == "minimax" else np.min  # min is −∞ as soon as one maximum is
     step = max(1, _BATCH_INTERVALS // (problem.n + 1))
-    values = np.concatenate([
-        reduce(_maxima_batch(problem, cells[start : start + step]), axis=1)
-        for start in range(0, len(cells), step)
-    ])
+    values = np.empty(0)
+    for start in range(0, len(cells), step):
+        maxima = _maxima_batch(problem, cells[start : start + step], mode, tol, _best(values, mode))
+        values = np.concatenate([values, reduce(maxima, axis=1)])
     return cells, values
 
 
@@ -155,10 +175,9 @@ def grid_near_optimal(
     if _real(tol, "tol", PreconditionError) < 0.0:
         raise PreconditionError(f"tol must be non-negative, got {tol!r}")
     _check_budget(problem, grid)
-    cells, values = _evaluate(problem, [(0.0, 1.0)] * problem.n, grid.points_per_dim, mode)
-    finite = np.isfinite(values)
-    if not finite.any():
+    cells, values = _evaluate(problem, [(0.0, 1.0)] * problem.n, grid.points_per_dim, mode, tol)
+    best = _best(values, mode)
+    if best is None:
         return []
-    best = values[finite].min() if mode == "minimax" else values[finite].max()
-    keep = np.flatnonzero(finite & (np.abs(values - best) <= tol))
+    keep = np.flatnonzero(np.isfinite(values) & (np.abs(values - best) <= tol))
     return [(tuple(float(v) for v in cells[i]), float(values[i])) for i in keep]

@@ -31,7 +31,7 @@ from .errors import PreconditionError, RegularityError
 from .extreal import NEG_INFINITY, _count, _instance, _real, _sequence
 from .kernels import KernelSpec
 from .problem import NodeSystem, Problem, _checked
-from .translates import _regular_maxima, in_regularity_set
+from .translates import _regular_maxima, _require_singular
 
 __all__ = [
     "CaseReport",
@@ -231,15 +231,22 @@ def check_intertwining(problem: Problem, x, y) -> IntertwiningVerdict:
 
 def sample_regular_nodes(problem: Problem, rng: np.random.Generator) -> NodeSystem:
     """A random node system in the regularity set whose node gaps are at least 1e-3."""
-    n = _checked(problem).n
+    return _sample_regular(problem, rng)[0]
+
+
+def _sample_regular(problem: Problem, rng: np.random.Generator) -> tuple[NodeSystem, list[float]]:
+    """:func:`sample_regular_nodes` with the interval maxima it computed to test regularity."""
+    _require_singular(problem)
     _instance(rng, np.random.Generator, "rng", PreconditionError)
     for _ in range(_MAX_TRIES):
-        draw = np.sort(rng.uniform(_MIN_GAP, 1.0 - _MIN_GAP, size=n))
-        if n > 1 and np.min(np.diff(draw)) < _MIN_GAP:
+        draw = np.sort(rng.uniform(_MIN_GAP, 1.0 - _MIN_GAP, size=problem.n))
+        if problem.n > 1 and np.min(np.diff(draw)) < _MIN_GAP:
             continue
         ns = NodeSystem(tuple(draw.tolist()))
-        if in_regularity_set(problem, ns):
-            return ns
+        try:
+            return ns, _regular_maxima(problem, ns)
+        except RegularityError:
+            continue
     raise RegularityError("could not sample a regular node system")
 
 
@@ -273,26 +280,24 @@ def check_strict_majorization_excluded(
     if _count(samples, "samples", PreconditionError) < 0:
         raise PreconditionError(f"samples must be at least 0, got {samples!r}")
     if pairs is None:
-        pairs = [
-            (sample_regular_nodes(problem, rng), sample_regular_nodes(problem, rng))
-            for _ in range(samples)
-        ]
-    pairs = [_sequence(pair, "pair", PreconditionError) for pair in _sequence(pairs, "pairs", PreconditionError)]
-    if any(len(pair) != 2 for pair in pairs):
-        raise PreconditionError("each pair must hold two node systems")
+        # the sampler's maxima are the scan's: each node system's are computed once
+        scan = [(*_sample_regular(problem, rng), *_sample_regular(problem, rng)) for _ in range(samples)]
+    else:
+        pairs = [_sequence(pair, "pair", PreconditionError) for pair in _sequence(pairs, "pairs", PreconditionError)]
+        if any(len(pair) != 2 for pair in pairs):
+            raise PreconditionError("each pair must hold two node systems")
+        scan = []
+        for x, y in pairs:
+            nx = problem.node_system(x)
+            ny = problem.node_system(y)
+            try:
+                scan.append((nx, _regular_maxima(problem, nx), ny, _regular_maxima(problem, ny)))
+            except RegularityError:
+                continue
     strict = 0
     weak = 0
     examples = []
-    checked = 0
-    for x, y in pairs:
-        nx = problem.node_system(x)
-        ny = problem.node_system(y)
-        try:
-            mx = _regular_maxima(problem, nx)
-            my = _regular_maxima(problem, ny)
-        except RegularityError:
-            continue
-        checked += 1
+    for nx, mx, ny, my in scan:
         diffs = [a - b for a, b in zip(mx, my)]
         for d in (diffs, [-v for v in diffs]):
             if all(v > _TIE_TOL for v in d):
@@ -304,7 +309,7 @@ def check_strict_majorization_excluded(
                 weak += 1
                 break
     return MajorizationScanReport(
-        checked=checked,
+        checked=len(scan),
         strict_violations=strict,
         weak_dominations=weak,
         hypotheses_met=hypotheses,

@@ -28,7 +28,10 @@ The grid oracle needs only the values, for whole lattices of node systems:
 :func:`_maxima_batch` runs the same cuts and end checks for many node systems
 at once in numpy, with a lockstep bracket search in place of Brent's: each
 step samples every searched piece at seven interior points in one evaluation
-and keeps the quarter of its bracket around the best sample.
+and keeps the quarter of its bracket around the best sample. Concavity also
+bounds each concave piece's maximum from above at every step, so a scan for
+the best node system stops the searches of the cells that cannot win: their
+values are bounds, and only the cells that can win get exact values.
 
 Conventions: a degenerate interval has maximum −∞ for singular kernels and
 the single-point value otherwise; argmax ties go to the leftmost evaluated
@@ -41,6 +44,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -401,8 +405,8 @@ def _sums_batch(formula_values, r, kernel, T: np.ndarray, nodes: np.ndarray) -> 
     return formula_values(T) + ks
 
 
-def _bracket_batch(g, a: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Lockstep bracket-search maxima of g(·, node row) on each [a_i, b_i].
+def _bracket_batch(g, a: np.ndarray, b: np.ndarray, concave: np.ndarray, prune=None) -> np.ndarray:
+    """Lockstep bracket-search maxima on lanes [a_k, b_k]; g(T, lanes) samples the lanes at the rows of T.
 
     Each step samples every lane at _SAMPLES equispaced interior points in
     one evaluation and keeps the two spacings around its best sample (the
@@ -411,49 +415,108 @@ def _bracket_batch(g, a: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> np.nda
     tol = √ε·min(|x|, b₀ − a₀) + _XTOL/3 at its best sample x, or after 200
     steps; its value is the best sample it has seen. A lane no wider than
     _XTOL takes its midpoint value.
+
+    With ``prune``, each step also bounds the maximum of every ``concave``
+    lane whose best sample v_i is neither the first nor the last: the
+    maximum lies in [t_{i−1}, t_{i+1}], and on each side of t_i the chord
+    through v_i and the other neighbour, extended one spacing, caps it, so
+    it is at most 2·v_i − min(v_{i−1}, v_{i+1}). A lane's bound is the
+    least of its steps' bounds, +∞ before the first one (and on a lane that
+    is not concave), and its value once it stops. After each step
+    ``prune(lanes, best, bound)`` gets the lanes still searched and the best
+    sample and bound of every lane, and returns which of those lanes to
+    stop, or None once it will stop no more (the bounds are then no longer
+    kept); a stopped lane's value is its best sample so far, a lower bound.
+    Lanes do not otherwise interact, so a lane that is not stopped ends with
+    the value it has without ``prune``.
     """
-    out = np.empty(a.shape)
+    best = np.full(a.shape, NEG_INFINITY)
+    bound = np.full(a.shape, _INF)
     w0 = b - a
     tiny = w0 <= _XTOL
     if tiny.any():
-        out[tiny] = g(0.5 * (a[tiny] + b[tiny]), nodes[tiny])
+        best[tiny] = bound[tiny] = g(0.5 * (a[tiny] + b[tiny]), np.flatnonzero(tiny))
     idx = np.flatnonzero(~tiny)
-    if not idx.size:
-        return out
-    a, w0, nodes = a[idx], w0[idx], nodes[idx]
+    a, w0 = a[idx], w0[idx]
     w = w0
-    best = np.full(idx.size, NEG_INFINITY)
     for _ in range(200):
+        if not idx.size:
+            break
         ts = a[:, None] + w[:, None] * _FRACTIONS
-        vals = g(ts, nodes)
-        i = np.argmax(vals, axis=1)  # first of equal samples
+        vals = g(ts, idx)
         lanes = np.arange(idx.size)
-        x = ts[lanes, i]
-        best = np.maximum(best, vals[lanes, i])
+        i = np.argmax(vals, axis=1)  # first of equal samples
+        x, v = ts[lanes, i], vals[lanes, i]
+        best[idx] = np.maximum(best[idx], v)
         w = w * (2.0 / (_SAMPLES + 1))
         a = x - 0.5 * w
         done = w <= 4.0 * (_SQRT_EPS * np.minimum(np.abs(x), w0) + _XTOL / 3.0)
+        if prune is not None:
+            # a lane whose samples are all −∞ has i = 0: no −∞ − −∞, and a −∞ side gives +∞
+            inner = lanes[concave[idx] & (i > 0) & (i < _SAMPLES - 1)]
+            side = np.minimum(vals[inner, i[inner] - 1], vals[inner, i[inner] + 1])
+            k = idx[inner]
+            bound[k] = np.minimum(bound[k], 2.0 * v[inner] - side)
+            bound[idx[done]] = best[idx[done]]
+            stop = prune(idx, best, bound)
+            if stop is None:
+                prune = None
+            else:
+                done |= stop
         if done.any():
-            out[idx[done]] = best[done]
             go = ~done
-            idx, a, w, w0, nodes, best = (v[go] for v in (idx, a, w, w0, nodes, best))
-            if not idx.size:
-                return out
-    out[idx] = best
-    return out
+            idx, a, w, w0 = (u[go] for u in (idx, a, w, w0))
+    return best
 
 
-def _maxima_batch(problem: Problem, Y: np.ndarray) -> np.ndarray:
+def _losing_cells(lo: np.ndarray, hi: np.ndarray, mode: str, tol: float, attained: float | None):
+    """The cells whose objective cannot come within ``tol`` of the best cell's.
+
+    ``lo`` ≤ m ≤ ``hi`` bound the (cells, n + 1) interval maxima m. The
+    objective is max_j m_j, least wins ("minimax"), or min_j m_j, greatest
+    wins ("maximin", the minimax of −m). The incumbent is the best bound on
+    the objective among the cells where it is certainly finite, or the
+    finite objective ``attained`` by a cell elsewhere if that is better; a
+    cell loses when its objective is certainly worse than the incumbent by
+    more than ``tol`` plus 1e-12 relative, a margin for rounding in the
+    bounds.
+    """
+    if mode == "maximin":
+        lo, hi = -hi, -lo
+        attained = None if attained is None else -attained
+    # column by column: numpy's max over a short axis 1 is ten times slower
+    cell_lo, cell_hi = reduce(np.maximum, lo.T), reduce(np.maximum, hi.T)
+    finite = (cell_lo > NEG_INFINITY) & (cell_hi < _INF)
+    incumbent = cell_hi[finite].min(initial=_INF if attained is None else attained)  # +∞: no cell loses
+    return cell_lo > incumbent + tol + 1e-12 * max(1.0, abs(incumbent))
+
+
+def _maxima_batch(
+    problem: Problem, Y: np.ndarray, mode: str | None = None, tol: float = 0.0, attained: float | None = None
+) -> np.ndarray:
     """(cells, n + 1) interval maxima of F(y, ·) for each row y of nondecreasing nodes Y.
 
     The values of :func:`_maxima_floats` row by row, computed for all rows at
     once: the same cuts, usc point candidates, concavity end checks,
     _NODE_EPS offsets at the nodes of a singular kernel and midpoints of
-    pieces too narrow for them. Every piece that
-    passes no end check is searched by one lockstep bracket search
-    (:func:`_bracket_batch`) instead of Brent's method, every non-concave one
-    by the 64-point scan plus the same search as a polish, so values agree
-    with the scalar path to rounding. No argmax is computed.
+    pieces too narrow for them. Every piece that passes no end check is
+    searched by one lockstep bracket search (:func:`_bracket_batch`, all
+    pieces of all rows together) instead of Brent's method, every non-concave
+    one by the 64-point scan plus the same search as a polish, so values
+    agree with the scalar path to rounding. No argmax is computed.
+
+    With a ``mode``, only the cells whose objective (max_j m_j for
+    "minimax", min_j m_j for "maximin") can come within ``tol`` of the best
+    cell's are searched to the end. After each search step a row's maximum
+    is bounded below by its best value so far, and above by the largest of
+    its point candidates, its finished searches and the concavity bounds of
+    its searches still running; :func:`_losing_cells`
+    stops the searches of the cells that cannot win, against the best of
+    these cells or the finite objective ``attained`` elsewhere (another
+    chunk of the lattice), whichever is better. The maxima of a stopped cell
+    are lower bounds, and its objective is worse than the best by more than
+    ``tol``; every other cell's maxima are exactly those computed without a
+    ``mode``.
     """
     field, kernel, n = problem.field, problem.kernel, problem.n
     r = problem.r
@@ -477,7 +540,10 @@ def _maxima_batch(problem: Problem, Y: np.ndarray) -> np.ndarray:
         # point candidates: every cut and every override in [lo, hi], usc values
         overrides = np.asarray(field.override_points(), dtype=float)[None, :]
         overrides = np.where((overrides >= lo[:, None]) & (overrides <= hi[:, None]), overrides, lo[:, None])
-        best = _sums_batch(field.values, r, kernel, np.hstack([cuts, overrides]), nodes).max(axis=1)
+        points = _sums_batch(field.values, r, kernel, np.hstack([cuts, overrides]), nodes)
+        best = reduce(np.maximum, points.T)  # column by column: a max over axis 1 is slow
+        if singular:
+            best[lo == hi] = NEG_INFINITY  # such a row has no segment
 
         c, d = cuts[:, :-1], cuts[:, 1:]
         width = d - c
@@ -492,6 +558,10 @@ def _maxima_batch(problem: Problem, Y: np.ndarray) -> np.ndarray:
         seg_row, seg_col = np.nonzero(width > 4.0 * _NODE_EPS)
         c, d, at_c, at_d = (v[seg_row, seg_col] for v in (c, d, at_c, at_d))
         piece = np.maximum(np.searchsorted(field.knots(), 0.5 * (c + d)) - 1, 0)
+
+        # the pieces' searches, in piece order, run as one lockstep search: per
+        # piece its formula, and per lane its row, bracket and concavity
+        formulas, lane_row, lane_a, lane_b, lane_concave = [], [], [], [], []
         for p in np.unique(piece):
             formula = field.pieces[p].formula
             if isinstance(formula, NegInfinityPiece):
@@ -501,33 +571,62 @@ def _maxima_batch(problem: Problem, Y: np.ndarray) -> np.ndarray:
             seg_nodes = nodes[row]
             a = np.where(node_c, cs + _NODE_EPS, cs)
             b = np.where(node_d, ds - _NODE_EPS, ds)
-
-            def g(T, nd, fv=formula._values):
-                return _sums_batch(fv, r, kernel, T, nd)
-
             if formula.concave:
                 h = np.maximum(_XTOL, _SQRT_EPS * (b - a))
-                ends = g(np.stack([cs, np.minimum(a + h, b), ds, np.maximum(b - h, a)], axis=1), seg_nodes)
+                ends = np.stack([cs, np.minimum(a + h, b), ds, np.maximum(b - h, a)], axis=1)
+                ends = _sums_batch(formula._values, r, kernel, ends, seg_nodes)
                 wide = b - a > 2.0 * h
                 # an end where g does not rise inward is the piece maximum, and no
                 # more than the point candidate there: only the others are searched
                 settled = wide & ~node_c & (ends[:, 0] > NEG_INFINITY) & (ends[:, 1] <= ends[:, 0])
                 settled |= wide & ~node_d & (ends[:, 2] > NEG_INFINITY) & (ends[:, 3] <= ends[:, 2])
-                search = ~settled
-                vals = _bracket_batch(g, a[search], b[search], seg_nodes[search])
-                row = row[search]
+                row, a, b = row[~settled], a[~settled], b[~settled]
             else:
                 ts = np.linspace(a, b, _SCAN_POINTS, axis=1)
-                samples = g(ts, seg_nodes)
+                samples = _sums_batch(formula._values, r, kernel, ts, seg_nodes)
                 i = np.argmax(samples, axis=1)  # first of equal maxima, as _scan_max
                 lanes = np.arange(i.size)
-                lo_t = ts[lanes, np.maximum(i - 1, 0)]
-                hi_t = ts[lanes, np.minimum(i + 1, _SCAN_POINTS - 1)]
-                vals = np.maximum(samples[lanes, i], _bracket_batch(g, lo_t, hi_t, seg_nodes))
-            np.maximum.at(best, row, vals)
+                np.maximum.at(best, row, samples[lanes, i])
+                # the polish searches the two spacings around the best sample
+                a = ts[lanes, np.maximum(i - 1, 0)]
+                b = ts[lanes, np.minimum(i + 1, _SCAN_POINTS - 1)]
+            formulas.append(formula._values)
+            lane_row.append(row)
+            lane_a.append(a)
+            lane_b.append(b)
+            lane_concave.append(np.full(row.size, formula.concave))
 
-    if singular:
-        best[lo == hi] = NEG_INFINITY
+        if formulas:
+            lane_piece = np.repeat(np.arange(len(formulas)), [row.size for row in lane_row])
+            lane_row, lane_a, lane_b, lane_concave = (
+                np.concatenate(parts) for parts in (lane_row, lane_a, lane_b, lane_concave)
+            )
+            lane_nodes = nodes[lane_row]
+
+            def g(T, lanes):
+                # lanes is increasing, so each piece's lanes are one slice of it
+                edges = np.searchsorted(lane_piece[lanes], np.arange(len(formulas) + 1))
+                out = np.empty(T.shape)
+                for fv, s, e in zip(formulas, edges, edges[1:]):
+                    if e > s:
+                        out[s:e] = _sums_batch(fv, r, kernel, T[s:e], lane_nodes[lanes[s:e]])
+                return out
+
+            prune = None
+            if mode is not None:
+                lane_cell = lane_row // (n + 1)
+
+                def prune(lanes, lane_best, lane_bound):
+                    if (lane_cell[lanes] == lane_cell[lanes[0]]).all():
+                        return None  # one cell left: let it finish
+                    row_lo, row_hi = best.copy(), best.copy()
+                    np.maximum.at(row_lo, lane_row, lane_best)
+                    np.maximum.at(row_hi, lane_row, lane_bound)
+                    lo_m, hi_m = row_lo.reshape(cells, n + 1), row_hi.reshape(cells, n + 1)
+                    return _losing_cells(lo_m, hi_m, mode, tol, attained)[lane_cell[lanes]]
+
+            np.maximum.at(best, lane_row, _bracket_batch(g, lane_a, lane_b, lane_concave, prune))
+
     return best.reshape(cells, n + 1)
 
 
@@ -566,12 +665,15 @@ def _regular_maxima(problem: Problem, ns) -> list[float]:
     return vals
 
 
+def _require_singular(problem: Problem) -> None:
+    """PreconditionError unless the kernel is singular, the only case where the regularity set is characterized."""
+    if not _checked(problem).kernel.flags().singular:
+        raise PreconditionError("the regularity-set characterization applies to singular kernels only")
+
+
 def in_regularity_set(problem: Problem, y) -> bool:
     """Strict node system whose interval maxima are all finite (one maxima vector); singular kernels only."""
-    if not _checked(problem).kernel.flags().singular:
-        raise PreconditionError(
-            "the regularity-set characterization applies to singular kernels only"
-        )
+    _require_singular(problem)
     try:
         _regular_maxima(problem, problem.node_system(y))
     except RegularityError:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import equiosc as eq
-from equiosc import translates
+from equiosc import oracle, translates
 from equiosc.catalog import build_problem
 from equiosc.fields import Constant, Indicator, LogOfWeight, NegInfinityPiece, Piece, PiecewiseField, SqrtAffine
 from equiosc.translates import _maxima_batch, _maxima_floats
@@ -325,4 +325,149 @@ def test_oracle_bracket_search_work_ceiling(monkeypatch):
     monkeypatch.setattr(translates, "_sums_batch", counted_sums_batch)
     problem = eq.Problem(3, (1.0, 1.0, 1.0), eq.Log(), eq.constant_field(0.0))
     eq.grid_minimax(problem, eq.GridSpec(points_per_dim=11, refine_rounds=2))
-    assert calls["sums"] <= 105
+    assert calls["sums"] <= 57  # 105 before each chunk started from the best of the chunks before it
+
+
+def test_oracle_pruned_scans_sample_few_points(monkeypatch):
+    """Work gate: points sampled by one n = 3 minimax search. The ceiling may only go down."""
+    size = {"points": 0}
+    sums_batch = translates._sums_batch
+
+    def counted_sums_batch(formula_values, r, kernel, T, nodes):
+        size["points"] += T.size
+        return sums_batch(formula_values, r, kernel, T, nodes)
+
+    monkeypatch.setattr(translates, "_sums_batch", counted_sums_batch)
+    problem = eq.Problem(3, (1.0, 1.0, 1.0), eq.Log(), eq.constant_field(0.0))
+    eq.grid_minimax(problem, eq.GridSpec(points_per_dim=11, refine_rounds=2))
+    assert size["points"] <= 130_000  # 573,507 when every cell was searched to the end
+
+
+# -- pruned scans = unpruned scans, to the bit ------------------------------------------
+
+# the four problem kinds of the oracle benchmark, at its grids
+ORACLE_GRID_CASES = [
+    ("log_n2", eq.Problem(2, (1.3, 1.3), eq.Log(), eq.constant_field(-0.7)), 21),
+    ("log_n3", eq.Problem(3, (0.8, 0.8, 0.8), eq.Log(), eq.constant_field(1.2)), 11),
+    ("sqrt_shift", eq.Problem(2, (1.0, 1.0), eq.SqrtShift(), eq.sqrt_affine_field(8.0, -1.0, 1.0)), 21),
+    (
+        "capped_quadratic",
+        eq.Problem(1, (1.0,), eq.CappedLogPlusQuadratic(0.1), eq.sqrt_affine_field(1.0, 1.0, 0.0)),
+        101,
+    ),
+]
+SCAN_CASES = ORACLE_CASES + ORACLE_GRID_CASES
+
+
+def _objectives(problem, cells, mode):
+    """The objective at every cell from the exact maxima: one unpruned batch."""
+    reduce = np.max if mode == "minimax" else np.min
+    return reduce(_maxima_batch(problem, cells), axis=1)
+
+
+def _unpruned_search(problem, grid, mode):
+    """``oracle._search`` with the objective of every lattice cell computed exactly."""
+    pick = np.argmin if mode == "minimax" else np.argmax
+    ranges, width = [(0.0, 1.0)] * problem.n, 1.0
+    for round_no in range(grid.refine_rounds + 1):
+        if round_no:
+            width /= 10.0
+            ranges = [(max(0.0, y - 0.5 * width), min(1.0, y + 0.5 * width)) for y in nodes]
+        cells = oracle._lattice(ranges, grid.points_per_dim)
+        values = _objectives(problem, cells, mode)
+        best = int(pick(values))  # first of ties
+        nodes, value = tuple(float(v) for v in cells[best]), float(values[best])
+    return nodes, value
+
+
+def _hex(values):
+    return tuple(float(v).hex() for v in values)
+
+
+# small chunks: each chunk's scan starts from the best objective of the chunks before it
+CHUNK_INTERVALS = [oracle._BATCH_INTERVALS, 64]
+
+
+@pytest.mark.parametrize("name, problem, points", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+@pytest.mark.parametrize("mode", ["minimax", "maximin"])
+@pytest.mark.parametrize("intervals", CHUNK_INTERVALS)
+def test_pruned_search_is_bit_identical_to_unpruned(name, problem, points, mode, intervals, monkeypatch):
+    monkeypatch.setattr(oracle, "_BATCH_INTERVALS", intervals)
+    grid = eq.GridSpec(points_per_dim=points, refine_rounds=2)
+    search = eq.grid_minimax if mode == "minimax" else eq.grid_maximin
+    nodes, value = search(problem, grid)
+    want_nodes, want_value = _unpruned_search(problem, grid, mode)
+    assert _hex(nodes.nodes) == _hex(want_nodes)
+    assert float(value).hex() == float(want_value).hex()
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.05, 0.2])
+@pytest.mark.parametrize("mode", ["minimax", "maximin"])
+@pytest.mark.parametrize("intervals", CHUNK_INTERVALS)
+def test_pruned_near_optimal_lists_are_exact(mode, tol, intervals, monkeypatch):
+    """The cells within tol of the best and their values are those of the unpruned lattice."""
+    monkeypatch.setattr(oracle, "_BATCH_INTERVALS", intervals)
+    for name, problem, points in SCAN_CASES:
+        cells = oracle._lattice([(0.0, 1.0)] * problem.n, points)
+        values = _objectives(problem, cells, mode)
+        finite = np.isfinite(values)
+        best = values[finite].min() if mode == "minimax" else values[finite].max()
+        keep = np.flatnonzero(finite & (np.abs(values - best) <= tol))
+        want = [(_hex(cells[i]), float(values[i]).hex()) for i in keep]
+        got = eq.grid_near_optimal(problem, eq.GridSpec(points_per_dim=points, refine_rounds=0), mode=mode, tol=tol)
+        assert [(_hex(nodes), float(value).hex()) for nodes, value in got] == want, name
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
+@pytest.mark.parametrize("mode", ["minimax", "maximin"])
+def test_pruning_bounds_enclose_the_scalar_maxima(kernel, mode, monkeypatch):
+    """Every row bound a pruned batch tests cells against holds for the scalar maxima, to 1e-12 relative."""
+    seen = []
+    losing_cells = translates._losing_cells
+
+    def recorded_losing_cells(lo, hi, *args):
+        seen.append((lo.copy(), hi.copy()))
+        return losing_cells(lo, hi, *args)
+
+    monkeypatch.setattr(translates, "_losing_cells", recorded_losing_cells)
+    rng = np.random.default_rng(20240817)
+    finite_bounds = 0
+    for field in FIELDS.values():
+        for n in (1, 2, 3, 4):
+            problem = eq.Problem(n, tuple(rng.uniform(0.5, 2.0, size=n)), kernel, field)
+            Y = np.vstack([_cells(rng, n), _box_cells(rng, n, 1e-2), _box_cells(rng, n, 1e-3), _narrow_cells(n)])
+            seen.clear()
+            _maxima_batch(problem, Y, mode)
+            scalar = np.array([_maxima_floats(problem, (0.0, *y, 1.0))[0] for y in Y])
+            slack = 1e-12 * np.maximum(1.0, np.abs(np.nan_to_num(scalar, neginf=0.0)))
+            for lo, hi in seen:
+                assert np.all(lo <= scalar + slack), (field, n)
+                assert np.all(hi >= scalar - slack), (field, n)
+                finite_bounds += np.count_nonzero(np.isfinite(hi) & (hi > lo))
+    assert finite_bounds > 0  # the searches' concavity bounds were tested, not only finished rows
+
+
+def test_bracket_bounds_skip_minus_infinity_samples():
+    """A lane of −∞ samples gets no bound and a −∞ neighbour an infinite one, without −∞ − −∞."""
+
+    def g(T, lanes):
+        # lane 0: −∞ left of 0.3, a parabola peaking at 0.35 right of it; lane 1: −∞ throughout
+        parabola = np.where(T < 0.3, -np.inf, -((T - 0.35) ** 2))
+        return np.where((lanes == 0)[:, None] if T.ndim == 2 else lanes == 0, parabola, -np.inf)
+
+    bounds = []
+
+    def prune(lanes, best, bound):
+        bounds.append(bound.copy())
+        return np.zeros(lanes.size, dtype=bool)
+
+    a, b = np.zeros(2), np.ones(2)
+    with np.errstate(all="raise"):
+        plain = translates._bracket_batch(g, a, b, np.ones(2, dtype=bool))
+        pruned = translates._bracket_batch(g, a, b, np.ones(2, dtype=bool), prune)
+    assert _hex(plain) == _hex(pruned)
+    assert plain[0] == pytest.approx(0.0, abs=1e-15) and plain[1] == -np.inf
+    assert bounds[0][0] == np.inf  # best sample 0.375 beside the −∞ sample at 0.25
+    assert all(bound[1] == np.inf for bound in bounds[:-1]) and bounds[-1][1] == -np.inf
+    assert all(bound[0] >= plain[0] for bound in bounds)  # the last one is the value itself
+    assert any(plain[0] < bound[0] < np.inf for bound in bounds)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import equiosc as eq
+from equiosc import translates
 from equiosc.catalog import FIGURE1_BLACK, FIGURE1_GREY, build_problem
 from conftest import random_concave_field, random_strict_nodes
 
@@ -200,6 +201,26 @@ def test_no_strict_majorization_for_log(rng):
     assert report.hypotheses_met
     assert report.checked == 100
     assert report.strict_violations == 0
+
+
+@pytest.mark.parametrize("problem", [log_problem(2), build_problem("strictness_5_3")], ids=["log_n2", "capped"])
+def test_majorization_scan_computes_each_sampled_maxima_vector_once(problem, monkeypatch):
+    """Work gate: the sampler's maxima serve the scan, one maxima vector per sampled node system."""
+    rng = np.random.default_rng(3)
+    pairs = [(eq.sample_regular_nodes(problem, rng), eq.sample_regular_nodes(problem, rng)) for _ in range(50)]
+    want = eq.check_strict_majorization_excluded(problem, pairs=pairs)
+    calls = {"maxima": 0}
+    maxima_floats = translates._maxima_floats
+
+    def counted_maxima_floats(*args):
+        calls["maxima"] += 1
+        return maxima_floats(*args)
+
+    monkeypatch.setattr(translates, "_maxima_floats", counted_maxima_floats)
+    report = eq.check_strict_majorization_excluded(problem, samples=50, seed=3)
+    assert report == want
+    if problem.n == 2:  # every draw with gaps of 1e-3 is regular: 100 node systems
+        assert calls["maxima"] == 100
 
 
 def test_strict_majorization_found_for_tent_kernel():
