@@ -17,7 +17,11 @@ certainly worse than the best cell's (by more than ``tol`` in
 :func:`grid_near_optimal`) stops being searched, each chunk starting from
 the best objective of the chunks before it. A pruned cell's value is only
 a bound; the cells that can win, and so every returned node system and
-value, are exactly those of a search without pruning. Ties break to the
+value, are exactly those of a search without pruning, as long as the
+rounding in the bounds stays below the pruning margin,
+1e-12·max(1, |objective|); rounding that grows with the size of the
+summed terms could exceed it where large terms cancel to an objective
+near 0 (see :func:`translates._losing_cells`). Ties break to the
 lexicographically smallest node vector, the first in lattice order. It runs
 single-threaded: the ``threads`` argument is deprecated, and a value other
 than 1 only warns. The problem must be a ``Problem`` and the grid a

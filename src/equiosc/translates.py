@@ -478,8 +478,11 @@ def _losing_cells(lo: np.ndarray, hi: np.ndarray, mode: str, tol: float, attaine
     the objective among the cells where it is certainly finite, or the
     finite objective ``attained`` by a cell elsewhere if that is better; a
     cell loses when its objective is certainly worse than the incumbent by
-    more than ``tol`` plus 1e-12 relative, a margin for rounding in the
-    bounds.
+    more than ``tol`` + 1e-12·max(1, |incumbent|), a margin for rounding in
+    the bounds. That rounding grows with the size of the summed terms, not
+    with the objective's, so where large terms cancel to an objective near
+    0 it could exceed the margin; the answers are exact only while it does
+    not.
     """
     if mode == "maximin":
         lo, hi = -hi, -lo
@@ -513,10 +516,11 @@ def _maxima_batch(
     its searches still running; :func:`_losing_cells`
     stops the searches of the cells that cannot win, against the best of
     these cells or the finite objective ``attained`` elsewhere (another
-    chunk of the lattice), whichever is better. The maxima of a stopped cell
-    are lower bounds, and its objective is worse than the best by more than
-    ``tol``; every other cell's maxima are exactly those computed without a
-    ``mode``.
+    chunk of the lattice), whichever is better, with a margin for rounding
+    of 1e-12·max(1, |incumbent|). The maxima of a stopped cell are lower
+    bounds, and its objective is worse than the best by more than ``tol``;
+    every other cell's maxima are exactly those computed without a
+    ``mode``, as long as the rounding in the bounds stays below that margin.
     """
     field, kernel, n = problem.field, problem.kernel, problem.n
     r = problem.r

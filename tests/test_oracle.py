@@ -325,7 +325,8 @@ def test_oracle_bracket_search_work_ceiling(monkeypatch):
     monkeypatch.setattr(translates, "_sums_batch", counted_sums_batch)
     problem = eq.Problem(3, (1.0, 1.0, 1.0), eq.Log(), eq.constant_field(0.0))
     eq.grid_minimax(problem, eq.GridSpec(points_per_dim=11, refine_rounds=2))
-    assert calls["sums"] <= 57  # 105 before each chunk started from the best of the chunks before it
+    # 105 without the chunk carry-over: each refine round's 1,331 cells are three chunks
+    assert calls["sums"] <= 57
 
 
 def test_oracle_pruned_scans_sample_few_points(monkeypatch):
@@ -397,6 +398,24 @@ def test_pruned_search_is_bit_identical_to_unpruned(name, problem, points, mode,
     search = eq.grid_minimax if mode == "minimax" else eq.grid_maximin
     nodes, value = search(problem, grid)
     want_nodes, want_value = _unpruned_search(problem, grid, mode)
+    assert _hex(nodes.nodes) == _hex(want_nodes)
+    assert float(value).hex() == float(want_value).hex()
+
+
+@pytest.mark.parametrize("R", [1e6, 1e9])
+@pytest.mark.parametrize(
+    "kernel, n, points", [(eq.Log(), 2, 21), (eq.Log(), 3, 11), (eq.SqrtShift(), 2, 21)], ids=["log_n2", "log_n3", "sqrt_n2"]
+)
+@pytest.mark.parametrize("mode", ["minimax", "maximin"])
+def test_pruned_search_is_bit_identical_when_large_terms_cancel(kernel, n, points, mode, R):
+    """Field constant and translates of size R cancel to an objective near 0: the bounds' rounding is ~ε·R."""
+    grid = eq.GridSpec(points_per_dim=points, refine_rounds=2)
+    search = eq.grid_minimax if mode == "minimax" else eq.grid_maximin
+    _, unit_value = search(eq.Problem(n, (1.0,) * n, kernel, eq.constant_field(0.0)), grid)
+    problem = eq.Problem(n, (R,) * n, kernel, eq.constant_field(-R * unit_value))
+    nodes, value = search(problem, grid)
+    want_nodes, want_value = _unpruned_search(problem, grid, mode)
+    assert abs(want_value) < 1e-6 * R
     assert _hex(nodes.nodes) == _hex(want_nodes)
     assert float(value).hex() == float(want_value).hex()
 
