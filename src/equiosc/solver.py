@@ -133,7 +133,11 @@ def _jacobian(problem: Problem, ys: list[float], vals, args):
     neither a kink nor 0 (F(y, t_i*) is finite), so F depends smoothly on y_l
     for t near t_i*, where the maximum stays, and Danskin's derivative holds
     there. Every argmax is set: the solver asks for a Jacobian only at a
-    finite residual, where every m_i is finite.
+    finite residual, where every m_i is finite. A kink entry's perturbed
+    maximum can still be −∞, so the None is reachable: where t_i* = y_k + κ
+    is the only finite point of F on interval i (a field that is −∞ but at
+    an override at t_i*), the forward difference moves y_k past t_i* and
+    leaves interval i no finite point.
     """
     n = problem.n
     kernel = problem.kernel

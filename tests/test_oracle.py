@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -231,25 +232,35 @@ def _narrow_cells(n):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
-def test_maxima_batch_matches_scalar_maxima(kernel):
+@functools.cache
+def _batch_cases(kernel):
+    """(field, n, problem, Y, scalar maxima at Y) for each problem the batch tests draw for ``kernel``."""
     rng = np.random.default_rng(20240817)
+    cases = []
     for field in FIELDS.values():
         for n in (1, 2, 3, 4):
             problem = eq.Problem(n, tuple(rng.uniform(0.5, 2.0, size=n)), kernel, field)
             Y = np.vstack([_cells(rng, n), _box_cells(rng, n, 1e-2), _box_cells(rng, n, 1e-3), _narrow_cells(n)])
-            batch = _maxima_batch(problem, Y)
             scalar = np.array([_maxima_floats(problem, (0.0, *y, 1.0))[0] for y in Y])
-            assert batch.shape == (len(Y), n + 1)
-            assert np.array_equal(np.isneginf(batch), np.isneginf(scalar))
-            assert np.all(np.isfinite(batch) | np.isneginf(batch))
-            finite = np.isfinite(scalar)
-            dev = np.abs(batch[finite] - scalar[finite])
-            assert np.all(dev <= 1e-12 * np.maximum(1.0, np.abs(scalar[finite])))
+            Y.flags.writeable = scalar.flags.writeable = False  # cached: shared by the tests that read them
+            cases.append((field, n, problem, Y, scalar))
+    return tuple(cases)
 
 
-def _bits(pair):
-    return tuple(None if x is None else float(x).hex() for x in pair)
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
+def test_maxima_batch_matches_scalar_maxima(kernel):
+    for _, n, problem, Y, scalar in _batch_cases(kernel):
+        batch = _maxima_batch(problem, Y)
+        assert batch.shape == (len(Y), n + 1)
+        assert np.array_equal(np.isneginf(batch), np.isneginf(scalar))
+        assert np.all(np.isfinite(batch) | np.isneginf(batch))
+        finite = np.isfinite(scalar)
+        dev = np.abs(batch[finite] - scalar[finite])
+        assert np.all(dev <= 1e-12 * np.maximum(1.0, np.abs(scalar[finite])))
+
+
+def _hex(values):
+    return tuple(None if v is None else float(v).hex() for v in values)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
@@ -264,9 +275,9 @@ def test_maxima_vector_is_bit_identical_to_per_interval_set_up(kernel):
                 ys = (0.0, *(float(v) for v in y), 1.0)
                 vals, args = _maxima_floats(problem, ys)
                 for j in range(n + 1):
-                    want = _bits(reference_scalar_interval_max(problem, ys, j))
-                    assert _bits((args[j], vals[j])) == want, (field, ys, j)
-                    assert _bits(translates._interval_max(problem, ys, j)) == want, (field, ys, j)
+                    want = _hex(reference_scalar_interval_max(problem, ys, j))
+                    assert _hex((args[j], vals[j])) == want, (field, ys, j)
+                    assert _hex(translates._interval_max(problem, ys, j)) == want, (field, ys, j)
                     degenerate += ys[j] == ys[j + 1]
     assert degenerate > 0
 
@@ -279,14 +290,14 @@ ORACLE_CASES = [
     ("sqrt_field", eq.Problem(2, (1.0, 1.5), eq.Log(), eq.sqrt_affine_field(1.0, 1.0, 0.0)), 21),
     ("log_n2", eq.Problem(2, (1.0, 1.0), eq.Log(), eq.constant_field(0.0)), 11),
 ]
+SEARCH = {"minimax": eq.grid_minimax, "maximin": eq.grid_maximin}
 
 
 @pytest.mark.parametrize("name, problem, points", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
 @pytest.mark.parametrize("mode", ["minimax", "maximin"])
 def test_oracle_matches_scalar_reference(name, problem, points, mode):
     grid = eq.GridSpec(points_per_dim=points, refine_rounds=2)
-    search = eq.grid_minimax if mode == "minimax" else eq.grid_maximin
-    nodes, value = search(problem, grid)
+    nodes, value = SEARCH[mode](problem, grid)
     ref_nodes, ref_value, gaps = reference_grid_search(problem, grid, mode)
     if math.isfinite(ref_value):
         assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
@@ -360,29 +371,27 @@ ORACLE_GRID_CASES = [
 SCAN_CASES = ORACLE_CASES + ORACLE_GRID_CASES
 
 
-def _objectives(problem, cells, mode):
-    """The objective at every cell from the exact maxima: one unpruned batch."""
+@functools.cache
+def _lattice_objectives(problem, ranges, points, mode):
+    """The lattice cells over ``ranges`` and the objective at each from the exact maxima: one unpruned batch."""
+    cells = oracle._lattice(ranges, points)
     reduce = np.max if mode == "minimax" else np.min
-    return reduce(_maxima_batch(problem, cells), axis=1)
+    values = reduce(_maxima_batch(problem, cells), axis=1)
+    return cells, values
 
 
 def _unpruned_search(problem, grid, mode):
     """``oracle._search`` with the objective of every lattice cell computed exactly."""
     pick = np.argmin if mode == "minimax" else np.argmax
-    ranges, width = [(0.0, 1.0)] * problem.n, 1.0
+    ranges, width = ((0.0, 1.0),) * problem.n, 1.0
     for round_no in range(grid.refine_rounds + 1):
         if round_no:
             width /= 10.0
-            ranges = [(max(0.0, y - 0.5 * width), min(1.0, y + 0.5 * width)) for y in nodes]
-        cells = oracle._lattice(ranges, grid.points_per_dim)
-        values = _objectives(problem, cells, mode)
+            ranges = tuple((max(0.0, y - 0.5 * width), min(1.0, y + 0.5 * width)) for y in nodes)
+        cells, values = _lattice_objectives(problem, ranges, grid.points_per_dim, mode)
         best = int(pick(values))  # first of ties
         nodes, value = tuple(float(v) for v in cells[best]), float(values[best])
     return nodes, value
-
-
-def _hex(values):
-    return tuple(float(v).hex() for v in values)
 
 
 # small chunks: each chunk's scan starts from the best objective of the chunks before it
@@ -395,8 +404,7 @@ CHUNK_INTERVALS = [oracle._BATCH_INTERVALS, 64]
 def test_pruned_search_is_bit_identical_to_unpruned(name, problem, points, mode, intervals, monkeypatch):
     monkeypatch.setattr(oracle, "_BATCH_INTERVALS", intervals)
     grid = eq.GridSpec(points_per_dim=points, refine_rounds=2)
-    search = eq.grid_minimax if mode == "minimax" else eq.grid_maximin
-    nodes, value = search(problem, grid)
+    nodes, value = SEARCH[mode](problem, grid)
     want_nodes, want_value = _unpruned_search(problem, grid, mode)
     assert _hex(nodes.nodes) == _hex(want_nodes)
     assert float(value).hex() == float(want_value).hex()
@@ -410,10 +418,9 @@ def test_pruned_search_is_bit_identical_to_unpruned(name, problem, points, mode,
 def test_pruned_search_is_bit_identical_when_large_terms_cancel(kernel, n, points, mode, R):
     """Field constant and translates of size R cancel to an objective near 0: the bounds' rounding is ~ε·R."""
     grid = eq.GridSpec(points_per_dim=points, refine_rounds=2)
-    search = eq.grid_minimax if mode == "minimax" else eq.grid_maximin
-    _, unit_value = search(eq.Problem(n, (1.0,) * n, kernel, eq.constant_field(0.0)), grid)
+    _, unit_value = SEARCH[mode](eq.Problem(n, (1.0,) * n, kernel, eq.constant_field(0.0)), grid)
     problem = eq.Problem(n, (R,) * n, kernel, eq.constant_field(-R * unit_value))
-    nodes, value = search(problem, grid)
+    nodes, value = SEARCH[mode](problem, grid)
     want_nodes, want_value = _unpruned_search(problem, grid, mode)
     assert abs(want_value) < 1e-6 * R
     assert _hex(nodes.nodes) == _hex(want_nodes)
@@ -427,8 +434,7 @@ def test_pruned_near_optimal_lists_are_exact(mode, tol, intervals, monkeypatch):
     """The cells within tol of the best and their values are those of the unpruned lattice."""
     monkeypatch.setattr(oracle, "_BATCH_INTERVALS", intervals)
     for name, problem, points in SCAN_CASES:
-        cells = oracle._lattice([(0.0, 1.0)] * problem.n, points)
-        values = _objectives(problem, cells, mode)
+        cells, values = _lattice_objectives(problem, ((0.0, 1.0),) * problem.n, points, mode)
         finite = np.isfinite(values)
         best = values[finite].min() if mode == "minimax" else values[finite].max()
         keep = np.flatnonzero(finite & (np.abs(values - best) <= tol))
@@ -449,20 +455,15 @@ def test_pruning_bounds_enclose_the_scalar_maxima(kernel, mode, monkeypatch):
         return losing_cells(lo, hi, *args)
 
     monkeypatch.setattr(translates, "_losing_cells", recorded_losing_cells)
-    rng = np.random.default_rng(20240817)
     finite_bounds = 0
-    for field in FIELDS.values():
-        for n in (1, 2, 3, 4):
-            problem = eq.Problem(n, tuple(rng.uniform(0.5, 2.0, size=n)), kernel, field)
-            Y = np.vstack([_cells(rng, n), _box_cells(rng, n, 1e-2), _box_cells(rng, n, 1e-3), _narrow_cells(n)])
-            seen.clear()
-            _maxima_batch(problem, Y, mode)
-            scalar = np.array([_maxima_floats(problem, (0.0, *y, 1.0))[0] for y in Y])
-            slack = 1e-12 * np.maximum(1.0, np.abs(np.nan_to_num(scalar, neginf=0.0)))
-            for lo, hi in seen:
-                assert np.all(lo <= scalar + slack), (field, n)
-                assert np.all(hi >= scalar - slack), (field, n)
-                finite_bounds += np.count_nonzero(np.isfinite(hi) & (hi > lo))
+    for field, n, problem, Y, scalar in _batch_cases(kernel):
+        seen.clear()
+        _maxima_batch(problem, Y, mode)
+        slack = 1e-12 * np.maximum(1.0, np.abs(np.nan_to_num(scalar, neginf=0.0)))
+        for lo, hi in seen:
+            assert np.all(lo <= scalar + slack), (field, n)
+            assert np.all(hi >= scalar - slack), (field, n)
+            finite_bounds += np.count_nonzero(np.isfinite(hi) & (hi > lo))
     assert finite_bounds > 0  # the searches' concavity bounds were tested, not only finished rows
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 import equiosc as eq
 from equiosc import solver
 from equiosc.catalog import build_problem
+from equiosc.fields import NegInfinityPiece, Piece, PiecewiseField
 from equiosc.translates import _maxima_floats
 from conftest import random_concave_field, random_sm_problem, random_strict_nodes
 import golden_reference
@@ -527,6 +528,22 @@ def test_argmax_on_a_kernel_kink_solves(monkeypatch):
     ys = [0.0, *report.nodes.nodes, 1.0]
     solver._jacobian(problem, ys, report.maxima.as_floats(), report.maxima.argmax)
     assert differenced == [2, 2]
+
+
+def test_jacobian_is_none_where_a_kink_difference_leaves_the_finite_points():
+    # the field is −∞ but at its overrides 0.1 and 0.3; interval 1's argmax 0.3 is y_1 + κ
+    kappa = 5e-8
+    field = PiecewiseField((Piece(0.0, 1.0, NegInfinityPiece()),), ((0.1, 0.0), (0.3, 0.0)))
+    problem = eq.Problem(1, (1.0,), eq.CappedLog(kappa), field)
+    ys = [0.0, 0.3 - kappa, 1.0]
+    res, vals, args = solver._residual_norm(problem, ys, (0.0,))
+    assert res < 1e-9 and args == [0.1, 0.3] and args[1] == ys[1] + kappa
+    # the forward difference moves y_1 past 0.3: interval 1 keeps no finite point
+    pert, _ = solver._fd_node(ys, 1)
+    assert pert[1] > 0.3 and _maxima_floats(problem, pert)[0][1] == -math.inf
+    assert solver._jacobian(problem, ys, vals, args) is None
+    report = eq.solve_equioscillation(problem, initial=(0.3 - kappa,))
+    assert report.converged and report.iterations == 0 and report.nodes.nodes == (0.3 - kappa,)
 
 
 @pytest.mark.parametrize("n", [32, 64])

@@ -21,7 +21,7 @@ node error exceeds 1e-14, or any value error exceeds 2e-12 up to n = 256 or
 1e-13·|value| above it (the value grows like n, and its rounding with it),
 else 0. No test solves n > 64, so this is the check at large n.
 
-Run from the repository root (about 15 s):
+Run from the repository root (5–6 s on a shared 2-core x86-64 host):
 
     PYTHONPATH=src python tools/chebyshev_ladder.py
 """
