@@ -283,10 +283,16 @@ class _PinnedTranslates(Formula):
 
     def __post_init__(self):
         object.__setattr__(self, "_log_sum", _LOG._build_sum(self.terms))
+        object.__setattr__(self, "_log_slopes", _LOG._build_slope_sum(self.terms))
 
     def _value(self, t):
         v = self.base._value(t)
         return NEG_INFINITY if v == NEG_INFINITY else v + self._log_sum(t)
+
+    def _derivatives(self, t):
+        f1, f2 = self.base._derivatives(t)
+        s1, s2 = self._log_slopes(t)
+        return f1 + s1, f2 + s2
 
     @property
     def concave(self):

@@ -59,6 +59,10 @@ class Formula:
     def _values(self, t: np.ndarray) -> np.ndarray:
         return np.array([self._value(float(v)) for v in t])
 
+    def _derivatives(self, t: float) -> tuple[float, float]:
+        """(f′(t), f″(t)) inside the branch's domain: the field's part of the slope search on a concave piece."""
+        raise NotImplementedError
+
     @property
     def concave(self) -> bool:
         """Whether this branch is concave on any interval inside its domain."""
@@ -89,6 +93,9 @@ class Constant(Formula):
 
     def _values(self, t):
         return np.full(np.shape(t), self.c)
+
+    def _derivatives(self, t):
+        return 0.0, 0.0
 
     @property
     def concave(self):
@@ -129,6 +136,9 @@ class Indicator(Formula):
     def _values(self, t):
         return np.full(np.shape(t), self.value)
 
+    def _derivatives(self, t):
+        return 0.0, 0.0
+
     @property
     def concave(self):
         return True
@@ -164,6 +174,13 @@ class SqrtAffine(Formula):
         arg = self.s * (np.asarray(t, dtype=float) - self.t0)
         return self.c * np.sqrt(np.maximum(arg, 0.0))
 
+    def _derivatives(self, t):
+        arg = self._arg(t)
+        if arg <= 0.0:  # at the zero, or in the domain slack past it: the slope points into the support
+            return (math.copysign(math.inf, self.s) if self.c else 0.0), 0.0
+        d1 = 0.5 * self.c * self.s / math.sqrt(arg)
+        return d1, -0.5 * d1 * self.s / arg
+
     @property
     def concave(self):
         return self.c >= 0.0
@@ -198,6 +215,13 @@ class LogOfWeight(Formula):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.log(np.maximum(w, 0.0))
         return out
+
+    def _derivatives(self, t):
+        w = self.weight._value(t)
+        if w <= 0.0:  # a zero of the weight, where the value is −∞
+            return 0.0, 0.0
+        d1, d2 = self.weight._derivatives(t)
+        return d1 / w, (d2 - d1 * d1 / w) / w
 
     @property
     def concave(self):

@@ -25,6 +25,13 @@ same order with the same operations, bit for bit one kernel call per
 translate. ``Log`` takes one log per run of equal exponents, r·log|∏(t − y_j)|,
 which is bit for bit the per-term loop only where every run is one term
 (distinct neighbouring exponents) and otherwise differs from it by rounding.
+
+Next to it, each kernel compiles the slope sum t ↦ (Σ_j r_j K′(t − y_j),
+Σ_j r_j K″(t − y_j)) (``_build_slope_sum``) for the search of the interval
+maxima: one loop over the kernel's scalar (K′, K″) in the terms' order.
+``Log``'s is inlined (one reciprocal per term gives both) and, where all
+exponents are equal, multiplies by the exponent once: bit for bit the loop
+at exponent 1, and otherwise the same to rounding.
 """
 
 from __future__ import annotations
@@ -85,6 +92,10 @@ class KernelSpec:
         """K′(u) elementwise for u ≠ 0; on a kink either one-sided value."""
         raise NotImplementedError
 
+    def _build_derivatives(self) -> Callable[[float], tuple[float, float]]:
+        """Scalar u ↦ (K′(u), K″(u)) for u ≠ 0 off the kinks, inside the kernel's support."""
+        raise NotImplementedError
+
     def _build_sum(self, terms) -> Callable[[float], float]:
         """t ↦ Σ_j r_j K(t − y_j) over ``terms`` ((r_j, y_j), …); no domain check.
 
@@ -107,6 +118,27 @@ class KernelSpec:
             return s
 
         return ksum
+
+    def _build_slope_sum(self, terms) -> Callable[[float], tuple[float, float]]:
+        """t ↦ (Σ_j r_j K′(t − y_j), Σ_j r_j K″(t − y_j)) over ``terms``; t at no node or kink.
+
+        The terms are added in the given order, as ``s += r * v`` from 0.0 for
+        each component. A variant may compile the loop with its derivatives
+        inlined (bit for bit the same sums) or group equal exponents (``Log``:
+        the same sums to rounding).
+        """
+        terms = tuple(terms)
+        k2 = self._build_derivatives()
+
+        def slope_sum(t: float) -> tuple[float, float]:
+            s1 = s2 = 0.0
+            for r, yj in terms:
+                d1, d2 = k2(t - yj)
+                s1 += r * d1
+                s2 += r * d2
+            return s1, s2
+
+        return slope_sum
 
     def params(self) -> dict:
         """The constructor's arguments by name; a nested kernel is written as its own document."""
@@ -192,6 +224,46 @@ class Log(KernelSpec):
     def _slope(self, u):
         return 1.0 / np.asarray(u, dtype=float)
 
+    def _build_derivatives(self):
+        def k2(u: float) -> tuple[float, float]:
+            q = 1.0 / u
+            return q, -(q * q)
+
+        return k2
+
+    def _build_slope_sum(self, terms):
+        """t ↦ (Σ_j r_j q_j, −Σ_j r_j q_j²), q_j = 1/(t − y_j): one reciprocal per term gives both.
+
+        With distinct exponents this is the per-term loop, bit for bit. With
+        one exponent r for all n terms it adds up q_j and q_j² and multiplies
+        by r once: bit for bit the per-term loop at r = 1, and otherwise
+        within n·ε·r·Σ|term| of it.
+        """
+        terms = tuple(terms)
+        if len({r for r, _ in terms}) == 1:
+            r = terms[0][0]
+            ys = tuple(yj for _, yj in terms)
+
+            def slope_sum(t: float) -> tuple[float, float]:
+                s1 = s2 = 0.0
+                for yj in ys:
+                    q = 1.0 / (t - yj)
+                    s1 += q
+                    s2 += q * q
+                return r * s1, -(r * s2)
+
+            return slope_sum
+
+        def slope_sum(t: float) -> tuple[float, float]:
+            s1 = s2 = 0.0
+            for r, yj in terms:
+                q = 1.0 / (t - yj)
+                s1 += r * q
+                s2 -= r * (q * q)
+            return s1, s2
+
+        return slope_sum
+
 
 @dataclass(frozen=True)
 class CappedLog(KernelSpec):
@@ -232,6 +304,17 @@ class CappedLog(KernelSpec):
         u = np.asarray(u, dtype=float)
         return np.where(np.abs(u) < self.a, 1.0 / u, 0.0)
 
+    def _build_derivatives(self):
+        a = self.a
+
+        def k2(u: float) -> tuple[float, float]:
+            if abs(u) >= a:
+                return 0.0, 0.0
+            q = 1.0 / u
+            return q, -(q * q)
+
+        return k2
+
 
 @dataclass(frozen=True)
 class SqrtShift(KernelSpec):
@@ -256,6 +339,15 @@ class SqrtShift(KernelSpec):
     def _slope(self, u):
         u = np.asarray(u, dtype=float)
         return np.sign(u) / (2.0 * np.sqrt(np.abs(u) + 4.0))
+
+    def _build_derivatives(self):
+        sqrt, copysign = math.sqrt, math.copysign
+
+        def k2(u: float) -> tuple[float, float]:
+            s = sqrt(abs(u) + 4.0)
+            return copysign(0.5 / s, u), -0.25 / (s * s * s)
+
+        return k2
 
 
 @dataclass(frozen=True)
@@ -289,6 +381,17 @@ class TentLog(KernelSpec):
         with np.errstate(divide="ignore"):
             return np.where(au < 0.1, 1.0 / u, -np.sign(u) / (1.0 - au))
 
+    def _build_derivatives(self):
+        copysign = math.copysign
+
+        def k2(u: float) -> tuple[float, float]:
+            # K′ = 1/u on the log|10u| branch, −sign(u)/(1 − |u|) on the other; K″ = −K′² on both
+            au = abs(u)
+            q = 1.0 / u if au < 0.1 else copysign(1.0 / (1.0 - au), -u)
+            return q, -(q * q)
+
+        return k2
+
 
 @dataclass(frozen=True)
 class CappedLogPlusQuadratic(CappedLog):
@@ -315,6 +418,15 @@ class CappedLogPlusQuadratic(CappedLog):
 
     def _slope(self, u):
         return super()._slope(u) - 4.0 * np.asarray(u, dtype=float)
+
+    def _build_derivatives(self):
+        capped = super()._build_derivatives()
+
+        def k2(u: float) -> tuple[float, float]:
+            d1, d2 = capped(u)
+            return d1 - 4.0 * u, d2 - 4.0
+
+        return k2
 
 
 @dataclass(frozen=True)
@@ -379,6 +491,20 @@ class Regularized(KernelSpec):
     def _slope(self, u):
         u = np.asarray(u, dtype=float)
         return self.base._slope(u) + self.eta * np.sign(u) / (2.0 * np.sqrt(np.abs(u)))
+
+    def _build_derivatives(self):
+        base_k2 = self.base._build_derivatives()
+        half_eta = 0.5 * self.eta
+        sqrt, copysign = math.sqrt, math.copysign
+
+        def k2(u: float) -> tuple[float, float]:
+            # (η·sqrt|u|)′ = sign(u)·η/(2 sqrt|u|) and (η·sqrt|u|)″ = −η/(4 |u|^{3/2})
+            d1, d2 = base_k2(u)
+            au = abs(u)
+            e1 = half_eta / sqrt(au)
+            return d1 + copysign(e1, u), d2 - 0.5 * e1 / au
+
+        return k2
 
 
 def scalar_fn(kernel: KernelSpec) -> Callable[[float], float]:

@@ -11,24 +11,36 @@ interval is cut at the field breakpoints and at the kernel kinks y_j ± κ, and
 the cut points are candidates themselves (usc maxima may sit exactly on a
 jump, and a maximum on a kink is then evaluated exactly). On each concave
 piece an end where F does not rise inward is the maximum by concavity;
-otherwise Brent's method searches the piece. Values are accurate to rounding
-on smooth pieces, argmax locations to about √ε·|t|.
+otherwise :func:`_slope_max` finds where the decreasing slope F′ changes
+sign: Newton steps on F′ (the kernel's compiled slope sum plus the field
+formula's derivatives) kept inside a bracket, with bisection as their guard.
+It stops only once the bracket around the sign change is narrow, never on a
+small step alone, and computes one value, at the Newton point of the bracket
+end nearer the root. Values are accurate to rounding on smooth pieces, and
+so are argmax locations, measured. A piece narrower than any fixed
+tolerance (two nodes 4e-13 apart) is searched the same way, to rounding.
+Non-concave pieces are scanned and polished by Brent's method.
 
-Every scalar caller takes its interval maxima from :func:`_maxima`, at one
-argmax tolerance ``_XTOL``: a maxima vector, a single interval maximum (the
+Every scalar caller takes its interval maxima from :func:`_maxima`, with
+the same fixed tolerances: a maxima vector, a single interval maximum (the
 solver's difference quotients) and the union and extremal-product
 norms of ``applications``. It builds the set-up once per call: the kernel
 sum t ↦ Σ r_j K(t − y_j), compiled by ``KernelSpec._build_sum`` into one
 closure (the one scalar kernel-sum routine), the node set, one sorted list of
-the cut points of all its intervals and the sorted override points. Each
-interval takes the cuts strictly inside it by bisection before
+the cut points of all its intervals and the sorted override points. The slope
+sum (``KernelSpec._build_slope_sum``) is compiled at the first piece that no
+end check settles, so a call whose pieces all end at an end check builds
+none. Each interval takes the cuts strictly inside it by bisection before
 :func:`_maximize` searches it.
 
 The grid oracle needs only the values, for whole lattices of node systems:
 :func:`_maxima_batch` runs the same cuts and end checks for many node systems
-at once in numpy, with a lockstep bracket search in place of Brent's: each
-step samples every searched piece at seven interior points in one evaluation
-and keeps the quarter of its bracket around the best sample. Concavity also
+at once in numpy, with a lockstep bracket search in place of the slope
+search: each step samples every searched piece at seven interior points in
+one evaluation and keeps the quarter of its bracket around the best sample,
+to the bracket width at which Brent's method stops. A concave piece no wider
+than ``_XTOL`` is below that width and takes the scalar slope search, so the
+two paths agree there too. Concavity also
 bounds each concave piece's maximum from above at every step, so a scan for
 the best node system stops the searches of the cells that cannot win: their
 values are bounds, and only the cells that can win get exact values.
@@ -69,7 +81,8 @@ __all__ = [
 _XTOL = 1e-12
 _NODE_EPS = 1e-13
 _INF = float("inf")
-_SQRT_EPS = math.sqrt(math.ulp(1.0))
+_EPS = math.ulp(1.0)
+_SQRT_EPS = math.sqrt(_EPS)
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction 1 − 1/φ
 _SCAN_POINTS = 64  # samples per non-concave piece, scalar and batched
 
@@ -165,10 +178,83 @@ def _check_t(t: float) -> float:
     return t
 
 
-# -- Brent maximization on concave pieces --------------------------------------
+# -- maximization on a piece ----------------------------------------------------
+
+def _with_slopes(formula, kslope):
+    """t ↦ (g′(t), g″(t)) of g = formula + Σ r_j K(· − y_j), ``kslope`` from ``KernelSpec._build_slope_sum``."""
+    fslope = formula._derivatives
+
+    def dg(t: float) -> tuple[float, float]:
+        f1, f2 = fslope(t)
+        s1, s2 = kslope(t)
+        return f1 + s1, f2 + s2
+
+    return dg
+
+
+def _slope_max(g, dg, a: float, b: float) -> tuple[float, float]:
+    """(t, g(t)) at the maximum of a concave g on [a, b], by its decreasing slope; interior points only.
+
+    A safeguarded Newton search for the sign change of g′ ("rtsafe", Press et
+    al., *Numerical Recipes*, §9.4). ``dg`` gives (g′, g″); the sign of g′
+    at each point moves one end of a bracket [lo, hi] from [a, b]. The next
+    point is the Newton point x − g′/g″ if it lies in the bracket and its
+    step is at most half the step before last, else the bracket's midpoint.
+
+    Stop rule: the bracket is at most 2·tol wide, tol = √ε·min(|x|, b − a)
+    + 2ε·|x| + ε²·(b − a): the value's error is quadratic in the distance to
+    the maximum, 2ε·|x| is two float spacings at x, and ε²·(b − a) keeps tol
+    positive at x = 0. A small step alone does not stop the search: beside a
+    node g′ ≈ r/(t − y), so the Newton step is the distance to the node,
+    however far the root is. A Newton step of at most tol goes on past its
+    point by tol instead, and the sign there (or the bracket's end) closes
+    the bracket. The result is the Newton point of the bracket end nearer
+    the root (else the bracket's midpoint), whose error is quadratic in that
+    end's, so a piece narrower than any fixed tolerance, as between two
+    nodes 4e-13 apart, is searched to rounding too. One value is computed,
+    at the end; where g′ = 0 the search stops at once.
+    """
+    lo, hi = a, b
+    lo_step = hi_step = _INF  # the Newton step lengths from the bracket's ends (from a or b: none)
+    width = b - a
+    tiny = _EPS * _EPS * width
+    x = 0.5 * (a + b)
+    last = prev = width  # the last two step lengths
+    for _ in range(200):
+        d1, d2 = dg(x)
+        if d1 > 0.0:
+            lo = x
+            size = lo_step = -d1 / d2 if d2 < 0.0 else _INF
+            xn = x + size
+        elif d1 < 0.0:
+            hi = x
+            size = hi_step = d1 / d2 if d2 < 0.0 else _INF
+            xn = x - size
+        else:  # a stationary point (or a NaN slope): nothing to search
+            return x, g(x)
+        ax = x if x > 0.0 else -x
+        tol = _SQRT_EPS * (ax if ax < width else width) + 2.0 * _EPS * ax + tiny
+        if hi - lo <= 2.0 * tol:
+            break
+        # xn may round back to x: the root is then within half an ulp of x
+        if not lo <= xn <= hi or size > 0.5 * prev:
+            xn = 0.5 * (lo + hi)
+            size = xn - x if xn > x else x - xn
+        elif size <= tol:
+            xc = xn + tol if d1 > 0.0 else xn - tol
+            if not lo < xc < hi:  # the bracket's end past the Newton point confirms it
+                break
+            xn = xc
+        prev, last = last, size
+        x = xn
+    x = lo + lo_step if lo_step <= hi_step else hi - hi_step
+    if not lo <= x <= hi:
+        x = 0.5 * (lo + hi)
+    return x, g(x)
+
 
 def _brent_max(g, lo: float, hi: float) -> tuple[float, float]:
-    """Maximize a concave (or at least unimodal) g on [lo, hi], interior samples only.
+    """Maximize a unimodal g on [lo, hi] by values alone, interior samples only: the polish of :func:`_scan_max`.
 
     Brent's method (Brent 1973, ch. 5): parabolic steps through the three best
     points, guarded by golden-section steps, until the bracket around the best
@@ -176,7 +262,8 @@ def _brent_max(g, lo: float, hi: float) -> tuple[float, float]:
     width bound matters on narrow pieces between two singular nodes, where the
     curvature grows like 1/width² and √ε·|x| alone would leave the value far
     from rounding. Values are negated so the updates read as in the
-    minimization form; −∞ samples force golden steps.
+    minimization form; −∞ samples force golden steps. A bracket no wider than
+    _XTOL gives its midpoint's value.
     """
     a, b = lo, hi
     width = b - a
@@ -234,21 +321,24 @@ def _brent_max(g, lo: float, hi: float) -> tuple[float, float]:
     return x, -fx
 
 
-def _concave_max(g, a: float, b: float, ga: float, gb: float):
-    """Maximize a concave g on [a, b]: an end where g does not rise inward, else Brent.
+def _concave_max(g, a: float, b: float, ga: float, gb: float, slope):
+    """Maximize a concave g on [a, b]: an end where g does not rise inward, else :func:`_slope_max`.
 
     ``ga`` and ``gb`` are g(a) and g(b); an end where g is −∞ is not checked
     (at a node of a singular kernel g always rises inward). If g(b − h) ≤ g(b)
     with g(b) finite, concavity puts the maximum at b, and likewise at a;
-    h = max(_XTOL, √ε·(b − a)).
+    h = max(_XTOL, √ε·(b − a)). ``slope()`` builds g's slope closure
+    t ↦ (g′(t), g″(t)); it is called only when no end check settles the piece.
     """
-    h = max(_XTOL, _SQRT_EPS * (b - a))
+    h = _SQRT_EPS * (b - a)
+    if h < _XTOL:
+        h = _XTOL
     if b - a > 2.0 * h:
         if ga > NEG_INFINITY and g(a + h) <= ga:
             return a, ga
         if gb > NEG_INFINITY and g(b - h) <= gb:
             return b, gb
-    return _brent_max(g, a, b)
+    return _slope_max(g, slope(), a, b)
 
 
 def _scan_max(g, lo: float, hi: float) -> tuple[float, float]:
@@ -270,17 +360,18 @@ def _maximize(field, ksum, lo: float, hi: float, singular: bool, setup):
     """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi.
 
     ``ksum`` is the compiled sum t ↦ Σ r_j K(t − y_j) and ``setup`` the (node
-    set, sorted cut points, sorted overrides); :func:`_maxima` builds both
-    once. The interval is cut at the field's interior
-    knots, at every node y_j strictly inside it, and at the kernel kinks
-    y_j ± κ inside it; the cuts and field overrides are point candidates, and
-    each piece between cuts is searched by :func:`_concave_max` (concave) or a
+    set, sorted cut points, sorted overrides, getter of the slope sum compiled
+    at its first use); :func:`_maxima` builds both once. The interval is cut
+    at the field's interior knots, at every node y_j strictly inside it, and
+    at the kernel kinks y_j ± κ inside it; the cuts and field overrides are
+    point candidates, and each piece between cuts is searched by
+    :func:`_concave_max` (concave: end checks, then the slope search) or a
     scan plus Brent polish (not concave). With a singular kernel the search
     stays _NODE_EPS away from a node at either end of a piece; a piece at a
     node too narrow for that offset (at most 4·_NODE_EPS) is sampled at its
     midpoint, so a narrow interval between two nodes keeps a finite maximum.
     """
-    nodes, points, overrides = setup
+    nodes, points, overrides, kslope = setup
     cuts = [lo, *points[bisect_right(points, lo):bisect_left(points, hi)], hi]
 
     # a cut is a candidate and the end of up to two pieces: its kernel sum is
@@ -321,7 +412,7 @@ def _maximize(field, ksum, lo: float, hi: float, singular: bool, setup):
         g = _with_translates(formula._value, ksum)
         if formula.concave:
             ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
-            candidates.append(_concave_max(g, a, b, ga, gb))
+            candidates.append(_concave_max(g, a, b, ga, gb, lambda: _with_slopes(formula, kslope())))
         else:
             candidates.append(_scan_max(g, a, b))
 
@@ -339,8 +430,9 @@ def _maxima(field, kernel, terms, intervals) -> list[tuple[float | None, float]]
 
     The one scalar interval-maxima routine. Its set-up is built once for all
     the intervals: the node set, one sorted list of their cut points (the
-    field's interior knots, the nodes y_j and the kernel kinks y_j ± κ) and
-    the sorted override points. A degenerate interval lo = hi has maximum −∞
+    field's interior knots, the nodes y_j and the kernel kinks y_j ± κ), the
+    sorted override points and, at the first piece no end check settles, the
+    compiled slope sum. A degenerate interval lo = hi has maximum −∞
     under a singular kernel and the value at the point under any other:
 
     >>> from equiosc import Log, SqrtShift, constant_field
@@ -351,9 +443,18 @@ def _maxima(field, kernel, terms, intervals) -> list[tuple[float | None, float]]
     """
     singular = kernel.flags().singular
     ksum = kernel._build_sum(terms)
+    slope_sum = None
+
+    def kslope():
+        # the slope sum is compiled at the first piece that passes no end check
+        nonlocal slope_sum
+        if slope_sum is None:
+            slope_sum = kernel._build_slope_sum(terms)
+        return slope_sum
+
     nodes = {yj for _, yj in terms}
     kink_cuts = [yj + s for yj in nodes for k in kernel._kinks for s in (k, -k)]
-    setup = nodes, sorted({*field.interior_knots(), *nodes, *kink_cuts}), sorted(field.override_points())
+    setup = nodes, sorted({*field.interior_knots(), *nodes, *kink_cuts}), sorted(field.override_points()), kslope
     out = []
     for lo, hi in intervals:
         scalar_fn(kernel)  # one call per interval maximum: perfbench counts interval maxima by it
@@ -414,7 +515,9 @@ def _bracket_batch(g, a: np.ndarray, b: np.ndarray, concave: np.ndarray, prune=N
     where :func:`_brent_max` would: once its bracket is at most 4·tol wide,
     tol = √ε·min(|x|, b₀ − a₀) + _XTOL/3 at its best sample x, or after 200
     steps; its value is the best sample it has seen. A lane no wider than
-    _XTOL takes its midpoint value.
+    _XTOL takes its midpoint value, as :func:`_brent_max` does; only a
+    non-concave piece's polish can be that narrow, since
+    :func:`_maxima_batch` gives narrower concave pieces to the scalar search.
 
     With ``prune``, each step also bounds the maximum of every ``concave``
     lane whose best sample v_i is neither the first nor the last: the
@@ -504,9 +607,12 @@ def _maxima_batch(
     _NODE_EPS offsets at the nodes of a singular kernel and midpoints of
     pieces too narrow for them. Every piece that passes no end check is
     searched by one lockstep bracket search (:func:`_bracket_batch`, all
-    pieces of all rows together) instead of Brent's method, every non-concave
-    one by the 64-point scan plus the same search as a polish, so values
-    agree with the scalar path to rounding. No argmax is computed.
+    pieces of all rows together) instead of the slope search, every
+    non-concave one by the 64-point scan plus the same search as a polish, so
+    values agree with the scalar path to rounding. A concave piece no wider
+    than _XTOL, below the bracket search's tolerance, takes the scalar slope
+    search instead, one at a time: the grid oracle's lattices make none. No
+    argmax is computed.
 
     With a ``mode``, only the cells whose objective (max_j m_j for
     "minimax", min_j m_j for "maximin") can come within ``tol`` of the best
@@ -585,6 +691,16 @@ def _maxima_batch(
                 settled = wide & ~node_c & (ends[:, 0] > NEG_INFINITY) & (ends[:, 1] <= ends[:, 0])
                 settled |= wide & ~node_d & (ends[:, 2] > NEG_INFINITY) & (ends[:, 3] <= ends[:, 2])
                 row, a, b = row[~settled], a[~settled], b[~settled]
+                # a piece no wider than _XTOL is below the bracket search's tolerance:
+                # the scalar slope search takes it, lane by lane, as _maxima would
+                narrow = b - a <= _XTOL
+                if narrow.any():
+                    for k in np.flatnonzero(narrow):
+                        terms = tuple(zip(r, nodes[row[k]].tolist()))
+                        g = _with_translates(formula._value, kernel._build_sum(terms))
+                        dg = _with_slopes(formula, kernel._build_slope_sum(terms))
+                        best[row[k]] = max(best[row[k]], _slope_max(g, dg, float(a[k]), float(b[k]))[1])
+                    row, a, b = row[~narrow], a[~narrow], b[~narrow]
             else:
                 ts = np.linspace(a, b, _SCAN_POINTS, axis=1)
                 samples = _sums_batch(formula._values, r, kernel, ts, seg_nodes)

@@ -13,7 +13,10 @@ Per-interval set-up: before a maxima vector built its cut points once,
 ``_maximize`` built the node set, the kink cuts, the sorted cuts inside its
 interval and the override candidates for every interval it searched.
 ``reference_maximize`` is that ``_maximize`` and ``reference_scalar_interval_max``
-its ``_interval_max``, verbatim but for the names.
+its ``_interval_max``, verbatim but for the names and the slope closure each
+concave piece hands to the library's ``_concave_max``: built for the one
+interval, from the formula's ``_derivatives`` and ``slope_sum``, a per-term
+loop over the kernel's scalar (K′, K″) (``LOG_DERIVATIVES`` for ``Log``).
 
 Kink rows by forward difference: before only the kinked column of a
 Jacobian row was differenced, ``solver._jacobian`` took every column of a row
@@ -105,6 +108,7 @@ from equiosc.translates import (
 NEG_INF = float("-inf")
 NODE_EPS = 1e-13
 LOG_SCALAR = scalar_fn(Log())
+LOG_DERIVATIVES = Log()._build_derivatives()
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -116,6 +120,16 @@ def kernel_sum(kf, terms, t: float) -> float:
             return NEG_INFINITY
         s += r * v
     return s
+
+
+def slope_sum(kd, terms, t: float) -> tuple[float, float]:
+    """(Σ r_j K′(t − y_j), Σ r_j K″(t − y_j)), one scalar (K′, K″) call ``kd`` per term."""
+    s1 = s2 = 0.0
+    for r, yj in terms:
+        d1, d2 = kd(t - yj)
+        s1 += r * d1
+        s2 += r * d2
+    return s1, s2
 
 
 def with_translates(fval, kf, terms):
@@ -220,9 +234,21 @@ def reference_interval_max(problem, ys, j, xtol=1e-12):
     return best_t, best_v
 
 
-def reference_maximize(field, kf, terms, lo: float, hi: float, singular: bool, kinks=()):
-    """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi, set up for this interval alone."""
+def reference_maximize(field, kf, kd, terms, lo: float, hi: float, singular: bool, kinks=()):
+    """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi, set up for this interval alone.
+
+    ``kf`` is the scalar kernel and ``kd`` its scalar (K′, K″), summed per term by :func:`slope_sum`.
+    """
     nodes = {yj for _, yj in terms}
+
+    def slopes(formula):
+        def dg(t: float) -> tuple[float, float]:
+            f1, f2 = formula._derivatives(t)
+            s1, s2 = slope_sum(kd, terms, t)
+            return f1 + s1, f2 + s2
+
+        return dg
+
     kink_cuts = [yj + s for yj in nodes for k in kinks for s in (k, -k)]
     inner = {tau for tau in (*field.interior_knots(), *nodes, *kink_cuts) if lo < tau < hi}
     cuts = [lo, *sorted(inner), hi]
@@ -256,7 +282,7 @@ def reference_maximize(field, kf, terms, lo: float, hi: float, singular: bool, k
         g = with_translates(formula._value, kf, terms)
         if formula.concave:
             ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
-            candidates.append(_concave_max(g, a, b, ga, gb))
+            candidates.append(_concave_max(g, a, b, ga, gb, lambda: slopes(formula)))
         else:
             candidates.append(_scan_max(g, a, b))
 
@@ -277,7 +303,8 @@ def reference_scalar_interval_max(problem: Problem, ys: tuple[float, ...], j: in
     lo, hi = ys[j], ys[j + 1]
     singular = kernel.flags().singular
     if hi > lo:
-        return reference_maximize(problem.field, kf, terms, lo, hi, singular, kernel._kinks)
+        kd = kernel._build_derivatives()
+        return reference_maximize(problem.field, kf, kd, terms, lo, hi, singular, kernel._kinks)
     if singular:
         return None, NEG_INFINITY
     v = with_translates(problem.field._value_float, kf, terms)(lo)

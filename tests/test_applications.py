@@ -7,6 +7,7 @@ import equiosc as eq
 from equiosc import applications
 from equiosc.fields import Constant, Indicator, NegInfinityPiece, Piece, PiecewiseField
 from golden_reference import (
+    LOG_DERIVATIVES,
     LOG_SCALAR,
     golden_max,
     pin_key,
@@ -535,11 +536,13 @@ def test_union_maxima_are_bit_identical_to_per_interval_set_up(rng):
             x = [float(v) for v in rng.uniform(a, b, size=n)]
             x[0] = E.components[0][1]  # a node on an inner endpoint, as the restricted search pins them
             terms = tuple(zip(r, x))
-            want = max(reference_maximize(logw, LOG_SCALAR, terms, lo, hi, True)[1] for lo, hi in E.components)
+            want = max(
+                reference_maximize(logw, LOG_SCALAR, LOG_DERIVATIVES, terms, lo, hi, True)[1] for lo, hi in E.components
+            )
             assert applications._log_max(logw, terms, E.components).hex() == want.hex()
             ys = (a, *sorted(x), b)
             for lo, hi, got in zip(ys, ys[1:], eq.gap_interval_maxima(x, r, weight)):
-                _, v = reference_maximize(logw, LOG_SCALAR, terms, lo, hi, True)
+                _, v = reference_maximize(logw, LOG_SCALAR, LOG_DERIVATIVES, terms, lo, hi, True)
                 assert got.hex() == math.exp(v).hex()
 
 

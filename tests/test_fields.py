@@ -509,3 +509,43 @@ def test_merged_field_maxima_match_an_unmergeable_twin(drawn, nodes):
     )
     for m, w in zip(got.as_floats(), want.as_floats()):
         assert m == w or abs(m - w) <= 1e-12 * max(1.0, abs(w)), (m, w)
+
+
+CONCAVE_FORMULAS = {
+    "Constant": (Constant(0.7), (0.0, 1.0)),
+    "Indicator": (Indicator(-1.5), (0.0, 1.0)),
+    "SqrtAffine up": (SqrtAffine(2.5, 1.0, 0.0), (0.0, 1.0)),
+    "SqrtAffine down": (SqrtAffine(0.5, -3.0, 1.0), (0.0, 1.0)),
+    "LogOfWeight Constant": (LogOfWeight(Constant(2.0)), (0.0, 1.0)),
+    "LogOfWeight Indicator": (LogOfWeight(Indicator(0.5)), (0.0, 1.0)),
+    "LogOfWeight SqrtAffine": (LogOfWeight(SqrtAffine(1.5, 2.0, 0.1)), (0.1, 1.0)),
+}
+
+
+@pytest.mark.parametrize("formula, span", CONCAVE_FORMULAS.values(), ids=CONCAVE_FORMULAS.keys())
+def test_formula_derivatives_match_central_differences(formula, span):
+    """(f′, f″) of each concave formula: f′ against a central difference of the value, f″ of f′."""
+    assert formula.concave
+    rng = np.random.default_rng(23)
+    h = 1e-6
+    lo, hi = span
+    for t in map(float, rng.uniform(lo + 0.01, hi - 0.01, size=200)):
+        d1, d2 = formula._derivatives(t)
+        central1 = (formula._value(t + h) - formula._value(t - h)) / (2.0 * h)
+        central2 = (formula._derivatives(t + h)[0] - formula._derivatives(t - h)[0]) / (2.0 * h)
+        # the central quotients' truncation, h²/6 times the next derivative, is far below these bounds
+        assert abs(d1 - central1) <= 1e-8 * max(1.0, abs(d1)), t
+        assert abs(d2 - central2) <= 1e-6 * max(1.0, abs(d2)), t
+    if isinstance(formula, (Constant, Indicator)):
+        assert formula._derivatives(0.5) == (0.0, 0.0)
+
+
+def test_formula_derivatives_at_a_zero_of_the_weight_do_not_raise():
+    """A SqrtAffine piece may reach 1e-12 past its zero: there the slope points into the support.
+
+    A zero weight under LogOfWeight is −∞, and its slope is taken as 0.
+    """
+    assert SqrtAffine(1.0, 1.0, 5e-13)._derivatives(1e-13) == (math.inf, 0.0)
+    assert SqrtAffine(2.0, -1.0, 0.5)._derivatives(0.5) == (-math.inf, 0.0)
+    assert LogOfWeight(Constant(0.0))._derivatives(0.3) == (0.0, 0.0)
+    assert LogOfWeight(SqrtAffine(1.0, 1.0, 5e-13))._derivatives(1e-13) == (0.0, 0.0)

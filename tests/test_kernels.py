@@ -9,7 +9,7 @@ import pytest
 import equiosc as eq
 from equiosc.extreal import NEG_INFINITY, is_neg_infinity
 from equiosc.kernels import scalar_fn
-from golden_reference import kernel_sum
+from golden_reference import kernel_sum, slope_sum
 
 ALL_KERNELS = [
     eq.Log(),
@@ -274,3 +274,72 @@ def test_slope_matches_central_difference(kernel):
         central = (f(v + h) - f(v - h)) / (2.0 * h)
         # the truncation error of the central quotient is h²·K‴/6, K‴ ~ 2/u³ near 0
         assert abs(slope - central) <= 1e-6 * max(1.0, abs(central)) + h * h / abs(v) ** 3
+
+
+def _off_nodes_and_kinks(kernel, ys, ts, gap=1e-2):
+    """The points t that stay ``gap`` from every node y, kink y ± κ and |t − y| = 0.98."""
+    keep = []
+    for t in ts:
+        u = np.abs(t - np.asarray(ys))
+        clear = np.all(u > gap) and np.all(u < 0.98)
+        for kink in kernel._kinks:
+            clear = clear and np.all(np.abs(u - kink) > gap)
+        if clear:
+            keep.append(float(t))
+    return keep
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: repr(k))
+def test_slope_sum_matches_the_kernel_slope(kernel):
+    """(Σ r K′, Σ r K″): the first against Σ r·_slope, the second against a central difference of it."""
+    rng = np.random.default_rng(13)
+    h = 1e-6
+    checked = 0
+    for n in range(1, 9):
+        ys = rng.uniform(0.0, 1.0, size=n)
+        r = rng.uniform(0.5, 2.0, size=n)
+        slope_of = kernel._build_slope_sum(tuple(zip(map(float, r), map(float, ys))))
+        for t in _off_nodes_and_kinks(kernel, ys, rng.uniform(0.0, 1.0, size=40)):
+            d1, d2 = slope_of(t)
+            terms = r * kernel._slope(t - ys)
+            assert abs(d1 - terms.sum()) <= 1e-14 * np.abs(terms).sum(), (n, t)
+            central = (r * (kernel._slope(t + h - ys) - kernel._slope(t - h - ys))).sum() / (2.0 * h)
+            # the central quotient's truncation is h²·|Σ r K⁗|/6, with |K⁗| ≤ 6/u⁴ for the log terms
+            truncation = h * h * 4.0 * (r / np.abs(t - ys) ** 4).sum()
+            assert abs(d2 - central) <= 1e-8 * max(1.0, abs(central)) + truncation, (n, t)
+            checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: repr(k))
+def test_compiled_slope_sum_is_bit_identical_to_the_per_term_loop(kernel):
+    """With distinct exponents every compiled slope sum is the per-term loop over the scalar (K′, K″)."""
+    rng = np.random.default_rng(17)
+    kd = kernel._build_derivatives()
+    for n in range(1, 17):
+        ys = rng.uniform(0.0, 1.0, size=n)
+        terms = tuple(zip(map(float, rng.uniform(0.5, 2.0, size=n)), map(float, ys)))
+        slope_of = kernel._build_slope_sum(terms)
+        for t in _off_nodes_and_kinks(kernel, ys, rng.uniform(0.0, 1.0, size=8), gap=1e-9):
+            assert [v.hex() for v in slope_of(t)] == [v.hex() for v in slope_sum(kd, terms, t)], (n, t)
+
+
+def test_equal_exponent_log_slope_sum_is_within_n_ulps_of_the_per_term_loop():
+    """One exponent for all terms: q and q² add up before one product with r.
+
+    At r = 1 that is the per-term loop bit for bit; otherwise each of the n
+    products r·q moves by at most ε/2 relative, within n·ε·r·Σ|term|.
+    """
+    rng = np.random.default_rng(19)
+    kd, eps = eq.Log()._build_derivatives(), math.ulp(1.0)
+    for n in range(1, 65):
+        for r, ys in _log_sum_cases(rng, n):
+            terms = tuple((r, y) for y in ys)
+            slope_of = eq.Log()._build_slope_sum(terms)
+            for t in _off_nodes_and_kinks(eq.Log(), ys, rng.uniform(0.0, 1.0, size=8), gap=1e-9):
+                got, want = slope_of(t), slope_sum(kd, terms, t)
+                if r == 1.0:
+                    assert [v.hex() for v in got] == [v.hex() for v in want], (n, t)
+                bounds = (sum(r / abs(t - y) for y in ys), sum(r / (t - y) ** 2 for y in ys))
+                for g, w, bound in zip(got, want, bounds):
+                    assert abs(g - w) <= n * eps * bound, (n, r, t)

@@ -128,6 +128,55 @@ def test_narrow_interval_between_nodes_has_a_finite_maximum():
     assert eq.interval_maxima(problem, (0.5, 0.5)).m[1] == -math.inf
 
 
+def _dense_maximum(problem, y, j, points=200_001):
+    """The largest F(y, ·) at ``points`` equispaced points of interval j: every float of a piece 1e-12 wide."""
+    ys = (0.0, *y, 1.0)
+    return float(np.max(eq.eval_F_grid(problem, y, np.linspace(ys[j], ys[j + 1], points))))
+
+
+def test_narrow_piece_maximum_matches_the_dense_scan_on_both_paths():
+    """An interval 4.0e-13 wide between two nodes: its maximum, not its midpoint's value (−54.353280)."""
+    problem = eq.Problem(2, (0.6711, 1.1980), eq.Log(), eq.constant_field(0.3))
+    y = (1.0 / 3.0, 0.33333333333373333)
+    dense = _dense_maximum(problem, y, 1)
+    assert dense == pytest.approx(-54.277997, abs=1e-6)
+    cells = np.array([y])
+    for got in (
+        float(eq.interval_maxima(problem, y).m[1]),
+        translates._maxima_batch(problem, cells)[0, 1],
+        translates._maxima_batch(problem, cells, mode="minimax")[0, 1],
+    ):
+        assert abs(got - dense) <= 1e-12 * abs(dense)
+
+
+def test_maximum_beside_a_node_end_matches_the_dense_scan():
+    """Unequal exponents put the maximum 2.0e-13 from the left node of a piece 1.2e-12 wide.
+
+    Newton steps there are below _XTOL long before the search is within
+    rounding of the maximum: a search that stopped on a small step alone
+    returned a value 9e-9 low. The stop needs the bracket.
+    """
+    problem = eq.Problem(2, (0.3, 1.5), eq.Log(), eq.constant_field(0.3))
+    y = (0.375, 0.375 + 1.2e-12)
+    t, v = eq.maximize_on_interval(problem, y, 1)
+    dense = _dense_maximum(problem, y, 1)
+    assert abs(float(v) - dense) <= 1e-12 * abs(dense)
+    assert y[0] + 1e-13 < t < y[0] + 3e-13
+
+
+def test_a_zero_weight_piece_is_searched_as_a_minus_infinity_piece():
+    """LogOfWeight(Constant(0)) is −∞ on its piece; no end check settles it, so the slope search runs there."""
+    from equiosc.fields import LogOfWeight, NegInfinityPiece
+
+    def field(formula):
+        return PiecewiseField((Piece(0.0, 0.5, Constant(0.0)), Piece(0.5, 1.0, formula)))
+
+    zero = eq.Problem(2, (1.0, 0.5), eq.Log(), field(LogOfWeight(Constant(0.0))))
+    minus_infinity = eq.Problem(2, (1.0, 0.5), eq.Log(), field(NegInfinityPiece()))
+    for y in ((0.25, 0.7), (0.1, 0.3)):
+        assert eq.interval_maxima(zero, y) == eq.interval_maxima(minus_infinity, y)
+
+
 def test_regularity_between_finite_points_of_a_minus_infinity_field():
     from test_fields import dotted_minus_infinity
 
@@ -339,19 +388,23 @@ def test_maximum_on_a_kernel_kink_is_exact():
 
 
 def _count_log_sums(monkeypatch, calls):
-    """Count every evaluation of a compiled ``Log`` kernel sum into ``calls["kernel_sum"]``."""
-    build = eq.Log._build_sum
+    """Count the evaluations of compiled ``Log`` sums.
 
-    def counted_build(self, terms):
-        ksum = build(self, terms)
+    Kernel sums go into ``calls["kernel_sum"]``, slope sums into ``calls["slope_sum"]``.
+    """
+    for method, key in (("_build_sum", "kernel_sum"), ("_build_slope_sum", "slope_sum")):
+        calls.setdefault(key, 0)
 
-        def counted(t):
-            calls["kernel_sum"] += 1
-            return ksum(t)
+        def counted_build(self, terms, build=getattr(eq.Log, method), key=key):
+            compiled = build(self, terms)
 
-        return counted
+            def counted(t):
+                calls[key] += 1
+                return compiled(t)
 
-    monkeypatch.setattr(eq.Log, "_build_sum", counted_build)
+            return counted
+
+        monkeypatch.setattr(eq.Log, method, counted_build)
 
 
 def test_chebyshev_n8_evaluation_ceiling(monkeypatch):
@@ -361,7 +414,9 @@ def test_chebyshev_n8_evaluation_ceiling(monkeypatch):
     maximizations, Brent's method 43,630 over the same 3,746, Newton with the
     exact Jacobian 836 over 81, 692 once a node of the singular kernel is a
     point candidate without a kernel sum, and 664 with one log per run of
-    equal exponents. The ceiling may only go down.
+    equal exponents. The slope search makes 99 kernel sums (a candidate, an
+    end check or the one value of a search) and 278 slope sums. The ceilings
+    may only go down.
     """
     calls = {"kernel_sum": 0, "maximize": 0}
     maximize = translates._maximize
@@ -376,12 +431,13 @@ def test_chebyshev_n8_evaluation_ceiling(monkeypatch):
     report = eq.solve_equioscillation(problem)
     assert abs(report.value - math.log(2.0 * 4.0**-8)) <= 1e-8
     assert calls["maximize"] == 81
-    assert 0 < calls["kernel_sum"] <= 670
+    assert 0 < calls["kernel_sum"] <= 99
+    assert 0 < calls["slope_sum"] <= 278
 
 
 def _count_piece_work(monkeypatch, field):
-    """Kernel sums and searched pieces at the Chebyshev n = 4 nodes, then in the n = 4 solve."""
-    calls = {"kernel_sum": 0, "pieces": 0}
+    """Kernel sums, slope sums and searched pieces at the Chebyshev n = 4 nodes, then in the n = 4 solve."""
+    calls = {"kernel_sum": 0, "slope_sum": 0, "pieces": 0}
     concave_max = translates._concave_max
 
     def counted_concave_max(*args):
@@ -394,7 +450,7 @@ def _count_piece_work(monkeypatch, field):
     nodes = sorted(0.5 * (1.0 + math.cos((2 * j - 1) * math.pi / 8)) for j in range(1, 5))
     eq.interval_maxima(problem, nodes)
     at_nodes = dict(calls)
-    calls.update(kernel_sum=0, pieces=0)
+    calls.update(kernel_sum=0, slope_sum=0, pieces=0)
     report = eq.solve_equioscillation(problem)
     assert abs(report.value - 0.3 - math.log(2.0 * 4.0**-4)) <= 1e-12
     assert at_nodes["kernel_sum"] > 0 and calls["kernel_sum"] > 0
@@ -405,31 +461,35 @@ def test_kernel_sums_per_piece_on_a_200_piece_field(monkeypatch):
     """Work gate: a cut's kernel sum is computed once, not again per adjacent piece end.
 
     Alternating Constant(0.3) and Indicator(0.3) pieces are never merged. At the
-    Chebyshev n = 4 nodes 204 pieces are searched with 540 kernel sums (611
-    with one log per term, 619 while the nodes of the singular kernel took
-    one, 923 when each use recomputed them); the n = 4 solve makes 4,278
-    over 1,628 pieces (4,333 with one log per term, 4,397 with the sums at
-    the nodes, 146,169 over 34,398 with the sweeps).
+    Chebyshev n = 4 nodes 204 pieces are searched with 506 kernel sums and
+    9 slope sums (540 kernel sums with Brent's method on the pieces no end
+    check settles, 611 with one log per term, 619 while the nodes of the
+    singular kernel took one, 923 when each use recomputed them); the n = 4
+    solve makes 4,040 and 79 over 1,628 pieces (4,278 with Brent's method,
+    4,333 with one log per term, 4,397 with the sums at the nodes, 146,169
+    over 34,398 with the sweeps).
     """
     field = PiecewiseField(
         tuple(Piece(i / 200, (i + 1) / 200, (Constant, Indicator)[i % 2](0.3)) for i in range(200))
     )
     assert len(field.pieces) == 200
     at_nodes, solve = _count_piece_work(monkeypatch, field)
-    assert at_nodes == {"kernel_sum": 540, "pieces": 204}
-    assert solve == {"kernel_sum": 4_278, "pieces": 1_628}
+    assert at_nodes == {"kernel_sum": 506, "slope_sum": 9, "pieces": 204}
+    assert solve == {"kernel_sum": 4_040, "slope_sum": 79, "pieces": 1_628}
 
 
 def test_equal_pieces_cost_what_one_piece_costs(monkeypatch):
     """Work gate: 200 equal Constant pieces merge into one and do the one-piece work.
 
-    One log per term took 34 kernel sums at the nodes and 265 in the solve.
+    Brent's method took 30 kernel sums at the nodes and 239 in the solve, and
+    with one log per term 34 and 265; the slope search takes 7 kernel sums
+    and 12 slope sums at the nodes and 56 and 94 in the solve.
     """
     field = PiecewiseField(tuple(Piece(i / 200, (i + 1) / 200, Constant(0.3)) for i in range(200)))
     assert len(field.pieces) == 1
     at_nodes, solve = _count_piece_work(monkeypatch, field)
-    assert at_nodes == {"kernel_sum": 30, "pieces": 5}
-    assert solve == {"kernel_sum": 239, "pieces": 40}
+    assert at_nodes == {"kernel_sum": 7, "slope_sum": 12, "pieces": 5}
+    assert solve == {"kernel_sum": 56, "slope_sum": 94, "pieces": 40}
 
 
 # -- tolerances are constants, not parameters -------------------------------------------
