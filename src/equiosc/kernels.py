@@ -29,9 +29,8 @@ which is bit for bit the per-term loop only where every run is one term
 Next to it, each kernel compiles the slope sum t ↦ (Σ_j r_j K′(t − y_j),
 Σ_j r_j K″(t − y_j)) (``_build_slope_sum``) for the search of the interval
 maxima: one loop over the kernel's scalar (K′, K″) in the terms' order.
-``Log``'s is inlined (one reciprocal per term gives both) and, where all
-exponents are equal, multiplies by the exponent once: bit for bit the loop
-at exponent 1, and otherwise the same to rounding.
+``Log``'s is inlined, bit for bit the same loop, with one reciprocal per
+term giving both, and with unit exponents it leaves out the products by 1.
 """
 
 from __future__ import annotations
@@ -124,8 +123,7 @@ class KernelSpec:
 
         The terms are added in the given order, as ``s += r * v`` from 0.0 for
         each component. A variant may compile the loop with its derivatives
-        inlined (bit for bit the same sums) or group equal exponents (``Log``:
-        the same sums to rounding).
+        inlined (bit for bit the same sums).
         """
         terms = tuple(terms)
         k2 = self._build_derivatives()
@@ -234,14 +232,12 @@ class Log(KernelSpec):
     def _build_slope_sum(self, terms):
         """t ↦ (Σ_j r_j q_j, −Σ_j r_j q_j²), q_j = 1/(t − y_j): one reciprocal per term gives both.
 
-        With distinct exponents this is the per-term loop, bit for bit. With
-        one exponent r for all n terms it adds up q_j and q_j² and multiplies
-        by r once: bit for bit the per-term loop at r = 1, and otherwise
-        within n·ε·r·Σ|term| of it.
+        Bit for bit the per-term loop, with the derivatives inlined. With unit
+        exponents (Chebyshev's) the products r·q and r·q² are q and q²
+        exactly, so the loop leaves them out.
         """
         terms = tuple(terms)
-        if len({r for r, _ in terms}) == 1:
-            r = terms[0][0]
+        if all(r == 1.0 for r, _ in terms):
             ys = tuple(yj for _, yj in terms)
 
             def slope_sum(t: float) -> tuple[float, float]:
@@ -249,10 +245,20 @@ class Log(KernelSpec):
                 for yj in ys:
                     q = 1.0 / (t - yj)
                     s1 += q
-                    s2 += q * q
-                return r * s1, -(r * s2)
+                    s2 -= q * q
+                return s1, s2
 
             return slope_sum
+
+        def slope_sum(t: float) -> tuple[float, float]:
+            s1 = s2 = 0.0
+            for r, yj in terms:
+                q = 1.0 / (t - yj)
+                s1 += r * q
+                s2 -= r * (q * q)
+            return s1, s2
+
+        return slope_sum
 
         def slope_sum(t: float) -> tuple[float, float]:
             s1 = s2 = 0.0

@@ -26,24 +26,28 @@ the same fixed tolerances: a maxima vector, a single interval maximum (the
 solver's difference quotients) and the union and extremal-product
 norms of ``applications``. It builds the set-up once per call: the kernel
 sum t ↦ Σ r_j K(t − y_j), compiled by ``KernelSpec._build_sum`` into one
-closure (the one scalar kernel-sum routine), the node set, one sorted list of
-the cut points of all its intervals and the sorted override points. The slope
-sum (``KernelSpec._build_slope_sum``) is compiled at the first piece that no
-end check settles, so a call whose pieces all end at an end check builds
-none. Each interval takes the cuts strictly inside it by bisection before
-:func:`_maximize` searches it.
+closure (the one scalar kernel-sum routine), the slope sum
+t ↦ (Σ r_j K′(t − y_j), Σ r_j K″(t − y_j)), compiled by
+``KernelSpec._build_slope_sum``, the node set, one sorted list of the cut
+points of all its intervals and the sorted override points. Each interval
+takes the cuts strictly inside it by bisection before :func:`_maximize`
+searches it.
 
 The grid oracle needs only the values, for whole lattices of node systems:
 :func:`_maxima_batch` runs the same cuts and end checks for many node systems
 at once in numpy, with a lockstep bracket search in place of the slope
 search: each step samples every searched piece at seven interior points in
 one evaluation and keeps the quarter of its bracket around the best sample,
-to the bracket width at which Brent's method stops. A concave piece no wider
-than ``_XTOL`` is below that width and takes the scalar slope search, so the
-two paths agree there too. Concavity also
-bounds each concave piece's maximum from above at every step, so a scan for
-the best node system stops the searches of the cells that cannot win: their
-values are bounds, and only the cells that can win get exact values.
+to the bracket width at which Brent's method stops. That width has a floor
+of 4·``_XTOL``/3, which on a concave piece narrower than ``_NARROW`` ≈ 2.2e-5
+(where √ε·width is below the floor) leaves the value short of the maximum,
+by up to 6e-5 relative at a width of 2e-12 and 2e-11 at 1e-8. Such a piece
+takes the scalar slope search instead, so the two paths agree at every
+width to a few ε, measured (300 random problems, widths 1e-13 to 1e-2: at
+most 2.6e-15 relative). Concavity also bounds each concave piece's maximum
+from above at every step, so a scan for the best node system stops the
+searches of the cells that cannot win: their values are bounds, and only
+the cells that can win get exact values.
 
 Conventions: a degenerate interval has maximum −∞ for singular kernels and
 the single-point value otherwise; argmax ties go to the leftmost evaluated
@@ -83,6 +87,8 @@ _NODE_EPS = 1e-13
 _INF = float("inf")
 _EPS = math.ulp(1.0)
 _SQRT_EPS = math.sqrt(_EPS)
+# below this width the bracket search stops at its floor _XTOL/3, not at √ε·width
+_NARROW = _XTOL / (3.0 * _SQRT_EPS)
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction 1 − 1/φ
 _SCAN_POINTS = 64  # samples per non-concave piece, scalar and batched
 
@@ -321,14 +327,14 @@ def _brent_max(g, lo: float, hi: float) -> tuple[float, float]:
     return x, -fx
 
 
-def _concave_max(g, a: float, b: float, ga: float, gb: float, slope):
+def _concave_max(g, a: float, b: float, ga: float, gb: float, dg):
     """Maximize a concave g on [a, b]: an end where g does not rise inward, else :func:`_slope_max`.
 
     ``ga`` and ``gb`` are g(a) and g(b); an end where g is −∞ is not checked
     (at a node of a singular kernel g always rises inward). If g(b − h) ≤ g(b)
     with g(b) finite, concavity puts the maximum at b, and likewise at a;
-    h = max(_XTOL, √ε·(b − a)). ``slope()`` builds g's slope closure
-    t ↦ (g′(t), g″(t)); it is called only when no end check settles the piece.
+    h = max(_XTOL, √ε·(b − a)). ``dg`` is g's slope closure
+    t ↦ (g′(t), g″(t)), called only when no end check settles the piece.
     """
     h = _SQRT_EPS * (b - a)
     if h < _XTOL:
@@ -338,7 +344,7 @@ def _concave_max(g, a: float, b: float, ga: float, gb: float, slope):
             return a, ga
         if gb > NEG_INFINITY and g(b - h) <= gb:
             return b, gb
-    return _slope_max(g, slope(), a, b)
+    return _slope_max(g, dg, a, b)
 
 
 def _scan_max(g, lo: float, hi: float) -> tuple[float, float]:
@@ -360,11 +366,11 @@ def _maximize(field, ksum, lo: float, hi: float, singular: bool, setup):
     """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi.
 
     ``ksum`` is the compiled sum t ↦ Σ r_j K(t − y_j) and ``setup`` the (node
-    set, sorted cut points, sorted overrides, getter of the slope sum compiled
-    at its first use); :func:`_maxima` builds both once. The interval is cut
-    at the field's interior knots, at every node y_j strictly inside it, and
-    at the kernel kinks y_j ± κ inside it; the cuts and field overrides are
-    point candidates, and each piece between cuts is searched by
+    set, sorted cut points, sorted overrides, compiled slope sum);
+    :func:`_maxima` builds both once. The interval is cut at the field's
+    interior knots, at every node y_j strictly inside it, and at the kernel
+    kinks y_j ± κ inside it; the cuts and field overrides are point
+    candidates, and each piece between cuts is searched by
     :func:`_concave_max` (concave: end checks, then the slope search) or a
     scan plus Brent polish (not concave). With a singular kernel the search
     stays _NODE_EPS away from a node at either end of a piece; a piece at a
@@ -412,7 +418,7 @@ def _maximize(field, ksum, lo: float, hi: float, singular: bool, setup):
         g = _with_translates(formula._value, ksum)
         if formula.concave:
             ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
-            candidates.append(_concave_max(g, a, b, ga, gb, lambda: _with_slopes(formula, kslope())))
+            candidates.append(_concave_max(g, a, b, ga, gb, _with_slopes(formula, kslope)))
         else:
             candidates.append(_scan_max(g, a, b))
 
@@ -431,9 +437,9 @@ def _maxima(field, kernel, terms, intervals) -> list[tuple[float | None, float]]
     The one scalar interval-maxima routine. Its set-up is built once for all
     the intervals: the node set, one sorted list of their cut points (the
     field's interior knots, the nodes y_j and the kernel kinks y_j ± κ), the
-    sorted override points and, at the first piece no end check settles, the
-    compiled slope sum. A degenerate interval lo = hi has maximum −∞
-    under a singular kernel and the value at the point under any other:
+    sorted override points and the compiled slope sum. A degenerate interval
+    lo = hi has maximum −∞ under a singular kernel and the value at the
+    point under any other:
 
     >>> from equiosc import Log, SqrtShift, constant_field
     >>> _maxima(constant_field(0.0), Log(), ((1.0, 0.5),), [(0.5, 0.5), (0.0, 0.5)])
@@ -443,18 +449,10 @@ def _maxima(field, kernel, terms, intervals) -> list[tuple[float | None, float]]
     """
     singular = kernel.flags().singular
     ksum = kernel._build_sum(terms)
-    slope_sum = None
-
-    def kslope():
-        # the slope sum is compiled at the first piece that passes no end check
-        nonlocal slope_sum
-        if slope_sum is None:
-            slope_sum = kernel._build_slope_sum(terms)
-        return slope_sum
-
     nodes = {yj for _, yj in terms}
     kink_cuts = [yj + s for yj in nodes for k in kernel._kinks for s in (k, -k)]
-    setup = nodes, sorted({*field.interior_knots(), *nodes, *kink_cuts}), sorted(field.override_points()), kslope
+    points = sorted({*field.interior_knots(), *nodes, *kink_cuts})
+    setup = nodes, points, sorted(field.override_points()), kernel._build_slope_sum(terms)
     out = []
     for lo, hi in intervals:
         scalar_fn(kernel)  # one call per interval maximum: perfbench counts interval maxima by it
@@ -517,7 +515,8 @@ def _bracket_batch(g, a: np.ndarray, b: np.ndarray, concave: np.ndarray, prune=N
     steps; its value is the best sample it has seen. A lane no wider than
     _XTOL takes its midpoint value, as :func:`_brent_max` does; only a
     non-concave piece's polish can be that narrow, since
-    :func:`_maxima_batch` gives narrower concave pieces to the scalar search.
+    :func:`_maxima_batch` gives concave pieces narrower than _NARROW to the
+    scalar search.
 
     With ``prune``, each step also bounds the maximum of every ``concave``
     lane whose best sample v_i is neither the first nor the last: the
@@ -608,11 +607,12 @@ def _maxima_batch(
     pieces too narrow for them. Every piece that passes no end check is
     searched by one lockstep bracket search (:func:`_bracket_batch`, all
     pieces of all rows together) instead of the slope search, every
-    non-concave one by the 64-point scan plus the same search as a polish, so
-    values agree with the scalar path to rounding. A concave piece no wider
-    than _XTOL, below the bracket search's tolerance, takes the scalar slope
-    search instead, one at a time: the grid oracle's lattices make none. No
-    argmax is computed.
+    non-concave one by the 64-point scan plus the same search as a polish. A
+    concave piece narrower than _NARROW, where the bracket search would stop
+    at its floor short of the maximum, takes the scalar slope search instead,
+    one at a time (the benchmark's oracle lattices make none: their
+    narrowest concave piece is 5e-5 wide), so values agree with the scalar
+    path to a few ε. No argmax is computed.
 
     With a ``mode``, only the cells whose objective (max_j m_j for
     "minimax", min_j m_j for "maximin") can come within ``tol`` of the best
@@ -691,9 +691,9 @@ def _maxima_batch(
                 settled = wide & ~node_c & (ends[:, 0] > NEG_INFINITY) & (ends[:, 1] <= ends[:, 0])
                 settled |= wide & ~node_d & (ends[:, 2] > NEG_INFINITY) & (ends[:, 3] <= ends[:, 2])
                 row, a, b = row[~settled], a[~settled], b[~settled]
-                # a piece no wider than _XTOL is below the bracket search's tolerance:
-                # the scalar slope search takes it, lane by lane, as _maxima would
-                narrow = b - a <= _XTOL
+                # below _NARROW the bracket search's floor leaves the value short of
+                # the maximum: the scalar slope search takes it, lane by lane, as _maxima would
+                narrow = b - a < _NARROW
                 if narrow.any():
                     for k in np.flatnonzero(narrow):
                         terms = tuple(zip(r, nodes[row[k]].tolist()))

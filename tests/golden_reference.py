@@ -282,7 +282,7 @@ def reference_maximize(field, kf, kd, terms, lo: float, hi: float, singular: boo
         g = with_translates(formula._value, kf, terms)
         if formula.concave:
             ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
-            candidates.append(_concave_max(g, a, b, ga, gb, lambda: slopes(formula)))
+            candidates.append(_concave_max(g, a, b, ga, gb, slopes(formula)))
         else:
             candidates.append(_scan_max(g, a, b))
 

@@ -313,33 +313,13 @@ def test_slope_sum_matches_the_kernel_slope(kernel):
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: repr(k))
 def test_compiled_slope_sum_is_bit_identical_to_the_per_term_loop(kernel):
-    """With distinct exponents every compiled slope sum is the per-term loop over the scalar (K′, K″)."""
+    """Every compiled slope sum is the per-term loop over the scalar (K′, K″): random, unit and equal exponents."""
     rng = np.random.default_rng(17)
     kd = kernel._build_derivatives()
     for n in range(1, 17):
         ys = rng.uniform(0.0, 1.0, size=n)
-        terms = tuple(zip(map(float, rng.uniform(0.5, 2.0, size=n)), map(float, ys)))
-        slope_of = kernel._build_slope_sum(terms)
-        for t in _off_nodes_and_kinks(kernel, ys, rng.uniform(0.0, 1.0, size=8), gap=1e-9):
-            assert [v.hex() for v in slope_of(t)] == [v.hex() for v in slope_sum(kd, terms, t)], (n, t)
-
-
-def test_equal_exponent_log_slope_sum_is_within_n_ulps_of_the_per_term_loop():
-    """One exponent for all terms: q and q² add up before one product with r.
-
-    At r = 1 that is the per-term loop bit for bit; otherwise each of the n
-    products r·q moves by at most ε/2 relative, within n·ε·r·Σ|term|.
-    """
-    rng = np.random.default_rng(19)
-    kd, eps = eq.Log()._build_derivatives(), math.ulp(1.0)
-    for n in range(1, 65):
-        for r, ys in _log_sum_cases(rng, n):
-            terms = tuple((r, y) for y in ys)
-            slope_of = eq.Log()._build_slope_sum(terms)
-            for t in _off_nodes_and_kinks(eq.Log(), ys, rng.uniform(0.0, 1.0, size=8), gap=1e-9):
-                got, want = slope_of(t), slope_sum(kd, terms, t)
-                if r == 1.0:
-                    assert [v.hex() for v in got] == [v.hex() for v in want], (n, t)
-                bounds = (sum(r / abs(t - y) for y in ys), sum(r / (t - y) ** 2 for y in ys))
-                for g, w, bound in zip(got, want, bounds):
-                    assert abs(g - w) <= n * eps * bound, (n, r, t)
+        for r in (rng.uniform(0.5, 2.0, size=n), np.ones(n), np.full(n, 3.0)):
+            terms = tuple(zip(map(float, r), map(float, ys)))
+            slope_of = kernel._build_slope_sum(terms)
+            for t in _off_nodes_and_kinks(kernel, ys, rng.uniform(0.0, 1.0, size=8), gap=1e-9):
+                assert [v.hex() for v in slope_of(t)] == [v.hex() for v in slope_sum(kd, terms, t)], (n, t)

@@ -135,18 +135,24 @@ def _dense_maximum(problem, y, j, points=200_001):
 
 
 def test_narrow_piece_maximum_matches_the_dense_scan_on_both_paths():
-    """An interval 4.0e-13 wide between two nodes: its maximum, not its midpoint's value (−54.353280)."""
+    """An interval between two nodes, 4.0e-13 to 1e-7 wide: its maximum on the scalar and the batch path.
+
+    At 4.0e-13 the midpoint's value is −54.353280. The batch path's bracket
+    search, left to itself, stops at its floor: 6.3e-5 relative low at 2e-12,
+    1.3e-5 at 1e-11, 1.9e-9 at 1e-9 and 6.8e-12 at 1e-8.
+    """
     problem = eq.Problem(2, (0.6711, 1.1980), eq.Log(), eq.constant_field(0.3))
-    y = (1.0 / 3.0, 0.33333333333373333)
-    dense = _dense_maximum(problem, y, 1)
-    assert dense == pytest.approx(-54.277997, abs=1e-6)
-    cells = np.array([y])
-    for got in (
-        float(eq.interval_maxima(problem, y).m[1]),
-        translates._maxima_batch(problem, cells)[0, 1],
-        translates._maxima_batch(problem, cells, mode="minimax")[0, 1],
-    ):
-        assert abs(got - dense) <= 1e-12 * abs(dense)
+    for y in [(1.0 / 3.0, 0.33333333333373333), *((1.0 / 3.0, 1.0 / 3.0 + w) for w in (2e-12, 1e-11, 1e-9, 1e-8, 1e-7))]:
+        dense = _dense_maximum(problem, y, 1)
+        if y[1] == 0.33333333333373333:
+            assert dense == pytest.approx(-54.277997, abs=1e-6)
+        cells = np.array([y])
+        for got in (
+            float(eq.interval_maxima(problem, y).m[1]),
+            translates._maxima_batch(problem, cells)[0, 1],
+            translates._maxima_batch(problem, cells, mode="minimax")[0, 1],
+        ):
+            assert abs(got - dense) <= 1e-12 * abs(dense), y
 
 
 def test_maximum_beside_a_node_end_matches_the_dense_scan():
