@@ -8,7 +8,12 @@ argmaxima t_i*, so every maxima vector comes with its Jacobian. Where an
 argmax sits on a kernel kink y_k ± κ, Φ need not be differentiable in y_k, and
 only that column k of the row is taken by forward difference. A singular
 Jacobian, a flat direction of a kernel that is not strictly monotone, gets the
-least-norm step.
+least-norm step. Each trial vector's slope searches start at the current
+iterate's argmaxima, each moved affinely into its new interval, and a
+continuation level's first vector starts at the last solved level's; near
+convergence the argmaxima move little, so each search takes about two slope
+evaluations, and the maxima are those of a search from the midpoint to
+rounding.
 
 The one fallback is continuation in η (Allgower–Georg, *Numerical
 Continuation Methods*, 1990): K + η√|t| is singular and strictly monotone for
@@ -103,8 +108,9 @@ def _start(problem: Problem, c, initial):
 
 # -- residual machinery ----------------------------------------------------------
 
-def _residual_norm(problem: Problem, ys: list[float], c):
-    vals, args = _maxima_floats(problem, tuple(ys))
+def _residual_norm(problem: Problem, ys: list[float], c, prior=None):
+    """(residual, maxima, argmaxima) at ys; ``prior`` = (nodes, argmaxima) nearby starts the slope searches."""
+    vals, args = _maxima_floats(problem, tuple(ys), prior)
     if any(v == NEG_INFINITY for v in vals):
         return math.inf, vals, args
     return max(abs(p - cj) for p, cj in zip(_phi(vals), c)), vals, args
@@ -192,7 +198,7 @@ def _newton(problem, ys: list[float], c, tol, budget: int, state):
         for _ in range(1 if within_tol else 30):
             trial = [ys[0], *(y + lam * d for y, d in zip(ys[1:-1], step)), ys[-1]]
             if all(b - a >= _BRACKET_EPS for a, b in zip(trial, trial[1:])):
-                new_res, new_vals, new_args = _residual_norm(problem, trial, c)
+                new_res, new_vals, new_args = _residual_norm(problem, trial, c, (ys, args))
                 if new_res < res:
                     ys[:] = trial
                     res, vals, args = new_res, new_vals, new_args
@@ -231,6 +237,7 @@ def solve_difference(
         raise HypothesisError("solver requires a monotone kernel")
 
     solved, first = _start(problem, c, initial)
+    prior = None  # (nodes, argmaxima) of the last solved level
     levels = [0.0]  # a stack: the next level is last
     p = 1.0  # η of the last solved level, whose nodes are ``solved``
     iterations = 0
@@ -239,12 +246,14 @@ def solve_difference(
         level = replace(problem, kernel=Regularized(problem.kernel, eta)) if eta else problem
         level_tol = max(tol, 1e-10) if eta else tol
         ys = list(solved)
-        state = first or _residual_norm(level, ys, c)  # the start's state serves the first level
+        # the start's state serves the first level; a later one starts from the last solved level's argmaxima
+        state = first or _residual_norm(level, ys, c, prior)
         first = None
         used, state = _newton(level, ys, c, level_tol, max_iterations - iterations, state)
         iterations += used
         if state[0] <= level_tol:
             solved, p = ys, levels.pop()
+            prior = ys, state[2]
             continue
         inserted = math.sqrt(p * eta) if eta else p / 100.0
         if iterations >= max_iterations or p < 1.5 * eta or inserted < 1e-14:

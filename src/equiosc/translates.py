@@ -24,14 +24,24 @@ Non-concave pieces are scanned and polished by Brent's method.
 Every scalar caller takes its interval maxima from :func:`_maxima`, with
 the same fixed tolerances: a maxima vector, a single interval maximum (the
 solver's difference quotients) and the union and extremal-product
-norms of ``applications``. It builds the set-up once per call: the kernel
-sum t ↦ Σ r_j K(t − y_j), compiled by ``KernelSpec._build_sum`` into one
-closure (the one scalar kernel-sum routine), the slope sum
-t ↦ (Σ r_j K′(t − y_j), Σ r_j K″(t − y_j)), compiled by
-``KernelSpec._build_slope_sum``, the node set, one sorted list of the cut
-points of all its intervals and the sorted override points. Each interval
-takes the cuts strictly inside it by bisection before :func:`_maximize`
-searches it.
+norms of ``applications``. One call does each piece of work once for all
+its intervals. It compiles the kernel sum t ↦ Σ r_j K(t − y_j)
+(``KernelSpec._build_sum``, the one scalar kernel-sum routine) and the slope
+sum t ↦ (Σ r_j K′(t − y_j), Σ r_j K″(t − y_j))
+(``KernelSpec._build_slope_sum``), and sorts the cut points of all its
+intervals and the override points once; each interval takes those strictly
+inside it by bisection. Each cut's kernel sum is computed once per call (an
+interior node ends two intervals), and so is the field's usc value at each
+interval end; each field piece's closures g and (g′, g″) are built once per
+call. An interior cut's point candidate is the larger of its two adjacent
+pieces' end values, which is the usc value there and which the end checks
+need anyway. The argmax is a running leftmost maximum over the candidates
+and the pieces' maxima, with no candidate list. A call may carry a start
+point per interval for its slope searches: the solver maps each argmax of
+the current Newton iterate into the same interval of a trial vector, where
+the new maximum is close, so a search there closes its bracket in about two
+slope evaluations. A start outside a piece is replaced by its midpoint, and
+without starts every value and argmax is the same to the bit.
 
 The grid oracle needs only the values, for whole lattices of node systems:
 :func:`_maxima_batch` runs the same cuts and end checks for many node systems
@@ -61,6 +71,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -198,12 +209,15 @@ def _with_slopes(formula, kslope):
     return dg
 
 
-def _slope_max(g, dg, a: float, b: float) -> tuple[float, float]:
+def _slope_max(g, dg, a: float, b: float, start: float | None = None) -> tuple[float, float]:
     """(t, g(t)) at the maximum of a concave g on [a, b], by its decreasing slope; interior points only.
 
     A safeguarded Newton search for the sign change of g′ ("rtsafe", Press et
     al., *Numerical Recipes*, §9.4). ``dg`` gives (g′, g″); the sign of g′
-    at each point moves one end of a bracket [lo, hi] from [a, b]. The next
+    at each point moves one end of a bracket [lo, hi] from [a, b]. The first
+    point is ``start`` if it lies inside (a, b), else the midpoint; a start
+    near the root, such as the last Newton iterate's argmax moved with its
+    interval, closes the bracket in about two slope evaluations. The next
     point is the Newton point x − g′/g″ if it lies in the bracket and its
     step is at most half the step before last, else the bracket's midpoint.
 
@@ -224,7 +238,7 @@ def _slope_max(g, dg, a: float, b: float) -> tuple[float, float]:
     lo_step = hi_step = _INF  # the Newton step lengths from the bracket's ends (from a or b: none)
     width = b - a
     tiny = _EPS * _EPS * width
-    x = 0.5 * (a + b)
+    x = start if start is not None and a < start < b else 0.5 * (a + b)
     last = prev = width  # the last two step lengths
     for _ in range(200):
         d1, d2 = dg(x)
@@ -327,8 +341,8 @@ def _brent_max(g, lo: float, hi: float) -> tuple[float, float]:
     return x, -fx
 
 
-def _concave_max(g, a: float, b: float, ga: float, gb: float, dg):
-    """Maximize a concave g on [a, b]: an end where g does not rise inward, else :func:`_slope_max`.
+def _concave_max(g, a: float, b: float, ga: float, gb: float, dg, start: float | None = None):
+    """Maximize a concave g on [a, b]: an end where g does not rise inward, else :func:`_slope_max` from ``start``.
 
     ``ga`` and ``gb`` are g(a) and g(b); an end where g is −∞ is not checked
     (at a node of a singular kernel g always rises inward). If g(b − h) ≤ g(b)
@@ -344,7 +358,7 @@ def _concave_max(g, a: float, b: float, ga: float, gb: float, dg):
             return a, ga
         if gb > NEG_INFINITY and g(b - h) <= gb:
             return b, gb
-    return _slope_max(g, dg, a, b)
+    return _slope_max(g, dg, a, b, start)
 
 
 def _scan_max(g, lo: float, hi: float) -> tuple[float, float]:
@@ -362,29 +376,110 @@ def _scan_max(g, lo: float, hi: float) -> tuple[float, float]:
 
 # -- per-interval maxima --------------------------------------------------------
 
-def _maximize(field, ksum, lo: float, hi: float, singular: bool, setup):
+def _maximize(lo: float, hi: float, start: float | None, setup):
     """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi.
 
-    ``ksum`` is the compiled sum t ↦ Σ r_j K(t − y_j) and ``setup`` the (node
-    set, sorted cut points, sorted overrides, compiled slope sum);
-    :func:`_maxima` builds both once. The interval is cut at the field's
-    interior knots, at every node y_j strictly inside it, and at the kernel
-    kinks y_j ± κ inside it; the cuts and field overrides are point
-    candidates, and each piece between cuts is searched by
-    :func:`_concave_max` (concave: end checks, then the slope search) or a
-    scan plus Brent polish (not concave). With a singular kernel the search
-    stays _NODE_EPS away from a node at either end of a piece; a piece at a
-    node too narrow for that offset (at most 4·_NODE_EPS) is sampled at its
-    midpoint, so a narrow interval between two nodes keeps a finite maximum.
+    ``setup`` is what :func:`_maxima` builds once per call and shares among
+    its intervals: (field, singular, node set, sorted cut points, sorted
+    overrides, field knots, ``at``, ``at_end``, ``piece``). ``at(fval, τ)``
+    is F at a cut τ with field part fval(τ), its kernel sum computed once
+    per call; ``at_end(τ)`` is the usc value F(τ) at an interval end, cached
+    per call; ``piece(p)`` gives field piece p's (value, concave, g, dg),
+    its closures built once per call (g None on a −∞ piece).
+
+    The interval is cut at the field's interior knots, at every node y_j
+    strictly inside it, and at the kernel kinks y_j ± κ inside it; the
+    pieces between cuts follow the field's knots in order. The cuts and the
+    field overrides are point candidates. An interior cut's value is the
+    larger of its two adjacent pieces' end values, its usc value, which the
+    end checks need anyway; only the interval ends and the overrides take
+    the field's usc value. Each piece is searched by :func:`_concave_max`
+    (concave: end checks, then the slope search, from ``start`` if it lies
+    inside the piece) or a scan plus Brent polish (not concave). With a
+    singular kernel the search stays _NODE_EPS away from a node at either
+    end of a piece; a piece at a node too narrow for that offset (at most
+    4·_NODE_EPS) is sampled at its midpoint, so a narrow interval between
+    two nodes keeps a finite maximum. The argmax is the leftmost of the
+    largest candidates, kept as a running maximum.
     """
-    nodes, points, overrides, kslope = setup
-    cuts = [lo, *points[bisect_right(points, lo):bisect_left(points, hi)], hi]
+    field, singular, nodes, points, overrides, knots, at, at_end, piece = setup
+    best_t, best_v = lo, NEG_INFINITY  # best_t is read only once best_v is finite
+    v = at_end(lo)
+    if v > best_v:
+        best_v = v
+    for tau in overrides[bisect_right(overrides, lo):bisect_left(overrides, hi)]:
+        v = at(field._value_float, tau)
+        if v > best_v or v == best_v and tau < best_t:
+            best_t, best_v = tau, v
 
-    # a cut is a candidate and the end of up to two pieces: its kernel sum is
-    # computed once for all three, only the field part differs
+    p = bisect_right(knots, lo) - 1  # the field piece of the first segment
+    fval, concave, g, dg = piece(p)
+    c, gc = lo, at(fval, lo)
+    for d in (*points[bisect_right(points, lo):bisect_left(points, hi)], hi):
+        gd = at(fval, d)
+        t = None
+        if d - c <= 4.0 * _NODE_EPS:
+            # no room for the offsets from a node: its midpoint is the piece's one sample
+            if singular and (c in nodes or d in nodes):
+                t = 0.5 * (c + d)
+                v = at(field._value_float, t)
+        elif g is not None:
+            a = c + _NODE_EPS if singular and c in nodes else c
+            b = d - _NODE_EPS if singular and d in nodes else d
+            t, v = _concave_max(g, a, b, gc, gd, dg, start) if concave else _scan_max(g, a, b)
+        if t is not None and (v > best_v or v == best_v and t < best_t):
+            best_t, best_v = t, v
+        if d == hi:
+            v = at_end(hi)
+            if v > best_v:
+                best_t, best_v = hi, v
+            break
+        # an interior cut: a knot starts the next piece, and its usc value is
+        # the larger of the two pieces' end values; elsewhere one formula spans it
+        if d == knots[p + 1]:
+            p += 1
+            fval, concave, g, dg = piece(p)
+            gc = at(fval, d)
+            v = gc if gc > gd else gd
+        else:
+            gc = v = gd
+        if v > best_v or v == best_v and d < best_t:
+            best_t, best_v = d, v
+        c = d
+    return (best_t, best_v) if best_v > NEG_INFINITY else (None, NEG_INFINITY)
+
+
+def _maxima(field, kernel, terms, intervals, starts=None) -> list[tuple[float | None, float]]:
+    """[(argmax | None, float max)] of field + Σ r_j K(· − y_j) over each [lo, hi] in ``intervals``.
+
+    The one scalar interval-maxima routine. Its set-up is built once for all
+    the intervals: the compiled kernel and slope sums, the node set, one
+    sorted list of their cut points (the field's interior knots, the nodes
+    y_j and the kernel kinks y_j ± κ), the sorted override points, a kernel
+    sum per cut and a usc value per interval end (an interior node ends two
+    intervals), and per field piece its g and slope closures. ``starts``, if
+    given, holds one start point (or None) per interval for the slope
+    searches; a start outside a searched piece is replaced by the piece's
+    midpoint. A degenerate interval lo = hi has maximum −∞ under a singular
+    kernel and the value at the point under any other:
+
+    >>> from equiosc import Log, SqrtShift, constant_field
+    >>> _maxima(constant_field(0.0), Log(), ((1.0, 0.5),), [(0.5, 0.5), (0.0, 0.5)])
+    [(None, -inf), (0.0, -0.6931471805599453)]
+    >>> _maxima(constant_field(0.0), SqrtShift(), ((1.0, 0.5),), [(0.5, 0.5)])
+    [(0.5, 2.0)]
+    """
+    singular = kernel.flags().singular
+    ksum = kernel._build_sum(terms)
+    kslope = kernel._build_slope_sum(terms)
+    nodes = {yj for _, yj in terms}
+    kink_cuts = [yj + s for yj in nodes for k in kernel._kinks for s in (k, -k)]
+    points = sorted({*field.interior_knots(), *nodes, *kink_cuts})
     sums: dict[float, float] = {}
+    ends: dict[float, float] = {}
+    fns: dict[int, tuple] = {}
 
-    def at_cut(fval, tau: float) -> float:
+    def at(fval, tau: float) -> float:
         if singular and tau in nodes:  # K(0) = −∞ and every r_j > 0
             return NEG_INFINITY
         fv = fval(tau)
@@ -395,73 +490,30 @@ def _maximize(field, ksum, lo: float, hi: float, singular: bool, setup):
             ks = sums[tau] = ksum(tau)
         return NEG_INFINITY if ks == NEG_INFINITY else fv + ks
 
-    point_set = cuts
-    inside = overrides[bisect_left(overrides, lo):bisect_right(overrides, hi)]
-    if inside:
-        point_set = sorted({*cuts, *inside})
-    candidates = [(tau, at_cut(field._value_float, tau)) for tau in point_set]
+    def at_end(tau: float) -> float:
+        v = ends.get(tau)
+        if v is None:
+            v = ends[tau] = at(field._value_float, tau)
+        return v
 
-    for c, d in zip(cuts, cuts[1:]):
-        at_node_c = singular and c in nodes
-        at_node_d = singular and d in nodes
-        if d - c <= 4.0 * _NODE_EPS:
-            # no room for the offsets from a node: its midpoint is the piece's one sample
-            if at_node_c or at_node_d:
-                mid = 0.5 * (c + d)
-                candidates.append((mid, at_cut(field._value_float, mid)))
-            continue
-        formula = field.piece_over(c, d).formula
-        if isinstance(formula, NegInfinityPiece):
-            continue
-        a = c + _NODE_EPS if at_node_c else c
-        b = d - _NODE_EPS if at_node_d else d
-        g = _with_translates(formula._value, ksum)
-        if formula.concave:
-            ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
-            candidates.append(_concave_max(g, a, b, ga, gb, _with_slopes(formula, kslope)))
-        else:
-            candidates.append(_scan_max(g, a, b))
+    def piece(p: int):
+        entry = fns.get(p)
+        if entry is None:
+            formula = field.pieces[p].formula
+            g = None if isinstance(formula, NegInfinityPiece) else _with_translates(formula._value, ksum)
+            entry = fns[p] = (formula._value, formula.concave, g, _with_slopes(formula, kslope))
+        return entry
 
-    candidates.sort(key=lambda p: p[0])
-    best_t: float | None = None
-    best_v = NEG_INFINITY
-    for t, v in candidates:
-        if v > best_v:
-            best_t, best_v = t, v
-    return best_t, best_v
-
-
-def _maxima(field, kernel, terms, intervals) -> list[tuple[float | None, float]]:
-    """[(argmax | None, float max)] of field + Σ r_j K(· − y_j) over each [lo, hi] in ``intervals``.
-
-    The one scalar interval-maxima routine. Its set-up is built once for all
-    the intervals: the node set, one sorted list of their cut points (the
-    field's interior knots, the nodes y_j and the kernel kinks y_j ± κ), the
-    sorted override points and the compiled slope sum. A degenerate interval
-    lo = hi has maximum −∞ under a singular kernel and the value at the
-    point under any other:
-
-    >>> from equiosc import Log, SqrtShift, constant_field
-    >>> _maxima(constant_field(0.0), Log(), ((1.0, 0.5),), [(0.5, 0.5), (0.0, 0.5)])
-    [(None, -inf), (0.0, -0.6931471805599453)]
-    >>> _maxima(constant_field(0.0), SqrtShift(), ((1.0, 0.5),), [(0.5, 0.5)])
-    [(0.5, 2.0)]
-    """
-    singular = kernel.flags().singular
-    ksum = kernel._build_sum(terms)
-    nodes = {yj for _, yj in terms}
-    kink_cuts = [yj + s for yj in nodes for k in kernel._kinks for s in (k, -k)]
-    points = sorted({*field.interior_knots(), *nodes, *kink_cuts})
-    setup = nodes, points, sorted(field.override_points()), kernel._build_slope_sum(terms)
+    setup = field, singular, nodes, points, sorted(field.override_points()), field.knots(), at, at_end, piece
     out = []
-    for lo, hi in intervals:
+    for (lo, hi), start in zip(intervals, starts or repeat(None)):
         scalar_fn(kernel)  # one call per interval maximum: perfbench counts interval maxima by it
         if hi > lo:
-            out.append(_maximize(field, ksum, lo, hi, singular, setup))
+            out.append(_maximize(lo, hi, start, setup))
         elif singular:
             out.append((None, NEG_INFINITY))
         else:
-            v = _with_translates(field._value_float, ksum)(lo)
+            v = at_end(lo)
             out.append((lo if v > NEG_INFINITY else None, v))
     return out
 
@@ -471,9 +523,21 @@ def _interval_max(problem: Problem, ys: tuple[float, ...], j: int):
     return _maxima(problem.field, problem.kernel, _terms(problem, ys), ((ys[j], ys[j + 1]),))[0]
 
 
-def _maxima_floats(problem: Problem, ys: tuple[float, ...]):
-    """([m_0, …, m_n], [argmax_0, …]) of F(y, ·)."""
-    pairs = _maxima(problem.field, problem.kernel, _terms(problem, ys), zip(ys, ys[1:]))
+def _maxima_floats(problem: Problem, ys: tuple[float, ...], prior=None):
+    """([m_0, …, m_n], [argmax_0, …]) of F(y, ·).
+
+    ``prior`` = (ys′, argmaxima′) of nearby nodes, such as the last Newton
+    iterate's: each argmax, mapped affinely from its interval of ys′ into the
+    same interval of ys, starts that interval's slope searches.
+    """
+    starts = None
+    if prior is not None:
+        old, args = prior
+        starts = [
+            None if t is None or q <= p else lo + (t - p) * ((hi - lo) / (q - p))
+            for lo, hi, p, q, t in zip(ys, ys[1:], old, old[1:], args)
+        ]
+    pairs = _maxima(problem.field, problem.kernel, _terms(problem, ys), zip(ys, ys[1:]), starts)
     return [v for _, v in pairs], [t for t, _ in pairs]
 
 

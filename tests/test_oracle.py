@@ -282,6 +282,47 @@ def test_maxima_vector_is_bit_identical_to_per_interval_set_up(kernel):
     assert degenerate > 0
 
 
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
+def test_warm_started_maxima_vector_equals_the_cold_one(kernel):
+    """Slope searches started at a nearby node system's argmaxima find the same maxima as from the midpoints.
+
+    Each prior is the cold maxima vector at the nodes moved by up to 1e-9 … 0.3,
+    its argmaxima mapped into the intervals of the unmoved nodes.
+    """
+    rng = np.random.default_rng(20241019)
+    for field in FIELDS.values():
+        for n in (1, 2, 3):
+            problem = eq.Problem(n, tuple(rng.uniform(0.5, 2.0, size=n)), kernel, field)
+            for y in _cells(rng, n, count=12):
+                ys = (0.0, *(float(v) for v in y), 1.0)
+                cold, cold_args = _maxima_floats(problem, ys)
+                for scale in (1e-9, 1e-5, 1e-2, 0.3):
+                    moved = np.sort(np.clip(y + scale * rng.uniform(-1.0, 1.0, size=n), 0.0, 1.0))
+                    near = (0.0, *(float(v) for v in moved), 1.0)
+                    prior = near, _maxima_floats(problem, near)[1]
+                    warm, warm_args = _maxima_floats(problem, ys, prior)
+                    assert [v == -math.inf for v in warm] == [v == -math.inf for v in cold], (field, ys, near)
+                    assert [t is None for t in warm_args] == [t is None for t in cold_args]
+                    for m, w in zip(cold, warm):
+                        if m > -math.inf:
+                            assert abs(w - m) <= 1e-14 * max(1.0, abs(m)), (field, ys, near)
+
+
+def test_slope_search_start_outside_the_piece_is_the_midpoint():
+    """A start at or beyond an end of the piece is replaced by its midpoint: the same search, to the bit."""
+    problem = eq.Problem(2, (1.0, 1.5), eq.Log(), eq.constant_field(0.0))
+    ksum = problem.kernel._build_sum(((1.0, 0.3), (1.5, 0.7)))
+    kslope = problem.kernel._build_slope_sum(((1.0, 0.3), (1.5, 0.7)))
+    g = translates._with_translates(problem.field.pieces[0].formula._value, ksum)
+    dg = translates._with_slopes(problem.field.pieces[0].formula, kslope)
+    a, b = 0.3 + 1e-13, 0.7 - 1e-13
+    cold = translates._slope_max(g, dg, a, b)
+    for start in (a, b, 0.0, 1.0, None):
+        assert translates._slope_max(g, dg, a, b, start) == cold
+    t, v = translates._slope_max(g, dg, a, b, cold[0] + 1e-9)
+    assert abs(t - cold[0]) <= 1e-15 and abs(v - cold[1]) <= 1e-15
+
+
 ORACLE_CASES = [
     ("symmetric_n1", eq.Problem(1, (1.0,), eq.Log(), eq.constant_field(0.0)), 201),
     ("singularity_5_1", build_problem("singularity_5_1"), 11),

@@ -393,15 +393,15 @@ def test_maximum_on_a_kernel_kink_is_exact():
         assert abs(float(value) - 0.92) <= 1e-14
 
 
-def _count_log_sums(monkeypatch, calls):
-    """Count the evaluations of compiled ``Log`` sums.
+def _count_log_sums(monkeypatch, calls, kernel=eq.Log):
+    """Count the evaluations of the compiled sums of a kernel class, ``Log`` by default.
 
     Kernel sums go into ``calls["kernel_sum"]``, slope sums into ``calls["slope_sum"]``.
     """
     for method, key in (("_build_sum", "kernel_sum"), ("_build_slope_sum", "slope_sum")):
         calls.setdefault(key, 0)
 
-        def counted_build(self, terms, build=getattr(eq.Log, method), key=key):
+        def counted_build(self, terms, build=getattr(kernel, method), key=key):
             compiled = build(self, terms)
 
             def counted(t):
@@ -410,7 +410,7 @@ def _count_log_sums(monkeypatch, calls):
 
             return counted
 
-        monkeypatch.setattr(eq.Log, method, counted_build)
+        monkeypatch.setattr(kernel, method, counted_build)
 
 
 def test_chebyshev_n8_evaluation_ceiling(monkeypatch):
@@ -421,8 +421,9 @@ def test_chebyshev_n8_evaluation_ceiling(monkeypatch):
     exact Jacobian 836 over 81, 692 once a node of the singular kernel is a
     point candidate without a kernel sum, and 664 with one log per run of
     equal exponents. The slope search makes 99 kernel sums (a candidate, an
-    end check or the one value of a search) and 278 slope sums. The ceilings
-    may only go down.
+    end check or the one value of a search) and 278 slope sums, and 210 once
+    each trial vector's searches start at the current iterate's argmaxima.
+    The ceilings may only go down.
     """
     calls = {"kernel_sum": 0, "maximize": 0}
     maximize = translates._maximize
@@ -438,7 +439,7 @@ def test_chebyshev_n8_evaluation_ceiling(monkeypatch):
     assert abs(report.value - math.log(2.0 * 4.0**-8)) <= 1e-8
     assert calls["maximize"] == 81
     assert 0 < calls["kernel_sum"] <= 99
-    assert 0 < calls["slope_sum"] <= 278
+    assert 0 < calls["slope_sum"] <= 210
 
 
 def _count_piece_work(monkeypatch, field):
@@ -471,9 +472,10 @@ def test_kernel_sums_per_piece_on_a_200_piece_field(monkeypatch):
     9 slope sums (540 kernel sums with Brent's method on the pieces no end
     check settles, 611 with one log per term, 619 while the nodes of the
     singular kernel took one, 923 when each use recomputed them); the n = 4
-    solve makes 4,040 and 79 over 1,628 pieces (4,278 with Brent's method,
-    4,333 with one log per term, 4,397 with the sums at the nodes, 146,169
-    over 34,398 with the sweeps).
+    solve makes 4,040 and 58 over 1,628 pieces (79 slope sums with every
+    search started at its piece's midpoint; 4,278 kernel sums with Brent's
+    method, 4,333 with one log per term, 4,397 with the sums at the nodes,
+    146,169 over 34,398 with the sweeps).
     """
     field = PiecewiseField(
         tuple(Piece(i / 200, (i + 1) / 200, (Constant, Indicator)[i % 2](0.3)) for i in range(200))
@@ -481,7 +483,7 @@ def test_kernel_sums_per_piece_on_a_200_piece_field(monkeypatch):
     assert len(field.pieces) == 200
     at_nodes, solve = _count_piece_work(monkeypatch, field)
     assert at_nodes == {"kernel_sum": 506, "slope_sum": 9, "pieces": 204}
-    assert solve == {"kernel_sum": 4_040, "slope_sum": 79, "pieces": 1_628}
+    assert solve == {"kernel_sum": 4_040, "slope_sum": 58, "pieces": 1_628}
 
 
 def test_equal_pieces_cost_what_one_piece_costs(monkeypatch):
@@ -489,13 +491,30 @@ def test_equal_pieces_cost_what_one_piece_costs(monkeypatch):
 
     Brent's method took 30 kernel sums at the nodes and 239 in the solve, and
     with one log per term 34 and 265; the slope search takes 7 kernel sums
-    and 12 slope sums at the nodes and 56 and 94 in the solve.
+    and 12 slope sums at the nodes and 56 and 94 in the solve, and 56 and 68
+    once each trial vector's searches start at the current iterate's argmaxima.
     """
     field = PiecewiseField(tuple(Piece(i / 200, (i + 1) / 200, Constant(0.3)) for i in range(200)))
     assert len(field.pieces) == 1
     at_nodes, solve = _count_piece_work(monkeypatch, field)
     assert at_nodes == {"kernel_sum": 7, "slope_sum": 12, "pieces": 5}
-    assert solve == {"kernel_sum": 56, "slope_sum": 94, "pieces": 40}
+    assert solve == {"kernel_sum": 56, "slope_sum": 68, "pieces": 40}
+
+
+def test_a_node_shared_by_two_intervals_costs_one_kernel_sum(monkeypatch):
+    """Work gate: a maxima vector computes each cut's kernel sum once, for all its intervals.
+
+    Under the non-singular SqrtShift an interior node is a point candidate of
+    both intervals it ends. With a kernel sum per interval and cut the vector
+    took 14 kernel sums; one per cut and call saves the three interior
+    nodes' second ones.
+    """
+    calls = {}
+    _count_log_sums(monkeypatch, calls, eq.SqrtShift)
+    problem = eq.Problem(3, (1.0, 1.5, 0.7), eq.SqrtShift(), eq.constant_field(0.3))
+    maxima = eq.interval_maxima(problem, (0.2, 0.45, 0.8))
+    assert maxima.argmax == (0.0, 0.2, 0.8, 1.0)
+    assert calls == {"kernel_sum": 11, "slope_sum": 0}
 
 
 # -- tolerances are constants, not parameters -------------------------------------------
