@@ -60,7 +60,7 @@ class Formula:
         return np.array([self._value(float(v)) for v in t])
 
     def _derivatives(self, t: float) -> tuple[float, float]:
-        """(f′(t), f″(t)) inside the branch's domain: the field's part of the slope search on a concave piece."""
+        """(f′(t), f″(t)) inside the branch's domain: the field's part of the slope search on a piece."""
         raise NotImplementedError
 
     @property
@@ -176,8 +176,8 @@ class SqrtAffine(Formula):
 
     def _derivatives(self, t):
         arg = self._arg(t)
-        if arg <= 0.0:  # at the zero, or in the domain slack past it: the slope points into the support
-            return (math.copysign(math.inf, self.s) if self.c else 0.0), 0.0
+        if arg <= 0.0:  # at the zero, or in the domain slack past it: the slope is ±∞ along c·s
+            return (math.copysign(math.inf, self.c * self.s) if self.c else 0.0), 0.0
         d1 = 0.5 * self.c * self.s / math.sqrt(arg)
         return d1, -0.5 * d1 * self.s / arg
 

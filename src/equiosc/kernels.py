@@ -260,16 +260,6 @@ class Log(KernelSpec):
 
         return slope_sum
 
-        def slope_sum(t: float) -> tuple[float, float]:
-            s1 = s2 = 0.0
-            for r, yj in terms:
-                q = 1.0 / (t - yj)
-                s1 += r * q
-                s2 -= r * (q * q)
-            return s1, s2
-
-        return slope_sum
-
 
 @dataclass(frozen=True)
 class CappedLog(KernelSpec):

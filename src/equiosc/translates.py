@@ -19,7 +19,9 @@ small step alone, and computes one value, at the Newton point of the bracket
 end nearer the root. Values are accurate to rounding on smooth pieces, and
 so are argmax locations, measured. A piece narrower than any fixed
 tolerance (two nodes 4e-13 apart) is searched the same way, to rounding.
-Non-concave pieces are scanned and polished by Brent's method.
+A non-concave piece is scanned at 64 points, and the same slope search
+polishes its best sample between that sample's neighbours: it needs only the
+sign of F′, so it finds a local maximum there on any smooth piece.
 
 Every scalar caller takes its interval maxima from :func:`_maxima`, with
 the same fixed tolerances: a maxima vector, a single interval maximum (the
@@ -48,16 +50,18 @@ The grid oracle needs only the values, for whole lattices of node systems:
 at once in numpy, with a lockstep bracket search in place of the slope
 search: each step samples every searched piece at seven interior points in
 one evaluation and keeps the quarter of its bracket around the best sample,
-to the bracket width at which Brent's method stops. That width has a floor
-of 4·``_XTOL``/3, which on a concave piece narrower than ``_NARROW`` ≈ 2.2e-5
-(where √ε·width is below the floor) leaves the value short of the maximum,
-by up to 6e-5 relative at a width of 2e-12 and 2e-11 at 1e-8. Such a piece
-takes the scalar slope search instead, so the two paths agree at every
-width to a few ε, measured (300 random problems, widths 1e-13 to 1e-2: at
-most 2.6e-15 relative). Concavity also bounds each concave piece's maximum
-from above at every step, so a scan for the best node system stops the
-searches of the cells that cannot win: their values are bounds, and only
-the cells that can win get exact values.
+until the bracket is at most 4·(√ε·min(|x|, width) + ``_XTOL``/3) wide. That
+width has a floor of 4·``_XTOL``/3, which on a piece narrower than
+``_NARROW`` ≈ 2.2e-5 (where √ε·width is below the floor) leaves the value
+short of the maximum, by up to 6e-5 relative at a width of 2e-12 and 2e-11
+at 1e-8. Such a piece, concave or not, takes the scalar search instead, so
+the two paths agree at every width to a few ε, measured (300 random
+problems, widths 1e-13 to 1e-2: at most 2.6e-15 relative; on a convex
+field's pieces 4e-13 to 1e-7 wide both are within 6e-15 of a dense scan).
+Concavity also bounds each concave piece's maximum from above at every
+step, so a scan for the best node system stops the searches of the cells
+that cannot win: their values are bounds, and only the cells that can win
+get exact values.
 
 Conventions: a degenerate interval has maximum −∞ for singular kernels and
 the single-point value otherwise; argmax ties go to the leftmost evaluated
@@ -100,7 +104,6 @@ _EPS = math.ulp(1.0)
 _SQRT_EPS = math.sqrt(_EPS)
 # below this width the bracket search stops at its floor _XTOL/3, not at √ε·width
 _NARROW = _XTOL / (3.0 * _SQRT_EPS)
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction 1 − 1/φ
 _SCAN_POINTS = 64  # samples per non-concave piece, scalar and batched
 
 
@@ -210,11 +213,17 @@ def _with_slopes(formula, kslope):
 
 
 def _slope_max(g, dg, a: float, b: float, start: float | None = None) -> tuple[float, float]:
-    """(t, g(t)) at the maximum of a concave g on [a, b], by its decreasing slope; interior points only.
+    """(t, g(t)) at a maximum of g on [a, b] where g′ falls through zero; interior points only.
 
     A safeguarded Newton search for the sign change of g′ ("rtsafe", Press et
     al., *Numerical Recipes*, §9.4). ``dg`` gives (g′, g″); the sign of g′
-    at each point moves one end of a bracket [lo, hi] from [a, b]. The first
+    at each point moves one end of a bracket [lo, hi] from [a, b]. It needs
+    only that sign, so it serves both a concave piece, whose slope
+    decreases, and the polish of a non-concave one around its best scan
+    sample (:func:`_scan_max`): every point it moves to becomes a lo with
+    g′ > 0 or a hi with g′ < 0, so the bracket closes on a local maximum, or
+    on an end of [a, b] where g′ keeps one sign. A Newton point is taken
+    only where g″ < 0; a convex stretch is bisected. The first
     point is ``start`` if it lies inside (a, b), else the midpoint; a start
     near the root, such as the last Newton iterate's argmax moved with its
     interval, closes the bracket in about two slope evaluations. The next
@@ -273,74 +282,6 @@ def _slope_max(g, dg, a: float, b: float, start: float | None = None) -> tuple[f
     return x, g(x)
 
 
-def _brent_max(g, lo: float, hi: float) -> tuple[float, float]:
-    """Maximize a unimodal g on [lo, hi] by values alone, interior samples only: the polish of :func:`_scan_max`.
-
-    Brent's method (Brent 1973, ch. 5): parabolic steps through the three best
-    points, guarded by golden-section steps, until the bracket around the best
-    point x is at most 4·tol wide, tol = √ε·min(|x|, hi − lo) + _XTOL/3. The
-    width bound matters on narrow pieces between two singular nodes, where the
-    curvature grows like 1/width² and √ε·|x| alone would leave the value far
-    from rounding. Values are negated so the updates read as in the
-    minimization form; −∞ samples force golden steps. A bracket no wider than
-    _XTOL gives its midpoint's value.
-    """
-    a, b = lo, hi
-    width = b - a
-    if width <= _XTOL:
-        mid = 0.5 * (a + b)
-        return mid, g(mid)
-    x = w = v = a + _CGOLD * width
-    fx = fw = fv = -g(x)
-    d = e = 0.0
-    xtol3 = _XTOL / 3.0
-    for _ in range(200):
-        xm = 0.5 * (a + b)
-        ax = abs(x)
-        tol1 = _SQRT_EPS * (ax if ax < width else width) + xtol3  # min() without a builtin call
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            break
-        golden = True
-        # fx <= fw <= fv, so a finite fv means all three points are finite
-        if abs(e) > tol1 and fv < _INF:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = tol1 if x < xm else -tol1
-                golden = False
-        if golden:
-            e = (b - x) if x < xm else (a - x)
-            d = _CGOLD * e
-        u = x + d if abs(d) >= tol1 else (x + tol1 if d > 0.0 else x - tol1)
-        fu = -g(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, -fx
-
-
 def _concave_max(g, a: float, b: float, ga: float, gb: float, dg, start: float | None = None):
     """Maximize a concave g on [a, b]: an end where g does not rise inward, else :func:`_slope_max` from ``start``.
 
@@ -361,14 +302,19 @@ def _concave_max(g, a: float, b: float, ga: float, gb: float, dg, start: float |
     return _slope_max(g, dg, a, b, start)
 
 
-def _scan_max(g, lo: float, hi: float) -> tuple[float, float]:
-    """Fallback for non-concave pieces: coarse scan, then a Brent polish."""
+def _scan_max(g, dg, lo: float, hi: float) -> tuple[float, float]:
+    """Maximize a piece that is not concave: a 64-point scan, polished by :func:`_slope_max`.
+
+    The polish searches the two spacings around the best sample (the first
+    of equal ones), from that sample; the better of the sample and the
+    search is the result. ``dg`` is g's slope closure t ↦ (g′(t), g″(t)).
+    """
     ts = np.linspace(lo, hi, _SCAN_POINTS)
     vals = [g(float(t)) for t in ts]
     i = max(range(_SCAN_POINTS), key=lambda k: (vals[k], -k))
     a = ts[max(0, i - 1)]
     b = ts[min(_SCAN_POINTS - 1, i + 1)]
-    t_star, v_star = _brent_max(g, float(a), float(b))
+    t_star, v_star = _slope_max(g, dg, float(a), float(b), float(ts[i]))
     if vals[i] >= v_star:
         return float(ts[i]), vals[i]
     return t_star, v_star
@@ -395,12 +341,13 @@ def _maximize(lo: float, hi: float, start: float | None, setup):
     end checks need anyway; only the interval ends and the overrides take
     the field's usc value. Each piece is searched by :func:`_concave_max`
     (concave: end checks, then the slope search, from ``start`` if it lies
-    inside the piece) or a scan plus Brent polish (not concave). With a
-    singular kernel the search stays _NODE_EPS away from a node at either
-    end of a piece; a piece at a node too narrow for that offset (at most
-    4·_NODE_EPS) is sampled at its midpoint, so a narrow interval between
-    two nodes keeps a finite maximum. The argmax is the leftmost of the
-    largest candidates, kept as a running maximum.
+    inside the piece) or :func:`_scan_max` (not concave: a scan, then the
+    slope search around its best sample). With a singular kernel the search
+    stays _NODE_EPS away from a node at either end of a piece; a piece at a
+    node too narrow for that offset (at most 4·_NODE_EPS) is sampled at its
+    midpoint, so a narrow interval between two nodes keeps a finite maximum.
+    The argmax is the leftmost of the largest candidates, kept as a running
+    maximum.
     """
     field, singular, nodes, points, overrides, knots, at, at_end, piece = setup
     best_t, best_v = lo, NEG_INFINITY  # best_t is read only once best_v is finite
@@ -426,7 +373,7 @@ def _maximize(lo: float, hi: float, start: float | None, setup):
         elif g is not None:
             a = c + _NODE_EPS if singular and c in nodes else c
             b = d - _NODE_EPS if singular and d in nodes else d
-            t, v = _concave_max(g, a, b, gc, gd, dg, start) if concave else _scan_max(g, a, b)
+            t, v = _concave_max(g, a, b, gc, gd, dg, start) if concave else _scan_max(g, dg, a, b)
         if t is not None and (v > best_v or v == best_v and t < best_t):
             best_t, best_v = t, v
         if d == hi:
@@ -574,13 +521,13 @@ def _bracket_batch(g, a: np.ndarray, b: np.ndarray, concave: np.ndarray, prune=N
     Each step samples every lane at _SAMPLES equispaced interior points in
     one evaluation and keeps the two spacings around its best sample (the
     first of equal ones), so a bracket shrinks fourfold per step. A lane stops
-    where :func:`_brent_max` would: once its bracket is at most 4·tol wide,
-    tol = √ε·min(|x|, b₀ − a₀) + _XTOL/3 at its best sample x, or after 200
-    steps; its value is the best sample it has seen. A lane no wider than
-    _XTOL takes its midpoint value, as :func:`_brent_max` does; only a
-    non-concave piece's polish can be that narrow, since
-    :func:`_maxima_batch` gives concave pieces narrower than _NARROW to the
-    scalar search.
+    once its bracket is at most 4·tol wide, tol = √ε·min(|x|, b₀ − a₀) +
+    _XTOL/3 at its best sample x (a value's error is quadratic in the
+    distance to a smooth maximum, so √ε·|x| leaves it at rounding), or after
+    200 steps; its value is the best sample it has seen. Every lane is wider
+    than _XTOL: :func:`_maxima_batch` gives the pieces narrower than _NARROW
+    to the scalar search, so a concave lane is at least _NARROW wide and a
+    non-concave piece's polish lane at least _NARROW/63.
 
     With ``prune``, each step also bounds the maximum of every ``concave``
     lane whose best sample v_i is neither the first nor the last: the
@@ -598,13 +545,8 @@ def _bracket_batch(g, a: np.ndarray, b: np.ndarray, concave: np.ndarray, prune=N
     """
     best = np.full(a.shape, NEG_INFINITY)
     bound = np.full(a.shape, _INF)
-    w0 = b - a
-    tiny = w0 <= _XTOL
-    if tiny.any():
-        best[tiny] = bound[tiny] = g(0.5 * (a[tiny] + b[tiny]), np.flatnonzero(tiny))
-    idx = np.flatnonzero(~tiny)
-    a, w0 = a[idx], w0[idx]
-    w = w0
+    idx = np.arange(a.size)
+    w = w0 = b - a
     for _ in range(200):
         if not idx.size:
             break
@@ -672,11 +614,12 @@ def _maxima_batch(
     searched by one lockstep bracket search (:func:`_bracket_batch`, all
     pieces of all rows together) instead of the slope search, every
     non-concave one by the 64-point scan plus the same search as a polish. A
-    concave piece narrower than _NARROW, where the bracket search would stop
-    at its floor short of the maximum, takes the scalar slope search instead,
-    one at a time (the benchmark's oracle lattices make none: their
-    narrowest concave piece is 5e-5 wide), so values agree with the scalar
-    path to a few ε. No argmax is computed.
+    piece narrower than _NARROW, where the bracket search would stop at its
+    floor short of the maximum, takes the scalar search instead, one at a
+    time: :func:`_slope_max` if it is concave, else :func:`_scan_max` (the
+    benchmark's oracle lattices make none: their narrowest concave piece is
+    5e-5 wide), so values agree with the scalar path to a few ε. No argmax
+    is computed.
 
     With a ``mode``, only the cells whose objective (max_j m_j for
     "minimax", min_j m_j for "maximin") can come within ``tol`` of the best
@@ -742,32 +685,32 @@ def _maxima_batch(
                 continue
             sel = piece == p
             row, cs, ds, node_c, node_d = seg_row[sel], c[sel], d[sel], at_c[sel], at_d[sel]
-            seg_nodes = nodes[row]
             a = np.where(node_c, cs + _NODE_EPS, cs)
             b = np.where(node_d, ds - _NODE_EPS, ds)
             if formula.concave:
                 h = np.maximum(_XTOL, _SQRT_EPS * (b - a))
                 ends = np.stack([cs, np.minimum(a + h, b), ds, np.maximum(b - h, a)], axis=1)
-                ends = _sums_batch(formula._values, r, kernel, ends, seg_nodes)
+                ends = _sums_batch(formula._values, r, kernel, ends, nodes[row])
                 wide = b - a > 2.0 * h
                 # an end where g does not rise inward is the piece maximum, and no
                 # more than the point candidate there: only the others are searched
                 settled = wide & ~node_c & (ends[:, 0] > NEG_INFINITY) & (ends[:, 1] <= ends[:, 0])
                 settled |= wide & ~node_d & (ends[:, 2] > NEG_INFINITY) & (ends[:, 3] <= ends[:, 2])
                 row, a, b = row[~settled], a[~settled], b[~settled]
-                # below _NARROW the bracket search's floor leaves the value short of
-                # the maximum: the scalar slope search takes it, lane by lane, as _maxima would
-                narrow = b - a < _NARROW
-                if narrow.any():
-                    for k in np.flatnonzero(narrow):
-                        terms = tuple(zip(r, nodes[row[k]].tolist()))
-                        g = _with_translates(formula._value, kernel._build_sum(terms))
-                        dg = _with_slopes(formula, kernel._build_slope_sum(terms))
-                        best[row[k]] = max(best[row[k]], _slope_max(g, dg, float(a[k]), float(b[k]))[1])
-                    row, a, b = row[~narrow], a[~narrow], b[~narrow]
-            else:
+            # below _NARROW the bracket search's floor leaves the value short of
+            # the maximum: the scalar search takes it, lane by lane, as _maxima would
+            narrow = b - a < _NARROW
+            if narrow.any():
+                search = _slope_max if formula.concave else _scan_max
+                for k in np.flatnonzero(narrow):
+                    terms = tuple(zip(r, nodes[row[k]].tolist()))
+                    g = _with_translates(formula._value, kernel._build_sum(terms))
+                    dg = _with_slopes(formula, kernel._build_slope_sum(terms))
+                    best[row[k]] = max(best[row[k]], search(g, dg, float(a[k]), float(b[k]))[1])
+                row, a, b = row[~narrow], a[~narrow], b[~narrow]
+            if not formula.concave:
                 ts = np.linspace(a, b, _SCAN_POINTS, axis=1)
-                samples = _sums_batch(formula._values, r, kernel, ts, seg_nodes)
+                samples = _sums_batch(formula._values, r, kernel, ts, nodes[row])
                 i = np.argmax(samples, axis=1)  # first of equal maxima, as _scan_max
                 lanes = np.arange(i.size)
                 np.maximum.at(best, row, samples[lanes, i])

@@ -14,9 +14,10 @@ Per-interval set-up: before a maxima vector built its cut points once,
 interval and the override candidates for every interval it searched.
 ``reference_maximize`` is that ``_maximize`` and ``reference_scalar_interval_max``
 its ``_interval_max``, verbatim but for the names and the slope closure each
-concave piece hands to the library's ``_concave_max``: built for the one
-interval, from the formula's ``_derivatives`` and ``slope_sum``, a per-term
-loop over the kernel's scalar (K′, K″) (``LOG_DERIVATIVES`` for ``Log``).
+piece hands to the library's search, ``_concave_max`` on a concave piece and
+``_scan_max`` on the others: built for the one interval, from the formula's
+``_derivatives`` and ``slope_sum``, a per-term loop over the kernel's scalar
+(K′, K″) (``LOG_DERIVATIVES`` for ``Log``).
 
 Kink rows by forward difference: before only the kinked column of a
 Jacobian row was differenced, ``solver._jacobian`` took every column of a row
@@ -284,7 +285,7 @@ def reference_maximize(field, kf, kd, terms, lo: float, hi: float, singular: boo
             ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
             candidates.append(_concave_max(g, a, b, ga, gb, slopes(formula)))
         else:
-            candidates.append(_scan_max(g, a, b))
+            candidates.append(_scan_max(g, slopes(formula), a, b))
 
     candidates.sort(key=lambda p: p[0])
     best_t: float | None = None

@@ -541,11 +541,14 @@ def test_formula_derivatives_match_central_differences(formula, span):
 
 
 def test_formula_derivatives_at_a_zero_of_the_weight_do_not_raise():
-    """A SqrtAffine piece may reach 1e-12 past its zero: there the slope points into the support.
+    """A SqrtAffine piece may reach 1e-12 past its zero: there the slope is infinite, with the sign of c·s.
 
-    A zero weight under LogOfWeight is −∞, and its slope is taken as 0.
+    It points into the support where c > 0, and out of it on a convex piece
+    (c < 0). A zero weight under LogOfWeight is −∞, and its slope is taken as 0.
     """
     assert SqrtAffine(1.0, 1.0, 5e-13)._derivatives(1e-13) == (math.inf, 0.0)
     assert SqrtAffine(2.0, -1.0, 0.5)._derivatives(0.5) == (-math.inf, 0.0)
+    assert SqrtAffine(-1.0, 1.0, 0.0)._derivatives(0.0) == (-math.inf, 0.0)
+    assert SqrtAffine(-2.0, -1.0, 0.5)._derivatives(0.5) == (math.inf, 0.0)
     assert LogOfWeight(Constant(0.0))._derivatives(0.3) == (0.0, 0.0)
     assert LogOfWeight(SqrtAffine(1.0, 1.0, 5e-13))._derivatives(1e-13) == (0.0, 0.0)

@@ -137,22 +137,28 @@ def _dense_maximum(problem, y, j, points=200_001):
 def test_narrow_piece_maximum_matches_the_dense_scan_on_both_paths():
     """An interval between two nodes, 4.0e-13 to 1e-7 wide: its maximum on the scalar and the batch path.
 
-    At 4.0e-13 the midpoint's value is −54.353280. The batch path's bracket
-    search, left to itself, stops at its floor: 6.3e-5 relative low at 2e-12,
-    1.3e-5 at 1e-11, 1.9e-9 at 1e-9 and 6.8e-12 at 1e-8.
+    Constant field: at 4.0e-13 the midpoint's value is −54.353280. The batch
+    path's bracket search, left to itself, stops at its floor: 6.3e-5
+    relative low at 2e-12, 1.3e-5 at 1e-11, 1.9e-9 at 1e-9 and 6.8e-12 at
+    1e-8. Convex field −√t, a non-concave piece: Brent's method, as the
+    polish of the scan, returned its bracket's midpoint below _XTOL and read
+    3.1e-7, 2.1e-6 and 3.9e-6 relative low at 4e-13, 2e-12 and 1e-11 on
+    every path, and the batch paths 1.1e-9 low at 1e-9 and 3.6e-11 at 1e-8.
     """
-    problem = eq.Problem(2, (0.6711, 1.1980), eq.Log(), eq.constant_field(0.3))
-    for y in [(1.0 / 3.0, 0.33333333333373333), *((1.0 / 3.0, 1.0 / 3.0 + w) for w in (2e-12, 1e-11, 1e-9, 1e-8, 1e-7))]:
-        dense = _dense_maximum(problem, y, 1)
-        if y[1] == 0.33333333333373333:
-            assert dense == pytest.approx(-54.277997, abs=1e-6)
-        cells = np.array([y])
-        for got in (
-            float(eq.interval_maxima(problem, y).m[1]),
-            translates._maxima_batch(problem, cells)[0, 1],
-            translates._maxima_batch(problem, cells, mode="minimax")[0, 1],
-        ):
-            assert abs(got - dense) <= 1e-12 * abs(dense), y
+    widths = (2e-12, 1e-11, 1e-9, 1e-8, 1e-7)
+    for field in (eq.constant_field(0.3), eq.sqrt_affine_field(-1.0, 1.0, 0.0)):
+        problem = eq.Problem(2, (0.6711, 1.1980), eq.Log(), field)
+        for y in [(1.0 / 3.0, 0.33333333333373333), *((1.0 / 3.0, 1.0 / 3.0 + w) for w in widths)]:
+            dense = _dense_maximum(problem, y, 1)
+            if y[1] == 0.33333333333373333 and field.pieces[0].formula.concave:
+                assert dense == pytest.approx(-54.277997, abs=1e-6)
+            cells = np.array([y])
+            for got in (
+                float(eq.interval_maxima(problem, y).m[1]),
+                translates._maxima_batch(problem, cells)[0, 1],
+                translates._maxima_batch(problem, cells, mode="minimax")[0, 1],
+            ):
+                assert abs(got - dense) <= 1e-12 * abs(dense), (field, y)
 
 
 def test_maximum_beside_a_node_end_matches_the_dense_scan():
@@ -310,7 +316,7 @@ def test_eval_F_grid_matches_scalar(rng, log1):
         eq.eval_F_grid(log1, (0.5,), "ab")
 
 
-# -- the Brent search against the golden-section reference ----------------------------
+# -- the slope search against the golden-section reference ----------------------------
 
 def _reference_kernels(rng):
     a = float(rng.uniform(0.1, 0.45))
@@ -336,6 +342,7 @@ def _reference_fields(rng):
                 Piece(k2, 1.0, SqrtAffine(float(rng.uniform(0.5, 3.0)), 1.0, 0.0)),
             )
         ),
+        "convex": eq.sqrt_affine_field(-1.5, 1.0, 0.0),  # fixed: no draw, so the other cases keep theirs
     }
 
 
@@ -350,7 +357,7 @@ def test_interval_maxima_match_golden_reference(kernel_name, rng):
     kink; there the new value may exceed the reference by more.
     """
     strict_maxima = 0
-    for field_name in ("constant", "sqrt_affine", "three_piece"):
+    for field_name in ("constant", "sqrt_affine", "three_piece", "convex"):
         for n in range(1, 7):
             kernel = _reference_kernels(rng)[kernel_name]
             r = tuple(float(v) for v in rng.uniform(0.5, 2.0, size=n))
