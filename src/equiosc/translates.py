@@ -18,10 +18,13 @@ It stops only once the bracket around the sign change is narrow, never on a
 small step alone, and computes one value, at the Newton point of the bracket
 end nearer the root. Values are accurate to rounding on smooth pieces, and
 so are argmax locations, measured. A piece narrower than any fixed
-tolerance (two nodes 4e-13 apart) is searched the same way, to rounding.
+tolerance (two nodes 1e-14 apart) is searched the same way, to rounding.
 A non-concave piece is scanned at 64 points, and the same slope search
 polishes its best sample between that sample's neighbours: it needs only the
-sign of F′, so it finds a local maximum there on any smooth piece.
+sign of F′, so it finds a local maximum there on any smooth piece. A node
+end of a piece needs no rule of its own: under a singular kernel F is −∞
+there, so no end check settles it and a scan sample there loses, and the
+slope search evaluates F′ only strictly inside the piece.
 
 Every scalar caller takes its interval maxima from :func:`_maxima`, with
 the same fixed tolerances: a maxima vector, a single interval maximum (the
@@ -98,7 +101,6 @@ __all__ = [
 ]
 
 _XTOL = 1e-12
-_NODE_EPS = 1e-13
 _INF = float("inf")
 _EPS = math.ulp(1.0)
 _SQRT_EPS = math.sqrt(_EPS)
@@ -230,6 +232,13 @@ def _slope_max(g, dg, a: float, b: float, start: float | None = None) -> tuple[f
     point is the Newton point x − g′/g″ if it lies in the bracket and its
     step is at most half the step before last, else the bracket's midpoint.
 
+    Every slope it evaluates is strictly inside (a, b), so an end may be a
+    node of a singular kernel, where g′ is infinite: a start or midpoint
+    not strictly inside means that no float is, and its value is returned
+    at once; a Newton point on an end of [a, b] is replaced by the
+    bracket's midpoint, and a final point there by the float next to it
+    inside.
+
     Stop rule: the bracket is at most 2·tol wide, tol = √ε·min(|x|, b − a)
     + 2ε·|x| + ε²·(b − a): the value's error is quadratic in the distance to
     the maximum, 2ε·|x| is two float spacings at x, and ε²·(b − a) keeps tol
@@ -240,7 +249,7 @@ def _slope_max(g, dg, a: float, b: float, start: float | None = None) -> tuple[f
     the bracket. The result is the Newton point of the bracket end nearer
     the root (else the bracket's midpoint), whose error is quadratic in that
     end's, so a piece narrower than any fixed tolerance, as between two
-    nodes 4e-13 apart, is searched to rounding too. One value is computed,
+    nodes 1e-14 apart, is searched to rounding too. One value is computed,
     at the end; where g′ = 0 the search stops at once.
     """
     lo, hi = a, b
@@ -248,6 +257,8 @@ def _slope_max(g, dg, a: float, b: float, start: float | None = None) -> tuple[f
     width = b - a
     tiny = _EPS * _EPS * width
     x = start if start is not None and a < start < b else 0.5 * (a + b)
+    if not a < x < b:  # no float inside the piece
+        return x, g(x)
     last = prev = width  # the last two step lengths
     for _ in range(200):
         d1, d2 = dg(x)
@@ -266,7 +277,7 @@ def _slope_max(g, dg, a: float, b: float, start: float | None = None) -> tuple[f
         if hi - lo <= 2.0 * tol:
             break
         # xn may round back to x: the root is then within half an ulp of x
-        if not lo <= xn <= hi or size > 0.5 * prev:
+        if not lo <= xn <= hi or xn == a or xn == b or size > 0.5 * prev:
             xn = 0.5 * (lo + hi)
             size = xn - x if xn > x else x - xn
         elif size <= tol:
@@ -279,6 +290,8 @@ def _slope_max(g, dg, a: float, b: float, start: float | None = None) -> tuple[f
     x = lo + lo_step if lo_step <= hi_step else hi - hi_step
     if not lo <= x <= hi:
         x = 0.5 * (lo + hi)
+    if x == a or x == b:  # the midpoint of a one-ulp bracket may round onto an end
+        x = math.nextafter(x, 0.5 * (a + b))
     return x, g(x)
 
 
@@ -326,11 +339,11 @@ def _maximize(lo: float, hi: float, start: float | None, setup):
     """(argmax | None, float max) of field + Σ r_j K(· − y_j) over [lo, hi], lo < hi.
 
     ``setup`` is what :func:`_maxima` builds once per call and shares among
-    its intervals: (field, singular, node set, sorted cut points, sorted
-    overrides, field knots, ``at``, ``at_end``, ``piece``). ``at(fval, τ)``
-    is F at a cut τ with field part fval(τ), its kernel sum computed once
-    per call; ``at_end(τ)`` is the usc value F(τ) at an interval end, cached
-    per call; ``piece(p)`` gives field piece p's (value, concave, g, dg),
+    its intervals: (field, sorted cut points, sorted overrides, field knots,
+    ``at``, ``at_end``, ``piece``). ``at(fval, τ)`` is F at a cut τ with
+    field part fval(τ), its kernel sum computed once per call;
+    ``at_end(τ)`` is the usc value F(τ) at an interval end, cached per
+    call; ``piece(p)`` gives field piece p's (value, concave, g, dg),
     its closures built once per call (g None on a −∞ piece).
 
     The interval is cut at the field's interior knots, at every node y_j
@@ -342,14 +355,12 @@ def _maximize(lo: float, hi: float, start: float | None, setup):
     the field's usc value. Each piece is searched by :func:`_concave_max`
     (concave: end checks, then the slope search, from ``start`` if it lies
     inside the piece) or :func:`_scan_max` (not concave: a scan, then the
-    slope search around its best sample). With a singular kernel the search
-    stays _NODE_EPS away from a node at either end of a piece; a piece at a
-    node too narrow for that offset (at most 4·_NODE_EPS) is sampled at its
-    midpoint, so a narrow interval between two nodes keeps a finite maximum.
-    The argmax is the leftmost of the largest candidates, kept as a running
-    maximum.
+    slope search around its best sample), over the whole piece: at a node
+    end g is −∞ and the slope search stays strictly inside, so a narrow
+    interval between two nodes keeps its finite maximum. The argmax is the
+    leftmost of the largest candidates, kept as a running maximum.
     """
-    field, singular, nodes, points, overrides, knots, at, at_end, piece = setup
+    field, points, overrides, knots, at, at_end, piece = setup
     best_t, best_v = lo, NEG_INFINITY  # best_t is read only once best_v is finite
     v = at_end(lo)
     if v > best_v:
@@ -364,18 +375,10 @@ def _maximize(lo: float, hi: float, start: float | None, setup):
     c, gc = lo, at(fval, lo)
     for d in (*points[bisect_right(points, lo):bisect_left(points, hi)], hi):
         gd = at(fval, d)
-        t = None
-        if d - c <= 4.0 * _NODE_EPS:
-            # no room for the offsets from a node: its midpoint is the piece's one sample
-            if singular and (c in nodes or d in nodes):
-                t = 0.5 * (c + d)
-                v = at(field._value_float, t)
-        elif g is not None:
-            a = c + _NODE_EPS if singular and c in nodes else c
-            b = d - _NODE_EPS if singular and d in nodes else d
-            t, v = _concave_max(g, a, b, gc, gd, dg, start) if concave else _scan_max(g, dg, a, b)
-        if t is not None and (v > best_v or v == best_v and t < best_t):
-            best_t, best_v = t, v
+        if g is not None:
+            t, v = _concave_max(g, c, d, gc, gd, dg, start) if concave else _scan_max(g, dg, c, d)
+            if v > best_v or v == best_v and t < best_t:
+                best_t, best_v = t, v
         if d == hi:
             v = at_end(hi)
             if v > best_v:
@@ -451,7 +454,7 @@ def _maxima(field, kernel, terms, intervals, starts=None) -> list[tuple[float | 
             entry = fns[p] = (formula._value, formula.concave, g, _with_slopes(formula, kslope))
         return entry
 
-    setup = field, singular, nodes, points, sorted(field.override_points()), field.knots(), at, at_end, piece
+    setup = field, points, sorted(field.override_points()), field.knots(), at, at_end, piece
     out = []
     for (lo, hi), start in zip(intervals, starts or repeat(None)):
         scalar_fn(kernel)  # one call per interval maximum: perfbench counts interval maxima by it
@@ -520,10 +523,12 @@ def _bracket_batch(g, a: np.ndarray, b: np.ndarray, concave: np.ndarray, prune=N
 
     Each step samples every lane at _SAMPLES equispaced interior points in
     one evaluation and keeps the two spacings around its best sample (the
-    first of equal ones), so a bracket shrinks fourfold per step. A lane stops
-    once its bracket is at most 4·tol wide, tol = √ε·min(|x|, b₀ − a₀) +
-    _XTOL/3 at its best sample x (a value's error is quadratic in the
-    distance to a smooth maximum, so √ε·|x| leaves it at rounding), or after
+    first of equal ones), so a bracket shrinks fourfold per step. Every
+    sample lies strictly inside the lane, so a lane may end at a node, where
+    g is −∞. A lane stops once its bracket is at most 4·tol wide,
+    tol = √ε·min(|x|, b₀ − a₀) + _XTOL/3 at its best sample x (a value's
+    error is quadratic in the distance to a smooth maximum, so √ε·|x|
+    leaves it at rounding), or after
     200 steps; its value is the best sample it has seen. Every lane is wider
     than _XTOL: :func:`_maxima_batch` gives the pieces narrower than _NARROW
     to the scalar search, so a concave lane is at least _NARROW wide and a
@@ -608,11 +613,11 @@ def _maxima_batch(
     """(cells, n + 1) interval maxima of F(y, ·) for each row y of nondecreasing nodes Y.
 
     The values of :func:`_maxima_floats` row by row, computed for all rows at
-    once: the same cuts, usc point candidates, concavity end checks,
-    _NODE_EPS offsets at the nodes of a singular kernel and midpoints of
-    pieces too narrow for them. Every piece that passes no end check is
-    searched by one lockstep bracket search (:func:`_bracket_batch`, all
-    pieces of all rows together) instead of the slope search, every
+    once: the same cuts, usc point candidates and concavity end checks, over
+    whole pieces (an end at a node of a singular kernel is −∞ and settles
+    nothing). Every piece that passes no end check is searched by one
+    lockstep bracket search (:func:`_bracket_batch`, all pieces of all rows
+    together) instead of the slope search, every
     non-concave one by the 64-point scan plus the same search as a polish. A
     piece narrower than _NARROW, where the bracket search would stop at its
     floor short of the maximum, takes the scalar search instead, one at a
@@ -642,7 +647,6 @@ def _maxima_batch(
     cells = Y.shape[0]
     ys = np.hstack([np.zeros((cells, 1)), Y, np.ones((cells, 1))])
     lo, hi = ys[:, :-1].ravel(), ys[:, 1:].ravel()  # interval j of cell i is row i·(n+1) + j
-    j = np.tile(np.arange(n + 1), cells)
     nodes = np.repeat(Y, n + 1, axis=0)
     rows = lo.size
 
@@ -662,18 +666,8 @@ def _maxima_batch(
         if singular:
             best[lo == hi] = NEG_INFINITY  # such a row has no segment
 
-        c, d = cuts[:, :-1], cuts[:, 1:]
-        width = d - c
-        # a segment end at lo (j ≥ 1) or at hi (j < n) is a node; no other cut is
-        at_c = singular & (c == lo[:, None]) & (j[:, None] >= 1)
-        at_d = singular & (d == hi[:, None]) & (j[:, None] < n)
-        # a segment at a node too narrow for the offsets: its midpoint is its one sample
-        mid_row, mid_col = np.nonzero((width > 0.0) & (width <= 4.0 * _NODE_EPS) & (at_c | at_d))
-        if mid_row.size:
-            mids = 0.5 * (c[mid_row, mid_col] + d[mid_row, mid_col])
-            np.maximum.at(best, mid_row, _sums_batch(field.values, r, kernel, mids, nodes[mid_row]))
-        seg_row, seg_col = np.nonzero(width > 4.0 * _NODE_EPS)
-        c, d, at_c, at_d = (v[seg_row, seg_col] for v in (c, d, at_c, at_d))
+        seg_row, seg_col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
+        c, d = cuts[seg_row, seg_col], cuts[seg_row, seg_col + 1]
         piece = np.maximum(np.searchsorted(field.knots(), 0.5 * (c + d)) - 1, 0)
 
         # the pieces' searches, in piece order, run as one lockstep search: per
@@ -684,18 +678,17 @@ def _maxima_batch(
             if isinstance(formula, NegInfinityPiece):
                 continue
             sel = piece == p
-            row, cs, ds, node_c, node_d = seg_row[sel], c[sel], d[sel], at_c[sel], at_d[sel]
-            a = np.where(node_c, cs + _NODE_EPS, cs)
-            b = np.where(node_d, ds - _NODE_EPS, ds)
+            row, a, b = seg_row[sel], c[sel], d[sel]
             if formula.concave:
                 h = np.maximum(_XTOL, _SQRT_EPS * (b - a))
-                ends = np.stack([cs, np.minimum(a + h, b), ds, np.maximum(b - h, a)], axis=1)
+                ends = np.stack([a, np.minimum(a + h, b), b, np.maximum(b - h, a)], axis=1)
                 ends = _sums_batch(formula._values, r, kernel, ends, nodes[row])
                 wide = b - a > 2.0 * h
                 # an end where g does not rise inward is the piece maximum, and no
                 # more than the point candidate there: only the others are searched
-                settled = wide & ~node_c & (ends[:, 0] > NEG_INFINITY) & (ends[:, 1] <= ends[:, 0])
-                settled |= wide & ~node_d & (ends[:, 2] > NEG_INFINITY) & (ends[:, 3] <= ends[:, 2])
+                # (an end at a singular node is −∞ and settles nothing)
+                settled = wide & (ends[:, 0] > NEG_INFINITY) & (ends[:, 1] <= ends[:, 0])
+                settled |= wide & (ends[:, 2] > NEG_INFINITY) & (ends[:, 3] <= ends[:, 2])
                 row, a, b = row[~settled], a[~settled], b[~settled]
             # below _NARROW the bracket search's floor leaves the value short of
             # the maximum: the scalar search takes it, lane by lane, as _maxima would

@@ -13,11 +13,14 @@ Per-interval set-up: before a maxima vector built its cut points once,
 ``_maximize`` built the node set, the kink cuts, the sorted cuts inside its
 interval and the override candidates for every interval it searched.
 ``reference_maximize`` is that ``_maximize`` and ``reference_scalar_interval_max``
-its ``_interval_max``, verbatim but for the names and the slope closure each
-piece hands to the library's search, ``_concave_max`` on a concave piece and
-``_scan_max`` on the others: built for the one interval, from the formula's
-``_derivatives`` and ``slope_sum``, a per-term loop over the kernel's scalar
-(K′, K″) (``LOG_DERIVATIVES`` for ``Log``).
+its ``_interval_max``, verbatim but for the names, the node rule and the
+slope closure each piece hands to the library's search, ``_concave_max`` on
+a concave piece and ``_scan_max`` on the others. The node rule is the
+library's: each piece is searched over [c, d] as it is, with no offset from
+a node end and no midpoint rule for a narrow piece at a node. The slope
+closure is built for the one interval, from the formula's ``_derivatives``
+and ``slope_sum``, a per-term loop over the kernel's scalar (K′, K″)
+(``LOG_DERIVATIVES`` for ``Log``).
 
 Kink rows by forward difference: before only the kinked column of a
 Jacobian row was differenced, ``solver._jacobian`` took every column of a row
@@ -98,13 +101,7 @@ from equiosc.fields import NegInfinityPiece, Piece, PiecewiseField, affine_trans
 from equiosc.kernels import Log, scalar_fn
 from equiosc.problem import Problem
 from equiosc.solver import _fd_node, solve_equioscillation
-from equiosc.translates import (
-    _NODE_EPS,
-    _concave_max,
-    _interval_max,
-    _maxima_floats,
-    _scan_max,
-)
+from equiosc.translates import _concave_max, _interval_max, _maxima_floats, _scan_max
 
 NEG_INF = float("-inf")
 NODE_EPS = 1e-13
@@ -271,21 +268,15 @@ def reference_maximize(field, kf, kd, terms, lo: float, hi: float, singular: boo
     candidates = [(tau, at_cut(field._value_float, tau)) for tau in point_set]
 
     for c, d in zip(cuts, cuts[1:]):
-        if d - c <= 4.0 * _NODE_EPS:
-            continue
         formula = field.piece_over(c, d).formula
         if isinstance(formula, NegInfinityPiece):
             continue
-        at_node_c = singular and c in nodes
-        at_node_d = singular and d in nodes
-        a = c + _NODE_EPS if at_node_c else c
-        b = d - _NODE_EPS if at_node_d else d
         g = with_translates(formula._value, kf, terms)
         if formula.concave:
             ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
-            candidates.append(_concave_max(g, a, b, ga, gb, slopes(formula)))
+            candidates.append(_concave_max(g, c, d, ga, gb, slopes(formula)))
         else:
-            candidates.append(_scan_max(g, slopes(formula), a, b))
+            candidates.append(_scan_max(g, slopes(formula), c, d))
 
     candidates.sort(key=lambda p: p[0])
     best_t: float | None = None

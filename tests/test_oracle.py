@@ -222,7 +222,7 @@ def _box_cells(rng, n, width, count=8):
 
 
 def _narrow_cells(n):
-    """Cells with an interval at most 4·_NODE_EPS wide at a node: beside 0, beside 1 or between two nodes."""
+    """Cells with an interval 1e-15 to 4e-13 wide at a node: beside 0, beside 1 or between two nodes."""
     base = np.arange(1, n + 1) / (n + 1)
     rows = []
     for w in (1e-15, 1e-13, 3e-13, 4e-13):

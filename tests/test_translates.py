@@ -113,7 +113,7 @@ def test_in_regularity_set(log1):
 
 
 def test_narrow_interval_between_nodes_has_a_finite_maximum():
-    """Two nodes 1e-13 apart: the interval between them left no room for the node offsets and read −∞."""
+    """Two nodes 1e-13 apart: the interval between them is searched up to its node ends and has a finite maximum."""
     problem = build_problem("classical_chebyshev", n=2)
     y = (0.5, 0.5 + 1e-13)
     scalar = eq.interval_maxima(problem, y).m
@@ -126,6 +126,13 @@ def test_narrow_interval_between_nodes_has_a_finite_maximum():
     assert len(eq.difference(problem, y).phi) == 2
     # a degenerate interval stays −∞
     assert eq.interval_maxima(problem, (0.5, 0.5)).m[1] == -math.inf
+    # one float inside, with unequal exponents: the search's last point must not round onto a node
+    unequal = eq.Problem(2, (0.5, 2.0), eq.Log(), eq.constant_field(0.0))
+    y, inside = (0.5, 0.5 + 2.0 * math.ulp(0.5)), 0.5 + math.ulp(0.5)
+    want = float(eq.eval_F(unequal, y, inside))
+    assert math.isfinite(want)
+    assert eq.maximize_on_interval(unequal, y, 1) == (inside, want)
+    assert translates._maxima_batch(unequal, np.array([y]))[0, 1] == want
 
 
 def _dense_maximum(problem, y, j, points=200_001):
@@ -135,9 +142,12 @@ def _dense_maximum(problem, y, j, points=200_001):
 
 
 def test_narrow_piece_maximum_matches_the_dense_scan_on_both_paths():
-    """An interval between two nodes, 4.0e-13 to 1e-7 wide: its maximum on the scalar and the batch path.
+    """An interval between two nodes, 1e-14 to 1e-7 wide: its maximum on the scalar and the batch path.
 
-    Constant field: at 4.0e-13 the midpoint's value is −54.353280. The batch
+    Searches that stayed 1e-13 from each node, and took the midpoint's value
+    on a piece at most 4e-13 wide, read 1.2e-3 to 1.4e-3 relative low at
+    1e-14, 1e-13 and 3e-13 on every path; at 4.0e-13 the midpoint's value
+    is −54.353280 on the constant field. The batch
     path's bracket search, left to itself, stops at its floor: 6.3e-5
     relative low at 2e-12, 1.3e-5 at 1e-11, 1.9e-9 at 1e-9 and 6.8e-12 at
     1e-8. Convex field −√t, a non-concave piece: Brent's method, as the
@@ -145,7 +155,7 @@ def test_narrow_piece_maximum_matches_the_dense_scan_on_both_paths():
     3.1e-7, 2.1e-6 and 3.9e-6 relative low at 4e-13, 2e-12 and 1e-11 on
     every path, and the batch paths 1.1e-9 low at 1e-9 and 3.6e-11 at 1e-8.
     """
-    widths = (2e-12, 1e-11, 1e-9, 1e-8, 1e-7)
+    widths = (1e-14, 1e-13, 3e-13, 2e-12, 1e-11, 1e-9, 1e-8, 1e-7)
     for field in (eq.constant_field(0.3), eq.sqrt_affine_field(-1.0, 1.0, 0.0)):
         problem = eq.Problem(2, (0.6711, 1.1980), eq.Log(), field)
         for y in [(1.0 / 3.0, 0.33333333333373333), *((1.0 / 3.0, 1.0 / 3.0 + w) for w in widths)]:
@@ -167,13 +177,21 @@ def test_maximum_beside_a_node_end_matches_the_dense_scan():
     Newton steps there are below _XTOL long before the search is within
     rounding of the maximum: a search that stopped on a small step alone
     returned a value 9e-9 low. The stop needs the bracket.
+
+    Exponents 0.05 and 2.0 put it 7.3e-14 from the node of a piece 3e-12
+    wide, where the dense scan reads −54.3265093415: a search that stayed
+    1e-13 from each node read −54.329314 there, at 0.4 + 1.0e-13.
     """
-    problem = eq.Problem(2, (0.3, 1.5), eq.Log(), eq.constant_field(0.3))
-    y = (0.375, 0.375 + 1.2e-12)
-    t, v = eq.maximize_on_interval(problem, y, 1)
-    dense = _dense_maximum(problem, y, 1)
-    assert abs(float(v) - dense) <= 1e-12 * abs(dense)
-    assert y[0] + 1e-13 < t < y[0] + 3e-13
+    cases = (
+        ((0.3, 1.5), (0.375, 0.375 + 1.2e-12), (1e-13, 3e-13)),
+        ((0.05, 2.0), (0.4, 0.4 + 3e-12), (0.0, 1e-13)),
+    )
+    for r, y, (near, far) in cases:
+        problem = eq.Problem(2, r, eq.Log(), eq.constant_field(0.3))
+        t, v = eq.maximize_on_interval(problem, y, 1)
+        dense = _dense_maximum(problem, y, 1)
+        assert abs(float(v) - dense) <= 1e-12 * abs(dense), r
+        assert y[0] + near < t < y[0] + far, r
 
 
 def test_a_zero_weight_piece_is_searched_as_a_minus_infinity_piece():

@@ -20,7 +20,7 @@ more than 1e−9 off its target counts as a failure, whatever its report says.
 Output: the solve count, each failure as (seed, index) with its reason, the
 total iterations of the converged solves and a SHA-256 over their nodes'
 ``float.hex``, so two checkouts compare by one line. Every draw converges in
-22,309 iterations in all, so the exit status is 1 if any draw fails or the
+22,307 iterations in all, so the exit status is 1 if any draw fails or the
 iterations exceed 24,000 (headroom for LAPACK rounding), else 0. The
 iteration count does not depend on the machine's speed.
 
