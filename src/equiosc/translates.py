@@ -17,8 +17,8 @@ formula's derivatives) kept inside a bracket, with bisection as their guard.
 It stops only once the bracket around the sign change is narrow, never on a
 small step alone, and computes one value, at the Newton point of the bracket
 end nearer the root. Values are accurate to rounding on smooth pieces, and
-so are argmax locations, measured. A piece narrower than any fixed
-tolerance (two nodes 1e-14 apart) is searched the same way, to rounding.
+so are argmax locations, measured. A piece at most 64 float spacings wide
+(two nodes a few floats apart) is read float by float instead, exactly.
 A non-concave piece is scanned at 64 points, and the same slope search
 polishes its best sample between that sample's neighbours: it needs only the
 sign of F′, so it finds a local maximum there on any smooth piece. A node
@@ -53,14 +53,13 @@ The grid oracle needs only the values, for whole lattices of node systems:
 at once in numpy, with a lockstep bracket search in place of the slope
 search: each step samples every searched piece at seven interior points in
 one evaluation and keeps the quarter of its bracket around the best sample,
-until the bracket is at most 4·(√ε·min(|x|, width) + ``_XTOL``/3) wide. That
-width has a floor of 4·``_XTOL``/3, which on a piece narrower than
-``_NARROW`` ≈ 2.2e-5 (where √ε·width is below the floor) leaves the value
-short of the maximum, by up to 6e-5 relative at a width of 2e-12 and 2e-11
-at 1e-8. Such a piece, concave or not, takes the scalar search instead, so
-the two paths agree at every width to a few ε, measured (300 random
-problems, widths 1e-13 to 1e-2: at most 2.6e-15 relative; on a convex
-field's pieces 4e-13 to 1e-7 wide both are within 6e-15 of a dense scan).
+until the bracket is narrow for its width and place (samples under half a
+float apart on a piece a few floats wide). It takes every piece, however
+narrow. The two paths agree within 2.4e-14·max(1, |m|), measured on 50,540
+maxima of 720 random problems (six kernels, three fields, half the node
+systems with a gap 1e-15 to 1e-2 wide): within 5.2e-16 on the 4,220
+intervals narrower than 1e-5, and the rest on wide pieces, where the stop
+leaves a value short by rounding.
 Concavity also bounds each concave piece's maximum from above at every
 step, so a scan for the best node system stops the searches of the cells
 that cannot win: their values are bounds, and only the cells that can win
@@ -104,8 +103,6 @@ _XTOL = 1e-12
 _INF = float("inf")
 _EPS = math.ulp(1.0)
 _SQRT_EPS = math.sqrt(_EPS)
-# below this width the bracket search stops at its floor _XTOL/3, not at √ε·width
-_NARROW = _XTOL / (3.0 * _SQRT_EPS)
 _SCAN_POINTS = 64  # samples per non-concave piece, scalar and batched
 
 
@@ -232,12 +229,16 @@ def _slope_max(g, dg, a: float, b: float, start: float | None = None) -> tuple[f
     point is the Newton point x − g′/g″ if it lies in the bracket and its
     step is at most half the step before last, else the bracket's midpoint.
 
+    A piece at most _SCAN_POINTS float spacings wide, counted at its end
+    nearer 0 (where the spacing is least), is read float by float instead:
+    the best float strictly inside (the first of equal ones) is the result,
+    exactly, or (a, −∞) with none inside; the ends are the caller's
+    candidates. That reads fewer than _SCAN_POINTS values.
+
     Every slope it evaluates is strictly inside (a, b), so an end may be a
-    node of a singular kernel, where g′ is infinite: a start or midpoint
-    not strictly inside means that no float is, and its value is returned
-    at once; a Newton point on an end of [a, b] is replaced by the
-    bracket's midpoint, and a final point there by the float next to it
-    inside.
+    node of a singular kernel, where g′ is infinite: a Newton point on an
+    end of [a, b] is replaced by the bracket's midpoint, and a final point
+    there by the float next to it inside.
 
     Stop rule: the bracket is at most 2·tol wide, tol = √ε·min(|x|, b − a)
     + 2ε·|x| + ε²·(b − a): the value's error is quadratic in the distance to
@@ -252,13 +253,18 @@ def _slope_max(g, dg, a: float, b: float, start: float | None = None) -> tuple[f
     nodes 1e-14 apart, is searched to rounding too. One value is computed,
     at the end; where g′ = 0 the search stops at once.
     """
+    width = b - a
+    if width <= _SCAN_POINTS * math.ulp(min(abs(a), abs(b))):  # few floats: read each one inside
+        best, x = (a, NEG_INFINITY), math.nextafter(a, b)
+        while x < b:
+            v = g(x)
+            best = (x, v) if v > best[1] else best
+            x = math.nextafter(x, b)
+        return best
     lo, hi = a, b
     lo_step = hi_step = _INF  # the Newton step lengths from the bracket's ends (from a or b: none)
-    width = b - a
     tiny = _EPS * _EPS * width
     x = start if start is not None and a < start < b else 0.5 * (a + b)
-    if not a < x < b:  # no float inside the piece
-        return x, g(x)
     last = prev = width  # the last two step lengths
     for _ in range(200):
         d1, d2 = dg(x)
@@ -320,11 +326,19 @@ def _scan_max(g, dg, lo: float, hi: float) -> tuple[float, float]:
 
     The polish searches the two spacings around the best sample (the first
     of equal ones), from that sample; the better of the sample and the
-    search is the result. ``dg`` is g's slope closure t ↦ (g′(t), g″(t)).
+    search is the result. A best sample at an end of the piece is the
+    result without a polish where g falls from it into the piece, by the
+    sign of g′ at the next float inside. ``dg`` is g's slope closure
+    t ↦ (g′(t), g″(t)).
     """
     ts = np.linspace(lo, hi, _SCAN_POINTS)
     vals = [g(float(t)) for t in ts]
     i = max(range(_SCAN_POINTS), key=lambda k: (vals[k], -k))
+    if i == 0 or i == _SCAN_POINTS - 1:  # an end sample: g falling from it into the piece settles it
+        end = float(ts[i])
+        inside = math.nextafter(end, 0.5 * (lo + hi))
+        if lo < inside < hi and (inside - end) * dg(inside)[0] < 0.0:
+            return end, vals[i]
     a = ts[max(0, i - 1)]
     b = ts[min(_SCAN_POINTS - 1, i + 1)]
     t_star, v_star = _slope_max(g, dg, float(a), float(b), float(ts[i]))
@@ -523,16 +537,15 @@ def _bracket_batch(g, a: np.ndarray, b: np.ndarray, concave: np.ndarray, prune=N
 
     Each step samples every lane at _SAMPLES equispaced interior points in
     one evaluation and keeps the two spacings around its best sample (the
-    first of equal ones), so a bracket shrinks fourfold per step. Every
-    sample lies strictly inside the lane, so a lane may end at a node, where
-    g is −∞. A lane stops once its bracket is at most 4·tol wide,
-    tol = √ε·min(|x|, b₀ − a₀) + _XTOL/3 at its best sample x (a value's
-    error is quadratic in the distance to a smooth maximum, so √ε·|x|
-    leaves it at rounding), or after
-    200 steps; its value is the best sample it has seen. Every lane is wider
-    than _XTOL: :func:`_maxima_batch` gives the pieces narrower than _NARROW
-    to the scalar search, so a concave lane is at least _NARROW wide and a
-    non-concave piece's polish lane at least _NARROW/63.
+    first of equal ones), so a bracket shrinks fourfold per step. A lane may
+    end at a node, where g is −∞: a sample rounded onto it loses. A lane
+    stops, with the best sample it has seen as its value, once its bracket
+    is at most 4·(√ε·min(|x|, w₀) + min(_XTOL/3, √ε·w₀)) + ½ε·|x| wide
+    (w₀ = b₀ − a₀, x its best sample), or after 200 steps. A value's error
+    is quadratic in the distance to a smooth maximum, so √ε·|x| leaves it
+    at rounding; the second term shrinks with a lane narrower than 2.2e-5,
+    so no lane stops short of its maximum; and by ½ε·|x| a lane a few
+    floats wide samples its last step under half a float apart.
 
     With ``prune``, each step also bounds the maximum of every ``concave``
     lane whose best sample v_i is neither the first nor the last: the
@@ -552,6 +565,7 @@ def _bracket_batch(g, a: np.ndarray, b: np.ndarray, concave: np.ndarray, prune=N
     bound = np.full(a.shape, _INF)
     idx = np.arange(a.size)
     w = w0 = b - a
+    floor = 4.0 * np.minimum(_XTOL / 3.0, _SQRT_EPS * w0)
     for _ in range(200):
         if not idx.size:
             break
@@ -563,7 +577,7 @@ def _bracket_batch(g, a: np.ndarray, b: np.ndarray, concave: np.ndarray, prune=N
         best[idx] = np.maximum(best[idx], v)
         w = w * (2.0 / (_SAMPLES + 1))
         a = x - 0.5 * w
-        done = w <= 4.0 * (_SQRT_EPS * np.minimum(np.abs(x), w0) + _XTOL / 3.0)
+        done = w <= 4.0 * _SQRT_EPS * np.minimum(x, w0) + floor + 0.5 * _EPS * x  # x = |x| on [0, 1]
         if prune is not None:
             # a lane whose samples are all −∞ has i = 0: no −∞ − −∞, and a −∞ side gives +∞
             inner = lanes[concave[idx] & (i > 0) & (i < _SAMPLES - 1)]
@@ -578,7 +592,7 @@ def _bracket_batch(g, a: np.ndarray, b: np.ndarray, concave: np.ndarray, prune=N
                 done |= stop
         if done.any():
             go = ~done
-            idx, a, w, w0 = (u[go] for u in (idx, a, w, w0))
+            idx, a, w, w0, floor = (u[go] for u in (idx, a, w, w0, floor))
     return best
 
 
@@ -617,14 +631,9 @@ def _maxima_batch(
     whole pieces (an end at a node of a singular kernel is −∞ and settles
     nothing). Every piece that passes no end check is searched by one
     lockstep bracket search (:func:`_bracket_batch`, all pieces of all rows
-    together) instead of the slope search, every
-    non-concave one by the 64-point scan plus the same search as a polish. A
-    piece narrower than _NARROW, where the bracket search would stop at its
-    floor short of the maximum, takes the scalar search instead, one at a
-    time: :func:`_slope_max` if it is concave, else :func:`_scan_max` (the
-    benchmark's oracle lattices make none: their narrowest concave piece is
-    5e-5 wide), so values agree with the scalar path to a few ε. No argmax
-    is computed.
+    together, at every width) instead of the slope search, every non-concave
+    one by the 64-point scan plus the same search as a polish. No argmax is
+    computed.
 
     With a ``mode``, only the cells whose objective (max_j m_j for
     "minimax", min_j m_j for "maximin") can come within ``tol`` of the best
@@ -668,7 +677,7 @@ def _maxima_batch(
 
         seg_row, seg_col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
         c, d = cuts[seg_row, seg_col], cuts[seg_row, seg_col + 1]
-        piece = np.maximum(np.searchsorted(field.knots(), 0.5 * (c + d)) - 1, 0)
+        piece = np.searchsorted(field.knots(), c, side="right") - 1  # as _maximize: the piece from c on
 
         # the pieces' searches, in piece order, run as one lockstep search: per
         # piece its formula, and per lane its row, bracket and concavity
@@ -690,17 +699,6 @@ def _maxima_batch(
                 settled = wide & (ends[:, 0] > NEG_INFINITY) & (ends[:, 1] <= ends[:, 0])
                 settled |= wide & (ends[:, 2] > NEG_INFINITY) & (ends[:, 3] <= ends[:, 2])
                 row, a, b = row[~settled], a[~settled], b[~settled]
-            # below _NARROW the bracket search's floor leaves the value short of
-            # the maximum: the scalar search takes it, lane by lane, as _maxima would
-            narrow = b - a < _NARROW
-            if narrow.any():
-                search = _slope_max if formula.concave else _scan_max
-                for k in np.flatnonzero(narrow):
-                    terms = tuple(zip(r, nodes[row[k]].tolist()))
-                    g = _with_translates(formula._value, kernel._build_sum(terms))
-                    dg = _with_slopes(formula, kernel._build_slope_sum(terms))
-                    best[row[k]] = max(best[row[k]], search(g, dg, float(a[k]), float(b[k]))[1])
-                row, a, b = row[~narrow], a[~narrow], b[~narrow]
             if not formula.concave:
                 ts = np.linspace(a, b, _SCAN_POINTS, axis=1)
                 samples = _sums_batch(formula._values, r, kernel, ts, nodes[row])

@@ -147,13 +147,11 @@ def test_narrow_piece_maximum_matches_the_dense_scan_on_both_paths():
     Searches that stayed 1e-13 from each node, and took the midpoint's value
     on a piece at most 4e-13 wide, read 1.2e-3 to 1.4e-3 relative low at
     1e-14, 1e-13 and 3e-13 on every path; at 4.0e-13 the midpoint's value
-    is −54.353280 on the constant field. The batch
-    path's bracket search, left to itself, stops at its floor: 6.3e-5
-    relative low at 2e-12, 1.3e-5 at 1e-11, 1.9e-9 at 1e-9 and 6.8e-12 at
-    1e-8. Convex field −√t, a non-concave piece: Brent's method, as the
-    polish of the scan, returned its bracket's midpoint below _XTOL and read
-    3.1e-7, 2.1e-6 and 3.9e-6 relative low at 4e-13, 2e-12 and 1e-11 on
-    every path, and the batch paths 1.1e-9 low at 1e-9 and 3.6e-11 at 1e-8.
+    is −54.353280 on the constant field. Convex field −√t, a non-concave
+    piece: Brent's method, as the polish of the scan, returned its bracket's
+    midpoint below _XTOL and read 3.1e-7, 2.1e-6 and 3.9e-6 relative low at
+    4e-13, 2e-12 and 1e-11 on every path, and the batch paths 1.1e-9 low at
+    1e-9 and 3.6e-11 at 1e-8.
     """
     widths = (1e-14, 1e-13, 3e-13, 2e-12, 1e-11, 1e-9, 1e-8, 1e-7)
     for field in (eq.constant_field(0.3), eq.sqrt_affine_field(-1.0, 1.0, 0.0)):
@@ -192,6 +190,81 @@ def test_maximum_beside_a_node_end_matches_the_dense_scan():
         dense = _dense_maximum(problem, y, 1)
         assert abs(float(v) - dense) <= 1e-12 * abs(dense), r
         assert y[0] + near < t < y[0] + far, r
+
+
+def test_few_float_interval_reads_its_best_float_on_both_paths():
+    """Two nodes 2 to 40 floats apart: the interval maximum is the best float inside it.
+
+    F changes by up to 1e-2 relative per float there. The slope search read
+    below the best float on 140 of 1,500 such intervals, by up to 3.2e-3
+    relative, and so did the batch path, which handed such pieces to it.
+    """
+    rng = np.random.default_rng(20261019)
+    kernels = (eq.Log(), eq.CappedLog(0.3), eq.TentLog())
+    for k in range(300):
+        r = tuple(float(v) for v in rng.uniform(0.05, 2.0, size=2))
+        problem = eq.Problem(2, r, kernels[k % 3], eq.constant_field(0.3))
+        y = [float(rng.uniform(0.05, 0.95))] * 2
+        for _ in range(int(rng.integers(2, 41))):
+            y[1] = math.nextafter(y[1], 1.0)
+        best, t = -math.inf, math.nextafter(y[0], 1.0)
+        while t < y[1]:
+            best = max(best, float(eq.eval_F(problem, y, t)))
+            t = math.nextafter(t, 1.0)
+        assert float(eq.interval_maxima(problem, y).m[1]) == best, (problem, y)
+        batch = translates._maxima_batch(problem, np.array([y]))[0, 1]
+        assert abs(batch - best) <= 4.0 * translates._EPS * abs(best), (problem, y)
+
+
+def test_few_float_walk_takes_the_spacing_nearer_zero(monkeypatch):
+    """Nodes on either side of −0.5, where the float spacing halves: the walk reads the best float, in few values.
+
+    The slope search read the first pair's maximum 2.6e-3 relative below
+    its best float. The spacing at the left end, 2⁻⁵³, is twice that at the
+    right end: a walk bounded by it would read 109 floats between the
+    second pair.
+    """
+    weight = eq.constant_field(1.0, domain=(-1.0, 1.0))
+    r = (0.1, 1.9)
+    slope_max, reads = translates._slope_max, {}
+
+    def counted(g, dg, a, b, start=None):
+        calls = reads[a, b] = []
+        return slope_max(lambda t: calls.append(t) or g(t), dg, a, b, start)
+
+    monkeypatch.setattr(translates, "_slope_max", counted)
+    for below, above in ((10, 40), (10, 100)):  # floats of spacing 2⁻⁵³ below −0.5 and 2⁻⁵⁴ above it
+        nodes = (-0.5 - below * 2.0**-53, -0.5 + above * 2.0**-54)
+        got = eq.gap_interval_maxima(nodes, r, weight)[1]
+        assert len(reads[nodes]) <= translates._SCAN_POINTS
+        if above == 40:
+            ksum = eq.Log()._build_sum(tuple(zip(r, nodes)))
+            best, t = -math.inf, math.nextafter(nodes[0], 0.0)
+            while t < nodes[1]:
+                best = max(best, ksum(t))  # log w = 0
+                t = math.nextafter(t, 0.0)
+            assert got == math.exp(best)
+
+
+def test_scan_end_sample_that_g_falls_from_needs_no_polish():
+    """On the convex field −1.5√t the scan of [0, y₁] peaks at t = 0, where g falls into the piece.
+
+    The polish bisected toward t = 0 for 103 slope evaluations there, and
+    the end sample won anyway.
+    """
+    problem = eq.Problem(2, (1.2, 0.8), eq.Log(), eq.sqrt_affine_field(-1.5, 1.0, 0.0))
+    terms = ((1.2, 0.3), (0.8, 0.7))
+    formula = problem.field.pieces[0].formula
+    g = translates._with_translates(formula._value, problem.kernel._build_sum(terms))
+    slopes = translates._with_slopes(formula, problem.kernel._build_slope_sum(terms))
+    calls = []
+
+    def dg(t):
+        calls.append(t)
+        return slopes(t)
+
+    assert translates._scan_max(g, dg, 0.0, 0.3) == (0.0, g(0.0))
+    assert len(calls) == 1
 
 
 def test_a_zero_weight_piece_is_searched_as_a_minus_infinity_piece():
