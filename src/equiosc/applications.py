@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, PreconditionError, SchemaError
@@ -247,19 +248,19 @@ def verify_signed_equioscillation(nodes, nu, extremal_points, weight: PiecewiseF
 # -- interval unions ---------------------------------------------------------------
 
 def _masked_log_field(logw: PiecewiseField, E: IntervalUnion) -> PiecewiseField:
-    """The log field forced to −∞ outside the union (log of w·χ_E)."""
-    lo, hi = logw.domain
-    bounds = sorted(
-        set(logw.knots())
-        | {a for a, _ in E.components}
-        | {b for _, b in E.components}
-        | {lo, hi}
-    )
+    """The log field forced to −∞ outside the union (log of w·χ_E).
+
+    It is cut at logw's knots and at E's ends. A segment [c, d] takes what
+    holds from its left end on: logw's piece from c on, and E when some
+    component [a, b] has a ≤ c < b, so a segment one float wide beside a
+    knot keeps the formula of the piece it lies in.
+    """
+    knots = logw.knots()
+    bounds = sorted({*knots, *(t for ab in E.components for t in ab)})
     pieces = []
     for c, d in zip(bounds, bounds[1:]):
-        mid = 0.5 * (c + d)
-        if E.contains(mid):
-            formula = logw.piece_over(c, d).formula
+        if any(a <= c < b for a, b in E.components):
+            formula = logw.pieces[bisect_right(knots, c) - 1].formula
         else:
             formula = NegInfinityPiece()
         pieces.append(Piece(c, d, formula))
@@ -323,7 +324,7 @@ class _UnionField:
             raise SchemaError("weight must live on the hull of the union")
         self.E, self.A, self.width = E, A, B - A
         self.logw = log_of_weight_field(weight)
-        self.field01 = affine_transport(_masked_log_field(self.logw, E), A, B - A, (0.0, 1.0))
+        self.field01 = affine_transport(_masked_log_field(self.logw, E), A, B - A)
 
     def solve(self, r, tol: float, pins=()):
         """The minimax value for nodes r on [0, 1] and the solved nodes moved back to the hull."""

@@ -5,6 +5,13 @@ an ordered list of closed-form pieces plus optional isolated point overrides.
 The value at a breakpoint is the maximum of the one-sided piece limits and any
 override there, which makes every constructible field usc by definition.
 
+Pieces are found by knot index alone: piece i spans [knots[i], knots[i+1]],
+a point t takes the piece from t on (and, at a knot, the piece ending there
+too), and a segment [c, d] between two cuts takes the piece it starts in,
+the piece from c on. The maxima searches and the union mask of
+``applications`` cut segments so, and a segment one float wide beside a
+knot takes the formula of the piece it lies in.
+
 The closed-form family (constants, indicator levels, c·sqrt(s(t−t0)), logs of
 such non-negative weights, identically −∞ stretches) is small on purpose:
 breakpoints are exact, so per-piece maximization and singularity-set geometry
@@ -14,7 +21,7 @@ are sound. Arbitrary callables are not accepted.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -323,17 +330,18 @@ class PiecewiseField:
                 raise SchemaError("point override outside the domain")
             cleaned.append((t, as_extreal(v)))
         cleaned.sort(key=lambda p: p[0])
-        overridden = {t for t, _ in cleaned}
-        if len(overridden) != len(cleaned):
+        overrides = dict(cleaned)
+        if len(overrides) != len(cleaned):
             raise SchemaError("duplicate point overrides")
         object.__setattr__(self, "point_values", tuple(cleaned))
+        object.__setattr__(self, "_overrides", overrides)
         # the usc value at a knot between equal pieces is the formula's own, so
         # merging them changes no value and spares each interval maximum a piece;
         # non-concave pieces stay apart, since each is scanned at fixed resolution
         merged = [pieces[0]]
         for p in pieces[1:]:
             last = merged[-1]
-            if p.formula == last.formula and p.formula.concave and p.lo not in overridden:
+            if p.formula == last.formula and p.formula.concave and p.lo not in overrides:
                 merged[-1] = Piece(last.lo, p.hi, p.formula)
             else:
                 merged.append(p)
@@ -352,41 +360,20 @@ class PiecewiseField:
     def override_points(self) -> tuple[float, ...]:
         return tuple(t for t, _ in self.point_values)
 
-    def pieces_at(self, t: float) -> tuple[Piece, ...]:
-        """The pieces whose closure contains t: two at an interior knot, else at most one."""
-        knots, pieces = self._knots, self.pieces
-        i = bisect_right(knots, t)  # knots[i - 1] <= t < knots[i]
-        if i == 0:
-            return ()
-        if i == len(knots):  # past the last knot, or NaN
-            return (pieces[-1],) if t == knots[-1] else ()
-        if i > 1 and t == knots[i - 1]:
-            return (pieces[i - 2], pieces[i - 1])
-        return (pieces[i - 1],)
-
-    def piece_over(self, lo: float, hi: float) -> Piece:
-        """The unique piece whose closure contains [lo, hi]."""
-        mid = 0.5 * (lo + hi)
-        i = max(bisect_left(self._knots, mid) - 1, 0)
-        if i < len(self.pieces):
-            p = self.pieces[i]
-            if p.lo <= mid <= p.hi:
-                return p
-        raise DomainError(f"no piece covers [{lo}, {hi}]")
-
     # -- evaluation ---------------------------------------------------------
     def _value_float(self, t: float) -> float:
+        """The usc value at t: the largest of the piece from t on, the piece ending at t and t's override."""
+        knots, pieces = self._knots, self.pieces
+        i = bisect_right(knots, t) - 1  # knots[i] <= t < knots[i + 1]; i = len(pieces) at hi, past it and at NaN
         best = NEG_INFINITY
-        for p in self.pieces_at(t):
-            v = p.formula._value(t)
+        if i > 0 and t == knots[i]:
+            best = pieces[i - 1].formula._value(t)
+        if 0 <= i < len(pieces):
+            v = pieces[i].formula._value(t)
             if v > best:
                 best = v
-        for tau, ov in self.point_values:
-            if tau == t:
-                if ov > best:
-                    best = ov
-                break
-        return best
+        ov = self._overrides.get(t, NEG_INFINITY)
+        return ov if ov > best else best
 
     def value(self, t: float) -> ExtReal:
         t = _real(t, "field argument", DomainError)
@@ -556,8 +543,8 @@ def log_of_weight_field(weight: PiecewiseField) -> PiecewiseField:
     return PiecewiseField(tuple(pieces), point_values, domain=weight.domain)
 
 
-def affine_transport(field: PiecewiseField, a: float, width: float, domain=(0.0, 1.0)) -> PiecewiseField:
-    """Pull a field on [a, a+width] back to `domain` via t = a + width·u."""
+def affine_transport(field: PiecewiseField, a: float, width: float) -> PiecewiseField:
+    """Pull a field on [a, a+width] back to [0, 1] via t = a + width·u."""
     _instance(field, PiecewiseField, "field")
     if width <= 0.0:
         raise SchemaError("affine transport needs positive width")
@@ -569,23 +556,13 @@ def affine_transport(field: PiecewiseField, a: float, width: float, domain=(0.0,
             return LogOfWeight(move_formula(f.weight))
         return f
 
-    lo, hi = domain
-    span = hi - lo
-
     def move_point(t: float) -> float:
-        return lo + span * ((t - a) / width)
+        return (t - a) / width
 
-    pieces = tuple(
-        Piece(move_point(p.lo), move_point(p.hi), move_formula(p.formula)) for p in field.pieces
-    )
-    # exact cover of the new domain despite rounding
-    fixed = [Piece(lo, pieces[0].hi if len(pieces) > 1 else hi, pieces[0].formula)]
-    for i, p in enumerate(pieces[1:], start=1):
-        left = fixed[-1].hi
-        right = hi if i == len(pieces) - 1 else p.hi
-        fixed.append(Piece(left, right, p.formula))
+    ends = (0.0, *(move_point(t) for t in field.interior_knots()), 1.0)  # an exact cover of [0, 1]
+    pieces = tuple(Piece(c, d, move_formula(p.formula)) for c, d, p in zip(ends, ends[1:], field.pieces))
     point_values = tuple((move_point(t), v) for t, v in field.point_values)
-    return PiecewiseField(tuple(fixed), point_values, domain=domain)
+    return PiecewiseField(pieces, point_values)
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -21,10 +21,11 @@ so are argmax locations, measured. A piece at most 64 float spacings wide
 (two nodes a few floats apart) is read float by float instead, exactly.
 A non-concave piece is scanned at 64 points, and the same slope search
 polishes its best sample between that sample's neighbours: it needs only the
-sign of F′, so it finds a local maximum there on any smooth piece. A node
-end of a piece needs no rule of its own: under a singular kernel F is −∞
-there, so no end check settles it and a scan sample there loses, and the
-slope search evaluates F′ only strictly inside the piece.
+sign of F′, so it finds a local maximum there on any smooth piece. One at
+most 64 float spacings wide is read float by float once, its ends included.
+A node end of a piece needs no rule of its own: under a singular kernel F
+is −∞ there, so no end check settles it and a scan sample there loses, and
+the slope search evaluates F′ only strictly inside the piece.
 
 Every scalar caller takes its interval maxima from :func:`_maxima`, with
 the same fixed tolerances: a maxima vector, a single interval maximum (the
@@ -211,6 +212,11 @@ def _with_slopes(formula, kslope):
     return dg
 
 
+def _few_floats(a: float, b: float) -> bool:
+    """Whether [a, b] is at most _SCAN_POINTS float spacings wide, counted at its end nearer 0."""
+    return b - a <= _SCAN_POINTS * math.ulp(min(abs(a), abs(b)))
+
+
 def _slope_max(g, dg, a: float, b: float, start: float | None = None) -> tuple[float, float]:
     """(t, g(t)) at a maximum of g on [a, b] where g′ falls through zero; interior points only.
 
@@ -254,7 +260,7 @@ def _slope_max(g, dg, a: float, b: float, start: float | None = None) -> tuple[f
     at the end; where g′ = 0 the search stops at once.
     """
     width = b - a
-    if width <= _SCAN_POINTS * math.ulp(min(abs(a), abs(b))):  # few floats: read each one inside
+    if _few_floats(a, b):  # read each float inside
         best, x = (a, NEG_INFINITY), math.nextafter(a, b)
         while x < b:
             v = g(x)
@@ -330,7 +336,18 @@ def _scan_max(g, dg, lo: float, hi: float) -> tuple[float, float]:
     result without a polish where g falls from it into the piece, by the
     sign of g′ at the next float inside. ``dg`` is g's slope closure
     t ↦ (g′(t), g″(t)).
+
+    A piece at most _SCAN_POINTS float spacings wide, by :func:`_slope_max`'s
+    rule, is read float by float once instead: its ends, and the floats
+    inside by :func:`_slope_max`; the best float (the first of equal ones)
+    is the result, exactly.
     """
+    if _few_floats(lo, hi):
+        best = lo, g(lo)
+        for t, v in (_slope_max(g, dg, lo, hi), (hi, g(hi))):
+            if v > best[1]:
+                best = t, v
+        return best
     ts = np.linspace(lo, hi, _SCAN_POINTS)
     vals = [g(float(t)) for t in ts]
     i = max(range(_SCAN_POINTS), key=lambda k: (vals[k], -k))

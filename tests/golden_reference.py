@@ -7,17 +7,19 @@ to Brent's method; ``golden_max`` is that search, verbatim.
 around it: cuts at field knots and at nodes inside the interval (no
 kernel-kink cuts), cuts and overrides as point candidates, golden section on
 concave pieces, a 64-point scan plus golden polish on the others, and ties to
-the leftmost candidate.
+the leftmost candidate. Each segment [c, d] between cuts takes the field piece
+from c on, the library's piece rule.
 
 Per-interval set-up: before a maxima vector built its cut points once,
 ``_maximize`` built the node set, the kink cuts, the sorted cuts inside its
 interval and the override candidates for every interval it searched.
 ``reference_maximize`` is that ``_maximize`` and ``reference_scalar_interval_max``
-its ``_interval_max``, verbatim but for the names, the node rule and the
-slope closure each piece hands to the library's search, ``_concave_max`` on
-a concave piece and ``_scan_max`` on the others. The node rule is the
-library's: each piece is searched over [c, d] as it is, with no offset from
-a node end and no midpoint rule for a narrow piece at a node. The slope
+its ``_interval_max``, verbatim but for the names, the node and piece rules
+and the slope closure each piece hands to the library's search,
+``_concave_max`` on a concave piece and ``_scan_max`` on the others. The
+node rule is the library's: each piece is searched over [c, d] as it is,
+with no offset from a node end and no midpoint rule for a narrow piece at a
+node. So is the piece rule: [c, d] takes the field piece from c on. The slope
 closure is built for the one interval, from the formula's ``_derivatives``
 and ``slope_sum``, a per-term loop over the kernel's scalar (K′, K″)
 (``LOG_DERIVATIVES`` for ``Log``).
@@ -77,7 +79,7 @@ scalar ``Log`` kernel they take.
 Unmerged field evaluation: before equal adjacent concave pieces were merged
 when a field is built, a field evaluated over its pieces exactly as given.
 ``UnmergedField`` keeps them so; its ``pieces_at``, ``_value_float``,
-``value`` and ``values`` are those of ``PiecewiseField``, verbatim.
+``value`` and ``values`` are those ``PiecewiseField`` had then, verbatim.
 """
 
 import functools
@@ -216,7 +218,7 @@ def reference_interval_max(problem, ys, j, xtol=1e-12):
     for c, d in zip(cuts, cuts[1:]):
         if d - c <= 4.0 * NODE_EPS:
             continue
-        formula = field.piece_over(c, d).formula
+        formula = field.pieces[bisect_right(field.knots(), c) - 1].formula
         if isinstance(formula, NegInfinityPiece):
             continue
         a = c + NODE_EPS if (singular and c in nodes) else c
@@ -268,7 +270,7 @@ def reference_maximize(field, kf, kd, terms, lo: float, hi: float, singular: boo
     candidates = [(tau, at_cut(field._value_float, tau)) for tau in point_set]
 
     for c, d in zip(cuts, cuts[1:]):
-        formula = field.piece_over(c, d).formula
+        formula = field.pieces[bisect_right(field.knots(), c) - 1].formula
         if isinstance(formula, NegInfinityPiece):
             continue
         g = with_translates(formula._value, kf, terms)
@@ -443,7 +445,7 @@ def _reference_union_problem(E, r, weight, pins=()):
     if weight.domain != (A, B):
         raise SchemaError("weight must live on the hull of the union")
     logw = _masked_log_field(log_of_weight_field(weight), E)
-    field01 = affine_transport(logw, A, B - A, (0.0, 1.0))
+    field01 = affine_transport(logw, A, B - A)
     if pins:  # e is moved as affine_transport moves knots, so it lands on one
         terms = tuple((rj, (e - A) / (B - A)) for rj, e in pins)
         field01 = PiecewiseField(

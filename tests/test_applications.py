@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -47,7 +48,8 @@ def brute_union_constant(E, restricted: bool, points: int = 4001):
 # -- scalar reference for the extremal-product maxima ------------------------------
 # The maximizer the union and Bojanov paths used before they were routed through
 # translates, kept verbatim (with the shared golden-section search) as a
-# differential reference.
+# differential reference, but for its piece rule: a segment [c, d] takes the
+# field piece from c on, as the library's searches do.
 
 _NEG_INF = float("-inf")
 
@@ -80,7 +82,7 @@ def reference_log_objective_max(nodes, r, logw, lo, hi, xtol=1e-12):
     for c, d in zip(cuts, cuts[1:]):
         if d - c <= 1e-13:
             continue
-        piece = logw.piece_over(c, d)
+        piece = logw.pieces[bisect_right(logw.knots(), c) - 1]
         if isinstance(piece.formula, NegInfinityPiece):
             continue
         fval = piece.formula._value
@@ -280,6 +282,34 @@ def test_unrestricted_single_component_reduces_to_interval_solve():
     assert C == pytest.approx(sol.norm, abs=1e-9)
     for a, b in zip(nodes, sol.nodes):
         assert a == pytest.approx(b, abs=1e-7)
+
+
+def _step_weight(knot):
+    """w = 1 on [0.4, knot], 3 on [knot, 0.8] and 1 on [0.8, 1]."""
+    return PiecewiseField(
+        (Piece(0.4, knot, Constant(1.0)), Piece(knot, 0.8, Constant(3.0)), Piece(0.8, 1.0, Constant(1.0))),
+        domain=(0.4, 1.0),
+    )
+
+
+@pytest.mark.parametrize("knot", [0.5, 0.7])
+def test_union_field_keeps_the_weight_on_a_one_float_segment_past_a_knot(knot):
+    """E's first component ends one float past the knot: log w there is log 3 (it read log 1)."""
+    logw = eq.log_of_weight_field(_step_weight(knot))
+    end = math.nextafter(knot, 1.0)
+    masked = applications._masked_log_field(logw, eq.IntervalUnion(((0.4, end), (0.9, 1.0))))
+    for t in (knot, end):
+        assert masked.value(t) == logw.value(t) == math.log(3.0)
+
+
+@pytest.mark.parametrize("end", [math.nextafter(0.5, 1.0), 0.5000001])
+def test_unrestricted_constant_of_a_component_ending_one_float_past_a_knot(end):
+    """The gap norm at the returned nodes is C: it read C = 0.3 at node 0.7, where the norm is 0.6."""
+    weight = _step_weight(0.5)
+    E = eq.IntervalUnion(((0.4, end), (0.9, 1.0)))
+    C, nodes = eq.unrestricted_constant(E, (1.0,), weight)
+    assert C == pytest.approx(eq.gap_norm(nodes, (1.0,), weight, E), rel=1e-9)
+    assert C == pytest.approx(0.375, rel=1e-6)
 
 
 def test_snap_examples():

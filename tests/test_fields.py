@@ -15,6 +15,7 @@ from equiosc.fields import (
     Piece,
     PiecewiseField,
     SqrtAffine,
+    affine_transport,
     formula_from_json,
     log_of_weight_field,
 )
@@ -97,7 +98,7 @@ def test_usc_exact_one_sided_limits():
     for f in fields:
         for tau in f.knots():
             value = f._value_float(tau)
-            limits = [p.formula._value(tau) for p in f.pieces_at(tau)]
+            limits = [p.formula._value(tau) for p in _scan_pieces_at(f, tau)]
             override = dict(f.point_values).get(tau)
             if override is not None:
                 limits.append(float(override))
@@ -267,6 +268,47 @@ def test_validation_errors():
         log_of_weight_field(None)
 
 
+def test_indicator_field_is_inside_on_each_closed_interval_and_outside_elsewhere():
+    f = eq.indicator_field([(0.6, 0.8), (0.2, 0.4)], inside=2.0, outside=-1.0)
+    assert f.pieces == (
+        Piece(0.0, 0.2, Constant(-1.0)),
+        Piece(0.2, 0.4, Indicator(2.0)),
+        Piece(0.4, 0.6, Constant(-1.0)),
+        Piece(0.6, 0.8, Indicator(2.0)),
+        Piece(0.8, 1.0, Constant(-1.0)),
+    )
+    for t in (0.2, 0.3, 0.4, 0.6, 0.8):
+        assert f.value(t) == 2.0
+    for t in (0.0, 0.1, 0.5, 0.9, 1.0):
+        assert f.value(t) == -1.0
+
+
+def test_touching_indicator_intervals_merge_into_one_piece():
+    f = eq.indicator_field([(0.0, 0.3), (0.3, 0.7), (1.2, 2.0)], domain=(0.0, 2.0))
+    assert f.pieces == (
+        Piece(0.0, 0.7, Indicator(1.0)),
+        Piece(0.7, 1.2, Constant(0.0)),
+        Piece(1.2, 2.0, Indicator(1.0)),
+    )
+    assert [f.value(t) for t in (0.0, 0.3, 0.7, 1.0, 1.2, 2.0)] == [1.0, 1.0, 1.0, 0.0, 1.0, 1.0]
+
+
+def test_affine_transport_pulls_sqrt_pieces_back_to_the_unit_interval():
+    """2√t on [1, 2] and log √(3 − t) on [2, 3], with an override at 2.5, read at t = 1 + 2u."""
+    field = PiecewiseField(
+        (Piece(1.0, 2.0, SqrtAffine(2.0, 1.0, 0.0)), Piece(2.0, 3.0, LogOfWeight(SqrtAffine(1.0, -1.0, 3.0)))),
+        ((2.5, 4.0),),
+        domain=(1.0, 3.0),
+    )
+    moved = affine_transport(field, 1.0, 2.0)
+    assert moved.domain == (0.0, 1.0) and moved.knots() == (0.0, 0.5, 1.0)
+    assert moved.point_values == ((0.75, 4.0),)
+    assert moved.value(0.5) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+    for u in (0.0, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9):
+        assert moved.value(u) == pytest.approx(field.value(1.0 + 2.0 * u), rel=1e-15)
+    assert moved.value(1.0) == field.value(3.0) == NEG_INFINITY
+
+
 ALL_FORMULAS = [
     Constant(-0.5),
     NegInfinityPiece(),
@@ -358,14 +400,6 @@ def _scan_pieces_at(field, t):
     return tuple(p for p in field.pieces if p.lo <= t <= p.hi)
 
 
-def _scan_piece_over(field, lo, hi):
-    mid = 0.5 * (lo + hi)
-    for p in field.pieces:
-        if p.lo <= mid <= p.hi:
-            return p
-    return None
-
-
 def _scan_value(field, t):
     best = float("-inf")
     for p in _scan_pieces_at(field, t):
@@ -392,17 +426,7 @@ def test_piece_lookup_matches_linear_scan(rng):
         between = [0.5 * (a + b) for a, b in zip(knots, knots[1:])]
         outside = [-0.5, -1e-300, 1.0 + 1e-15, 2.0, float("nan")]
         for t in knots + between + rng.uniform(0.0, 1.0, 20).tolist() + outside:
-            assert field.pieces_at(t) == _scan_pieces_at(field, t)
-            if 0.0 <= t <= 1.0:
-                assert field._value_float(t) == _scan_value(field, t)
-        spans = list(zip(knots, knots[1:])) + [(knots[i], knots[i]) for i in range(len(knots))]
-        spans += [tuple(sorted(rng.uniform(0.0, 1.0, 2).tolist())) for _ in range(10)]
-        for lo, hi in spans:
-            assert field.piece_over(lo, hi) is _scan_piece_over(field, lo, hi)
-        for lo, hi in [(-1.0, -0.5), (1.5, 2.0), (float("nan"), 0.5)]:
-            assert _scan_piece_over(field, lo, hi) is None
-            with pytest.raises(eq.DomainError):
-                field.piece_over(lo, hi)
+            assert field._value_float(t) == _scan_value(field, t)
 
 
 # -- merging equal adjacent pieces ----------------------------------------------

@@ -150,6 +150,28 @@ def test_intertwine_equal():
     assert eq.check_intertwining(p1, (0.4,), (0.4,)).kind == "equal"
 
 
+def test_intertwine_maxima_within_the_tie_tolerance_are_equal():
+    """Nodes 1e-11 apart are distinct node systems, but their maxima tie within 1e-9."""
+    p2 = log_problem(2)
+    verdict = eq.check_intertwining(p2, (0.3, 0.7), (0.3 + 1e-11, 0.7))
+    assert (verdict.kind, verdict.below, verdict.above, verdict.direction) == ("equal", None, None, None)
+
+
+def test_intertwine_tent_pair_is_a_majorization_violation():
+    """A pair of criterion 8's tent negative control: the narrower symmetric pair's maxima are all higher."""
+    problem = build_problem("nonmonotone_5_4")
+    a, d1, d2 = 0.45, 0.12, 0.3
+    x, y = (a - d1, a + d1), (a - d2, a + d2)
+    diffs = [u - v for u, v in zip(eq.interval_maxima(problem, x).m, eq.interval_maxima(problem, y).m)]
+    assert all(d > 1e-9 for d in diffs)
+    verdict = eq.check_intertwining(problem, x, y)
+    assert (verdict.kind, verdict.below, verdict.above) == ("majorization_violation", None, 0)
+    assert verdict.direction == "x_dominates_y" and not verdict.is_witness
+    verdict = eq.check_intertwining(problem, y, x)
+    assert (verdict.kind, verdict.below, verdict.above) == ("majorization_violation", 0, None)
+    assert verdict.direction == "y_dominates_x"
+
+
 def test_intertwine_witness_n1():
     p1 = log_problem(1)
     verdict = eq.check_intertwining(p1, (0.4,), (0.6,))

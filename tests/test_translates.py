@@ -267,6 +267,36 @@ def test_scan_end_sample_that_g_falls_from_needs_no_polish():
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("floats", [1, 5, 40])
+def test_few_float_scan_reads_each_float_once(floats):
+    """A non-concave piece a few floats wide is read float by float: its best float, one g call each.
+
+    The TentLog kink cut 0.8 − 0.1 lies one float past the knot 0.7 of the
+    convex piece −2√(t − 0.7). The 64-point scan of that segment called g
+    64 times for its 2 floats and its polish read them again; the best
+    float is at least any value that scan could return.
+    """
+    kernel = eq.TentLog()
+    formula = SqrtAffine(-2.0, 1.0, 0.7)
+    terms = ((1.0, 0.6), (1.5, 0.8), (0.7, 1.0))
+    g0 = translates._with_translates(formula._value, kernel._build_sum(terms))
+    dg = translates._with_slopes(formula, kernel._build_slope_sum(terms))
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return g0(t)
+
+    every = [0.7]
+    for _ in range(floats):
+        every.append(math.nextafter(every[-1], 1.0))
+    if floats == 1:
+        assert every[-1] == 0.8 - 0.1
+    t, v = translates._scan_max(g, dg, every[0], every[-1])
+    assert sorted(calls) == every
+    assert v == max(map(g0, every)) and g0(t) == v
+
+
 def test_a_zero_weight_piece_is_searched_as_a_minus_infinity_piece():
     """LogOfWeight(Constant(0)) is −∞ on its piece; no end check settles it, so the slope search runs there."""
     from equiosc.fields import LogOfWeight, NegInfinityPiece
