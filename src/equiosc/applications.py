@@ -538,15 +538,15 @@ def compare_constants(
     R, r_nodes = _restricted(union, r, tol, unpinned=(w_value, w_nodes))
     bound = union_bound_factor(E.k, r)
     snap_norm = math.exp(_log_max(union.logw, tuple(zip(r, snapped)), E.components))
-    slack = 1e-9
+    slack = 1.0 + 1e-9  # relative: C, R and the snapped norm scale like width^Σr
     return {
         "C": C,
         "R": R,
         "bound": bound,
-        "lower_ok": C <= R + slack,
-        "upper_ok": R <= bound * C + slack,
+        "lower_ok": C <= R * slack,
+        "upper_ok": R <= bound * C * slack,
         "snap_norm": snap_norm,
-        "snap_ok": snap_norm <= bound * C + slack,
+        "snap_ok": snap_norm <= bound * C * slack,
         "nodes_unrestricted": w_nodes,
         "nodes_restricted": r_nodes,
         "nodes_snapped": snapped,

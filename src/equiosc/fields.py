@@ -494,7 +494,9 @@ def indicator_field(
 ) -> PiecewiseField:
     """Field equal to `inside` on the given closed intervals, `outside` elsewhere.
 
-    With outside = −∞ (pass ``None``) use :func:`log_of_weight_field` instead.
+    Both levels are finite reals (``None`` raises SchemaError). For −∞
+    outside, build the weight with outside = 0 and take
+    :func:`log_of_weight_field` of it.
     """
     lo, hi = domain = _domain(domain)
     pieces: list[Piece] = []

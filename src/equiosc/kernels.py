@@ -19,12 +19,12 @@ non-monotone stress case.
 
 Each kernel also compiles a sum of translates t ↦ Σ_j r_j K(t − y_j) into one
 scalar closure (``_build_sum``), the scalar hot path of every interval
-maximum. The default loops over the kernel's scalar evaluator, and
-``Regularized`` makes one base call per term: both add the same terms in the
-same order with the same operations, bit for bit one kernel call per
-translate. ``Log`` takes one log per run of equal exponents, r·log|∏(t − y_j)|,
-which is bit for bit the per-term loop only where every run is one term
-(distinct neighbouring exponents) and otherwise differs from it by rounding.
+maximum. The default loops over the kernel's scalar evaluator, bit for bit
+one kernel call per translate; every kernel but ``Log`` uses it (a loop with
+the kernel inlined measures no faster). ``Log`` takes one log per run of
+equal exponents, r·log|∏(t − y_j)|, which is bit for bit the per-term loop
+only where every run is one term (distinct neighbouring exponents) and
+otherwise differs from it by rounding.
 
 Next to it, each kernel compiles the slope sum t ↦ (Σ_j r_j K′(t − y_j),
 Σ_j r_j K″(t − y_j)) (``_build_slope_sum``) for the search of the interval
@@ -99,9 +99,8 @@ class KernelSpec:
         """t ↦ Σ_j r_j K(t − y_j) over ``terms`` ((r_j, y_j), …); no domain check.
 
         The terms are added in the given order, as ``s += r * v`` from 0.0,
-        and the sum is −∞ as soon as one term is. A variant may compile the
-        loop with its kernel inlined (bit for bit the same sum) or group the
-        terms (``Log``: the same sum to rounding). The scalar
+        and the sum is −∞ as soon as one term is. Only ``Log`` compiles its
+        own, grouping the terms (the same sum to rounding). The scalar
         evaluator is built here, not through :func:`scalar_fn`, whose calls
         count the interval maxima (one call each).
         """
@@ -463,23 +462,6 @@ class Regularized(KernelSpec):
             return v + eta * sqrt(abs(u))
 
         return k
-
-    def _build_sum(self, terms):
-        base_k = self.base._build_scalar()
-        eta = self.eta
-        sqrt = math.sqrt
-
-        def ksum(t: float) -> float:
-            s = 0.0
-            for r, yj in terms:
-                u = t - yj
-                v = base_k(u)
-                if v == NEG_INFINITY:
-                    return NEG_INFINITY
-                s += r * (v + eta * sqrt(abs(u)))
-            return s
-
-        return ksum
 
     def _values_unchecked(self, u):
         return self.base._values_unchecked(u) + self.eta * np.sqrt(np.abs(u))

@@ -35,11 +35,11 @@ its intervals. It compiles the kernel sum t ↦ Σ r_j K(t − y_j)
 (``KernelSpec._build_sum``, the one scalar kernel-sum routine) and the slope
 sum t ↦ (Σ r_j K′(t − y_j), Σ r_j K″(t − y_j))
 (``KernelSpec._build_slope_sum``), and sorts the cut points of all its
-intervals and the override points once; each interval takes those strictly
-inside it by bisection. Each cut's kernel sum is computed once per call (an
-interior node ends two intervals), and so is the field's usc value at each
-interval end; each field piece's closures g and (g′, g″) are built once per
-call. An interior cut's point candidate is the larger of its two adjacent
+intervals once (the field keeps its override points sorted); each interval
+takes those strictly inside it by bisection. Each cut's kernel sum is
+computed once per call (an interior node ends two intervals), and each
+field piece's closures g and (g′, g″) are built once per call, up front.
+An interior cut's point candidate is the larger of its two adjacent
 pieces' end values, which is the usc value there and which the end checks
 need anyway. The argmax is a running leftmost maximum over the candidates
 and the pieces' maxima, with no candidate list. A call may carry a start
@@ -66,8 +66,9 @@ step, so a scan for the best node system stops the searches of the cells
 that cannot win: their values are bounds, and only the cells that can win
 get exact values.
 
-Conventions: a degenerate interval has maximum −∞ for singular kernels and
-the single-point value otherwise; argmax ties go to the leftmost evaluated
+Conventions: a degenerate interval [y_j, y_j] is a node (two equal nodes,
+or a node at 0 or 1), so it needs no rule of its own: its maximum is F
+there, −∞ under a singular kernel. Argmax ties go to the leftmost evaluated
 candidate. Regularity has one rule (:func:`_regular_maxima`): strict, and
 every interval maximum finite.
 """
@@ -371,11 +372,10 @@ def _maximize(lo: float, hi: float, start: float | None, setup):
 
     ``setup`` is what :func:`_maxima` builds once per call and shares among
     its intervals: (field, sorted cut points, sorted overrides, field knots,
-    ``at``, ``at_end``, ``piece``). ``at(fval, τ)`` is F at a cut τ with
-    field part fval(τ), its kernel sum computed once per call;
-    ``at_end(τ)`` is the usc value F(τ) at an interval end, cached per
-    call; ``piece(p)`` gives field piece p's (value, concave, g, dg),
-    its closures built once per call (g None on a −∞ piece).
+    ``at``, ``pieces``). ``at(fval, τ)`` is F at a cut τ with field part
+    fval(τ), its kernel sum computed once per call; ``pieces[p]`` is field
+    piece p's (value, concave, g, dg), its closures built once per call
+    (g None on a −∞ piece).
 
     The interval is cut at the field's interior knots, at every node y_j
     strictly inside it, and at the kernel kinks y_j ± κ inside it; the
@@ -391,9 +391,9 @@ def _maximize(lo: float, hi: float, start: float | None, setup):
     interval between two nodes keeps its finite maximum. The argmax is the
     leftmost of the largest candidates, kept as a running maximum.
     """
-    field, points, overrides, knots, at, at_end, piece = setup
+    field, points, overrides, knots, at, pieces = setup
     best_t, best_v = lo, NEG_INFINITY  # best_t is read only once best_v is finite
-    v = at_end(lo)
+    v = at(field._value_float, lo)
     if v > best_v:
         best_v = v
     for tau in overrides[bisect_right(overrides, lo):bisect_left(overrides, hi)]:
@@ -402,7 +402,7 @@ def _maximize(lo: float, hi: float, start: float | None, setup):
             best_t, best_v = tau, v
 
     p = bisect_right(knots, lo) - 1  # the field piece of the first segment
-    fval, concave, g, dg = piece(p)
+    fval, concave, g, dg = pieces[p]
     c, gc = lo, at(fval, lo)
     for d in (*points[bisect_right(points, lo):bisect_left(points, hi)], hi):
         gd = at(fval, d)
@@ -411,7 +411,7 @@ def _maximize(lo: float, hi: float, start: float | None, setup):
             if v > best_v or v == best_v and t < best_t:
                 best_t, best_v = t, v
         if d == hi:
-            v = at_end(hi)
+            v = at(field._value_float, hi)
             if v > best_v:
                 best_t, best_v = hi, v
             break
@@ -419,7 +419,7 @@ def _maximize(lo: float, hi: float, start: float | None, setup):
         # the larger of the two pieces' end values; elsewhere one formula spans it
         if d == knots[p + 1]:
             p += 1
-            fval, concave, g, dg = piece(p)
+            fval, concave, g, dg = pieces[p]
             gc = at(fval, d)
             v = gc if gc > gd else gd
         else:
@@ -436,13 +436,13 @@ def _maxima(field, kernel, terms, intervals, starts=None) -> list[tuple[float | 
     The one scalar interval-maxima routine. Its set-up is built once for all
     the intervals: the compiled kernel and slope sums, the node set, one
     sorted list of their cut points (the field's interior knots, the nodes
-    y_j and the kernel kinks y_j ± κ), the sorted override points, a kernel
-    sum per cut and a usc value per interval end (an interior node ends two
-    intervals), and per field piece its g and slope closures. ``starts``, if
-    given, holds one start point (or None) per interval for the slope
-    searches; a start outside a searched piece is replaced by the piece's
-    midpoint. A degenerate interval lo = hi has maximum −∞ under a singular
-    kernel and the value at the point under any other:
+    y_j and the kernel kinks y_j ± κ), a kernel sum per cut (an interior
+    node ends two intervals), and per field piece its g and slope closures.
+    ``starts``, if given, holds one start point (or None) per interval for
+    the slope searches; a start outside a searched piece is replaced by the
+    piece's midpoint. A degenerate interval lo = hi takes F's value at its
+    point, with no rule of its own: the point is a node, so under a singular
+    kernel the value is −∞, and under any other the single-point value:
 
     >>> from equiosc import Log, SqrtShift, constant_field
     >>> _maxima(constant_field(0.0), Log(), ((1.0, 0.5),), [(0.5, 0.5), (0.0, 0.5)])
@@ -457,8 +457,6 @@ def _maxima(field, kernel, terms, intervals, starts=None) -> list[tuple[float | 
     kink_cuts = [yj + s for yj in nodes for k in kernel._kinks for s in (k, -k)]
     points = sorted({*field.interior_knots(), *nodes, *kink_cuts})
     sums: dict[float, float] = {}
-    ends: dict[float, float] = {}
-    fns: dict[int, tuple] = {}
 
     def at(fval, tau: float) -> float:
         if singular and tau in nodes:  # K(0) = −∞ and every r_j > 0
@@ -471,30 +469,18 @@ def _maxima(field, kernel, terms, intervals, starts=None) -> list[tuple[float | 
             ks = sums[tau] = ksum(tau)
         return NEG_INFINITY if ks == NEG_INFINITY else fv + ks
 
-    def at_end(tau: float) -> float:
-        v = ends.get(tau)
-        if v is None:
-            v = ends[tau] = at(field._value_float, tau)
-        return v
-
-    def piece(p: int):
-        entry = fns.get(p)
-        if entry is None:
-            formula = field.pieces[p].formula
-            g = None if isinstance(formula, NegInfinityPiece) else _with_translates(formula._value, ksum)
-            entry = fns[p] = (formula._value, formula.concave, g, _with_slopes(formula, kslope))
-        return entry
-
-    setup = field, points, sorted(field.override_points()), field.knots(), at, at_end, piece
+    pieces = []
+    for f in (p.formula for p in field.pieces):
+        g = None if isinstance(f, NegInfinityPiece) else _with_translates(f._value, ksum)
+        pieces.append((f._value, f.concave, g, _with_slopes(f, kslope)))
+    setup = field, points, field.override_points(), field.knots(), at, pieces
     out = []
     for (lo, hi), start in zip(intervals, starts or repeat(None)):
         scalar_fn(kernel)  # one call per interval maximum: perfbench counts interval maxima by it
         if hi > lo:
             out.append(_maximize(lo, hi, start, setup))
-        elif singular:
-            out.append((None, NEG_INFINITY))
         else:
-            v = at_end(lo)
+            v = at(field._value_float, lo)
             out.append((lo if v > NEG_INFINITY else None, v))
     return out
 
@@ -668,7 +654,6 @@ def _maxima_batch(
     """
     field, kernel, n = problem.field, problem.kernel, problem.n
     r = problem.r
-    singular = kernel.flags().singular
     Y = np.asarray(Y, dtype=float)
     cells = Y.shape[0]
     ys = np.hstack([np.zeros((cells, 1)), Y, np.ones((cells, 1))])
@@ -684,13 +669,12 @@ def _maxima_batch(
         inner = np.where((inner > lo[:, None]) & (inner < hi[:, None]), inner, hi[:, None])
         cuts = np.sort(np.hstack([lo[:, None], inner, hi[:, None]]), axis=1)
 
-        # point candidates: every cut and every override in [lo, hi], usc values
+        # point candidates: every cut and every override in [lo, hi], usc values;
+        # a degenerate row's lie on its node, −∞ under a singular kernel
         overrides = np.asarray(field.override_points(), dtype=float)[None, :]
         overrides = np.where((overrides >= lo[:, None]) & (overrides <= hi[:, None]), overrides, lo[:, None])
         points = _sums_batch(field.values, r, kernel, np.hstack([cuts, overrides]), nodes)
         best = reduce(np.maximum, points.T)  # column by column: a max over axis 1 is slow
-        if singular:
-            best[lo == hi] = NEG_INFINITY  # such a row has no segment
 
         seg_row, seg_col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
         c, d = cuts[seg_row, seg_col], cuts[seg_row, seg_col + 1]

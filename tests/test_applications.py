@@ -265,6 +265,17 @@ def test_verify_signed_preconditions():
             eq.verify_signed_equioscillation(nodes, nu, points, w)
 
 
+def test_verify_signed_equioscillation_at_chebyshev_t2():
+    nodes, w = (0.5 - math.sqrt(2.0) / 4.0, 0.5 + math.sqrt(2.0) / 4.0), ones_weight()
+    assert eq.verify_signed_equioscillation(nodes, (1, 1), (0.0, 0.5, 1.0), w)
+    assert not eq.verify_signed_equioscillation(nodes, (1, 1), (0.0, 0.4, 1.0), w)  # |T(0.4)| < ‖T‖
+    assert not eq.verify_signed_equioscillation(nodes, (1, 1), (0.0, 0.5, 1.0), eq.constant_field(0.0))  # ‖T‖ = 0
+    with pytest.raises(eq.PreconditionError):
+        eq.verify_signed_equioscillation(nodes, (1, 0), (0.0, 0.5, 1.0), w)
+    with pytest.raises(eq.PreconditionError):
+        eq.verify_signed_equioscillation(nodes, (1, 1), (0.0, 1.0), w)
+
+
 def test_unrestricted_seed_instance():
     C, nodes = eq.unrestricted_constant(SEED_UNION, (1.0,))
     brute_x, brute_v = brute_union_constant(SEED_UNION, restricted=False)
@@ -603,6 +614,22 @@ def test_compare_constants_seed():
     assert report["bound"] == pytest.approx(2.0)
     assert report["lower_ok"] and report["upper_ok"] and report["snap_ok"]
     assert report["snap_norm"] <= report["bound"] * report["C"] + 1e-9
+
+
+@pytest.mark.parametrize(
+    "width, fractions, n",
+    [
+        (1e3, ((0.0, 1.0),), 3),  # one component: bound 1 and R = C, but R reads one ulp (3.7e-9) above C
+        (1e3, ((0.0, 0.4), (0.6, 1.0)), 4),
+        (1e4, ((0.0, 1.0),), 4),
+        (1e4, ((0.0, 0.3), (0.45, 0.6), (0.8, 1.0)), 3),
+    ],
+)
+def test_compare_constants_verdicts_hold_on_wide_hulls(width, fractions, n):
+    """C ≤ R ≤ bound·C and snap ≤ bound·C hold to a relative slack: C, R and the snapped norm grow like width^Σr."""
+    E = eq.IntervalUnion(tuple((a * width, b * width) for a, b in fractions))
+    report = eq.compare_constants(E, (1.0,) * n)
+    assert report["lower_ok"] and report["upper_ok"] and report["snap_ok"], report
 
 
 def test_compare_constants_three_components(monkeypatch):

@@ -40,6 +40,13 @@ def test_solve_subcommand(problem_file, tmp_path, capsys):
     assert set(doc) >= {"nodes", "m", "phi", "value", "residual", "iterations", "converged"}
 
 
+def test_solve_notes_a_kernel_that_is_not_strictly_monotone(tmp_path, capsys):
+    path = tmp_path / "capped.json"
+    eq.dump_problem(eq.Problem(1, (1.0,), eq.CappedLog(0.25), eq.constant_field(0.0)), path)
+    assert main(["solve", str(path)]) == 0
+    assert "note: kernel is not strictly monotone" in capsys.readouterr().out
+
+
 def test_solve_diff_subcommand(problem_file, capsys):
     code = main(["solve-diff", problem_file, "--target", "0.5"])
     assert code == 0
@@ -73,6 +80,13 @@ def test_intertwine_subcommand(problem_file, capsys):
     code = main(["intertwine", problem_file, "--x", "0.4", "--y", "0.6"])
     assert code == 0
     assert "witness" in capsys.readouterr().out
+
+
+def test_intertwine_prints_the_direction_of_a_majorization_violation(tmp_path, capsys):
+    path = tmp_path / "tent.json"
+    eq.dump_problem(eq.build_problem("nonmonotone_5_4"), path)
+    assert main(["intertwine", str(path), "--x", "0.33,0.57", "--y", "0.15,0.75"]) == 0
+    assert "direction: x_dominates_y" in capsys.readouterr().out
 
 
 def test_bojanov_subcommand(capsys):
@@ -130,6 +144,11 @@ def test_example_subcommand(capsys):
     code = main(["example", "classical_chebyshev", "--n", "2", "--fast"])
     assert code == 0
     assert "max abs deviation" in capsys.readouterr().out
+
+
+def test_example_prints_its_notes(capsys):
+    assert main(["example", "figure1_quartics", "--fast"]) == 0
+    assert "note: witness indices: below=3, above=0" in capsys.readouterr().out
 
 
 def test_example_parenthesized_id(capsys):

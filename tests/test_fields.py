@@ -146,16 +146,33 @@ def test_singularity_set_closed_end_at_domain_boundary():
 
 
 def test_singularity_set_merges_across_minus_inf_junction():
-    f = PiecewiseField(
-        (
-            Piece(0.0, 0.2, Constant(0.0)),
-            Piece(0.2, 0.5, NegInfinityPiece()),
-            Piece(0.5, 0.8, NegInfinityPiece()),
-            Piece(0.8, 1.0, Constant(1.0)),
+    # merged when built; kept apart by a −∞ override on the shared knot; two kinds of −∞ piece
+    for right, overrides in (
+        (NegInfinityPiece(), ()),
+        (NegInfinityPiece(), ((0.5, NEG_INFINITY),)),
+        (LogOfWeight(Constant(0.0)), ()),
+    ):
+        f = PiecewiseField(
+            (
+                Piece(0.0, 0.2, Constant(0.0)),
+                Piece(0.2, 0.5, NegInfinityPiece()),
+                Piece(0.5, 0.8, right),
+                Piece(0.8, 1.0, Constant(1.0)),
+            ),
+            overrides,
         )
+        assert eq.singularity_set(f) == (eq.SingularSegment(0.2, 0.8, False, False),), (right, overrides)
+
+
+@pytest.mark.parametrize("zero", [Constant(0.0), Indicator(0.0), SqrtAffine(0.0, 1.0, 0.0)], ids=repr)
+def test_a_zero_weight_under_log_of_weight_is_minus_infinity_but_at_its_overrides(zero):
+    f = PiecewiseField((Piece(0.0, 1.0, LogOfWeight(zero)),), ((0.3, 0.0), (0.7, 0.0)))
+    assert eq.singularity_set(f) == (
+        eq.SingularSegment(0.0, 0.3, True, False),
+        eq.SingularSegment(0.3, 0.7, False, False),
+        eq.SingularSegment(0.7, 1.0, False, True),
     )
-    (seg,) = eq.singularity_set(f)
-    assert (seg.lo, seg.hi) == (0.2, 0.8)
+    assert f.finiteness_count() == 2.0
 
 
 def dotted_minus_infinity():
