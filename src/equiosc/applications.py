@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -358,13 +357,9 @@ def unrestricted_constant(
 
 
 def _unrestricted(union: _UnionField, r, tol):
-    """C, the nodes and the solve's hull-normalized log value on a built union field; the warning names the public call's caller."""
+    """C, the nodes and the solve's hull-normalized log value on a built union field."""
     log_value, nodes = union.solve(r, tol)
-    A, width = union.A, union.width
-    value = math.exp(log_value) * width ** sum(r)
-    if any(abs(x - A) < 1e-9 or abs(x - (A + width)) < 1e-9 for x in nodes):
-        warnings.warn("unrestricted extremizer touches the hull boundary", stacklevel=3)
-    return value, nodes, log_value
+    return math.exp(log_value) * union.width ** sum(r), nodes, log_value
 
 
 def snap_to_E(nodes, E: IntervalUnion) -> tuple[float, ...]:

@@ -67,8 +67,11 @@ FIGURE1_BLACK = (0.035, 0.25, 0.4, 0.965)
 STRICTNESS_A = 0.25
 STRICTNESS_B = 0.955671
 
-# the parameters each example takes; any other is a SchemaError
-_PARAMS = {key: () for key in EXAMPLE_IDS} | {"strictness_5_3": ("a", "b"), "classical_chebyshev": ("n",)}
+# the parameters each example takes, with their defaults; any other is a SchemaError
+_PARAMS = {key: {} for key in EXAMPLE_IDS} | {
+    "strictness_5_3": {"a": STRICTNESS_A, "b": STRICTNESS_B},
+    "classical_chebyshev": {"n": 3},
+}
 
 
 @dataclass(frozen=True)
@@ -83,39 +86,45 @@ class ReferenceReport:
         return self.max_deviation <= tol
 
 
-def _check_params(key: str, params: dict) -> None:
-    """SchemaError for an unknown example id or a parameter the example does not take."""
+def _params(key: str, params: dict) -> dict:
+    """The example's parameters, defaults filled in and checked; SchemaError for an unknown id or parameter."""
     if key not in _PARAMS:
         raise SchemaError(f"unknown example id {key!r}; choose from {', '.join(EXAMPLE_IDS)}")
     extra = [name for name in params if name not in _PARAMS[key]]
     if extra:
         takes = ", ".join(_PARAMS[key]) or "no parameters"
         raise SchemaError(f"example {key!r} takes {takes}, not {', '.join(extra)}")
+    values = _PARAMS[key] | params
+    if key == "strictness_5_3":
+        a = values["a"] = _real(values["a"], "a")
+        b = values["b"] = _real(values["b"], "b")
+        if not 0.0 < a < math.e / (1.0 + math.e):
+            raise SchemaError("cap level must lie in (0, e/(1+e))")
+        if not 1.0 - a / math.e < b < 1.0:
+            raise SchemaError("jump location must lie in (1 − a/e, 1)")
+    if key == "classical_chebyshev":
+        values["n"] = _count(values["n"], "n")
+        if values["n"] < 1:
+            raise SchemaError("n must be a positive integer")
+    return values
 
 
 # -- problems -------------------------------------------------------------------
 
 def build_problem(key: str, **params) -> Problem:
-    _check_params(key, params)
+    params = _params(key, params)
     if key == "singularity_5_1":
         return Problem(2, (1.0, 1.0), SqrtShift(), sqrt_affine_field(8.0, -1.0, 1.0))
     if key == "monotonicity_5_2":
         return Problem(1, (1.0,), CappedLogPlusQuadratic(0.1), sqrt_affine_field(1.0, 1.0, 0.0))
     if key == "strictness_5_3":
-        a = _real(params.get("a", STRICTNESS_A), "a")
-        b = _real(params.get("b", STRICTNESS_B), "b")
-        if not 0.0 < a < math.e / (1.0 + math.e):
-            raise SchemaError("cap level must lie in (0, e/(1+e))")
-        if not 1.0 - a / math.e < b < 1.0:
-            raise SchemaError("jump location must lie in (1 − a/e, 1)")
-        field = PiecewiseField(
-            (Piece(0.0, b, Constant(0.0)), Piece(b, 1.0, Indicator(1.0)))
-        )
+        a, b = params["a"], params["b"]
+        field = PiecewiseField((Piece(0.0, b, Constant(0.0)), Piece(b, 1.0, Indicator(1.0))))
         return Problem(1, (1.0,), CappedLog(a), field)
     if key == "nonmonotone_5_4":
         return Problem(2, (1.0, 1.0), TentLog(), constant_field(0.0))
     if key == "classical_chebyshev":
-        n = _count(params.get("n", 3), "n")
+        n = params["n"]
         return Problem(n, (1.0,) * n, Log(), constant_field(0.0))
     return Problem(4, (1.0,) * 4, Log(), constant_field(0.0))  # figure1_quartics
 
@@ -124,7 +133,7 @@ def build_problem(key: str, **params) -> Problem:
 
 def closed_forms(key: str, **params) -> dict:
     """Analytically known quantities for a reference instance."""
-    _check_params(key, params)
+    params = _params(key, params)
     if key == "singularity_5_1":
         def m0(y1, y2):
             return 8.0 + math.sqrt(4.0 + y1) + math.sqrt(4.0 + y2)
@@ -139,7 +148,7 @@ def closed_forms(key: str, **params) -> dict:
     if key == "monotonicity_5_2":
         return {"optimum": (0.0,), "value": 11.0 / 8.0}
     if key == "strictness_5_3":
-        a = _real(params.get("a", STRICTNESS_A), "a")
+        a = params["a"]
 
         def m0(x):
             return min(0.0, math.log(x / a)) if x > 0.0 else NEG_INFINITY
@@ -174,7 +183,7 @@ def closed_forms(key: str, **params) -> dict:
         delta0 = (math.sqrt(82.0) - 1.0) / 90.0
         return {"m_mid": m_mid, "m_side": m_side, "delta0": delta0, "zero_deltas": (0.0, 0.1)}
     if key == "classical_chebyshev":
-        n = _count(params.get("n", 3), "n")
+        n = params["n"]
         nodes = tuple(
             sorted(0.5 * (1.0 + math.cos((2 * j - 1) * math.pi / (2 * n))) for j in range(1, n + 1))
         )

@@ -63,9 +63,6 @@ class Formula:
     def _value(self, t: float) -> float:
         raise NotImplementedError
 
-    def _values(self, t: np.ndarray) -> np.ndarray:
-        return np.array([self._value(float(v)) for v in t])
-
     def _derivatives(self, t: float) -> tuple[float, float]:
         """(f′(t), f″(t)) inside the branch's domain: the field's part of the slope search on a piece."""
         raise NotImplementedError

@@ -11,7 +11,8 @@ Three groups of tools live here:
 * coordinatewise comparison of interval-maxima vectors: for distinct regular
   node systems under a singular strictly monotone kernel neither vector can
   weakly dominate the other, so any genuine difference must produce witnesses
-  in both directions ("intertwining").
+  in both directions ("intertwining"). The verdict and the scan judge a pair
+  by one rule, ``_verdict``: maxima within ``translates._TIE`` = 1e-9 tie.
 
 The comparisons take the node systems that the difference map Φ takes, by
 the one rule of ``translates``: strict, with every interval maximum finite
@@ -31,7 +32,7 @@ from .errors import PreconditionError, RegularityError
 from .extreal import NEG_INFINITY, _count, _instance, _real, _sequence
 from .kernels import KernelSpec
 from .problem import NodeSystem, Problem, _checked
-from .translates import _regular_maxima, _require_singular
+from .translates import _TIE, _regular_maxima, _require_singular
 
 __all__ = [
     "CaseReport",
@@ -45,7 +46,6 @@ __all__ = [
     "sample_regular_nodes",
 ]
 
-_TIE_TOL = 1e-9
 _PASS_TOL = 1e-12
 # sample_regular_nodes: the smallest node gap, and the draws before giving up
 _MIN_GAP = 1e-3
@@ -199,8 +199,8 @@ def perturb_partition(problem: Problem, w, partition: PartitionSpec, h: float) -
 @dataclass(frozen=True)
 class IntertwiningVerdict:
     kind: str  # "equal" | "witness" | "majorization_violation"
-    below: int | None = None  # index where m(x) < m(y) − _TIE_TOL
-    above: int | None = None  # index where m(x) > m(y) + _TIE_TOL
+    below: int | None = None  # first index where m(x) < m(y) − 1e-9
+    above: int | None = None  # first index where m(x) > m(y) + 1e-9
     direction: str | None = None  # for violations: which vector dominates
 
     @property
@@ -212,13 +212,16 @@ def check_intertwining(problem: Problem, x, y) -> IntertwiningVerdict:
     """Compare the interval-maxima vectors of two regular node systems; maxima within 1e-9 tie."""
     nx = _checked(problem).node_system(x)
     ny = problem.node_system(y)
-    mx = _regular_maxima(problem, nx)
-    my = _regular_maxima(problem, ny)
+    return _verdict(nx, _regular_maxima(problem, nx), ny, _regular_maxima(problem, ny))
+
+
+def _verdict(nx: NodeSystem, mx, ny: NodeSystem, my) -> IntertwiningVerdict:
+    """The one verdict on a pair: nodes within 1e-12, or maxima all within the tie, are "equal"."""
     if max(abs(a - b) for a, b in zip(nx.nodes, ny.nodes)) <= 1e-12:
         return IntertwiningVerdict("equal")
     diffs = [a - b for a, b in zip(mx, my)]
-    below = next((i for i, d in enumerate(diffs) if d < -_TIE_TOL), None)
-    above = next((i for i, d in enumerate(diffs) if d > _TIE_TOL), None)
+    below = next((i for i, d in enumerate(diffs) if d < -_TIE), None)
+    above = next((i for i, d in enumerate(diffs) if d > _TIE), None)
     if below is not None and above is not None:
         return IntertwiningVerdict("witness", below=below, above=above)
     if below is None and above is None:
@@ -294,24 +297,15 @@ def check_strict_majorization_excluded(
                 scan.append((nx, _regular_maxima(problem, nx), ny, _regular_maxima(problem, ny)))
             except RegularityError:
                 continue
-    strict = 0
-    weak = 0
-    examples = []
-    for nx, mx, ny, my in scan:
-        diffs = [a - b for a, b in zip(mx, my)]
-        for d in (diffs, [-v for v in diffs]):
-            if all(v > _TIE_TOL for v in d):
-                strict += 1
-                if len(examples) < 8:
-                    examples.append((nx.nodes, ny.nodes))
-                break
-            if all(v >= -_TIE_TOL for v in d) and any(v > _TIE_TOL for v in d):
-                weak += 1
-                break
+    violations = [pair for pair in scan if _verdict(*pair).kind == "majorization_violation"]
+    # a violation is strict when no maximum ties, weak when one does
+    strict = [
+        (nx.nodes, ny.nodes) for nx, mx, ny, my in violations if all(abs(a - b) > _TIE for a, b in zip(mx, my))
+    ]
     return MajorizationScanReport(
         checked=len(scan),
-        strict_violations=strict,
-        weak_dominations=weak,
+        strict_violations=len(strict),
+        weak_dominations=len(violations) - len(strict),
         hypotheses_met=hypotheses,
-        examples=tuple(examples),
+        examples=tuple(strict[:8]),
     )

@@ -49,13 +49,12 @@ from .errors import ConvergenceError, HypothesisError, PreconditionError
 from .extreal import NEG_INFINITY, _count, _real, _reals
 from .kernels import Regularized
 from .problem import NodeSystem, Problem, _checked
-from .translates import MaximaVector, _interval_max, _maxima_floats, _phi, interval_maxima
+from .translates import _TIE, MaximaVector, _interval_max, _maxima_floats, _phi, interval_maxima
 
 __all__ = ["SolveReport", "sandwich_check", "solve_difference", "solve_equioscillation"]
 
 _BRACKET_EPS = 1e-12
 _FD_STEP = 1e-7
-_SANDWICH_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -289,12 +288,12 @@ def solve_equioscillation(
 
 
 def sandwich_check(problem: Problem, x, M: float) -> dict:
-    """Verify m̲(x) ≤ M ≤ m̄(x) up to a slack of 1e-9 for a node system x in the open simplex."""
+    """Verify m̲(x) ≤ M ≤ m̄(x) for a node system x in the open simplex; values within 1e-9 tie."""
     M = _real(M, "M", PreconditionError)
     ns = _checked(problem).node_system(x)
     if not ns.strict():
         raise PreconditionError("sandwich check expects a strict node system")
     maxima = interval_maxima(problem, ns)
-    lower_ok = maxima.m_under <= M + _SANDWICH_SLACK
-    upper_ok = M <= maxima.m_bar + _SANDWICH_SLACK
+    lower_ok = maxima.m_under <= M + _TIE
+    upper_ok = M <= maxima.m_bar + _TIE
     return {"lower_ok": lower_ok, "upper_ok": upper_ok}

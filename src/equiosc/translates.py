@@ -106,6 +106,7 @@ _INF = float("inf")
 _EPS = math.ulp(1.0)
 _SQRT_EPS = math.sqrt(_EPS)
 _SCAN_POINTS = 64  # samples per non-concave piece, scalar and batched
+_TIE = 1e-9  # two maxima this close tie: the one slack of the sandwich and the intertwining checks
 
 
 @dataclass(frozen=True)
@@ -525,13 +526,12 @@ _FRACTIONS = np.arange(1, _SAMPLES + 1) / (_SAMPLES + 1)
 def _sums_batch(formula_values, r, kernel, T: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """formula_values(T) + Σ_k r_k K(T − y_k), each row of T with the node row beside it.
 
-    ``nodes`` is (rows, n) and T is (rows,) or (rows, m). The translates add
+    ``nodes`` is (rows, n) and T is (rows, m). The translates add
     up in the scalar order; a −∞ part gives −∞ (no +∞ occurs on [0, 1]).
     """
     ks = np.zeros(T.shape)
     for k, rk in enumerate(r):
-        yk = nodes[:, k] if T.ndim == 1 else nodes[:, k, None]
-        ks += rk * kernel._values_unchecked(T - yk)
+        ks += rk * kernel._values_unchecked(T - nodes[:, k, None])
     return formula_values(T) + ks
 
 

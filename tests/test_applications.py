@@ -616,6 +616,19 @@ def test_compare_constants_seed():
     assert report["snap_norm"] <= report["bound"] * report["C"] + 1e-9
 
 
+@pytest.mark.filterwarnings("error")
+def test_narrow_hulls_are_solved_without_a_warning():
+    """No minimizer has a node at a hull end; an absolute 1e-9 test warned on every hull this narrow."""
+    C, nodes = eq.unrestricted_constant(eq.IntervalUnion(((0.0, 1e-9),)), (1.0, 1.0))
+    assert C == pytest.approx(1.25e-19, rel=1e-9)
+    assert nodes == pytest.approx((1e-9 * (0.5 - 0.5**1.5), 1e-9 * (0.5 + 0.5**1.5)), rel=1e-9)
+    E = eq.IntervalUnion(tuple((1e-9 * a, 1e-9 * b) for a, b in SEED_UNION.components))
+    report = eq.compare_constants(E, (1.0,))
+    assert report["C"] == pytest.approx(5e-10, rel=1e-9)
+    assert report["R"] == pytest.approx(6e-10, rel=1e-9)
+    assert report["lower_ok"] and report["upper_ok"] and report["snap_ok"]
+
+
 @pytest.mark.parametrize(
     "width, fractions, n",
     [

@@ -66,6 +66,19 @@ def test_parameters_an_example_does_not_take_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "key, params",
+    [("strictness_5_3", {"a": 0.9}), ("classical_chebyshev", {"n": 0}), ("classical_chebyshev", {"n": -3})],
+    ids=["strictness-a", "chebyshev-n0", "chebyshev-negative-n"],
+)
+def test_closed_forms_refuses_what_build_problem_refuses(key, params):
+    # closed_forms returned a maximin segment with lo > hi, and values for no nodes
+    with pytest.raises(eq.SchemaError):
+        build_problem(key, **params)
+    with pytest.raises(eq.SchemaError):
+        closed_forms(key, **params)
+
+
 def test_unknown_key():
     with pytest.raises(eq.SchemaError):
         build_problem("nope")

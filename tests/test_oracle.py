@@ -172,6 +172,13 @@ def test_near_optimal_zero_tol_keeps_the_ties():
     assert cells == [((0.5,), pytest.approx(LOG_HALF, abs=1e-15))]
 
 
+def test_near_optimal_is_empty_when_no_cell_is_finite():
+    """A field that is −∞ but at 0.1 and 0.2: on the lattice {0, 1} every cell's m̲ is −∞."""
+    field = PiecewiseField((Piece(0.0, 1.0, NegInfinityPiece()),), ((0.1, 0.0), (0.2, 0.0)))
+    problem = eq.Problem(1, (1.0,), eq.Log(), field)
+    assert eq.grid_near_optimal(problem, eq.GridSpec(2, 0), mode="maximin") == []
+
+
 # -- batched lattice evaluation = scalar maxima -----------------------------------
 
 KERNELS = [

@@ -55,6 +55,15 @@ def test_mu_gates_one_sided_cases():
     assert not report.cases["b"].applicable
 
 
+def test_case_d_takes_both_sides_when_only_mu_one_applies():
+    """TentLog is not monotone, so cases a and b are off; at μ = 1 strictness is sampled on both sides."""
+    report = eq.check_interval_perturbation(eq.TentLog(), 0.1, 0.3, 0.6, 0.8, 1.0, 1.0)
+    assert report.mu == pytest.approx(1.0)
+    assert not report.cases["a"].applicable and not report.cases["b"].applicable
+    assert report.cases["c"].applicable and report.cases["c"].passed
+    assert report.cases["d"].applicable and report.cases["d"].passed
+
+
 def _random_instance(rng, force_mu_one=False):
     while True:
         pts = np.sort(rng.uniform(0.02, 0.98, size=4))
@@ -268,6 +277,37 @@ def test_weak_domination_reported_for_capped_log():
     assert report.hypotheses_met  # (M) holds, (SM) не required here
     assert report.strict_violations == 0
     assert report.weak_dominations > 0
+
+
+def _tent_control_pairs():
+    a, deltas = 0.45, np.linspace(0.12, 0.3, 8)
+    return [((a - d1, a + d1), (a - d2, a + d2)) for d1 in deltas for d2 in deltas if d1 < d2]
+
+
+@pytest.mark.parametrize(
+    "problem, pairs",
+    [
+        # m₁ differs by 2e-8, m₀ and m₂ by ±2e-12: nodes 1e-12 apart are "equal", and the scan
+        # counted a weak domination
+        (log_problem(2), [((0.5, 0.5001), (0.5, 0.5001 + 1e-12))]),
+        (build_problem("nonmonotone_5_4"), _tent_control_pairs()),  # criterion 8's negative control
+    ],
+    ids=["log-nodes-1e-12-apart", "tent-control"],
+)
+def test_intertwining_and_the_scan_judge_each_pair_alike(problem, pairs):
+    """The scan counts a pair exactly when check_intertwining calls it a majorization_violation."""
+    verdicts = [eq.check_intertwining(problem, x, y) for x, y in pairs]
+    scans = [eq.check_strict_majorization_excluded(problem, pairs=[pair]) for pair in pairs]
+    strict = 0
+    for (x, y), verdict, scan in zip(pairs, verdicts, scans):
+        violation = verdict.kind == "majorization_violation"
+        assert scan.strict_violations + scan.weak_dominations == violation, (x, y, verdict, scan)
+        mx, my = (eq.interval_maxima(problem, s).as_floats() for s in (x, y))
+        strict += violation and all(abs(a - b) > 1e-9 for a, b in zip(mx, my))
+    report = eq.check_strict_majorization_excluded(problem, pairs=pairs)
+    assert report.checked == len(pairs)
+    assert report.strict_violations == strict
+    assert report.weak_dominations == sum(v.kind == "majorization_violation" for v in verdicts) - strict
 
 
 @pytest.mark.parametrize(

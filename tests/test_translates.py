@@ -647,9 +647,10 @@ def test_a_node_shared_by_two_intervals_costs_one_kernel_sum(monkeypatch):
 
 # -- tolerances are constants, not parameters -------------------------------------------
 
-# the argmax tolerance (translates._XTOL), the tie tolerance (perturbation._TIE_TOL),
-# the sandwich slack and the sampler's gap and tries are fixed: an entry point that
-# took one as a parameter refuses it now. The oracle's xtol is covered in test_oracle.
+# the argmax tolerance (translates._XTOL), the tie of two maxima (translates._TIE, the
+# sandwich's and the intertwining checks' one slack) and the sampler's gap and tries
+# are fixed: an entry point that took one as a parameter refuses it now. The oracle's
+# xtol is covered in test_oracle.
 _X, _Y = (0.3,), (0.6,)
 REMOVED_PARAMETERS = {
     "interval_maxima-xtol": lambda p: eq.interval_maxima(p, _X, xtol=1e-12),
