@@ -516,8 +516,7 @@ def _restricted(union: _UnionField, r, tol, unpinned=None):
 def union_bound_factor(k: int, r) -> float:
     """2 raised to the largest sum of min(k−1, n) exponents."""
     r = sorted(_reals(r, "exponent", positive=True), reverse=True)
-    if _count(k, "k") < 1:
-        raise SchemaError(f"a union has at least one component, got k={k!r}")
+    _count(k, "k", least=1)
     take = min(k - 1, len(r))
     return 2.0 ** sum(r[:take])
 

@@ -103,9 +103,7 @@ def _params(key: str, params: dict) -> dict:
         if not 1.0 - a / math.e < b < 1.0:
             raise SchemaError("jump location must lie in (1 − a/e, 1)")
     if key == "classical_chebyshev":
-        values["n"] = _count(values["n"], "n")
-        if values["n"] < 1:
-            raise SchemaError("n must be a positive integer")
+        values["n"] = _count(values["n"], "n", least=1)
     return values
 
 
@@ -210,6 +208,7 @@ def run_reference_check(key: str, *, fast: bool = False, seed: int = 0, **params
     start = time.perf_counter()
     rows: list[tuple[str, float, float]] = []
     notes: list[str] = []
+    seed = _count(seed, "seed", least=0)
     problem, forms = build_problem(key, **params), closed_forms(key, **params)
 
     if key == "singularity_5_1":

@@ -69,8 +69,8 @@ def _real(x, name: str, error=SchemaError, *, positive: bool = False) -> float:
     return value
 
 
-def _count(x, name: str, error=SchemaError) -> int:
-    """x as an int if it is an integer; booleans and integral floats are refused.
+def _count(x, name: str, error=SchemaError, *, least: int | None = None) -> int:
+    """x as an int if it is an integer, and at least ``least`` if one is given; booleans and integral floats are refused.
 
     >>> _count(np.int64(3), "n")
     3
@@ -78,12 +78,20 @@ def _count(x, name: str, error=SchemaError) -> int:
     Traceback (most recent call last):
     ...
     equiosc.errors.SchemaError: n must be an integer, got 3.0
+    >>> _count(0, "n", least=1)
+    Traceback (most recent call last):
+    ...
+    equiosc.errors.SchemaError: n must be an integer ≥ 1, got 0
     """
     if not isinstance(x, (bool, np.bool_)):
         try:
-            return operator.index(x)
+            value = operator.index(x)
         except TypeError:
             pass
+        else:
+            if least is not None and value < least:
+                raise error(f"{name} must be an integer ≥ {least}, got {x!r}")
+            return value
     raise error(f"{name} must be an integer, got {x!r}")
 
 

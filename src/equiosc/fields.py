@@ -381,7 +381,10 @@ class PiecewiseField:
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized usc evaluation; −∞ appears as IEEE -inf."""
-        ts = np.asarray(ts, dtype=float)
+        try:
+            ts = np.asarray(ts, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError(f"field arguments must be reals, got {ts!r}") from None
         lo, hi = self.domain
         if ts.size and not (lo <= ts.min() and ts.max() <= hi):  # False for NaN too
             raise DomainError("field argument outside the domain")
@@ -454,8 +457,7 @@ def field_eval(field: PiecewiseField, t: float) -> ExtReal:
 
 def field_admissible(field: PiecewiseField, n: int) -> bool:
     """True iff the weighted count of finiteness points exceeds n."""
-    if _count(n, "n") < 1:
-        raise SchemaError("n must be a positive integer")
+    _count(n, "n", least=1)
     return _instance(field, PiecewiseField, "field").finiteness_count() > n
 
 

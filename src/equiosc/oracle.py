@@ -5,6 +5,10 @@ refines by shrinking a box around the incumbent tenfold per round. It is the
 independent ground-truth generator at small n, and the only tool that applies
 when a kernel violates the solver's hypotheses.
 
+Both problems are searched in one orientation: with sign = +1 for the
+minimax and −1 for the maximin, a cell's cost is max_j sign·m_j and the
+least cost wins; the value reported is sign·cost, m̄ or m̲ at that cell.
+
 Each scan builds its lattice as one array and evaluates the n + 1 interval
 maxima of every cell at once with :func:`translates._maxima_batch`, which
 follows the scalar maximizer's cuts and end checks, searches the remaining
@@ -12,21 +16,21 @@ pieces by a numpy lockstep bracket search (seven samples per piece and step,
 the bracket shrinking fourfold) and agrees with the scalar maximizer to
 1e-12 relative; the cells go through in fixed-size chunks, so memory does
 not grow with the lattice. The search is pruned: concavity bounds each
-searched piece's maximum at every step, and a cell whose objective is
-certainly worse than the best cell's (by more than ``tol`` in
+searched piece's maximum at every step, and a cell whose cost is certainly
+greater than the least cell's (by more than ``tol`` in
 :func:`grid_near_optimal`) stops being searched, each chunk starting from
-the best objective of the chunks before it. A pruned cell's value is only
-a bound; the cells that can win, and so every returned node system and
+the least cost of the chunks before it. A pruned cell's cost is only a
+bound; the cells that can win, and so every returned node system and
 value, are exactly those of a search without pruning, as long as the
 rounding in the bounds stays below the pruning margin,
-1e-12·max(1, |objective|); rounding that grows with the size of the
-summed terms could exceed it where large terms cancel to an objective
-near 0 (see :func:`translates._losing_cells`). Ties break to the
-lexicographically smallest node vector, the first in lattice order. It runs
-single-threaded: the ``threads`` argument is deprecated, and a value other
-than 1 only warns. The problem must be a ``Problem`` and the grid a
-``GridSpec``, grid counts integers, the budget finite and positive and
-``tol`` finite and non-negative, else ``PreconditionError``.
+1e-12·max(1, |cost|); rounding that grows with the size of the summed
+terms could exceed it where large terms cancel to a cost near 0 (see
+:func:`_losing`). Ties break to the lexicographically smallest node vector,
+the first in lattice order. It runs single-threaded: the ``threads``
+argument is deprecated, and a value other than 1 only warns. The problem
+must be a ``Problem`` and the grid a ``GridSpec``, grid counts integers,
+the budget finite and positive and ``tol`` finite and non-negative, else
+``PreconditionError``.
 """
 
 from __future__ import annotations
@@ -94,53 +98,71 @@ def _lattice(ranges: list[tuple[float, float]], points: int) -> np.ndarray:
     return cells
 
 
-def _best(values, mode):
-    """The best finite objective among ``values``, or None."""
-    finite = values[np.isfinite(values)]
-    if not finite.size:
-        return None
-    return float(finite.min() if mode == "minimax" else finite.max())
+def _losing(sign: int, tol: float, attained: float):
+    """The ``losing`` test of :func:`translates._maxima_batch` for the cost max_j sign·m_j, least wins.
+
+    It takes bounds lo ≤ m ≤ hi on the (cells, n + 1) interval maxima m. The
+    incumbent is the least upper bound on the cost among the cells where it
+    is certainly finite, or the finite cost ``attained`` by a cell elsewhere
+    (+∞: none) if that is less; a cell loses when its cost is certainly
+    greater than the incumbent by more than ``tol`` + 1e-12·max(1,
+    |incumbent|), a margin for rounding in the bounds. That rounding grows
+    with the size of the summed terms, not with the cost's, so where large
+    terms cancel to a cost near 0 it could exceed the margin; the answers
+    are exact only while it does not.
+    """
+
+    def losing(lo, hi):
+        # the bounds on sign·m: (lo, hi) itself, or (−hi, −lo) when sign = −1
+        lo, hi = (sign * bound for bound in (lo, hi)[::sign])
+        # column by column: numpy's max over a short axis 1 is ten times slower
+        cell_lo, cell_hi = reduce(np.maximum, lo.T), reduce(np.maximum, hi.T)
+        finite = (cell_lo > -np.inf) & (cell_hi < np.inf)
+        incumbent = cell_hi[finite].min(initial=attained)  # +∞: no cell loses
+        return cell_lo > incumbent + tol + 1e-12 * max(1.0, abs(incumbent))
+
+    return losing
 
 
-def _evaluate(problem, ranges, points, mode, tol=0.0):
-    """The lattice cells over ``ranges`` and the objective at each of them.
+def _evaluate(problem, ranges, points, sign, tol=0.0):
+    """The lattice cells over ``ranges`` and the cost max_j sign·m_j at each of them.
 
-    The objective is exact at every cell that can come within ``tol`` of the
-    best; elsewhere it is a bound, worse than the best by more than ``tol``
-    (see :func:`translates._maxima_batch`). Each chunk starts from the best
-    objective of the chunks before it.
+    The cost is exact at every cell that can come within ``tol`` of the
+    least; elsewhere it is only a bound, greater than the least by more than
+    ``tol`` (see :func:`_losing`). Each chunk starts from the least finite
+    cost of the chunks before it.
     """
     cells = _lattice(ranges, points)
-    # column by column: a max over axis 1 is slow; min is −∞ as soon as one maximum is
-    pick = np.maximum if mode == "minimax" else np.minimum
     step = max(1, _BATCH_INTERVALS // (problem.n + 1))
-    values = np.empty(0)
+    costs = np.empty(0)
     for start in range(0, len(cells), step):
-        maxima = _maxima_batch(problem, cells[start : start + step], mode, tol, _best(values, mode))
-        values = np.concatenate([values, reduce(pick, maxima.T)])
-    return cells, values
+        attained = costs[np.isfinite(costs)].min(initial=np.inf)
+        maxima = _maxima_batch(problem, cells[start : start + step], _losing(sign, tol, attained))
+        # column by column: a max over axis 1 is slow
+        costs = np.concatenate([costs, reduce(np.maximum, (sign * maxima).T)])
+    return cells, costs
 
 
-def _scan(problem, ranges, points, mode):
-    cells, values = _evaluate(problem, ranges, points, mode)
-    best = int(np.argmin(values) if mode == "minimax" else np.argmax(values))  # first of ties
-    return tuple(float(v) for v in cells[best]), float(values[best])
+def _scan(problem, ranges, points, sign):
+    cells, costs = _evaluate(problem, ranges, points, sign)
+    best = int(np.argmin(costs))  # first of ties
+    return tuple(float(v) for v in cells[best]), sign * float(costs[best])
 
 
-def _search(problem: Problem, grid: GridSpec, mode: str, threads: int):
+def _search(problem: Problem, grid: GridSpec, sign: int, threads: int):
     if threads != 1:
         warnings.warn("threads is deprecated and ignored", DeprecationWarning, stacklevel=3)
     _check_budget(problem, grid)
     n = problem.n
     ranges = [(0.0, 1.0)] * n
     width = 1.0
-    best_nodes, best_val = _scan(problem, ranges, grid.points_per_dim, mode)
+    best_nodes, best_val = _scan(problem, ranges, grid.points_per_dim, sign)
     for _ in range(grid.refine_rounds):
         width /= 10.0
         ranges = [
             (max(0.0, y - 0.5 * width), min(1.0, y + 0.5 * width)) for y in best_nodes
         ]
-        best_nodes, best_val = _scan(problem, ranges, grid.points_per_dim, mode)
+        best_nodes, best_val = _scan(problem, ranges, grid.points_per_dim, sign)
     return NodeSystem(best_nodes), best_val
 
 
@@ -151,7 +173,7 @@ def grid_minimax(
     threads: int = 1,
 ) -> tuple[NodeSystem, float]:
     """Grid point minimizing m̄ over the closed simplex, with refinement."""
-    return _search(problem, grid, "minimax", threads)
+    return _search(problem, grid, 1, threads)
 
 
 def grid_maximin(
@@ -161,7 +183,7 @@ def grid_maximin(
     threads: int = 1,
 ) -> tuple[NodeSystem, float]:
     """Grid point maximizing m̲ over the closed simplex, with refinement."""
-    return _search(problem, grid, "maximin", threads)
+    return _search(problem, grid, -1, threads)
 
 
 def grid_near_optimal(
@@ -181,9 +203,8 @@ def grid_near_optimal(
     if _real(tol, "tol", PreconditionError) < 0.0:
         raise PreconditionError(f"tol must be non-negative, got {tol!r}")
     _check_budget(problem, grid)
-    cells, values = _evaluate(problem, [(0.0, 1.0)] * problem.n, grid.points_per_dim, mode, tol)
-    best = _best(values, mode)
-    if best is None:
-        return []
-    keep = np.flatnonzero(np.isfinite(values) & (np.abs(values - best) <= tol))
-    return [(tuple(float(v) for v in cells[i]), float(values[i])) for i in keep]
+    sign = 1 if mode == "minimax" else -1
+    cells, costs = _evaluate(problem, [(0.0, 1.0)] * problem.n, grid.points_per_dim, sign, tol)
+    finite = np.flatnonzero(np.isfinite(costs))
+    keep = finite[costs[finite] - costs[finite].min(initial=np.inf) <= tol]
+    return [(tuple(float(v) for v in cells[i]), sign * float(costs[i])) for i in keep]

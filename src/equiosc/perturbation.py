@@ -101,8 +101,7 @@ def check_interval_perturbation(
     if not (0.0 < alpha < a < b < beta < 1.0):
         raise PreconditionError("need 0 < α < a < b < β < 1")
     p, q = (_real(v, "weight p, q", PreconditionError, positive=True) for v in (p, q))
-    if _count(grid_points, "grid_points", PreconditionError) < 2:
-        raise PreconditionError(f"grid_points must be at least 2, got {grid_points!r}")
+    _count(grid_points, "grid_points", PreconditionError, least=2)
     flags = _instance(kernel, KernelSpec, "kernel", PreconditionError).flags()
     mu = (p * (a - alpha)) / (q * (beta - b))
     # the scalar kernel sums, not numpy's log: the values every scalar caller sees (for Log,
@@ -175,6 +174,7 @@ def perturb_partition(problem: Problem, w, partition: PartitionSpec, h: float) -
     I_i(w') ⊆ I_i(w) for the shrink class and ⊇ for the grow class are exact.
     """
     ns = _checked(problem).node_system(w)
+    partition = _instance(partition, PartitionSpec, "partition", PreconditionError)
     if len(partition.class_of) != problem.n + 1:
         raise PreconditionError(f"partition must label {problem.n + 1} intervals")
     if not ns.strict():
@@ -279,9 +279,8 @@ def check_strict_majorization_excluded(
     """
     flags = _checked(problem).kernel.flags()
     hypotheses = flags.singular and flags.monotone_M
-    rng = np.random.default_rng(_count(seed, "seed", PreconditionError))
-    if _count(samples, "samples", PreconditionError) < 0:
-        raise PreconditionError(f"samples must be at least 0, got {samples!r}")
+    rng = np.random.default_rng(_count(seed, "seed", PreconditionError, least=0))
+    _count(samples, "samples", PreconditionError, least=0)
     if pairs is None:
         # the sampler's maxima are the scan's: each node system's are computed once
         scan = [(*_sample_regular(problem, rng), *_sample_regular(problem, rng)) for _ in range(samples)]

@@ -83,9 +83,7 @@ class Problem:
     field: PiecewiseField
 
     def __post_init__(self):
-        n = _count(self.n, "n")
-        if n < 1:
-            raise SchemaError("n must be a positive integer")
+        n = _count(self.n, "n", least=1)
         object.__setattr__(self, "n", n)
         r = _reals(self.r, "multiplier r_j", positive=True)
         if len(r) != n:

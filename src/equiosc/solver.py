@@ -211,8 +211,7 @@ def _newton(problem, ys: list[float], c, tol, budget: int, state):
 
 def _check_settings(tol, max_iterations) -> None:
     _real(tol, "tol", PreconditionError, positive=True)
-    if _count(max_iterations, "max_iterations", PreconditionError) < 1:
-        raise PreconditionError(f"max_iterations must be at least 1, got {max_iterations!r}")
+    _count(max_iterations, "max_iterations", PreconditionError, least=1)
 
 
 def solve_difference(

@@ -599,34 +599,7 @@ def _bracket_batch(g, a: np.ndarray, b: np.ndarray, concave: np.ndarray, prune=N
     return best
 
 
-def _losing_cells(lo: np.ndarray, hi: np.ndarray, mode: str, tol: float, attained: float | None):
-    """The cells whose objective cannot come within ``tol`` of the best cell's.
-
-    ``lo`` ≤ m ≤ ``hi`` bound the (cells, n + 1) interval maxima m. The
-    objective is max_j m_j, least wins ("minimax"), or min_j m_j, greatest
-    wins ("maximin", the minimax of −m). The incumbent is the best bound on
-    the objective among the cells where it is certainly finite, or the
-    finite objective ``attained`` by a cell elsewhere if that is better; a
-    cell loses when its objective is certainly worse than the incumbent by
-    more than ``tol`` + 1e-12·max(1, |incumbent|), a margin for rounding in
-    the bounds. That rounding grows with the size of the summed terms, not
-    with the objective's, so where large terms cancel to an objective near
-    0 it could exceed the margin; the answers are exact only while it does
-    not.
-    """
-    if mode == "maximin":
-        lo, hi = -hi, -lo
-        attained = None if attained is None else -attained
-    # column by column: numpy's max over a short axis 1 is ten times slower
-    cell_lo, cell_hi = reduce(np.maximum, lo.T), reduce(np.maximum, hi.T)
-    finite = (cell_lo > NEG_INFINITY) & (cell_hi < _INF)
-    incumbent = cell_hi[finite].min(initial=_INF if attained is None else attained)  # +∞: no cell loses
-    return cell_lo > incumbent + tol + 1e-12 * max(1.0, abs(incumbent))
-
-
-def _maxima_batch(
-    problem: Problem, Y: np.ndarray, mode: str | None = None, tol: float = 0.0, attained: float | None = None
-) -> np.ndarray:
+def _maxima_batch(problem: Problem, Y: np.ndarray, losing=None) -> np.ndarray:
     """(cells, n + 1) interval maxima of F(y, ·) for each row y of nondecreasing nodes Y.
 
     The values of :func:`_maxima_floats` row by row, computed for all rows at
@@ -638,19 +611,13 @@ def _maxima_batch(
     one by the 64-point scan plus the same search as a polish. No argmax is
     computed.
 
-    With a ``mode``, only the cells whose objective (max_j m_j for
-    "minimax", min_j m_j for "maximin") can come within ``tol`` of the best
-    cell's are searched to the end. After each search step a row's maximum
-    is bounded below by its best value so far, and above by the largest of
-    its point candidates, its finished searches and the concavity bounds of
-    its searches still running; :func:`_losing_cells`
-    stops the searches of the cells that cannot win, against the best of
-    these cells or the finite objective ``attained`` elsewhere (another
-    chunk of the lattice), whichever is better, with a margin for rounding
-    of 1e-12·max(1, |incumbent|). The maxima of a stopped cell are lower
-    bounds, and its objective is worse than the best by more than ``tol``;
-    every other cell's maxima are exactly those computed without a
-    ``mode``, as long as the rounding in the bounds stays below that margin.
+    With ``losing``, the searches of some cells stop early. After each search
+    step a row's maximum is bounded below by its best value so far, and above
+    by the largest of its point candidates, its finished searches and the
+    concavity bounds of its searches still running; ``losing(lo, hi)`` gets
+    these (cells, n + 1) bounds and returns a mask of the cells to stop. The
+    maxima of a stopped cell are lower bounds; every other cell's are
+    exactly those computed without ``losing``.
     """
     field, kernel, n = problem.field, problem.kernel, problem.n
     r = problem.r
@@ -732,7 +699,7 @@ def _maxima_batch(
                 return out
 
             prune = None
-            if mode is not None:
+            if losing is not None:
                 lane_cell = lane_row // (n + 1)
 
                 def prune(lanes, lane_best, lane_bound):
@@ -742,7 +709,7 @@ def _maxima_batch(
                     np.maximum.at(row_lo, lane_row, lane_best)
                     np.maximum.at(row_hi, lane_row, lane_bound)
                     lo_m, hi_m = row_lo.reshape(cells, n + 1), row_hi.reshape(cells, n + 1)
-                    return _losing_cells(lo_m, hi_m, mode, tol, attained)[lane_cell[lanes]]
+                    return losing(lo_m, hi_m)[lane_cell[lanes]]
 
             np.maximum.at(best, lane_row, _bracket_batch(g, lane_a, lane_b, lane_concave, prune))
 

@@ -666,6 +666,10 @@ def test_union_validation():
         eq.IntervalUnion(((0.5, 0.4),))
     with pytest.raises(eq.SchemaError):
         eq.IntervalUnion(((False, "0.4"),))
+    with pytest.raises(eq.SchemaError):
+        eq.IntervalUnion(())
+    with pytest.raises(eq.SchemaError):
+        eq.unrestricted_constant(SEED_UNION, (1.0,), ones_weight((0.0, 2.0)))  # not on the hull
     for components in (None, ((0.0, 1.0, 2.0),), ((0.0,),), (0.0, 1.0)):
         with pytest.raises(eq.SchemaError):
             eq.IntervalUnion(components)
@@ -699,6 +703,10 @@ def test_gap_problem_validation():
         eq.GapProblem((0.0, 1.0), (-2.0,), ones_weight())
     with pytest.raises(eq.SchemaError):
         eq.GapProblem((0.0, 1.0, 2.0), (1.0,), ones_weight())
+    with pytest.raises(eq.SchemaError):
+        eq.GapProblem((0.0, 2.0), (1.0,), ones_weight())  # weight not on the interval
+    with pytest.raises(eq.SchemaError):
+        eq.gap_eval((0.5,), (1.0,), eq.constant_field(-1.0), 0.25)
 
 
 @pytest.mark.parametrize("r", [(), ("1",), (True,), (math.nan,), (-1.0,), (0.0,), (math.inf,), 1.0, "1"])

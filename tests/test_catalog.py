@@ -79,6 +79,14 @@ def test_closed_forms_refuses_what_build_problem_refuses(key, params):
         closed_forms(key, **params)
 
 
+@pytest.mark.parametrize("key", ["singularity_5_1", "classical_chebyshev"])
+@pytest.mark.parametrize("seed", [-1, "x", 1.5])
+def test_reference_checks_refuse_a_seed_that_is_not_a_count(key, seed):
+    # singularity_5_1 raised numpy's ValueError or TypeError; the other examples ignored the seed
+    with pytest.raises(eq.SchemaError):
+        run_reference_check(key, fast=True, seed=seed)
+
+
 def test_unknown_key():
     with pytest.raises(eq.SchemaError):
         build_problem("nope")

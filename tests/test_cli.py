@@ -192,7 +192,7 @@ def test_export_two_samples(problem_file, tmp_path):
     assert [r[0] for r in rows[1:]] == ["0", "1"]
 
 
-def test_exit_code_validation_error(tmp_path, capsys):
+def test_exit_code_validation_error(problem_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not valid json")
     assert main(["solve", str(bad)]) == 2
@@ -205,6 +205,12 @@ def test_exit_code_validation_error(tmp_path, capsys):
     # exit 1 means a reference-check deviation; a malformed id is not one
     assert main(["example", "classical_chebyshev(x)"]) == 2
     assert main(["example", "classical_chebyshev(3"]) == 2
+    assert main(["example", "singularity_5_1", "--fast", "--seed", "-1"]) == 2  # printed a traceback, exit 1
+    assert main(["solve-diff", problem_file, "--target", "1,x"]) == 2
+    assert main(["oracle", problem_file, "--grid", "5"]) == 2
+    assert main(["union-compare", "--components", "0,0.4,0.6", "--exponents", "1"]) == 2
+    assert main(["export", problem_file, "--nodes", "0.5", "--samples", "1", "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["solve", str(tmp_path / "missing.json")]) == 2
 
 
 def test_a_file_that_is_not_utf8_is_a_validation_error(tmp_path, capsys):

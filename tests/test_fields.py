@@ -111,6 +111,9 @@ def test_domain_error():
     for ts in ([math.nan], [0.5, math.nan], [-0.5, math.nan]):
         with pytest.raises(eq.DomainError):
             eq.constant_field(0.0).values(np.array(ts))
+    for not_reals in ("a", [0.5, "x"]):  # these raised numpy's ValueError
+        with pytest.raises(eq.DomainError):
+            eq.constant_field(0.0).values(not_reals)
 
 
 def test_admissible_examples():
@@ -134,6 +137,14 @@ def test_singularity_set_examples():
     seg = segs[0]
     assert (seg.lo, seg.hi) == (0.4, 0.6)
     assert not seg.lo_closed and not seg.hi_closed
+    # a zero of a log-of-weight piece: inside a −∞ segment, or where the field is finite
+    sqrt_past_half = LogOfWeight(SqrtAffine(1.0, 1.0, 0.5))
+    beside = PiecewiseField((Piece(0.0, 0.5, NegInfinityPiece()), Piece(0.5, 1.0, sqrt_past_half)))
+    assert eq.singularity_set(beside) == (eq.SingularSegment(0.0, 0.5, True, True),)
+    overridden = PiecewiseField((Piece(0.0, 1.0, LogOfWeight(SqrtAffine(1.0, 1.0, 0.0))),), ((0.0, 2.0),))
+    assert eq.singularity_set(overridden) == ()
+    finite = PiecewiseField((Piece(0.0, 0.5, Constant(1.0)), Piece(0.5, 1.0, sqrt_past_half)))
+    assert eq.singularity_set(finite) == ()
 
 
 def test_singularity_set_closed_end_at_domain_boundary():
@@ -283,6 +294,24 @@ def test_validation_errors():
             eq.field_admissible(eq.constant_field(0.0), n)
     with pytest.raises(eq.SchemaError):
         log_of_weight_field(None)
+    unit = (Piece(0.0, 1.0, Constant(0.0)),)
+    for call in (
+        lambda: SqrtAffine(1, 0, 0),
+        lambda: Piece(0.0, 1.0, SqrtAffine(1.0, 1.0, 0.5)),  # past its zero
+        lambda: LogOfWeight(NegInfinityPiece()),
+        lambda: LogOfWeight(LogOfWeight(Constant(1.0))),
+        lambda: Piece(0.0, 1.0, LogOfWeight(Constant(-1.0))),
+        lambda: Piece(0.5, 0.5, Constant(0.0)),
+        lambda: PiecewiseField(()),
+        lambda: PiecewiseField(unit, ((1.5, 0.0),)),
+        lambda: PiecewiseField(unit, ((0.5, 0.0), (0.5, 1.0))),
+        lambda: eq.indicator_field([(0.2, 0.5), (0.4, 0.6)]),
+        lambda: log_of_weight_field(PiecewiseField((Piece(0.0, 1.0, NegInfinityPiece()),))),
+        lambda: log_of_weight_field(log_of_weight_field(eq.constant_field(1.0))),
+        lambda: affine_transport(eq.constant_field(0.0), 0.0, 0.0),
+    ):
+        with pytest.raises(eq.SchemaError):
+            call()
 
 
 def test_indicator_field_is_inside_on_each_closed_interval_and_outside_elsewhere():
@@ -404,6 +433,7 @@ def test_json_roundtrip():
         {"pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0.0}}], "point_values": [[None, 0.0]]},
         {"pieces": [{"lo": 0.0, "hi": 1.0, "formula": {"kind": "Constant", "c": 0.0}}], "point_values": [0.5]},
         {"point_values": []},
+        {"pieces": [0.5]},
     ],
 )
 def test_malformed_json_raises_schema_error(doc):

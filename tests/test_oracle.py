@@ -493,20 +493,19 @@ def test_pruned_near_optimal_lists_are_exact(mode, tol, intervals, monkeypatch):
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
 @pytest.mark.parametrize("mode", ["minimax", "maximin"])
-def test_pruning_bounds_enclose_the_scalar_maxima(kernel, mode, monkeypatch):
+def test_pruning_bounds_enclose_the_scalar_maxima(kernel, mode):
     """Every row bound a pruned batch tests cells against holds for the scalar maxima, to 1e-12 relative."""
     seen = []
-    losing_cells = translates._losing_cells
+    losing = oracle._losing(1 if mode == "minimax" else -1, 0.0, np.inf)
 
-    def recorded_losing_cells(lo, hi, *args):
+    def recorded_losing(lo, hi):
         seen.append((lo.copy(), hi.copy()))
-        return losing_cells(lo, hi, *args)
+        return losing(lo, hi)
 
-    monkeypatch.setattr(translates, "_losing_cells", recorded_losing_cells)
     finite_bounds = 0
     for field, n, problem, Y, scalar in _batch_cases(kernel):
         seen.clear()
-        _maxima_batch(problem, Y, mode)
+        _maxima_batch(problem, Y, recorded_losing)
         slack = 1e-12 * np.maximum(1.0, np.abs(np.nan_to_num(scalar, neginf=0.0)))
         for lo, hi in seen:
             assert np.all(lo <= scalar + slack), (field, n)

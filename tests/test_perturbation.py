@@ -118,6 +118,12 @@ def test_perturb_preconditions():
         eq.perturb_partition(p2, (0.3, 0.31), eq.PartitionSpec(("J", "I", "J")), 0.5)
     with pytest.raises(eq.PreconditionError):
         eq.PartitionSpec(None)
+    with pytest.raises(eq.PreconditionError):
+        eq.PartitionSpec(("I", "K"))
+    with pytest.raises(eq.PreconditionError):
+        eq.perturb_partition(p2, (0.3, 0.6), eq.PartitionSpec(("J", "I")), 0.01)  # labels two of three
+    with pytest.raises(eq.PreconditionError):
+        eq.check_interval_perturbation(eq.Log(), 0.1, 0.3, 0.6, 0.9, 1.0, 1.0, grid_points=1)
 
 
 def _random_partition(rng, n):
@@ -317,10 +323,11 @@ def test_intertwining_and_the_scan_judge_each_pair_alike(problem, pairs):
         lambda p: eq.check_strict_majorization_excluded(p, pairs=[(0.3,)]),
         lambda p: eq.check_strict_majorization_excluded(p, pairs=[((0.3,), (0.6,), (0.9,))]),
         lambda p: eq.check_strict_majorization_excluded(p, samples=-1),
+        lambda p: eq.check_strict_majorization_excluded(p, 2, seed=-1),
         lambda p: eq.sample_regular_nodes(p, None),
         lambda p: eq.sample_regular_nodes(p, 7),
     ],
-    ids=["pairs-int", "pair-of-one", "pair-of-three", "negative-samples", "rng-none", "rng-int"],
+    ids=["pairs-int", "pair-of-one", "pair-of-three", "negative-samples", "negative-seed", "rng-none", "rng-int"],
 )
 def test_scan_arguments_raise_typed_errors(call):
     # these raised a bare TypeError, ValueError or AttributeError, or returned checked = 0

@@ -34,6 +34,12 @@ def test_problem_validation():
         eq.Problem(1, (1.0,), None, eq.constant_field(0.0))
     with pytest.raises(eq.SchemaError):
         eq.Problem(1, (1.0,), eq.Log(), None)
+    with pytest.raises(eq.SchemaError):
+        eq.Problem(0, (1.0,), eq.Log(), eq.constant_field(0.0))
+    with pytest.raises(eq.SchemaError):
+        eq.Problem(1, (1.0,), eq.Log(), eq.constant_field(0.0, domain=(0.0, 2.0)))
+    with pytest.raises(eq.PreconditionError):
+        eq.Problem(1, (1.0,), eq.Log(), eq.constant_field(0.0)).node_system((0.3, 0.6))
 
 
 def test_problem_rejects_inadmissible_field():
@@ -170,6 +176,10 @@ _NOT_LIBRARY_OBJECTS = {
     "check_intertwining": (lambda: eq.check_intertwining(None, _X, _Y), eq.PreconditionError),
     "perturb_partition": (
         lambda: eq.perturb_partition(None, _X, eq.PartitionSpec(("I", "J")), 0.01), eq.PreconditionError
+    ),
+    "perturb_partition-partition": (  # raised AttributeError
+        lambda: eq.perturb_partition(eq.Problem(1, (1.0,), eq.Log(), eq.constant_field(0.0)), _X, None, 0.01),
+        eq.PreconditionError,
     ),
     "sample_regular_nodes": (lambda: eq.sample_regular_nodes(None, np.random.default_rng(0)), eq.PreconditionError),
     "check_strict_majorization_excluded": (

@@ -391,6 +391,8 @@ def test_sandwich_detects_violations():
     # M far above m̄(x) violates the upper half; far below violates the lower half
     assert not eq.sandwich_check(problem, (0.5,), 5.0)["upper_ok"]
     assert not eq.sandwich_check(problem, (0.5,), -5.0)["lower_ok"]
+    with pytest.raises(eq.PreconditionError):
+        eq.sandwich_check(log_problem(2), (0.5, 0.5), 0.0)  # not strict
 
 
 @pytest.mark.parametrize(

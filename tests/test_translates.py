@@ -7,7 +7,7 @@ import equiosc as eq
 from equiosc.catalog import build_problem
 from equiosc.extreal import is_neg_infinity
 from conftest import random_concave_field, random_strict_nodes
-from equiosc import translates
+from equiosc import oracle, translates
 from equiosc.fields import Constant, Indicator, Piece, PiecewiseField, SqrtAffine
 from golden_reference import reference_interval_maxima
 
@@ -164,7 +164,7 @@ def test_narrow_piece_maximum_matches_the_dense_scan_on_both_paths():
             for got in (
                 float(eq.interval_maxima(problem, y).m[1]),
                 translates._maxima_batch(problem, cells)[0, 1],
-                translates._maxima_batch(problem, cells, mode="minimax")[0, 1],
+                translates._maxima_batch(problem, cells, oracle._losing(1, 0.0, np.inf))[0, 1],
             ):
                 assert abs(got - dense) <= 1e-12 * abs(dense), (field, y)
 
@@ -435,6 +435,8 @@ def test_eval_F_grid_matches_scalar(rng, log1):
         eq.eval_F_grid(log1, (0.5,), [0.5, math.nan])
     with pytest.raises(eq.DomainError):
         eq.eval_F_grid(log1, (0.5,), "ab")
+    with pytest.raises(eq.DomainError):
+        eq.eval_F(log1, (0.5,), 1.5)
 
 
 # -- the slope search against the golden-section reference ----------------------------
