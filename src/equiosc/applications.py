@@ -323,7 +323,7 @@ class _UnionField:
             raise SchemaError("weight must live on the hull of the union")
         self.E, self.A, self.width = E, A, B - A
         self.logw = log_of_weight_field(weight)
-        self.field01 = affine_transport(_masked_log_field(self.logw, E), A, B - A)
+        self.field01 = affine_transport(_masked_log_field(self.logw, E))
 
     def solve(self, r, tol: float, pins=()):
         """The minimax value for nodes r on [0, 1] and the solved nodes moved back to the hull."""

@@ -544,11 +544,10 @@ def log_of_weight_field(weight: PiecewiseField) -> PiecewiseField:
     return PiecewiseField(tuple(pieces), point_values, domain=weight.domain)
 
 
-def affine_transport(field: PiecewiseField, a: float, width: float) -> PiecewiseField:
-    """Pull a field on [a, a+width] back to [0, 1] via t = a + width·u."""
-    _instance(field, PiecewiseField, "field")
-    if width <= 0.0:
-        raise SchemaError("affine transport needs positive width")
+def affine_transport(field: PiecewiseField) -> PiecewiseField:
+    """Pull a field on its domain [a, b] back to [0, 1] via t = a + (b − a)·u."""
+    a, b = _instance(field, PiecewiseField, "field").domain
+    width = b - a
 
     def move_formula(f: Formula) -> Formula:
         if isinstance(f, SqrtAffine):

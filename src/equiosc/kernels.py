@@ -31,6 +31,10 @@ Next to it, each kernel compiles the slope sum t ↦ (Σ_j r_j K′(t − y_j),
 maxima: one loop over the kernel's scalar (K′, K″) in the terms' order.
 ``Log``'s is inlined, bit for bit the same loop, with one reciprocal per
 term giving both, and with unit exponents it leaves out the products by 1.
+
+The solver's Jacobian takes K′ over an array (``_slope``). It is derived
+from the same scalar (K′, K″), one call per element, so a kernel states its
+derivatives once. Only ``Log``, solved at large n, states its own, 1/u.
 """
 
 from __future__ import annotations
@@ -88,11 +92,17 @@ class KernelSpec:
         raise NotImplementedError
 
     def _slope(self, u: np.ndarray) -> np.ndarray:
-        """K′(u) elementwise for u ≠ 0; on a kink either one-sided value."""
-        raise NotImplementedError
+        """K′(u) elementwise for u ≠ 0, each from the scalar ``_build_derivatives``.
+
+        On a kink it is the closure's one-sided value, which the solver's
+        Jacobian replaces by a forward difference.
+        """
+        k2 = self._build_derivatives()
+        u = np.asarray(u, dtype=float)
+        return np.array([k2(x)[0] for x in u.ravel().tolist()], dtype=float).reshape(u.shape)
 
     def _build_derivatives(self) -> Callable[[float], tuple[float, float]]:
-        """Scalar u ↦ (K′(u), K″(u)) for u ≠ 0 off the kinks, inside the kernel's support."""
+        """Scalar u ↦ (K′(u), K″(u)) for u ≠ 0 inside the kernel's support; on a kink, one one-sided pair."""
         raise NotImplementedError
 
     def _build_sum(self, terms) -> Callable[[float], float]:
@@ -295,10 +305,6 @@ class CappedLog(KernelSpec):
     def _values_unchecked(self, u):
         return np.minimum(0.0, np.log(np.abs(u) / self.a))
 
-    def _slope(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(np.abs(u) < self.a, 1.0 / u, 0.0)
-
     def _build_derivatives(self):
         a = self.a
 
@@ -330,10 +336,6 @@ class SqrtShift(KernelSpec):
 
     def _values_unchecked(self, u):
         return np.sqrt(np.abs(u) + 4.0)
-
-    def _slope(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.sign(u) / (2.0 * np.sqrt(np.abs(u) + 4.0))
 
     def _build_derivatives(self):
         sqrt, copysign = math.sqrt, math.copysign
@@ -370,12 +372,6 @@ class TentLog(KernelSpec):
         au = np.abs(u)
         return np.minimum(np.log(10.0 * au), np.log((10.0 / 9.0) * (1.0 - au)))
 
-    def _slope(self, u):
-        u = np.asarray(u, dtype=float)
-        au = np.abs(u)
-        with np.errstate(divide="ignore"):
-            return np.where(au < 0.1, 1.0 / u, -np.sign(u) / (1.0 - au))
-
     def _build_derivatives(self):
         copysign = math.copysign
 
@@ -410,9 +406,6 @@ class CappedLogPlusQuadratic(CappedLog):
 
     def _values_unchecked(self, u):
         return super()._values_unchecked(u) + 1.0 - 2.0 * np.square(u)
-
-    def _slope(self, u):
-        return super()._slope(u) - 4.0 * np.asarray(u, dtype=float)
 
     def _build_derivatives(self):
         capped = super()._build_derivatives()
@@ -465,10 +458,6 @@ class Regularized(KernelSpec):
 
     def _values_unchecked(self, u):
         return self.base._values_unchecked(u) + self.eta * np.sqrt(np.abs(u))
-
-    def _slope(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.base._slope(u) + self.eta * np.sign(u) / (2.0 * np.sqrt(np.abs(u)))
 
     def _build_derivatives(self):
         base_k2 = self.base._build_derivatives()

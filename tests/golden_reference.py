@@ -445,7 +445,7 @@ def _reference_union_problem(E, r, weight, pins=()):
     if weight.domain != (A, B):
         raise SchemaError("weight must live on the hull of the union")
     logw = _masked_log_field(log_of_weight_field(weight), E)
-    field01 = affine_transport(logw, A, B - A)
+    field01 = affine_transport(logw)
     if pins:  # e is moved as affine_transport moves knots, so it lands on one
         terms = tuple((rj, (e - A) / (B - A)) for rj, e in pins)
         field01 = PiecewiseField(

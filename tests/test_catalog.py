@@ -27,12 +27,26 @@ def test_closed_forms_strictness():
     assert forms["m0"](0.5) == 0.0
     assert forms["m1"](0.5) == 1.0
     assert forms["m1"](1.0 - 0.25 / math.e) == pytest.approx(0.0, abs=1e-15)
+    # a node at an end leaves one interval a single point, where the kernel is −∞
+    problem = build_problem("strictness_5_3")
+    assert forms["m0"](0.0) == eq.interval_maxima(problem, (0.0,)).m[0] == -math.inf
+    assert forms["m1"](1.0) == eq.interval_maxima(problem, (1.0,)).m[1] == -math.inf
 
 
 def test_closed_forms_tent_branch_equality():
     forms = closed_forms("nonmonotone_5_4")
     d0 = forms["delta0"]
     assert abs(forms["m_mid"](d0) - forms["m_side"](d0, 0.55)) <= 1e-12
+    assert forms["m_side"](0.4, 0.45) is None  # the boundary is nearer than δ + 1/10
+
+
+@pytest.mark.parametrize("a, delta", [(0.55, 0.42), (0.56, 0.43), (0.52, 0.41)])
+def test_closed_forms_tent_far_side_branch(a, delta):
+    """δ + 1/10 > 1/2: the side maximum is log((100/9)(1/2 − δ)²), off the centre the reference check uses."""
+    forms = closed_forms("nonmonotone_5_4")
+    assert delta + 0.1 > 0.5 and a >= delta + 0.1
+    m0 = eq.interval_maxima(build_problem("nonmonotone_5_4"), (a - delta, a + delta)).m[0]
+    assert abs(forms["m_side"](delta, a) - m0) <= 1e-12
 
 
 def test_closed_forms_chebyshev():

@@ -260,6 +260,13 @@ def test_majorization_scan_computes_each_sampled_maxima_vector_once(problem, mon
         assert calls["maxima"] == 100
 
 
+def test_sampler_gives_up_when_no_draw_is_regular():
+    # finite only at 0.5 ± 1e-9: a node is regular only strictly between them, a window no draw hits
+    field = eq.PiecewiseField((eq.Piece(0.0, 1.0, eq.NegInfinityPiece()),), ((0.5 - 1e-9, 0.0), (0.5 + 1e-9, 0.0)))
+    with pytest.raises(eq.RegularityError, match="could not sample"):
+        eq.sample_regular_nodes(log_problem(1, field=field), np.random.default_rng(0))
+
+
 def test_strict_majorization_found_for_tent_kernel():
     problem = build_problem("nonmonotone_5_4")
     a = 0.45

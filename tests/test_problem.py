@@ -13,6 +13,7 @@ def test_node_system_validation():
     ns = eq.NodeSystem((0.2, 0.8))
     assert ns.strict()
     assert ns.with_sentinels() == (0.0, 0.2, 0.8, 1.0)
+    assert list(ns) == [0.2, 0.8] and len(ns) == 2
     assert not eq.NodeSystem((0.3, 0.3)).strict()
     assert not eq.NodeSystem((0.0, 0.5)).strict()
     with pytest.raises(eq.PreconditionError):
@@ -116,6 +117,12 @@ def test_a_key_the_constructor_does_not_take_is_a_schema_error(read, doc):
         read(doc)
 
 
+@pytest.mark.parametrize("read, doc", [(eq.problem_from_json, []), (eq.field_from_json, None)])
+def test_a_document_that_is_not_a_json_object_is_a_schema_error(read, doc):
+    with pytest.raises(eq.SchemaError, match="must be a JSON object"):
+        read(doc)
+
+
 def test_loaders_pass_constructor_errors_through():
     doc = _problem_doc(2, (1.0, 1.0))
     minus_inf = {"lo": 0.0, "hi": 1.0, "formula": {"kind": "NegInfinity"}}
@@ -143,7 +150,15 @@ def _problem_doc(n, r):
 # r has the length that truncating or coercing n would give
 @pytest.mark.parametrize(
     "n, r",
-    [(2.7, (1.0, 1.0)), (True, (1.0,)), ("2", (1.0, 1.0)), (2.0, (1.0, 1.0)), (1, (True,)), (1, ("1.5",))],
+    [
+        (2.7, (1.0, 1.0)),
+        (True, (1.0,)),
+        ("2", (1.0, 1.0)),
+        (2.0, (1.0, 1.0)),
+        (1, (True,)),
+        (1, ("1.5",)),
+        (1, (10**400,)),  # an int too large for a float
+    ],
 )
 def test_n_is_not_truncated_or_coerced(n, r):
     with pytest.raises(eq.SchemaError):
@@ -195,7 +210,7 @@ _NOT_LIBRARY_OBJECTS = {
     "singularity_set": (lambda: eq.singularity_set(None), eq.SchemaError),
     "field_eval": (lambda: eq.field_eval(None, 0.5), eq.SchemaError),
     "field_to_json": (lambda: eq.field_to_json(None), eq.SchemaError),
-    "affine_transport": (lambda: affine_transport(None, 0.0, 1.0), eq.SchemaError),
+    "affine_transport": (lambda: affine_transport(None), eq.SchemaError),
     "problem_to_json": (lambda: eq.problem_to_json(None), eq.SchemaError),
     "dump_problem": (lambda: eq.dump_problem(None, os.devnull), eq.SchemaError),
 }

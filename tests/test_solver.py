@@ -532,6 +532,13 @@ def test_argmax_on_a_kernel_kink_solves(monkeypatch):
     assert differenced == [2, 2]
 
 
+def test_fd_node_steps_backwards_where_the_next_node_leaves_no_room():
+    ys = [0.0, 0.5, 0.5 + 1e-12, 1.0]
+    pert, h = solver._fd_node(ys, 1)
+    assert pert == (0.0, 0.5 - 1e-7, 0.5 + 1e-12, 1.0)
+    assert h == pert[1] - 0.5 and h == pytest.approx(-1e-7, rel=1e-9)
+
+
 def test_jacobian_is_none_where_a_kink_difference_leaves_the_finite_points():
     # the field is −∞ but at its overrides 0.1 and 0.3; interval 1's argmax 0.3 is y_1 + κ
     kappa = 5e-8
