@@ -302,11 +302,6 @@ class _PinnedTranslates(Formula):
         self.base._validate_on(lo, hi)
         assert not any(lo < e < hi for _, e in self.terms), "pinned node inside a field piece"
 
-    def _neg_inf_on(self, lo, hi):
-        mode, points = self.base._neg_inf_on(lo, hi)
-        points = (*points, *(e for _, e in self.terms if lo <= e <= hi))
-        return (mode, points) if mode == "all" or not points else ("points", points)
-
 
 class _UnionField:
     """A weight's log field on the hull [A, B] of E, and log(w·χ_E) pulled back to [0, 1].

@@ -16,6 +16,13 @@ The closed-form family (constants, indicator levels, c·sqrt(s(t−t0)), logs of
 such non-negative weights, identically −∞ stretches) is small on purpose:
 breakpoints are exact, so per-piece maximization and singularity-set geometry
 are sound. Arbitrary callables are not accepted.
+
+The −∞ set (:func:`singularity_set`) and the finite points that
+:func:`field_admissible` counts are read from the field's own values: the
+usc value at each knot and override point, and the piece's formula at one
+point inside each stretch between neighbouring ones. One point speaks for a
+stretch because every formula is −∞ on all of a piece's interior or on none
+of it, its isolated −∞ points lying at knots.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import groupby
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,10 +83,6 @@ class Formula:
     def _validate_on(self, lo: float, hi: float) -> None:
         """Reject pieces whose formula is undefined somewhere on [lo, hi]."""
 
-    def _neg_inf_on(self, lo: float, hi: float) -> tuple[str, tuple[float, ...]]:
-        """(“all” | “points” | “none”, zero locations) for the −∞ set on [lo, hi]."""
-        return ("none", ())
-
     def to_json(self) -> dict:
         """``kind`` and the constructor's arguments by name; a nested formula is written as its own document."""
         return {"kind": self.kind, **_to_document(self, Formula, Formula.to_json)}
@@ -119,9 +123,6 @@ class NegInfinityPiece(Formula):
     @property
     def concave(self):
         return True
-
-    def _neg_inf_on(self, lo, hi):
-        return ("all", ())
 
 
 @dataclass(frozen=True)
@@ -239,19 +240,6 @@ class LogOfWeight(Formula):
             w = self.weight._value(t)
             if w < -_EPS_DOMAIN:
                 raise SchemaError("weight under LogOfWeight must be non-negative")
-
-    def _neg_inf_on(self, lo, hi):
-        w = self.weight
-        if isinstance(w, Constant) and w.c <= 0.0:
-            return ("all", ())
-        if isinstance(w, Indicator) and w.value <= 0.0:
-            return ("all", ())
-        if isinstance(w, SqrtAffine):
-            if w.c == 0.0:
-                return ("all", ())
-            if lo <= w.t0 <= hi:
-                return ("points", (w.t0,))
-        return ("none", ())
 
 
 # every concrete kind, by name: a formula the library writes is one it can read
@@ -400,53 +388,53 @@ class PiecewiseField:
         return out
 
     # -- structure ----------------------------------------------------------
+    def _neg_inf_parts(self) -> Iterator[tuple[float, float, bool]]:
+        """(lo, hi, whether J is −∞ there) for each part of the domain, in order, as the walk reaches it.
+
+        The domain is cut at the knots and the override points. Each cut t is
+        a point part (t, t), −∞ when its usc value is; each open stretch (c, d)
+        between neighbouring cuts is a part, −∞ when its piece's formula is −∞
+        at the midpoint. One value speaks for the whole stretch because every
+        formula is −∞ on all of a piece's interior or on none of it: its
+        isolated −∞ points (a √-weight's zero under a log, a pinned node)
+        sit at knots. A new formula must keep this condition.
+        """
+        knots, value = self._knots, self._value_float
+        cuts = sorted({*knots, *self._overrides})
+        yield cuts[0], cuts[0], value(cuts[0]) == NEG_INFINITY
+        for c, d in zip(cuts, cuts[1:]):
+            formula = self.pieces[bisect_right(knots, c) - 1].formula
+            yield c, d, formula._value(0.5 * (c + d)) == NEG_INFINITY
+            yield d, d, value(d) == NEG_INFINITY
+
     def singular_segments(self) -> tuple[SingularSegment, ...]:
-        cores: list[tuple[float, float]] = []
-        candidate_points: list[float] = []
-        for p in self.pieces:
-            mode, pts = p.formula._neg_inf_on(p.lo, p.hi)
-            if mode == "all":
-                cores.append((p.lo, p.hi))
-            elif mode == "points":
-                candidate_points.extend(pts)
+        """The −∞ set as maximal runs of −∞ parts of the walk over the field's values.
 
-        def minus_inf_at(t: float) -> bool:
-            return self._value_float(t) == NEG_INFINITY
-
-        merged: list[list[float]] = []
-        for lo, hi in sorted(cores):
-            if merged and merged[-1][1] == lo and minus_inf_at(lo):
-                merged[-1][1] = hi
-            else:
-                merged.append([lo, hi])
-        # a finite override strictly inside a core splits it, open on both sides there
+        The walk reads the values at the knots and override points and at one
+        point inside each stretch between them (all-or-none on a piece's
+        interior, see :meth:`_neg_inf_parts`). An end is closed where its run
+        starts or ends with a cut point.
+        """
         segments = []
-        for lo, hi in merged:
-            ends = [lo, *(t for t, v in self.point_values if lo < t < hi and v > NEG_INFINITY), hi]
-            for c, d in zip(ends, ends[1:]):
-                segments.append(SingularSegment(c, d, c == lo and minus_inf_at(c), d == hi and minus_inf_at(d)))
-        for t in sorted(set(candidate_points)):
-            if not minus_inf_at(t):
-                continue
-            if any(seg.lo <= t <= seg.hi for seg in segments):
-                continue
-            segments.append(SingularSegment(t, t, True, True))
-        segments.sort(key=lambda s: (s.lo, s.hi))
+        for neg_inf, run in groupby(self._neg_inf_parts(), key=lambda part: part[2]):
+            if neg_inf:
+                run = list(run)
+                (lo, first_hi, _), (last_lo, hi, _) = run[0], run[-1]
+                segments.append(SingularSegment(lo, hi, lo == first_hi, last_lo == hi))
         return tuple(segments)
 
     def finiteness_count(self) -> float:
-        """Weighted count of finiteness points (endpoints weigh 1/2); may be inf."""
-        for p in self.pieces:
-            mode, _ = p.formula._neg_inf_on(p.lo, p.hi)
-            if mode != "all":
-                return math.inf
-        lo, hi = self.domain
-        count = 0.0
-        candidates = set(self.knots()) | set(self.override_points())
-        for t in candidates:
-            if self._value_float(t) > NEG_INFINITY:
-                count += 0.5 if t in (lo, hi) else 1.0
-        return count
+        """Weighted count of finiteness points (endpoints weigh 1/2); inf where a piece is finite.
+
+        A piece finite at its midpoint is finite on its whole interior (the
+        all-or-none condition of :meth:`_neg_inf_parts`), a continuum of
+        finite points. Otherwise the finite points are the walk's finite cut
+        points.
+        """
+        if any(p.formula._value(0.5 * (p.lo + p.hi)) > NEG_INFINITY for p in self.pieces):
+            return math.inf
+        ends = self.domain
+        return sum((0.5 if t in ends else 1.0 for t, _, neg_inf in self._neg_inf_parts() if not neg_inf), 0.0)
 
 
 # -- module-level operations -------------------------------------------------

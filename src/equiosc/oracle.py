@@ -28,9 +28,10 @@ terms could exceed it where large terms cancel to a cost near 0 (see
 :func:`_losing`). Ties break to the lexicographically smallest node vector,
 the first in lattice order. It runs single-threaded: the ``threads``
 argument is deprecated, and a value other than 1 only warns. The problem
-must be a ``Problem`` and the grid a ``GridSpec``, grid counts integers,
-the budget finite and positive and ``tol`` finite and non-negative, else
-``PreconditionError``.
+must be a ``Problem`` and the grid a ``GridSpec``, grid counts integers
+and ``tol`` finite and non-negative, else ``PreconditionError``. A search
+over n > 4 nodes, or of more than 1e8 lattice evaluations
+(points_per_dim^n × (refine_rounds + 1)), raises ``BudgetError``.
 """
 
 from __future__ import annotations
@@ -51,13 +52,14 @@ __all__ = ["GridSpec", "grid_maximin", "grid_minimax", "grid_near_optimal"]
 # node intervals per _maxima_batch call; a 64-point scan of one piece in each
 # is 1 MB of samples
 _BATCH_INTERVALS = 2048
+# lattice evaluations a search may make, points_per_dim^n × (refine_rounds + 1)
+_BUDGET = 1e8
 
 
 @dataclass(frozen=True)
 class GridSpec:
     points_per_dim: int = 21
     refine_rounds: int = 2
-    budget: float = 1e8
 
     def __post_init__(self):
         for name in ("points_per_dim", "refine_rounds"):
@@ -66,7 +68,6 @@ class GridSpec:
             raise BudgetError("points_per_dim must be at least 2")
         if self.refine_rounds < 0:
             raise BudgetError("refine_rounds must be non-negative")
-        object.__setattr__(self, "budget", _real(self.budget, "budget", PreconditionError, positive=True))
 
 
 def _check_budget(problem: Problem, grid: GridSpec) -> None:
@@ -75,10 +76,10 @@ def _check_budget(problem: Problem, grid: GridSpec) -> None:
     if problem.n > 4:
         raise BudgetError("grid oracle supports n ≤ 4")
     cost = float(grid.points_per_dim) ** problem.n * (grid.refine_rounds + 1)
-    if cost > grid.budget:
+    if cost > _BUDGET:
         raise BudgetError(
             f"{grid.points_per_dim}^{problem.n} × {grid.refine_rounds + 1} "
-            f"evaluations exceed the budget {grid.budget:g}"
+            f"evaluations exceed the budget {_BUDGET:g}"
         )
 
 

@@ -403,6 +403,50 @@ def test_pinned_field_adds_the_translates_to_pieces_and_point_values():
             assert got == pytest.approx(math.log(prod), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "pins, closed",
+    [
+        ((), (False, False)),
+        (((1.0, 0.4),), (True, False)),
+        (((1.0, 0.6),), (False, True)),
+        (((1.0, 0.4), (2.0, 0.6)), (True, True)),
+    ],
+)
+def test_pinned_field_minus_infinity_set_is_closed_at_its_pins(pins, closed):
+    # the gap (0.4, 0.6) is −∞; a pin on a gap end makes that end −∞ too
+    field = applications._union_problem(applications._UnionField(SEED_UNION, None), (1.0,), pins).field
+    assert eq.singularity_set(field) == (eq.SingularSegment(0.4, 0.6, *closed),)
+    assert field.finiteness_count() == math.inf
+
+
+def two_symmetric_intervals(a, n):
+    """E = [0, (1−a)/2] ∪ [(1+a)/2, 1], its constant for n nodes and its nodes, n even.
+
+    The minimizer is the Chebyshev polynomial of degree n/2 composed with a
+    quadratic: C = 2·((1 − a²)/16)^{n/2}, nodes (1 ± u_k)/2 with
+    u_k² = ((1 − a²)·cos((2k − 1)π/n) + 1 + a²)/2.
+    """
+    E = eq.IntervalUnion(((0.0, (1.0 - a) / 2), ((1.0 + a) / 2, 1.0)))
+    us = [
+        math.sqrt(((1 - a * a) * math.cos((2 * k - 1) * math.pi / n) + 1 + a * a) / 2)
+        for k in range(1, n // 2 + 1)
+    ]
+    return E, 2.0 * ((1 - a * a) / 16) ** (n / 2), sorted((1 + s * u) / 2 for u in us for s in (-1, 1))
+
+
+@pytest.mark.parametrize("a", [0.2, 0.5])
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_unrestricted_constant_of_two_symmetric_intervals(a, n):
+    E, C, nodes = two_symmetric_intervals(a, n)
+    got, got_nodes = eq.unrestricted_constant(E, (1.0,) * n)
+    assert got == pytest.approx(C, rel=1e-12)
+    assert got_nodes == pytest.approx(nodes, abs=1e-12)
+    if n <= 4:  # every node lies in E, so R = C; the restricted search takes n ≤ 4
+        R, R_nodes = eq.restricted_constant(E, (1.0,) * n)
+        assert R == pytest.approx(C, rel=1e-12)
+        assert R_nodes == pytest.approx(nodes, abs=1e-12)
+
+
 def _counted_solves(monkeypatch):
     calls = []
     solve = applications.solve_equioscillation
