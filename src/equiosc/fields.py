@@ -235,11 +235,20 @@ class LogOfWeight(Formula):
         return self.weight.concave
 
     def _validate_on(self, lo, hi):
-        self.weight._validate_on(lo, hi)
+        """Also reject a √-weight whose zero lies strictly inside the piece.
+
+        The weight's own check lets its zero t0 lie up to _EPS_DOMAIN inside a
+        piece end, with the weight clamped to 0 between them; under the log,
+        J would be −∞ on that stretch, which is neither a knot nor a whole
+        piece, so the field's −∞ walk would miss it.
+        """
+        weight = self.weight
+        weight._validate_on(lo, hi)
         for t in (lo, hi):
-            w = self.weight._value(t)
-            if w < -_EPS_DOMAIN:
+            if weight._value(t) < -_EPS_DOMAIN:
                 raise SchemaError("weight under LogOfWeight must be non-negative")
+        if isinstance(weight, SqrtAffine) and weight.c != 0.0 and lo < weight.t0 < hi:
+            raise SchemaError("the √-weight under LogOfWeight vanishes inside its piece: put its zero at a piece end")
 
 
 # every concrete kind, by name: a formula the library writes is one it can read
@@ -397,7 +406,8 @@ class PiecewiseField:
         at the midpoint. One value speaks for the whole stretch because every
         formula is −∞ on all of a piece's interior or on none of it: its
         isolated −∞ points (a √-weight's zero under a log, a pinned node)
-        sit at knots. A new formula must keep this condition.
+        sit at knots, and validation refuses a piece that would hold one
+        inside. A new formula must keep this condition.
         """
         knots, value = self._knots, self._value_float
         cuts = sorted({*knots, *self._overrides})

@@ -15,6 +15,22 @@ convergence the argmaxima move little, so each search takes about two slope
 evaluations, and the maxima are those of a search from the midpoint to
 rounding.
 
+Newton's steps above tol on the kernel itself (η = 0) are taken in the
+log-gap coordinates u_l = log(h_l/h_n), h_l = y_{l+1} − y_l: under a
+log-singular kernel m_j ≈ (r_j + r_{j+1})·log h_j plus smooth terms, so Φ is
+nearly affine in u, where in y it bends hard near the nodes and the ends,
+and from the default start the slow steps before Newton's quadratic phase go
+(T₅₁₂ takes 7 iterations, not 11). Newton is invariant under affine changes
+of variables, so only such a nonlinear one can do that (Deuflhard, *Newton
+Methods for Nonlinear Problems*, 2004). The step is the one in y mapped
+into u, and each trial rescales the gaps, so it lies inside the open
+simplex. Three kinds of step stay in y: the polish within tol, since only a
+step in y adds to each node directly and keeps its absolute accuracy; the
+continuation levels η > 0, which exist for flat kernels, whose slow
+direction is a translation of all nodes, far in log-gaps; and the
+least-norm step of a singular Jacobian, which leaves a node that moves no
+maximum where it is.
+
 The one fallback is continuation in η (Allgower–Georg, *Numerical
 Continuation Methods*, 1990): K + η√|t| is singular and strictly monotone for
 every η > 0, so each level η has exactly one solution, and the solve walks
@@ -42,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -163,21 +180,74 @@ def _jacobian(problem: Problem, ys: list[float], vals, args):
     return dm[1:] - dm[:-1]
 
 
-def _newton(problem, ys: list[float], c, tol, budget: int, state):
+def _gap_step(ys: list[float], step: list[float]) -> list[float]:
+    """A Newton step δy in the nodes as the step δu in the log-gap coordinates.
+
+    The gaps h_0, …, h_n of ys sum to 1, and u_l = log h_l for l < n, with h_n
+    the reference gap: y_k = (h_0 + … + h_{k−1})/(h_0 + … + h_n), so
+    ∂y_k/∂u_l = h_l·([l < k] − y_k), and J_u = J_y·D by the chain rule. D is
+    invertible, and D⁻¹ maps δy to δu_l = δh_l/h_l − δh_n/h_n, where
+    δh_l = δy_{l+1} − δy_l: so the Newton step in u, D⁻¹·J_y⁻¹·(c − Φ), is the
+    one in the nodes mapped, and J_u is never formed.
+    """
+    dy = [0.0, *step, 0.0]
+    rel = [(b - a) / (y1 - y0) for a, b, y0, y1 in zip(dy, dy[1:], ys, ys[1:])]
+    return [v - rel[-1] for v in rel[:-1]]
+
+
+def _gap_trial(ys: list[float], du: list[float], lam: float) -> list[float]:
+    """ys with each gap h_l, l < n, times exp(λ·δu_l), and the gaps renormalized to sum 1.
+
+    Each node moves by an increment that vanishes with λ, (M_k − y_k·M)/B with
+    M_k = Σ_{l<k} h_l·(e_l − 1), M = M_{n+1} and B = Σ_l h_l·e_l: like a step
+    in the nodes, the trial keeps their absolute accuracy, where summing the
+    new gaps afresh re-rounds every node (that left T₂₅₆'s value error at
+    3.0e-12, against 1.1e-12). The exponents are shifted by the largest of them and 0, the
+    reference gap's, so none is positive and nothing overflows; a gap that
+    rounds to 0 is left to the caller's feasibility check.
+    """
+    xs = [lam * d for d in du]
+    top = max(0.0, *xs)
+    xs = [x - top for x in xs] + [-top]
+    hs = [b - a for a, b in zip(ys, ys[1:])]
+    grow = list(accumulate(h * math.expm1(x) for h, x in zip(hs, xs)))
+    total = sum(h * math.exp(x) for h, x in zip(hs, xs))
+    return [ys[0], *(y + (m - y * grow[-1]) / total for y, m in zip(ys[1:-1], grow)), ys[-1]]
+
+
+def _newton(problem, ys: list[float], c, tol, budget: int, state, log_gaps: bool):
     """Damped Newton on Φ − c from ys, which it updates in place.
 
     ``state`` is (residual, maxima, argmaxima) at ys, as from :func:`_residual_norm`;
     returns (steps used, state at the final ys). Stops at the first step that
-    no halving makes lower the residual. Once the residual is within tol, one
-    more full step is tried and kept only if it lowers the residual: that
-    takes the nodes from tol down to rounding. A singular Jacobian above tol
-    gets the least-norm step, a flat direction of a non-strict kernel.
+    no halving makes lower the residual.
+
+    With ``log_gaps``, every step above tol is taken in the log-gap
+    coordinates u (:func:`_gap_step`): under a log-singular kernel
+    m_j ≈ (r_j + r_{j+1})·log h_j plus smooth terms, so Φ is nearly affine in
+    u, and each trial lies inside the open simplex by construction. Such a
+    step is halved at most 9 times, against 29 in the nodes: near a kink of a
+    flat kernel, deeper halvings of a log-gap step found decreases of rounding
+    size, and a CappedLog probe draw spent its whole budget on them; a stall
+    there hands the solve to the continuation, whose levels step in the nodes.
+
+    Once the residual is within tol, one more full step is tried in the nodes
+    and kept only if it lowers the residual: that takes the nodes from tol
+    down to rounding, and only a step in the nodes adds to each node directly
+    (a log-gap polish whose trial summed the rescaled gaps afresh left T₂₅₆'s
+    value error at 3.0e-12, above the Chebyshev ladder's 2e-12 gate). A singular
+    Jacobian above tol, a flat direction of a non-strict kernel, gets the
+    least-norm step in the nodes: a node that moves no maximum has a zero
+    column there, and that step leaves it put, where the least-norm step in u
+    moves every node (a CappedLog probe draw then spent its whole budget on
+    decreases of rounding size).
     """
     target = np.asarray(c, dtype=float)
     used = 0
     res, vals, args = state
     while used < budget and math.isfinite(res):
         within_tol = res <= tol
+        in_gaps = log_gaps and not within_tol
         jac = _jacobian(problem, ys, vals, args)
         if jac is None:
             break
@@ -187,15 +257,21 @@ def _newton(problem, ys: list[float], c, tol, budget: int, state):
         except np.linalg.LinAlgError:
             if within_tol:
                 break
+            in_gaps = False
             step = np.linalg.lstsq(jac, rhs, rcond=None)[0]
         if not np.all(np.isfinite(step)):
             break
         step = step.tolist()  # keep nodes Python floats: the kernel sums are scalar code
+        if in_gaps:
+            step = _gap_step(ys, step)
         used += 1
         lam = 1.0
         improved = False
-        for _ in range(1 if within_tol else 30):
-            trial = [ys[0], *(y + lam * d for y, d in zip(ys[1:-1], step)), ys[-1]]
+        for _ in range(1 if within_tol else 10 if in_gaps else 30):
+            if in_gaps:
+                trial = _gap_trial(ys, step, lam)
+            else:
+                trial = [ys[0], *(y + lam * d for y, d in zip(ys[1:-1], step)), ys[-1]]
             if all(b - a >= _BRACKET_EPS for a, b in zip(trial, trial[1:])):
                 new_res, new_vals, new_args = _residual_norm(problem, trial, c, (ys, args))
                 if new_res < res:
@@ -247,7 +323,7 @@ def solve_difference(
         # the start's state serves the first level; a later one starts from the last solved level's argmaxima
         state = first or _residual_norm(level, ys, c, prior)
         first = None
-        used, state = _newton(level, ys, c, level_tol, max_iterations - iterations, state)
+        used, state = _newton(level, ys, c, level_tol, max_iterations - iterations, state, not eta)
         iterations += used
         if state[0] <= level_tol:
             solved, p = ys, levels.pop()

@@ -186,6 +186,33 @@ def test_a_zero_weight_under_log_of_weight_is_minus_infinity_but_at_its_override
     assert f.finiteness_count() == 2.0
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PiecewiseField((Piece(0.0, 1.0, LogOfWeight(SqrtAffine(1.0, 1.0, 1e-13))),)),
+        lambda: PiecewiseField(
+            (Piece(0.0, 0.3, Constant(0.0)), Piece(0.3, 1.0, LogOfWeight(SqrtAffine(1.0, 1.0, 0.3 + 1e-13))))
+        ),
+        lambda: PiecewiseField((Piece(0.0, 1.0, LogOfWeight(SqrtAffine(2.0, -1.0, 1.0 - 1e-13))),)),
+        lambda: log_of_weight_field(eq.sqrt_affine_field(1.0, 1.0, 1e-13)),
+    ],
+    ids=["zero-after-lo", "zero-after-inner-knot", "zero-before-hi", "log_of_weight_field"],
+)
+def test_a_sqrt_weight_vanishing_inside_its_piece_is_refused_under_log(make):
+    # the weight alone accepts a zero within _EPS_DOMAIN inside a piece end; under the log, J would
+    # be −∞ between that end and the zero, a stretch the field's −∞ set does not report
+    with pytest.raises(eq.SchemaError, match="vanishes inside its piece"):
+        make()
+
+
+def test_a_sqrt_weight_vanishing_at_or_past_its_piece_end_is_kept_under_log():
+    for t0, closed in ((0.0, True), (-1e-13, False)):
+        f = PiecewiseField((Piece(0.0, 1.0, LogOfWeight(SqrtAffine(1.0, 1.0, t0))),))
+        assert eq.singularity_set(f) == ((eq.SingularSegment(0.0, 0.0, True, True),) if closed else ())
+    flat = PiecewiseField((Piece(0.0, 1.0, LogOfWeight(SqrtAffine(0.0, 1.0, 1e-13))),))  # c = 0: −∞ throughout
+    assert eq.singularity_set(flat) == (eq.SingularSegment(0.0, 1.0, True, True),)
+
+
 def dotted_minus_infinity():
     """−∞ on [0, 1] but for the value 0 at 0.2, 0.5 and 0.8."""
     return PiecewiseField((Piece(0.0, 1.0, NegInfinityPiece()),), ((0.2, 0.0), (0.5, 0.0), (0.8, 0.0)))

@@ -523,8 +523,9 @@ def test_argmax_on_a_kernel_kink_solves(monkeypatch):
         assert got == pytest.approx(want, abs=1e-8)
     w2 = report.nodes.nodes[1]
     assert report.maxima.argmax[1:] == (w2 - a, w2 + a)
-    # one difference per argmax on a kink: 7 Jacobians with two each (28 row by row)
-    assert len(differenced) == 14
+    # one difference per argmax on a kink: 6 Jacobians, one with one and five with two
+    # (14 over 7 Jacobians with every step in the nodes, 28 row by row)
+    assert len(differenced) == 11
     # at the solution only node 2, whose translate's kink holds both argmaxima, is differenced
     differenced.clear()
     ys = [0.0, *report.nodes.nodes, 1.0]
@@ -581,6 +582,113 @@ def test_third_kind_chebyshev(n):
 def test_fourth_kind_chebyshev(n):
     """Field log √(1 − t), −∞ at 1: √((1 − x)/2)·Wₙ(x) = sin((n + ½)θ)."""
     _check_weighted_chebyshev(eq.sqrt_affine_field(1.0, -1.0, 1.0), lambda k: k * math.pi / (n + 0.5), n)
+
+
+def _phi_at(problem, ys):
+    vals, _ = _maxima_floats(problem, tuple(ys))
+    return np.diff(vals)
+
+
+def test_log_gap_jacobian_matches_central_differences_of_phi_in_u(rng):
+    """J_u = J_y·D, ∂y_k/∂u_l = h_l·([l < k] − y_k), against central differences of Φ∘y(u).
+
+    The solver never forms J_u: its step in u is the step in the nodes mapped
+    by D⁻¹ (``_gap_step``), which is checked here too.
+    """
+    h = 1e-6
+    checked = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        problem = random_sm_problem(rng, n)
+        ys = [0.0, *random_strict_nodes(rng, n), 1.0]
+        vals, args = _maxima_floats(problem, tuple(ys))
+        if any(_kinked_nodes(problem, ys, t) for t in args):
+            continue  # Φ need not be differentiable there
+        jac = solver._jacobian(problem, ys, vals, args)
+        y, gaps = np.array(ys[1:-1]), np.diff(ys)
+        d = (np.tri(n) - y[:, None]) * gaps[:n]
+        central = np.empty((n, n))
+        for col in range(n):
+            unit = [float(col == l) for l in range(n)]
+            up, down = solver._gap_trial(ys, unit, h), solver._gap_trial(ys, unit, -h)
+            central[:, col] = (_phi_at(problem, up) - _phi_at(problem, down)) / (2.0 * h)
+        assert np.max(np.abs(jac @ d - central)) <= 1e-6 * np.max(np.abs(central))
+        for col in range(n):
+            dy = [float(col == k) for k in range(n)]
+            assert np.allclose(d @ solver._gap_step(ys, dy), dy, rtol=0.0, atol=1e-12)
+        checked += 1
+    assert checked >= 30
+
+
+def test_log_gap_trial_of_a_huge_step_stays_inside_or_is_refused(rng):
+    """A trial rescales the gaps by exp(λ·δu) and renormalizes them: inside the open simplex, but for rounding.
+
+    Its nodes match the renormalized gaps summed in a log-sum-exp, and a gap
+    that rounds below _BRACKET_EPS is what the solver's feasibility check
+    refuses; at λ = 0 the trial is the iterate itself.
+    """
+    refused = inside = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        ys = [0.0, *random_strict_nodes(rng, n), 1.0]
+        du = rng.uniform(-50.0, 50.0, size=n).tolist()
+        assert solver._gap_trial(ys, du, 0.0) == ys
+        for lam in (1.0, 0.5, 1e-2, 1e-4):
+            trial = solver._gap_trial(ys, du, lam)
+            assert len(trial) == n + 2 and trial[0] == 0.0 and trial[-1] == 1.0
+            logs = np.log(np.diff(ys)) + lam * np.append(du, 0.0)
+            exact = np.cumsum(np.exp(logs - logs.max()))
+            assert np.allclose(trial[1:-1], exact[:-1] / exact[-1], rtol=0.0, atol=1e-13)
+            if all(b - a >= solver._BRACKET_EPS for a, b in zip(trial, trial[1:])):
+                inside += 1
+            else:
+                refused += 1
+                assert lam * max(map(abs, du)) > 1.0  # only a large step empties a gap
+    assert inside >= 200 and refused >= 50
+
+
+def test_probe_draw_solves_through_levels_that_step_in_the_nodes(monkeypatch):
+    """Draw seed 29 #284 of tools/capped_log_probe.py: Newton on the kernel stalls twice, and the levels η > 0 solve it.
+
+    Those levels step in the nodes: a flat kernel's slow direction is a
+    translation of all nodes, which is far in log-gaps. The solve takes 25
+    Newton steps; with log-gap steps at every level it took 247.
+    """
+    problem = eq.Problem(
+        6,
+        (0.8467770836686392, 1.4745943129066363, 1.3476840077981433, 1.4721927822374687, 1.730781271839216,
+         1.591816675355288),
+        eq.CappedLog(0.026738784908472098),
+        eq.constant_field(-0.7616230553138208),
+    )
+    target = (-0.6520734370020393, 0.5090866904499121, -0.21580070544892083, -0.4818679411546314,
+              0.3460994890722713, 0.5067031743967707)
+    initial = (0.20359766671973564, 0.36885250917563805, 0.44901767740459253, 0.47271100775564384,
+               0.49799151171335077, 0.937727280896829)
+    levels = []
+    newton = solver._newton
+    monkeypatch.setattr(
+        solver, "_newton", lambda level, *args: levels.append((level.kernel, args[-1])) or newton(level, *args)
+    )
+    report = eq.solve_difference(problem, target, initial=initial)
+    phi = eq.difference(problem, report.nodes).phi
+    assert max(abs(p - t) for p, t in zip(phi, target)) <= 1e-9
+    assert report.iterations <= 30
+    regularized = [gaps for kernel, gaps in levels if isinstance(kernel, eq.Regularized)]
+    assert regularized and not any(regularized)
+    assert all(gaps for kernel, gaps in levels if kernel == problem.kernel)
+
+
+@pytest.mark.parametrize("c", [-3.0, -1.0, 0.0, 1.0, 3.0])
+def test_log_n1_solves_in_at_most_three_newton_steps(c):
+    """Work gate: Φ(y) = log((1 − y)/y), affine in the log-gap u = log(y/(1 − y)), so one step in u lands.
+
+    With every step in the nodes these solves took 5–7 steps; now 1–2 (a
+    step in u, then the polish in the nodes).
+    """
+    report = eq.solve_difference(log_problem(1), (c,))
+    assert report.iterations <= 3
+    assert report.nodes.nodes[0] == pytest.approx(1.0 / (1.0 + math.exp(c)), abs=1e-12)
 
 
 def test_newton_alone_solves_smooth_problems(monkeypatch):

@@ -25,12 +25,15 @@ searches start at the last iterate's argmaxima), divided by the same n − 1.
 The exit status is 1 if any node error exceeds 1e-14, any value error
 exceeds 2e-12 up to n = 256 or 1e-13·|value| above it (the value grows like
 n, and its rounding with it), any mean slope count at the solved nodes
-exceeds 6, or any solve's count exceeds 52, else 0. The solve counts were
-22.7–50.1 when that ceiling was set (29.2 at T16, 50.1 at T512), and
+exceeds 6, any solve's count exceeds 32, or any solve takes more than 8
+Newton iterations, else 0. With Newton's steps above tolerance taken in
+log-gap coordinates, the solves take 5–7 iterations and their counts are
+16.3–28.7 (24.2 at T16, 26.6 at T512); with every step in the nodes they
+took 7–11 iterations and 22.7–50.1 (29.2 at T16, 50.1 at T512), and
 31.3–61.0 with every search started at its piece's midpoint (36.1 at T16).
 No test solves n > 64, so this is the check at large n.
 
-Run from the repository root (7–9 s on a shared 2-core x86-64 host):
+Run from the repository root (5–7 s on a shared 2-core x86-64 host):
 
     PYTHONPATH=src python tools/chebyshev_ladder.py
 """
@@ -47,7 +50,8 @@ ABSOLUTE_UP_TO = 256  # above this n the value error is gated relative to the va
 MAX_RELATIVE_ERROR = 1e-13
 MAX_NODE_ERROR = 1e-14
 MAX_SLOPES_PER_INTERVAL = 6.0
-MAX_SOLVE_SLOPES_PER_INTERVAL = 52.0
+MAX_SOLVE_SLOPES_PER_INTERVAL = 32.0
+MAX_ITERATIONS = 8
 
 
 class _SlopeCount:
@@ -113,6 +117,7 @@ FAMILIES = (
 
 def main() -> int:
     worst = worst_relative = worst_node = worst_slopes = worst_solve_slopes = 0.0
+    most_iterations = 0
     print(
         f"{'family':>6} {'n':>4} {'wall s':>8} {'iterations':>10} {'value error':>12} {'relative':>9} "
         f"{'node error':>11} {'slopes':>6} {'solve slopes':>12}"
@@ -130,6 +135,7 @@ def main() -> int:
             else:
                 worst_relative = max(worst_relative, error / abs(value))
             worst_node = max(worst_node, node_error)
+            most_iterations = max(most_iterations, report.iterations)
             slopes = slopes_per_interval(problem, report.nodes)
             worst_slopes = max(worst_slopes, slopes)
             solve_slopes = solve_slopes_per_interval(problem)
@@ -146,8 +152,10 @@ def main() -> int:
         f"most slope evaluations of a solve over n − 1 {worst_solve_slopes:.2f} "
         f"(bound {MAX_SOLVE_SLOPES_PER_INTERVAL:.0f})"
     )
+    print(f"most Newton iterations of a solve {most_iterations} (bound {MAX_ITERATIONS})")
     failed = worst > MAX_ERROR or worst_relative > MAX_RELATIVE_ERROR or worst_node > MAX_NODE_ERROR
     failed = failed or worst_slopes > MAX_SLOPES_PER_INTERVAL or worst_solve_slopes > MAX_SOLVE_SLOPES_PER_INTERVAL
+    failed = failed or most_iterations > MAX_ITERATIONS
     return 1 if failed else 0
 
 
