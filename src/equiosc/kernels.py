@@ -24,7 +24,12 @@ one kernel call per translate; every kernel but ``Log`` uses it (a loop with
 the kernel inlined measures no faster). ``Log`` takes one log per run of
 equal exponents, r·log|∏(t − y_j)|, which is bit for bit the per-term loop
 only where every run is one term (distinct neighbouring exponents) and
-otherwise differs from it by rounding.
+otherwise differs from it by rounding. The grid oracle sums translates over
+arrays by ``_sum_batch``, the same two rules elementwise: a per-term loop
+over ``_values_unchecked``, and ``Log``'s one log per run, so ``Log`` has
+one run rule on both paths. The interval maxima, scalar and batched, do not
+evaluate these sums at a node of a singular kernel: the sum is −∞ there, and
+a run's product of 0 would send ``Log`` to the per-term loop.
 
 Next to it, each kernel compiles the slope sum t ↦ (Σ_j r_j K′(t − y_j),
 Σ_j r_j K″(t − y_j)) (``_build_slope_sum``) for the search of the interval
@@ -127,6 +132,20 @@ class KernelSpec:
 
         return ksum
 
+    def _sum_batch(self, r, T: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Σ_k r_k K(T − y_k) elementwise, each row of T with the node row beside it; no domain check.
+
+        ``nodes`` is (rows, n) and T is (rows, m). The batch counterpart of
+        :meth:`_build_sum`: the terms are added in r's order, as ``s += r * v``
+        from 0.0, and a −∞ term gives −∞ (every r_k > 0). Only ``Log`` has its
+        own, with the run rule of its ``_build_sum``. The caller opens
+        np.errstate(divide="ignore") for log(0).
+        """
+        s = np.zeros(T.shape)
+        for k, rk in enumerate(r):
+            s += rk * self._values_unchecked(T - nodes[:, k, None])
+        return s
+
     def _build_slope_sum(self, terms) -> Callable[[float], tuple[float, float]]:
         """t ↦ (Σ_j r_j K′(t − y_j), Σ_j r_j K″(t − y_j)) over ``terms``; t at no node or kink.
 
@@ -152,10 +171,20 @@ class KernelSpec:
         return _to_document(self, KernelSpec, kernel_to_json)
 
 
-# Log._build_sum: the most factors multiplied before one log, and the least
+# Log's kernel sums: the most factors multiplied before one log, and the least
 # |product| taken without falling back to one log per term
 _RUN = 32
 _FLOOR = 2.0**-600
+
+
+def _runs(r) -> list[tuple[int, int, float]]:
+    """(start, stop, r_start) of each run of ``Log``'s sums: at most _RUN consecutive terms with one exponent."""
+    runs, start = [], 0
+    for k in range(1, len(r) + 1):
+        if k == len(r) or r[k] != r[start] or k - start == _RUN:
+            runs.append((start, k, r[start]))
+            start = k
+    return runs
 
 
 @dataclass(frozen=True)
@@ -179,13 +208,14 @@ class Log(KernelSpec):
     def _build_sum(self, terms):
         """t ↦ Σ_j r_j log|t − y_j|, one log per run of equal exponents.
 
-        A run is a stretch of at most _RUN consecutive terms with one exponent
-        r; its terms add up to r·log|∏(t − y_j)|, so the loop multiplies the
-        factors t − y_j of a run into p and adds r·log|p| at the run's end.
-        The plan, (y_j, r) for a term that closes a run and (y_j, None) for
-        any other, is built once here. Distinct exponents make runs of one
-        term, whose sums are bit for bit those of the per-term loop; n equal
-        ones stay within n·ε·(r + |sum|) of it (``test_kernels``).
+        A run (:func:`_runs`) is a stretch of at most _RUN consecutive terms
+        with one exponent r; its terms add up to r·log|∏(t − y_j)|, so the
+        loop multiplies the factors t − y_j of a run into p and adds r·log|p|
+        at the run's end. The plan, (y_j, r) for a term that closes a run and
+        (y_j, None) for any other, is built once here. Distinct exponents make
+        runs of one term, whose sums are bit for bit those of the per-term
+        loop; n equal ones stay within n·ε·(r + |sum|) of it (``test_kernels``).
+        :meth:`_sum_batch` follows the same rule elementwise.
 
         Each partial product is rounded once, to within ε/2 relative, while
         none leaves the normal range. With every factor at most 2^13 in
@@ -197,14 +227,10 @@ class Log(KernelSpec):
         per-term loop, built only then, which is −∞ at a node.
         """
         terms = tuple(terms)
-        plan, run = [], 0
-        for (r, yj), (r_next, _) in zip(terms, (*terms[1:], (None, None))):
-            run += 1
-            if run == _RUN or r_next != r:
-                plan.append((yj, r))
-                run = 0
-            else:
-                plan.append((yj, None))
+        plan = []
+        for start, stop, r in _runs([r for r, _ in terms]):
+            plan += [(yj, None) for _, yj in terms[start : stop - 1]]
+            plan.append((terms[stop - 1][1], r))
         log, floor = math.log, _FLOOR
 
         def ksum(t: float) -> float:
@@ -227,6 +253,29 @@ class Log(KernelSpec):
         # log in place: one live temporary of the argument's size, not two
         au = np.abs(u)
         return np.log(au, out=au if isinstance(au, np.ndarray) else None)
+
+    def _sum_batch(self, r, T, nodes):
+        """Σ_k r_k log|T − y_k| elementwise by ``_build_sum``'s run rule: one log per run.
+
+        Each run's factors are multiplied in order and its r·log|p| added, as
+        the scalar sum does, so the two paths round alike. An element where
+        some run's |p| is below _FLOOR (0 at a node among them) takes the
+        per-term loop instead, −∞ at a node.
+        """
+        s = low = None
+        for start, stop, rk in _runs(r):
+            p = T - nodes[:, start, None]
+            for k in range(start + 1, stop):
+                p *= T - nodes[:, k, None]
+            np.abs(p, out=p)
+            under = p < _FLOOR  # no NaN: every factor is finite
+            np.log(p, out=p)
+            p *= rk
+            # the first run's term is the sum so far, as 0.0 + v = v
+            s, low = (p, under) if s is None else (s + p, low | under)
+        if low.any():
+            s[low] = KernelSpec._sum_batch(self, r, T[low][:, None], nodes[np.nonzero(low)[0]])[:, 0]
+        return s
 
     def _slope(self, u):
         return 1.0 / np.asarray(u, dtype=float)

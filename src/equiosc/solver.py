@@ -219,8 +219,9 @@ def _newton(problem, ys: list[float], c, tol, budget: int, state, log_gaps: bool
     """Damped Newton on Φ − c from ys, which it updates in place.
 
     ``state`` is (residual, maxima, argmaxima) at ys, as from :func:`_residual_norm`;
-    returns (steps used, state at the final ys). Stops at the first step that
-    no halving makes lower the residual.
+    returns (steps used, state at the final ys). Stops at a zero residual,
+    where the step is zero, and at the first step that no halving makes
+    lower the residual.
 
     With ``log_gaps``, every step above tol is taken in the log-gap
     coordinates u (:func:`_gap_step`): under a log-singular kernel
@@ -245,7 +246,7 @@ def _newton(problem, ys: list[float], c, tol, budget: int, state, log_gaps: bool
     target = np.asarray(c, dtype=float)
     used = 0
     res, vals, args = state
-    while used < budget and math.isfinite(res):
+    while used < budget and 0.0 < res < math.inf:
         within_tol = res <= tol
         in_gaps = log_gaps and not within_tol
         jac = _jacobian(problem, ys, vals, args)

@@ -24,8 +24,10 @@ polishes its best sample between that sample's neighbours: it needs only the
 sign of F′, so it finds a local maximum there on any smooth piece. One at
 most 64 float spacings wide is read float by float once, its ends included.
 A node end of a piece needs no rule of its own: under a singular kernel F
-is −∞ there, so no end check settles it and a scan sample there loses, and
-the slope search evaluates F′ only strictly inside the piece.
+is −∞ there, and it is not evaluated. The end values of every piece come
+from the cut values, which skip the nodes, so no end check settles a node
+end and a scan's end sample there loses; the slope search evaluates F′ only
+strictly inside the piece.
 
 Every scalar caller takes its interval maxima from :func:`_maxima`, with
 the same fixed tolerances: a maxima vector, a single interval maximum (the
@@ -56,7 +58,13 @@ search: each step samples every searched piece at seven interior points in
 one evaluation and keeps the quarter of its bracket around the best sample,
 until the bracket is narrow for its width and place (samples under half a
 float apart on a piece a few floats wide). It takes every piece, however
-narrow. The two paths agree within 2.4e-14·max(1, |m|), measured on 50,540
+narrow. Its set-up follows the structure present (cut columns only for the
+knots and kinks there are, piece lookup only on a field of several pieces),
+and it skips the nodes of a singular kernel as the scalar path does: point
+candidates, end checks and scan ends are never evaluated there. Its kernel
+sums go through :func:`_sums_batch` and ``KernelSpec._sum_batch``, where
+``Log`` takes one log per run of equal exponents, the rule of its scalar
+sum. The two paths agree within 2.4e-14·max(1, |m|), measured on 50,540
 maxima of 720 random problems (six kernels, three fields, half the node
 systems with a gap 1e-15 to 1e-2 wide): within 5.2e-16 on the 4,220
 intervals narrower than 1e-5, and the rest on wide pieces, where the stop
@@ -78,7 +86,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
 from itertools import repeat
 
 import numpy as np
@@ -329,10 +336,12 @@ def _concave_max(g, a: float, b: float, ga: float, gb: float, dg, start: float |
     return _slope_max(g, dg, a, b, start)
 
 
-def _scan_max(g, dg, lo: float, hi: float) -> tuple[float, float]:
+def _scan_max(g, dg, lo: float, hi: float, glo: float, ghi: float) -> tuple[float, float]:
     """Maximize a piece that is not concave: a 64-point scan, polished by :func:`_slope_max`.
 
-    The polish searches the two spacings around the best sample (the first
+    ``glo`` and ``ghi`` are g(lo) and g(hi), the scan's end samples, so an
+    end at a node of a singular kernel is −∞ without an evaluation. The
+    polish searches the two spacings around the best sample (the first
     of equal ones), from that sample; the better of the sample and the
     search is the result. A best sample at an end of the piece is the
     result without a polish where g falls from it into the piece, by the
@@ -345,13 +354,13 @@ def _scan_max(g, dg, lo: float, hi: float) -> tuple[float, float]:
     is the result, exactly.
     """
     if _few_floats(lo, hi):
-        best = lo, g(lo)
-        for t, v in (_slope_max(g, dg, lo, hi), (hi, g(hi))):
+        best = lo, glo
+        for t, v in (_slope_max(g, dg, lo, hi), (hi, ghi)):
             if v > best[1]:
                 best = t, v
         return best
-    ts = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = [g(float(t)) for t in ts]
+    ts = np.linspace(lo, hi, _SCAN_POINTS)  # ts[0] = lo and ts[-1] = hi exactly
+    vals = [glo, *(g(float(t)) for t in ts[1:-1]), ghi]
     i = max(range(_SCAN_POINTS), key=lambda k: (vals[k], -k))
     if i == 0 or i == _SCAN_POINTS - 1:  # an end sample: g falling from it into the piece settles it
         end = float(ts[i])
@@ -408,7 +417,7 @@ def _maximize(lo: float, hi: float, start: float | None, setup):
     for d in (*points[bisect_right(points, lo):bisect_left(points, hi)], hi):
         gd = at(fval, d)
         if g is not None:
-            t, v = _concave_max(g, c, d, gc, gd, dg, start) if concave else _scan_max(g, dg, c, d)
+            t, v = _concave_max(g, c, d, gc, gd, dg, start) if concave else _scan_max(g, dg, c, d, gc, gd)
             if v > best_v or v == best_v and t < best_t:
                 best_t, best_v = t, v
         if d == hi:
@@ -526,13 +535,12 @@ _FRACTIONS = np.arange(1, _SAMPLES + 1) / (_SAMPLES + 1)
 def _sums_batch(formula_values, r, kernel, T: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """formula_values(T) + Σ_k r_k K(T − y_k), each row of T with the node row beside it.
 
-    ``nodes`` is (rows, n) and T is (rows, m). The translates add
-    up in the scalar order; a −∞ part gives −∞ (no +∞ occurs on [0, 1]).
+    ``nodes`` is (rows, n) and T is (rows, m). The translates add up by
+    ``KernelSpec._sum_batch``, in the scalar order and by ``Log``'s run rule;
+    a −∞ part gives −∞ (no +∞ occurs on [0, 1]). The one entry point of the
+    batch path's kernel sums.
     """
-    ks = np.zeros(T.shape)
-    for k, rk in enumerate(r):
-        ks += rk * kernel._values_unchecked(T - nodes[:, k, None])
-    return formula_values(T) + ks
+    return formula_values(T) + kernel._sum_batch(r, T, nodes)
 
 
 def _bracket_batch(g, a: np.ndarray, b: np.ndarray, concave: np.ndarray, prune=None) -> np.ndarray:
@@ -604,12 +612,22 @@ def _maxima_batch(problem: Problem, Y: np.ndarray, losing=None) -> np.ndarray:
 
     The values of :func:`_maxima_floats` row by row, computed for all rows at
     once: the same cuts, usc point candidates and concavity end checks, over
-    whole pieces (an end at a node of a singular kernel is −∞ and settles
-    nothing). Every piece that passes no end check is searched by one
+    whole pieces. Every piece that passes no end check is searched by one
     lockstep bracket search (:func:`_bracket_batch`, all pieces of all rows
     together, at every width) instead of the slope search, every non-concave
     one by the 64-point scan plus the same search as a polish. No argmax is
     computed.
+
+    The set-up builds only the structure present: cut columns only for field
+    knots and kernel kinks that exist, sorted only when there are two
+    columns or more; piece lookup only on a field of several pieces; and a sampler
+    that dispatches by formula only when the lanes span several. Under a
+    singular kernel F is −∞ at a node, and the scalar path's ``at`` skips
+    it: here too no node is evaluated. Interval j of a row (row mod (n + 1))
+    starts at a node unless j = 0 and ends at one unless j = n, so the point
+    candidates are the sentinel ends 0 and 1, the inner cuts and the
+    overrides; the end checks run only at ends that are not nodes; and a
+    scan sample on a node end is −∞ without an evaluation.
 
     With ``losing``, the searches of some cells stop early. After each search
     step a row's maximum is bounded below by its best value so far, and above
@@ -621,6 +639,7 @@ def _maxima_batch(problem: Problem, Y: np.ndarray, losing=None) -> np.ndarray:
     """
     field, kernel, n = problem.field, problem.kernel, problem.n
     r = problem.r
+    singular = kernel.flags().singular
     Y = np.asarray(Y, dtype=float)
     cells = Y.shape[0]
     ys = np.hstack([np.zeros((cells, 1)), Y, np.ones((cells, 1))])
@@ -629,58 +648,97 @@ def _maxima_batch(problem: Problem, Y: np.ndarray, losing=None) -> np.ndarray:
     rows = lo.size
 
     with np.errstate(divide="ignore"):
-        # cuts: the ends, the field's interior knots and the kernel kinks strictly
+        # inner cuts: the field's interior knots and the kernel kinks strictly
         # inside; a cut outside is replaced by hi, where it makes an empty segment
-        kinks = [nodes + s * kappa for kappa in kernel._kinks for s in (1.0, -1.0)]
-        inner = np.hstack([np.broadcast_to(field.interior_knots(), (rows, len(field.pieces) - 1)), *kinks])
-        inner = np.where((inner > lo[:, None]) & (inner < hi[:, None]), inner, hi[:, None])
-        cuts = np.sort(np.hstack([lo[:, None], inner, hi[:, None]]), axis=1)
+        knots = field.interior_knots()
+        inner = [np.broadcast_to(knots, (rows, len(knots)))] if knots else []
+        inner += [nodes + s * kappa for kappa in kernel._kinks for s in (1.0, -1.0)]
+        if inner:
+            inner = np.hstack(inner)
+            inside = (inner > lo[:, None]) & (inner < hi[:, None])
+            inner = np.where(inside, inner, hi[:, None])
+            if inner.shape[1] > 1:
+                inner.sort(axis=1)
+            cuts = np.hstack([lo[:, None], inner, hi[:, None]])
+            seg_row, seg_col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
+            c, d = cuts[seg_row, seg_col], cuts[seg_row, seg_col + 1]
+            real = inner < hi[:, None]
+            cut_row, cut_t = np.nonzero(real)[0], inner[real]
+        else:
+            seg_row = np.flatnonzero(hi > lo)
+            c, d = lo[seg_row], hi[seg_row]
+            cut_row, cut_t = np.empty(0, dtype=int), np.empty(0)
 
-        # point candidates: every cut and every override in [lo, hi], usc values;
-        # a degenerate row's lie on its node, −∞ under a singular kernel
-        overrides = np.asarray(field.override_points(), dtype=float)[None, :]
-        overrides = np.where((overrides >= lo[:, None]) & (overrides <= hi[:, None]), overrides, lo[:, None])
-        points = _sums_batch(field.values, r, kernel, np.hstack([cuts, overrides]), nodes)
-        best = reduce(np.maximum, points.T)  # column by column: a max over axis 1 is slow
+        # point candidates, one evaluation: the ends that are not nodes, the inner
+        # cuts and every override in [lo, hi], at their usc values
+        if singular:  # 0 and 1 where no node sits on them
+            first, last = np.flatnonzero(Y[:, 0] > 0.0), np.flatnonzero(Y[:, -1] < 1.0)
+            end_row = np.concatenate([first * (n + 1), last * (n + 1) + n])
+            end_t = np.concatenate([np.zeros(first.size), np.ones(last.size)])
+        else:
+            end_row, end_t = np.tile(np.arange(rows), 2), np.concatenate([lo, hi])
+        overrides = field.override_points()
+        over_row = [np.flatnonzero((lo <= tau) & (tau <= hi)) for tau in overrides]
+        over_t = [np.full(k.size, tau) for k, tau in zip(over_row, overrides)]
+        point_row = np.concatenate([end_row, cut_row, *over_row])
+        point_t = np.concatenate([end_t, cut_t, *over_t])
+        best = np.full(rows, NEG_INFINITY)
+        points = _sums_batch(field.values, r, kernel, point_t[:, None], nodes[point_row])
+        np.maximum.at(best, point_row, points[:, 0])
 
-        seg_row, seg_col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
-        c, d = cuts[seg_row, seg_col], cuts[seg_row, seg_col + 1]
-        piece = np.searchsorted(field.knots(), c, side="right") - 1  # as _maximize: the piece from c on
+        # a segment's end is a node when it is its row's first and j > 0, or its last and j < n
+        if singular:
+            j = seg_row % (n + 1)
+            a_free, b_free = (j == 0) | (c > lo[seg_row]), (j == n) | (d < hi[seg_row])
+        else:
+            a_free = b_free = np.ones(seg_row.size, dtype=bool)
+        if len(field.pieces) > 1:
+            piece = np.searchsorted(field.knots(), c, side="right") - 1  # as _maximize: the piece from c on
+            groups = [(p, piece == p) for p in np.unique(piece)]
+        else:
+            groups = [(0, slice(None))]
 
         # the pieces' searches, in piece order, run as one lockstep search: per
         # piece its formula, and per lane its row, bracket and concavity
         formulas, lane_row, lane_a, lane_b, lane_concave = [], [], [], [], []
-        for p in np.unique(piece):
+        for p, sel in groups:
             formula = field.pieces[p].formula
             if isinstance(formula, NegInfinityPiece):
                 continue
-            sel = piece == p
-            row, a, b = seg_row[sel], c[sel], d[sel]
+            row, a, b, af, bf = seg_row[sel], c[sel], d[sel], a_free[sel], b_free[sel]
             if formula.concave:
-                h = np.maximum(_XTOL, _SQRT_EPS * (b - a))
-                ends = np.stack([a, np.minimum(a + h, b), b, np.maximum(b - h, a)], axis=1)
-                ends = _sums_batch(formula._values, r, kernel, ends, nodes[row])
-                wide = b - a > 2.0 * h
                 # an end where g does not rise inward is the piece maximum, and no
                 # more than the point candidate there: only the others are searched
-                # (an end at a singular node is −∞ and settles nothing)
-                settled = wide & (ends[:, 0] > NEG_INFINITY) & (ends[:, 1] <= ends[:, 0])
-                settled |= wide & (ends[:, 2] > NEG_INFINITY) & (ends[:, 3] <= ends[:, 2])
+                h = np.maximum(_XTOL, _SQRT_EPS * (b - a))
+                wide = b - a > 2.0 * h
+                at_a, at_b = np.flatnonzero(wide & af), np.flatnonzero(wide & bf)
+                check = np.concatenate([at_a, at_b])
+                end = np.concatenate([a[at_a], b[at_b]])
+                inward = np.concatenate([h[at_a], -h[at_b]])
+                ends = np.stack([end, end + inward], axis=1)
+                ends = _sums_batch(formula._values, r, kernel, ends, nodes[row[check]])
+                settled = np.zeros(row.size, dtype=bool)
+                settled[check[(ends[:, 0] > NEG_INFINITY) & (ends[:, 1] <= ends[:, 0])]] = True
                 row, a, b = row[~settled], a[~settled], b[~settled]
-            if not formula.concave:
+            else:
                 ts = np.linspace(a, b, _SCAN_POINTS, axis=1)
-                samples = _sums_batch(formula._values, r, kernel, ts, nodes[row])
+                # a node end is sampled at its neighbour, then set to −∞
+                T = ts.copy()
+                T[~af, 0], T[~bf, -1] = ts[~af, 1], ts[~bf, -2]
+                samples = _sums_batch(formula._values, r, kernel, T, nodes[row])
+                samples[~af, 0] = samples[~bf, -1] = NEG_INFINITY
                 i = np.argmax(samples, axis=1)  # first of equal maxima, as _scan_max
                 lanes = np.arange(i.size)
                 np.maximum.at(best, row, samples[lanes, i])
                 # the polish searches the two spacings around the best sample
                 a = ts[lanes, np.maximum(i - 1, 0)]
                 b = ts[lanes, np.minimum(i + 1, _SCAN_POINTS - 1)]
-            formulas.append(formula._values)
-            lane_row.append(row)
-            lane_a.append(a)
-            lane_b.append(b)
-            lane_concave.append(np.full(row.size, formula.concave))
+            if row.size:
+                formulas.append(formula._values)
+                lane_row.append(row)
+                lane_a.append(a)
+                lane_b.append(b)
+                lane_concave.append(np.full(row.size, formula.concave))
 
         if formulas:
             lane_piece = np.repeat(np.arange(len(formulas)), [row.size for row in lane_row])
@@ -690,6 +748,8 @@ def _maxima_batch(problem: Problem, Y: np.ndarray, losing=None) -> np.ndarray:
             lane_nodes = nodes[lane_row]
 
             def g(T, lanes):
+                if len(formulas) == 1:
+                    return _sums_batch(formulas[0], r, kernel, T, lane_nodes[lanes])
                 # lanes is increasing, so each piece's lanes are one slice of it
                 edges = np.searchsorted(lane_piece[lanes], np.arange(len(formulas) + 1))
                 out = np.empty(T.shape)

@@ -274,11 +274,11 @@ def reference_maximize(field, kf, kd, terms, lo: float, hi: float, singular: boo
         if isinstance(formula, NegInfinityPiece):
             continue
         g = with_translates(formula._value, kf, terms)
+        ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
         if formula.concave:
-            ga, gb = at_cut(formula._value, c), at_cut(formula._value, d)
             candidates.append(_concave_max(g, c, d, ga, gb, slopes(formula)))
         else:
-            candidates.append(_scan_max(g, slopes(formula), c, d))
+            candidates.append(_scan_max(g, slopes(formula), c, d, ga, gb))
 
     candidates.sort(key=lambda p: p[0])
     best_t: float | None = None

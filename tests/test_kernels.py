@@ -8,7 +8,7 @@ import pytest
 
 import equiosc as eq
 from equiosc.extreal import NEG_INFINITY, is_neg_infinity
-from equiosc.kernels import scalar_fn
+from equiosc.kernels import KernelSpec, scalar_fn
 from golden_reference import kernel_sum, slope_sum
 
 ALL_KERNELS = [
@@ -145,7 +145,37 @@ def _log_sum_cases(rng, n):
             yield r, ys
 
 
-def test_equal_exponent_log_sum_is_within_n_ulps_of_the_per_term_loop():
+def _scalar_sums(ksum):
+    """ts ↦ [ksum(t) for t in ts]."""
+    return lambda ts: [ksum(t) for t in ts]
+
+
+def _batch_sums(kernel_sum_batch, terms):
+    """ts ↦ a batch kernel sum at ts, one row of points beside the node row of ``terms``."""
+    r, nodes = [r for r, _ in terms], np.array([[y for _, y in terms]])
+
+    def sums(ts):
+        with np.errstate(divide="ignore"):
+            return [float(v) for v in kernel_sum_batch(r, np.array([ts], dtype=float), nodes)[0]]
+
+    return sums
+
+
+# terms ↦ ts ↦ sums: Log's by its run rule, and the per-term loop each departs from, on both paths
+LOG_SUMS = {
+    "scalar": (
+        lambda terms: _scalar_sums(eq.Log()._build_sum(terms)),
+        lambda terms: _scalar_sums(lambda t: kernel_sum(scalar_fn(eq.Log()), terms, t)),
+    ),
+    "batch": (
+        lambda terms: _batch_sums(eq.Log()._sum_batch, terms),
+        lambda terms: _batch_sums(lambda *args: KernelSpec._sum_batch(eq.Log(), *args), terms),
+    ),
+}
+
+
+@pytest.mark.parametrize("path", LOG_SUMS)
+def test_equal_exponent_log_sum_is_within_n_ulps_of_the_per_term_loop(path):
     """One log per run of equal exponents moves the sum by rounding only.
 
     A run of m factors, each at most 1 in modulus, rounds its product to
@@ -155,34 +185,56 @@ def test_equal_exponent_log_sum_is_within_n_ulps_of_the_per_term_loop():
     1e-13 and 1e-9 of them, for n = 1 … 64 (two runs past 32).
     """
     rng = np.random.default_rng(5)
-    k, eps = scalar_fn(eq.Log()), math.ulp(1.0)
+    build, per_term = LOG_SUMS[path]
+    eps = math.ulp(1.0)
     for n in range(1, 65):
         for r, ys in _log_sum_cases(rng, n):
             terms = tuple((r, y) for y in ys)
-            ksum = eq.Log()._build_sum(terms)
             near = [y + d for y in ys for d in (-1e-13, 1e-9) if 0.0 <= y + d <= 1.0]
-            for t in [0.0, 1.0, *map(float, rng.uniform(0.0, 1.0, size=8)), *near]:
-                want = kernel_sum(k, terms, t)
-                assert abs(ksum(t) - want) <= n * eps * (r + abs(want)), (n, r, t)
+            ts = [0.0, 1.0, *map(float, rng.uniform(0.0, 1.0, size=8)), *near]
+            for t, got, want in zip(ts, build(terms)(ts), per_term(terms)(ts)):
+                assert abs(got - want) <= n * eps * (r + abs(want)), (n, r, t)
 
 
-def test_equal_exponent_log_sum_is_minus_infinity_at_every_node():
+@pytest.mark.parametrize("path", LOG_SUMS)
+def test_equal_exponent_log_sum_is_minus_infinity_at_every_node(path):
     rng = np.random.default_rng(6)
+    build, _ = LOG_SUMS[path]
     for n in range(1, 65):
         for r, ys in _log_sum_cases(rng, n):
-            ksum = eq.Log()._build_sum(tuple((r, y) for y in ys))
-            assert all(ksum(y) == NEG_INFINITY for y in ys), (n, r)
+            assert all(v == NEG_INFINITY for v in build(tuple((r, y) for y in ys))(ys)), (n, r)
 
 
-def test_a_log_run_whose_product_underflows_takes_the_per_term_loop():
+@pytest.mark.parametrize("path", LOG_SUMS)
+def test_a_log_run_whose_product_underflows_takes_the_per_term_loop(path):
     """32 nodes within 1e-11 of t: their product underflows, so the sum is the per-term loop's, bit for bit."""
     t = 0.5
     ys = [t + s * k * 3e-13 for k in range(1, 17) for s in (1.0, -1.0)]
     assert max(abs(t - y) for y in ys) <= 1e-11 and math.prod(t - y for y in ys) == 0.0
     terms = tuple((1.0, y) for y in ys)
-    got, want = eq.Log()._build_sum(terms)(t), kernel_sum(scalar_fn(eq.Log()), terms, t)
+    build, per_term = LOG_SUMS[path]
+    (got,), (want,) = build(terms)([t]), per_term(terms)([t])
     assert want > NEG_INFINITY
     assert got.hex() == want.hex()
+
+
+def test_batch_log_sum_takes_the_per_term_loop_only_where_a_run_underflows():
+    """One row of points beside 32 nodes clustered at 0.5: an underflowing run off the nodes, a node, and clear points.
+
+    Only the element whose run underflows takes the per-term loop, bit for
+    bit; the node is −∞, and the clear points keep the run rule, within
+    n ulps of the loop as in the scalar sum.
+    """
+    ys = [0.5 + s * k * 3e-13 for k in range(1, 17) for s in (1.0, -1.0)]
+    nodes, r = np.array([ys]), [1.0] * len(ys)
+    T = np.array([[0.0, 0.5, ys[3], 0.25, 1.0]])
+    with np.errstate(divide="ignore"):
+        got = eq.Log()._sum_batch(r, T, nodes)[0]
+        loop = KernelSpec._sum_batch(eq.Log(), r, T, nodes)[0]
+    assert got[1] > NEG_INFINITY and got[1].hex() == loop[1].hex()
+    assert got[2] == NEG_INFINITY
+    for k in (0, 3, 4):
+        assert abs(got[k] - loop[k]) <= len(ys) * math.ulp(1.0) * (1.0 + abs(loop[k]))
 
 
 def test_a_solved_kernel_is_not_kept_alive():

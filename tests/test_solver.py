@@ -691,6 +691,16 @@ def test_log_n1_solves_in_at_most_three_newton_steps(c):
     assert report.nodes.nodes[0] == pytest.approx(1.0 / (1.0 + math.exp(c)), abs=1e-12)
 
 
+def test_solve_at_a_zero_residual_takes_no_step(monkeypatch):
+    """Work gate: the n = 1 start y = 0.5 equioscillates exactly, so one maxima vector and no Newton step."""
+    vectors = []
+    maxima_floats = solver._maxima_floats
+    monkeypatch.setattr(solver, "_maxima_floats", lambda *args: vectors.append(args) or maxima_floats(*args))
+    report = eq.solve_equioscillation(log_problem(1))
+    assert report.residual == 0.0 and report.iterations == 0 and len(vectors) == 1
+    assert report.nodes.nodes == (0.5,)
+
+
 def test_newton_alone_solves_smooth_problems(monkeypatch):
     """Log kernel, no kinks: no continuation level and no difference quotient is needed."""
 

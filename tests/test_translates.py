@@ -263,13 +263,13 @@ def test_scan_end_sample_that_g_falls_from_needs_no_polish():
         calls.append(t)
         return slopes(t)
 
-    assert translates._scan_max(g, dg, 0.0, 0.3) == (0.0, g(0.0))
+    assert translates._scan_max(g, dg, 0.0, 0.3, g(0.0), g(0.3)) == (0.0, g(0.0))
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("floats", [1, 5, 40])
 def test_few_float_scan_reads_each_float_once(floats):
-    """A non-concave piece a few floats wide is read float by float: its best float, one g call each.
+    """A non-concave piece a few floats wide is read float by float: its best float, one g call per inner float.
 
     The TentLog kink cut 0.8 − 0.1 lies one float past the knot 0.7 of the
     convex piece −2√(t − 0.7). The 64-point scan of that segment called g
@@ -292,8 +292,8 @@ def test_few_float_scan_reads_each_float_once(floats):
         every.append(math.nextafter(every[-1], 1.0))
     if floats == 1:
         assert every[-1] == 0.8 - 0.1
-    t, v = translates._scan_max(g, dg, every[0], every[-1])
-    assert sorted(calls) == every
+    t, v = translates._scan_max(g, dg, every[0], every[-1], g0(every[0]), g0(every[-1]))
+    assert sorted(calls) == every[1:-1]  # the ends' values are given
     assert v == max(map(g0, every)) and g0(t) == v
 
 

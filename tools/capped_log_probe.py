@@ -20,8 +20,9 @@ more than 1e−9 off its target counts as a failure, whatever its report says.
 Output: the solve count, each failure as (seed, index) with its reason, the
 total iterations of the converged solves and a SHA-256 over their nodes'
 ``float.hex``, so two checkouts compare by one line. Every draw converges in
-18,994 iterations in all (22,307 with every Newton step in the nodes), digest
-``23df2956…``, so the exit status is 1 if any draw fails or the iterations
+18,963 iterations in all (18,994 with a step taken at a zero residual, 22,307
+with every Newton step in the nodes), digest ``23df2956…``, so the exit
+status is 1 if any draw fails or the iterations
 exceed 20,400 (headroom for LAPACK rounding), else 0. The iteration count
 does not depend on the machine's speed.
 
